@@ -19,6 +19,7 @@ the sequential path in the same order; see ``docs/performance.md``.
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.attacks.scenario import (
@@ -44,6 +45,8 @@ from repro.topology.view import RoutingView
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from numpy import ndarray
+
     from repro.defense.strategies import DeploymentStrategy
     from repro.registry.roa import OriginAuthority
 
@@ -102,6 +105,10 @@ class HijackLab:
             if cache is not None
             else ConvergenceCache(verify=validate, metrics=self.metrics)
         )
+        # Lazily built lookup tables (per-node address space, attacker
+        # pools). with_defense clones share the dict itself, so a table
+        # built through any of them is built for all.
+        self._tables: dict[object, object] = {}
 
     # -- configuration -----------------------------------------------------------
 
@@ -113,20 +120,8 @@ class HijackLab:
         clone re-uses it — a deployment-ladder comparison converges each
         baseline exactly once across every rung.
         """
-        clone = HijackLab.__new__(HijackLab)
-        clone.graph = self.graph
-        clone.plan = self.plan
-        clone.policy = self.policy
+        clone = copy.copy(self)
         clone.defense = defense
-        clone.seed = self.seed
-        clone.workers = self.workers
-        clone.validate = self.validate
-        clone.backend = self.backend
-        clone.batch_origins = self.batch_origins
-        clone.metrics = self.metrics
-        clone.view = self.view
-        clone.engine = self.engine
-        clone.cache = self.cache
         return clone
 
     # -- internals -----------------------------------------------------------------
@@ -149,6 +144,93 @@ class HijackLab:
         """Defensive stub filters stop a *stub* attacker's announcements to
         its providers (the attack can still leak through peer links)."""
         return self.defense.stub_filter and not self.graph.customers(attacker_asn)
+
+    def _node_space(self) -> "ndarray":
+        """Address space originated behind each routing node (int64).
+
+        Built from the plan on first use, so the plan must not be
+        re-allocated (``assign``/``transfer``) under a lab that has
+        already scored an attack.
+        """
+        space = self._tables.get("node_space")
+        if space is None:
+            import numpy as np  # lazy, as in _pollution
+
+            space_of = self.plan.address_space_of
+            space = self._tables["node_space"] = np.fromiter(
+                (sum(map(space_of, group)) for group in self.view.members),
+                dtype=np.int64,
+                count=len(self.view),
+            )
+        return space
+
+    def _pollution(
+        self, state: RouteState, attacker_node: int
+    ) -> tuple[frozenset[int], float]:
+        """Who routes to *attacker_node* in *state*, and how much space.
+
+        Returns ``(polluted_asns, address_fraction)`` — the ASNs behind
+        every node holding the attacker's route (the attacker's own node
+        excluded) and their share of the allocated address space. Equal
+        to ``view.expand(state.holders_of(node))`` and
+        ``plan.fraction_owned(...)`` of it, bit for bit (one integer sum,
+        one division), computed as array reductions over the state.
+        """
+        import numpy as np  # lazy: labs that never attack skip the import
+
+        view = self.view
+        held = np.asarray(state.origin_of) == attacker_node
+        held[attacker_node] = False
+        nodes = np.flatnonzero(held)
+        asns = view.representative_asns[nodes].tolist()
+        siblings = view.sibling_nodes
+        for node in siblings[held[siblings]].tolist():
+            asns.extend(view.members[node][1:])
+        total = self.plan.total_allocated()
+        owned = int(self._node_space()[nodes].sum())
+        return frozenset(asns), (owned / total if total else 0.0)
+
+    def _outcome(
+        self,
+        scenario: HijackScenario,
+        claimed: tuple[int, ...] | None,
+        state: RouteState | None = None,
+        attacker_node: int = -1,
+        blocked: frozenset[int] = frozenset(),
+    ) -> AttackOutcome:
+        """Assemble a scenario's outcome from its converged *state*.
+
+        Without a state the attack never launched (nothing to replay or
+        leak): nobody is polluted and nothing was blocked.
+        """
+        if state is None:
+            polluted_asns, fraction = frozenset(), 0.0
+        else:
+            polluted_asns, fraction = self._pollution(state, attacker_node)
+        return AttackOutcome(
+            scenario=scenario,
+            polluted_asns=polluted_asns,
+            blocked_asns=self.view.expand(blocked),
+            address_fraction=fraction,
+            claimed_path=claimed,
+        )
+
+    def _sweep_pool(
+        self,
+        target_asn: int,
+        pool: Sequence[int],
+        sample: int | None,
+        seed: int | None,
+    ) -> tuple[int, ...]:
+        """The attackers of one sweep: *pool* minus the target's own
+        routing node, down-sampled deterministically to *sample*."""
+        view = self.view
+        own = frozenset(view.members[view.node_of(target_asn)])
+        pool = tuple(asn for asn in pool if asn not in own)
+        if sample is not None and sample < len(pool):
+            rng = make_rng(self.seed if seed is None else seed, "sweep", target_asn)
+            pool = tuple(sorted(rng.sample(pool, sample)))
+        return pool
 
     def claimed_path(self, scenario: HijackScenario) -> tuple[int, ...] | None:
         """The AS path the bogus announcement carries, claimed origin last.
@@ -198,14 +280,7 @@ class HijackLab:
         claimed = self.claimed_path(scenario)
         if claimed is None:
             # Nothing to replay/leak: the attack fizzles before launch.
-            empty: frozenset[int] = frozenset()
-            return AttackOutcome(
-                scenario=scenario,
-                polluted_asns=empty,
-                blocked_asns=empty,
-                address_fraction=self.plan.fraction_owned(empty),
-                claimed_path=None,
-            )
+            return self._outcome(scenario, None)
         blocked = self.defense.blocking_nodes(
             view, scenario.prefix, scenario.attacker_asn, claimed_path=claimed
         )
@@ -227,15 +302,7 @@ class HijackLab:
             filter_first_hop_providers=first_hop,
             origin_length=len(claimed) - 1,
         )
-        polluted_nodes = state.holders_of(attacker_node)
-        polluted_asns = view.expand(polluted_nodes) - {scenario.attacker_asn}
-        return AttackOutcome(
-            scenario=scenario,
-            polluted_asns=polluted_asns,
-            blocked_asns=view.expand(blocked),
-            address_fraction=self.plan.fraction_owned(polluted_asns),
-            claimed_path=claimed,
-        )
+        return self._outcome(scenario, claimed, state, attacker_node, blocked)
 
     def run_scenarios(
         self,
@@ -284,14 +351,7 @@ class HijackLab:
                 )
             claimed = self.claimed_path(scenario)
             if claimed is None:
-                empty: frozenset[int] = frozenset()
-                outcomes[index] = AttackOutcome(
-                    scenario=scenario,
-                    polluted_asns=empty,
-                    blocked_asns=empty,
-                    address_fraction=self.plan.fraction_owned(empty),
-                    claimed_path=None,
-                )
+                outcomes[index] = self._outcome(scenario, None)
                 continue
             blocked = self.defense.blocking_nodes(
                 view, scenario.prefix, scenario.attacker_asn, claimed_path=claimed
@@ -320,14 +380,8 @@ class HijackLab:
                 for (index, scenario, attacker_node, claimed, blocked, _), state in zip(
                     chunk, states
                 ):
-                    polluted_nodes = state.holders_of(attacker_node)
-                    polluted_asns = view.expand(polluted_nodes) - {scenario.attacker_asn}
-                    outcomes[index] = AttackOutcome(
-                        scenario=scenario,
-                        polluted_asns=polluted_asns,
-                        blocked_asns=view.expand(blocked),
-                        address_fraction=self.plan.fraction_owned(polluted_asns),
-                        claimed_path=claimed,
+                    outcomes[index] = self._outcome(
+                        scenario, claimed, state, attacker_node, blocked
                     )
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
@@ -458,8 +512,11 @@ class HijackLab:
         """Candidate attackers: everyone, or the paper's optimistic
         transit-only pool ("attacks now originate only from the transit
         ASes", Section IV)."""
-        pool = transit_asns(self.graph) if transit_only else frozenset(self.graph.asns())
-        return tuple(sorted(pool))
+        pool = self._tables.get(("attacker_pool", transit_only))
+        if pool is None:
+            asns = transit_asns(self.graph) if transit_only else self.graph.asns()
+            pool = self._tables["attacker_pool", transit_only] = tuple(sorted(set(asns)))
+        return pool
 
     def sweep_target(
         self,
@@ -489,15 +546,7 @@ class HijackLab:
             pool: Sequence[int] = self.attacker_pool(transit_only=transit_only)
         else:
             pool = tuple(sorted(set(attackers)))
-        pool = tuple(
-            asn
-            for asn in pool
-            if asn != target_asn
-            and self.view.node_of(asn) != self.view.node_of(target_asn)
-        )
-        if sample is not None and sample < len(pool):
-            rng = make_rng(self.seed if seed is None else seed, "sweep", target_asn)
-            pool = tuple(sorted(rng.sample(pool, sample)))
+        pool = self._sweep_pool(target_asn, pool, sample, seed)
         prefix = self.attack_prefix(target_asn, kind)
         scenarios = [
             self.build_scenario(
@@ -544,16 +593,10 @@ class HijackLab:
         ``with_defense(Defense(strategy=strategies[i], authority=authority))
         .sweep_target(target_asn, ...)``.
         """
-        pool: Sequence[int] = self.attacker_pool(transit_only=transit_only)
-        target_node = self.view.node_of(target_asn)
-        pool = tuple(
-            asn
-            for asn in pool
-            if asn != target_asn and self.view.node_of(asn) != target_node
+        pool = self._sweep_pool(
+            target_asn, self.attacker_pool(transit_only=transit_only), sample, seed
         )
-        if sample is not None and sample < len(pool):
-            rng = make_rng(self.seed if seed is None else seed, "sweep", target_asn)
-            pool = tuple(sorted(rng.sample(pool, sample)))
+        target_node = self.view.node_of(target_asn)
         prefix = self.attack_prefix(target_asn, HijackKind.ORIGIN)
         defenses = [
             Defense(strategy=strategy, authority=authority)
@@ -593,16 +636,8 @@ class HijackLab:
                     for scenario, node, state, blocked in zip(
                         scenarios, nodes, states, blocked_sets
                     ):
-                        polluted_asns = (
-                            view.expand(state.holders_of(node))
-                            - {scenario.attacker_asn}
-                        )
-                        results[rung][scenario.attacker_asn] = AttackOutcome(
-                            scenario=scenario,
-                            polluted_asns=polluted_asns,
-                            blocked_asns=view.expand(blocked),
-                            address_fraction=self.plan.fraction_owned(polluted_asns),
-                            claimed_path=(scenario.attacker_asn,),
+                        results[rung][scenario.attacker_asn] = self._outcome(
+                            scenario, (scenario.attacker_asn,), state, node, blocked
                         )
                     for state, delta in zip(states, deltas):
                         delta.revert(state)

@@ -61,11 +61,18 @@ class RouteState:
 
     A state that will be shared — cached as a clean baseline and reused
     across many hijack passes, possibly from several worker processes —
-    should be :meth:`frozen <freeze>` first: its arrays become tuples, so
-    any accidental in-place write raises immediately instead of silently
-    contaminating every later attack computed on top of it. A hijack pass
-    never needs to write into its baseline: :meth:`RoutingEngine.converge`
-    always works on a :meth:`copy_for` copy of ``base``.
+    should be :meth:`frozen <freeze>` first, so any accidental in-place
+    write raises immediately instead of silently contaminating every
+    later attack computed on top of it. A hijack pass never needs to
+    write into its baseline: :meth:`RoutingEngine.converge` always works
+    on a :meth:`copy_for` copy of ``base``.
+
+    The representation follows the kernel that produced the state: the
+    reference kernel works on Python lists (frozen: tuples), the array
+    kernels write back numpy arrays (frozen: read-only) so a sweep never
+    converts between the two. This class is the only place that knows;
+    :meth:`checksum` is identical for identical content either way, and
+    the scalar queries below return plain Python values for both.
     """
 
     origin: int
@@ -84,32 +91,44 @@ class RouteState:
             origin_of=[-1] * size,
         )
 
+    def _arrays(self) -> tuple:
+        return self.cls, self.length, self.parent, self.origin_of
+
+    @property
+    def _list_backed(self) -> bool:
+        return isinstance(self.cls, (list, tuple))
+
     def copy_for(self, origin: int) -> "RouteState":
-        return RouteState(
-            origin=origin,
-            cls=list(self.cls),
-            length=list(self.length),
-            parent=list(self.parent),
-            origin_of=list(self.origin_of),
-        )
+        if self._list_backed:
+            copies = [list(array) for array in self._arrays()]
+        else:
+            copies = [array.copy() for array in self._arrays()]
+        return RouteState(origin, *copies)
 
     def freeze(self) -> "RouteState":
         """Make the arrays immutable (idempotent); returns ``self``."""
-        self.cls = tuple(self.cls)
-        self.length = tuple(self.length)
-        self.parent = tuple(self.parent)
-        self.origin_of = tuple(self.origin_of)
+        if self._list_backed:
+            self.cls, self.length, self.parent, self.origin_of = map(
+                tuple, self._arrays()
+            )
+        else:
+            for array in self._arrays():
+                array.setflags(write=False)
         return self
 
     @property
     def is_frozen(self) -> bool:
-        return isinstance(self.cls, tuple)
+        if self._list_backed:
+            return isinstance(self.cls, tuple)
+        return not self.cls.flags.writeable
 
     def checksum(self) -> str:
         """Content digest over every array — detects in-place mutation."""
         digest = hashlib.blake2b(digest_size=16)
         digest.update(str(self.origin).encode())
-        for array in (self.cls, self.length, self.parent, self.origin_of):
+        for array in self._arrays():
+            if not isinstance(array, (list, tuple)):
+                array = array.tolist()
             digest.update(b"|")
             digest.update(",".join(map(str, array)).encode())
         return digest.hexdigest()
@@ -117,19 +136,23 @@ class RouteState:
     # -- queries -------------------------------------------------------------
 
     def has_route(self, node: int) -> bool:
-        return self.cls[node] != _NO_CLASS
+        return bool(self.cls[node] != _NO_CLASS)
 
     def route_class(self, node: int) -> RouteClass | None:
-        value = self.cls[node]
+        value = int(self.cls[node])
         return None if value == _NO_CLASS else RouteClass(value)
 
     def holders_of(self, origin: int) -> frozenset[int]:
         """Nodes (excluding *origin* itself) routing to *origin*."""
-        return frozenset(
-            node
-            for node, holder in enumerate(self.origin_of)
-            if holder == origin and node != origin
-        )
+        if self._list_backed:
+            return frozenset(
+                node
+                for node, holder in enumerate(self.origin_of)
+                if holder == origin and node != origin
+            )
+        holders = set((self.origin_of == origin).nonzero()[0].tolist())
+        holders.discard(origin)
+        return frozenset(holders)
 
     def path_from(self, node: int) -> tuple[int, ...]:
         """The next-hop chain from *node* toward its route's origin.
@@ -145,7 +168,7 @@ class RouteState:
         current = node
         seen = set()
         while True:
-            parent = self.parent[current]
+            parent = int(self.parent[current])
             if parent < 0:
                 break
             if parent in seen:  # defensive: corrupted parents

@@ -15,8 +15,10 @@ numpy instructions:
   int32 ``indptr``/``indices`` per relationship kind, memoized by view
   object identity exactly like the convergence cache's view digest);
 * per-pass route state lives in preallocated int32/int64 scratch arrays,
-  loaded from and written back to the :class:`~repro.bgp.engine
-  .RouteState` lists around the hot loop;
+  and the :class:`~repro.bgp.engine.RouteState` the kernels write back
+  holds numpy arrays too, so a state coming back in (a hijack pass over
+  a cached baseline, a warm-started deployment rung) is loaded without
+  a list conversion;
 * the bucketed frontier queue holds *array chunks* of ``(node, sender)``
   candidates instead of per-candidate tuples, and each ``(length,
   class)`` bucket is resolved with one vectorized preference test plus a
@@ -238,16 +240,16 @@ def propagate_array(
 ) -> tuple[int, int, int, int]:
     """Run one announcement pass over *state* with bulk array operations.
 
-    Mutates *state* in place (its arrays are replaced with fresh lists of
-    Python ints holding the identical final content the reference kernel
-    would produce) and appends the identical undo journal when *journal*
-    is given. Returns ``(messages, installs, replaced, rounds)`` for the
-    engine's metrics emission.
+    Mutates *state* in place (its arrays end up as numpy arrays holding
+    the identical final content the reference kernel would produce) and
+    appends the identical undo journal when *journal* is given. An
+    array-backed *state* is written through directly, so a frozen one
+    raises on the first install. Returns ``(messages, installs,
+    replaced, rounds)`` for the engine's metrics emission.
 
     ``fresh=True`` promises *state* is a pristine :meth:`RouteState.empty
     <repro.bgp.engine.RouteState.empty>` — the scratch arrays are then
-    filled directly instead of converted from the state's Python lists,
-    which saves a third of the single-origin wall-clock at CAIDA scale.
+    filled directly instead of converted from the state's Python lists.
     """
     if fresh:
         key = np.full(topology.size, _EMPTY_KEY, dtype=np.int64)
@@ -425,10 +427,10 @@ def propagate_array(
                 push_exports(winners, route_class, route_length + 1)
         route_length += 1
 
-    state.cls = (key >> _LEN_BITS).tolist()
-    state.length = (key & _LEN_MASK).tolist()
-    state.parent = parent.tolist()
-    state.origin_of = origin_of.tolist()
+    state.cls = key >> _LEN_BITS
+    state.length = key & _LEN_MASK
+    state.parent = parent
+    state.origin_of = origin_of
     return messages, installs, replaced, len(buckets)
 
 
@@ -704,9 +706,11 @@ def propagate_array_batch(
     key_grid = key.reshape(k, n)
     parent_grid = parent.reshape(k, n)
     origin_grid = origin_of.reshape(k, n)
+    # One copy per column: a view would pin the whole K*N grid for as
+    # long as any single state lives.
     for col, state in enumerate(states):
-        state.cls = (key_grid[col] >> _LEN_BITS).tolist()
-        state.length = (key_grid[col] & _LEN_MASK).tolist()
-        state.parent = parent_grid[col].tolist()
-        state.origin_of = origin_grid[col].tolist()
+        state.cls = key_grid[col] >> _LEN_BITS
+        state.length = key_grid[col] & _LEN_MASK
+        state.parent = parent_grid[col].copy()
+        state.origin_of = origin_grid[col].copy()
     return messages, installs, replaced, len(buckets)

@@ -63,6 +63,9 @@ class AddressPlan:
     _by_asn: dict[int, list[Prefix]] = field(default_factory=dict)
     _origins: PrefixTrie[int] = field(default_factory=PrefixTrie)
     _total_size: int = 0
+    # Per-ASN address totals, kept in step by assign/transfer so the
+    # pollution metric never re-sums prefix sizes.
+    _space_by_asn: dict[int, int] = field(default_factory=dict)
 
     # -- construction ------------------------------------------------------
 
@@ -121,6 +124,7 @@ class AddressPlan:
         self._by_asn.setdefault(asn, []).append(prefix)
         self._origins.insert(prefix, asn)
         self._total_size += prefix.size()
+        self._space_by_asn[asn] = self._space_by_asn.get(asn, 0) + prefix.size()
 
     def transfer(self, prefix: Prefix, new_asn: int) -> int:
         """Reassign an allocated *prefix* to *new_asn*; returns the old owner.
@@ -134,9 +138,12 @@ class AddressPlan:
             raise KeyError(f"{prefix} is not an allocated block")
         old_asn = self._origins[prefix]
         bucket.remove(prefix)
+        self._space_by_asn[old_asn] -= prefix.size()
         if not bucket:
             del self._by_asn[old_asn]
+            del self._space_by_asn[old_asn]
         self._by_asn.setdefault(new_asn, []).append(prefix)
+        self._space_by_asn[new_asn] = self._space_by_asn.get(new_asn, 0) + prefix.size()
         self._origins.insert(prefix, new_asn)
         return old_asn
 
@@ -159,7 +166,7 @@ class AddressPlan:
         return None if match is None else match[1]
 
     def address_space_of(self, asn: int) -> int:
-        return sum(p.size() for p in self._by_asn.get(asn, ()))
+        return self._space_by_asn.get(asn, 0)
 
     def total_allocated(self) -> int:
         """Total number of allocated addresses across all ASes."""
@@ -175,7 +182,10 @@ class AddressPlan:
         """
         if self._total_size == 0:
             return 0.0
-        owned = sum(self.address_space_of(asn) for asn in set(asns))
+        if not isinstance(asns, (set, frozenset)):
+            asns = set(asns)
+        space = self._space_by_asn
+        owned = sum(space.get(asn, 0) for asn in asns)
         return owned / self._total_size
 
     def all_asns(self) -> Sequence[int]:

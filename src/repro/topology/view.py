@@ -15,11 +15,15 @@ A view is immutable; rebuild it after editing the :class:`ASGraph`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.topology.asgraph import ASGraph
 from repro.topology.classify import find_tier1
 from repro.topology.relationships import Relationship
+
+if TYPE_CHECKING:  # pragma: no cover - numpy is imported lazily below
+    from numpy import ndarray
 
 __all__ = ["RoutingView"]
 
@@ -153,6 +157,30 @@ class RoutingView:
 
     def member_count(self, node: int) -> int:
         return len(self.members[node])
+
+    @cached_property
+    def representative_asns(self) -> "ndarray":
+        """``asn_of(node)`` for every node, as an int64 array.
+
+        With :attr:`sibling_nodes` this is :meth:`expand` as an array
+        gather: ``representative_asns[nodes]`` plus the extra members of
+        the few collapsed sibling groups among *nodes*.
+        """
+        import numpy as np  # lazy: only attack scoring needs it
+
+        return np.fromiter(
+            (group[0] for group in self.members), dtype=np.int64, count=len(self)
+        )
+
+    @cached_property
+    def sibling_nodes(self) -> "ndarray":
+        """Nodes standing for more than one ASN (collapsed sibling groups)."""
+        import numpy as np
+
+        return np.array(
+            [node for node, group in enumerate(self.members) if len(group) > 1],
+            dtype=np.int64,
+        )
 
     def expand(self, nodes: Iterable[int]) -> frozenset[int]:
         """Original ASNs represented by the given routing nodes."""

@@ -21,12 +21,16 @@ from hypothesis import strategies as st
 
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
+from repro.detection.taxonomy import grid_cells
 from repro.oracle.strategies import (
     deployment_vectors,
     example_budget,
+    hierarchical_topologies,
     hijack_cases,
     taxonomy_scenarios,
 )
+from repro.registry.publication import PublicationState
+from repro.topology.relationships import Relationship
 
 
 def _engines(case):
@@ -208,3 +212,82 @@ def test_warm_start_journal_parity_across_rungs(case, data):
             for index, delta in enumerate(deltas):
                 delta.revert(states[index])
                 assert states[index].checksum() == base_sums[index]
+
+
+@st.composite
+def _sibling_topologies(draw):
+    """A hierarchical topology with a few extra sibling links, so several
+    routing nodes stand for more than one ASN (groups can chain)."""
+    graph = draw(hierarchical_topologies(min_size=6, max_size=24))
+    asns = st.sampled_from(sorted(graph.asns()))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        a, b = draw(asns), draw(asns)
+        if a != b and graph.relationship(a, b) is None:
+            graph.add_relationship(a, b, Relationship.SIBLING)
+    return graph
+
+
+def _check_every_scored_state(lab, checked):
+    """Wrap the lab's outcome-assembly helper so every state it scores is
+    compared, at call time, with the set-based definition it replaced."""
+    view, plan, helper = lab.view, lab.plan, lab._pollution
+
+    def checking(state, attacker_node):
+        result = helper(state, attacker_node)
+        expected = view.expand(state.holders_of(attacker_node)) - set(
+            view.members[attacker_node]
+        )
+        # == on the float: one integer sum, one division, on both sides.
+        assert result == (expected, plan.fraction_owned(expected))
+        checked.append(result)
+        return result
+
+    lab._pollution = checking
+
+
+@settings(max_examples=example_budget(25), deadline=None)
+@given(_sibling_topologies(), st.data())
+def test_outcome_assembly_matches_set_expansion(graph, data):
+    """On sibling-rich topologies, for every attack-grid cell and a
+    warm-started deployment ladder, on both backends: the array-reduction
+    outcome helper returns exactly ``view.expand(state.holders_of(a))``
+    minus the attacker and ``plan.fraction_owned`` of it, and the two
+    backends' outcomes agree."""
+    reference = HijackLab(graph, seed=0)
+    array = HijackLab(graph, seed=0, backend="array", batch_origins=3)
+    view = reference.view
+    asns = sorted(graph.asns())
+    target_asn = data.draw(st.sampled_from(asns), label="target")
+    attackers = [
+        asn for asn in asns if view.node_of(asn) != view.node_of(target_asn)
+    ]
+    if not attackers:
+        return  # every AS collapsed into the target's sibling group
+    attacker_asn = data.draw(st.sampled_from(attackers), label="attacker")
+    depth = data.draw(st.integers(min_value=1, max_value=3), label="depth")
+    ladder = [data.draw(deployment_vectors(asns)) for _ in range(2)]
+    authority = PublicationState.full(reference.plan).table()
+    results = []
+    for lab in (reference, array):
+        checked: list = []
+        _check_every_scored_state(lab, checked)
+        scenarios = [
+            lab.build_scenario(
+                target_asn, attacker_asn, kind=kind, path_kind=path_kind,
+                forged_depth=depth,
+            )
+            for kind, path_kind in grid_cells()
+        ]
+        outcomes = lab.run_scenario_batch(scenarios)
+        launched = sum(outcome.claimed_path is not None for outcome in outcomes)
+        rungs = lab.sweep_deployments(
+            target_asn, ladder, authority, transit_only=False
+        )
+        assert len(checked) == launched + sum(len(rung) for rung in rungs)
+        results.append(
+            [
+                (outcome.polluted_asns, outcome.address_fraction)
+                for outcome in (*outcomes, *(o for rung in rungs for o in rung.values()))
+            ]
+        )
+    assert results[0] == results[1]

@@ -83,6 +83,25 @@ class TestDefendedLab:
         assert defended.view is mini_lab.view
         assert defended.plan is mini_lab.plan
 
+    def test_with_defense_shares_every_per_lab_table(self, mini_lab):
+        """A ladder clone made *before* first use must still share the
+        lazily built tables: everything but the defense is the same
+        object, so nothing is rebuilt (or silently missing) per rung."""
+        defense = Defense(stub_filter=True)
+        defended = mini_lab.with_defense(defense)
+        assert defended.defense is defense and mini_lab.defense is not defense
+        shared = {
+            name: value
+            for name, value in vars(mini_lab).items()
+            if name != "defense"
+        }
+        assert shared.keys() == vars(defended).keys() - {"defense"}
+        for name, value in shared.items():
+            assert getattr(defended, name) is value, name
+        defended.origin_hijack(50, 60)  # builds the tables through the clone
+        assert defended._node_space() is mini_lab._node_space()
+        assert defended.attacker_pool() is mini_lab.attacker_pool()
+
     def test_blocking_deployment_reduces_pollution(self, mini_lab):
         publication = PublicationState.full(mini_lab.plan)
         defense = Defense(

@@ -169,6 +169,43 @@ class TestCommands:
         assert payload["events"]["malformed"] == 2
         assert payload["events"]["applied"] == 6
 
+    def test_stream_array_backend_report_is_json_and_matches_reference(
+        self, topo_file, tmp_path, capsys
+    ):
+        """Regression: a type-U replay and a route leak read their claimed
+        path off ``RouteState.path_from``; on the array backend's
+        numpy-backed states those hops must still be plain ints, or the
+        JSON report raises on an ``np.int32``."""
+        from repro.attacks.lab import HijackLab
+        from repro.attacks.scenario import HijackKind, PathKind
+        from repro.stream import write_events
+        from repro.stream.events import compile_scenario
+        from repro.topology.caida import load_caida
+
+        lab = HijackLab(load_caida(topo_file), seed=0)
+        scenarios = [
+            lab.build_scenario(300, 30, path_kind=PathKind.TYPE_U),
+            lab.build_scenario(200, 45, kind=HijackKind.ROUTE_LEAK),
+        ]
+        events = [
+            event
+            for index, scenario in enumerate(scenarios)
+            for event in compile_scenario(scenario, start=4.0 * index)
+        ]
+        stream_path = write_events(tmp_path / "replays.jsonl", events)
+        payloads = {}
+        for backend in ("reference", "array"):
+            report_path = tmp_path / f"{backend}.json"
+            assert main(["--backend", backend, "--seed", "0", "stream",
+                         "--topology", str(topo_file), "-i", str(stream_path),
+                         "--probes", "top-degree",
+                         "--report", str(report_path)]) == 0
+            payloads[backend] = json.loads(report_path.read_text())
+        assert payloads["array"] == payloads["reference"]
+        # Both replays resolved a learned path (a fizzle would be a noop).
+        assert payloads["array"]["events"]["applied"] == len(events)
+        assert payloads["array"]["events"]["noop"] == 0
+
     def test_stream_fail_on_hijack_exit_code(self, tmp_path, capsys):
         # A hijack campaign with ROAs published: CONFIRMED verdicts fire.
         assert main(["stream", "--as-count", "400", "--attacks", "2",

@@ -10,12 +10,15 @@ lazy re-exports on :mod:`repro.bgp`.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import repro.bgp as bgp
-from repro.bgp.engine import RoutingEngine
-from repro.bgp.kernel import BACKENDS, compile_view, resolve_backend
+from repro.bgp.engine import RouteState, RoutingEngine
+from repro.bgp.kernel import BACKENDS, compile_view, propagate_array, resolve_backend
+from repro.parallel.cache import ConvergenceCache
 from repro.topology.view import RoutingView
 
 from tests.conftest import build_mini_graph
@@ -227,3 +230,85 @@ class TestBatchedKernel:
         frozen = base.copy_for(2).freeze()
         with pytest.raises(ValueError):
             engine.converge_delta_batch([frozen], [2])
+
+
+class TestArrayBackedState:
+    """The array kernels hand back numpy-backed states; ``RouteState`` is
+    the only place that knows, and everything observable — checksums,
+    freezing, scalar queries — behaves as on the list-backed states."""
+
+    def test_array_kernels_write_back_ndarrays(self, mini_view):
+        engine = RoutingEngine(mini_view, backend="array")
+        base = engine.converge(0)
+        states = [base, engine.converge(2, base=base), *engine.converge_batch([1, 2])]
+        delta_state = base.copy_for(3)
+        engine.converge_delta(delta_state, 3)
+        for state in (*states, delta_state):
+            for array in (state.cls, state.length, state.parent, state.origin_of):
+                assert isinstance(array, np.ndarray)
+        assert isinstance(RoutingEngine(mini_view).converge(0).cls, list)
+
+    def test_checksum_is_representation_independent(self, mini_view):
+        array_state = RoutingEngine(mini_view, backend="array").converge(0)
+        as_lists = RouteState(
+            array_state.origin,
+            *(a.tolist() for a in (array_state.cls, array_state.length,
+                                   array_state.parent, array_state.origin_of)),
+        )
+        assert array_state.checksum() == as_lists.checksum()
+        assert array_state.checksum() == RoutingEngine(mini_view).converge(0).checksum()
+
+    def test_frozen_ndarray_state_rejects_writes(self, mini_view):
+        engine = RoutingEngine(mini_view, backend="array")
+        frozen = engine.converge(0).freeze().freeze()
+        assert frozen.is_frozen
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.origin_of[3] = 99
+        copy = frozen.copy_for(2)
+        assert not copy.is_frozen
+        copy.cls[0] = 7  # the copy is writable again, and its own
+        assert frozen.cls[0] == 0
+
+    def test_kernel_pass_over_frozen_baseline_raises(self, mini_view):
+        """The scalar kernel writes an array-backed state through in
+        place, so a pass aimed straight at a frozen baseline fails on
+        its first install — and the engine's own guards refuse earlier."""
+        engine = RoutingEngine(mini_view, backend="array")
+        baseline = ConvergenceCache().baseline(engine, 0)
+        before = baseline.checksum()
+        with pytest.raises(ValueError, match="read-only"):
+            propagate_array(
+                compile_view(mini_view), baseline, 2, frozenset(), False, True, None
+            )
+        with pytest.raises(ValueError, match="mutable"):
+            engine.converge_delta(baseline, 2)
+        with pytest.raises(ValueError, match="mutable"):
+            engine.converge_delta_batch([baseline, baseline], [2, 3])
+        assert baseline.is_frozen and baseline.checksum() == before
+
+    def test_hijack_passes_leave_cached_baseline_untouched(self, mini_view):
+        engine = RoutingEngine(mini_view, backend="array")
+        cache = ConvergenceCache()
+        baseline = cache.baseline(engine, 0)
+        [(_key, (_state, inserted))] = cache.entries()
+        engine.hijack(0, 5, legitimate=baseline)
+        engine.converge(7, base=baseline)
+        engine.converge_batch([4, 6], base=baseline)
+        assert baseline.checksum() == inserted
+        cache.verify_coherence()
+
+    def test_scalar_queries_return_python_values(self, mini_view):
+        state = RoutingEngine(mini_view, backend="array").converge(
+            mini_view.node_of(50)
+        )
+        reference = RoutingEngine(mini_view).converge(mini_view.node_of(50))
+        node = mini_view.node_of(60)
+        path = state.path_from(node)
+        assert path == reference.path_from(node) and len(path) > 1
+        assert all(type(hop) is int for hop in path)
+        holders = state.holders_of(state.origin)
+        assert holders == reference.holders_of(state.origin)
+        assert all(type(holder) is int for holder in holders)
+        assert state.has_route(node) is True
+        assert state.route_class(node) is reference.route_class(node)
+        json.dumps({"path": path, "holders": sorted(holders)})

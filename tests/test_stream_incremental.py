@@ -3,6 +3,8 @@ stream-side half of the attack-taxonomy conformance matrix: every grid
 cell compiled to events must raise the same verdict from the online
 monitor that the batch detector reaches on the finished outcome."""
 
+import json
+
 import pytest
 
 from repro.attacks.lab import HijackLab
@@ -210,29 +212,37 @@ class TestStreamTaxonomy:
         # Per-event replay judges the announcement the instant it lands.
         assert (alarm.latency_time, alarm.latency_events) == (0.0, 0)
 
-    def test_replayed_claims_reach_the_monitor(self, lab):
+    def test_replayed_claims_reach_the_monitor(self, mini_graph):
         """The resolved type-U / leak tails are the batch lab's, hop for
-        hop — the monitor indicts the same claimed paths."""
+        hop — the monitor indicts the same claimed paths, as plain ints
+        the JSON report accepts even off the array backend's numpy-backed
+        states."""
         expected = {
             "unmodified": (40, 20, 10, 30, 50),
             "leak": (60, 40, 20, 10, 30, 50),
         }
         from repro.attacks.scenario import HijackKind, PathKind
 
-        for kind, marker in (
-            (HijackKind.ORIGIN, "unmodified"),
-            (HijackKind.ROUTE_LEAK, "leak"),
-        ):
-            scenario = lab.build_scenario(
-                self.TARGET, self.ATTACKER, kind=kind, path_kind=PathKind.TYPE_U
-            )
-            replayer, report = self.replayed(lab, scenario)
-            ledger = replayer.ledger(scenario.prefix)
-            attacker_node = lab.view.node_of(self.ATTACKER)
-            assert ledger.claimed_paths()[attacker_node] == expected[marker]
-            assert report.monitor.first_alarm.culprit_paths == (
-                expected[marker],
-            )
+        for backend in ("reference", "array"):
+            lab = HijackLab(mini_graph, seed=0, backend=backend)
+            for kind, marker in (
+                (HijackKind.ORIGIN, "unmodified"),
+                (HijackKind.ROUTE_LEAK, "leak"),
+            ):
+                scenario = lab.build_scenario(
+                    self.TARGET, self.ATTACKER, kind=kind, path_kind=PathKind.TYPE_U
+                )
+                replayer, report = self.replayed(lab, scenario)
+                ledger = replayer.ledger(scenario.prefix)
+                attacker_node = lab.view.node_of(self.ATTACKER)
+                claimed = ledger.claimed_paths()[attacker_node]
+                assert claimed == expected[marker]
+                assert all(type(hop) is int for hop in claimed)
+                assert report.monitor.first_alarm.culprit_paths == (
+                    expected[marker],
+                )
+                assert lab.run_scenario(scenario).claimed_path == expected[marker]
+                json.dumps(report.as_dict())
 
     def test_replay_with_no_route_is_a_noop(self, lab):
         """A replay marker with nothing to replay fizzles: counted as a
