@@ -12,19 +12,11 @@ Scale knobs (environment variables):
 ``REPRO_BENCH_SAMPLE``        attackers per sweep  (default 1200; 0 = exhaustive)
 ``REPRO_BENCH_ATTACKS``       Fig. 7 workload size (default 8000, as the paper)
 ``REPRO_BENCH_SEED``          experiment seed      (default 2014)
-``REPRO_BENCH_WORKERS``       sweep worker processes (default 1; 0 = all cores)
-``REPRO_BENCH_CACHE_ATTACKS`` cache-workload size for BENCH-PAR (default 600)
-``REPRO_BENCH_STREAM_PROFILE`` stream profile for BENCH-STREAM (default smoke)
-``REPRO_BENCH_BATCH_PROFILE``  batch profile for BENCH-BATCH (default smoke)
-``REPRO_BENCH_SERVICE_PROFILE`` service profile for BENCH-SERVICE (default smoke)
-``REPRO_BENCH_INGEST_PROFILE``  ingest profile for BENCH-INGEST (default smoke)
 
 Every ``bench_*`` module reads its knobs from here — nothing else in
-``benchmarks/`` touches ``os.environ`` — so one table lists every way a
-run can be scaled. ``BENCH_WORKERS`` is the *resolved* pool size the
-parallel benchmark will actually use (the ``WORKERS`` knob passed
-through :func:`repro.parallel.resolve_workers`, with the historical
-"unset means 4" default).
+``benchmarks/`` (outside ``benchmarks/e2e/``) touches ``os.environ`` —
+so one table lists every way a run can be scaled. Wall-clock is measured
+by ``benchmarks/e2e`` alone (docs/performance.md, "How to measure").
 
 Run with ``pytest benchmarks/ --benchmark-only``.
 """
@@ -40,7 +32,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import ResultStore
 from repro.experiments.suite import ExperimentSuite
 from repro.obs import Metrics
-from repro.parallel import resolve_workers
 from repro.topology.generator import GeneratorConfig
 from repro.util.tables import render_table
 
@@ -54,13 +45,6 @@ AS_COUNT = _env_int("REPRO_BENCH_AS_COUNT", 4270)
 SAMPLE = _env_int("REPRO_BENCH_SAMPLE", 1200) or None
 ATTACKS = _env_int("REPRO_BENCH_ATTACKS", 8000)
 SEED = _env_int("REPRO_BENCH_SEED", 2014)
-WORKERS = _env_int("REPRO_BENCH_WORKERS", 1)
-CACHE_ATTACKS = _env_int("REPRO_BENCH_CACHE_ATTACKS", 600)
-STREAM_PROFILE = os.environ.get("REPRO_BENCH_STREAM_PROFILE") or "smoke"
-BATCH_PROFILE = os.environ.get("REPRO_BENCH_BATCH_PROFILE") or "smoke"
-SERVICE_PROFILE = os.environ.get("REPRO_BENCH_SERVICE_PROFILE") or "smoke"
-INGEST_PROFILE = os.environ.get("REPRO_BENCH_INGEST_PROFILE") or "smoke"
-BENCH_WORKERS = resolve_workers(WORKERS) if WORKERS != 1 else 4
 RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS", "results"))
 
 
@@ -79,7 +63,6 @@ def suite(bench_metrics) -> ExperimentSuite:
         attacker_sample=SAMPLE,
         detection_attacks=ATTACKS,
         external_sample=200,
-        workers=WORKERS,
     )
     return ExperimentSuite(config, metrics=bench_metrics)
 
@@ -110,7 +93,6 @@ def run_experiment(suite, store, benchmark):
                 "sample": SAMPLE,
                 "attacks": ATTACKS,
                 "seed": SEED,
-                "workers": WORKERS,
             },
         )
         return result

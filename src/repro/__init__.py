@@ -8,9 +8,8 @@ The package layers:
 * :mod:`repro.topology` — AS graph, CAIDA I/O, synthetic generator, metrics
 * :mod:`repro.bgp` — policy model, message-passing simulator, fast engine
 * :mod:`repro.attacks` — hijack scenarios and attacker sweeps
-* :mod:`repro.parallel` — process-pool sweep execution + convergence cache
-* :mod:`repro.obs` — runtime metrics, benchmark profiles (``BENCH_*.json``),
-  perf-regression comparison
+* :mod:`repro.parallel` — the convergence cache
+* :mod:`repro.obs` — runtime metrics (counters, gauges, spans)
 * :mod:`repro.registry` — RPKI and ROVER route-origin publication
 * :mod:`repro.defense` — filtering / origin-validation deployment
 * :mod:`repro.detection` — hijack-detector probe analysis

@@ -11,10 +11,10 @@ analysis layer.
     outcome = lab.origin_hijack(target_asn=4000, attacker_asn=23)
     print(outcome.pollution_count)
 
-Sweeps parallelize across a fork-based process pool: construct the lab
-with ``workers=N`` (or ``workers=0`` for every available core) or pass
-``workers=`` to an individual sweep call. Results are bit-identical to
-the sequential path in the same order; see ``docs/performance.md``.
+Sweeps run in this process through one batch entry point,
+:meth:`HijackLab.run_scenarios`; ``batch_origins=K`` fuses K scenarios
+per convergence pass on the array backend. Results are bit-identical
+for every K, in the same order; see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.bgp.simulator import BGPSimulator, PropagationReport
 from repro.defense.deployment import Defense
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.parallel.cache import ConvergenceCache
-from repro.parallel.executor import SweepExecutor
 from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 from repro.topology.asgraph import ASGraph
@@ -64,7 +63,6 @@ class HijackLab:
         policy: PolicyConfig | None = None,
         defense: Defense | None = None,
         seed: int = 0,
-        workers: int = 1,
         cache: ConvergenceCache | None = None,
         validate: bool = False,
         metrics: Metrics | None = None,
@@ -78,7 +76,6 @@ class HijackLab:
         self.policy = policy or PolicyConfig()
         self.defense = defense or Defense()
         self.seed = seed
-        self.workers = workers
         self.validate = validate
         self.backend = backend
         # Scenarios per fused converge_batch call (docs/performance.md,
@@ -86,7 +83,7 @@ class HijackLab:
         # path, byte-identical outcomes either way.
         self.batch_origins = batch_origins
         # One metrics sink flows through everything the lab drives —
-        # engine convergences, cache lookups, executor runs, sweep spans
+        # engine convergences, cache lookups, sweep spans
         # (see docs/performance.md); the default NULL_METRICS is a no-op.
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.view = RoutingView.from_graph(graph)
@@ -134,11 +131,6 @@ class HijackLab:
         if self.batch_origins > 1:
             return self.cache.baseline_batch(self.engine, (target_node,))[0]
         return self.cache.baseline(self.engine, target_node)
-
-    def _executor(self, workers: int | None) -> SweepExecutor:
-        return SweepExecutor(
-            self, workers=self.workers if workers is None else workers
-        )
 
     def _first_hop_filtered(self, attacker_asn: int) -> bool:
         """Defensive stub filters stop a *stub* attacker's announcements to
@@ -263,12 +255,8 @@ class HijackLab:
         return tail
 
     def run_scenario(self, scenario: HijackScenario) -> AttackOutcome:
-        """Execute one scenario synchronously in this process.
-
-        This is the unit of work the parallel executor distributes; it
-        reads only immutable lab state plus the (shared, frozen)
-        convergence cache, so concurrent execution is safe.
-        """
+        """Execute one scenario; reads only immutable lab state plus the
+        (shared, frozen) convergence cache."""
         view = self.view
         target_node = view.node_of(scenario.target_asn)
         attacker_node = view.node_of(scenario.attacker_asn)
@@ -305,21 +293,7 @@ class HijackLab:
         return self._outcome(scenario, claimed, state, attacker_node, blocked)
 
     def run_scenarios(
-        self,
-        scenarios: Iterable[HijackScenario],
-        *,
-        workers: int | None = None,
-    ) -> list[AttackOutcome]:
-        """Execute a batch of scenarios, optionally across worker processes.
-
-        The returned list matches the input order exactly, for every
-        ``workers`` value — parallel execution is an implementation detail,
-        not an observable one.
-        """
-        return self._executor(workers).run(list(scenarios))
-
-    def run_scenario_batch(
-        self, scenarios: Sequence[HijackScenario]
+        self, scenarios: Iterable[HijackScenario]
     ) -> list[AttackOutcome]:
         """Execute a batch of scenarios through fused convergence passes.
 
@@ -526,7 +500,6 @@ class HijackLab:
         transit_only: bool = False,
         sample: int | None = None,
         seed: int | None = None,
-        workers: int | None = None,
         kind: HijackKind = HijackKind.ORIGIN,
         path_kind: PathKind = PathKind.TYPE_0,
         forged_depth: int = 1,
@@ -536,11 +509,10 @@ class HijackLab:
         By default every other AS attacks once (the paper's worst-case
         sweep). ``sample`` draws a deterministic random subset — the
         benchmark harness uses it to keep wall-clock in check at identical
-        curve shapes. ``workers`` overrides the lab's worker count for this
-        sweep; outcome values are identical either way, keyed and ordered
-        by attacker ASN. ``kind``/``path_kind``/``forged_depth`` select
-        the attack-grid cell to sweep (default: the paper's type-0 origin
-        hijack, byte-identical to the pre-taxonomy sweep).
+        curve shapes. Outcomes are keyed and ordered by attacker ASN.
+        ``kind``/``path_kind``/``forged_depth`` select the attack-grid
+        cell to sweep (default: the paper's type-0 origin hijack,
+        byte-identical to the pre-taxonomy sweep).
         """
         if attackers is None:
             pool: Sequence[int] = self.attacker_pool(transit_only=transit_only)
@@ -561,7 +533,7 @@ class HijackLab:
         ]
         self.metrics.count("lab.sweeps")
         with self.metrics.span("lab.sweep_target"):
-            results = self._executor(workers).run(scenarios)
+            results = self.run_scenarios(scenarios)
         return {
             scenario.attacker_asn: outcome
             for scenario, outcome in zip(scenarios, results)
@@ -649,14 +621,12 @@ class HijackLab:
         *,
         transit_only: bool = True,
         seed: int | None = None,
-        workers: int | None = None,
     ) -> list[AttackOutcome]:
         """Random attacker/target pairs: the Fig. 7 detection workload
         ("8000 random simulated IP hijacks… chosen from the transit ASes").
 
         Pair generation is purely RNG-driven (it never looks at routing
-        outcomes), so the drawn workload — and the returned outcome list —
-        is identical for every ``workers`` setting.
+        outcomes).
         """
         pool = self.attacker_pool(transit_only=transit_only)
         rng = make_rng(self.seed if seed is None else seed, "random-attacks", count)
@@ -675,7 +645,7 @@ class HijackLab:
             )
         self.metrics.count("lab.random_attack_batches")
         with self.metrics.span("lab.random_attacks"):
-            return self._executor(workers).run(scenarios)
+            return self.run_scenarios(scenarios)
 
     # -- observable propagation (Fig. 1) ---------------------------------------------
 

@@ -176,19 +176,6 @@ class HijackScenario:
             return (self.attacker_asn,)
         return None
 
-    @property
-    def needs_baseline(self) -> bool:
-        """Does simulating this scenario require the target's legitimate
-        routing state first?  True when the bogus route competes with the
-        real one (exact-prefix and leaks) or when the claimed path itself
-        is read off the legitimate state (type-U replay)."""
-        if self.kind in (HijackKind.ORIGIN, HijackKind.ROUTE_LEAK):
-            return True
-        return (
-            self.path_kind is PathKind.TYPE_U
-            and self.kind is not HijackKind.SQUAT
-        )
-
 
 @dataclass(frozen=True)
 class AttackOutcome:

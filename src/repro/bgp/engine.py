@@ -331,8 +331,8 @@ class RoutingEngine:
         origination).
 
         On the array backend all K origins share one kernel invocation
-        over the memoized CSR, which is where the multi-origin speedup in
-        ``BENCH_scale.json`` comes from; the reference backend (and any
+        over the memoized CSR, which is where the multi-origin speedup
+        comes from; the reference backend (and any
         single-origin batch) falls back to a per-origin :meth:`converge`
         loop — the fallback rule documented in ``docs/performance.md``.
         """

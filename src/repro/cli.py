@@ -11,11 +11,6 @@ Subcommands cover the everyday workflows:
 * ``plan``      — run the Section VII self-interest playbook for a region
 * ``validate``  — run the differential oracle + invariant suite
   (engine vs the slow reference simulator; see docs/testing.md)
-* ``bench``     — run a scale-knobbed benchmark profile and write a
-  machine-readable ``BENCH_<name>.json`` (see docs/performance.md);
-  ``--suite stream`` benchmarks the event-streaming subsystem instead,
-  ``--suite scale`` the array vs reference convergence backends at
-  CAIDA scale
 * ``stream``    — replay a JSONL event stream (or compile one from
   random hijack scenarios) through the incremental-convergence engine
   and the online hijack monitor, emitting a JSON report
@@ -44,15 +39,6 @@ from repro.core.vulnerability import profile_target
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import ResultStore
 from repro.experiments.suite import ExperimentSuite
-from repro.obs.bench import (
-    PROFILES,
-    run_batch_bench,
-    run_bench,
-    run_ingest_bench,
-    run_scale_bench,
-    run_service_bench,
-    run_stream_bench,
-)
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.topology.caida import dump_caida, load_caida, load_caida_mmap
 from repro.topology.classify import summarize
@@ -171,31 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="generated-topology size for the invariant sweep")
     validate_cmd.add_argument("--attacks", type=int, default=12,
                               help="random hijacks checked on the generated topology")
-    validate_cmd.add_argument("--workers", type=int, default=2,
-                              help="worker count for the determinism cross-check")
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run a benchmark profile and write machine-readable BENCH_<name>.json",
-    )
-    bench.add_argument("--profile", choices=sorted(PROFILES), default="smoke")
-    bench.add_argument(
-        "--suite",
-        choices=("core", "stream", "scale", "batch", "service", "ingest"),
-        default="core",
-        help="core: sweep/cache/overhead benchmark; stream: event-streaming "
-             "benchmark; scale: array vs reference backends at CAIDA scale; "
-             "batch: batched multi-origin sweeps and warm-started ladders; "
-             "service: monitoring-daemon ingest/verdict loop across shard "
-             "counts; ingest: synthetic-trace parse + replay through the "
-             "incremental ledger with peak-RSS bounding",
-    )
-    bench.add_argument(
-        "-o", "--output", type=Path, default=None,
-        help="output path (default: BENCH_<profile>.json in the current directory)",
-    )
-    bench.add_argument("--workers", type=int, default=None,
-                       help="override the profile's pool size (0 = all cores)")
 
     stream_cmd = subparsers.add_parser(
         "stream",
@@ -498,21 +459,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         failures += 1
         print(f"invariant suite: FAIL\n{error}")
 
-    # 3. Worker-permutation determinism + cache coherence: a sweep must be
-    #    bit-identical sequentially and pooled, cold and hot cache.
+    # 3. Cache determinism + coherence: a sweep must be bit-identical
+    #    with the convergence cache cold and hot.
     target_asn = pool[1]
-    reference = lab.sweep_target(target_asn, sample=48, seed=args.seed, workers=1)
-    divergent = False
-    for workers in (1, args.workers):
-        for _pass in ("cold", "hot"):
-            candidate = lab.sweep_target(
-                target_asn, sample=48, seed=args.seed, workers=workers
-            )
-            if list(candidate) != list(reference) or any(
-                candidate[key].polluted_asns != reference[key].polluted_asns
-                for key in reference
-            ):
-                divergent = True
+    cold = lab.sweep_target(target_asn, sample=48, seed=args.seed)
+    hot = lab.sweep_target(target_asn, sample=48, seed=args.seed)
+    divergent = list(hot) != list(cold) or any(
+        hot[key].polluted_asns != cold[key].polluted_asns for key in cold
+    )
     try:
         lab.cache.verify_coherence()
     except InvariantViolation as error:
@@ -521,224 +475,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     else:
         if divergent:
             failures += 1
-            print("sweep determinism: FAIL (worker counts disagree)")
+            print("sweep determinism: FAIL (cold and hot cache disagree)")
         else:
             print(
                 f"sweep determinism + cache coherence: OK "
-                f"(workers 1/{args.workers}, cold+hot, "
-                f"{len(lab.cache)} cached baselines)"
+                f"(cold+hot, {len(lab.cache)} cached baselines)"
             )
 
     print("validation " + ("FAILED" if failures else "passed"))
     return 1 if failures else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # With --metrics the snapshot sink and the bench's sink are one and
-    # the same; otherwise the bench records into its own private sink
-    # (the BENCH file carries the snapshot either way).
-    sink = _metrics(args)
-    if args.suite == "stream":
-        return _bench_stream(args, sink)
-    if args.suite == "scale":
-        return _bench_scale(args, sink)
-    if args.suite == "batch":
-        return _bench_batch(args, sink)
-    if args.suite == "service":
-        return _bench_service(args, sink)
-    if args.suite == "ingest":
-        return _bench_ingest(args, sink)
-    payload, path = run_bench(
-        args.profile,
-        output=args.output,
-        workers=args.workers,
-        metrics=sink if sink.enabled else None,
-    )
-    timings = payload["timings"]
-    speedups = payload["speedups"]
-    derived = payload["derived"]
-    rows = [(key, round(value, 4)) for key, value in sorted(timings.items())]
-    print(render_table(("phase", "seconds"), rows, title=f"bench profile: {args.profile}"))
-    print(
-        f"speedups: parallel sweep {speedups['sweep_parallel']:.2f}x, "
-        f"warm cache {speedups['cache_warm']:.2f}x"
-    )
-    print(
-        f"metrics overhead: {derived['metrics_overhead_fraction']:+.2%} "
-        f"(budget < 3%)"
-    )
-    if not derived["outcomes_consistent"]:
-        print("ERROR: parallel sweep outcomes diverged from sequential", file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    return 0
-
-
-def _bench_stream(args: argparse.Namespace, sink: Metrics) -> int:
-    payload, path = run_stream_bench(
-        args.profile,
-        output=args.output,
-        metrics=sink if sink.enabled else None,
-    )
-    timings = payload["timings"]
-    derived = payload["derived"]
-    rows = [(key, round(value, 4)) for key, value in sorted(timings.items())]
-    print(render_table(
-        ("phase", "seconds"), rows, title=f"stream bench profile: {args.profile}"
-    ))
-    print(
-        f"incremental vs full re-convergence: "
-        f"{payload['speedups']['stream_incremental']:.2f}x over "
-        f"{derived['events']} events"
-    )
-    print(f"replay throughput: {derived['events_per_s']:.0f} events/s, "
-          f"{derived['alarms']} alarm(s), "
-          f"detection latency {derived['detection_latency_time']} (virtual s)")
-    if not derived["checksums_consistent"]:
-        print("ERROR: incremental states diverged from full re-convergence",
-              file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    return 0
-
-
-def _bench_scale(args: argparse.Namespace, sink: Metrics) -> int:
-    payload, path = run_scale_bench(
-        args.profile,
-        output=args.output,
-        metrics=sink if sink.enabled else None,
-    )
-    timings = payload["timings"]
-    derived = payload["derived"]
-    rows = [(key, round(value, 4)) for key, value in sorted(timings.items())]
-    print(render_table(
-        ("phase", "seconds"), rows, title=f"scale bench profile: {args.profile}"
-    ))
-    print(
-        f"single-origin convergence at {derived['as_count']} ASes "
-        f"({derived['links']} links): reference "
-        f"{derived['reference_origin_s'] * 1000:.1f} ms, array "
-        f"{derived['array_origin_s'] * 1000:.1f} ms — "
-        f"{payload['speedups']['single_origin']:.2f}x "
-        f"(hijack stacking {payload['speedups']['hijack']:.2f}x)"
-    )
-    print(
-        f"multi-origin: {derived['batch_origins_timed']} announcements on a "
-        f"shared baseline, fused converge_batch vs the per-origin array "
-        f"loop — {payload['speedups']['multi_origin_batch']:.2f}x "
-        f"({derived['batch_origin_s'] * 1000:.1f} ms/origin batched)"
-    )
-    if not derived["checksums_consistent"]:
-        print("ERROR: array backend checksums diverged from reference",
-              file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    return 0
-
-
-def _bench_batch(args: argparse.Namespace, sink: Metrics) -> int:
-    payload, path = run_batch_bench(
-        args.profile,
-        output=args.output,
-        metrics=sink if sink.enabled else None,
-    )
-    timings = payload["timings"]
-    derived = payload["derived"]
-    rows = [(key, round(value, 4)) for key, value in sorted(timings.items())]
-    print(render_table(
-        ("phase", "seconds"), rows, title=f"batch bench profile: {args.profile}"
-    ))
-    print(
-        f"sweep of {derived['attackers']} attackers at {derived['as_count']} "
-        f"ASes: batched ({derived['batch_origins']} origins/chunk) "
-        f"{payload['speedups']['sweep_batch']:.2f}x over per-attack "
-        f"convergence"
-    )
-    print(
-        f"deployment ladder ({derived['rungs']} rungs): warm-started "
-        f"journal path {payload['speedups']['deployment_warm']:.2f}x over "
-        f"cold per-rung sweeps"
-    )
-    if not derived["outcomes_consistent"]:
-        print("ERROR: batched sweep outcomes diverged from per-attack sweep",
-              file=sys.stderr)
-        return 1
-    if not derived["ladder_consistent"]:
-        print("ERROR: warm-started ladder diverged from cold per-rung sweeps",
-              file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    return 0
-
-
-def _bench_service(args: argparse.Namespace, sink: Metrics) -> int:
-    payload, path = run_service_bench(
-        args.profile,
-        output=args.output,
-        metrics=sink if sink.enabled else None,
-    )
-    timings = payload["timings"]
-    derived = payload["derived"]
-    rows = [(key, round(value, 4)) for key, value in sorted(timings.items())]
-    print(render_table(
-        ("phase", "seconds"), rows, title=f"service bench profile: {args.profile}"
-    ))
-    for shards, stats in sorted(derived["shards"].items(), key=lambda kv: int(kv[0])):
-        p50 = stats["latency_p50_s"]
-        p95 = stats["latency_p95_s"]
-        print(
-            f"shards={shards}: {stats['events_per_s']:.0f} events/s, "
-            f"{stats['verdicts']} verdict(s), latency p50 "
-            f"{p50 * 1000:.2f} ms / p95 {p95 * 1000:.2f} ms"
-            if p50 is not None and p95 is not None
-            else f"shards={shards}: {stats['events_per_s']:.0f} events/s, "
-                 f"{stats['verdicts']} verdict(s)"
-        )
-    print(
-        f"shard scaling {payload['speedups']['shard_scaling']:.2f}x over "
-        f"{derived['lines']} lines ({derived['malformed_lines']} malformed)"
-    )
-    if not derived["verdicts_consistent"]:
-        print("ERROR: verdicts diverged across shard counts", file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    return 0
-
-
-def _bench_ingest(args: argparse.Namespace, sink: Metrics) -> int:
-    payload, path = run_ingest_bench(
-        args.profile,
-        output=args.output,
-        metrics=sink if sink.enabled else None,
-    )
-    timings = payload["timings"]
-    derived = payload["derived"]
-    rows = [(key, round(value, 4)) for key, value in sorted(timings.items())]
-    print(render_table(
-        ("phase", "seconds"), rows, title=f"ingest bench profile: {args.profile}"
-    ))
-    print(
-        f"trace: {derived['updates']} update records "
-        f"({derived['trace_bytes'] / 1e6:.1f} MB on disk, "
-        f"{derived['malformed']} malformed) over {derived['rib_entries']} "
-        f"RIB entries at {derived['as_count']} ASes"
-    )
-    print(
-        f"parse {derived['parse_records_per_s']:.0f} records/s, "
-        f"full ingest {derived['ingest_events_per_s']:.0f} events/s "
-        f"(parse headroom {payload['speedups']['parse_headroom']:.1f}x)"
-    )
-    print(
-        f"peak-RSS growth {derived['rss_growth_kb'] / 1024:.0f} MB "
-        f"(budget {derived['rss_budget_mb']} MB) — "
-        + ("bounded" if derived["rss_bounded"] else "EXCEEDED")
-    )
-    if not derived["rss_bounded"]:
-        print("ERROR: ingest run exceeded the chunk-streaming RSS budget",
-              file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    return 0
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -1077,7 +822,6 @@ _HANDLERS = {
     "plan": _cmd_plan,
     "calibrate": _cmd_calibrate,
     "validate": _cmd_validate,
-    "bench": _cmd_bench,
     "stream": _cmd_stream,
     "ingest": _cmd_ingest,
     "serve": _cmd_serve,

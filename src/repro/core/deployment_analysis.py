@@ -96,14 +96,13 @@ def compare_strategies(
     transit_only: bool = True,
     sample: int | None = None,
     seed: int | None = None,
-    workers: int | None = None,
 ) -> DeploymentComparison:
     """Sweep the target once per strategy (Fig. 5/6 workload).
 
     ``transit_only=True`` mirrors the paper, which runs Section V under
     the optimistic stub-filtered scenario. Every rung shares the lab's
     convergence cache, so the target's baseline converges once for the
-    whole ladder; ``workers`` parallelizes each rung's sweep.
+    whole ladder.
 
     A lab built with ``batch_origins > 1`` takes the warm-started path
     instead (:meth:`HijackLab.sweep_deployments`): attacker states are
@@ -133,8 +132,7 @@ def compare_strategies(
     for strategy in strategies:
         defended = lab.with_defense(Defense(strategy=strategy, authority=authority))
         outcomes = defended.sweep_target(
-            target_asn, transit_only=transit_only, sample=sample, seed=seed,
-            workers=workers,
+            target_asn, transit_only=transit_only, sample=sample, seed=seed
         )
         profile = VulnerabilityProfile.from_outcomes(
             target_asn, outcomes.values(), label=strategy.name
@@ -166,15 +164,13 @@ def top_potent_attacks(
     transit_only: bool = True,
     sample: int | None = None,
     seed: int | None = None,
-    workers: int | None = None,
 ) -> list[PotentAttack]:
     """The attacks that still get through a deployment — "an attacker armed
     with the same tools… can plot the viability and value of a specific
     attack" (Section V)."""
     defended = lab.with_defense(Defense(strategy=strategy, authority=authority))
     outcomes = defended.sweep_target(
-        target_asn, transit_only=transit_only, sample=sample, seed=seed,
-        workers=workers,
+        target_asn, transit_only=transit_only, sample=sample, seed=seed
     )
     depth = effective_depth(lab.graph)
     ranked = sorted(

@@ -65,21 +65,17 @@ def compare_detectors(
     authority: OriginAuthority | None = None,
     seed: int = 0,
     workload: Sequence[AttackOutcome] | None = None,
-    workers: int | None = None,
 ) -> DetectorComparison:
     """The Fig. 7 experiment: one random-attack workload, many detectors.
 
     The paper uses 8,000 random attacks with attacker and target "chosen
     from the 6,318 transit ASes"; pass ``attack_count`` (or a precomputed
-    ``workload``) to scale. ``workers`` parallelizes the workload
-    simulation (detection evaluation itself is cheap and stays in-process).
+    ``workload``) to scale.
     """
     if probe_sets is None:
         probe_sets = paper_probe_sets(lab, seed=seed)
     if workload is None:
-        workload = lab.random_attacks(
-            attack_count, transit_only=True, seed=seed, workers=workers
-        )
+        workload = lab.random_attacks(attack_count, transit_only=True, seed=seed)
     studies = tuple(
         DetectionStudy.run(HijackDetector(probes, authority), workload)
         for probes in probe_sets

@@ -22,11 +22,13 @@ experiment output on a new topology.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 from repro.attacks.lab import HijackLab
 from repro.bgp.simulator import BGPSimulator
+from repro.topology.asgraph import ASGraph
 from repro.topology.classify import summarize
 from repro.util.rng import make_rng
 from repro.util.tables import render_table
@@ -94,6 +96,22 @@ class CalibrationReport:
         )
 
 
+def _hop_distance(graph: ASGraph, source: int, target: int) -> int | None:
+    """Undirected shortest-path hop count (relationships ignored), or
+    ``None`` when *target* is unreachable from *source*."""
+    seen = {source}
+    queue = deque([(source, 0)])
+    while queue:
+        asn, hops = queue.popleft()
+        if asn == target:
+            return hops
+        for neighbor in graph.neighbors(asn):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                queue.append((neighbor, hops + 1))
+    return None
+
+
 def calibrate(
     lab: HijackLab,
     *,
@@ -121,9 +139,6 @@ def calibrate(
         pairs += 1
 
     # Path inflation vs undirected shortest paths.
-    import networkx as nx
-
-    graph_nx = lab.graph.to_networkx()
     inflation_total = 0.0
     measured = 0
     attempts = 0
@@ -136,13 +151,8 @@ def calibrate(
         state = lab._legitimate_state(origin)
         if not state.has_route(node) or state.length[node] == 0:
             continue
-        source_asn = view.asn_of(node)
-        target_asn = view.asn_of(origin)
-        try:
-            shortest = nx.shortest_path_length(graph_nx, source_asn, target_asn)
-        except nx.NetworkXNoPath:
-            continue
-        if shortest == 0:
+        shortest = _hop_distance(lab.graph, view.asn_of(node), view.asn_of(origin))
+        if not shortest:
             continue
         inflation_total += state.length[node] / shortest
         measured += 1

@@ -29,20 +29,17 @@ class ExperimentConfig:
     workload size (paper: 8,000). ``matrix_attacks`` is the per-cell
     sample size of the attack-taxonomy matrix (each of the 13
     (prefix-axis × path-axis) grid cells is swept with this many random
-    target/attacker pairs per deployment strategy). ``workers`` is the
-    sweep-executor
-    parallelism (1 = sequential, 0 = every available core); it changes
-    wall-clock only, never a result. ``validate`` arms the runtime
-    invariant checker (:mod:`repro.oracle.invariants`) on every
+    target/attacker pairs per deployment strategy). ``validate`` arms
+    the runtime invariant checker (:mod:`repro.oracle.invariants`) on every
     convergence the experiments run — a correctness tripwire for long
     unattended runs, off by default because it costs roughly one extra
     pass over the topology per convergence. ``backend`` selects the
     convergence kernel (``"reference"`` or ``"array"``); both are
-    checksum-identical, so like ``workers`` it changes wall-clock only,
-    never a result (see the Backends section of docs/performance.md).
+    checksum-identical, so it changes wall-clock only, never a result
+    (see the Backends section of docs/performance.md).
     ``batch_origins`` fuses that many scenarios per convergence pass on
     the array backend (and warm-starts deployment ladders through the
-    undo journal) — outcome-identical like the other wall-clock knobs.
+    undo journal) — outcome-identical like ``backend``.
     """
 
     topology: GeneratorConfig = field(default_factory=GeneratorConfig)
@@ -52,7 +49,6 @@ class ExperimentConfig:
     detection_attacks: int = 8000
     external_sample: int = 200
     matrix_attacks: int = 40
-    workers: int = 1
     validate: bool = False
     backend: str = "reference"
     batch_origins: int = 1
@@ -67,7 +63,6 @@ class ExperimentConfig:
             detection_attacks=detection_attacks,
             external_sample=self.external_sample,
             matrix_attacks=max(1, min(self.matrix_attacks, detection_attacks)),
-            workers=self.workers,
             validate=self.validate,
             backend=self.backend,
             batch_origins=self.batch_origins,

@@ -63,12 +63,9 @@ class ExperimentSuite:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         with self.metrics.span("suite.topology"):
             self.graph = generate_topology(self.config.topology)
-        # The lab-level worker count flows into every sweep the suite (and
-        # its with_defense clones) runs; results are worker-invariant.
         self.lab = HijackLab(
             self.graph,
             seed=self.config.seed,
-            workers=self.config.workers,
             validate=self.config.validate,
             metrics=self.metrics,
             backend=self.config.backend,
@@ -467,7 +464,7 @@ class ExperimentSuite:
             rehomed_lab = HijackLab(
                 apply_rehoming(self.graph, plan),
                 plan=self.lab.plan, policy=self.lab.policy, seed=self.config.seed,
-                workers=self.config.workers, validate=self.config.validate,
+                validate=self.config.validate,
                 metrics=self.metrics, backend=self.config.backend,
                 batch_origins=self.config.batch_origins,
             )

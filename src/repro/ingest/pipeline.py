@@ -147,8 +147,7 @@ def run_ingest(
 
     With *probes* an online monitor rides along (its detector shares
     the replayer's live ROA table, so a seeded ROA wave changes
-    verdicts); without, the run is a pure ledger-convergence sweep —
-    the shape the ingest bench measures.
+    verdicts); without, the run is a pure ledger-convergence sweep.
     """
     metrics = metrics if metrics is not None else NULL_METRICS
     replayer = StreamReplayer(

@@ -1,72 +1,11 @@
-"""Runtime observability: metrics, benchmark profiles, regression gates.
+"""Runtime observability: counters, gauges and wall-clock spans.
 
 A zero-dependency layer threaded through the simulation hot paths:
-
-* :mod:`repro.obs.metrics` — counters, gauges and wall-clock spans, with
-  a no-op :data:`NULL_METRICS` default so uninstrumented runs pay
-  (almost) nothing;
-* :mod:`repro.obs.bench` — scale-knobbed benchmark profiles behind
-  ``repro-bgp bench``, emitting schema-versioned ``BENCH_<name>.json``;
-* :mod:`repro.obs.compare` — the diff/gate over two BENCH files that
-  CI's ``bench-smoke`` workflow enforces.
-
-See ``docs/performance.md`` for the BENCH schema and the CI gate.
+:mod:`repro.obs.metrics`, with a no-op :data:`NULL_METRICS` default so
+uninstrumented runs pay (almost) nothing. Wall-clock is measured by
+``benchmarks/e2e`` (see ``docs/performance.md``, "How to measure").
 """
 
-from repro.obs.bench import (
-    BATCH_PROFILES,
-    PROFILES,
-    SCALE_PROFILES,
-    SCHEMA,
-    STREAM_PROFILES,
-    BatchBenchProfile,
-    BenchProfile,
-    ScaleBenchProfile,
-    StreamBenchProfile,
-    env_fingerprint,
-    run_batch_bench,
-    run_bench,
-    run_scale_bench,
-    run_stream_bench,
-)
 from repro.obs.metrics import NULL_METRICS, Metrics, NullMetrics, SpanStats
 
-# The compare symbols are re-exported lazily: eagerly importing the
-# submodule here would make ``python -m repro.obs.compare`` (the CI gate
-# entrypoint) warn about the module already sitting in sys.modules before
-# runpy executes it. The :func:`compare` *function* is deliberately not
-# re-exported — the name would collide with the ``repro.obs.compare``
-# submodule itself; import it from the submodule.
-_COMPARE_EXPORTS = frozenset({"BenchComparison", "TimingDelta", "load_bench"})
-
-
-def __getattr__(name: str):
-    if name in _COMPARE_EXPORTS:
-        import importlib
-
-        return getattr(importlib.import_module("repro.obs.compare"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "BATCH_PROFILES",
-    "BatchBenchProfile",
-    "BenchComparison",
-    "BenchProfile",
-    "Metrics",
-    "NULL_METRICS",
-    "NullMetrics",
-    "PROFILES",
-    "SCALE_PROFILES",
-    "SCHEMA",
-    "STREAM_PROFILES",
-    "ScaleBenchProfile",
-    "SpanStats",
-    "StreamBenchProfile",
-    "TimingDelta",
-    "env_fingerprint",
-    "load_bench",
-    "run_batch_bench",
-    "run_bench",
-    "run_scale_bench",
-    "run_stream_bench",
-]
+__all__ = ["Metrics", "NULL_METRICS", "NullMetrics", "SpanStats"]

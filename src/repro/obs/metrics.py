@@ -2,8 +2,8 @@
 
 One :class:`Metrics` instance accumulates everything a run wants to
 report — how many routes the engine installed, how long each sweep phase
-took, how well the worker pool was utilized — and renders it as one
-JSON-friendly :meth:`snapshot`. The design constraints, in order:
+took — and renders it as one JSON-friendly :meth:`snapshot`. The design
+constraints, in order:
 
 * **zero dependencies** — stdlib only, importable everywhere;
 * **near-zero cost when off** — every instrumented component defaults to
@@ -11,15 +11,10 @@ JSON-friendly :meth:`snapshot`. The design constraints, in order:
   whose ``enabled`` flag lets hot loops skip even the bookkeeping that
   would feed it (the engine counts locally and emits once per
   convergence, so the *enabled* path stays well under the 3% overhead
-  budget recorded by ``repro-bgp bench``);
-* **fork-aware** — a forked worker inherits a copy-on-write copy of the
-  parent's metrics, so worker-side increments are invisible to the
-  parent. Components that fan out (the sweep executor) therefore ship
-  their measurements back with the results and account for them in the
-  parent; everything else records only what happens in-process.
+  budget — see docs/performance.md).
 
 Names are dotted paths (``engine.routes_installed``,
-``executor.utilization``) so snapshots group naturally by component.
+``cache.hits``) so snapshots group naturally by component.
 """
 
 from __future__ import annotations

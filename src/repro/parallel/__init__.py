@@ -1,23 +1,15 @@
-"""Parallel sweep execution and convergence caching.
+"""Convergence caching.
 
-The paper's experiments are embarrassingly parallel — every attack in a
-sweep is independent — and half of every attack (the legitimate
-baseline convergence) is shared across attacks. This package exploits
-both: :class:`ConvergenceCache` memoizes clean baselines per
-(topology digest, policy, origin), and :class:`SweepExecutor` fans
-scenario batches across a fork-based process pool with deterministic
-result ordering. ``docs/performance.md`` describes the design and its
-guarantees.
+Half of every attack in a sweep (the legitimate baseline convergence) is
+shared across attacks: :class:`ConvergenceCache` memoizes clean
+baselines per (topology digest, policy, origin). ``docs/performance.md``
+describes the design and its guarantees.
 """
 
 from repro.parallel.cache import CacheStats, ConvergenceCache, context_digest
-from repro.parallel.executor import SweepExecutor, fork_available, resolve_workers
 
 __all__ = [
     "CacheStats",
     "ConvergenceCache",
-    "SweepExecutor",
     "context_digest",
-    "fork_available",
-    "resolve_workers",
 ]

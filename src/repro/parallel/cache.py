@@ -17,11 +17,6 @@ entries can never be confused, only evicted. Cached states are
 caller that tries to write into a shared baseline fails loudly, and an
 optional ``verify`` mode re-checksums entries on every hit as a belt-and-
 braces mutation detector.
-
-The cache is fork-friendly by design: a parent process that pre-warms it
-before creating a worker pool shares every baseline with the workers
-through copy-on-write memory, which is what makes the parallel sweep
-executor cheap (see :mod:`repro.parallel.executor`).
 """
 
 from __future__ import annotations

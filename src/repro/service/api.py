@@ -52,7 +52,17 @@ def _file_identity(handle: IO[bytes]) -> tuple[int, int]:
     stat = os.fstat(handle.fileno())
     return (stat.st_dev, stat.st_ino)
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed"}
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    413: "Content Too Large",
+}
+
+# Largest request body the daemon will read; a bigger Content-Length is
+# refused before a byte of body is read.
+_MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class ServiceDaemon:
@@ -272,6 +282,10 @@ class ServiceDaemon:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             return 400, {"error": "bad Content-Length"}
+        if length < 0:
+            return 400, {"error": "bad Content-Length"}
+        if length > _MAX_BODY_BYTES:
+            return 413, {"error": f"body exceeds {_MAX_BODY_BYTES} bytes"}
         body = await reader.readexactly(length) if length else b""
         try:
             return await self._dispatch(method, path, body)

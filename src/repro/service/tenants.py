@@ -147,7 +147,7 @@ class LatencyStats:
         return sum(self.samples) / len(self.samples)
 
     def percentile(self, fraction: float) -> float | None:
-        """Nearest-rank percentile — no interpolation, matches the bench."""
+        """Nearest-rank percentile — no interpolation."""
         if not self.samples:
             return None
         ordered = sorted(self.samples)

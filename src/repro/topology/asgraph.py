@@ -236,18 +236,6 @@ class ASGraph:
                 clone.add_relationship(asn, neighbor, relationship)
         return clone
 
-    def to_networkx(self):
-        """Export as a ``networkx.Graph`` with ``relationship`` edge attrs."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for asn in self.asns():
-            record = self._nodes[asn]
-            graph.add_node(asn, region=record.region, tier1=record.tier1)
-        for asn, neighbor, relationship in self.edges():
-            graph.add_edge(asn, neighbor, relationship=relationship.value)
-        return graph
-
     # -- consistency -----------------------------------------------------------
 
     def validate(self) -> None:

@@ -6,11 +6,10 @@ peering + occasional siblings) are generated with hypothesis; for random
 (target, attacker) pairs both engines run the full two-phase hijack and
 must agree on every node's installed origin, route class and path length.
 
-A second layer extends the property to the parallel sweep executor: for
-``workers in {1, 2, 4}``, with the convergence cache cold or hot, a
-sweep's per-attack outcomes (pollution sets, blocked sets, address
-fractions, result ordering) must be bit-identical to the sequential
-reference.
+A second layer extends the property to the convergence cache
+(``repro.parallel``): with the cache cold or hot, a sweep's per-attack
+outcomes (pollution sets, blocked sets, address fractions, result
+ordering) must be bit-identical to a fresh lab's reference sweep.
 """
 
 from hypothesis import given, settings
@@ -26,7 +25,6 @@ from repro.prefixes.prefix import Prefix
 from repro.topology.view import RoutingView
 
 PREFIX = Prefix.parse("10.0.0.0/8")
-SWEEP_WORKER_COUNTS = (1, 2, 4)
 
 # The internet-shaped topology strategy lives in the shared library
 # (repro.oracle.strategies); the oracle-differential suite draws from the
@@ -145,59 +143,52 @@ def assert_sweeps_identical(reference, candidate):
 @settings(max_examples=example_budget(10), deadline=None)
 @given(random_topologies(), st.data())
 def test_parallel_sweep_bit_identical(graph, data):
-    """Random topology, random target: every worker count, cache cold and
-    hot, reproduces the sequential sweep exactly."""
+    """Random topology, random target: the sweep is the same with the
+    cache cold and hot."""
     asns = sorted(graph.asns())
     if len(asns) < 6:
         return
     target = data.draw(st.sampled_from(asns), label="target")
-    reference = HijackLab(graph, seed=1).sweep_target(target)
-    for workers in SWEEP_WORKER_COUNTS:
-        lab = HijackLab(graph, seed=1, workers=workers)
-        cold = lab.sweep_target(target)
-        assert_sweeps_identical(reference, cold)
-        hot = lab.sweep_target(target)  # baselines now cached
-        assert_sweeps_identical(reference, hot)
+    lab = HijackLab(graph, seed=1)
+    cold = lab.sweep_target(target)
+    hot = lab.sweep_target(target)  # baselines now cached
+    assert_sweeps_identical(cold, hot)
 
 
 def test_parallel_sweep_medium_topology(medium_lab):
-    """A real pool run (enough work to engage chunking) on the 900-AS
-    topology: all worker counts agree with the sequential reference."""
+    """A 120-attacker sweep on the 900-AS topology: a lab on a fresh
+    cache, cold then hot, agrees with the shared lab's reference."""
     target = medium_lab.attacker_pool(transit_only=True)[7]
-    reference = medium_lab.sweep_target(target, sample=120, seed=11, workers=1)
-    for workers in SWEEP_WORKER_COUNTS:
-        fresh_cache = ConvergenceCache()
-        lab = HijackLab(
-            medium_lab.graph,
-            plan=medium_lab.plan,
-            seed=medium_lab.seed,
-            cache=fresh_cache,
-        )
-        cold = lab.sweep_target(target, sample=120, seed=11, workers=workers)
-        assert_sweeps_identical(reference, cold)
-        hot = lab.sweep_target(target, sample=120, seed=11, workers=workers)
-        assert_sweeps_identical(reference, hot)
+    reference = medium_lab.sweep_target(target, sample=120, seed=11)
+    lab = HijackLab(
+        medium_lab.graph,
+        plan=medium_lab.plan,
+        seed=medium_lab.seed,
+        cache=ConvergenceCache(),
+    )
+    cold = lab.sweep_target(target, sample=120, seed=11)
+    assert_sweeps_identical(reference, cold)
+    hot = lab.sweep_target(target, sample=120, seed=11)
+    assert_sweeps_identical(reference, hot)
 
 
 def test_parallel_random_attacks_bit_identical(medium_lab):
-    """The Fig. 7 workload draws the same pairs and outcomes at any
-    worker count, cold or hot cache."""
-    reference = medium_lab.random_attacks(40, seed=13, workers=1)
-    for workers in SWEEP_WORKER_COUNTS:
-        lab = HijackLab(
-            medium_lab.graph,
-            plan=medium_lab.plan,
-            seed=medium_lab.seed,
-            workers=workers,
-        )
-        for _pass in ("cold", "hot"):
-            outcomes = lab.random_attacks(40, seed=13)
-            assert [o.scenario for o in outcomes] == [
-                o.scenario for o in reference
-            ]
-            assert [o.polluted_asns for o in outcomes] == [
-                o.polluted_asns for o in reference
-            ]
-            assert [o.address_fraction for o in outcomes] == [
-                o.address_fraction for o in reference
-            ]
+    """The Fig. 7 workload draws the same pairs and outcomes on a second
+    lab, cold or hot cache."""
+    reference = medium_lab.random_attacks(40, seed=13)
+    lab = HijackLab(
+        medium_lab.graph,
+        plan=medium_lab.plan,
+        seed=medium_lab.seed,
+    )
+    for _pass in ("cold", "hot"):
+        outcomes = lab.random_attacks(40, seed=13)
+        assert [o.scenario for o in outcomes] == [
+            o.scenario for o in reference
+        ]
+        assert [o.polluted_asns for o in outcomes] == [
+            o.polluted_asns for o in reference
+        ]
+        assert [o.address_fraction for o in outcomes] == [
+            o.address_fraction for o in reference
+        ]

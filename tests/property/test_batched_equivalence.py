@@ -149,7 +149,7 @@ def test_taxonomy_cells_match_unbatched_lab(case, data):
         arr_lab.build_scenario(scenario.target_asn, attacker) for attacker in extra
     ]
     ref_outcomes = [ref_lab.run_scenario(entry) for entry in scenarios]
-    arr_outcomes = arr_lab.run_scenario_batch(scenarios)
+    arr_outcomes = arr_lab.run_scenarios(scenarios)
     assert len(arr_outcomes) == len(ref_outcomes)
     for ref_outcome, arr_outcome in zip(ref_outcomes, arr_outcomes):
         assert ref_outcome.claimed_path == arr_outcome.claimed_path
@@ -278,7 +278,7 @@ def test_outcome_assembly_matches_set_expansion(graph, data):
             )
             for kind, path_kind in grid_cells()
         ]
-        outcomes = lab.run_scenario_batch(scenarios)
+        outcomes = lab.run_scenarios(scenarios)
         launched = sum(outcome.claimed_path is not None for outcome in outcomes)
         rungs = lab.sweep_deployments(
             target_asn, ladder, authority, transit_only=False

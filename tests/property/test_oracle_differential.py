@@ -6,8 +6,7 @@ paper's routing model from the text, importing nothing from
 Section III compute the same stable states. The properties cover the
 bare engine (legitimate convergence and two-phase hijacks, blocking and
 stub-filter variants included) and the full production stack — a
-:class:`HijackLab` sweep through the convergence cache and the parallel
-executor at several worker counts, cold and hot.
+:class:`HijackLab` sweep through the convergence cache, cold and hot.
 
 Budgets are scaled by ``REPRO_FUZZ_MULTIPLIER`` (see docs/testing.md);
 at the default multiplier the suite checks well over 200 generated
@@ -31,8 +30,6 @@ from repro.oracle.strategies import (
     hijack_cases,
     routing_views,
 )
-
-SWEEP_WORKER_COUNTS = (1, 4)
 
 
 @settings(max_examples=example_budget(150), deadline=None)
@@ -79,32 +76,24 @@ def test_legitimate_convergence_matches_oracle(view, data):
 @settings(max_examples=example_budget(8), deadline=None)
 @given(hierarchical_topologies(min_size=12), st.data())
 def test_lab_sweep_matches_oracle(graph, data):
-    """The full production stack — lab, convergence cache, parallel
-    executor — pollutes exactly the ASes the oracle predicts, at every
-    worker count, cache cold and hot.
-
-    ``min_size=12`` keeps sweeps above the executor's sequential-degrade
-    threshold so ``workers=4`` genuinely exercises the process pool.
-    """
+    """The full production stack — lab and convergence cache — pollutes
+    exactly the ASes the oracle predicts, cache cold and hot."""
     asns = sorted(graph.asns())
     target = data.draw(st.sampled_from(asns), label="target")
-    view = None
-    for workers in SWEEP_WORKER_COUNTS:
-        lab = HijackLab(graph, seed=3, workers=workers, validate=True)
-        if view is None:
-            view = lab.view
-            oracle = ReferenceSimulator(view)
-        for _pass in ("cold", "hot"):
-            outcomes = lab.sweep_target(target)
-            for attacker_asn, outcome in outcomes.items():
-                table = oracle.hijack(
-                    view.node_of(target), view.node_of(attacker_asn)
-                )
-                expected = view.expand(
-                    ReferenceSimulator.holders_of(table, view.node_of(attacker_asn))
-                ) - {attacker_asn}
-                assert outcome.polluted_asns == expected, attacker_asn
-        lab.cache.verify_coherence()
+    lab = HijackLab(graph, seed=3, validate=True)
+    view = lab.view
+    oracle = ReferenceSimulator(view)
+    for _pass in ("cold", "hot"):
+        outcomes = lab.sweep_target(target)
+        for attacker_asn, outcome in outcomes.items():
+            table = oracle.hijack(
+                view.node_of(target), view.node_of(attacker_asn)
+            )
+            expected = view.expand(
+                ReferenceSimulator.holders_of(table, view.node_of(attacker_asn))
+            ) - {attacker_asn}
+            assert outcome.polluted_asns == expected, attacker_asn
+    lab.cache.verify_coherence()
 
 
 def test_runtime_case_generator_is_deterministic_and_counted():

@@ -1,11 +1,16 @@
 """Unit tests for the calibration report and its suite-extension driver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.attacks.lab import HijackLab
 from repro.cli import main
 from repro.experiments.calibration import PAPER_CONSTANTS, calibrate
-
 
 @pytest.fixture(scope="module")
 def report(medium_lab: HijackLab):
@@ -30,6 +35,13 @@ class TestCalibration:
         assert 1.0 <= report.path_inflation_mean < 1.5
         assert report.path_samples > 0
 
+    def test_path_inflation_pinned(self, report):
+        # Recorded with a third-party shortest-path routine before the
+        # in-tree BFS replaced it: hop counts are integers, so the mean
+        # is bit-identical.
+        assert report.path_inflation_mean == 1.0216666666666667
+        assert report.path_samples == 30
+
     def test_healthy(self, report):
         assert report.healthy()
 
@@ -49,6 +61,23 @@ class TestCalibration:
             "--agreement-samples", "3", "--path-samples", "15",
         ]) == 0
         assert "Calibration report" in capsys.readouterr().out
+
+    def test_calibrate_runs_without_networkx(self):
+        # numpy is the only runtime dependency: a None entry makes any
+        # ``import networkx`` raise ImportError in the child interpreter.
+        code = (
+            "import sys; sys.modules['networkx'] = None\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['calibrate', '--as-count', '300',"
+            " '--agreement-samples', '2', '--path-samples', '8']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Calibration report" in result.stdout
 
 
 class TestSubprefixExtensionDriver:

@@ -108,8 +108,7 @@ class TestCommands:
 
     def test_validate(self, capsys):
         assert main(["validate", "--cases", "15", "--max-size", "18",
-                     "--as-count", "300", "--attacks", "6",
-                     "--workers", "2"]) == 0
+                     "--as-count", "300", "--attacks", "6"]) == 0
         output = capsys.readouterr().out
         assert "differential oracle: OK" in output
         assert "invariant suite: OK" in output
@@ -232,62 +231,6 @@ class TestCommands:
         assert main(["stream", "--as-count", "400", "-i", str(stream_path),
                      "--fail-on-hijack",
                      "--report", str(tmp_path / "r.json")]) == 0
-
-    def test_bench_stream_suite(self, tmp_path, capsys):
-        from repro.obs.compare import load_bench
-
-        path = tmp_path / "BENCH_stream.json"
-        assert main(["bench", "--suite", "stream", "--profile", "tiny",
-                     "-o", str(path)]) == 0
-        output = capsys.readouterr().out
-        assert "stream bench profile: tiny" in output
-        assert "incremental vs full re-convergence" in output
-        payload = load_bench(path)
-        assert payload["name"] == "stream-tiny"
-        assert payload["derived"]["checksums_consistent"] is True
-        assert payload["speedups"]["stream_incremental"] > 0
-
-    def test_bench_scale_suite(self, tmp_path, capsys):
-        from repro.obs.compare import load_bench
-
-        path = tmp_path / "BENCH_scale.json"
-        assert main(["bench", "--suite", "scale", "--profile", "tiny",
-                     "-o", str(path)]) == 0
-        output = capsys.readouterr().out
-        assert "scale bench profile: tiny" in output
-        assert "single-origin convergence" in output
-        payload = load_bench(path)
-        assert payload["name"] == "scale-tiny"
-        assert payload["derived"]["checksums_consistent"] is True
-        assert payload["speedups"]["single_origin"] > 0
-
-    def test_bench_service_suite(self, tmp_path, capsys):
-        from repro.obs.compare import load_bench
-
-        path = tmp_path / "BENCH_service.json"
-        assert main(["bench", "--suite", "service", "--profile", "tiny",
-                     "-o", str(path)]) == 0
-        output = capsys.readouterr().out
-        assert "service bench profile: tiny" in output
-        assert "shard scaling" in output
-        payload = load_bench(path)
-        assert payload["name"] == "service-tiny"
-        assert payload["derived"]["verdicts_consistent"] is True
-        for stats in payload["derived"]["shards"].values():
-            assert stats["events_per_s"] > 0
-            assert stats["verdicts"] > 0
-
-    def test_bench_writes_valid_bench_file(self, tmp_path, capsys):
-        from repro.obs.compare import load_bench
-
-        path = tmp_path / "BENCH_tiny.json"
-        assert main(["bench", "--profile", "tiny", "-o", str(path)]) == 0
-        output = capsys.readouterr().out
-        assert "bench profile: tiny" in output
-        assert "metrics overhead" in output
-        payload = load_bench(path)
-        assert payload["name"] == "tiny"
-        assert payload["derived"]["outcomes_consistent"] is True
 
     def test_metrics_flag_writes_snapshot(self, topo_file, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"

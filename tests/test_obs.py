@@ -1,9 +1,7 @@
 """Unit tests for the observability layer (repro.obs).
 
-Covers the Metrics sink itself, the instrumentation threaded through the
-engine/lab/cache hot paths, the BENCH_*.json schema produced by
-``run_bench`` (via the seconds-cheap ``tiny`` profile), and the
-``repro.obs.compare`` regression gate in both directions.
+Covers the Metrics sink itself and the instrumentation threaded through
+the engine/lab/cache hot paths.
 """
 
 import json
@@ -11,28 +9,7 @@ import json
 import pytest
 
 from repro.attacks.lab import HijackLab
-from repro.obs import (
-    BATCH_PROFILES,
-    NULL_METRICS,
-    PROFILES,
-    SCALE_PROFILES,
-    SCHEMA,
-    Metrics,
-    NullMetrics,
-    SpanStats,
-    STREAM_PROFILES,
-    env_fingerprint,
-    run_batch_bench,
-    run_bench,
-    run_scale_bench,
-    run_stream_bench,
-)
-from repro.obs.compare import (
-    BenchFormatError,
-    compare,
-    load_bench,
-    main as compare_main,
-)
+from repro.obs import NULL_METRICS, Metrics, NullMetrics, SpanStats
 from repro.parallel.cache import ConvergenceCache
 
 
@@ -45,9 +22,9 @@ class TestMetrics:
 
     def test_gauge_overwrites(self):
         metrics = Metrics()
-        metrics.gauge("executor.workers", 2)
-        metrics.gauge("executor.workers", 4)
-        assert metrics.gauges["executor.workers"] == 4
+        metrics.gauge("cache.size", 2)
+        metrics.gauge("cache.size", 4)
+        assert metrics.gauges["cache.size"] == 4
 
     def test_observe_aggregates_span_stats(self):
         metrics = Metrics()
@@ -148,278 +125,3 @@ class TestInstrumentation:
         assert lab.metrics is NULL_METRICS
         lab.origin_hijack(50, 60)  # must not record anywhere
         assert NULL_METRICS.snapshot() == {"counters": {}, "gauges": {}, "spans": {}}
-
-
-class TestBench:
-    @pytest.fixture(scope="class")
-    def tiny_payload(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bench") / "BENCH_tiny.json"
-        payload, written = run_bench("tiny", output=path)
-        assert written == path
-        return payload
-
-    def test_schema_snapshot(self, tiny_payload):
-        # The machine-readable contract docs/performance.md documents:
-        # adding a key is fine, but removing or renaming one must bump
-        # SCHEMA and this snapshot together.
-        assert tiny_payload["schema"] == SCHEMA == "repro-bench/1"
-        assert set(tiny_payload) == {
-            "schema", "name", "created", "config", "env",
-            "timings", "counters", "gauges", "spans", "speedups", "derived",
-        }
-        assert set(tiny_payload["timings"]) >= {
-            "topology_s", "sweep_sequential_s", "sweep_parallel_s",
-            "random_cold_s", "random_warm_s",
-            "overhead_off_s", "overhead_on_s", "total_s",
-        }
-        assert set(tiny_payload["speedups"]) == {"sweep_parallel", "cache_warm"}
-        assert set(tiny_payload["derived"]) == {
-            "metrics_overhead_fraction", "cache_cold_hit_rate",
-            "cache_warm_hit_rate", "outcomes_consistent",
-        }
-
-    def test_written_file_round_trips_through_load_bench(self, tmp_path):
-        payload, path = run_bench("tiny", output=tmp_path / "b.json")
-        assert load_bench(path)["name"] == "tiny"
-        assert json.loads(path.read_text()) == json.loads(
-            json.dumps(payload)
-        )
-
-    def test_config_records_resolved_workers(self, tiny_payload):
-        assert tiny_payload["config"]["workers_resolved"] >= 1
-        assert tiny_payload["config"]["as_count"] == PROFILES["tiny"].as_count
-
-    def test_outcomes_consistent(self, tiny_payload):
-        assert tiny_payload["derived"]["outcomes_consistent"] is True
-
-    def test_counters_present(self, tiny_payload):
-        assert tiny_payload["counters"]["engine.convergences"] > 0
-        assert tiny_payload["gauges"]["executor.workers"] >= 1
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench profile"):
-            run_bench("nope")
-
-    def test_env_fingerprint_keys(self):
-        env = env_fingerprint()
-        assert set(env) == {
-            "python", "implementation", "platform", "machine", "cpu_count",
-        }
-        assert env["cpu_count"] >= 1
-
-
-class TestStreamBench:
-    @pytest.fixture(scope="class")
-    def tiny_payload(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bench") / "BENCH_stream.json"
-        payload, written = run_stream_bench("tiny", output=path)
-        assert written == path
-        return payload
-
-    def test_schema_snapshot(self, tiny_payload):
-        # Same top-level contract as run_bench (docs/performance.md):
-        # the compare gate diffs the stream timing keys by name.
-        assert tiny_payload["schema"] == SCHEMA
-        assert set(tiny_payload) == {
-            "schema", "name", "created", "config", "env",
-            "timings", "counters", "gauges", "spans", "speedups", "derived",
-        }
-        assert set(tiny_payload["timings"]) >= {
-            "topology_s", "stream_incremental_s", "stream_full_s",
-            "stream_replay_s", "total_s",
-        }
-        assert set(tiny_payload["speedups"]) == {"stream_incremental"}
-        assert set(tiny_payload["derived"]) == {
-            "events", "checksums_consistent", "events_per_s",
-            "replay_events_submitted", "replay_events_coalesced",
-            "replay_flushes", "alarms", "detection_latency_time",
-            "detection_latency_events",
-        }
-
-    def test_name_carries_profile(self, tiny_payload):
-        assert tiny_payload["name"] == "stream-tiny"
-        assert tiny_payload["config"]["as_count"] == STREAM_PROFILES["tiny"].as_count
-
-    def test_incremental_checksums_consistent(self, tiny_payload):
-        assert tiny_payload["derived"]["checksums_consistent"] is True
-        assert tiny_payload["speedups"]["stream_incremental"] > 0
-
-    def test_stream_counters_present(self, tiny_payload):
-        assert tiny_payload["counters"]["stream.ledger.convergences"] > 0
-        assert tiny_payload["counters"]["stream.replay.submitted"] > 0
-
-    def test_round_trips_through_load_bench(self, tmp_path):
-        payload, path = run_stream_bench("tiny", output=tmp_path / "s.json")
-        assert load_bench(path)["name"] == "stream-tiny"
-        assert json.loads(path.read_text()) == json.loads(json.dumps(payload))
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="unknown stream bench profile"):
-            run_stream_bench("nope")
-
-
-class TestScaleBench:
-    @pytest.fixture(scope="class")
-    def tiny_payload(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bench") / "BENCH_scale.json"
-        payload, written = run_scale_bench("tiny", output=path)
-        assert written == path
-        return payload
-
-    def test_schema_snapshot(self, tiny_payload):
-        assert tiny_payload["schema"] == SCHEMA
-        assert set(tiny_payload) == {
-            "schema", "name", "created", "config", "env",
-            "timings", "counters", "gauges", "spans", "speedups", "derived",
-        }
-        # The keys the scale-smoke CI gate diffs by name.
-        assert set(tiny_payload["timings"]) >= {
-            "fixture_s", "parse_s", "compile_s",
-            "converge_reference_s", "converge_array_s",
-            "converge_multi_array_s", "converge_batch_s",
-            "hijack_reference_s", "hijack_array_s", "total_s",
-        }
-        assert set(tiny_payload["speedups"]) == {
-            "single_origin", "multi_origin_batch", "hijack",
-        }
-
-    def test_name_carries_profile(self, tiny_payload):
-        assert tiny_payload["name"] == "scale-tiny"
-        assert tiny_payload["config"]["as_count"] == SCALE_PROFILES["tiny"].as_count
-
-    def test_backends_agree_and_speedups_recorded(self, tiny_payload):
-        """The bench cross-checks every timed convergence and hijack
-        between the backends; a divergence would land here first."""
-        assert tiny_payload["derived"]["checksums_consistent"] is True
-        assert tiny_payload["speedups"]["single_origin"] > 0
-        assert tiny_payload["speedups"]["multi_origin_batch"] > 0
-        assert tiny_payload["speedups"]["hijack"] > 0
-        assert tiny_payload["derived"]["as_count"] == SCALE_PROFILES["tiny"].as_count
-        assert tiny_payload["derived"]["links"] > 0
-        batch = tiny_payload["derived"]["batch_origins_timed"]
-        assert batch == SCALE_PROFILES["tiny"].batch_origins
-
-    def test_round_trips_through_load_bench(self, tmp_path):
-        payload, path = run_scale_bench("tiny", output=tmp_path / "s.json")
-        assert load_bench(path)["name"] == "scale-tiny"
-        assert json.loads(path.read_text()) == json.loads(json.dumps(payload))
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="unknown scale bench profile"):
-            run_scale_bench("nope")
-
-
-class TestBatchBench:
-    @pytest.fixture(scope="class")
-    def tiny_payload(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bench") / "BENCH_batch.json"
-        payload, written = run_batch_bench("tiny", output=path)
-        assert written == path
-        return payload
-
-    def test_schema_snapshot(self, tiny_payload):
-        assert tiny_payload["schema"] == SCHEMA
-        assert set(tiny_payload) == {
-            "schema", "name", "created", "config", "env",
-            "timings", "counters", "gauges", "spans", "speedups", "derived",
-        }
-        # The keys the batch-smoke CI gate diffs by name.
-        assert set(tiny_payload["timings"]) >= {
-            "topology_s", "sweep_scalar_s", "sweep_batch_s",
-            "deploy_cold_s", "deploy_batch_s", "total_s",
-        }
-        assert set(tiny_payload["speedups"]) == {"sweep_batch", "deployment_warm"}
-
-    def test_name_carries_profile(self, tiny_payload):
-        assert tiny_payload["name"] == "batch-tiny"
-        assert tiny_payload["config"]["as_count"] == BATCH_PROFILES["tiny"].as_count
-        batch = tiny_payload["derived"]["batch_origins"]
-        assert batch == BATCH_PROFILES["tiny"].batch_origins
-
-    def test_batched_paths_reproduce_unbatched_outcomes(self, tiny_payload):
-        """The bench compares every sweep outcome and ladder evaluation
-        item-by-item; a batched divergence would land here first."""
-        assert tiny_payload["derived"]["outcomes_consistent"] is True
-        assert tiny_payload["derived"]["ladder_consistent"] is True
-        assert tiny_payload["speedups"]["sweep_batch"] > 0
-        assert tiny_payload["speedups"]["deployment_warm"] > 0
-        assert tiny_payload["derived"]["rungs"] == BATCH_PROFILES["tiny"].rungs
-
-    def test_round_trips_through_load_bench(self, tmp_path):
-        payload, path = run_batch_bench("tiny", output=tmp_path / "b.json")
-        assert load_bench(path)["name"] == "batch-tiny"
-        assert json.loads(path.read_text()) == json.loads(json.dumps(payload))
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch bench profile"):
-            run_batch_bench("nope")
-
-
-def _payload(name="smoke", **timings):
-    base = {
-        "sweep_sequential_s": 1.0, "sweep_parallel_s": 0.5,
-        "random_cold_s": 2.0, "random_warm_s": 1.0, "total_s": 5.0,
-    }
-    base.update(timings)
-    return {"schema": SCHEMA, "name": name, "timings": base, "env": {}}
-
-
-class TestCompare:
-    def test_synthetic_slowdown_regresses(self):
-        baseline = _payload()
-        candidate = _payload(sweep_sequential_s=2.0)  # 2x slower
-        comparison = compare(baseline, candidate, threshold=0.25)
-        assert not comparison.ok
-        regressed = comparison.regressions()
-        assert [d.key for d in regressed] == ["sweep_sequential_s"]
-        assert regressed[0].ratio == pytest.approx(2.0)
-        assert "REGRESSED" in comparison.report()
-
-    def test_speedup_and_within_threshold_pass(self):
-        faster = compare(_payload(), _payload(sweep_parallel_s=0.25))
-        assert faster.ok
-        mild = compare(_payload(), _payload(random_cold_s=2.4))  # +20% < 25%
-        assert mild.ok
-
-    def test_total_s_not_enforced(self):
-        comparison = compare(_payload(), _payload(total_s=50.0))
-        assert comparison.ok
-
-    def test_profile_mismatch_rejected(self):
-        with pytest.raises(BenchFormatError, match="profile mismatch"):
-            compare(_payload(name="smoke"), _payload(name="default"))
-
-    def test_load_bench_rejects_wrong_schema(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "other/1", "timings": {}}))
-        with pytest.raises(BenchFormatError):
-            load_bench(bad)
-        missing = tmp_path / "missing.json"
-        with pytest.raises(BenchFormatError):
-            load_bench(missing)
-
-    def _write(self, tmp_path, name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json", _payload())
-        slow = self._write(
-            tmp_path, "slow.json",
-            _payload(sweep_sequential_s=2.0, random_warm_s=2.0),
-        )
-        fast = self._write(tmp_path, "fast.json", _payload(random_cold_s=1.0))
-        assert compare_main([base, fast]) == 0
-        assert "PASS" in capsys.readouterr().out
-        assert compare_main([base, slow]) == 1
-        assert "FAIL" in capsys.readouterr().out
-        assert compare_main([base, slow, "--threshold", "1.5"]) == 0
-        capsys.readouterr()
-
-    def test_cli_format_error_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        base = self._write(tmp_path, "base.json", _payload())
-        assert compare_main([base, str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err

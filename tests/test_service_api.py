@@ -6,6 +6,7 @@ smoke step and an operator's curl would.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -14,7 +15,7 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.detection.probes import custom_probes
 from repro.obs.metrics import Metrics
-from repro.service.api import ServiceThread
+from repro.service.api import _MAX_BODY_BYTES, ServiceThread
 from repro.service.daemon import MonitorService
 from tests.conftest import build_mini_graph
 
@@ -167,6 +168,23 @@ class TestErrors:
             payload={"prefix": "172.16.0.0/12", "origin": 999999},
         )
         assert status == 400 and "unknown origin" in body["error"]
+
+    @pytest.mark.parametrize(
+        "length, expected", [(-5, 400), (_MAX_BODY_BYTES + 1, 413)]
+    )
+    def test_hostile_content_length_is_refused_unread(
+        self, thread, api, length, expected
+    ):
+        # Header only, no body: the daemon must answer from the declared
+        # length alone rather than wait for (or choke on) the bytes.
+        with socket.create_connection(("127.0.0.1", thread.port), timeout=10) as conn:
+            conn.sendall(
+                f"POST /events HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+            )
+            status_line = conn.makefile("rb").readline().split()
+        assert int(status_line[1]) == expected
+        status, _body = api("GET", "/health")
+        assert status == 200
 
 
 class TestShutdownEndpoint:
