@@ -31,7 +31,9 @@ guess with this format.
 
 Reading is **chunk-streamed**: :class:`TraceReader` pulls fixed-size
 binary chunks (gzip members included) and splits lines itself, so a
-multi-million-record trace never materializes in memory. Strict mode
+multi-million-record trace never materializes in memory; a line that
+runs past 1 MiB without a newline is dropped as one malformed line
+(:mod:`repro.util.lines`). Strict mode
 raises :class:`TraceFormatError` with ``path:line`` coordinates; lenient
 mode counts malformed records (``ingest.malformed`` via
 :mod:`repro.obs`) and keeps going — one mangled collector line must not
@@ -49,6 +51,7 @@ from typing import IO, Iterable, Iterator
 
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.prefixes.prefix import Prefix, PrefixError
+from repro.util.lines import OVERLONG_LINE, LineSplitter
 
 __all__ = [
     "RECORD_TYPES",
@@ -236,18 +239,20 @@ def _open_binary(path: Path) -> IO[bytes]:
     return path.open("rb")
 
 
-def _iter_chunk_lines(handle: IO[bytes], chunk_size: int) -> Iterator[bytes]:
-    """Split a binary stream into lines, *chunk_size* raw bytes at a time."""
-    buffer = b""
+def _iter_chunk_lines(handle: IO[bytes], chunk_size: int) -> Iterator[bytes | None]:
+    """Split a binary stream into lines, *chunk_size* raw bytes at a time.
+
+    ``None`` stands for a line the splitter gave up on as overlong.
+    """
+    splitter = LineSplitter()
     while True:
         chunk = handle.read(chunk_size)
         if not chunk:
             break
-        buffer += chunk
-        *lines, buffer = buffer.split(b"\n")
-        yield from lines
-    if buffer:
-        yield buffer
+        yield from splitter.feed(chunk)
+    tail = splitter.finish()
+    if tail:
+        yield tail
 
 
 class TraceReader:
@@ -284,6 +289,9 @@ class TraceReader:
                 _iter_chunk_lines(handle, self.chunk_size), start=1
             ):
                 self.lines = number
+                if raw is None:
+                    self.note_malformed(TraceFormatError(OVERLONG_LINE), number)
+                    continue
                 line = raw.decode("utf-8", "replace").strip()
                 if not line or line.startswith("#"):
                     continue

@@ -43,6 +43,7 @@ from typing import IO
 
 from repro.service.daemon import MonitorService
 from repro.stream.events import StreamEvent, StreamFormatError, parse_event_line
+from repro.util.lines import OVERLONG_LINE, LineSplitter
 
 __all__ = ["ServiceDaemon", "ServiceThread"]
 
@@ -178,7 +179,10 @@ class ServiceDaemon:
         split on newlines by hand: while following, a trailing fragment
         with no newline yet is held back until its newline lands — a
         writer caught mid-line must not produce a spurious malformed
-        count. At EOF the tail loop re-stats the path; a shrunken size
+        count. A fragment that grows past 1 MiB is dropped through its
+        newline and counted as one malformed line
+        (:class:`~repro.util.lines.LineSplitter`). At EOF the tail loop
+        re-stats the path; a shrunken size
         (truncation) or a changed ``(st_dev, st_ino)`` (rotation) means
         the read position no longer refers to the data it came from, so
         the feed reopens from the start of the current file and counts
@@ -189,19 +193,18 @@ class ServiceDaemon:
         try:
             identity = _file_identity(handle)
             offset = 0
-            buffer = b""
+            splitter = LineSplitter()
             while True:
                 chunk = handle.read(65536)
                 if chunk:
                     offset += len(chunk)
-                    buffer += chunk
-                    *lines, buffer = buffer.split(b"\n")
-                    for raw in lines:
+                    for raw in splitter.feed(chunk):
                         await self._feed_line(raw)
                     continue
                 if not follow:
-                    if buffer:  # no trailing newline at final EOF
-                        await self._feed_line(buffer)
+                    tail = splitter.finish()
+                    if tail:  # no trailing newline at final EOF
+                        await self._feed_line(tail)
                     await self._drain()
                     self.service.poll()
                     return
@@ -219,14 +222,17 @@ class ServiceDaemon:
                     handle = path.open("rb")
                     identity = _file_identity(handle)
                     offset = 0
-                    buffer = b""
+                    splitter = LineSplitter()
                     self.service.metrics.count("service.feed.reopened")
                     continue
                 await asyncio.sleep(0.1)
         finally:
             handle.close()
 
-    async def _feed_line(self, raw: bytes) -> None:
+    async def _feed_line(self, raw: bytes | None) -> None:
+        if raw is None:
+            self.service.plane.note_malformed(StreamFormatError(OVERLONG_LINE))
+            return
         line = raw.decode("utf-8", "replace").strip()
         if not line:
             return

@@ -24,18 +24,25 @@ the differential reference the property suite compares against and the
 How the ledger stays identical without recomputing
 --------------------------------------------------
 
-* **announce** — one :meth:`~repro.bgp.engine.RoutingEngine
+* **first announce** — a cold :meth:`~repro.bgp.engine.RoutingEngine
+  .converge` with no undo journal. That journal could only say "this
+  cell was empty" once per reached node, and rewinding it could only
+  yield the empty network, which the ledger represents as no state at
+  all.
+* **later announce** — one :meth:`~repro.bgp.engine.RoutingEngine
   .converge_delta` pass: the announcement re-propagates in place from
   the new origin only where it strictly beats the incumbent entries
   (the affected frontier), recording an undo journal. Identical to
   ``converge(base=state)`` by construction — same kernel, same install
   sequence — minus the O(N) base copy.
 * **withdraw of the newest announcement** — rewind its journal. O(cells
-  touched), no convergence at all.
+  touched), no convergence at all. Withdrawing the last one drops the
+  state.
 * **withdraw of an interior announcement** — rewind journals down to it,
   drop it, re-apply the survivors in order (with their captured
   parameters). Cost: the suffix after the withdrawn entry, not the
-  whole chain.
+  whole chain. Withdrawing the first announcement drops the state and
+  re-bases: the first survivor becomes the new cold first slot.
 
 Why not repair outward from the withdrawn region instead? In the
 announce-only model a node may keep a route its neighbor has since
@@ -120,7 +127,10 @@ def full_converge(
     The chain runs as in-place :meth:`~repro.bgp.engine.RoutingEngine
     .converge_delta` passes over one mutable state (journals discarded):
     identical final arrays by the delta contract, without the O(N) base
-    copy ``converge(base=...)`` would pay per entry.
+    copy ``converge(base=...)`` would pay per entry. The first pass, too,
+    is a ``converge_delta`` on an empty state, where the ledger runs a
+    cold ``converge`` instead; that makes this an independent reference
+    for the ledger's first slot.
     """
     if not entries:
         return None
@@ -164,10 +174,14 @@ def _validate_chain(
 
 @dataclass
 class _LedgerSlot:
-    """One applied announcement: entry + its delta (+ validate checksum)."""
+    """One applied announcement: entry + its delta (+ validate checksum).
+
+    ``delta`` is ``None`` for slot 0, which is a cold converge with no
+    journal: rewinding it can only yield the empty network.
+    """
 
     entry: AnnounceEntry
-    delta: ConvergenceDelta
+    delta: ConvergenceDelta | None
     checksum: str | None = field(default=None, repr=False)
 
 
@@ -175,9 +189,10 @@ class PrefixLedger:
     """The incremental convergence state of one prefix.
 
     One mutable working :class:`~repro.bgp.engine.RouteState` plus the
-    ordered slots of active announcements. :meth:`announce` and
-    :meth:`withdraw` keep the working state checksum-identical to
-    :func:`full_converge` over :attr:`entries` at every step.
+    ordered slots of active announcements; with no slots there is no
+    state. :meth:`announce` and :meth:`withdraw` keep the working state
+    checksum-identical to :func:`full_converge` over :attr:`entries` at
+    every step.
 
     Duplicate announcements of an already-active origin and withdrawals
     of an inactive origin are no-ops returning ``False`` — BGP updates
@@ -208,7 +223,7 @@ class PrefixLedger:
         The returned object is the ledger's live working buffer — read
         it, don't write it, and don't hold it across further events.
         """
-        return self._state if self._slots else None
+        return self._state
 
     def is_active(self, origin: int) -> bool:
         return any(slot.entry.origin == origin for slot in self._slots)
@@ -227,7 +242,7 @@ class PrefixLedger:
         }
 
     def checksum(self) -> str | None:
-        return self._state.checksum() if self._slots and self._state else None
+        return self._state.checksum() if self._state is not None else None
 
     # -- events ------------------------------------------------------------
 
@@ -250,8 +265,6 @@ class PrefixLedger:
             first_hop_filtered=first_hop_filtered,
             path=tuple(path) if path else None,
         )
-        if self._state is None:
-            self._state = RouteState.empty(len(self.engine.view), origin)
         self._apply(entry)
         return True
 
@@ -260,7 +273,8 @@ class PrefixLedger:
 
         Newest-first withdrawals are pure journal rewinds; an interior
         withdrawal rewinds the suffix and re-applies the survivors with
-        their captured parameters.
+        their captured parameters. Rewinding past slot 0 drops the state,
+        so the first survivor (if any) becomes a cold slot 0 again.
         """
         position = next(
             (index for index, slot in enumerate(self._slots)
@@ -269,34 +283,47 @@ class PrefixLedger:
         )
         if position is None:
             return False
-        assert self._state is not None
-        survivors = [slot.entry for slot in self._slots[position + 1:]]
-        for slot in reversed(self._slots[position:]):
-            slot.delta.revert(self._state)
-            self.metrics.count("stream.ledger.reverts")
-            self.metrics.count("stream.ledger.cells_reverted", slot.delta.touched)
+        rewound = self._slots[position:]
         del self._slots[position:]
-        if self._slots and self._slots[-1].checksum is not None:
-            if self._state.checksum() != self._slots[-1].checksum:
+        self.metrics.count("stream.ledger.reverts", len(rewound))
+        if not self._slots:
+            self._state = None
+        else:
+            assert self._state is not None
+            for slot in reversed(rewound):
+                assert slot.delta is not None
+                slot.delta.revert(self._state)
+                self.metrics.count("stream.ledger.cells_reverted", slot.delta.touched)
+            expected = self._slots[-1].checksum
+            if expected is not None and self._state.checksum() != expected:
                 raise RuntimeError(
                     f"ledger rewind for origin {origin} did not restore the "
                     "prior state (journal corruption)"
                 )
-        for entry in survivors:
-            self._apply(entry, replayed=True)
+        for slot in rewound[1:]:
+            self._apply(slot.entry, replayed=True)
         return True
 
     # -- internals ---------------------------------------------------------
 
     def _apply(self, entry: AnnounceEntry, *, replayed: bool = False) -> None:
-        assert self._state is not None
-        delta = self.engine.converge_delta(
-            self._state,
-            entry.origin,
-            blocked=entry.blocked,
-            filter_first_hop_providers=entry.first_hop_filtered,
-            origin_length=entry.origin_length,
-        )
+        if self._state is None:
+            self._state = self.engine.converge(
+                entry.origin,
+                blocked=entry.blocked,
+                filter_first_hop_providers=entry.first_hop_filtered,
+                origin_length=entry.origin_length,
+            )
+            delta = None
+        else:
+            delta = self.engine.converge_delta(
+                self._state,
+                entry.origin,
+                blocked=entry.blocked,
+                filter_first_hop_providers=entry.first_hop_filtered,
+                origin_length=entry.origin_length,
+            )
+            self.metrics.count("stream.ledger.cells_installed", delta.touched)
         slot = _LedgerSlot(entry=entry, delta=delta)
         self._slots.append(slot)
         if self.engine.validate:
@@ -305,4 +332,3 @@ class PrefixLedger:
         self.metrics.count("stream.ledger.convergences")
         if replayed:
             self.metrics.count("stream.ledger.replays")
-        self.metrics.count("stream.ledger.cells_installed", delta.touched)

@@ -362,6 +362,12 @@ class StreamReplayer:
         if not view.has_asn(event.origin_asn):
             raise ValueError(f"unknown origin AS{event.origin_asn}")
         node = view.node_of(event.origin_asn)
+        ledger = self._ledgers.get(event.prefix)
+        if ledger is not None and ledger.is_active(node):
+            # A duplicate changes nothing, so it is noticed before the
+            # replay lookup and the defense evaluation, not after.
+            self._note_noop()
+            return
         if event.replay:
             # A type-U replay / route leak reuses the route the announcer
             # currently holds; with nothing to reuse the event is a noop
@@ -374,7 +380,6 @@ class StreamReplayer:
             tail = tuple(event.path)
         else:
             tail = None
-        ledger = self._ledgers.get(event.prefix)
         if ledger is None:
             ledger = PrefixLedger(self.lab.engine, metrics=self.metrics)
             self._ledgers[event.prefix] = ledger
@@ -387,16 +392,13 @@ class StreamReplayer:
             and not self.lab.graph.customers(event.origin_asn)
             and self.lab.plan.origin_of(event.prefix) != event.origin_asn
         )
-        applied = ledger.announce(
+        ledger.announce(
             node,
             origin_asn=event.origin_asn,
             blocked=blocked,
             first_hop_filtered=first_hop,
             path=tail,
         )
-        if not applied:
-            self._note_noop()
-            return
         touched.add(event.prefix)
 
     def _resolve_replay(self, event: Announce, node: int) -> tuple[int, ...] | None:

@@ -8,7 +8,8 @@ Three fronts, per ``docs/ingestion.md``:
   the fixtures must produce the committed bytes (no drift);
 * malformed input is table-driven: lenient mode counts and continues
   (``ingest.malformed`` and friends), strict mode raises with
-  ``path:line`` coordinates;
+  ``path:line`` coordinates; a newline-free line past 1 MiB is one
+  malformed line in both the trace reader and the daemon feed;
 * the daemon's tailed-feed path survives mid-follow truncation and
   rotation (the read position is re-anchored, counted via
   ``service.feed.reopened``) and holds back partial lines.
@@ -43,6 +44,7 @@ from repro.service.daemon import MonitorService
 from repro.service.tenants import TenantRegistry
 from repro.stream.events import parse_event_line
 from repro.topology.caida import load_caida
+from repro.util.lines import _MAX_LINE_BYTES, LineSplitter
 from tests.conftest import build_mini_graph
 from tests.fixtures import make_golden_traces as golden
 
@@ -272,6 +274,71 @@ class TestCompilerAnomalies:
         assert compiler.misplaced == 1
 
 
+OVERLONG = "x" * (5 << 20)  # 5 MiB with no newline
+
+
+@pytest.mark.parametrize("chunk_size", [1 << 20, 1 << 16], ids=["1MiB", "64KiB"])
+class TestOverlongLine:
+    """A newline-free line past 1 MiB is one malformed line, held bounded."""
+
+    def _trace(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            f"{GOOD_JSON}\n{OVERLONG}\n{GOOD_JSON_LATER}\nnot a record\n",
+            encoding="utf-8",
+        )
+        return trace
+
+    def test_lenient_drops_it_and_keeps_line_numbers(self, tmp_path, chunk_size):
+        metrics = Metrics()
+        trace = self._trace(tmp_path)
+        reader = TraceReader(trace, metrics=metrics, chunk_size=chunk_size)
+        records = list(reader)
+        assert [record.origin_asn for record in records] == [50, 60]
+        assert [record.line for record in records] == [1, 3]
+        assert reader.malformed == 2 and reader.lines == 4
+        assert metrics.counters["ingest.malformed"] == 2
+        assert f"{trace}:2:" in reader.errors[0]
+        assert f"{trace}:4:" in reader.errors[1]
+
+    def test_strict_raises_with_line_coordinates(self, tmp_path, chunk_size):
+        trace = self._trace(tmp_path)
+        with pytest.raises(TraceFormatError, match="without a newline") as caught:
+            list(TraceReader(trace, strict=True, chunk_size=chunk_size))
+        assert f"{trace}:2:" in str(caught.value)
+
+    def test_unterminated_at_eof_counts_once(self, tmp_path, chunk_size):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(f"{GOOD_JSON}\n{OVERLONG}", encoding="utf-8")
+        reader = TraceReader(trace, chunk_size=chunk_size)
+        assert [record.origin_asn for record in reader] == [50]
+        assert reader.malformed == 1 and reader.lines == 2
+
+
+def test_line_splitter_common_path_matches_plain_split():
+    """Under the bound the splitter is the plain carry-and-split loop."""
+    data = b"".join(b"line %d %s\n" % (i, b"y" * (i * 37 % 300)) for i in range(400))
+    data += b"no newline at the end"
+    for chunk_size in (1, 7, 64, 4096, len(data)):
+        splitter = LineSplitter()
+        lines = []
+        for start in range(0, len(data), chunk_size):
+            lines.extend(splitter.feed(data[start:start + chunk_size]))
+        lines.append(splitter.finish())
+        assert lines == data.split(b"\n")
+
+
+def test_line_splitter_holds_a_bounded_fragment():
+    splitter = LineSplitter()
+    emitted = []
+    for _ in range(80):  # 5 MiB in 64 KiB chunks
+        emitted.extend(splitter.feed(b"z" * (1 << 16)))
+        assert len(splitter._fragment) <= _MAX_LINE_BYTES
+    assert emitted == [None]
+    assert splitter.feed(b"tail\nnext\n") == [b"next"]
+    assert splitter.finish() == b""
+
+
 def test_cli_strict_mode_fails_on_malformed_trace(tmp_path, capsys):
     from repro.cli import main
 
@@ -334,6 +401,27 @@ class TestDaemonFeed:
             plane = daemon.service.plane
             assert plane.ingested == 2
             assert plane.malformed == 1
+            await daemon.stop()
+
+        asyncio.run(scenario())
+
+    def test_oneshot_feed_drops_an_overlong_line(self, tmp_path):
+        async def scenario():
+            daemon = _daemon()
+            await daemon.start()
+            feed = tmp_path / "feed.jsonl"
+            feed.write_text(
+                _event_line(0.0, "10.0.0.0/16", 50) + "\n"
+                + OVERLONG + "\n"
+                + _event_line(1.0, "10.1.0.0/16", 60) + "\n",
+                encoding="utf-8",
+            )
+            daemon.feed_file(feed)
+            await asyncio.gather(*daemon._feeds)
+            service = daemon.service
+            assert service.plane.ingested == 2
+            assert service.plane.malformed == 1
+            assert service.metrics.counters["service.ingest.malformed"] == 1
             await daemon.stop()
 
         asyncio.run(scenario())

@@ -103,6 +103,47 @@ class TestWithdrawRewind:
         assert ledger.state is None and ledger.checksum() is None
 
 
+class TestJournalFreeSlotZero:
+    """Slot 0 is a cold converge: no journal, and rewinding it drops the state."""
+
+    @pytest.fixture(params=["reference", "array"])
+    def engine(self, request, mini_view) -> RoutingEngine:
+        return RoutingEngine(mini_view, backend=request.param)
+
+    def test_first_announcement_keeps_no_journal(self, engine, mini_view):
+        metrics = Metrics()
+        ledger = PrefixLedger(engine, metrics=metrics)
+        assert ledger.announce(node(mini_view, 50))
+        assert ledger._slots[0].delta is None
+        assert metrics.counters.get("stream.ledger.cells_installed", 0) == 0
+        assert ledger.announce(node(mini_view, 60))
+        assert ledger._slots[1].delta is not None
+        assert metrics.counters["stream.ledger.cells_installed"] == (
+            ledger._slots[1].delta.touched
+        )
+
+    def test_withdrawing_the_last_origin_frees_the_state(self, engine, mini_view):
+        ledger = PrefixLedger(engine)
+        for asn in (50, 60):
+            assert ledger.announce(node(mini_view, asn))
+        assert ledger.withdraw(node(mini_view, 60))
+        assert ledger._state is not None
+        assert ledger.withdraw(node(mini_view, 50))
+        assert ledger._state is None
+
+    def test_withdrawing_position_zero_rebases_the_survivors(self, engine, mini_view):
+        ledger = PrefixLedger(engine)
+        for asn in (50, 60, 70):
+            assert ledger.announce(node(mini_view, asn), origin_asn=asn)
+        assert ledger.withdraw(node(mini_view, 50))
+        survivors =(AnnounceEntry(node(mini_view, 60), 60),
+                     AnnounceEntry(node(mini_view, 70), 70))
+        assert ledger.entries == survivors
+        assert ledger.checksum() == full_converge(engine, survivors).checksum()
+        assert ledger._slots[0].delta is None
+        assert ledger._slots[1].delta is not None
+
+
 class TestValidateMode:
     def test_validated_ledger_records_checksums(self, mini_view):
         ledger = PrefixLedger(RoutingEngine(mini_view, validate=True))
@@ -121,6 +162,16 @@ class TestValidateMode:
         ledger._state.length[origin_a] += 7
         with pytest.raises(RuntimeError, match="journal corruption"):
             ledger.withdraw(node(mini_view, 60))
+
+    def test_rewind_tripwire_on_a_rewind_to_a_journaled_slot(self, mini_view):
+        ledger = PrefixLedger(RoutingEngine(mini_view, validate=True))
+        origin_a = node(mini_view, 50)
+        for asn in (50, 60, 70):
+            assert ledger.announce(node(mini_view, asn))
+        assert ledger._slots[1].delta is not None
+        ledger._state.length[origin_a] += 7
+        with pytest.raises(RuntimeError, match="journal corruption"):
+            ledger.withdraw(node(mini_view, 70))  # rewinds to slot 1
 
 
 class TestClaimedPaths:

@@ -181,6 +181,86 @@ class TestLiveDefense:
         assert after.checksum() != before
 
 
+class TestDuplicatePath:
+    """A duplicate announce is a no-op noticed before any defense work."""
+
+    def storm(self, lab):
+        """A storm-shaped stream: a RIB wave, re-announces, one flap with a
+        ROA landing mid-flap, and a replay marker for an active origin.
+
+        Returns the events and the indices of the duplicate announces.
+        """
+        p50, p70, p80 = (lab.target_prefix(asn) for asn in (50, 70, 80))
+        events = [DefenseActivate(at=0.0, deployer_asns=(40,))]
+        events += [Announce(at=0.0, prefix=p, origin_asn=asn)
+                   for p, asn in ((p50, 50), (p70, 70), (p80, 80))]
+        at = 1.0
+        for _ in range(20):
+            for p, asn in ((p50, 50), (p70, 70), (p80, 80)):
+                events.append(Announce(at=at, prefix=p, origin_asn=asn))
+                at += 0.01
+        events.append(Announce(at=at, prefix=p50, origin_asn=60))
+        events += [Announce(at=at + 0.1, prefix=p50, origin_asn=60)] * 5
+        events.append(Withdraw(at=at + 0.2, prefix=p50, origin_asn=60))
+        events.append(RoaPublish(at=at + 0.3, prefix=p50, origin_asn=50))
+        events.append(Announce(at=at + 0.4, prefix=p50, origin_asn=60))
+        events += [Announce(at=at + 0.5, prefix=p50, origin_asn=60)] * 5
+        events.append(
+            Announce(at=at + 0.6, prefix=p70, origin_asn=70, replay="unmodified")
+        )
+        active: set[tuple[object, int]] = set()
+        duplicates = []
+        for index, event in enumerate(events):
+            if isinstance(event, Announce):
+                key = (event.prefix, event.origin_asn)
+                if key in active:
+                    duplicates.append(index)
+                active.add(key)
+            elif isinstance(event, Withdraw):
+                active.discard((event.prefix, event.origin_asn))
+        return events, duplicates
+
+    def test_duplicates_skip_the_defense(self, lab, monkeypatch):
+        from repro.defense.deployment import Defense
+
+        events, duplicates = self.storm(lab)
+        original = Defense.blocking_nodes
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Defense, "blocking_nodes", counting)
+        replayer = StreamReplayer(lab)
+        report = replayer.run(events)
+        announces = sum(isinstance(event, Announce) for event in events)
+        assert len(duplicates) == 20 * 3 + 5 + 5 + 1
+        assert len(calls) == announces - len(duplicates) == 5
+        assert replayer.counts["noop"] == report.events_noop == len(duplicates)
+        assert not report.errors
+
+    def test_checksums_equal_a_replay_without_duplicates(self, lab):
+        events, duplicates = self.storm(lab)
+        skipped = set(duplicates)
+        deduped = [event for index, event in enumerate(events) if index not in skipped]
+        stormy = StreamReplayer(lab).run(events)
+        clean = StreamReplayer(lab).run(deduped)
+        assert clean.events_noop == 0
+        assert {p: d["checksum"] for p, d in stormy.prefixes.items()} == {
+            p: d["checksum"] for p, d in clean.prefixes.items()
+        }
+
+    def test_roa_between_withdraw_and_reannounce_blocks_it(self, lab):
+        events, _duplicates = self.storm(lab)
+        replayer = StreamReplayer(lab)
+        replayer.run(events)
+        legit, attack = replayer.ledger(lab.target_prefix(50)).entries
+        assert (legit.origin_asn, attack.origin_asn) == (50, 60)
+        assert legit.blocked == frozenset()
+        assert attack.blocked == frozenset({lab.view.node_of(40)})
+
+
 class TestMonitor:
     def events(self, prefix):
         return [
