@@ -69,7 +69,7 @@ class RouteState:
 
     The representation follows the kernel that produced the state: the
     reference kernel works on Python lists (frozen: tuples), the array
-    kernels write back numpy arrays (frozen: read-only) so a sweep never
+    kernel writes back numpy arrays (frozen: read-only) so a sweep never
     converts between the two. This class is the only place that knows;
     :meth:`checksum` is identical for identical content either way, and
     the scalar queries below return plain Python values for both.
@@ -223,19 +223,16 @@ class RoutingEngine:
             # import, and kernel.py type-checks against this module.
             from repro.bgp.kernel import (
                 compile_view,
-                propagate_array,
                 propagate_array_batch,
                 resolve_backend,
             )
 
             self.backend = resolve_backend(backend)
             self._compiled = compile_view(view)
-            self._propagate_array = propagate_array
             self._propagate_array_batch = propagate_array_batch
         else:
             self.backend = backend
             self._compiled = None
-            self._propagate_array = None
             self._propagate_array_batch = None
 
     # -- public API ------------------------------------------------------------
@@ -332,15 +329,15 @@ class RoutingEngine:
 
         On the array backend all K origins share one kernel invocation
         over the memoized CSR, which is where the multi-origin speedup
-        comes from; the reference backend (and any
-        single-origin batch) falls back to a per-origin :meth:`converge`
-        loop — the fallback rule documented in ``docs/performance.md``.
+        comes from — K=1 included, since a single-origin pass is the
+        one-column case of the same kernel. The reference backend loops
+        :meth:`converge` per origin.
         """
         origins = list(origins)
         blocked, first_hop, lengths = self._batch_params(
             len(origins), blocked_sets, first_hop_flags, origin_lengths
         )
-        if self._propagate_array_batch is None or len(origins) <= 1:
+        if self._propagate_array_batch is None:
             return [
                 self.converge(
                     origin,
@@ -405,9 +402,8 @@ class RoutingEngine:
         apply a rung's blocked sets, read the outcome, revert, move to
         the adjacent rung — never paying a cold convergence per rung.
 
-        The reference backend (and any single-state batch) loops the
-        scalar :meth:`converge_delta`; like it, this path never runs the
-        invariant suite itself.
+        The reference backend loops the scalar :meth:`converge_delta`;
+        like it, this path never runs the invariant suite itself.
         """
         states = list(states)
         origins = list(origins)
@@ -416,7 +412,7 @@ class RoutingEngine:
         blocked, first_hop, lengths = self._batch_params(
             len(origins), blocked_sets, first_hop_flags, origin_lengths
         )
-        if self._propagate_array_batch is None or len(origins) <= 1:
+        if self._propagate_array_batch is None:
             return [
                 self.converge_delta(
                     state,
@@ -530,20 +526,21 @@ class RoutingEngine:
         install. ``fresh=True`` asserts *state* is a pristine
         :meth:`RouteState.empty` — a pure hint; the array kernel uses it
         to fill its scratch arrays directly instead of converting the
-        state lists. Both backends produce identical state arrays,
-        journals and metrics counters.
+        state lists. On the array backend the pass is the one-column case
+        of the fused kernel. Both backends produce identical state
+        arrays, journals and metrics counters.
         """
-        if self._propagate_array is not None:
-            messages, installs, replaced, rounds = self._propagate_array(
+        if self._propagate_array_batch is not None:
+            messages, installs, replaced, rounds = self._propagate_array_batch(
                 self._compiled,
-                state,
-                origin,
-                blocked_set,
-                filter_first_hop_providers,
+                [state],
+                [origin],
+                [blocked_set],
+                [filter_first_hop_providers],
                 self.policy.tier1_shortest_path,
-                journal,
-                fresh,
-                origin_length,
+                None if journal is None else [journal],
+                [origin_length],
+                fresh=fresh,
             )
             self._emit_convergence_metrics(messages, installs, replaced, rounds)
             return

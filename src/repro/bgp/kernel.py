@@ -8,14 +8,16 @@ at the paper's real CAIDA snapshot (42,697 ASes, 139,156 links) a single
 origin convergence pushes hundreds of thousands of messages and the
 interpreter dominates. This module re-states the identical algorithm in
 bulk array operations so the per-message cost drops to a few vectorized
-numpy instructions:
+numpy instructions. There is one array kernel,
+:func:`propagate_array_batch`: it converges K origins as K columns of
+one flat layout, and a single-origin pass is its K=1 column.
 
 * the compiled :class:`~repro.topology.view.RoutingView` adjacency is
   flattened once per view into CSR form (:class:`CompiledTopology` —
   int32 ``indptr``/``indices`` per relationship kind, memoized by view
   object identity exactly like the convergence cache's view digest);
 * per-pass route state lives in preallocated int32/int64 scratch arrays,
-  and the :class:`~repro.bgp.engine.RouteState` the kernels write back
+  and the :class:`~repro.bgp.engine.RouteState` the kernel writes back
   holds numpy arrays too, so a state coming back in (a hijack pass over
   a cached baseline, a warm-started deployment rung) is loaded without
   a list conversion;
@@ -45,8 +47,9 @@ pre-install cells, so :meth:`ConvergenceDelta.revert
 
 The contract — identical :meth:`RouteState.checksum()
 <repro.bgp.engine.RouteState.checksum>` on every topology, origin,
-blocked set and policy variant — is enforced by
-``tests/property/test_kernel_equivalence.py`` and the golden-figure
+blocked set and policy variant, for every column of every batch width —
+is enforced by ``tests/property/test_kernel_equivalence.py``,
+``tests/property/test_batched_equivalence.py`` and the golden-figure
 fixtures; see ``docs/model.md``.
 """
 
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,7 +70,6 @@ __all__ = [
     "BACKENDS",
     "CompiledTopology",
     "compile_view",
-    "propagate_array",
     "propagate_array_batch",
     "resolve_backend",
 ]
@@ -130,35 +133,6 @@ class CompiledTopology:
     export_kinds: np.ndarray
     is_tier1: np.ndarray
 
-    def gather(
-        self, indptr: np.ndarray, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The flat positions of the given nodes' CSR slices, concatenated
-        in node order — ``(positions, senders)`` where ``senders`` repeats
-        each node once per neighbor."""
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return _EMPTY, _EMPTY
-        # Standard vectorized multi-range gather: each output cell's flat
-        # position is its running output index shifted by its node's
-        # (slice start - output start), repeated once per slice cell.
-        ends = np.cumsum(counts)
-        shift = np.repeat(starts - (ends - counts), counts)
-        positions = np.arange(total, dtype=np.int64) + shift
-        return positions, np.repeat(nodes, counts)
-
-    def neighbors(
-        self, indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather the given nodes' neighbor slices, concatenated in node
-        order — ``(neighbors, senders)``."""
-        positions, senders = self.gather(indptr, nodes)
-        return indices[positions], senders
-
-
-_EMPTY = np.empty(0, dtype=np.int32)
 
 # Compiled-topology memo keyed by view object id, with a weakref callback
 # evicting entries when the view is collected (same idiom as the
@@ -227,214 +201,33 @@ def compile_view(view: "RoutingView") -> CompiledTopology:
     return compiled
 
 
-def propagate_array(
-    topology: CompiledTopology,
-    state: "RouteState",
-    origin: int,
-    blocked_set: frozenset[int],
-    filter_first_hop_providers: bool,
-    tier1_shortest: bool,
-    journal: list[tuple[int, int, int, int, int]] | None,
-    fresh: bool = False,
-    origin_length: int = 0,
-) -> tuple[int, int, int, int]:
-    """Run one announcement pass over *state* with bulk array operations.
-
-    Mutates *state* in place (its arrays end up as numpy arrays holding
-    the identical final content the reference kernel would produce) and
-    appends the identical undo journal when *journal* is given. An
-    array-backed *state* is written through directly, so a frozen one
-    raises on the first install. Returns ``(messages, installs,
-    replaced, rounds)`` for the engine's metrics emission.
-
-    ``fresh=True`` promises *state* is a pristine :meth:`RouteState.empty
-    <repro.bgp.engine.RouteState.empty>` — the scratch arrays are then
-    filled directly instead of converted from the state's Python lists.
-    """
-    if fresh:
-        key = np.full(topology.size, _EMPTY_KEY, dtype=np.int64)
-        parent = np.full(topology.size, -1, dtype=np.int32)
-        origin_of = np.full(topology.size, -1, dtype=np.int32)
-    else:
-        key = (np.asarray(state.cls, dtype=np.int64) << _LEN_BITS) | np.asarray(
-            state.length, dtype=np.int64
-        )
-        parent = np.asarray(state.parent, dtype=np.int32)
-        origin_of = np.asarray(state.origin_of, dtype=np.int32)
-
-    # Scratch for the per-bucket first-occurrence scatter below; -1 means
-    # "node not in the current bucket's candidate list".
-    first_slot = np.full(topology.size, -1, dtype=np.int64)
-
-    # Candidates for the origin itself or a blocked node are dropped at
-    # consideration time, exactly as the reference kernel's per-candidate
-    # skip — one mask lookup replaces both tests.
-    dropped = np.zeros(topology.size, dtype=bool)
-    if blocked_set:
-        dropped[list(blocked_set)] = True
-    dropped[origin] = True
-
-    if journal is not None:
-        origin_key = int(key[origin])
-        journal.append(
-            (
-                origin,
-                origin_key >> _LEN_BITS,
-                origin_key & _LEN_MASK,
-                int(parent[origin]),
-                int(origin_of[origin]),
-            )
-        )
-    key[origin] = (_CLASS_ORIGIN << _LEN_BITS) | origin_length
-    parent[origin] = -1
-    origin_of[origin] = origin
-
-    # buckets[length] = None or three per-class chunk lists (customer,
-    # peer, provider); each chunk is a (nodes, senders) array pair kept
-    # in push order — the array analogue of the reference bucket queue.
-    buckets: list[list[list[tuple[np.ndarray, np.ndarray]]] | None] = []
-
-    def push(route_length: int, class_offset: int, nodes: np.ndarray, senders: np.ndarray) -> None:
-        if nodes.size == 0:
-            return
-        while len(buckets) <= route_length:
-            buckets.append(None)
-        bucket = buckets[route_length]
-        if bucket is None:
-            bucket = [[], [], []]
-            buckets[route_length] = bucket
-        bucket[class_offset].append((nodes, senders))
-
-    def push_exports(nodes: np.ndarray, route_class: int, next_length: int) -> None:
-        if route_class in (_CLASS_ORIGIN, _CLASS_CUSTOMER):
-            # Full valley-free export: one fused gather, split by target
-            # kind. Compress preserves order, and per node the fused
-            # adjacency is providers|peers|customers, so each per-class
-            # subsequence matches the reference's per-winner push order.
-            positions, senders = topology.gather(topology.export_indptr, nodes)
-            if positions.size == 0:
-                return
-            targets = topology.export_indices[positions]
-            kinds = topology.export_kinds[positions]
-            for class_offset in (0, 1, 2):
-                mask = kinds == class_offset
-                push(next_length, class_offset, targets[mask], senders[mask])
-        else:
-            push(
-                next_length,
-                2,
-                *topology.neighbors(
-                    topology.customer_indptr, topology.customer_indices, nodes
-                ),
-            )
-
-    origin_arr = np.array([origin], dtype=np.int32)
-    origin_is_stub = (
-        topology.customer_indptr[origin + 1] == topology.customer_indptr[origin]
-    )
-    # Claimed-path padding: first receivers install one hop past the
-    # announced path length, exactly as in the reference kernel.
-    first_hop_length = origin_length + 1
-    if filter_first_hop_providers and origin_is_stub:
-        push(
-            first_hop_length,
-            1,
-            *topology.neighbors(
-                topology.peer_indptr, topology.peer_indices, origin_arr
-            ),
-        )
-        push(
-            first_hop_length,
-            2,
-            *topology.neighbors(
-                topology.customer_indptr, topology.customer_indices, origin_arr
-            ),
-        )
-    else:
-        push_exports(origin_arr, _CLASS_ORIGIN, first_hop_length)
-
-    messages = 0
-    installs = 0
-    replaced = 0
-    route_length = 0
-    while route_length < len(buckets):
-        bucket = buckets[route_length]
-        if bucket is not None:
-            for class_offset, route_class in enumerate(
-                (_CLASS_CUSTOMER, _CLASS_PEER, _CLASS_PROVIDER)
-            ):
-                chunks = bucket[class_offset]
-                if not chunks:
-                    continue
-                if len(chunks) == 1:
-                    nodes, senders = chunks[0]
-                else:
-                    nodes = np.concatenate([chunk[0] for chunk in chunks])
-                    senders = np.concatenate([chunk[1] for chunk in chunks])
-                messages += int(nodes.size)
-                keep = ~dropped[nodes]
-                if not keep.all():
-                    nodes = nodes[keep]
-                    senders = senders[keep]
-                if nodes.size == 0:
-                    continue
-                # First candidate per node in push order: any later one in
-                # this bucket carries the same (length, class) and ties
-                # keep the incumbent. Scatter-assigning the candidate
-                # indices in *reverse* leaves each node's earliest index
-                # in first_slot (fancy-index assignment is last-wins), so
-                # comparing back picks exactly the first occurrences —
-                # already in push order, no sort needed.
-                slots = np.arange(nodes.size, dtype=np.int64)
-                first_slot[nodes[::-1]] = slots[::-1]
-                sel = first_slot[nodes] == slots
-                first_slot[nodes] = -1  # reset only the touched cells
-                cand_nodes = nodes[sel]
-                cand_senders = senders[sel]
-                incumbent_key = key[cand_nodes]
-                cand_key = (route_class << _LEN_BITS) | route_length
-                # One packed comparison = better class, or same class and
-                # strictly shorter path.
-                beats = cand_key < incumbent_key
-                if tier1_shortest:
-                    beats = np.where(
-                        topology.is_tier1[cand_nodes],
-                        route_length < (incumbent_key & _LEN_MASK),
-                        beats,
-                    )
-                if not beats.any():
-                    continue
-                # Install order is push order of each winner's first
-                # candidate — what the journal and export order encode.
-                winners = cand_nodes[beats]
-                winner_senders = cand_senders[beats]
-                displaced_key = incumbent_key[beats]
-                installs += int(winners.size)
-                replaced += int(((displaced_key >> _LEN_BITS) != _NO_CLASS).sum())
-                if journal is not None:
-                    journal.extend(
-                        zip(
-                            winners.tolist(),
-                            (displaced_key >> _LEN_BITS).tolist(),
-                            (displaced_key & _LEN_MASK).tolist(),
-                            parent[winners].tolist(),
-                            origin_of[winners].tolist(),
-                        )
-                    )
-                key[winners] = cand_key
-                parent[winners] = winner_senders
-                origin_of[winners] = origin
-                push_exports(winners, route_class, route_length + 1)
-        route_length += 1
-
-    state.cls = key >> _LEN_BITS
-    state.length = key & _LEN_MASK
-    state.parent = parent
-    state.origin_of = origin_of
-    return messages, installs, replaced, len(buckets)
-
-
 _EMPTY64 = np.empty(0, dtype=np.int64)
+
+
+def gather_flat(
+    indptr: np.ndarray, cells: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR slices of the given flat cells (``col*size + node``),
+    concatenated in cell order.
+
+    Returns ``(positions, senders, colbases)``: flat positions into the
+    CSR ``indices``, each cell's node id repeated once per neighbor, and
+    each cell's column base repeated alike, so the caller rebases the
+    gathered targets into their own column.
+    """
+    cols, nodes = np.divmod(cells, size)
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    out = int(counts.sum())
+    if out == 0:
+        return _EMPTY64, _EMPTY64, _EMPTY64
+    # Standard vectorized multi-range gather: each output cell's flat
+    # position is its running output index shifted by its cell's
+    # (slice start - output start), repeated once per slice cell.
+    ends = np.cumsum(counts)
+    shift = np.repeat(starts - (ends - counts), counts)
+    positions = np.arange(out, dtype=np.int64) + shift
+    return positions, np.repeat(nodes, counts), np.repeat(cols * size, counts)
 
 
 def propagate_array_batch(
@@ -451,23 +244,25 @@ def propagate_array_batch(
 ) -> tuple[int, int, int, int]:
     """Converge K independent announcement passes in one fused sweep.
 
-    The single-origin kernel above amortizes the interpreter over one
-    origin's frontier; this variant amortizes numpy's per-call overhead
-    over a whole sweep's origins too. Each origin is one *column* of a
-    flat ``K*N`` scratch layout (cell ``col*N + node``): columns never
-    read or write each other's cells, so the reverse-scatter tie-break,
-    the packed-key preference test and the CSR export gathers all run
-    once per ``(length, class)`` bucket over every column's candidates
-    concatenated.
+    The one array kernel: a single-origin pass (:meth:`RoutingEngine.converge
+    <repro.bgp.engine.RoutingEngine.converge>`, ``converge_delta``) is
+    the K=1 case. Each origin is one *column* of a flat ``K*N`` scratch
+    layout (cell ``col*N + node``): columns never read or write each
+    other's cells, so the reverse-scatter tie-break, the packed-key
+    preference test and the CSR export gathers all run once per
+    ``(length, class)`` bucket over every column's candidates
+    concatenated, amortizing numpy's per-call overhead over a whole
+    sweep's origins.
 
-    Why each column is bit-identical to its single-origin pass: within a
-    bucket the flat candidate array keeps per-column push order (chunks
-    are appended in the same step order, and boolean filtering preserves
-    relative order), the first-occurrence scatter operates on flat cells
-    so selection restricted to one column picks exactly that column's
-    first candidates, and the preference test is per-cell. By induction
-    over bucket steps every column installs the same winners in the same
-    order as :func:`propagate_array` would — which is also why the
+    Why each column is bit-identical to the reference kernel's pass for
+    its origin: within a bucket the flat candidate array keeps
+    per-column push order (chunks are appended in the same step order,
+    and boolean filtering preserves relative order), the
+    first-occurrence scatter operates on flat cells so selection
+    restricted to one column picks exactly that column's first
+    candidates, and the preference test is per-cell. By induction over
+    bucket steps every column installs the same winners in the same
+    order as the reference bucket queue — which is also why the
     per-column undo journals (distributed from the global install stream
     by a stable sort on the column index) match entry for entry.
 
@@ -480,9 +275,17 @@ def propagate_array_batch(
     :meth:`RoutingEngine.converge_delta_batch
     <repro.bgp.engine.RoutingEngine.converge_delta_batch>`).
 
-    Mutates every state in place (write-back per column) and returns the
-    aggregate ``(messages, installs, replaced, rounds)``.
+    Replaces every state's arrays (write-back per column) and returns
+    the aggregate ``(messages, installs, replaced, rounds)``. A
+    :meth:`frozen <repro.bgp.engine.RouteState.freeze>` state raises
+    ``ValueError`` before any work: the write-back assigns attributes,
+    which a read-only array could not stop. *base* is only read.
     """
+    for state in states:
+        if state.is_frozen:
+            raise ValueError(
+                "propagate_array_batch cannot write back into a frozen state; copy it"
+            )
     n = topology.size
     k = len(origins)
     total = n * k
@@ -554,24 +357,16 @@ def propagate_array_batch(
             buckets[route_length] = bucket
         bucket[class_offset].append((cells, senders))
 
-    def gather_flat(indptr: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # The multi-range CSR gather of CompiledTopology.gather, lifted to
-        # flat cells: returns (positions, sender node ids, column bases)
-        # so the caller can rebase gathered targets into their columns.
-        cols, nodes = np.divmod(cells, n)
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        out = int(counts.sum())
-        if out == 0:
-            return _EMPTY64, _EMPTY64, _EMPTY64
-        ends = np.cumsum(counts)
-        shift = np.repeat(starts - (ends - counts), counts)
-        positions = np.arange(out, dtype=np.int64) + shift
-        return positions, np.repeat(nodes, counts), np.repeat(cols * n, counts)
+    def push_slices(
+        next_length: int, class_offset: int, indptr: np.ndarray,
+        indices: np.ndarray, cells: np.ndarray,
+    ) -> None:
+        positions, senders, colbase = gather_flat(indptr, cells, n)
+        push(next_length, class_offset, colbase + indices[positions], senders)
 
     def push_exports(cells: np.ndarray, route_class: int, next_length: int) -> None:
         if route_class in (_CLASS_ORIGIN, _CLASS_CUSTOMER):
-            positions, senders, colbase = gather_flat(topology.export_indptr, cells)
+            positions, senders, colbase = gather_flat(topology.export_indptr, cells, n)
             if positions.size == 0:
                 return
             targets = colbase + topology.export_indices[positions]
@@ -580,43 +375,40 @@ def propagate_array_batch(
                 mask = kinds == class_offset
                 push(next_length, class_offset, targets[mask], senders[mask])
         else:
-            positions, senders, colbase = gather_flat(topology.customer_indptr, cells)
-            if positions.size == 0:
-                return
-            push(next_length, 2, colbase + topology.customer_indices[positions], senders)
+            push_slices(
+                next_length, 2, topology.customer_indptr, topology.customer_indices, cells
+            )
 
     for col, origin in enumerate(origins):
-        colbase = col * n
+        origin_cell = np.array([col * n + origin], dtype=np.int64)
+        # Claimed-path padding: first receivers install one hop past the
+        # announced path length, exactly as in the reference kernel.
         first_hop_length = origin_lengths[col] + 1
         origin_is_stub = (
             topology.customer_indptr[origin + 1] == topology.customer_indptr[origin]
         )
         if first_hop_flags[col] and origin_is_stub:
-            origin_arr = np.array([origin], dtype=np.int32)
-            peers, senders = topology.neighbors(
-                topology.peer_indptr, topology.peer_indices, origin_arr
+            # The stub filter: providers drop the origin's own
+            # announcement, so only peers and customers hear it.
+            push_slices(
+                first_hop_length, 1, topology.peer_indptr, topology.peer_indices,
+                origin_cell,
             )
-            push(first_hop_length, 1, colbase + peers.astype(np.int64), senders)
-            customers, senders = topology.neighbors(
-                topology.customer_indptr, topology.customer_indices, origin_arr
+            push_slices(
+                first_hop_length, 2, topology.customer_indptr,
+                topology.customer_indices, origin_cell,
             )
-            push(first_hop_length, 2, colbase + customers.astype(np.int64), senders)
         else:
-            push_exports(
-                np.array([colbase + origin], dtype=np.int64),
-                _CLASS_ORIGIN,
-                first_hop_length,
-            )
+            push_exports(origin_cell, _CLASS_ORIGIN, first_hop_length)
 
-    # Journal records accumulate as column-tagged arrays during the loop
-    # and are distributed per column afterwards: a stable sort on the
-    # column index keeps each column's global install order intact.
-    j_cols: list[np.ndarray] = []
-    j_nodes: list[np.ndarray] = []
-    j_cls: list[np.ndarray] = []
-    j_len: list[np.ndarray] = []
-    j_parent: list[np.ndarray] = []
-    j_origin: list[np.ndarray] = []
+    # Journal records accumulate per bucket as the winners' flat cells
+    # and pre-install values, and are split into columns after the loop:
+    # a stable sort on the column index keeps each column's global
+    # install order intact.
+    j_cells: list[np.ndarray] = []
+    j_keys: list[np.ndarray] = []
+    j_parents: list[np.ndarray] = []
+    j_origins: list[np.ndarray] = []
 
     messages = 0
     installs = 0
@@ -665,43 +457,32 @@ def propagate_array_batch(
                 displaced_key = incumbent_key[beats]
                 installs += int(winners.size)
                 replaced += int(((displaced_key >> _LEN_BITS) != _NO_CLASS).sum())
-                cols = winners // n
                 if journals is not None:
-                    j_cols.append(cols)
-                    j_nodes.append(winners - cols * n)
-                    j_cls.append(displaced_key >> _LEN_BITS)
-                    j_len.append(displaced_key & _LEN_MASK)
-                    j_parent.append(parent[winners].astype(np.int64))
-                    j_origin.append(origin_of[winners].astype(np.int64))
+                    j_cells.append(winners)
+                    j_keys.append(displaced_key)
+                    j_parents.append(parent[winners])
+                    j_origins.append(origin_of[winners])
                 key[winners] = cand_key
                 parent[winners] = winner_senders
-                origin_of[winners] = origins_np[cols]
+                origin_of[winners] = origins_np[winners // n]
                 push_exports(winners, route_class, route_length + 1)
         route_length += 1
 
-    if journals is not None and j_cols:
-        cols_all = np.concatenate(j_cols)
-        order = np.argsort(cols_all, kind="stable")
-        sorted_cols = cols_all[order]
-        nodes_sorted = np.concatenate(j_nodes)[order]
-        cls_sorted = np.concatenate(j_cls)[order]
-        len_sorted = np.concatenate(j_len)[order]
-        parent_sorted = np.concatenate(j_parent)[order]
-        origin_sorted = np.concatenate(j_origin)[order]
-        bounds = np.searchsorted(sorted_cols, np.arange(k + 1))
-        for col in range(k):
-            lo, hi = int(bounds[col]), int(bounds[col + 1])
-            if lo == hi:
-                continue
-            journals[col].extend(
-                zip(
-                    nodes_sorted[lo:hi].tolist(),
-                    cls_sorted[lo:hi].tolist(),
-                    len_sorted[lo:hi].tolist(),
-                    parent_sorted[lo:hi].tolist(),
-                    origin_sorted[lo:hi].tolist(),
-                )
-            )
+    if journals is not None and j_cells:
+        cols, nodes = np.divmod(np.concatenate(j_cells), n)
+        order = np.argsort(cols, kind="stable")
+        keys = np.concatenate(j_keys)[order]
+        records = zip(
+            nodes[order].tolist(),
+            (keys >> _LEN_BITS).tolist(),
+            (keys & _LEN_MASK).tolist(),
+            np.concatenate(j_parents)[order].tolist(),
+            np.concatenate(j_origins)[order].tolist(),
+        )
+        # Records are in column order now; hand each column its run.
+        counts = np.bincount(cols, minlength=k).tolist()
+        for journal, count in zip(journals, counts):
+            journal.extend(islice(records, count))
 
     key_grid = key.reshape(k, n)
     parent_grid = parent.reshape(k, n)

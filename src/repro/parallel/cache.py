@@ -72,28 +72,21 @@ def context_digest(
     view: RoutingView,
     policy: PolicyConfig,
     backend: str = "reference",
-    batched: bool = False,
 ) -> str:
-    """The cache-key prefix identifying one (topology, policy, backend,
-    batch-shape) context.
+    """The cache-key prefix identifying one (topology, policy, backend)
+    context.
 
     The backend is part of the key even though both kernels are
     checksum-identical by contract: a cached state must always be
     attributable to the engine configuration that produced it, so a
     backend regression can never hide behind a warm cache (a backend
     switch is a cold start, by design — see the regression test in
-    ``tests/test_parallel_cache.py``). ``batched`` extends the same rule
-    to the convergence *shape*: states computed through
-    :meth:`RoutingEngine.converge_batch
-    <repro.bgp.engine.RoutingEngine.converge_batch>` live in their own
-    key space and can never alias scalar single-origin entries (nor vice
-    versa), so a batched-kernel regression is equally unable to hide.
-    The key records the shape *class*, not the batch width — the set of
-    origins a batched miss converges together depends on transient cache
-    state, so an exact-K key could never be reproduced at lookup time.
+    ``tests/test_parallel_cache.py``). The convergence *shape* is not:
+    on each backend a single-origin and a batched convergence run the
+    same kernel (the array backend's single origin is the one-column
+    batch), so one origin has one entry whatever batch width fetched it.
     """
-    shape = ":batched" if batched else ""
-    return f"{_view_digest(view)}:{_policy_digest(policy)}:{backend}{shape}"
+    return f"{_view_digest(view)}:{_policy_digest(policy)}:{backend}"
 
 
 @dataclass
@@ -179,11 +172,9 @@ class ConvergenceCache:
 
         check_cache_coherence(self)
 
-    def contains(
-        self, engine: RoutingEngine, origin: int, *, batched: bool = False
-    ) -> bool:
+    def contains(self, engine: RoutingEngine, origin: int) -> bool:
         return (
-            context_digest(engine.view, engine.policy, engine.backend, batched),
+            context_digest(engine.view, engine.policy, engine.backend),
             origin,
         ) in self._entries
 
@@ -192,49 +183,24 @@ class ConvergenceCache:
 
         Computes and memoizes on first use; returned states are frozen and
         must be treated as immutable (run hijack passes *on top of* them
-        via ``converge(..., base=state)``, which copies).
+        via ``converge(..., base=state)``, which copies). The one-origin
+        case of :meth:`baseline_batch`.
         """
-        key = (context_digest(engine.view, engine.policy, engine.backend), origin)
-        entry = self._entries.get(key)
-        if entry is not None:
-            state, inserted_checksum = entry
-            if self.verify and inserted_checksum != state.checksum():
-                raise RuntimeError(
-                    f"cached baseline for origin {origin} was mutated in place"
-                )
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self.metrics.count("cache.hits")
-            return state
-        self.stats.misses += 1
-        self.metrics.count("cache.misses")
-        state = engine.converge(origin).freeze()
-        # The checksum is always recorded (one digest per distinct origin
-        # is noise next to the convergence itself); ``verify`` only
-        # controls whether every *hit* re-checks it.
-        self._entries[key] = (state, state.checksum())
-        self.metrics.count("cache.inserts")
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self.metrics.count("cache.evictions")
-        return state
+        return self.baseline_batch(engine, (origin,))[0]
 
     def baseline_batch(
         self, engine: RoutingEngine, origins: "Sequence[int]"
     ) -> list[RouteState]:
         """Clean converged states for several origins, one fused miss pass.
 
-        The batched analogue of :meth:`baseline`: hits are served from
-        the cache's *batched* key space
-        (``context_digest(..., batched=True)`` — scalar entries never
-        alias, see :func:`context_digest`), and every miss in the request
-        is converged in a single :meth:`RoutingEngine.converge_batch
+        Each distinct origin is one lookup (a hit or a miss), and every
+        miss in the request is converged in a single
+        :meth:`RoutingEngine.converge_batch
         <repro.bgp.engine.RoutingEngine.converge_batch>` call before
         being frozen and inserted. Returns the states in request order;
         duplicate origins share one entry.
         """
-        context = context_digest(engine.view, engine.policy, engine.backend, True)
+        context = context_digest(engine.view, engine.policy, engine.backend)
         found: dict[int, RouteState] = {}
         missing: list[int] = []
         for origin in origins:
@@ -259,6 +225,9 @@ class ConvergenceCache:
         if missing:
             for origin, state in zip(missing, engine.converge_batch(missing)):
                 state.freeze()
+                # The checksum is always recorded (one digest per distinct
+                # origin is noise next to the convergence itself);
+                # ``verify`` only controls whether every *hit* re-checks it.
                 self._entries[(context, origin)] = (state, state.checksum())
                 self.metrics.count("cache.inserts")
                 found[origin] = state

@@ -111,7 +111,7 @@ def load_caida_mmap(path: str | Path, *, strict: bool = True) -> ASGraph:
     of the page cache — the kernel streams pages in and evicts them
     behind the cursor, so a full 42,697-AS snapshot costs one graph, not
     one graph plus one file copy. ``.gz`` files cannot be mapped
-    usefully; they fall back to a chunk-streamed decompressing reader
+    usefully; they are read line by line from the decompressing stream,
     with the same bounded-memory property. Empty files parse to an
     empty graph (``mmap`` rejects zero-length maps, hence the guard).
     """
@@ -133,19 +133,10 @@ def _mmap_lines(mapped: mmap.mmap) -> Iterator[str]:
         yield raw.decode("ascii", "replace")
 
 
-def _gzip_lines(path: Path, chunk_size: int = 1 << 20) -> Iterator[str]:
-    buffer = b""
+def _gzip_lines(path: Path) -> Iterator[str]:
     with gzip.open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(chunk_size)
-            if not chunk:
-                break
-            buffer += chunk
-            *lines, buffer = buffer.split(b"\n")
-            for raw in lines:
-                yield raw.decode("ascii", "replace")
-    if buffer:
-        yield buffer.decode("ascii", "replace")
+        for raw in handle:
+            yield raw.decode("ascii", "replace")
 
 
 def dumps_caida(graph: ASGraph, *, serial: int = 1, source: str = "repro") -> str:

@@ -116,6 +116,19 @@ class TestMmapLoader:
         path.write_text("1|2|0\n1|10|-1", encoding="ascii")  # no final \n
         assert load_caida_mmap(path).edge_count() == 2
 
+    def test_gzip_without_trailing_newline_matches_plain_file(self, tmp_path):
+        text = "# serial-1\n1|2|0\n1|10|-1\n2|20|-1"  # no final \n
+        plain = tmp_path / "topo.txt"
+        plain.write_text(text, encoding="ascii")
+        packed = tmp_path / "topo.txt.gz"
+        with gzip.open(packed, "wt", encoding="ascii") as handle:
+            handle.write(text)
+        expected = load_caida_mmap(plain)
+        loaded = load_caida_mmap(packed)
+        assert expected.edge_count() == 3
+        assert loaded.asns() == expected.asns()
+        assert sorted(loaded.edges()) == sorted(expected.edges())
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "topo.txt"
         path.write_text("", encoding="ascii")

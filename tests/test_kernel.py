@@ -17,7 +17,13 @@ import pytest
 
 import repro.bgp as bgp
 from repro.bgp.engine import RouteState, RoutingEngine
-from repro.bgp.kernel import BACKENDS, compile_view, propagate_array, resolve_backend
+from repro.bgp.kernel import (
+    BACKENDS,
+    compile_view,
+    gather_flat,
+    propagate_array_batch,
+    resolve_backend,
+)
 from repro.parallel.cache import ConvergenceCache
 from repro.topology.view import RoutingView
 
@@ -97,16 +103,24 @@ class TestCsrLayout:
         assert compiled.is_tier1.tolist() == list(mini_view.is_tier1)
 
     def test_gather_concatenates_in_node_order(self, compiled):
-        nodes = np.array([2, 0, 2], dtype=np.int32)
-        positions, senders = compiled.gather(compiled.customer_indptr, nodes)
+        """The flat gather walks cells in order across columns: each
+        cell's CSR slice, its node as sender, its column base alongside."""
+        n = compiled.size
+        cells = np.array([2, n + 0, 2 * n + 2, 2], dtype=np.int64)
+        positions, senders, colbases = gather_flat(compiled.customer_indptr, cells, n)
         expected_positions = []
         expected_senders = []
-        for node in nodes:
+        expected_colbases = []
+        for cell in cells.tolist():
+            col, node = divmod(cell, n)
             lo, hi = compiled.customer_indptr[node], compiled.customer_indptr[node + 1]
             expected_positions.extend(range(int(lo), int(hi)))
-            expected_senders.extend([int(node)] * int(hi - lo))
+            expected_senders.extend([node] * int(hi - lo))
+            expected_colbases.extend([col * n] * int(hi - lo))
+        assert expected_positions  # the mini topology's node 2 has customers
         assert positions.tolist() == expected_positions
         assert senders.tolist() == expected_senders
+        assert colbases.tolist() == expected_colbases
 
 
 class TestLazyExports:
@@ -233,7 +247,7 @@ class TestBatchedKernel:
 
 
 class TestArrayBackedState:
-    """The array kernels hand back numpy-backed states; ``RouteState`` is
+    """The array kernel hands back numpy-backed states; ``RouteState`` is
     the only place that knows, and everything observable — checksums,
     freezing, scalar queries — behaves as on the list-backed states."""
 
@@ -270,16 +284,27 @@ class TestArrayBackedState:
         assert frozen.cls[0] == 0
 
     def test_kernel_pass_over_frozen_baseline_raises(self, mini_view):
-        """The scalar kernel writes an array-backed state through in
-        place, so a pass aimed straight at a frozen baseline fails on
-        its first install — and the engine's own guards refuse earlier."""
+        """The kernel writes results back by assigning a state's arrays,
+        which read-only arrays cannot stop, so it refuses a frozen state
+        itself — at K=1 and with the frozen state as one column of K=2,
+        before touching any column — and the engine's guards refuse too."""
         engine = RoutingEngine(mini_view, backend="array")
         baseline = ConvergenceCache().baseline(engine, 0)
         before = baseline.checksum()
-        with pytest.raises(ValueError, match="read-only"):
-            propagate_array(
-                compile_view(mini_view), baseline, 2, frozenset(), False, True, None
-            )
+        bystander = baseline.copy_for(3)
+        for states, origins in (([baseline], [2]), ([bystander, baseline], [3, 2])):
+            with pytest.raises(ValueError, match="frozen"):
+                propagate_array_batch(
+                    compile_view(mini_view),
+                    states,
+                    origins,
+                    [frozenset()] * len(origins),
+                    [False] * len(origins),
+                    True,
+                    None,
+                    [0] * len(origins),
+                )
+        assert bystander.checksum() == baseline.copy_for(3).checksum()
         with pytest.raises(ValueError, match="mutable"):
             engine.converge_delta(baseline, 2)
         with pytest.raises(ValueError, match="mutable"):

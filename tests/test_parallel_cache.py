@@ -96,33 +96,19 @@ class TestKeying:
             mini_view, PolicyConfig(), "array"
         )
 
-    def test_batched_key_space_is_a_cold_miss(self, mini_view):
-        """Regression: the cache key must include the batch shape class.
-        A ``baseline_batch`` entry and a scalar ``baseline`` entry for the
-        same origin are independent computations through different kernel
-        paths — aliasing them would let a batched-kernel bug hide behind a
-        scalar-converged entry (and vice versa), exactly the masking the
-        backend-switch test above guards against."""
+    def test_single_and_batched_lookups_share_one_entry(self, mini_view):
+        """A single-origin lookup and a batched one run the same kernel
+        (one origin is the one-column batch), so they share one key
+        space: the batch hits the entry the single lookup inserted and
+        converges only the origin it has not seen."""
         cache = ConvergenceCache()
         engine = RoutingEngine(mini_view, backend="array")
-        scalar_state = cache.baseline(engine, 0)
-        assert cache.contains(engine, 0, batched=True) is False
-        (batched_state,) = cache.baseline_batch(engine, (0,))
-        assert batched_state is not scalar_state
-        assert cache.stats.misses == 2 and cache.stats.hits == 0
+        single = cache.baseline(engine, 0)
+        batch = cache.baseline_batch(engine, (0, 1))
+        assert batch[0] is single
+        assert batch[1].origin == 1
+        assert cache.stats.misses == 2 and cache.stats.hits == 1
         assert len(cache) == 2
-        # Same content regardless — the batched contract — but through
-        # two distinct entries.
-        assert scalar_state.checksum() == batched_state.checksum()
-        assert context_digest(mini_view, PolicyConfig(), "array") != context_digest(
-            mini_view, PolicyConfig(), "array", batched=True
-        )
-        # Within the batched key space the entry is warm, whatever the
-        # batch width at lookup time (the key records the shape class,
-        # not the batch size).
-        again = cache.baseline_batch(engine, (0, 1))
-        assert again[0] is batched_state
-        assert cache.stats.hits == 1
 
     def test_equal_views_share_entries_across_engines(self, mini_view):
         """Two separately compiled views of the same graph hit one entry."""
