@@ -14,9 +14,10 @@ generation *L*. Each node therefore sees its candidates in increasing
 length order (best class first within a generation) and installs a
 candidate exactly when it strictly beats the node's current entry. That is
 precisely a generalized Dijkstra ordered by ``(length, class)``: this
-engine pushes candidate routes through a bucket queue in that order and
-applies the same strict-preference install rule (:func:`repro.bgp.policy
-.prefers`), so per node the install sequence — and hence the final RIB —
+engine walks candidate routes through a bucket queue in that order (one
+``(sender, receivers)`` group per export) and applies the same
+strict-preference install rule (:func:`repro.bgp.policy.prefers`,
+inlined), so per node the install sequence — and hence the final RIB —
 matches the simulator's. The equivalence is enforced by randomized
 property tests in ``tests/integration/test_engine_equivalence.py``.
 
@@ -32,7 +33,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, MutableSequence, Sequence
 
-from repro.bgp.policy import PolicyConfig, prefers
+from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.topology.relationships import RouteClass
 from repro.topology.view import RoutingView
@@ -431,7 +432,7 @@ class RoutingEngine:
         prev_origins = [state.origin for state in states]
         for state, origin in zip(states, origins):
             state.origin = origin
-        journals: list[list[tuple[int, int, int, int, int]]] = [[] for _ in origins]
+        journals: list[list[int]] = [[] for _ in origins]
         messages, installs, replaced, rounds = self._propagate_array_batch(
             self._compiled,
             states,
@@ -490,7 +491,7 @@ class RoutingEngine:
         """
         if state.is_frozen:
             raise ValueError("converge_delta needs a mutable state; unfreeze or copy it")
-        journal: list[tuple[int, int, int, int, int]] = []
+        journal: list[int] = []
         prev_origin = state.origin
         state.origin = origin
         blocked_set = frozenset(blocked)
@@ -513,15 +514,16 @@ class RoutingEngine:
         origin: int,
         blocked_set: frozenset[int],
         filter_first_hop_providers: bool,
-        journal: list[tuple[int, int, int, int, int]] | None,
+        journal: list[int] | None,
         fresh: bool = False,
         origin_length: int = 0,
     ) -> None:
         """The propagation kernel dispatcher.
 
         Mutates *state* in place. When *journal* is given, every install
-        appends the overwritten ``(node, cls, length, parent, origin_of)``
-        cells (pre-install values) so the pass can be reverted; the batch
+        appends the node and its overwritten ``cls, length, parent,
+        origin_of`` cells (pre-install values, five flat ints) so the
+        pass can be reverted; the batch
         path passes ``None`` and pays only one ``is not None`` test per
         install. ``fresh=True`` asserts *state* is a pristine
         :meth:`RouteState.empty` — a pure hint; the array kernel uses it
@@ -555,107 +557,104 @@ class RoutingEngine:
         origin: int,
         blocked_set: frozenset[int],
         filter_first_hop_providers: bool,
-        journal: list[tuple[int, int, int, int, int]] | None,
+        journal: list[int] | None,
         origin_length: int = 0,
     ) -> None:
-        """The pure-Python bucket-queue propagation kernel."""
+        """The pure-Python bucket-queue propagation kernel.
+
+        One bucket per route length, holding per route class the
+        ``(sender, receivers)`` groups queued at that length: the
+        exporting node plus the view's neighbour tuple it announces to,
+        one entry per export rather than one per message. Walking each
+        group's receivers in order visits candidates in exactly the
+        simulator's arrival order, and the install rule is
+        :func:`repro.bgp.policy.prefers` inlined as integer compares.
+        """
         view = self.view
+        providers = view.providers
+        peers = view.peers
+        customers = view.customers
+        is_tier1 = view.is_tier1
+        tier1_shortest = self.policy.tier1_shortest_path
         cls = state.cls
         length = state.length
         parent = state.parent
         origin_of = state.origin_of
-        is_tier1 = view.is_tier1
-        tier1_shortest = self.policy.tier1_shortest_path
 
         # The origin installs its own route unconditionally.
         if journal is not None:
-            journal.append(
-                (origin, cls[origin], length[origin], parent[origin], origin_of[origin])
-            )
+            journal += (origin, cls[origin], length[origin], parent[origin], origin_of[origin])
         cls[origin] = _CLASS_ORIGIN
         length[origin] = origin_length
         parent[origin] = -1
         origin_of[origin] = origin
 
-        # Bucket queue keyed by (length, class): candidates are considered
-        # exactly in simulator arrival order. Each entry: (node, sender).
-        buckets: list[list[list[tuple[int, int]]] | None] = []
-
-        def push(node: int, route_class: int, route_length: int, sender: int) -> None:
-            while len(buckets) <= route_length:
-                buckets.append(None)
-            bucket = buckets[route_length]
-            if bucket is None:
-                bucket = [[], [], [], []]
-                buckets[route_length] = bucket
-            bucket[route_class].append((node, sender))
-
-        def push_exports(node: int, route_class: int, route_length: int) -> None:
-            exported_up = route_class in (_CLASS_ORIGIN, _CLASS_CUSTOMER)
-            next_length = route_length + 1
-            if exported_up:
-                for provider in view.providers[node]:
-                    push(provider, _CLASS_CUSTOMER, next_length, node)
-                for peer in view.peers[node]:
-                    push(peer, _CLASS_PEER, next_length, node)
-            for customer in view.customers[node]:
-                push(customer, _CLASS_PROVIDER, next_length, node)
-
-        # Initial exports from the origin, one hop past the claimed path.
-        first_hop_length = origin_length + 1
-        origin_is_stub = not view.customers[origin]
-        if not (filter_first_hop_providers and origin_is_stub):
-            for provider in view.providers[origin]:
-                push(provider, _CLASS_CUSTOMER, first_hop_length, origin)
-        for peer in view.peers[origin]:
-            push(peer, _CLASS_PEER, first_hop_length, origin)
-        for customer in view.customers[origin]:
-            push(customer, _CLASS_PROVIDER, first_hop_length, origin)
+        # Initial exports from the origin, one hop past the claimed path;
+        # bucket[route_class] lists the groups (index 0 is never used).
+        bucket: list[list[tuple[int, tuple[int, ...]]]] = [[], [], [], []]
+        if providers[origin] and not (filter_first_hop_providers and not customers[origin]):
+            bucket[_CLASS_CUSTOMER].append((origin, providers[origin]))
+        if peers[origin]:
+            bucket[_CLASS_PEER].append((origin, peers[origin]))
+        if customers[origin]:
+            bucket[_CLASS_PROVIDER].append((origin, customers[origin]))
 
         installs = 0
         replaced = 0
-        route_length = 0
-        while route_length < len(buckets):
-            bucket = buckets[route_length]
-            if bucket is not None:
-                for route_class in (_CLASS_CUSTOMER, _CLASS_PEER, _CLASS_PROVIDER):
-                    for node, sender in bucket[route_class]:
-                        if node == origin or node in blocked_set:
+        route_length = origin_length + 1
+        buckets: list[list[list[tuple[int, tuple[int, ...]]]]] = []
+        while any(bucket):
+            current, bucket = bucket, [[], [], [], []]
+            buckets.append(current)
+            _, up, across, down = bucket
+            for route_class in (_CLASS_CUSTOMER, _CLASS_PEER, _CLASS_PROVIDER):
+                exported_up = route_class == _CLASS_CUSTOMER
+                for sender, receivers in current[route_class]:
+                    for node in receivers:
+                        if node in blocked_set:
                             continue
-                        current_class = cls[node]
-                        if current_class != _NO_CLASS and not prefers(
-                            is_tier1[node],
-                            route_class,  # type: ignore[arg-type]
-                            route_length,
-                            current_class,  # type: ignore[arg-type]
-                            length[node],
-                            tier1_shortest_path=tier1_shortest,
+                        # An empty cell is (_NO_CLASS, UNREACHABLE), which
+                        # every candidate beats on both branches; the
+                        # origin's (ORIGIN, origin_length) none beats.
+                        old_class = cls[node]
+                        old_length = length[node]
+                        if tier1_shortest and is_tier1[node]:
+                            if route_length >= old_length:
+                                continue
+                        elif route_class > old_class or (
+                            route_class == old_class and route_length >= old_length
                         ):
                             continue
                         installs += 1
-                        if current_class != _NO_CLASS:
+                        if old_class != _NO_CLASS:
                             replaced += 1
                         if journal is not None:
-                            journal.append(
-                                (node, current_class, length[node],
-                                 parent[node], origin_of[node])
-                            )
+                            journal += (node, old_class, old_length, parent[node], origin_of[node])
                         cls[node] = route_class
                         length[node] = route_length
                         parent[node] = sender
                         origin_of[node] = origin
-                        push_exports(node, route_class, route_length)
+                        if exported_up:
+                            if providers[node]:
+                                up.append((node, providers[node]))
+                            if peers[node]:
+                                across.append((node, peers[node]))
+                        if customers[node]:
+                            down.append((node, customers[node]))
             route_length += 1
         if self.metrics.enabled:
-            # Every bucket entry is one announcement crossing one link;
-            # summing after the fact keeps the hot loop free of counting.
+            # Every receiver of every group is one announcement crossing
+            # one link; summing after the fact keeps the hot loop free of
+            # counting. Rounds are the buckets up to the last one filled.
             messages = sum(
-                len(per_class)
-                for bucket in buckets
-                if bucket is not None
-                for per_class in bucket
+                len(receivers)
+                for done in buckets
+                for groups in done
+                for _sender, receivers in groups
             )
-            self._emit_convergence_metrics(messages, installs, replaced, len(buckets))
+            self._emit_convergence_metrics(
+                messages, installs, replaced, route_length if buckets else 0
+            )
 
     def _emit_convergence_metrics(
         self, messages: int, installs: int, replaced: int, rounds: int
@@ -709,11 +708,13 @@ class RoutingEngine:
 class ConvergenceDelta:
     """The reversible record of one in-place announcement pass.
 
-    Produced by :meth:`RoutingEngine.converge_delta`. ``journal`` holds
-    the pre-install ``(node, cls, length, parent, origin_of)`` cells in
-    install order — a node can appear more than once when an early
-    candidate is later displaced within the same pass, which is why
-    :meth:`revert` replays the journal *backwards*. ``blocked`` and
+    Produced by :meth:`RoutingEngine.converge_delta`. ``journal`` is a
+    flat list of Python ints, five per install in install order: the
+    node, then its pre-install ``cls``, ``length``, ``parent`` and
+    ``origin_of`` (half the memory of one tuple per install). A node can
+    appear more than once when an early candidate is later displaced
+    within the same pass, which is why :meth:`revert` replays the
+    journal *backwards*. ``blocked`` and
     ``first_hop_filtered`` are the pass parameters captured at announce
     time; an exact re-application (after rewinding past this entry) must
     reuse them, not the current defense state. ``origin_length`` is the
@@ -724,13 +725,13 @@ class ConvergenceDelta:
     prev_origin: int
     blocked: frozenset[int]
     first_hop_filtered: bool
-    journal: list[tuple[int, int, int, int, int]] = field(repr=False)
+    journal: list[int] = field(repr=False)
     origin_length: int = 0
 
     @property
     def touched(self) -> int:
-        """Install count of the pass (journal length; ≥ 1 for the origin)."""
-        return len(self.journal)
+        """Install count of the pass (journal records; ≥ 1 for the origin)."""
+        return len(self.journal) // 5
 
     def revert(self, state: RouteState) -> None:
         """Rewind the pass, restoring *state* to its exact prior content."""
@@ -740,7 +741,10 @@ class ConvergenceDelta:
         length = state.length
         parent = state.parent
         origin_of = state.origin_of
-        for node, old_cls, old_length, old_parent, old_origin in reversed(self.journal):
+        values = reversed(self.journal)
+        for old_origin, old_parent, old_length, old_cls, node in zip(
+            values, values, values, values, values
+        ):
             cls[node] = old_cls
             length[node] = old_length
             parent[node] = old_parent

@@ -1,10 +1,13 @@
 """The flat-array convergence backend (``backend="array"``).
 
-The reference kernel in :meth:`repro.bgp.engine.RoutingEngine._propagate`
-pays Python-interpreter cost *per message*: every announcement crossing
-every link is one tuple allocation, one ``prefers`` call and a handful of
-list indexings. At the 1/10-scale synthetic topology that is comfortable;
-at the paper's real CAIDA snapshot (42,697 ASes, 139,156 links) a single
+The reference kernel in
+:meth:`repro.bgp.engine.RoutingEngine._propagate_reference` pays
+Python-interpreter cost *per message*: it queues one ``(sender,
+receivers)`` group per export, but every announcement crossing every
+link is still a loop step, a few list indexings and integer compares.
+At the 1/10-scale synthetic topology that is cheaper than numpy's
+per-call overhead; at the paper's real CAIDA snapshot (42,697 ASes,
+139,156 links) a single
 origin convergence pushes hundreds of thousands of messages and the
 interpreter dominates. This module re-states the identical algorithm in
 bulk array operations so the per-message cost drops to a few vectorized
@@ -40,9 +43,10 @@ each node's first candidate in push order, the vectorized
 preference test mirrors :func:`repro.bgp.policy.prefers` (including the
 tier-1 shortest-path exception), and winner exports are gathered in
 install order with each winner's neighbors in adjacency order — the same
-concatenation the reference's per-winner ``push_exports`` produces. The
+order in which the reference walks its per-winner sender groups. The
 undo journal is emitted in the same install order with the same
-pre-install cells, so :meth:`ConvergenceDelta.revert
+pre-install cells, in the same flat five-ints-per-install layout, so
+:meth:`ConvergenceDelta.revert
 <repro.bgp.engine.ConvergenceDelta.revert>` parity holds too.
 
 The contract — identical :meth:`RouteState.checksum()
@@ -237,7 +241,7 @@ def propagate_array_batch(
     blocked_sets: "list[frozenset[int]]",
     first_hop_flags: "list[bool]",
     tier1_shortest: bool,
-    journals: list[list[tuple[int, int, int, int, int]]] | None,
+    journals: list[list[int]] | None,
     origin_lengths: "list[int]",
     base: "RouteState | None" = None,
     fresh: bool = False,
@@ -331,14 +335,12 @@ def propagate_array_batch(
         cell = col * n + origin
         if journals is not None:
             origin_key = int(key[cell])
-            journals[col].append(
-                (
-                    origin,
-                    origin_key >> _LEN_BITS,
-                    origin_key & _LEN_MASK,
-                    int(parent[cell]),
-                    int(origin_of[cell]),
-                )
+            journals[col] += (
+                origin,
+                origin_key >> _LEN_BITS,
+                origin_key & _LEN_MASK,
+                int(parent[cell]),
+                int(origin_of[cell]),
             )
         key[cell] = (_CLASS_ORIGIN << _LEN_BITS) | origin_lengths[col]
         parent[cell] = -1
@@ -472,17 +474,26 @@ def propagate_array_batch(
         cols, nodes = np.divmod(np.concatenate(j_cells), n)
         order = np.argsort(cols, kind="stable")
         keys = np.concatenate(j_keys)[order]
-        records = zip(
-            nodes[order].tolist(),
-            (keys >> _LEN_BITS).tolist(),
-            (keys & _LEN_MASK).tolist(),
-            np.concatenate(j_parents)[order].tolist(),
-            np.concatenate(j_origins)[order].tolist(),
+        # One row of five per install, flattened into the engine's
+        # journal layout: node, cls, length, parent, origin_of.
+        records = iter(
+            np.stack(
+                (
+                    nodes[order],
+                    keys >> _LEN_BITS,
+                    keys & _LEN_MASK,
+                    np.concatenate(j_parents)[order],
+                    np.concatenate(j_origins)[order],
+                ),
+                axis=1,
+            )
+            .ravel()
+            .tolist()
         )
         # Records are in column order now; hand each column its run.
         counts = np.bincount(cols, minlength=k).tolist()
         for journal, count in zip(journals, counts):
-            journal.extend(islice(records, count))
+            journal.extend(islice(records, 5 * count))
 
     key_grid = key.reshape(k, n)
     parent_grid = parent.reshape(k, n)

@@ -59,11 +59,17 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Content Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
 }
 
 # Largest request body the daemon will read; a bigger Content-Length is
 # refused before a byte of body is read.
 _MAX_BODY_BYTES = 16 * 1024 * 1024
+
+# Most header lines one request may carry. A single request or header
+# line is bounded by the stream reader's own 64 KiB line limit.
+_MAX_HEADERS = 100
 
 
 class ServiceDaemon:
@@ -272,18 +278,27 @@ class ServiceDaemon:
     async def _serve_one(
         self, reader: asyncio.StreamReader
     ) -> tuple[int, dict[str, object] | list[object]]:
-        request_line = await reader.readline()
+        # readline raises ValueError for a line past the reader's limit.
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            return 414, {"error": "request line too long"}
         parts = request_line.decode("latin-1", "replace").split()
         if len(parts) < 2:
             return 400, {"error": "malformed request line"}
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(_MAX_HEADERS + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return 431, {"error": "header line too long"}
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1", "replace").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            return 431, {"error": f"more than {_MAX_HEADERS} header lines"}
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:

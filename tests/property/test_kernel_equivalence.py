@@ -8,7 +8,8 @@ properties drive both kernels over generated hijack scenarios (two-phase
 attacks with blocking and the stub filter), over announce/withdraw
 chains through :meth:`RoutingEngine.converge_delta` (whose undo journal
 must match entry for entry, and whose revert must land both backends on
-the same state), and over the full :class:`HijackLab` stack.
+the same state), over the ``engine.*`` counters each pass emits, and
+over the full :class:`HijackLab` stack.
 
 At the default ``REPRO_FUZZ_MULTIPLIER`` the file checks well over 200
 generated cases per run — the differential battery the ISSUE's
@@ -22,6 +23,7 @@ from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.detection.detector import HijackDetector
 from repro.detection.probes import top_degree_probes
+from repro.obs.metrics import Metrics
 from repro.oracle.strategies import (
     announce_withdraw_sequences,
     example_budget,
@@ -98,6 +100,71 @@ def test_converge_delta_journal_parity(case):
         ref_deltas.pop().revert(ref_state)
         arr_deltas.pop().revert(arr_state)
         assert ref_state.checksum() == arr_state.checksum()
+
+
+@settings(max_examples=example_budget(60), deadline=None)
+@given(hijack_cases(), st.data())
+def test_engine_counters_match_reference(case, data):
+    """Both backends emit the same ``engine.*`` counters: equal snapshots
+    for a cold ``converge`` and a ``converge_delta`` stacked on it (with
+    blocking, the stub filter and claimed-path padding). A
+    ``converge_batch`` moves the same messages, installs and
+    replacements; the array backend counts it as one fused convergence
+    whose rounds are the longest column's, the reference backend as one
+    convergence per column."""
+    n = len(case.view)
+    origin_length = data.draw(st.integers(min_value=0, max_value=3), label="padding")
+    origins = data.draw(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=4),
+        label="batch origins",
+    )
+    blocked_sets = [case.blocked - {origin} for origin in origins]
+    passes, batches = [], []
+    for backend in ("reference", "array"):
+        metrics = Metrics()
+        engine = RoutingEngine(case.view, case.policy, metrics=metrics, backend=backend)
+        base = engine.converge(
+            case.target, filter_first_hop_providers=case.first_hop_filtered
+        )
+        engine.converge_delta(
+            base.copy_for(case.target),
+            case.attacker,
+            blocked=case.blocked,
+            filter_first_hop_providers=case.first_hop_filtered,
+            origin_length=origin_length,
+        )
+        passes.append(dict(metrics.counters))
+        metrics.clear()
+        engine.converge_batch(
+            origins,
+            base=base,
+            blocked_sets=blocked_sets,
+            first_hop_flags=[case.first_hop_filtered] * len(origins),
+            origin_lengths=[origin_length] * len(origins),
+        )
+        batches.append(dict(metrics.counters))
+    assert passes[0] == passes[1]
+    reference, array = batches
+    for name in ("engine.messages", "engine.routes_installed", "engine.routes_replaced"):
+        assert reference[name] == array[name], name
+    assert reference["engine.convergences"] == len(origins)
+    assert array["engine.convergences"] == 1
+    reference_base = RoutingEngine(case.view, case.policy).converge(
+        case.target, filter_first_hop_providers=case.first_hop_filtered
+    )
+    column_rounds = []
+    for origin, blocked in zip(origins, blocked_sets):
+        metrics = Metrics()
+        RoutingEngine(case.view, case.policy, metrics=metrics).converge(
+            origin,
+            base=reference_base,
+            blocked=blocked,
+            filter_first_hop_providers=case.first_hop_filtered,
+            origin_length=origin_length,
+        )
+        column_rounds.append(metrics.counters["engine.convergence_rounds"])
+    assert reference["engine.convergence_rounds"] == sum(column_rounds)
+    assert array["engine.convergence_rounds"] == max(column_rounds)
 
 
 @settings(max_examples=example_budget(60), deadline=None)

@@ -1,15 +1,41 @@
 """Unit tests for the fast routing engine (against hand-computed outcomes)."""
 
+import json
+
 import pytest
 
 from repro.bgp.engine import RouteState, RoutingEngine, UNREACHABLE
 from repro.bgp.policy import PolicyConfig
+from repro.obs.metrics import Metrics
 from repro.topology.relationships import RouteClass
 
 
 @pytest.fixture
 def engine(mini_view):
     return RoutingEngine(mini_view)
+
+
+@pytest.fixture
+def chain_view():
+    """Tier-1 AS1 ends up with a long customer route (via a provider
+    chain) and a shorter peer route (via AS2) to the target AS13."""
+    from repro.topology.asgraph import ASGraph
+    from repro.topology.relationships import Relationship
+    from repro.topology.view import RoutingView
+
+    graph = ASGraph()
+    graph.add_as(1, tier1=True)
+    graph.add_as(2, tier1=True)
+    for asn in (10, 11, 12, 13, 20):
+        graph.add_as(asn)
+    graph.add_relationship(1, 2, Relationship.PEER)
+    graph.add_relationship(1, 10, Relationship.CUSTOMER)
+    graph.add_relationship(10, 11, Relationship.CUSTOMER)
+    graph.add_relationship(11, 12, Relationship.CUSTOMER)
+    graph.add_relationship(12, 13, Relationship.CUSTOMER)
+    graph.add_relationship(2, 20, Relationship.CUSTOMER)
+    graph.add_relationship(20, 13, Relationship.CUSTOMER)
+    return RoutingView.from_graph(graph)
 
 
 class TestConverge:
@@ -110,29 +136,69 @@ class TestHijack:
         assert flags[mini_view.node_of(10)] is False
 
 
+class TestConvergenceCounters:
+    """``engine.*`` counters pinned on a fixed chain; the values were
+    captured from the per-message reference queue, so regrouping the
+    queue into sender groups must leave every one of them in place."""
+
+    def test_delta_chain_counters_are_pinned(self, mini_view):
+        metrics = Metrics()
+        engine = RoutingEngine(mini_view, metrics=metrics)
+        node = mini_view.node_of
+        state = RouteState.empty(len(mini_view), node(50))
+        engine.converge_delta(state, node(50))
+        engine.converge_delta(state, node(60), blocked={node(20)})
+        engine.converge_delta(state, node(70), filter_first_hop_providers=True)
+        engine.converge_delta(state, node(80), origin_length=2)
+        assert metrics.counters == {
+            "engine.convergences": 4,
+            "engine.messages": 23,
+            "engine.routes_installed": 11,
+            "engine.routes_replaced": 2,
+            "engine.convergence_rounds": 14,
+        }
+        metrics.clear()
+        base = engine.converge(node(50))
+        engine.converge_batch([node(60), node(70)], base=base)
+        assert metrics.counters == {
+            "engine.convergences": 3,
+            "engine.messages": 28,
+            "engine.routes_installed": 14,
+            "engine.routes_replaced": 5,
+            "engine.convergence_rounds": 15,
+        }
+
+
+class TestFlatJournal:
+    """``ConvergenceDelta.journal`` is five plain ints per install, on
+    both backends, including a node that installs twice in one pass:
+    under the tier-1 ablation AS1 first installs the length-3 peer route
+    via AS2, then the length-4 customer route up 13 → 12 → 11 → 10."""
+
+    def test_layout_revert_and_backend_parity(self, chain_view):
+        origin = chain_view.node_of(13)
+        journals = []
+        for backend in ("reference", "array"):
+            engine = RoutingEngine(
+                chain_view, PolicyConfig(tier1_shortest_path=False), backend=backend
+            )
+            state = RouteState.empty(len(chain_view), origin)
+            before = state.checksum()
+            delta = engine.converge_delta(state, origin)
+            journal = delta.journal
+            assert len(journal) == 5 * delta.touched
+            assert all(type(value) is int for value in journal)
+            json.dumps(journal)
+            nodes = journal[::5]
+            assert nodes[0] == origin
+            assert nodes.count(chain_view.node_of(1)) == 2
+            delta.revert(state)
+            assert state.checksum() == before
+            journals.append(journal)
+        assert journals[0] == journals[1]
+
+
 class TestPolicyVariants:
-    @pytest.fixture
-    def chain_view(self):
-        """Tier-1 AS1 ends up with a long customer route (via a provider
-        chain) and a shorter peer route (via AS2) to the target AS13."""
-        from repro.topology.asgraph import ASGraph
-        from repro.topology.relationships import Relationship
-        from repro.topology.view import RoutingView
-
-        graph = ASGraph()
-        graph.add_as(1, tier1=True)
-        graph.add_as(2, tier1=True)
-        for asn in (10, 11, 12, 13, 20):
-            graph.add_as(asn)
-        graph.add_relationship(1, 2, Relationship.PEER)
-        graph.add_relationship(1, 10, Relationship.CUSTOMER)
-        graph.add_relationship(10, 11, Relationship.CUSTOMER)
-        graph.add_relationship(11, 12, Relationship.CUSTOMER)
-        graph.add_relationship(12, 13, Relationship.CUSTOMER)
-        graph.add_relationship(2, 20, Relationship.CUSTOMER)
-        graph.add_relationship(20, 13, Relationship.CUSTOMER)
-        return RoutingView.from_graph(graph)
-
     def test_tier1_shortest_path_prefers_short_peer_route(self, chain_view):
         engine = RoutingEngine(chain_view)
         state = engine.converge(chain_view.node_of(13))

@@ -15,7 +15,7 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.detection.probes import custom_probes
 from repro.obs.metrics import Metrics
-from repro.service.api import _MAX_BODY_BYTES, ServiceThread
+from repro.service.api import _MAX_BODY_BYTES, _MAX_HEADERS, ServiceThread
 from repro.service.daemon import MonitorService
 from tests.conftest import build_mini_graph
 
@@ -185,6 +185,44 @@ class TestErrors:
         assert int(status_line[1]) == expected
         status, _body = api("GET", "/health")
         assert status == 200
+
+    @pytest.mark.parametrize(
+        "request_head, expected",
+        [
+            # A request line past the stream reader's 64 KiB line limit.
+            ("GET /" + "a" * (70 * 1024) + " HTTP/1.1\r\n\r\n", 414),
+            # One header line past the same limit.
+            ("GET /health HTTP/1.1\r\nX-Big: " + "b" * (70 * 1024) + "\r\n\r\n", 431),
+            # More header lines than _MAX_HEADERS, each of them short.
+            (
+                "GET /health HTTP/1.1\r\n"
+                + "".join(f"X-H{i}: v\r\n" for i in range(_MAX_HEADERS + 1))
+                + "\r\n",
+                431,
+            ),
+        ],
+        ids=["long-request-line", "long-header-line", "too-many-headers"],
+    )
+    def test_oversized_request_head_is_answered(
+        self, thread, api, request_head, expected
+    ):
+        with socket.create_connection(("127.0.0.1", thread.port), timeout=10) as conn:
+            conn.sendall(request_head.encode())
+            status_line = conn.makefile("rb").readline().split()
+        assert int(status_line[1]) == expected
+        status, _body = api("GET", "/health")
+        assert status == 200
+
+    def test_header_count_at_the_limit_is_served(self, thread):
+        head = (
+            "GET /health HTTP/1.1\r\n"
+            + "".join(f"X-H{i}: v\r\n" for i in range(_MAX_HEADERS))
+            + "\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", thread.port), timeout=10) as conn:
+            conn.sendall(head.encode())
+            status_line = conn.makefile("rb").readline().split()
+        assert int(status_line[1]) == 200
 
 
 class TestShutdownEndpoint:
