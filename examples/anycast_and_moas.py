@@ -16,7 +16,7 @@ import argparse
 
 from repro.attacks import HijackLab
 from repro.core import resolve_roles
-from repro.detection import MoasVerdict, anycast_state, classify_moas
+from repro.detection import MoasVerdict, classify_moas
 from repro.registry import PublicationState, RouteOriginAuthorization
 from repro.topology import GeneratorConfig, generate_topology
 
@@ -38,11 +38,12 @@ def main() -> None:
     prefix = lab.target_prefix(site_a)
     print(f"anycast prefix {prefix} announced from AS{site_a} and AS{site_b}")
 
-    state = anycast_state(
-        lab.engine, [lab.view.node_of(site_a), lab.view.node_of(site_b)]
-    )
-    catchment_a = lab.view.expand(state.holders_of(lab.view.node_of(site_a)))
-    catchment_b = lab.view.expand(state.holders_of(lab.view.node_of(site_b)))
+    # Site B's announcement competes with site A's under the normal
+    # preference rule, so every AS ends up routing to its nearest site.
+    node_a, node_b = lab.view.node_of(site_a), lab.view.node_of(site_b)
+    state = lab.engine.converge(node_b, base=lab.engine.converge(node_a))
+    catchment_a = lab.view.expand(state.holders_of(node_a))
+    catchment_b = lab.view.expand(state.holders_of(node_b))
     print(f"catchments: {len(catchment_a)} ASes route to site A, "
           f"{len(catchment_b)} to site B")
 

@@ -80,26 +80,6 @@ def main() -> None:
         title=f"Top still-potent attacks under {ladder[-1].name}",
     ))
 
-    # Why do these survive? Extract concrete witness paths ("holes").
-    from repro.core import analyze_holes
-    from repro.defense import Defense
-
-    defended = lab.with_defense(
-        Defense(strategy=ladder[-1], authority=publication.table())
-    )
-    report = analyze_holes(
-        defended, target, transit_only=True, sample=args.sample, seed=args.seed
-    )
-    print(f"\nresidual holes: {len(report.holes)} of {report.attacks_run} "
-          f"attacks ({report.residual_rate:.1%}); by kind: "
-          f"{ {kind.value: count for kind, count in report.by_kind().items()} }")
-    for hole in report.worst(3):
-        print(f"  {hole.describe()}")
-    reinforcements = report.recommended_reinforcements(5)
-    if reinforcements:
-        print("recommended next deployers: "
-              + ", ".join(f"AS{asn}" for asn in reinforcements))
-
 
 if __name__ == "__main__":
     main()

@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""Publishing route origins: RPKI vs ROVER, and why participation matters.
+"""Publishing route origins: why participation matters.
 
-Walks the registry layer: allocate address space, publish origins through
-both the simulated RPKI (certificate chains + signed ROAs) and ROVER
-(DNSSEC-protected reverse DNS), show the reverse-DNS names ROVER uses,
-and demonstrate the paper's core Section VII point — an *unpublished*
-target cannot be protected no matter how many ASes validate.
+Walks the registry layer: publish one target's origins, then demonstrate
+the paper's core Section VII point — an *unpublished* target cannot be
+protected no matter how many ASes validate.
 
 Run::
 
@@ -17,12 +15,7 @@ import argparse
 from repro.attacks import HijackLab
 from repro.core import resolve_roles
 from repro.defense import Defense, top_degree_deployment
-from repro.registry import (
-    PublicationState,
-    ValidationState,
-    format_name,
-    reverse_name,
-)
+from repro.registry import PublicationState, ValidationState
 from repro.topology import GeneratorConfig, generate_topology
 
 
@@ -40,17 +33,12 @@ def main() -> None:
     prefix = lab.target_prefix(target)
 
     print(f"target AS{target} originates {prefix}")
-    print(f"ROVER publishes it at: {format_name(reverse_name(prefix))}")
 
-    # Publish through both backends and cross-check the verdicts.
-    publication = PublicationState.with_participants(lab.plan, [target], seed=args.seed)
-    rpki = publication.to_rpki()
-    rover = publication.to_rover()
-    for name, authority in (("RPKI", rpki), ("ROVER", rover)):
-        legit = authority.validate(prefix, target)
-        bogus = authority.validate(prefix, attacker)
-        print(f"{name:>6}: legitimate announcement -> {legit.value}, "
-              f"hijack by AS{attacker} -> {bogus.value}")
+    publication = PublicationState.with_participants(lab.plan, [target])
+    legit = publication.validate(prefix, target)
+    bogus = publication.validate(prefix, attacker)
+    print(f"legitimate announcement -> {legit.value}, "
+          f"hijack by AS{attacker} -> {bogus.value}")
 
     deployment = top_degree_deployment(graph, 62)
 

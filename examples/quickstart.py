@@ -49,17 +49,6 @@ def main() -> None:
           f"({outcome.pollution_count / len(graph):.0%} of the topology)")
     print(f"  address space drawn to the attacker: {outcome.address_fraction:.0%}")
 
-    # 3b. The data plane is worse than the RIB count suggests: ASes with
-    #     clean tables forward through polluted upstreams.
-    from repro.attacks import dataplane_capture
-
-    result = lab.engine.hijack(
-        lab.view.node_of(target), lab.view.node_of(attacker)
-    )
-    capture = dataplane_capture(result)
-    print(f"  data-plane capture: {capture.captured_count} ASes "
-          f"({len(capture.hidden_capture)} with clean RIBs — hidden damage)")
-
     # 4. A sub-prefix hijack wins everywhere unless origin validation
     #    blocks it (longest-prefix match has no legitimate competitor).
     subprefix = lab.subprefix_hijack(target, attacker)

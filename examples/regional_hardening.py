@@ -46,38 +46,6 @@ def main() -> None:
         print(f"\npaper reference: re-homing cut regional pollution "
               f"60% -> 25%; this run: {before:.0%} -> {after:.0%}")
 
-    # Render the paper's "before & after" comparison for the hub filter:
-    # which ASes the single filter saved, and where attacks still get in.
-    from repro.defense import Defense
-    from repro.viz import PolarLayout, diff_outcomes, render_diff_frame
-
-    hub = plan.filter_rule.filtering_asn
-    attacker = max(
-        (
-            asn
-            for asn in regions[region]
-            if asn not in (plan.target_asn, hub)
-            and hub not in graph.customers(asn)  # the hub must sit on the
-            # attack's path for a hub filter to have anything to block
-        ),
-        key=graph.degree,
-    )
-    before_outcome = lab.origin_hijack(plan.target_asn, attacker)
-    filtered_lab = lab.with_defense(Defense(manual_filters=(plan.filter_rule,)))
-    after_outcome = filtered_lab.origin_hijack(plan.target_asn, attacker)
-    diff = diff_outcomes(before_outcome, after_outcome)
-    layout = PolarLayout.compute(graph, plan=lab.plan)
-    render_diff_frame(
-        layout, diff,
-        title=f"Hub filter at AS{plan.filter_rule.filtering_asn}: "
-              f"{diff.protected_count} ASes protected "
-              f"({diff.effectiveness():.0%} of the polluted set)",
-        path="hub_filter_diff.svg",
-    )
-    print(f"\nbefore/after frame written to hub_filter_diff.svg "
-          f"({diff.protected_count} ASes protected, "
-          f"{len(diff.still_polluted)} still polluted)")
-
 
 if __name__ == "__main__":
     main()

@@ -5,12 +5,12 @@ Papadopoulos; ICDCS 2014).
 The package layers:
 
 * :mod:`repro.prefixes` — IPv4 prefixes, longest-prefix matching, address plans
-* :mod:`repro.topology` — AS graph, CAIDA I/O, synthetic generator, metrics
+* :mod:`repro.topology` — AS graph, CAIDA I/O, synthetic generator
 * :mod:`repro.bgp` — policy model, message-passing simulator, fast engine
 * :mod:`repro.attacks` — hijack scenarios and attacker sweeps
 * :mod:`repro.parallel` — the convergence cache
 * :mod:`repro.obs` — runtime metrics (counters, gauges, spans)
-* :mod:`repro.registry` — RPKI and ROVER route-origin publication
+* :mod:`repro.registry` — ROA tables, route-origin publication, history
 * :mod:`repro.defense` — filtering / origin-validation deployment
 * :mod:`repro.detection` — hijack-detector probe analysis
 * :mod:`repro.core` — the paper's analyses (vulnerability, deployment,

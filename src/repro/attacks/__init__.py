@@ -1,12 +1,5 @@
-"""Hijack scenarios, outcomes, the hijack laboratory and data-plane traces."""
+"""Hijack scenarios, outcomes and the hijack laboratory."""
 
-from repro.attacks.dataplane import (
-    DataplaneReport,
-    Fate,
-    ForwardingTrace,
-    dataplane_capture,
-    trace_forwarding,
-)
 from repro.attacks.lab import HijackLab
 from repro.attacks.scenario import (
     AttackOutcome,
@@ -18,14 +11,9 @@ from repro.attacks.scenario import (
 
 __all__ = [
     "AttackOutcome",
-    "DataplaneReport",
-    "Fate",
-    "ForwardingTrace",
     "HijackKind",
     "HijackLab",
     "HijackScenario",
     "PathKind",
-    "dataplane_capture",
     "synthetic_forged_path",
-    "trace_forwarding",
 ]

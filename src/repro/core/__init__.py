@@ -18,19 +18,15 @@ from repro.core.churn import (
     sample_transfers,
     stale_history_study,
 )
-from repro.core.holes import AttackHole, HoleKind, HoleReport, analyze_holes
-from repro.core.probe_scaling import ProbeScalingCurve, probe_scaling_study
 from repro.core.roles import RoleCatalog, resolve_roles
 from repro.core.selfinterest import (
     ActionPlan,
     RegionalAssessment,
     RegionalImpact,
-    RehomeVsDeployment,
     RehomingPlan,
     SelfInterestPlanner,
     apply_rehoming,
     assess_region,
-    compare_rehoming_vs_deployment,
     plan_rehoming,
     regional_attack_study,
 )
@@ -46,14 +42,8 @@ from repro.core.vulnerability import (
 __all__ = [
     "ActionPlan",
     "AggressivenessRecord",
-    "AttackHole",
     "ChurnImpact",
-    "HoleKind",
-    "HoleReport",
-    "ProbeScalingCurve",
     "TransferEvent",
-    "analyze_holes",
-    "probe_scaling_study",
     "sample_transfers",
     "stale_history_study",
     "DeploymentComparison",
@@ -62,7 +52,6 @@ __all__ = [
     "PotentAttack",
     "RegionalAssessment",
     "RegionalImpact",
-    "RehomeVsDeployment",
     "RehomingPlan",
     "RoleCatalog",
     "SelfInterestPlanner",
@@ -72,7 +61,6 @@ __all__ = [
     "assess_region",
     "attacker_aggressiveness",
     "compare_detectors",
-    "compare_rehoming_vs_deployment",
     "compare_strategies",
     "correlate_target_metrics",
     "paper_probe_sets",

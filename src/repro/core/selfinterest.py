@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.attacks.lab import HijackLab
-from repro.defense.deployment import Defense, FilterRule
+from repro.defense.deployment import FilterRule
 from repro.detection.analysis import DetectionStudy, greedy_probe_placement
 from repro.detection.detector import HijackDetector
 from repro.detection.probes import ProbeSet
@@ -226,84 +226,6 @@ def regional_attack_study(
         external_mean=sum(external_counts) / len(external_counts)
         if external_counts
         else 0.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Re-homing vs. wider deployment (the Section V cost remark).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RehomeVsDeployment:
-    """Mean pollution under three options for a vulnerable target.
-
-    The paper: "it is likely more cost-efficient to change this target AS
-    to be less vulnerable by connecting to a lower-depth transit AS than
-    it is to add security to an additional, possibly reluctant, 133
-    transit ASes" (Section V). This compares exactly those options.
-    """
-
-    target_asn: int
-    current_mean: float
-    rehomed_mean: float
-    wider_deployment_mean: float
-    extra_deployers: int
-
-    @property
-    def rehoming_wins(self) -> bool:
-        """Does the self-help option beat recruiting more deployers?"""
-        return self.rehomed_mean <= self.wider_deployment_mean
-
-
-def compare_rehoming_vs_deployment(
-    lab: HijackLab,
-    target_asn: int,
-    current_strategy,
-    wider_strategy,
-    authority,
-    *,
-    sample: int | None = 200,
-    seed: int = 0,
-) -> RehomeVsDeployment:
-    """Quantify the paper's cost remark for one target.
-
-    ``current_strategy``/``wider_strategy`` are two rungs of the
-    deployment ladder (e.g. core-166 and core-299); the re-homing option
-    keeps the *current* deployment but moves the target up two provider
-    levels. All three options are measured as mean pollution over the same
-    transit-attacker sample.
-    """
-    from repro.defense.deployment import Defense
-
-    def mean_pollution(active_lab, strategy) -> float:
-        defended = active_lab.with_defense(
-            Defense(strategy=strategy, authority=authority)
-        )
-        outcomes = defended.sweep_target(
-            target_asn, transit_only=True, sample=sample, seed=seed
-        )
-        counts = [outcome.pollution_count for outcome in outcomes.values()]
-        return sum(counts) / len(counts) if counts else 0.0
-
-    current = mean_pollution(lab, current_strategy)
-    wider = mean_pollution(lab, wider_strategy)
-    plan = plan_rehoming(lab.graph, target_asn)
-    if plan is None:
-        rehomed = current
-    else:
-        rehomed_lab = HijackLab(
-            apply_rehoming(lab.graph, plan),
-            plan=lab.plan, policy=lab.policy, seed=lab.seed,
-            backend=lab.backend,
-        )
-        rehomed = mean_pollution(rehomed_lab, current_strategy)
-    return RehomeVsDeployment(
-        target_asn=target_asn,
-        current_mean=current,
-        rehomed_mean=rehomed,
-        wider_deployment_mean=wider,
-        extra_deployers=len(wider_strategy) - len(current_strategy),
     )
 
 

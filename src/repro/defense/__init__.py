@@ -1,12 +1,6 @@
 """Defensive deployments: strategies, origin validation, prefix filters."""
 
 from repro.defense.deployment import Defense, FilterRule
-from repro.defense.mitigation import (
-    DeaggregationResult,
-    PurgeResult,
-    deaggregation_response,
-    purge_response,
-)
 from repro.defense.strategies import (
     DeploymentStrategy,
     custom_deployment,
@@ -19,13 +13,9 @@ from repro.defense.strategies import (
 )
 
 __all__ = [
-    "DeaggregationResult",
     "Defense",
     "DeploymentStrategy",
     "FilterRule",
-    "PurgeResult",
-    "deaggregation_response",
-    "purge_response",
     "custom_deployment",
     "degree_threshold_deployment",
     "no_deployment",

@@ -6,12 +6,7 @@ from repro.detection.analysis import (
     greedy_probe_placement,
 )
 from repro.detection.detector import DetectionReport, HijackDetector
-from repro.detection.moas import (
-    MoasReport,
-    MoasVerdict,
-    anycast_state,
-    classify_moas,
-)
+from repro.detection.moas import MoasReport, MoasVerdict, classify_moas
 from repro.detection.probes import (
     ProbeSet,
     bgpmon_like_probes,
@@ -37,7 +32,6 @@ __all__ = [
     "MoasVerdict",
     "PathObservation",
     "ProbeSet",
-    "anycast_state",
     "classify_moas",
     "classify_observations",
     "customer_cone",

@@ -9,10 +9,7 @@ entirely misses real hijacks. The paper's prescription applies here too:
 published route-origin data (ROVER/RPKI lets one prefix authorize several
 origins) cleanly separates the two cases.
 
-:func:`classify_moas` implements the decision procedure, and
-:func:`anycast_state` computes the routing outcome of a legitimate
-multi-origin announcement (both origins attract their routing vicinity —
-the same machinery as a hijack, with nobody lying).
+:func:`classify_moas` implements the decision procedure.
 """
 
 from __future__ import annotations
@@ -20,11 +17,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.bgp.engine import RouteState, RoutingEngine
 from repro.prefixes.prefix import Prefix
 from repro.registry.roa import OriginAuthority, ValidationState
 
-__all__ = ["MoasVerdict", "MoasReport", "classify_moas", "anycast_state"]
+__all__ = ["MoasVerdict", "MoasReport", "classify_moas"]
 
 
 class MoasVerdict(enum.Enum):
@@ -122,23 +118,3 @@ def classify_moas(
         prefix=prefix, origins=origins,
         verdict=MoasVerdict.UNVERIFIABLE, invalid_origins=(),
     )
-
-
-def anycast_state(
-    engine: RoutingEngine, origins: tuple[int, ...] | list[int]
-) -> RouteState:
-    """Converged routing for a legitimately multi-origin prefix.
-
-    Origins are announced in ascending node order; each subsequent origin
-    competes under the normal strict-preference rule, so every AS ends up
-    routing to its policy-nearest origin — the anycast catchment split.
-    ``RouteState.holders_of`` then gives each origin's catchment.
-    """
-    ordered = sorted(set(origins))
-    if len(ordered) < 2:
-        raise ValueError("anycast needs at least two origins")
-    state: RouteState | None = None
-    for origin in ordered:
-        state = engine.converge(origin, base=state)
-    assert state is not None
-    return state

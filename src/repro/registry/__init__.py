@@ -1,15 +1,5 @@
-"""Route-origin registries: ROA validation, simulated RPKI, ROVER/DNSSEC."""
+"""Route-origin registries: ROA validation, publication, neighbors, history."""
 
-from repro.registry.dns import (
-    DnsName,
-    DnsTree,
-    DnsZone,
-    LookupResult,
-    LookupStatus,
-    Rrset,
-    format_name,
-    parse_name,
-)
 from repro.registry.history import HistoricalAuthority
 from repro.registry.neighbors import NeighborRegistry
 from repro.registry.publication import PublicationState, plan_truth_table
@@ -19,36 +9,14 @@ from repro.registry.roa import (
     RouteOriginAuthorization,
     ValidationState,
 )
-from repro.registry.rover import RoverRegistry, prefix_from_name, reverse_name
-from repro.registry.rpki import (
-    ResourceCertificate,
-    RpkiError,
-    RpkiRepository,
-    SignedRoa,
-)
 
 __all__ = [
-    "DnsName",
-    "DnsTree",
-    "DnsZone",
     "HistoricalAuthority",
-    "LookupResult",
-    "LookupStatus",
     "NeighborRegistry",
     "OriginAuthority",
     "PublicationState",
-    "ResourceCertificate",
     "RoaTable",
     "RouteOriginAuthorization",
-    "RoverRegistry",
-    "RpkiError",
-    "RpkiRepository",
-    "Rrset",
-    "SignedRoa",
     "ValidationState",
-    "format_name",
-    "parse_name",
     "plan_truth_table",
-    "prefix_from_name",
-    "reverse_name",
 ]

@@ -3,8 +3,8 @@
 Section VII's playbook hinges on *participation*: only ASes that publish
 their route origins can be protected by origin-validating filters and
 detectors. This module models that participation level explicitly — a
-:class:`PublicationState` tracks who has published, builds the resulting
-registry contents (RPKI and/or ROVER), and exposes the combined
+:class:`PublicationState` tracks who has published and exposes the
+resulting :class:`~repro.registry.roa.RoaTable`, the
 :class:`~repro.registry.roa.OriginAuthority` the defense layer validates
 against. Announcements for unpublished space come back NOT_FOUND and are
 therefore *not blockable*, exactly the incremental-deployment reality the
@@ -19,8 +19,6 @@ from typing import Iterable
 from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 from repro.registry.roa import RoaTable, RouteOriginAuthorization, ValidationState
-from repro.registry.rover import RoverRegistry
-from repro.registry.rpki import RpkiRepository
 
 __all__ = ["PublicationState", "plan_truth_table"]
 
@@ -43,24 +41,23 @@ class PublicationState:
     """Which ASes have published route origins, and the resulting registry."""
 
     plan: AddressPlan
-    seed: int = 0
     _published: set[int] = field(default_factory=set)
     _table: RoaTable = field(default_factory=RoaTable)
 
     @classmethod
     def with_participants(
-        cls, plan: AddressPlan, participants: Iterable[int], *, seed: int = 0
+        cls, plan: AddressPlan, participants: Iterable[int]
     ) -> "PublicationState":
-        state = cls(plan=plan, seed=seed)
+        state = cls(plan=plan)
         for asn in participants:
             state.publish(asn)
         return state
 
     @classmethod
-    def full(cls, plan: AddressPlan, *, seed: int = 0) -> "PublicationState":
+    def full(cls, plan: AddressPlan) -> "PublicationState":
         """Everyone publishes — the paper's end-state assumption when it
         evaluates blocking (the target's origins must be known)."""
-        return cls.with_participants(plan, plan.all_asns(), seed=seed)
+        return cls.with_participants(plan, plan.all_asns())
 
     # -- participation ---------------------------------------------------------
 
@@ -86,28 +83,3 @@ class PublicationState:
 
     def table(self) -> RoaTable:
         return self._table
-
-    # -- materialization into concrete repositories --------------------------------
-
-    def to_rpki(self) -> RpkiRepository:
-        """Build an RPKI repository holding the published authorizations."""
-        repository = RpkiRepository(seed=self.seed)
-        repository.create_trust_anchor("ta", [Prefix(0, 0)])
-        for asn in sorted(self._published):
-            prefixes = list(self.plan.prefixes_of(asn))
-            if not prefixes:
-                continue
-            name = f"as{asn}"
-            repository.issue_certificate("ta", name, asn, prefixes)
-            for prefix in prefixes:
-                repository.publish_roa(name, prefix, asn)
-        return repository
-
-    def to_rover(self) -> RoverRegistry:
-        """Build a ROVER reverse-DNS registry with the same content."""
-        registry = RoverRegistry(seed=self.seed)
-        for asn in sorted(self._published):
-            for prefix in self.plan.prefixes_of(asn):
-                registry.publish_origin(prefix, asn)
-                registry.publish_lock(prefix)
-        return registry

@@ -58,6 +58,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Content Too Large",
     414: "URI Too Long",
     431: "Request Header Fields Too Large",
@@ -70,6 +71,19 @@ _MAX_BODY_BYTES = 16 * 1024 * 1024
 # Most header lines one request may carry. A single request or header
 # line is bounded by the stream reader's own 64 KiB line limit.
 _MAX_HEADERS = 100
+
+# Seconds a client has to deliver its whole request (line, headers and
+# body); a silent or slow peer is answered 408 instead of holding its
+# connection open. Handling the request is not under this deadline.
+_READ_DEADLINE_S = 10.0
+
+
+class _RequestError(Exception):
+    """A request the daemon refuses before dispatch, with its status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ServiceDaemon:
@@ -278,36 +292,14 @@ class ServiceDaemon:
     async def _serve_one(
         self, reader: asyncio.StreamReader
     ) -> tuple[int, dict[str, object] | list[object]]:
-        # readline raises ValueError for a line past the reader's limit.
         try:
-            request_line = await reader.readline()
-        except ValueError:
-            return 414, {"error": "request line too long"}
-        parts = request_line.decode("latin-1", "replace").split()
-        if len(parts) < 2:
-            return 400, {"error": "malformed request line"}
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS + 1):
-            try:
-                line = await reader.readline()
-            except ValueError:
-                return 431, {"error": "header line too long"}
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1", "replace").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            return 431, {"error": f"more than {_MAX_HEADERS} header lines"}
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            return 400, {"error": "bad Content-Length"}
-        if length < 0:
-            return 400, {"error": "bad Content-Length"}
-        if length > _MAX_BODY_BYTES:
-            return 413, {"error": f"body exceeds {_MAX_BODY_BYTES} bytes"}
-        body = await reader.readexactly(length) if length else b""
+            method, path, body = await asyncio.wait_for(
+                _read_request(reader), _READ_DEADLINE_S
+            )
+        except _RequestError as error:
+            return error.status, {"error": str(error)}
+        except asyncio.TimeoutError:
+            return 408, {"error": f"request not received in {_READ_DEADLINE_S} s"}
         try:
             return await self._dispatch(method, path, body)
         except ValueError as error:
@@ -366,6 +358,40 @@ class ServiceDaemon:
                     return 200, registration.as_dict()
             return 404, {"error": f"no such resource {path}"}
         return 405, {"error": f"method {method} not supported"}
+
+
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
+    """Read one request's method, path and body, or raise :class:`_RequestError`."""
+    # readline raises ValueError for a line past the reader's limit.
+    try:
+        request_line = await reader.readline()
+    except ValueError:
+        raise _RequestError(414, "request line too long") from None
+    parts = request_line.decode("latin-1", "replace").split()
+    if len(parts) < 2:
+        raise _RequestError(400, "malformed request line")
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _RequestError(431, "header line too long") from None
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1", "replace").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise _RequestError(431, f"more than {_MAX_HEADERS} header lines")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        raise _RequestError(400, "bad Content-Length") from None
+    if length < 0:
+        raise _RequestError(400, "bad Content-Length")
+    if length > _MAX_BODY_BYTES:
+        raise _RequestError(413, f"body exceeds {_MAX_BODY_BYTES} bytes")
+    body = await reader.readexactly(length) if length else b""
+    return parts[0].upper(), parts[1], body
 
 
 def _json_object(body: bytes) -> dict[str, object]:

@@ -21,8 +21,7 @@ The loop it implements is ingest → shard → verdict → mitigation:
    deaggregation — the tenant's origin announces the two more-specific
    halves of the hijacked NLRI (with fresh ROAs, or the response would
    itself be INVALID), which out-compete the bogus route by
-   longest-prefix match exactly as in the batch-side
-   :func:`~repro.defense.mitigation.deaggregation_response`.
+   longest-prefix match.
 
 :meth:`victim_coverage` measures the mitigation's effect: the fraction
 of routing nodes whose most-specific live route for the contested space

@@ -25,13 +25,6 @@ from repro.topology.generator import (
     default_address_plan,
     generate_topology,
 )
-from repro.topology.metrics import (
-    ProviderRedundancy,
-    cone_overlap,
-    overlap_matrix,
-    provider_redundancy,
-    rank_providers_by_added_reach,
-)
 from repro.topology.relationships import Relationship, RouteClass
 from repro.topology.view import RoutingView
 
@@ -39,11 +32,6 @@ __all__ = [
     "ASGraph",
     "CaidaFormatError",
     "GeneratorConfig",
-    "ProviderRedundancy",
-    "cone_overlap",
-    "overlap_matrix",
-    "provider_redundancy",
-    "rank_providers_by_added_reach",
     "Relationship",
     "RouteClass",
     "RoutingView",

@@ -1,19 +1,16 @@
-"""Integration: the three registry backends must agree on every verdict.
+"""Integration: the publication state and its materialised ROA table agree.
 
-The RPKI simulation (cert chains + signed ROAs), the ROVER simulation
-(DNSSEC reverse-DNS records) and the plain validated-ROA table are three
-implementations of the same origin-validation contract. Feeding them the
-same publications and querying origin hijacks, sub-prefix hijacks, valid
-announcements and unpublished space must produce identical verdicts.
+An owner that never published is invisible to origin validation: both the
+publication state and the validated-ROA table it materialises must answer
+NOT_FOUND for a hijack of its space, even though the address plan's truth
+table knows the announcement is wrong.
 """
 
 import pytest
 
 from repro.prefixes.addressing import AddressPlan
-from repro.prefixes.prefix import Prefix
-from repro.registry.publication import PublicationState
+from repro.registry.publication import PublicationState, plan_truth_table
 from repro.registry.roa import ValidationState
-from repro.util.rng import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -23,65 +20,18 @@ def plan() -> AddressPlan:
 
 
 @pytest.fixture(scope="module")
-def backends(plan):
-    publication = PublicationState.with_participants(
-        plan, [asn for asn in plan.all_asns() if asn % 3 != 0], seed=13
+def publication(plan) -> PublicationState:
+    return PublicationState.with_participants(
+        plan, [asn for asn in plan.all_asns() if asn % 3 != 0]
     )
-    return publication, publication.to_rpki(), publication.to_rover()
 
 
-def queries(plan):
-    rng = make_rng(99, "registry-queries")
-    asns = list(plan.all_asns())
-    for _ in range(120):
-        owner = rng.choice(asns)
-        prefix = plan.primary_prefix(owner)
-        kind = rng.randrange(4)
-        if kind == 0:  # legitimate announcement
-            yield prefix, owner
-        elif kind == 1:  # origin hijack
-            yield prefix, rng.choice([a for a in asns if a != owner])
-        elif kind == 2 and prefix.length < 32:  # sub-prefix hijack
-            sub = next(prefix.subnets())
-            yield sub, rng.choice(asns)
-        else:  # unallocated space
-            yield Prefix.parse("223.255.0.0/16"), owner
-
-
-def test_rpki_agrees_with_table(plan, backends):
-    publication, rpki, _ = backends
-    table = rpki.validated_table()
-    for prefix, origin in queries(plan):
-        assert table.validate(prefix, origin) is publication.validate(
-            prefix, origin
-        ), (str(prefix), origin)
-
-
-def test_rover_agrees_on_decisive_verdicts(plan, backends):
-    publication, _, rover = backends
-    for prefix, origin in queries(plan):
-        expected = publication.validate(prefix, origin)
-        got = rover.validate(prefix, origin)
-        if expected is ValidationState.VALID:
-            assert got is ValidationState.VALID, (str(prefix), origin)
-        elif expected is ValidationState.INVALID:
-            # ROVER's RLOCK can only strengthen: INVALID stays INVALID.
-            assert got is ValidationState.INVALID, (str(prefix), origin)
-        else:
-            # NOT_FOUND space: ROVER may also say INVALID when an RLOCK
-            # covers the query (it is *more* protective, never less).
-            assert got in (
-                ValidationState.NOT_FOUND, ValidationState.INVALID,
-            ), (str(prefix), origin)
-
-
-def test_unpublished_owner_is_not_found_everywhere(plan, backends):
-    publication, rpki, rover = backends
+def test_unpublished_owner_is_not_found_everywhere(plan, publication):
     unpublished = next(
         asn for asn in plan.all_asns() if not publication.has_published(asn)
     )
     prefix = plan.primary_prefix(unpublished)
     hijacker = next(a for a in plan.all_asns() if a != unpublished)
     assert publication.validate(prefix, hijacker) is ValidationState.NOT_FOUND
-    assert rpki.validate(prefix, hijacker) is ValidationState.NOT_FOUND
-    assert rover.validate(prefix, hijacker) is ValidationState.NOT_FOUND
+    assert publication.table().validate(prefix, hijacker) is ValidationState.NOT_FOUND
+    assert plan_truth_table(plan).validate(prefix, hijacker) is ValidationState.INVALID

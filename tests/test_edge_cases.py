@@ -4,8 +4,6 @@ import pytest
 
 from repro.bgp.convergence import ConvergenceStats
 from repro.bgp.engine import RouteState, RoutingEngine
-from repro.core.probe_scaling import ProbeScalingCurve
-from repro.registry.dns import format_name, parse_name
 from repro.registry.history import HistoricalAuthority
 from repro.registry.roa import ValidationState
 from repro.prefixes.prefix import Prefix
@@ -48,18 +46,6 @@ class TestConvergenceStatsEdges:
         assert stats.within(1, 12) == 1.0
 
 
-class TestProbeCurveEdges:
-    def test_probes_needed_none_when_unreachable(self):
-        curve = ProbeScalingCurve("x", ((4, 0.5), (8, 0.2)))
-        assert curve.probes_needed(0.1) is None
-        assert curve.probes_needed(0.2) == 8
-
-    def test_miss_rate_at_missing_count(self):
-        curve = ProbeScalingCurve("x", ((4, 0.5),))
-        with pytest.raises(KeyError):
-            curve.miss_rate_at(99)
-
-
 class TestHistoricalAuthorityWalk:
     def test_nested_observations_any_level_authorizes(self):
         history = HistoricalAuthority()
@@ -76,14 +62,6 @@ class TestHistoricalAuthorityWalk:
         history.observe(Prefix.parse("10.0.0.0/8"), 65000)
         assert history.known_origins(Prefix.parse("10.0.0.0/8")) == frozenset({65000})
         assert history.known_origins(Prefix.parse("10.1.0.0/16")) == frozenset()
-
-
-class TestDnsNameEdges:
-    def test_root_round_trip(self):
-        assert format_name(parse_name(".")) == "."
-
-    def test_trailing_dot_ignored(self):
-        assert parse_name("a.b.") == parse_name("a.b")
 
 
 class TestVizEdges:

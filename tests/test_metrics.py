@@ -1,4 +1,9 @@
-"""Unit tests for reach/overlap metrics and convergence statistics."""
+"""Unit tests for reach/overlap of customer cones and convergence statistics.
+
+Section IV names "the reach and overlap of the tier-1 ASes" as a factor in
+attacker aggressiveness, and Section VII recommends re-homing "to increase
+non-overlapping reach"; both rest on ``customer_cone``.
+"""
 
 import pytest
 
@@ -6,50 +11,58 @@ from repro.bgp.convergence import (
     generation_wavefront,
     measure_convergence,
 )
-from repro.topology.metrics import (
-    cone_overlap,
-    overlap_matrix,
-    provider_redundancy,
-    rank_providers_by_added_reach,
-)
+from repro.topology.classify import customer_cone, find_tier1
 from repro.topology.view import RoutingView
+
+
+def shared_cone(graph, a: int, b: int) -> frozenset[int]:
+    """ASes in both customer cones, excluding *a* and *b* themselves."""
+    return (customer_cone(graph, a) & customer_cone(graph, b)) - {a, b}
+
+
+def provider_cones(graph, asn: int) -> dict[int, frozenset[int]]:
+    """Each provider's customer cone, minus *asn* itself."""
+    return {
+        provider: customer_cone(graph, provider) - {asn}
+        for provider in graph.providers(asn)
+    }
 
 
 class TestConeOverlap:
     def test_disjoint_cones(self, mini_graph):
         # 30's cone = {30, 50}; 40's cone = {40, 60}: disjoint.
-        assert cone_overlap(mini_graph, 30, 40) == 0
+        assert shared_cone(mini_graph, 30, 40) == frozenset()
 
     def test_shared_customer(self, mini_graph):
         # 10's cone and 20's cone both contain AS80.
-        assert cone_overlap(mini_graph, 10, 20) == 1
+        assert shared_cone(mini_graph, 10, 20) == {80}
 
     def test_overlap_matrix_defaults_to_tier1(self, mini_graph):
-        matrix = overlap_matrix(mini_graph)
-        assert set(matrix) == {(1, 2)}
+        assert find_tier1(mini_graph) == {1, 2}
         # tier-1 cones share 80 (via 10 and 20 respectively).
-        assert matrix[(1, 2)] == 1
+        assert shared_cone(mini_graph, 1, 2) == {80}
 
     def test_overlap_matrix_custom_set(self, mini_graph):
-        matrix = overlap_matrix(mini_graph, [10, 20, 30])
-        assert (10, 20) in matrix and (10, 30) in matrix
-        # 30's cone is inside 10's: full overlap of {30? exclude ends} ->
-        # shared = {30, 50} minus endpoints = {50}.
-        assert matrix[(10, 30)] == 1
+        # 30's cone sits inside 10's: the shared part, endpoints
+        # excluded, is {50}.
+        assert customer_cone(mini_graph, 30) <= customer_cone(mini_graph, 10)
+        assert shared_cone(mini_graph, 10, 30) == {50}
+        assert shared_cone(mini_graph, 10, 20) == {80}
 
 
 class TestProviderRedundancy:
     def test_single_homed_has_zero_redundancy(self, mini_graph):
-        redundancy = provider_redundancy(mini_graph, 50)
-        assert redundancy.redundancy == 0.0
-        assert redundancy.total_reach > 0
+        cones = provider_cones(mini_graph, 50)
+        # One provider: nothing another provider could duplicate.
+        assert set(cones) == {30}
+        assert cones[30] == {30}
 
     def test_multihomed_overlapping_providers(self, mini_graph):
         # AS80 buys from 10 and 20; both cones contain 80 itself (removed)
-        # but are otherwise disjoint -> low redundancy.
-        redundancy = provider_redundancy(mini_graph, 80)
-        assert set(redundancy.exclusive_reach) == {10, 20}
-        assert 0.0 <= redundancy.redundancy <= 1.0
+        # and are otherwise disjoint -> no duplicated reach.
+        cones = provider_cones(mini_graph, 80)
+        assert set(cones) == {10, 20}
+        assert cones[10] & cones[20] == frozenset()
 
     def test_overlapping_providers_show_redundancy(self):
         # Two providers that share a second customer: part of the reach
@@ -63,18 +76,13 @@ class TestProviderRedundancy:
         for provider in (100, 101):
             graph.add_relationship(provider, 102, Relationship.CUSTOMER)
             graph.add_relationship(provider, 103, Relationship.CUSTOMER)
-        redundancy = provider_redundancy(graph, 102)
-        assert redundancy.total_reach == 3  # {100, 101, 103}
-        assert redundancy.exclusive_reach == {100: 1, 101: 1}
-        assert redundancy.redundancy == pytest.approx(1 / 3)
-
-    def test_rank_providers_by_added_reach(self, mini_graph):
-        ranked = rank_providers_by_added_reach(mini_graph, 50, [10, 40, 30])
-        candidates = dict(ranked)
-        # 30 is already the provider -> excluded; 10 adds {30?...}
-        assert 30 not in candidates
-        assert candidates[10] >= candidates[40] or candidates[40] >= 0
-        assert ranked[0][1] >= ranked[-1][1]
+        cones = provider_cones(graph, 102)
+        union = cones[100] | cones[101]
+        shared = cones[100] & cones[101]
+        assert union == {100, 101, 103}
+        assert cones[100] - cones[101] == {100}
+        assert cones[101] - cones[100] == {101}
+        assert len(shared) / len(union) == pytest.approx(1 / 3)
 
 
 class TestConvergence:

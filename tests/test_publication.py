@@ -51,21 +51,8 @@ class TestParticipation:
 
 
 class TestMaterialization:
-    def test_rpki_agrees_with_table(self, plan):
-        state = PublicationState.full(plan)
-        rpki = state.to_rpki()
-        for prefix, asn in plan.items():
-            assert rpki.validate(prefix, asn) is ValidationState.VALID
-            assert rpki.validate(prefix, asn + 7) is ValidationState.INVALID
-
-    def test_rover_agrees_with_table(self, plan):
-        state = PublicationState.full(plan)
-        rover = state.to_rover()
-        for prefix, asn in plan.items():
-            assert rover.validate(prefix, asn) is ValidationState.VALID
-            assert rover.validate(prefix, asn + 7) is ValidationState.INVALID
-
     def test_partial_participation_materializes_partially(self, plan):
         state = PublicationState.with_participants(plan, [65001])
-        rpki = state.to_rpki()
-        assert rpki.validate(Prefix.parse("10.1.0.0/16"), 64999) is ValidationState.NOT_FOUND
+        table = state.table()
+        assert table.validate(Prefix.parse("10.1.0.0/16"), 64999) is ValidationState.NOT_FOUND
+        assert table.validate(Prefix.parse("10.0.0.0/16"), 64999) is ValidationState.INVALID

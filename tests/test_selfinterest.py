@@ -92,30 +92,6 @@ class TestRegionalStudy:
             regional_attack_study(medium_lab, outside, region)
 
 
-class TestRehomeVsDeployment:
-    def test_options_compared(self, medium_graph, assessment):
-        from repro.core.selfinterest import compare_rehoming_vs_deployment
-        from repro.defense.strategies import top_degree_deployment
-        from repro.registry.publication import PublicationState
-
-        lab = HijackLab(medium_graph, seed=7)
-        authority = PublicationState.full(lab.plan).table()
-        target = assessment.deepest()
-        comparison = compare_rehoming_vs_deployment(
-            lab,
-            target,
-            top_degree_deployment(medium_graph, 30),
-            top_degree_deployment(medium_graph, 60),
-            authority,
-            sample=80,
-        )
-        assert comparison.extra_deployers == 30
-        # Both alternatives must improve on the current deployment.
-        assert comparison.rehomed_mean <= comparison.current_mean * 1.05
-        assert comparison.wider_deployment_mean <= comparison.current_mean
-        assert isinstance(comparison.rehoming_wins, bool)
-
-
 class TestPlanner:
     @pytest.fixture(scope="class")
     def action_plan(self, medium_graph, region):

@@ -15,6 +15,7 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.detection.probes import custom_probes
 from repro.obs.metrics import Metrics
+from repro.service import api as service_api
 from repro.service.api import _MAX_BODY_BYTES, _MAX_HEADERS, ServiceThread
 from repro.service.daemon import MonitorService
 from tests.conftest import build_mini_graph
@@ -183,6 +184,25 @@ class TestErrors:
             )
             status_line = conn.makefile("rb").readline().split()
         assert int(status_line[1]) == expected
+        status, _body = api("GET", "/health")
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            # Declares 100 body bytes, delivers 10, then goes quiet.
+            b"POST /events HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"x" * 10,
+            # Connects and sends nothing at all.
+            b"",
+        ],
+        ids=["partial-body", "silent"],
+    )
+    def test_slow_client_gets_408(self, thread, api, monkeypatch, sent):
+        monkeypatch.setattr(service_api, "_READ_DEADLINE_S", 0.2)
+        with socket.create_connection(("127.0.0.1", thread.port), timeout=5) as conn:
+            conn.sendall(sent)
+            status_line = conn.makefile("rb").readline().split()
+        assert int(status_line[1]) == 408
         status, _body = api("GET", "/health")
         assert status == 200
 
