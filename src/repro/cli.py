@@ -30,16 +30,20 @@ checksum-identical by contract, so it changes wall-clock only.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from repro.attacks.lab import HijackLab
 from repro.core.selfinterest import SelfInterestPlanner
 from repro.core.vulnerability import profile_target
+from repro.detection.probes import bgpmon_like_probes, tier1_probes, top_degree_probes
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import ResultStore
 from repro.experiments.suite import ExperimentSuite
 from repro.obs.metrics import NULL_METRICS, Metrics
+from repro.stream.monitor import StreamAlarm
 from repro.topology.caida import dump_caida, load_caida, load_caida_mmap
 from repro.topology.classify import summarize
 from repro.topology.generator import GeneratorConfig, generate_topology
@@ -52,6 +56,13 @@ _EXPERIMENTS = (
     "tab1", "tab2", "tab3", "tab4", "tab5", "nz_rehoming", "nz_filter",
     "ext_subprefix", "attack_matrix", "service_latency",
 )
+
+# The monitor vantage-point sets ``stream``, ``ingest`` and ``serve`` offer.
+_PROBE_SETS = {
+    "tier1": tier1_probes,
+    "bgpmon": bgpmon_like_probes,
+    "top-degree": top_degree_probes,
+}
 
 _KIND_CHOICES = ("origin", "subprefix", "squat", "route-leak")
 _PATH_KIND_CHOICES = ("type-0", "type-1", "type-n", "type-u")
@@ -170,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_cmd.add_argument("--topology", type=Path, default=None,
                             help="CAIDA-format topology file "
                                  "(default: generate --as-count ASes)")
-    stream_cmd.add_argument("--probes",
-                            choices=("tier1", "bgpmon", "top-degree"),
+    stream_cmd.add_argument("--probes", choices=tuple(_PROBE_SETS),
                             default="tier1", help="monitor vantage-point set")
     stream_cmd.add_argument("--batch-window", type=float, default=0.0,
                             help="coalescing window in virtual seconds")
@@ -205,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--topology", type=Path, default=None,
                         help="CAIDA-format topology file, memory-mapped "
                              "(default: generate --as-count ASes)")
-    ingest.add_argument("--probes",
-                        choices=("tier1", "bgpmon", "top-degree"),
+    ingest.add_argument("--probes", choices=tuple(_PROBE_SETS),
                         default="tier1", help="monitor vantage-point set")
     ingest.add_argument("--strict", action="store_true",
                         help="raise on the first malformed record, duplicate "
@@ -240,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--topology", type=Path, default=None,
                        help="CAIDA-format topology file "
                             "(default: generate --as-count ASes)")
-    serve.add_argument("--probes",
-                       choices=("tier1", "bgpmon", "top-degree"),
+    serve.add_argument("--probes", choices=tuple(_PROBE_SETS),
                        default="top-degree", help="monitor vantage-point set")
     serve.add_argument("--batch-window", type=float, default=0.0,
                        help="coalescing window in virtual seconds")
@@ -277,6 +285,48 @@ def _topology(args: argparse.Namespace):
 def _metrics(args: argparse.Namespace) -> Metrics:
     """The run's metrics sink (armed by ``--metrics``, else a no-op)."""
     return getattr(args, "metrics_sink", NULL_METRICS)
+
+
+def _monitor_lab(args: argparse.Namespace, *, validate: bool = False) -> HijackLab:
+    """The lab ``stream``, ``ingest`` and ``serve`` monitor over.
+
+    The topology is ``--topology`` (memory-mapped) or a generated
+    ``--as-count`` graph.
+    """
+    if args.topology is not None:
+        graph = load_caida_mmap(args.topology)
+    else:
+        graph = generate_topology(
+            GeneratorConfig.scaled(args.as_count, seed=args.seed)
+        )
+    return HijackLab(
+        graph, seed=args.seed, validate=validate, metrics=_metrics(args),
+        backend=args.backend, batch_origins=args.batch_origins,
+    )
+
+
+def _write_report(args: argparse.Namespace, payload: dict[str, object]) -> None:
+    """The JSON report to ``--report``, or to stdout without one."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.report is not None:
+        args.report.parent.mkdir(parents=True, exist_ok=True)
+        args.report.write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {args.report}")
+    else:
+        print(text)
+
+
+def _hijack_status(args: argparse.Namespace, alarms: Iterable[StreamAlarm]) -> int:
+    """1 under ``--fail-on-hijack`` if any alarm is CONFIRMED, else 0."""
+    if not args.fail_on_hijack:
+        return 0
+    from repro.service.daemon import CONFIRMED_VERDICTS
+
+    confirmed = [alarm for alarm in alarms if alarm.verdict in CONFIRMED_VERDICTS]
+    if not confirmed:
+        return 0
+    print(f"fail-on-hijack: {len(confirmed)} CONFIRMED verdict(s)", file=sys.stderr)
+    return 1
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -487,30 +537,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.detection.probes import (
-        bgpmon_like_probes,
-        tier1_probes,
-        top_degree_probes,
-    )
     from repro.ingest import TraceFormatError, TracePipeline, run_ingest
     from repro.stream import write_events
 
     if args.rib is None and args.updates is None:
         print("ingest needs --rib, --updates, or both", file=sys.stderr)
         return 2
-    if args.topology is not None:
-        graph = load_caida_mmap(args.topology)
-    else:
-        graph = generate_topology(
-            GeneratorConfig.scaled(args.as_count, seed=args.seed)
-        )
+    lab = _monitor_lab(args)
     metrics = _metrics(args)
-    lab = HijackLab(
-        graph, seed=args.seed, metrics=metrics,
-        backend=args.backend, batch_origins=args.batch_origins,
-    )
     pipeline = TracePipeline(
         rib_path=args.rib,
         updates_path=args.updates,
@@ -527,15 +561,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             print(f"wrote compiled stream to {path}")
             print(json.dumps(stats, indent=2, sort_keys=True), file=sys.stderr)
             return 0
-        probe_sets = {
-            "tier1": tier1_probes,
-            "bgpmon": bgpmon_like_probes,
-            "top-degree": top_degree_probes,
-        }
         result = run_ingest(
             lab,
             pipeline,
-            probes=probe_sets[args.probes](graph),
+            probes=_PROBE_SETS[args.probes](lab.graph),
             batch_window=args.batch_window,
             queue_limit=args.queue_limit,
             metrics=metrics,
@@ -543,14 +572,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     except TraceFormatError as error:
         print(f"trace error: {error}", file=sys.stderr)
         return 1
-    payload = result.as_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.report}")
-    else:
-        print(text)
+    _write_report(args, result.as_dict())
     report = result.report
     monitor = report.monitor
     assert monitor is not None
@@ -561,52 +583,20 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         + (f", first at latency {latency} virtual s" if latency is not None else ""),
         file=sys.stderr,
     )
-    if args.fail_on_hijack:
-        from repro.service.daemon import CONFIRMED_VERDICTS
-
-        confirmed = [
-            alarm for alarm in monitor.alarms
-            if alarm.verdict in CONFIRMED_VERDICTS
-        ]
-        if confirmed:
-            print(
-                f"fail-on-hijack: {len(confirmed)} CONFIRMED verdict(s)",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    return _hijack_status(args, monitor.alarms)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.detection.probes import (
-        bgpmon_like_probes,
-        tier1_probes,
-        top_degree_probes,
-    )
     from repro.service import MonitorService, ServiceDaemon
 
-    if args.topology is not None:
-        graph = load_caida_mmap(args.topology)
-    else:
-        graph = generate_topology(
-            GeneratorConfig.scaled(args.as_count, seed=args.seed)
-        )
+    lab = _monitor_lab(args)
     metrics = _metrics(args)
-    lab = HijackLab(
-        graph, seed=args.seed, metrics=metrics,
-        backend=args.backend, batch_origins=args.batch_origins,
-    )
-    probe_sets = {
-        "tier1": tier1_probes,
-        "bgpmon": bgpmon_like_probes,
-        "top-degree": top_degree_probes,
-    }
     service = MonitorService(
         lab,
         shards=args.shards,
-        probes=probe_sets[args.probes](graph),
+        probes=_PROBE_SETS[args.probes](lab.graph),
         batch_window=args.batch_window,
         queue_limit=args.queue_limit,
         metrics=metrics,
@@ -660,37 +650,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import json
-
     from repro.attacks.scenario import HijackScenario
     from repro.detection.detector import HijackDetector
-    from repro.detection.probes import (
-        bgpmon_like_probes,
-        tier1_probes,
-        top_degree_probes,
-    )
     from repro.stream import (
-        OnlineMonitor,
         StreamReplayer,
         compile_campaign,
         read_events,
         write_events,
     )
+    from repro.util.lines import iter_chunk_lines
     from repro.util.rng import make_rng
 
     # ``-i`` is the *event stream* here (unlike the batch commands, where
     # it is the topology file) — the topology comes from ``--topology``.
-    if args.topology is not None:
-        graph = load_caida(args.topology)
-    else:
-        graph = generate_topology(
-            GeneratorConfig.scaled(args.as_count, seed=args.seed)
-        )
-    metrics = _metrics(args)
-    lab = HijackLab(
-        graph, seed=args.seed, validate=args.validate, metrics=metrics,
-        backend=args.backend, batch_origins=args.batch_origins,
-    )
+    lab = _monitor_lab(args, validate=args.validate)
     events = None
     if args.input is not None:
         if args.compile_only is not None:
@@ -720,39 +693,25 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         path = write_events(args.compile_only, events)
         print(f"wrote {len(events)} events to {path}")
         return 0
-    probe_sets = {
-        "tier1": tier1_probes,
-        "bgpmon": bgpmon_like_probes,
-        "top-degree": top_degree_probes,
-    }
-    probes = probe_sets[args.probes](graph)
     replayer = StreamReplayer(
         lab,
+        detector=HijackDetector(_PROBE_SETS[args.probes](lab.graph)),
         batch_window=args.batch_window,
         queue_limit=args.queue_limit,
-        metrics=metrics,
+        metrics=_metrics(args),
     )
-    detector = HijackDetector(probes, authority=replayer.authority)
-    replayer.monitor = OnlineMonitor(lab.view, detector, metrics=metrics)
     if events is None:
-        # Replaying a feed file: parse line by line through the replay
-        # engine's tolerant path, so one malformed line is skipped and
-        # counted (events.malformed in the report) instead of killing
-        # the whole run.
+        # Replaying a feed file: raw lines through the replay engine's
+        # tolerant path, so an undecodable, overlong or malformed line is
+        # skipped and counted (events.malformed in the report) instead
+        # of killing the whole run.
         assert args.input is not None
-        with args.input.open("r", encoding="utf-8") as handle:
-            replayer.submit_lines(handle)
+        with args.input.open("rb") as handle:
+            replayer.submit_lines(iter_chunk_lines(handle))
         report = replayer.finish()
     else:
         report = replayer.run(events)
-    payload = report.as_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.report}")
-    else:
-        print(text)
+    _write_report(args, report.as_dict())
     monitor = report.monitor
     assert monitor is not None
     latency = monitor.detection_latency_time
@@ -764,20 +723,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         + (f", first at latency {latency} virtual s" if latency is not None else ""),
         file=sys.stderr,
     )
-    if args.fail_on_hijack:
-        from repro.service.daemon import CONFIRMED_VERDICTS
-
-        confirmed = [
-            alarm for alarm in monitor.alarms
-            if alarm.verdict in CONFIRMED_VERDICTS
-        ]
-        if confirmed:
-            print(
-                f"fail-on-hijack: {len(confirmed)} CONFIRMED verdict(s)",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    return _hijack_status(args, monitor.alarms)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -708,7 +708,6 @@ class ExperimentSuite:
         from repro.service.daemon import MonitorService
         from repro.service.tenants import LatencyStats
         from repro.stream.events import RoaPublish, compile_scenario, event_to_dict
-        from repro.stream.monitor import OnlineMonitor
         from repro.stream.replay import StreamReplayer
         from repro.util.rng import make_rng
 
@@ -743,25 +742,24 @@ class ExperimentSuite:
 
         # The offline reference: one replayer, one monitor, the same
         # full-ladder detector, fed the tenant's ROA before the stream.
-        reference = StreamReplayer(self.lab, metrics=self.metrics)
-        reference.monitor = OnlineMonitor(
-            self.lab.view,
-            HijackDetector(
+        reference = StreamReplayer(
+            self.lab,
+            detector=HijackDetector(
                 probes,
-                authority=reference.authority,
                 neighbors=NeighborRegistry.from_graph(self.graph),
                 relationships=self.graph,
             ),
             metrics=self.metrics,
         )
         reference.submit(RoaPublish(at=0.0, prefix=victim_prefix, origin_asn=target))
-        reference.run(events)
+        offline = reference.run(events).monitor
+        assert offline is not None
         reference_key = frozenset(
             (
                 str(alarm.prefix), alarm.verdict, alarm.origins,
                 alarm.invalid_origins, alarm.latency_time,
             )
-            for alarm in reference.monitor.alarms
+            for alarm in offline.alarms
         )
 
         rows: list[dict[str, object]] = []
@@ -806,7 +804,7 @@ class ExperimentSuite:
                 "target": target,
                 "cells": len(grid_cells()),
                 "stream_events": len(events),
-                "offline_alarms": len(reference.monitor.alarms),
+                "offline_alarms": len(offline.alarms),
                 "parity_all_shards": all(
                     row["parity_with_offline"] for row in rows
                 ),

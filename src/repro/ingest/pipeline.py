@@ -29,7 +29,6 @@ from repro.ingest.compiler import (
 from repro.ingest.records import TraceReader
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.stream.events import StreamEvent
-from repro.stream.monitor import OnlineMonitor
 from repro.stream.replay import ReplayReport, StreamReplayer
 
 __all__ = ["IngestResult", "TracePipeline", "run_ingest"]
@@ -149,13 +148,13 @@ def run_ingest(
     the replayer's live ROA table, so a seeded ROA wave changes
     verdicts); without, the run is a pure ledger-convergence sweep.
     """
-    metrics = metrics if metrics is not None else NULL_METRICS
     replayer = StreamReplayer(
-        lab, batch_window=batch_window, queue_limit=queue_limit, metrics=metrics
+        lab,
+        detector=HijackDetector(probes) if probes is not None else None,
+        batch_window=batch_window,
+        queue_limit=queue_limit,
+        metrics=metrics,
     )
-    if probes is not None:
-        detector = HijackDetector(probes, authority=replayer.authority)
-        replayer.monitor = OnlineMonitor(lab.view, detector, metrics=metrics)
     for event in pipeline.events():
         replayer.submit(event)
     report = replayer.finish()

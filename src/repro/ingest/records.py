@@ -44,14 +44,18 @@ from __future__ import annotations
 
 import gzip
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.prefixes.prefix import Prefix, PrefixError
-from repro.util.lines import OVERLONG_LINE, LineSplitter
+from repro.util.lines import (
+    CHUNK_SIZE,
+    OVERLONG_LINE,
+    iter_chunk_lines,
+    valid_timestamp,
+)
 
 __all__ = [
     "RECORD_TYPES",
@@ -68,7 +72,6 @@ __all__ = [
 RECORD_TYPES = ("rib", "announce", "withdraw")
 
 _MAX_ASN = 2**32 - 1
-_CHUNK_SIZE = 1 << 20  # 1 MiB of raw bytes per read
 
 
 class TraceFormatError(ValueError):
@@ -123,7 +126,7 @@ def _build_record(
 ) -> TraceRecord:
     if kind not in RECORD_TYPES:
         raise TraceFormatError(f"unknown record type {kind!r}")
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not math.isfinite(ts):
+    if not valid_timestamp(ts):
         raise TraceFormatError(f"missing/invalid timestamp {ts!r}")
     peer_asn = _check_asn(peer, "peer ASN")
     if not isinstance(prefix_text, str):
@@ -239,22 +242,6 @@ def _open_binary(path: Path) -> IO[bytes]:
     return path.open("rb")
 
 
-def _iter_chunk_lines(handle: IO[bytes], chunk_size: int) -> Iterator[bytes | None]:
-    """Split a binary stream into lines, *chunk_size* raw bytes at a time.
-
-    ``None`` stands for a line the splitter gave up on as overlong.
-    """
-    splitter = LineSplitter()
-    while True:
-        chunk = handle.read(chunk_size)
-        if not chunk:
-            break
-        yield from splitter.feed(chunk)
-    tail = splitter.finish()
-    if tail:
-        yield tail
-
-
 class TraceReader:
     """Stream records out of a trace file, counting what it skips.
 
@@ -272,7 +259,7 @@ class TraceReader:
         *,
         strict: bool = False,
         metrics: Metrics | None = None,
-        chunk_size: int = _CHUNK_SIZE,
+        chunk_size: int = CHUNK_SIZE,
     ) -> None:
         self.path = Path(path)
         self.strict = strict
@@ -286,7 +273,7 @@ class TraceReader:
     def __iter__(self) -> Iterator[TraceRecord]:
         with _open_binary(self.path) as handle:
             for number, raw in enumerate(
-                _iter_chunk_lines(handle, self.chunk_size), start=1
+                iter_chunk_lines(handle, self.chunk_size), start=1
             ):
                 self.lines = number
                 if raw is None:

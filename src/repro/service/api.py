@@ -1,18 +1,21 @@
-"""The asyncio front-end: JSONL ingest workers and the JSON API.
+"""The asyncio front-end: the JSON API and the feed task.
 
 The daemon follows the sync-core / async-shell split: every decision
 lives in :class:`~repro.service.daemon.MonitorService`; this module only
-moves bytes. Three kinds of tasks run on the loop:
+moves bytes. Two kinds of tasks run on the loop, and both call the sync
+core directly (``ingest_line`` per line, then ``poll``):
 
-* **ingest workers** — one per shard, each draining an
-  :class:`asyncio.Queue` into its shard's replayer, so independent
-  prefix families make progress independently;
-* an optional **feed task** tailing a JSONL file (``--input`` /
-  ``--follow``), the "tails event feeds" half of the ingest front-end;
 * the **HTTP server** — a deliberately minimal HTTP/1.1 implementation
   over :func:`asyncio.start_server` (request line, headers,
   ``Content-Length`` body; one request per connection), because the
-  stdlib-only constraint is part of the subsystem's contract.
+  stdlib-only constraint is part of the subsystem's contract;
+* an optional **feed task** tailing a JSONL file (``--input`` /
+  ``--follow``), the "tails event feeds" half of the ingest front-end.
+
+Nothing between reading a line and applying it awaits, so a task
+applies every line it has read before another task runs: a
+registration can never overtake feed or ``POST /events`` lines that
+were read before it.
 
 Endpoints (all JSON):
 
@@ -42,7 +45,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.service.daemon import MonitorService
-from repro.stream.events import StreamEvent, StreamFormatError, parse_event_line
+from repro.stream.events import StreamFormatError
 from repro.util.lines import OVERLONG_LINE, LineSplitter
 
 __all__ = ["ServiceDaemon", "ServiceThread"]
@@ -87,7 +90,7 @@ class _RequestError(Exception):
 
 
 class ServiceDaemon:
-    """The asyncio shell: queues, workers, feed task and HTTP server."""
+    """The asyncio shell: HTTP server and feed task over the sync core."""
 
     def __init__(
         self,
@@ -100,20 +103,12 @@ class ServiceDaemon:
         self.host = host
         self.port = port
         self._server: asyncio.Server | None = None
-        self._queues: list[asyncio.Queue[StreamEvent]] = []
-        self._workers: list[asyncio.Task[None]] = []
         self._feeds: list[asyncio.Task[None]] = []
         self._stopped = asyncio.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        plane = self.service.plane
-        self._queues = [asyncio.Queue() for _ in range(plane.shards)]
-        self._workers = [
-            asyncio.create_task(self._worker(shard), name=f"service-shard-{shard}")
-            for shard in range(plane.shards)
-        ]
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -128,9 +123,6 @@ class ServiceDaemon:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self._drain()
-        for task in self._workers:
-            task.cancel()
         self.service.poll()
         self._stopped.set()
 
@@ -141,44 +133,18 @@ class ServiceDaemon:
 
     # -- ingest ------------------------------------------------------------
 
-    async def submit(self, event: StreamEvent) -> None:
-        for shard in self.service.plane.begin_ingest(event):
-            await self._queues[shard].put(event)
-
-    async def _worker(self, shard: int) -> None:
-        queue = self._queues[shard]
-        plane = self.service.plane
-        while True:
-            event = await queue.get()
-            try:
-                plane.apply(shard, event)
-            except Exception as error:  # same isolation contract as replay
-                if len(plane.errors) < 32:
-                    plane.errors.append(f"shard {shard}: {error}")
-            finally:
-                queue.task_done()
-
-    async def _drain(self) -> None:
-        """Wait until every enqueued event has been applied."""
-        await asyncio.gather(*(queue.join() for queue in self._queues))
-
-    async def ingest_text(self, text: str) -> dict[str, object]:
-        """Ingest a JSONL batch: enqueue, drain, poll, report."""
+    def ingest_text(self, text: str) -> dict[str, object]:
+        """Ingest a JSONL batch line by line, poll, report."""
         accepted = 0
         malformed = 0
         for raw in text.splitlines():
             line = raw.strip()
             if not line:
                 continue
-            try:
-                event = parse_event_line(line)
-            except StreamFormatError as error:
-                self.service.plane.note_malformed(error)
+            if self.service.ingest_line(line):
+                accepted += 1
+            else:
                 malformed += 1
-                continue
-            await self.submit(event)
-            accepted += 1
-        await self._drain()
         verdicts = self.service.poll()
         return {
             "accepted": accepted,
@@ -219,16 +185,14 @@ class ServiceDaemon:
                 if chunk:
                     offset += len(chunk)
                     for raw in splitter.feed(chunk):
-                        await self._feed_line(raw)
+                        self._feed_line(raw)
                     continue
                 if not follow:
                     tail = splitter.finish()
                     if tail:  # no trailing newline at final EOF
-                        await self._feed_line(tail)
-                    await self._drain()
+                        self._feed_line(tail)
                     self.service.poll()
                     return
-                await self._drain()
                 self.service.poll()
                 try:
                     stat = path.stat()
@@ -249,19 +213,13 @@ class ServiceDaemon:
         finally:
             handle.close()
 
-    async def _feed_line(self, raw: bytes | None) -> None:
+    def _feed_line(self, raw: bytes | None) -> None:
         if raw is None:
             self.service.plane.note_malformed(StreamFormatError(OVERLONG_LINE))
             return
         line = raw.decode("utf-8", "replace").strip()
-        if not line:
-            return
-        try:
-            event = parse_event_line(line)
-        except StreamFormatError as error:
-            self.service.plane.note_malformed(error)
-            return
-        await self.submit(event)
+        if line:
+            self.service.ingest_line(line)
 
     # -- HTTP --------------------------------------------------------------
 
@@ -301,11 +259,11 @@ class ServiceDaemon:
         except asyncio.TimeoutError:
             return 408, {"error": f"request not received in {_READ_DEADLINE_S} s"}
         try:
-            return await self._dispatch(method, path, body)
+            return self._dispatch(method, path, body)
         except ValueError as error:
             return 400, {"error": str(error)}
 
-    async def _dispatch(
+    def _dispatch(
         self, method: str, path: str, body: bytes
     ) -> tuple[int, dict[str, object] | list[object]]:
         service = self.service
@@ -330,9 +288,8 @@ class ServiceDaemon:
             return 404, {"error": f"no such resource {path}"}
         if method == "POST":
             if segments == ["events"]:
-                return 200, await self.ingest_text(body.decode("utf-8", "replace"))
+                return 200, self.ingest_text(body.decode("utf-8", "replace"))
             if segments == ["flush"]:
-                await self._drain()
                 verdicts = service.poll()
                 return 200, {"verdicts": [v.as_dict() for v in verdicts]}
             if segments == ["shutdown"]:

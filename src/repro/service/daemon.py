@@ -9,8 +9,9 @@ detectors, same events).
 
 The loop it implements is ingest → shard → verdict → mitigation:
 
-1. events enter through :meth:`ingest_line` / :meth:`ingest_event` and
-   are routed by the :class:`~repro.service.shards.ShardPlane`;
+1. events enter through :meth:`ingest_line` (the HTTP handler and the
+   feed task both call it) or :meth:`ingest_event` and are routed by the
+   :class:`~repro.service.shards.ShardPlane`;
 2. :meth:`poll` flushes the shards, drains freshly raised alarms, and
    attributes each to the tenants whose registrations the alarmed NLRI
    concerns (covering *and* covered — the sub-prefix case), updating

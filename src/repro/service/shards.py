@@ -2,9 +2,9 @@
 
 One :class:`~repro.stream.replay.StreamReplayer` is a correct monitor
 but a single serial pipeline. The service splits the prefix space across
-*shards* — each shard owns its own replayer, online monitor and
-detector — so independent prefixes converge independently (and, behind
-the asyncio front-end, concurrently).
+*shards* — each shard owns its own replayer, whose online monitor
+judges with that shard's live ROA table — so independent prefixes keep
+independent ledger families.
 
 The routing rule is the correctness-bearing part. Announcements and
 withdrawals are routed by **covering-root affinity**: the shard anchor
@@ -45,7 +45,7 @@ from repro.stream.events import (
     parse_event_line,
 )
 from repro.stream.incremental import PrefixLedger
-from repro.stream.monitor import OnlineMonitor, StreamAlarm
+from repro.stream.monitor import StreamAlarm
 from repro.stream.replay import StreamReplayer
 
 __all__ = ["ShardPlane"]
@@ -58,6 +58,10 @@ class ShardPlane:
     shard's live ROA table, first-hop data published for every AS
     (:meth:`NeighborRegistry.from_graph`) and full topology knowledge —
     the strongest detector the taxonomy work built, now always-on.
+
+    One event that fails inside a shard is recorded in :attr:`errors`
+    (bounded) and never escapes :meth:`submit` or :meth:`flush`: the
+    same per-event isolation the replayer gives its batch.
     """
 
     def __init__(
@@ -78,29 +82,21 @@ class ShardPlane:
         self.registry = registry if registry is not None else TenantRegistry()
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.probes = probes if probes is not None else top_degree_probes(lab.graph)
-        neighbors = NeighborRegistry.from_graph(lab.graph)
-        self._replayers: list[StreamReplayer] = []
-        self._monitors: list[OnlineMonitor] = []
-        for _ in range(shards):
-            replayer = StreamReplayer(
+        detector = HijackDetector(
+            self.probes,
+            neighbors=NeighborRegistry.from_graph(lab.graph),
+            relationships=lab.graph,
+        )
+        self._replayers = [
+            StreamReplayer(
                 lab,
+                detector=detector,
                 batch_window=batch_window,
                 queue_limit=queue_limit,
                 metrics=self.metrics,
             )
-            monitor = OnlineMonitor(
-                lab.view,
-                HijackDetector(
-                    self.probes,
-                    authority=replayer.authority,
-                    neighbors=neighbors,
-                    relationships=lab.graph,
-                ),
-                metrics=self.metrics,
-            )
-            replayer.monitor = monitor
-            self._replayers.append(replayer)
-            self._monitors.append(monitor)
+            for _ in range(shards)
+        ]
         self._pinned: dict[Prefix, int] = {}
         self._alarm_cursors = [0] * shards
         self._malformed = 0
@@ -131,33 +127,22 @@ class ShardPlane:
 
     # -- ingestion ---------------------------------------------------------
 
-    def apply(self, shard: int, event: StreamEvent) -> None:
-        """Submit one routed event to one shard's replayer."""
-        self._replayers[shard].submit(event)
-
-    def begin_ingest(self, event: StreamEvent) -> list[int]:
-        """Account one accepted event and return the shards it goes to.
-
-        The asyncio front-end uses this to enqueue onto per-shard worker
-        queues; the synchronous :meth:`submit` applies immediately.
-        """
-        self._ingested += 1
-        target = self.route(event)
-        if target is None:
-            return list(range(self.shards))
-        return [target]
-
     def note_malformed(self, error: StreamFormatError) -> None:
         """Count (and bound-record) one malformed ingest line."""
         self._malformed += 1
         self.metrics.count("service.ingest.malformed")
-        if len(self.errors) < 32:
-            self.errors.append(f"malformed line: {error}")
+        self._record_error(f"malformed line: {error}")
 
     def submit(self, event: StreamEvent) -> None:
         """Route and submit one typed event (broadcasts go everywhere)."""
-        for shard in self.begin_ingest(event):
-            self.apply(shard, event)
+        self._ingested += 1
+        target = self.route(event)
+        shards = range(self.shards) if target is None else (target,)
+        for shard in shards:
+            try:
+                self._replayers[shard].submit(event)
+            except Exception as error:  # per-event isolation, by contract
+                self._record_error(f"shard {shard}: {error}")
 
     def submit_line(self, line: str) -> bool:
         """Parse and submit one JSONL line; malformed lines are counted.
@@ -175,7 +160,17 @@ class ShardPlane:
 
     def flush(self) -> int:
         """Flush every shard's pending batch; returns events applied."""
-        return sum(replayer.flush() for replayer in self._replayers)
+        applied = 0
+        for shard, replayer in enumerate(self._replayers):
+            try:
+                applied += replayer.flush()
+            except Exception as error:  # one shard's failure must not stop the rest
+                self._record_error(f"shard {shard}: {error}")
+        return applied
+
+    def _record_error(self, message: str) -> None:
+        if len(self.errors) < 32:
+            self.errors.append(message)
 
     # -- queries -----------------------------------------------------------
 
@@ -194,20 +189,19 @@ class ShardPlane:
     def replayer(self, shard: int) -> StreamReplayer:
         return self._replayers[shard]
 
-    def monitor(self, shard: int) -> OnlineMonitor:
-        return self._monitors[shard]
-
     def authority_size(self) -> int:
         return len(self._replayers[0].authority)
 
     def drain_alarms(self) -> list[tuple[int, StreamAlarm]]:
         """New alarms since the last drain, as (shard, alarm) pairs."""
         drained: list[tuple[int, StreamAlarm]] = []
-        for shard, monitor in enumerate(self._monitors):
+        for shard, replayer in enumerate(self._replayers):
+            assert replayer.monitor is not None  # built with a detector
+            alarms = replayer.monitor.alarms
             cursor = self._alarm_cursors[shard]
-            for alarm in monitor.alarms[cursor:]:
+            for alarm in alarms[cursor:]:
                 drained.append((shard, alarm))
-            self._alarm_cursors[shard] = len(monitor.alarms)
+            self._alarm_cursors[shard] = len(alarms)
         drained.sort(key=lambda item: (item[1].at, item[0]))
         return drained
 

@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from repro.attacks.scenario import HijackKind, HijackScenario, PathKind
 from repro.prefixes.prefix import Prefix, PrefixError
+from repro.util.lines import valid_timestamp
 
 __all__ = [
     "Announce",
@@ -171,7 +172,7 @@ def event_from_dict(payload: object) -> StreamEvent:
     if cls is None:
         raise StreamFormatError(f"unknown event kind {kind!r}")
     at = payload.get("at")
-    if not isinstance(at, (int, float)) or isinstance(at, bool):
+    if not valid_timestamp(at):
         raise StreamFormatError(f"missing/invalid timestamp {at!r}")
     try:
         if cls is DefenseActivate:

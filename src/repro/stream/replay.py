@@ -41,12 +41,14 @@ which drops announcements, not RIB entries).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.attacks.lab import HijackLab
 from repro.defense.deployment import Defense
 from repro.defense.strategies import DeploymentStrategy
+from repro.detection.detector import HijackDetector
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.prefixes.prefix import Prefix
 from repro.registry.roa import RoaTable, RouteOriginAuthorization
@@ -62,6 +64,7 @@ from repro.stream.events import (
 )
 from repro.stream.incremental import PrefixLedger
 from repro.stream.monitor import MonitorReport, OnlineMonitor
+from repro.util.lines import OVERLONG_LINE
 
 __all__ = ["ReplayReport", "StreamReplayer"]
 
@@ -114,15 +117,21 @@ class StreamReplayer:
     mutable copy of the defensive state (a live :class:`RoaTable` seeded
     from the lab's authority when that is iterable, plus a growable
     deployer set) so ``RoaPublish``/``RoaRevoke``/``DefenseActivate``
-    events take effect mid-stream. Expose :attr:`authority` to the
-    monitor's detector and published ROAs change its verdicts live.
+    events take effect mid-stream.
+
+    Given a *detector* template, the replayer builds :attr:`monitor`
+    around a copy of it whose ``authority`` is the live :attr:`authority`,
+    so published ROAs change its verdicts as they land; every monitoring
+    front end wires its monitor this way. The template must not bring an
+    authority of its own: a detector judging against any other table
+    would silently ignore the stream's ROA events.
     """
 
     def __init__(
         self,
         lab: HijackLab,
         *,
-        monitor: OnlineMonitor | None = None,
+        detector: HijackDetector | None = None,
         batch_window: float = 0.0,
         queue_limit: int = 64,
         max_errors: int = 32,
@@ -132,8 +141,12 @@ class StreamReplayer:
             raise ValueError("queue_limit must be >= 1")
         if batch_window < 0:
             raise ValueError("batch_window must be >= 0")
+        if detector is not None and detector.authority is not None:
+            raise ValueError(
+                "the replayer binds its detector to its live ROA table; "
+                "pass a detector without an authority"
+            )
         self.lab = lab
-        self.monitor = monitor
         self.batch_window = batch_window
         self.queue_limit = queue_limit
         self.max_errors = max_errors
@@ -141,6 +154,13 @@ class StreamReplayer:
         base = lab.defense
         seed_roas = base.authority if isinstance(base.authority, Iterable) else ()
         self.authority = RoaTable(seed_roas)
+        self.monitor: OnlineMonitor | None = None
+        if detector is not None:
+            self.monitor = OnlineMonitor(
+                lab.view,
+                dataclasses.replace(detector, authority=self.authority),
+                metrics=self.metrics,
+            )
         self._deployers: set[int] = set(base.strategy.deployers)
         self._base_defense = base
         self._ledgers: dict[Prefix, PrefixLedger] = {}
@@ -227,23 +247,26 @@ class StreamReplayer:
         try:
             event = parse_event_line(line)
         except StreamFormatError as error:
-            self._counts["malformed"] += 1
-            self.metrics.count("stream.replay.malformed")
-            self._record_error(f"malformed line: {error}")
+            self._note_malformed(error)
             return
         self.submit(event)
 
-    def submit_lines(self, lines: Iterable[str]) -> int:
-        """Feed an iterable of JSONL lines through the tolerant path.
+    def submit_lines(self, lines: Iterable[bytes | None]) -> int:
+        """Feed raw JSONL lines through the tolerant path.
 
-        Blank lines are skipped; malformed ones are counted per the
-        :meth:`submit_line` contract. Returns the number of non-blank
-        lines consumed — the streaming entry point for feed files and
-        the ingest pipeline, which never hold the whole stream.
+        *lines* is what :func:`~repro.util.lines.iter_chunk_lines` yields.
+        Each line is decoded as UTF-8 with replacement, so an invalid
+        byte costs one malformed line and not the run; ``None`` (a line
+        dropped as overlong) counts as one malformed line. Blank lines
+        are skipped. Returns the number of non-blank lines consumed.
         """
         consumed = 0
         for raw in lines:
-            line = raw.strip()
+            if raw is None:
+                consumed += 1
+                self._note_malformed(StreamFormatError(OVERLONG_LINE))
+                continue
+            line = raw.decode("utf-8", "replace").strip()
             if not line:
                 continue
             consumed += 1
@@ -448,6 +471,11 @@ class StreamReplayer:
             self._note_noop()
             return
         touched.add(event.prefix)
+
+    def _note_malformed(self, error: StreamFormatError) -> None:
+        self._counts["malformed"] += 1
+        self.metrics.count("stream.replay.malformed")
+        self._record_error(f"malformed line: {error}")
 
     def _note_noop(self) -> None:
         self._counts["noop"] += 1

@@ -1,4 +1,4 @@
-"""Newline splitting of chunked byte streams, with a bound on line length.
+"""Reading line-oriented input: bounded newline splitting, timestamp checks.
 
 Trace files and daemon feeds are read in fixed-size binary chunks and
 split on ``\\n`` by hand. Without a bound, a line that never ends is
@@ -8,14 +8,28 @@ and re-splitting it on every chunk costs time quadratic in its length.
 grows past :data:`_MAX_LINE_BYTES`. It reports the line once as ``None``,
 so the caller counts one malformed line and later line numbers stay
 aligned, then skips the line's remaining bytes through the next newline.
+:func:`iter_chunk_lines` is the one reader over a whole binary handle;
+only the daemon's feed task, which must hold a partial line back while
+it tails a growing file, drives a splitter by hand.
+
+:func:`valid_timestamp` is the timestamp check that both line formats
+(stream events and trace records) apply to a decoded field.
 """
 
 from __future__ import annotations
 
-__all__ = ["OVERLONG_LINE", "LineSplitter"]
+import math
+from typing import IO, Iterator
+
+__all__ = [
+    "CHUNK_SIZE", "OVERLONG_LINE", "LineSplitter", "iter_chunk_lines", "valid_timestamp",
+]
 
 # Generated trace records and feed events are under 200 bytes.
 _MAX_LINE_BYTES = 1 << 20
+
+#: Raw bytes per read for :func:`iter_chunk_lines` (1 MiB).
+CHUNK_SIZE = 1 << 20
 
 #: The malformed-line message for a line the splitter gave up on.
 OVERLONG_LINE = f"line exceeds {_MAX_LINE_BYTES} bytes without a newline"
@@ -48,3 +62,36 @@ class LineSplitter:
         """The unterminated tail at end of input (``b""`` if none)."""
         fragment, self._fragment = self._fragment, b""
         return fragment
+
+
+def iter_chunk_lines(
+    handle: IO[bytes], chunk_size: int = CHUNK_SIZE
+) -> Iterator[bytes | None]:
+    """Split a binary stream into lines, *chunk_size* raw bytes at a time.
+
+    ``None`` stands for a line the splitter gave up on as overlong; an
+    unterminated final line is yielded as it stands.
+    """
+    splitter = LineSplitter()
+    while True:
+        chunk = handle.read(chunk_size)
+        if not chunk:
+            break
+        yield from splitter.feed(chunk)
+    tail = splitter.finish()
+    if tail:
+        yield tail
+
+
+def valid_timestamp(value: object) -> bool:
+    """Whether a decoded field is a usable time: a finite int or float.
+
+    ``json.loads`` yields ``NaN``, ``Infinity`` and integers beyond float
+    range; any of them would pin a replay clock for good.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False

@@ -168,6 +168,24 @@ class TestCommands:
         assert payload["events"]["malformed"] == 2
         assert payload["events"]["applied"] == 6
 
+    def test_stream_replay_survives_undecodable_and_overlong_lines(
+        self, tmp_path, capsys
+    ):
+        stream_path = tmp_path / "campaign.jsonl"
+        assert main(["stream", "--as-count", "400", "--attacks", "2",
+                     "--publish-roas", "--compile-only", str(stream_path)]) == 0
+        data = stream_path.read_bytes()
+        # One line with a byte that is not UTF-8, then 2 MiB with no newline.
+        stream_path.write_bytes(
+            data + b'{"kind":"announce","at":\xff}\n' + b"x" * (2 << 20)
+        )
+        report_path = tmp_path / "report.json"
+        assert main(["stream", "--as-count", "400", "-i", str(stream_path),
+                     "--report", str(report_path)]) == 0
+        payload = json.loads(report_path.read_text())
+        assert payload["events"]["malformed"] == 2
+        assert payload["events"]["applied"] == 6
+
     def test_stream_array_backend_report_is_json_and_matches_reference(
         self, topo_file, tmp_path, capsys
     ):

@@ -173,6 +173,8 @@ MALFORMED_LINES = [
     ("bad-mask", '{"path":[50],"peer":1,"prefix":"2.0.0.0/40","ts":1.0,"type":"rib"}'),
     ("missing-ts", '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","type":"rib"}'),
     ("nan-ts", '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","ts":NaN,"type":"rib"}'),
+    ("int-ts-past-float",
+     '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","ts":1%s,"type":"rib"}' % ("0" * 400)),
     ("tsv-too-few-fields", "1.0\tannounce\t1\t2.0.0.0/8"),
     ("tsv-bad-timestamp", "soon\tannounce\t1\t2.0.0.0/8\t50"),
     ("tsv-bad-path-hop", "1.0\tannounce\t1\t2.0.0.0/8\t50 sixty"),

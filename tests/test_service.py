@@ -18,6 +18,7 @@ from repro.service.daemon import CONFIRMED_VERDICTS, MonitorService
 from repro.service.shards import ShardPlane
 from repro.service.tenants import LatencyStats, TenantRegistration, TenantRegistry
 from repro.stream.events import Announce, RoaPublish
+from repro.stream.monitor import OnlineMonitor
 
 
 def p(text: str) -> Prefix:
@@ -201,6 +202,23 @@ class TestShardPlane:
         assert counts["ingested"] == 1
         assert counts["malformed"] == 1
         assert counts["submitted"] == 2  # the broadcast landed on both shards
+
+    def test_failing_event_is_isolated(self, lab, probes, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("monitor exploded")
+
+        monkeypatch.setattr(OnlineMonitor, "observe", broken)
+        service = service_for(lab, probes)
+        prefix = lab.target_prefix(50)
+        line = '{"at":%s,"kind":"announce","origin":%d,"prefix":"%s"}'
+        assert service.ingest_line(line % (0.0, 50, prefix)) is True
+        # The next event's time flushes the first one: it fails in submit.
+        assert service.ingest_line(line % (1.0, 60, prefix)) is True
+        assert service.ingest_line(line % (2.0, 70, prefix)) is True
+        # The last one fails in the flush that poll runs.
+        assert service.poll() == []
+        assert service.plane.errors == ["shard 0: monitor exploded"] * 2
+        assert service.plane.ingested == 3
 
     def test_shards_must_be_positive(self, lab):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from repro.obs.metrics import Metrics
 from repro.service import api as service_api
 from repro.service.api import _MAX_BODY_BYTES, _MAX_HEADERS, ServiceThread
 from repro.service.daemon import MonitorService
+from repro.stream.monitor import OnlineMonitor
 from tests.conftest import build_mini_graph
 
 
@@ -243,6 +244,52 @@ class TestErrors:
             conn.sendall(head.encode())
             status_line = conn.makefile("rb").readline().split()
         assert int(status_line[1]) == 200
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestHostileEvents:
+    """Lines that must cost one malformed count, never the daemon."""
+
+    @pytest.fixture
+    def fresh(self):
+        lab = HijackLab(build_mini_graph(), seed=1)
+        service = MonitorService(lab, probes=custom_probes("pair", [10, 20]))
+        thread = ServiceThread(service).start()
+        yield thread
+        thread.stop()
+
+    def test_non_finite_time_is_malformed_and_health_stays_json(self, fresh):
+        lines = "\n".join([
+            announce(0.0, "10.0.0.0/16", 50),
+            '{"at":Infinity,"kind":"announce","origin":60,"prefix":"10.0.0.0/17"}',
+        ])
+        status, outcome = _request(fresh.base_url, "POST", "/events", raw=lines)
+        assert status == 200
+        assert (outcome["accepted"], outcome["malformed"]) == (1, 1)
+        with urllib.request.urlopen(fresh.base_url + "/health", timeout=30) as response:
+            health = json.loads(response.read(), parse_constant=_raise_on_constant)
+        assert health["clock"] == 0.0
+        assert health["events"]["out_of_order"] == 0
+
+    def test_failing_event_still_answers(self, fresh, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("monitor exploded")
+
+        monkeypatch.setattr(OnlineMonitor, "observe", broken)
+        # One failure inside an event's submit, one inside the poll's flush.
+        lines = "\n".join([
+            announce(0.0, "10.0.0.0/16", 50),
+            announce(1.0, "10.0.0.0/16", 60),
+            announce(2.0, "10.0.0.0/16", 70),
+        ])
+        status, outcome = _request(fresh.base_url, "POST", "/events", raw=lines)
+        assert status == 200
+        assert outcome["accepted"] == 3
+        status, health = _request(fresh.base_url, "GET", "/health")
+        assert status == 200 and health["events"]["ingested"] == 3
 
 
 class TestShutdownEndpoint:

@@ -86,6 +86,16 @@ class TestSerialization:
         with pytest.raises(StreamFormatError, match=match):
             event_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "at", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "int-past-float"],
+    )
+    def test_parse_event_line_rejects_non_finite_time(self, at):
+        # json.loads accepts all four; none is a time a clock can hold.
+        line = '{"at":%s,"kind":"announce","origin":50,"prefix":"10.1.0.0/16"}' % at
+        with pytest.raises(StreamFormatError, match="timestamp"):
+            parse_event_line(line)
+
     def test_parse_event_line_rejects_invalid_json(self):
         with pytest.raises(StreamFormatError, match="invalid JSON"):
             parse_event_line("{nope")

@@ -337,6 +337,33 @@ class TestMonitor:
         assert payload["events"]["submitted"] == 3
 
 
+class TestDetectorBinding:
+    def test_detector_judges_against_the_live_roa_table(self, lab):
+        template = HijackDetector(custom_probes("pair", [10, 20]))
+        replayer = StreamReplayer(lab, detector=template)
+        assert replayer.monitor is not None
+        assert replayer.monitor.detector.authority is replayer.authority
+        assert template.authority is None  # the template is left as it was
+        prefix = lab.target_prefix(50)
+        report = replayer.run([
+            RoaPublish(at=0.0, prefix=prefix, origin_asn=50),
+            Announce(at=0.0, prefix=prefix, origin_asn=50),
+            Announce(at=1.0, prefix=prefix, origin_asn=60),
+        ])
+        # The alarm needs the ROA published mid-stream: the binding is live.
+        assert [alarm.verdict for alarm in report.monitor.alarms] == ["hijack"]
+
+    def test_detector_with_its_own_authority_is_refused(self, lab):
+        detector = HijackDetector(
+            custom_probes("pair", [10, 20]), authority=StreamReplayer(lab).authority
+        )
+        with pytest.raises(ValueError, match="live ROA table"):
+            StreamReplayer(lab, detector=detector)
+
+    def test_no_detector_no_monitor(self, lab):
+        assert StreamReplayer(lab).monitor is None
+
+
 class TestMonitorSchema:
     """The JSON contract the service API serves verbatim.
 
