@@ -20,6 +20,7 @@ for every K, in the same order; see ``docs/performance.md``.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.attacks.scenario import (
@@ -50,6 +51,35 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.registry.roa import OriginAuthority
 
 __all__ = ["HijackLab"]
+
+
+class _Without(Sequence[int]):
+    """A sorted *pool* minus the *excluded* values it holds, by index.
+
+    Finding the few excluded positions is one bisection each, so a
+    sample of a large pool never walks the whole pool.
+    """
+
+    def __init__(self, pool: Sequence[int], excluded: Iterable[int]) -> None:
+        self._pool = pool
+        skipped = []
+        for value in excluded:
+            index = bisect_left(pool, value)
+            if index < len(pool) and pool[index] == value:
+                skipped.append(index)
+        self._skipped = sorted(skipped)
+
+    def __len__(self) -> int:
+        return len(self._pool) - len(self._skipped)
+
+    def __getitem__(self, index: int) -> int:  # type: ignore[override]
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        for skipped in self._skipped:
+            if skipped > index:
+                break
+            index += 1
+        return self._pool[index]
 
 
 class HijackLab:
@@ -208,15 +238,18 @@ class HijackLab:
         sample: int | None,
         seed: int | None,
     ) -> tuple[int, ...]:
-        """The attackers of one sweep: *pool* minus the target's own
-        routing node, down-sampled deterministically to *sample*."""
+        """The attackers of one sweep: *pool* (ascending, no repeats)
+        minus the target's own routing node, down-sampled
+        deterministically to *sample*."""
         view = self.view
-        own = frozenset(view.members[view.node_of(target_asn)])
-        pool = tuple(asn for asn in pool if asn not in own)
-        if sample is not None and sample < len(pool):
+        own = view.members[view.node_of(target_asn)]
+        remaining = _Without(pool, own)
+        if sample is not None and sample < len(remaining):
             rng = make_rng(self.seed if seed is None else seed, "sweep", target_asn)
-            pool = tuple(sorted(rng.sample(pool, sample)))
-        return pool
+            # random.sample draws by index, so sampling the view draws
+            # exactly what sampling the filtered tuple would.
+            return tuple(sorted(rng.sample(remaining, sample)))
+        return tuple(remaining)
 
     def claimed_path(self, scenario: HijackScenario) -> tuple[int, ...] | None:
         """The AS path the bogus announcement carries, claimed origin last.

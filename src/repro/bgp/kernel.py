@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -144,16 +144,17 @@ class CompiledTopology:
 _COMPILED: dict[int, tuple["weakref.ref[RoutingView]", CompiledTopology]] = {}
 
 
-def _csr(adjacency: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+def _csr(
+    adjacency: tuple[tuple[int, ...], ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, counts)`` of one adjacency kind."""
+    counts = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
     indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
-    for node, neighbors in enumerate(adjacency):
-        indptr[node + 1] = indptr[node] + len(neighbors)
+    np.cumsum(counts, out=indptr[1:])
     indices = np.fromiter(
-        (neighbor for neighbors in adjacency for neighbor in neighbors),
-        dtype=np.int32,
-        count=int(indptr[-1]),
+        chain.from_iterable(adjacency), dtype=np.int32, count=int(indptr[-1])
     )
-    return indptr, indices
+    return indptr, indices, counts
 
 
 def compile_view(view: "RoutingView") -> CompiledTopology:
@@ -162,29 +163,21 @@ def compile_view(view: "RoutingView") -> CompiledTopology:
     entry = _COMPILED.get(key)
     if entry is not None and entry[0]() is view:
         return entry[1]
-    customer_indptr, customer_indices = _csr(view.customers)
-    peer_indptr, peer_indices = _csr(view.peers)
-    provider_indptr, provider_indices = _csr(view.providers)
-    export_indptr, export_indices = _csr(
-        tuple(
-            providers + peers + customers
-            for providers, peers, customers in zip(
-                view.providers, view.peers, view.customers
-            )
-        )
-    )
-    export_kinds = np.fromiter(
-        (
-            kind
-            for providers, peers, customers in zip(
-                view.providers, view.peers, view.customers
-            )
-            for kind, count in ((0, len(providers)), (1, len(peers)), (2, len(customers)))
-            for _ in range(count)
+    customer_indptr, customer_indices, customer_counts = _csr(view.customers)
+    peer_indptr, peer_indices, peer_counts = _csr(view.peers)
+    provider_indptr, provider_indices, provider_counts = _csr(view.providers)
+    # Per node: its providers, then peers, then customers, and one kind
+    # code per target (the three run lengths, node by node, in ``runs``).
+    export_indptr = provider_indptr + peer_indptr + customer_indptr
+    export_indices = np.fromiter(
+        chain.from_iterable(
+            chain.from_iterable(zip(view.providers, view.peers, view.customers))
         ),
-        dtype=np.int8,
+        dtype=np.int32,
         count=int(export_indptr[-1]),
     )
+    runs = np.column_stack((provider_counts, peer_counts, customer_counts)).ravel()
+    export_kinds = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(view)), runs)
     compiled = CompiledTopology(
         size=len(view),
         customer_indptr=customer_indptr,

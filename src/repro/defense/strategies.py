@@ -17,6 +17,7 @@ counts, which selects the structurally analogous core sets; an absolute
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -78,8 +79,9 @@ def tier1_deployment(graph: ASGraph) -> DeploymentStrategy:
 def top_degree_deployment(graph: ASGraph, count: int) -> DeploymentStrategy:
     """The *count* highest-degree ASes (the scaled form of the paper's
     degree-threshold tiers). Ties broken by ASN for determinism."""
-    ranked = sorted(graph.asns(), key=lambda asn: (-graph.degree(asn), asn))
-    return DeploymentStrategy(f"top-degree-{count}", frozenset(ranked[:count]))
+    degree = graph.degree
+    ranked = heapq.nsmallest(count, graph.asns(), key=lambda asn: (-degree(asn), asn))
+    return DeploymentStrategy(f"top-degree-{count}", frozenset(ranked))
 
 
 def degree_threshold_deployment(graph: ASGraph, min_degree: int) -> DeploymentStrategy:

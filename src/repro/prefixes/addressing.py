@@ -18,11 +18,13 @@ Allocation is deterministic for a given input ordering and seed.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro.prefixes.prefix import Prefix
-from repro.prefixes.trie import PrefixTrie
 from repro.util.rng import make_rng
 
 __all__ = ["AddressPlan", "AllocationError"]
@@ -33,6 +35,8 @@ __all__ = ["AddressPlan", "AllocationError"]
 _POOL_START = 1 << 24  # 1.0.0.0
 _POOL_END = 224 << 24  # first address past 223.255.255.255
 _LOOPBACK = Prefix.parse("127.0.0.0/8")
+_LOOPBACK_FIRST, _LOOPBACK_LAST = _LOOPBACK.first_address(), _LOOPBACK.last_address()
+_network = attrgetter("network")
 
 
 class AllocationError(RuntimeError):
@@ -48,8 +52,6 @@ def _weight_to_length(weight: float, max_weight: float) -> int:
     """
     if max_weight <= 0 or weight <= 0:
         return 24
-    import math
-
     # ratio in (0, 1]; log2 spread over the /10../24 range (14 steps).
     ratio = min(1.0, weight / max_weight)
     steps = int(round(-math.log2(max(ratio, 2.0 ** -14))))
@@ -58,10 +60,18 @@ def _weight_to_length(weight: float, max_weight: float) -> int:
 
 @dataclass
 class AddressPlan:
-    """A disjoint assignment of IPv4 prefixes to autonomous systems."""
+    """A disjoint assignment of IPv4 prefixes to autonomous systems.
+
+    Disjoint blocks need no trie: sorted by first address, the only block
+    that can contain a query is the last one starting at or before it,
+    and the blocks a query covers are those starting inside it, so every
+    lookup is one bisection of ``_blocks``.
+    """
 
     _by_asn: dict[int, list[Prefix]] = field(default_factory=dict)
-    _origins: PrefixTrie[int] = field(default_factory=PrefixTrie)
+    # Every block, sorted by first address, and each block's origin ASN.
+    _blocks: list[Prefix] = field(default_factory=list)
+    _owner: dict[Prefix, int] = field(default_factory=dict)
     _total_size: int = 0
     # Per-ASN address totals, kept in step by assign/transfer so the
     # pollution metric never re-sums prefix sizes.
@@ -97,34 +107,56 @@ class AddressPlan:
         # Largest blocks first: with aligned carving this never fragments.
         requests.sort(key=lambda item: (item[0], item[1]))
         plan = cls()
-        cursor = _POOL_START
+        cursor = end = _POOL_START  # end: first address past the last block
         for length, asn in requests:
             block = 1 << (32 - length)
             cursor = (cursor + block - 1) // block * block  # align up
-            prefix = Prefix(cursor, length)
-            if _LOOPBACK.overlaps(prefix):
-                cursor = _LOOPBACK.last_address() + 1
+            if cursor <= _LOOPBACK_LAST and cursor + block > _LOOPBACK_FIRST:
+                cursor = _LOOPBACK_LAST + 1
                 cursor = (cursor + block - 1) // block * block
-                prefix = Prefix(cursor, length)
+            prefix = Prefix(cursor, length)
             if cursor + block > _POOL_END:
                 raise AllocationError(
                     f"pool exhausted allocating /{length} for AS{asn}"
                 )
-            plan.assign(asn, prefix)
-            cursor += block
+            # A block starting at or past the previous block's end is
+            # disjoint from every block so far and goes last in start
+            # order, so no overlap search is needed.
+            if cursor < end:
+                raise AllocationError(f"{prefix} overlaps allocated {plan._blocks[-1]}")
+            plan._add(len(plan._blocks), asn, prefix)
+            end = cursor = cursor + block
         return plan
 
     def assign(self, asn: int, prefix: Prefix) -> None:
         """Record that *asn* originates *prefix*. Overlaps are rejected."""
-        clash = self._origins.longest_match_prefix(prefix)
+        clash = self._block_containing(prefix)
         if clash is not None:
-            raise AllocationError(f"{prefix} overlaps allocated {clash[0]}")
-        if any(True for _ in self._origins.covered_by(prefix)):
+            raise AllocationError(f"{prefix} overlaps allocated {clash}")
+        # Nothing contains the prefix, so a block starting inside it is
+        # inside it (CIDR blocks nest or are disjoint).
+        blocks = self._blocks
+        index = bisect_left(blocks, prefix.network, key=_network)
+        if index < len(blocks) and blocks[index].network <= prefix.last_address():
             raise AllocationError(f"{prefix} covers an existing allocation")
+        self._add(index, asn, prefix)
+
+    def _add(self, index: int, asn: int, prefix: Prefix) -> None:
+        """Insert a block known to be disjoint from all others at *index*."""
         self._by_asn.setdefault(asn, []).append(prefix)
-        self._origins.insert(prefix, asn)
-        self._total_size += prefix.size()
-        self._space_by_asn[asn] = self._space_by_asn.get(asn, 0) + prefix.size()
+        self._blocks.insert(index, prefix)
+        self._owner[prefix] = asn
+        size = prefix.size()
+        self._total_size += size
+        self._space_by_asn[asn] = self._space_by_asn.get(asn, 0) + size
+
+    def _block_containing(self, prefix: Prefix) -> Prefix | None:
+        """The allocated block equal to or containing *prefix*, if any."""
+        index = bisect_right(self._blocks, prefix.network, key=_network) - 1
+        if index < 0:
+            return None
+        block = self._blocks[index]
+        return block if block.contains(prefix) else None
 
     def transfer(self, prefix: Prefix, new_asn: int) -> int:
         """Reassign an allocated *prefix* to *new_asn*; returns the old owner.
@@ -133,10 +165,10 @@ class AddressPlan:
         customer blocks — which is exactly what makes *historical* origin
         data go stale (see :mod:`repro.registry.history`).
         """
-        bucket = self._by_asn.get(self._origins.get(prefix, -1))
+        old_asn = self._owner.get(prefix, -1)
+        bucket = self._by_asn.get(old_asn)
         if bucket is None or prefix not in bucket:
             raise KeyError(f"{prefix} is not an allocated block")
-        old_asn = self._origins[prefix]
         bucket.remove(prefix)
         self._space_by_asn[old_asn] -= prefix.size()
         if not bucket:
@@ -144,7 +176,7 @@ class AddressPlan:
             del self._space_by_asn[old_asn]
         self._by_asn.setdefault(new_asn, []).append(prefix)
         self._space_by_asn[new_asn] = self._space_by_asn.get(new_asn, 0) + prefix.size()
-        self._origins.insert(prefix, new_asn)
+        self._owner[prefix] = new_asn
         return old_asn
 
     # -- queries -----------------------------------------------------------
@@ -162,8 +194,8 @@ class AddressPlan:
 
     def origin_of(self, prefix: Prefix) -> int | None:
         """The AS whose allocation contains *prefix*, if any."""
-        match = self._origins.longest_match_prefix(prefix)
-        return None if match is None else match[1]
+        block = self._block_containing(prefix)
+        return None if block is None else self._owner[block]
 
     def address_space_of(self, asn: int) -> int:
         return self._space_by_asn.get(asn, 0)
@@ -193,10 +225,11 @@ class AddressPlan:
 
     def items(self) -> Iterable[tuple[Prefix, int]]:
         """All ``(prefix, origin ASN)`` pairs in prefix order."""
-        return self._origins.items()
+        owner = self._owner
+        return ((block, owner[block]) for block in self._blocks)
 
     def __len__(self) -> int:
-        return sum(len(prefixes) for prefixes in self._by_asn.values())
+        return len(self._blocks)
 
     def __contains__(self, asn: int) -> bool:
         return asn in self._by_asn

@@ -33,6 +33,12 @@ def _parse_dotted_quad(text: str) -> int:
     parts = text.split(".")
     if len(parts) != 4:
         raise PrefixError(f"expected dotted quad, got {text!r}")
+    if len(text) > 15:
+        # Longer than "255.255.255.255": leading zeros, or an octet too
+        # long for ``int`` to read (it refuses very long text).
+        parts = [part.lstrip("0") or "0" if part.isdigit() else part for part in parts]
+        if any(len(part) > 3 for part in parts if part.isdigit()):
+            raise PrefixError(f"octet out of range in {text!r}")
     value = 0
     for part in parts:
         if not part.isdigit():
@@ -78,10 +84,19 @@ class Prefix:
     def parse(cls, text: str) -> "Prefix":
         """Parse ``"a.b.c.d/len"`` (or a bare address, meaning a /32)."""
         text = text.strip()
+        # ``str.isdigit`` also accepts non-ASCII digits: superscripts,
+        # which ``int`` rejects, and other scripts' digits, which ``int``
+        # reads as ASCII ones.
+        if not text.isascii():
+            raise PrefixError(f"non-ASCII character in {text!r}")
         if "/" in text:
             addr_part, _, len_part = text.partition("/")
             if not len_part.isdigit():
                 raise PrefixError(f"bad prefix length in {text!r}")
+            if len(len_part) > 2:  # leading zeros, or too long for ``int`` to read
+                len_part = len_part.lstrip("0") or "0"
+                if len(len_part) > 2:
+                    raise PrefixError(f"prefix length out of range in {text!r}")
             length = int(len_part)
         else:
             addr_part, length = text, _MAX_LENGTH

@@ -23,6 +23,12 @@ __all__ = ["PrefixTrie"]
 V = TypeVar("V")
 
 
+def _shifts(prefix: Prefix) -> range:
+    """Right-shifts bringing *prefix*'s network bits, most significant
+    first, to bit 0: the walk from the root to *prefix*'s node."""
+    return range(31, 31 - prefix.length, -1)
+
+
 class _Node(Generic[V]):
     __slots__ = ("children", "value", "has_value")
 
@@ -55,8 +61,9 @@ class PrefixTrie(Generic[V]):
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or replace the value stored at *prefix*."""
         node = self._root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
+        network = prefix.network
+        for shift in _shifts(prefix):
+            bit = (network >> shift) & 1
             child = node.children[bit]
             if child is None:
                 child = _Node()
@@ -71,8 +78,9 @@ class PrefixTrie(Generic[V]):
         """Remove *prefix* and return its value; ``KeyError`` if absent."""
         path: list[tuple[_Node[V], int]] = []
         node = self._root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
+        network = prefix.network
+        for shift in _shifts(prefix):
+            bit = (network >> shift) & 1
             child = node.children[bit]
             if child is None:
                 raise KeyError(str(prefix))
@@ -101,8 +109,9 @@ class PrefixTrie(Generic[V]):
         in one walk instead of a get-then-insert pair.
         """
         node = self._root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
+        network = prefix.network
+        for shift in _shifts(prefix):
+            bit = (network >> shift) & 1
             child = node.children[bit]
             if child is None:
                 child = _Node()
@@ -144,8 +153,9 @@ class PrefixTrie(Generic[V]):
 
     def _find(self, prefix: Prefix) -> _Node[V] | None:
         node = self._root
-        for index in range(prefix.length):
-            node = node.children[prefix.bit(index)]
+        network = prefix.network
+        for shift in _shifts(prefix):
+            node = node.children[(network >> shift) & 1]
             if node is None:
                 return None
         return node
@@ -176,12 +186,13 @@ class PrefixTrie(Generic[V]):
         node = self._root
         if node.has_value:
             best = (Prefix(0, 0), node.value)  # type: ignore[arg-type]
-        for index in range(prefix.length):
-            node = node.children[prefix.bit(index)]
+        network = prefix.network
+        for shift in _shifts(prefix):
+            node = node.children[(network >> shift) & 1]
             if node is None:
                 break
             if node.has_value:
-                best = (Prefix.from_host(prefix.network, index + 1), node.value)  # type: ignore[arg-type]
+                best = (Prefix.from_host(network, 32 - shift), node.value)  # type: ignore[arg-type]
         return best
 
     # -- containment walks -------------------------------------------------
@@ -191,12 +202,13 @@ class PrefixTrie(Generic[V]):
         node = self._root
         if node.has_value:
             yield Prefix(0, 0), node.value  # type: ignore[misc]
-        for index in range(prefix.length):
-            node = node.children[prefix.bit(index)]
+        network = prefix.network
+        for shift in _shifts(prefix):
+            node = node.children[(network >> shift) & 1]
             if node is None:
                 return
             if node.has_value:
-                yield Prefix.from_host(prefix.network, index + 1), node.value  # type: ignore[misc]
+                yield Prefix.from_host(network, 32 - shift), node.value  # type: ignore[misc]
 
     def covered_by(self, prefix: Prefix) -> Iterator[tuple[Prefix, V]]:
         """All stored prefixes equal to or inside *prefix*, in sorted order."""

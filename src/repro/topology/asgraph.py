@@ -13,18 +13,26 @@ it to additional providers are first-class operations here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from repro.topology.relationships import Relationship
 
 __all__ = ["ASGraph", "TopologyError"]
 
 
+# Module-level aliases: an enum member read through its class costs an
+# attribute lookup per use, which the per-link paths below pay ~10^5 times.
+_CUSTOMER = Relationship.CUSTOMER
+_PROVIDER = Relationship.PROVIDER
+_PEER = Relationship.PEER
+_SIBLING = Relationship.SIBLING
+
+
 class TopologyError(ValueError):
     """Raised on inconsistent topology edits (unknown AS, conflicting link)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _ASRecord:
     providers: set[int] = field(default_factory=set)
     customers: set[int] = field(default_factory=set)
@@ -35,6 +43,17 @@ class _ASRecord:
 
     def neighbor_sets(self) -> tuple[set[int], ...]:
         return (self.providers, self.customers, self.peers, self.siblings)
+
+    def relationship_to(self, neighbor: int) -> Relationship | None:
+        if neighbor in self.customers:
+            return _CUSTOMER
+        if neighbor in self.providers:
+            return _PROVIDER
+        if neighbor in self.peers:
+            return _PEER
+        if neighbor in self.siblings:
+            return _SIBLING
+        return None
 
 
 class ASGraph:
@@ -105,9 +124,32 @@ class ASGraph:
         """
         if asn == neighbor:
             raise TopologyError(f"self-link on AS{asn}")
-        record = self._record(asn)
-        other = self._record(neighbor)
-        existing = self.relationship(asn, neighbor)
+        self._link(asn, self._record(asn), neighbor, self._record(neighbor), relationship)
+
+    def add_link(self, asn: int, neighbor: int, relationship: Relationship) -> None:
+        """``add_as`` both ends, then ``add_relationship``.
+
+        The per-record step of a topology file loader: each end is
+        looked up once, and an AS seen for the first time is added with
+        no region and no tier-1 mark.
+        """
+        nodes = self._nodes
+        record = nodes.get(asn)
+        if record is None:
+            record = nodes[asn] = _ASRecord()
+        other = nodes.get(neighbor)
+        if other is None:
+            other = nodes[neighbor] = _ASRecord()
+        if asn == neighbor:
+            raise TopologyError(f"self-link on AS{asn}")
+        self._link(asn, record, neighbor, other, relationship)
+
+    @staticmethod
+    def _link(
+        asn: int, record: _ASRecord, neighbor: int, other: _ASRecord,
+        relationship: Relationship,
+    ) -> None:
+        existing = record.relationship_to(neighbor)
         if existing is relationship:
             return
         if existing is not None:
@@ -115,13 +157,13 @@ class ASGraph:
                 f"AS{asn}–AS{neighbor} already {existing.value}, "
                 f"refusing to also mark {relationship.value}"
             )
-        if relationship is Relationship.CUSTOMER:
+        if relationship is _CUSTOMER:
             record.customers.add(neighbor)
             other.providers.add(asn)
-        elif relationship is Relationship.PROVIDER:
+        elif relationship is _PROVIDER:
             record.providers.add(neighbor)
             other.customers.add(asn)
-        elif relationship is Relationship.PEER:
+        elif relationship is _PEER:
             record.peers.add(neighbor)
             other.peers.add(asn)
         else:
@@ -142,16 +184,7 @@ class ASGraph:
 
     def relationship(self, asn: int, neighbor: int) -> Relationship | None:
         """The relationship *neighbor* has to *asn*, or None."""
-        record = self._record(asn)
-        if neighbor in record.customers:
-            return Relationship.CUSTOMER
-        if neighbor in record.providers:
-            return Relationship.PROVIDER
-        if neighbor in record.peers:
-            return Relationship.PEER
-        if neighbor in record.siblings:
-            return Relationship.SIBLING
-        return None
+        return self._record(asn).relationship_to(neighbor)
 
     # -- neighbor queries ------------------------------------------------------
 
@@ -173,7 +206,25 @@ class ASGraph:
 
     def degree(self, asn: int) -> int:
         record = self._record(asn)
-        return sum(len(bucket) for bucket in record.neighbor_sets())
+        return (
+            len(record.providers) + len(record.customers)
+            + len(record.peers) + len(record.siblings)
+        )
+
+    def adjacency(
+        self,
+    ) -> Iterator[tuple[int, AbstractSet[int], AbstractSet[int], AbstractSet[int], AbstractSet[int]]]:
+        """``(asn, providers, customers, peers, siblings)`` per AS, ascending.
+
+        The sets are the graph's own, not copies, so a whole-graph pass
+        (compiling a :class:`~repro.topology.view.RoutingView`) pays no
+        per-AS ``frozenset``: read them and drop them, never mutate them
+        or keep them past the next edit.
+        """
+        nodes = self._nodes
+        for asn in sorted(nodes):
+            record = nodes[asn]
+            yield asn, record.providers, record.customers, record.peers, record.siblings
 
     def edge_count(self) -> int:
         """Number of undirected relationship links."""

@@ -12,6 +12,11 @@ full scale with no code changes:
   1 or 2 for sibling links; both are accepted here and mapped to SIBLING.
 * **serial-2** (``as-rel2.txt``): same plus a trailing ``|<source>`` column.
 
+ASN fields are plain ASCII decimal numbers in 1..2^32−1, the range the
+trace reader (:mod:`repro.ingest.records`) enforces; a sign, padding, an
+underscore or any other text is a :class:`CaidaFormatError` naming the
+line.
+
 Comment lines start with ``#`` and are preserved on a best-effort basis when
 writing.
 """
@@ -22,7 +27,7 @@ import gzip
 import io
 import mmap
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from repro.topology.asgraph import ASGraph, TopologyError
 from repro.topology.relationships import Relationship
@@ -39,10 +44,27 @@ __all__ = [
 _P2C = -1
 _P2P = 0
 _SIBLING_CODES = (1, 2)
+_RELATIONSHIP_OF_CODE = {
+    _P2C: Relationship.CUSTOMER,  # as1 provider of as2
+    _P2P: Relationship.PEER,
+    **{code: Relationship.SIBLING for code in _SIBLING_CODES},
+}
+_MAX_ASN = 2**32 - 1
 
 
 class CaidaFormatError(ValueError):
     """Raised for lines that do not parse as AS-relationship records."""
+
+
+def _parse_asn(text: str, line_number: int) -> int:
+    """An ASN field: 1 to 10 ASCII digits worth 1..2^32-1, nothing else
+    (``int`` alone would also take signs, ``_`` and padding)."""
+    if not (text.isascii() and text.isdigit()):
+        raise CaidaFormatError(f"line {line_number}: ASN {text!r} is not a plain number")
+    value = int(text) if len(text) <= 10 else 0  # more digits are out of range
+    if not 0 < value <= _MAX_ASN:
+        raise CaidaFormatError(f"line {line_number}: ASN {text} outside 1..2^32-1")
+    return value
 
 
 def _parse_line(line: str, line_number: int) -> tuple[int, int, Relationship] | None:
@@ -54,17 +76,16 @@ def _parse_line(line: str, line_number: int) -> tuple[int, int, Relationship] | 
         raise CaidaFormatError(
             f"line {line_number}: expected 3 or 4 '|'-separated fields, got {len(fields)}"
         )
+    as1 = _parse_asn(fields[0], line_number)
+    as2 = _parse_asn(fields[1], line_number)
     try:
-        as1, as2, code = int(fields[0]), int(fields[1]), int(fields[2])
+        code = int(fields[2])
     except ValueError as exc:
         raise CaidaFormatError(f"line {line_number}: non-numeric field") from exc
-    if code == _P2C:
-        return as1, as2, Relationship.CUSTOMER  # as1 provider of as2
-    if code == _P2P:
-        return as1, as2, Relationship.PEER
-    if code in _SIBLING_CODES:
-        return as1, as2, Relationship.SIBLING
-    raise CaidaFormatError(f"line {line_number}: unknown relationship code {code}")
+    relationship = _RELATIONSHIP_OF_CODE.get(code)
+    if relationship is None:
+        raise CaidaFormatError(f"line {line_number}: unknown relationship code {code}")
+    return as1, as2, relationship
 
 
 def loads_caida(text: str, *, strict: bool = True) -> ASGraph:
@@ -87,17 +108,15 @@ def load_caida(path: str | Path, *, strict: bool = True) -> ASGraph:
         return _read(handle, strict=strict)
 
 
-def _read(handle: TextIO, *, strict: bool) -> ASGraph:
+def _read(handle: Iterable[str], *, strict: bool) -> ASGraph:
     graph = ASGraph()
+    add_link = graph.add_link
     for line_number, line in enumerate(handle, start=1):
         record = _parse_line(line, line_number)
         if record is None:
             continue
-        as1, as2, relationship = record
-        graph.add_as(as1)
-        graph.add_as(as2)
         try:
-            graph.add_relationship(as1, as2, relationship)
+            add_link(*record)
         except TopologyError:
             if strict:
                 raise

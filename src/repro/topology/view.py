@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.topology.asgraph import ASGraph
 from repro.topology.classify import find_tier1
-from repro.topology.relationships import Relationship
 
 if TYPE_CHECKING:  # pragma: no cover - numpy is imported lazily below
     from numpy import ndarray
@@ -29,15 +28,19 @@ __all__ = ["RoutingView"]
 
 
 class _UnionFind:
-    def __init__(self, items: Iterable[int]) -> None:
-        self._parent = {item: item for item in items}
+    """Union–find over the ASes that have siblings; any other AS is its
+    own root without an entry."""
+
+    def __init__(self) -> None:
+        self._parent: dict[int, int] = {}
 
     def find(self, item: int) -> int:
+        parent = self._parent
         root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:  # path compression
-            self._parent[item], item = root, self._parent[item]
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(item, item) != root:  # path compression
+            parent[item], item = root, parent[item]
         return root
 
     def union(self, a: int, b: int) -> None:
@@ -47,6 +50,11 @@ class _UnionFind:
             if ra > rb:
                 ra, rb = rb, ra
             self._parent[rb] = ra
+
+
+# Relationship bits merged per routing-node pair; a pair whose members
+# disagree has more than one bit set.
+_PROVIDER, _CUSTOMER, _PEER = 1, 2, 4
 
 
 @dataclass(frozen=True)
@@ -73,53 +81,55 @@ class RoutingView:
         cls, graph: ASGraph, *, tier1: frozenset[int] | None = None
     ) -> "RoutingView":
         tier1 = tier1 if tier1 is not None else find_tier1(graph)
-        asns = graph.asns()
-        uf = _UnionFind(asns)
-        for asn in asns:
-            for sibling in graph.siblings(asn):
+        adjacency = list(graph.adjacency())
+        uf = _UnionFind()
+        for asn, *_, siblings in adjacency:
+            for sibling in siblings:
                 uf.union(asn, sibling)
 
-        roots = sorted({uf.find(asn) for asn in asns})
-        index_of_root = {root: index for index, root in enumerate(roots)}
-        node_of = {asn: index_of_root[uf.find(asn)] for asn in asns}
+        # A group's root is its smallest ASN, so walking ASNs in ascending
+        # order numbers the nodes in root order and meets every root
+        # before the rest of its group.
+        node_of: dict[int, int] = {}
+        members: list[list[int]] = []
+        for asn, *_ in adjacency:
+            root = uf.find(asn)
+            if root == asn:
+                node_of[asn] = len(members)
+                members.append([asn])
+            else:
+                node = node_of[asn] = node_of[root]
+                members[node].append(asn)
+        n = len(members)
 
-        n = len(roots)
-        members: list[list[int]] = [[] for _ in range(n)]
-        for asn in asns:
-            members[node_of[asn]].append(asn)
-
-        # Merge relationship edges between groups. When members disagree
-        # (one member buys from group B while another sells to it), the
-        # merged pair is treated as peers — the only symmetric resolution.
-        kinds: list[dict[int, set[Relationship]]] = [dict() for _ in range(n)]
-        for asn in asns:
+        # Merge relationship edges between groups as bits per node pair.
+        # When members disagree (one member buys from group B while
+        # another sells to it), the merged pair is treated as peers — the
+        # only symmetric resolution.
+        kinds: list[dict[int, int]] = [{} for _ in range(n)]
+        for asn, provider_asns, customer_asns, peer_asns, _siblings in adjacency:
             node = node_of[asn]
-            for provider in graph.providers(asn):
-                other = node_of[provider]
-                if other != node:
-                    kinds[node].setdefault(other, set()).add(Relationship.PROVIDER)
-            for customer in graph.customers(asn):
-                other = node_of[customer]
-                if other != node:
-                    kinds[node].setdefault(other, set()).add(Relationship.CUSTOMER)
-            for peer in graph.peers(asn):
-                other = node_of[peer]
-                if other != node:
-                    kinds[node].setdefault(other, set()).add(Relationship.PEER)
+            seen = kinds[node]
+            for bit, neighbors in (
+                (_PROVIDER, provider_asns), (_CUSTOMER, customer_asns), (_PEER, peer_asns)
+            ):
+                for neighbor in neighbors:
+                    other = node_of[neighbor]
+                    if other != node:
+                        seen[other] = seen.get(other, 0) | bit
 
         customers: list[tuple[int, ...]] = []
         peers: list[tuple[int, ...]] = []
         providers: list[tuple[int, ...]] = []
-        for node in range(n):
+        for seen in kinds:
             node_customers: list[int] = []
             node_peers: list[int] = []
             node_providers: list[int] = []
-            for other, seen in sorted(kinds[node].items()):
-                if len(seen) > 1:
-                    node_peers.append(other)
-                elif Relationship.CUSTOMER in seen:
+            for other in sorted(seen):
+                mask = seen[other]
+                if mask == _CUSTOMER:
                     node_customers.append(other)
-                elif Relationship.PROVIDER in seen:
+                elif mask == _PROVIDER:
                     node_providers.append(other)
                 else:
                     node_peers.append(other)
@@ -127,15 +137,17 @@ class RoutingView:
             peers.append(tuple(node_peers))
             providers.append(tuple(node_providers))
 
-        is_tier1 = tuple(
-            any(asn in tier1 for asn in members[node]) for node in range(n)
-        )
+        flags = [False] * n
+        for asn in tier1:
+            node = node_of.get(asn)
+            if node is not None:
+                flags[node] = True
         return cls(
             customers=tuple(customers),
             peers=tuple(peers),
             providers=tuple(providers),
             members=tuple(tuple(group) for group in members),
-            is_tier1=is_tier1,
+            is_tier1=tuple(flags),
             _node_of=node_of,
         )
 

@@ -9,6 +9,7 @@ from repro.defense.strategies import custom_deployment
 from repro.prefixes.prefix import Prefix
 from repro.registry.publication import PublicationState
 from repro.topology.classify import transit_asns
+from repro.util.rng import make_rng
 
 
 @pytest.fixture
@@ -156,6 +157,44 @@ class TestSweeps:
         first = medium_lab.random_attacks(10, seed=4)
         second = medium_lab.random_attacks(10, seed=4)
         assert [o.scenario for o in first] == [o.scenario for o in second]
+
+
+def _filtered_sweep_pool(lab, target_asn, pool, sample, seed):
+    """The sampler as it stood when it filtered the whole pool first."""
+    view = lab.view
+    own = frozenset(view.members[view.node_of(target_asn)])
+    pool = tuple(asn for asn in pool if asn not in own)
+    if sample is not None and sample < len(pool):
+        rng = make_rng(lab.seed if seed is None else seed, "sweep", target_asn)
+        pool = tuple(sorted(rng.sample(pool, sample)))
+    return pool
+
+
+class TestSweepPool:
+    """Sampling skips the target's sibling group by index, drawing
+    exactly what sampling the filtered pool draws."""
+
+    @pytest.mark.parametrize("transit_only", [False, True])
+    def test_draws_match_filtering_the_whole_pool(self, medium_lab, transit_only):
+        view = medium_lab.view
+        grouped = [asn for group in view.members if len(group) > 1 for asn in group]
+        assert grouped, "the medium topology should have sibling groups"
+        pool = medium_lab.attacker_pool(transit_only=transit_only)
+        targets = grouped[:8] + list(medium_lab.graph.asns()[::40])
+        for target in targets:
+            for sample, seed in ((16, None), (16, 3), (100, 0), (1, -1),
+                                 (None, 1), (len(pool), 2), (0, 5)):
+                assert medium_lab._sweep_pool(target, pool, sample, seed) == (
+                    _filtered_sweep_pool(medium_lab, target, pool, sample, seed)
+                ), (target, sample, seed)
+
+    def test_target_outside_the_pool(self, medium_lab):
+        pool = medium_lab.attacker_pool(transit_only=True)
+        stub = next(asn for asn in medium_lab.graph.asns() if asn not in pool)
+        assert medium_lab._sweep_pool(stub, pool, 30, 4) == (
+            _filtered_sweep_pool(medium_lab, stub, pool, 30, 4)
+        )
+        assert medium_lab._sweep_pool(stub, pool, None, 4) == pool
 
 
 class TestSiblingExpansion:

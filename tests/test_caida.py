@@ -45,6 +45,30 @@ class TestParsing:
         with pytest.raises(CaidaFormatError):
             loads_caida(line)
 
+    # int() alone takes signs, underscores and padding, and no range.
+    @pytest.mark.parametrize(
+        "line",
+        ["-5|2|-1", "0|2|-1", "4294967296|2|-1", "1_000|2|0", " +7 |2|0",
+         "7|+2|0", "7| 2|0", "7|\u0662|0", "7|2\u00b2|0", "1" * 5000 + "|2|0"],
+        ids=["negative", "zero", "past-2^32-1", "underscore", "padded-sign",
+             "sign", "padding", "arabic-indic", "superscript", "5000-digits"],
+    )
+    def test_asn_fields_are_plain_numbers_in_range(self, line, tmp_path):
+        with pytest.raises(CaidaFormatError, match="line 2"):
+            loads_caida(f"1|2|0\n{line}\n")
+        path = tmp_path / "topo.txt"
+        path.write_text(f"1|2|0\n{line}\n", encoding="utf-8")
+        with pytest.raises(CaidaFormatError, match="line 2"):
+            load_caida_mmap(path)
+        if line.isascii():
+            with pytest.raises(CaidaFormatError, match="line 2"):
+                load_caida(path)
+
+    def test_asn_range_ends_are_accepted(self):
+        graph = loads_caida("1|4294967295|-1\n0007|8|0\n")
+        assert graph.relationship(1, 4294967295) is Relationship.CUSTOMER
+        assert graph.relationship(7, 8) is Relationship.PEER
+
     def test_conflicting_records_strict(self):
         text = "1|2|0\n1|2|-1\n"
         with pytest.raises(Exception):

@@ -171,6 +171,12 @@ MALFORMED_LINES = [
     ("boolean-peer", '{"path":[50],"peer":true,"prefix":"2.0.0.0/8","ts":1.0,"type":"rib"}'),
     ("bad-prefix", '{"path":[50],"peer":1,"prefix":"300.0.0.0/8","ts":1.0,"type":"rib"}'),
     ("bad-mask", '{"path":[50],"peer":1,"prefix":"2.0.0.0/40","ts":1.0,"type":"rib"}'),
+    # str.isdigit() accepts both; int() rejects the first and reads the
+    # second as "2.0.0.0/8".
+    ("superscript-mask", '{"path":[50],"peer":1,"prefix":"2.0.0.0/2\u00b2","ts":1.0,"type":"rib"}'),
+    ("arabic-indic-octet",
+     '{"path":[50],"peer":1,"prefix":"\u0662.0.0.0/8","ts":1.0,"type":"rib"}'),
+    ("tsv-superscript-mask", "1.0\tannounce\t1\t10.0.1.0/2\u00b2\t50"),
     ("missing-ts", '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","type":"rib"}'),
     ("nan-ts", '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","ts":NaN,"type":"rib"}'),
     ("int-ts-past-float",

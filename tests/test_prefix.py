@@ -20,11 +20,21 @@ class TestParsing:
     @pytest.mark.parametrize(
         "text",
         ["10.0.0/8", "10.0.0.256/8", "10.0.0.0/33", "10.0.0.0/x", "a.b.c.d/8",
-         "10.0.0.0.0/8", ""],
+         "10.0.0.0.0/8", "",
+         # Digits that str.isdigit() accepts but are not ASCII: int()
+         # rejects a superscript and reads Arabic-Indic digits as ASCII.
+         "10.0.1.0/2\u00b2", "\u0661.2.3.0/24", "1.2.3.0/\u0662\u0664",
+         # Past int()'s digit limit (a bare ValueError there).
+         pytest.param("1.2.3.0/" + "9" * 5000, id="5000-digit-length"),
+         pytest.param("1.2.3." + "9" * 5000, id="5000-digit-octet"),
+         "10.0.0.0/+8", "10.0.0.-0/8"],
     )
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(PrefixError):
             Prefix.parse(text)
+
+    def test_parse_accepts_leading_zeros(self):
+        assert Prefix.parse("010.000.0.0/0008") == Prefix.parse("10.0.0.0/8")
 
     def test_host_bits_must_be_zero(self):
         with pytest.raises(PrefixError):
