@@ -49,6 +49,23 @@ _CLASS_PEER = int(RouteClass.PEER)
 _CLASS_PROVIDER = int(RouteClass.PROVIDER)
 
 
+class _DecimalText(dict):
+    """Int → its decimal text, filled on first use.
+
+    :meth:`RouteState.checksum` formats millions of cells drawn from a
+    few thousand distinct values (node indices, path lengths, classes),
+    so a lookup beats a ``str`` call per cell. The keys are bounded by
+    the largest topology's node count plus the sentinels.
+    """
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
+_DECIMAL = _DecimalText()
+
+
 @dataclass
 class RouteState:
     """Per-node routing outcome for one prefix.
@@ -131,7 +148,7 @@ class RouteState:
             if not isinstance(array, (list, tuple)):
                 array = array.tolist()
             digest.update(b"|")
-            digest.update(",".join(map(str, array)).encode())
+            digest.update(",".join(map(_DECIMAL.__getitem__, array)).encode())
         return digest.hexdigest()
 
     # -- queries -------------------------------------------------------------

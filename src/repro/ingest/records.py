@@ -128,18 +128,23 @@ def _build_record(
         raise TraceFormatError(f"unknown record type {kind!r}")
     if not valid_timestamp(ts):
         raise TraceFormatError(f"missing/invalid timestamp {ts!r}")
-    peer_asn = _check_asn(peer, "peer ASN")
+    # A plain in-range int passes; anything else gets _check_asn's verdict.
+    if type(peer) is not int or not 0 < peer <= _MAX_ASN:
+        _check_asn(peer, "peer ASN")
     if not isinstance(prefix_text, str):
         raise TraceFormatError(f"missing/invalid prefix {prefix_text!r}")
     try:
         prefix = Prefix.parse(prefix_text)
     except PrefixError as error:
         raise TraceFormatError(f"bad prefix {prefix_text!r}: {error}") from error
-    hops = tuple(_check_asn(hop, "path hop") for hop in path)
+    hops = tuple(path)
+    for hop in hops:
+        if type(hop) is not int or not 0 < hop <= _MAX_ASN:
+            _check_asn(hop, "path hop")
     if not hops:
         raise TraceFormatError("empty AS path")
     return TraceRecord(
-        kind=kind, at=float(ts), peer_asn=peer_asn, prefix=prefix, path=hops,
+        kind=kind, at=float(ts), peer_asn=peer, prefix=prefix, path=hops,
         line=line,
     )
 
@@ -189,11 +194,16 @@ def _parse_tsv_record(line: str, number: int) -> TraceRecord:
 def parse_record(line: str, *, number: int = 0) -> TraceRecord:
     """Parse one trace line (either encoding, auto-detected per line)."""
     stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
+    if not stripped or stripped[0] == "#":
         raise TraceFormatError("blank/comment line is not a record")
-    if stripped.startswith("{"):
-        return _parse_json_record(stripped, number)
-    return _parse_tsv_record(stripped, number)
+    return _parse_stripped(stripped, number)
+
+
+def _parse_stripped(line: str, number: int) -> TraceRecord:
+    """Parse a line already stripped and known to be neither blank nor a comment."""
+    if line[0] == "{":
+        return _parse_json_record(line, number)
+    return _parse_tsv_record(line, number)
 
 
 # -- serialization ---------------------------------------------------------
@@ -280,10 +290,10 @@ class TraceReader:
                     self.note_malformed(TraceFormatError(OVERLONG_LINE), number)
                     continue
                 line = raw.decode("utf-8", "replace").strip()
-                if not line or line.startswith("#"):
+                if not line or line[0] == "#":
                     continue
                 try:
-                    record = parse_record(line, number=number)
+                    record = _parse_stripped(line, number)
                 except TraceFormatError as error:
                     self.note_malformed(error, number)
                     continue

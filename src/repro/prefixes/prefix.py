@@ -24,6 +24,16 @@ __all__ = ["Prefix", "PrefixError"]
 _MAX_LENGTH = 32
 _ADDRESS_SPACE = 1 << _MAX_LENGTH
 
+# Text -> Prefix for Prefix.parse. A feed names the same few prefixes over
+# and over; a Prefix is immutable, so one parsed value can be shared.
+# Only successes are stored, and the dict starts over when it is full.
+# A text longer than the longest canonical form ("255.255.255.255/32") is
+# padded with spaces or zeros; it parses but is not kept, so outside input
+# cannot pin more than _PARSED_LIMIT short keys.
+_PARSED: dict[str, "Prefix"] = {}
+_PARSED_LIMIT = 1 << 14
+_PARSED_TEXT_MAX = len("255.255.255.255/32")
+
 
 class PrefixError(ValueError):
     """Raised for malformed prefix strings or out-of-range components."""
@@ -83,6 +93,19 @@ class Prefix:
     @classmethod
     def parse(cls, text: str) -> "Prefix":
         """Parse ``"a.b.c.d/len"`` (or a bare address, meaning a /32)."""
+        if cls is Prefix:
+            parsed = _PARSED.get(text)
+            if parsed is None:
+                parsed = cls._parse(text)
+                if len(text) <= _PARSED_TEXT_MAX:
+                    if len(_PARSED) >= _PARSED_LIMIT:
+                        _PARSED.clear()
+                    _PARSED[text] = parsed
+            return parsed
+        return cls._parse(text)
+
+    @classmethod
+    def _parse(cls, text: str) -> "Prefix":
         text = text.strip()
         # ``str.isdigit`` also accepts non-ASCII digits: superscripts,
         # which ``int`` rejects, and other scripts' digits, which ``int``

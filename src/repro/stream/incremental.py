@@ -204,6 +204,9 @@ class PrefixLedger:
         self.engine = engine
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._slots: list[_LedgerSlot] = []
+        # The origins of _slots as a set: a duplicate announce or a
+        # spurious withdraw is answered by one lookup, not a slot scan.
+        self._active: set[int] = set()
         self._state: RouteState | None = None
 
     # -- queries -----------------------------------------------------------
@@ -226,7 +229,7 @@ class PrefixLedger:
         return self._state
 
     def is_active(self, origin: int) -> bool:
-        return any(slot.entry.origin == origin for slot in self._slots)
+        return origin in self._active
 
     def active_origins(self) -> tuple[int, ...]:
         return tuple(slot.entry.origin for slot in self._slots)
@@ -276,15 +279,15 @@ class PrefixLedger:
         their captured parameters. Rewinding past slot 0 drops the state,
         so the first survivor (if any) becomes a cold slot 0 again.
         """
-        position = next(
-            (index for index, slot in enumerate(self._slots)
-             if slot.entry.origin == origin),
-            None,
-        )
-        if position is None:
+        if origin not in self._active:
             return False
+        position = next(
+            index for index, slot in enumerate(self._slots)
+            if slot.entry.origin == origin
+        )
         rewound = self._slots[position:]
         del self._slots[position:]
+        self._active.difference_update(slot.entry.origin for slot in rewound)
         self.metrics.count("stream.ledger.reverts", len(rewound))
         if not self._slots:
             self._state = None
@@ -326,6 +329,7 @@ class PrefixLedger:
             self.metrics.count("stream.ledger.cells_installed", delta.touched)
         slot = _LedgerSlot(entry=entry, delta=delta)
         self._slots.append(slot)
+        self._active.add(entry.origin)
         if self.engine.validate:
             _validate_chain(self.engine, self._state, self.entries)
             slot.checksum = self._state.checksum()

@@ -29,9 +29,9 @@ Operational semantics, chosen to be boring and explicit:
   ledger chain is identical), so batched and unbatched replays of the
   same stream converge to checksum-identical states; only the monitor's
   sampling times — and therefore detection latency — differ.
-* **error isolation** — a malformed line or a failing event is counted
-  and recorded (bounded), never fatal: one bad update must not take the
-  monitor down.
+* **error isolation** — a malformed line, a failing event or a failing
+  monitor observation is counted and recorded (bounded), never fatal:
+  one bad update must not take the monitor down.
 
 Defense changes are not retroactive: each announce captures the blocked
 set in force at apply time (a later ``RoaPublish`` does not evict an
@@ -291,7 +291,7 @@ class StreamReplayer:
         if not self._pending:
             return 0
         batch, coalesced = self._coalesce(self._pending)
-        self._pending.clear()
+        self._pending = []
         self._counts["coalesced"] += coalesced
         self._counts["flushes"] += 1
         self.metrics.count("stream.replay.coalesced", coalesced)
@@ -312,8 +312,13 @@ class StreamReplayer:
         if self.monitor is not None:
             for prefix in sorted(touched, key=str):
                 ledger = self._ledgers.get(prefix)
-                if ledger is not None:
+                if ledger is None:
+                    continue
+                try:
                     self.monitor.observe(self.clock, prefix, ledger)
+                except Exception as error:  # per-prefix isolation, as for events
+                    self.metrics.count("stream.replay.errors")
+                    self._record_error(f"observe {prefix} at {self.clock}: {error}")
         return applied
 
     def _coalesce(
@@ -325,7 +330,16 @@ class StreamReplayer:
         only a withdraw that closes an announcement opened earlier in the
         same batch cancels with it. Removing such a pair leaves the
         surviving ledger chain — and hence the flushed state — identical.
+        Only a withdraw cancels anything, so only the keys some withdraw
+        in the batch names are tracked, and a batch without a withdraw
+        comes back as it is.
         """
+        withdrawn = {
+            (event.prefix, event.origin_asn)
+            for event in pending if isinstance(event, Withdraw)
+        }
+        if not withdrawn:
+            return pending, 0
         removed: set[int] = set()
         openers: dict[tuple[Prefix, int], list[int]] = {}
         active: dict[tuple[Prefix, int], bool] = {}
@@ -333,6 +347,8 @@ class StreamReplayer:
             if not isinstance(event, (Announce, Withdraw)):
                 continue
             key = (event.prefix, event.origin_asn)
+            if key not in withdrawn:
+                continue
             if key not in active:
                 ledger = self._ledgers.get(event.prefix)
                 view = self.lab.view

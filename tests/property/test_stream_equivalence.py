@@ -9,15 +9,33 @@ sequences; the second runs the same equivalence with the runtime
 invariant checker on, so the history-aware invariant suite itself is
 exercised on multi-announcement states; the third withdraws whatever
 remains in a random order. The first and third run on both backends.
+
+The last two pin the duplicate path: the ledger's O(1) membership set
+agrees with its slots after any sequence, duplicates and spurious
+withdraws included, and the replayer's withdraw-keyed coalescing
+cancels exactly what the full per-key scan cancels.
 """
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.oracle.strategies import announce_withdraw_sequences, example_budget
+from repro.prefixes.prefix import Prefix
+from repro.stream.events import (
+    Announce,
+    DefenseActivate,
+    RoaPublish,
+    RoaRevoke,
+    Withdraw,
+)
 from repro.stream.incremental import PrefixLedger, full_converge
+from repro.stream.replay import StreamReplayer
+from tests.conftest import build_mini_graph
 
 
 def _apply(ledger: PrefixLedger, op) -> None:
@@ -90,3 +108,91 @@ def test_withdraw_order_independence(backend, case, data):
         else:
             assert ledger.checksum() == reference.checksum()
     assert len(ledger) == 0
+
+
+@settings(max_examples=example_budget(120), deadline=None)
+@given(announce_withdraw_sequences(max_size=14, max_events=10), st.data())
+def test_is_active_agrees_with_active_origins(case, data):
+    """After every op — interior withdraws and slot-0 re-bases included,
+    with a duplicate announce or spurious withdraw drawn in between — the
+    membership set answers exactly what the slots say."""
+    view, ops = case
+    ledger = PrefixLedger(RoutingEngine(view))
+    nodes = range(len(view))
+    for op in ops:
+        _apply(ledger, op)
+        probe = data.draw(st.sampled_from(nodes), label="noop_probe")
+        if ledger.is_active(probe):
+            assert not ledger.announce(probe)
+        else:
+            assert not ledger.withdraw(probe)
+        active = ledger.active_origins()
+        assert [node for node in nodes if ledger.is_active(node)] == sorted(active)
+
+
+def _reference_coalesce(replayer: StreamReplayer, pending):
+    """The full per-key scan the replayer's coalescing must agree with."""
+    removed: set[int] = set()
+    openers: dict = {}
+    active: dict = {}
+    for index, event in enumerate(pending):
+        if not isinstance(event, (Announce, Withdraw)):
+            continue
+        key = (event.prefix, event.origin_asn)
+        if key not in active:
+            ledger = replayer.ledger(event.prefix)
+            view = replayer.lab.view
+            active[key] = bool(
+                ledger is not None
+                and view.has_asn(event.origin_asn)
+                and ledger.is_active(view.node_of(event.origin_asn))
+            )
+        if isinstance(event, Announce):
+            if not active[key]:
+                active[key] = True
+                openers.setdefault(key, []).append(index)
+        elif active[key]:
+            active[key] = False
+            stack = openers.get(key)
+            if stack:
+                removed.add(stack.pop())
+                removed.add(index)
+    kept = [event for index, event in enumerate(pending) if index not in removed]
+    return kept, len(removed)
+
+
+_PREFIXES = (Prefix.parse("10.0.0.0/16"), Prefix.parse("10.1.0.0/16"))
+_ORIGINS = (50, 60, 70, 999)  # 999 is not in the topology
+
+
+@lru_cache(maxsize=1)
+def _mini_lab() -> HijackLab:
+    return HijackLab(build_mini_graph(), seed=1)
+
+
+_keys = st.tuples(st.sampled_from(_PREFIXES), st.sampled_from(_ORIGINS))
+_batch_events = st.one_of(
+    _keys.map(lambda key: Announce(at=1.0, prefix=key[0], origin_asn=key[1])),
+    _keys.map(lambda key: Withdraw(at=1.0, prefix=key[0], origin_asn=key[1])),
+    _keys.map(lambda key: RoaPublish(at=1.0, prefix=key[0], origin_asn=key[1])),
+    _keys.map(lambda key: RoaRevoke(at=1.0, prefix=key[0], origin_asn=key[1])),
+    st.just(DefenseActivate(at=1.0, deployer_asns=(10,))),
+)
+
+
+@settings(max_examples=example_budget(300), deadline=None)
+@given(
+    st.lists(_keys, max_size=4, unique=True),
+    st.lists(_batch_events, max_size=12),
+)
+def test_coalesce_matches_the_full_key_scan(installed, batch):
+    """Random mixed batches over pre-installed origins: batches without a
+    withdraw, withdraw-before-announce, ROA and defense events sharing a
+    withdraw's (prefix, origin), and origins the view does not know."""
+    replayer = StreamReplayer(_mini_lab())
+    for prefix, origin in installed:
+        if origin != 999:
+            replayer.submit(Announce(at=0.0, prefix=prefix, origin_asn=origin))
+    replayer.flush()
+    kept, cancelled = replayer._coalesce(batch)
+    assert (kept, cancelled) == _reference_coalesce(replayer, batch)

@@ -1,7 +1,9 @@
 """Unit tests for the fast routing engine (against hand-computed outcomes)."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.bgp.engine import RouteState, RoutingEngine, UNREACHABLE
@@ -196,6 +198,50 @@ class TestFlatJournal:
             assert state.checksum() == before
             journals.append(journal)
         assert journals[0] == journals[1]
+
+
+def _str_per_cell_checksum(state: RouteState) -> str:
+    """``RouteState.checksum`` as first written: one ``str`` call per cell."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(str(state.origin).encode())
+    for array in (state.cls, state.length, state.parent, state.origin_of):
+        if not isinstance(array, (list, tuple)):
+            array = array.tolist()
+        digest.update(b"|")
+        digest.update(",".join(map(str, array)).encode())
+    return digest.hexdigest()
+
+
+class TestChecksumText:
+    """The lookup-built decimal text digests exactly as ``str`` per cell."""
+
+    @pytest.mark.parametrize("backend", ["reference", "array"])
+    def test_converged_states_every_representation(self, mini_view, backend):
+        engine = RoutingEngine(mini_view, backend=backend)
+        target, attacker = mini_view.node_of(50), mini_view.node_of(60)
+        honest = engine.converge(target)
+        padded = engine.converge(attacker, base=honest, origin_length=3)
+        for state in (honest, padded):
+            assert state.checksum() == _str_per_cell_checksum(state)
+            as_lists = RouteState(state.origin, *map(list, state._arrays()))
+            as_arrays = RouteState(
+                state.origin, *(np.asarray(a, dtype=np.int64) for a in state._arrays())
+            )
+            for copy in (as_lists, as_lists.copy_for(state.origin).freeze(), as_arrays):
+                assert copy.checksum() == state.checksum()
+
+    def test_sentinels_and_wide_values(self):
+        state = RouteState(
+            7,
+            cls=[9, 0, 1, 2, 3],
+            length=[UNREACHABLE, 0, 12, 3, 1 << 40],
+            parent=[-1, -1, 1, 2, 100_000],
+            origin_of=[-1, 1, 1, 1, -1],
+        )
+        assert state.checksum() == _str_per_cell_checksum(state)
+        assert RouteState.empty(4, 0).checksum() == _str_per_cell_checksum(
+            RouteState.empty(4, 0)
+        )
 
 
 class TestPolicyVariants:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.prefixes import prefix as prefix_module
 from repro.prefixes.prefix import Prefix, PrefixError
 
 
@@ -47,6 +48,61 @@ class TestParsing:
     def test_round_trip_str(self):
         for text in ("0.0.0.0/0", "10.0.0.0/8", "192.168.1.128/25", "1.2.3.4/32"):
             assert str(Prefix.parse(text)) == text
+
+
+class TestParseMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        prefix_module._PARSED.clear()
+        yield
+        prefix_module._PARSED.clear()
+
+    @pytest.mark.parametrize(
+        "text", ["203.0.113.0/24", " 10.0.0.0/8 ", "010.000.0.0/0008", "1.2.3.4"]
+    )
+    def test_hit_equals_miss(self, text):
+        miss = Prefix.parse(text)
+        hit = Prefix.parse(text)
+        assert hit == miss == Prefix._parse(text)
+        assert type(hit) is Prefix and hit is miss
+
+    def test_malformed_raises_every_time_and_is_not_stored(self):
+        for _ in range(3):
+            with pytest.raises(PrefixError):
+                Prefix.parse("10.0.0.1/8")
+        assert "10.0.0.1/8" not in prefix_module._PARSED
+
+    @pytest.mark.parametrize(
+        "text", [" " * 64 + "10.0.0.0/8", "0" * 64 + "10.0.0.0/8", "10.0.0.0/" + "0" * 64 + "8"]
+    )
+    def test_padded_text_parses_but_is_not_stored(self, text):
+        assert Prefix.parse(text) == Prefix(10 << 24, 8)
+        assert Prefix.parse(text) == Prefix(10 << 24, 8)
+        assert text not in prefix_module._PARSED
+        assert not prefix_module._PARSED
+
+    def test_longest_canonical_text_is_stored(self):
+        text = "255.255.255.255/32"
+        assert len(text) == prefix_module._PARSED_TEXT_MAX
+        assert Prefix.parse(text) is prefix_module._PARSED[text]
+
+    def test_memo_never_grows_past_its_bound(self, monkeypatch):
+        monkeypatch.setattr(prefix_module, "_PARSED_LIMIT", 4)
+        for octet in range(11):
+            assert Prefix.parse(f"10.{octet}.0.0/16") == Prefix(
+                (10 << 24) | (octet << 16), 16
+            )
+            assert len(prefix_module._PARSED) <= 4
+
+    def test_subclass_gets_its_own_type(self):
+        class Tagged(Prefix):
+            pass
+
+        plain = Prefix.parse("10.0.0.0/8")
+        tagged = Tagged.parse("10.0.0.0/8")
+        assert type(tagged) is Tagged
+        assert (tagged.network, tagged.length) == (plain.network, plain.length)
+        assert type(Prefix.parse("10.0.0.0/8")) is Prefix
 
 
 class TestContainment:

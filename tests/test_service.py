@@ -212,13 +212,19 @@ class TestShardPlane:
         prefix = lab.target_prefix(50)
         line = '{"at":%s,"kind":"announce","origin":%d,"prefix":"%s"}'
         assert service.ingest_line(line % (0.0, 50, prefix)) is True
-        # The next event's time flushes the first one: it fails in submit.
+        # The next event's time flushes the first one: its observe fails
+        # inside submit, and the incoming event is still queued.
         assert service.ingest_line(line % (1.0, 60, prefix)) is True
         assert service.ingest_line(line % (2.0, 70, prefix)) is True
-        # The last one fails in the flush that poll runs.
+        # The last one's observe fails in the flush that poll runs.
         assert service.poll() == []
-        assert service.plane.errors == ["shard 0: monitor exploded"] * 2
+        replayer = service.plane.replayer(0)
+        assert replayer.errors == [
+            f"observe {prefix} at {at}: monitor exploded" for at in (0.0, 1.0, 2.0)
+        ]
+        assert service.plane.errors == []
         assert service.plane.ingested == 3
+        assert replayer.counts["submitted"] == replayer.counts["applied"] == 3
 
     def test_shards_must_be_positive(self, lab):
         with pytest.raises(ValueError):

@@ -136,6 +136,33 @@ class TestErrorIsolation:
         ])
         assert len(report.errors) == 1 and report.errors_dropped == 1
 
+    def test_failing_observe_in_a_time_flush_keeps_the_incoming_event(
+        self, lab, monkeypatch
+    ):
+        calls = []
+
+        def observe_once_broken(self, at, prefix, ledger):
+            calls.append(prefix)
+            if len(calls) == 1:
+                raise RuntimeError("monitor exploded")
+
+        monkeypatch.setattr(OnlineMonitor, "observe", observe_once_broken)
+        prefix = lab.target_prefix(50)
+        replayer = StreamReplayer(
+            lab, detector=HijackDetector(custom_probes("pair", [10, 20])),
+            batch_window=0.5,
+        )
+        replayer.submit(Announce(at=0.0, prefix=prefix, origin_asn=50))
+        # This event's time flushes the first one, whose observe raises.
+        replayer.submit(Announce(at=1.0, prefix=prefix, origin_asn=60))
+        assert replayer.counts["submitted"] == 2
+        assert replayer.pending == 1
+        assert replayer.errors == [f"observe {prefix} at 0.5: monitor exploded"]
+        report = replayer.finish()
+        assert report.events_applied == 2
+        assert report.prefixes[str(prefix)]["active_origins"] == [50, 60]
+        assert len(report.errors) == 1
+
     def test_spurious_withdraw_is_a_noop(self, lab):
         report = StreamReplayer(lab).run([
             Withdraw(at=0.0, prefix=lab.target_prefix(50), origin_asn=50)
