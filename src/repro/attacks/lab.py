@@ -439,72 +439,14 @@ class HijackLab:
             forged_path=forged_path if forged_path is not None else (),
         )
 
-    def origin_hijack(
-        self, target_asn: int, attacker_asn: int, *, prefix: Prefix | None = None
-    ) -> AttackOutcome:
+    def origin_hijack(self, target_asn: int, attacker_asn: int) -> AttackOutcome:
         """Simulate the attacker announcing the target's own prefix."""
-        scenario = HijackScenario(
-            target_asn=target_asn,
-            attacker_asn=attacker_asn,
-            prefix=prefix if prefix is not None else self.target_prefix(target_asn),
-            kind=HijackKind.ORIGIN,
-        )
-        return self.run_scenario(scenario)
+        return self.run_scenario(self.build_scenario(target_asn, attacker_asn))
 
-    def subprefix_hijack(
-        self,
-        target_asn: int,
-        attacker_asn: int,
-        *,
-        extra_bits: int = 1,
-    ) -> AttackOutcome:
+    def subprefix_hijack(self, target_asn: int, attacker_asn: int) -> AttackOutcome:
         """Simulate a more-specific hijack of the target's primary prefix."""
-        parent = self.target_prefix(target_asn)
-        if parent.length + extra_bits > 32:
-            raise ValueError(f"cannot split /{parent.length} by {extra_bits} bits")
-        subprefix = next(parent.subnets(parent.length + extra_bits))
-        scenario = HijackScenario(
-            target_asn=target_asn,
-            attacker_asn=attacker_asn,
-            prefix=subprefix,
-            kind=HijackKind.SUBPREFIX,
-        )
-        return self.run_scenario(scenario)
-
-    def squat_hijack(self, target_asn: int, attacker_asn: int) -> AttackOutcome:
-        """Simulate the attacker squatting the target's unrouted slice."""
         return self.run_scenario(
-            self.build_scenario(target_asn, attacker_asn, kind=HijackKind.SQUAT)
-        )
-
-    def route_leak(self, target_asn: int, attacker_asn: int) -> AttackOutcome:
-        """Simulate the attacker leaking its learned route to the target."""
-        return self.run_scenario(
-            self.build_scenario(
-                target_asn, attacker_asn, kind=HijackKind.ROUTE_LEAK
-            )
-        )
-
-    def forged_path_hijack(
-        self,
-        target_asn: int,
-        attacker_asn: int,
-        *,
-        kind: HijackKind = HijackKind.ORIGIN,
-        depth: int = 1,
-        forged_path: tuple[int, ...] | None = None,
-    ) -> AttackOutcome:
-        """Simulate a path-forgery attack (type-1 at depth 1, else type-N)."""
-        path_kind = PathKind.TYPE_1 if depth == 1 and forged_path is None else PathKind.TYPE_N
-        return self.run_scenario(
-            self.build_scenario(
-                target_asn,
-                attacker_asn,
-                kind=kind,
-                path_kind=path_kind,
-                forged_depth=depth,
-                forged_path=forged_path,
-            )
+            self.build_scenario(target_asn, attacker_asn, kind=HijackKind.SUBPREFIX)
         )
 
     # -- sweeps -------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, MutableSequence, Sequence
+from typing import Collection, MutableSequence, Sequence
 
 from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import NULL_METRICS, Metrics
@@ -155,10 +155,6 @@ class RouteState:
 
     def has_route(self, node: int) -> bool:
         return bool(self.cls[node] != _NO_CLASS)
-
-    def route_class(self, node: int) -> RouteClass | None:
-        value = int(self.cls[node])
-        return None if value == _NO_CLASS else RouteClass(value)
 
     def holders_of(self, origin: int) -> frozenset[int]:
         """Nodes (excluding *origin* itself) routing to *origin*."""
@@ -782,14 +778,3 @@ class HijackResult:
     def polluted_nodes(self) -> frozenset[int]:
         """Routing nodes holding the bogus route (the attacker excluded)."""
         return self.final.holders_of(self.attacker)
-
-    def polluted_asns(self, view: RoutingView) -> frozenset[int]:
-        """Polluted original ASNs (sibling groups expanded)."""
-        return view.expand(self.polluted_nodes)
-
-    def pollution_count(self, view: RoutingView) -> int:
-        return len(self.polluted_asns(view))
-
-    def is_polluted(self, nodes: Iterable[int]) -> dict[int, bool]:
-        polluted = self.polluted_nodes
-        return {node: node in polluted for node in nodes}

@@ -44,14 +44,6 @@ class Route:
     def length(self) -> int:
         return len(self.path)
 
-    @property
-    def next_hop(self) -> int:
-        """The neighbor this route was learned from (the origin itself for
-        a directly-received origin announcement)."""
-        if not self.path:
-            raise ValueError("origin route has no next hop")
-        return self.path[0]
-
     def extend(self, via: int, route_class: RouteClass) -> "Route":
         """The route as announced *by* node ``via`` to a neighbor that
         classifies it as ``route_class``."""

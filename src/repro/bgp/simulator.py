@@ -103,9 +103,6 @@ class BGPSimulator:
 
     # -- state inspection ----------------------------------------------------
 
-    def rib_of(self, node: int) -> Rib:
-        return self._ribs[node]
-
     def route_to(self, prefix: Prefix, node: int) -> Route | None:
         """The installed route at *node* for exactly *prefix*."""
         return self._ribs[node].get(prefix)

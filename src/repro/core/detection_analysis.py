@@ -21,7 +21,6 @@ from repro.detection.probes import (
     tier1_probes,
     top_degree_probes,
 )
-from repro.registry.roa import OriginAuthority
 
 __all__ = ["DetectorComparison", "paper_probe_sets", "compare_detectors"]
 
@@ -62,7 +61,6 @@ def compare_detectors(
     probe_sets: Sequence[ProbeSet] | None = None,
     *,
     attack_count: int = 8000,
-    authority: OriginAuthority | None = None,
     seed: int = 0,
     workload: Sequence[AttackOutcome] | None = None,
 ) -> DetectorComparison:
@@ -77,7 +75,7 @@ def compare_detectors(
     if workload is None:
         workload = lab.random_attacks(attack_count, transit_only=True, seed=seed)
     studies = tuple(
-        DetectionStudy.run(HijackDetector(probes, authority), workload)
+        DetectionStudy.run(HijackDetector(probes), workload)
         for probes in probe_sets
     )
     return DetectorComparison(studies=studies, workload_size=len(workload))

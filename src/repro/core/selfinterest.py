@@ -68,19 +68,17 @@ class RegionalAssessment:
         return self.vulnerable_members[0]
 
 
-def assess_region(
-    graph: ASGraph, region: str, *, vulnerable_depth: int = 3
-) -> RegionalAssessment:
-    """Map a region: member depths, the deep (vulnerable) members, and the
-    regional hub — the transit AS whose customer cone covers the most
-    regional ASes (the paper's VOCUS analogue)."""
+def assess_region(graph: ASGraph, region: str) -> RegionalAssessment:
+    """Map a region: member depths, the deep (vulnerable: depth 3 or
+    more) members, and the regional hub — the transit AS whose customer
+    cone covers the most regional ASes (the paper's VOCUS analogue)."""
     members = frozenset(graph.regions().get(region, ()))
     if not members:
         raise ValueError(f"unknown or empty region {region!r}")
     depth = effective_depth(graph)
     vulnerable = tuple(
         sorted(
-            (asn for asn in members if depth.get(asn, 0) >= vulnerable_depth),
+            (asn for asn in members if depth.get(asn, 0) >= 3),
             key=lambda asn: (-depth.get(asn, 0), asn),
         )
     )
@@ -306,14 +304,13 @@ class SelfInterestPlanner:
         target_asn: int | None = None,
         external_sample: int = 200,
         probe_budget: int = 4,
-        seed: int = 0,
     ) -> ActionPlan:
         """Assess, re-home, publish, filter and audit detection — each step
         evaluated by simulation, as the paper's validation experiments do."""
         assessment = assess_region(self.lab.graph, region)
         target = target_asn if target_asn is not None else assessment.deepest()
         baseline = regional_attack_study(
-            self.lab, target, region, external_sample=external_sample, seed=seed
+            self.lab, target, region, external_sample=external_sample
         )
 
         rehoming = plan_rehoming(self.lab.graph, target)
@@ -328,8 +325,7 @@ class SelfInterestPlanner:
                 backend=self.lab.backend,
             )
             rehomed_impact = regional_attack_study(
-                rehomed_lab, target, region,
-                external_sample=external_sample, seed=seed,
+                rehomed_lab, target, region, external_sample=external_sample
             )
 
         publish = tuple(sorted(assessment.members))
@@ -341,8 +337,7 @@ class SelfInterestPlanner:
         )
         filtered_lab = self.lab.with_defense(self.lab.defense.with_filters(rule))
         filtered_impact = regional_attack_study(
-            filtered_lab, target, region,
-            external_sample=external_sample, seed=seed,
+            filtered_lab, target, region, external_sample=external_sample
         )
 
         # Step 5: audit detection over the regional workload and extend the

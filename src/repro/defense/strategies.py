@@ -56,12 +56,10 @@ def no_deployment() -> DeploymentStrategy:
     return DeploymentStrategy("baseline", frozenset())
 
 
-def random_deployment(
-    graph: ASGraph, count: int, *, seed: int = 0, transit_only: bool = True
-) -> DeploymentStrategy:
-    """*count* ASes picked uniformly at random (from the transit pool by
-    default, matching the paper's random-100/random-500 runs)."""
-    pool: Sequence[int] = sorted(transit_asns(graph) if transit_only else graph.asns())
+def random_deployment(graph: ASGraph, count: int, *, seed: int = 0) -> DeploymentStrategy:
+    """*count* ASes picked uniformly at random from the transit pool,
+    matching the paper's random-100/random-500 runs."""
+    pool: Sequence[int] = sorted(transit_asns(graph))
     if count > len(pool):
         raise ValueError(f"cannot pick {count} from a pool of {len(pool)}")
     rng = make_rng(seed, "random-deployment", count)

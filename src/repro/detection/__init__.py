@@ -11,7 +11,6 @@ from repro.detection.probes import (
     ProbeSet,
     bgpmon_like_probes,
     custom_probes,
-    random_transit_probes,
     tier1_probes,
     top_degree_probes,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "bgpmon_like_probes",
     "custom_probes",
     "greedy_probe_placement",
-    "random_transit_probes",
     "tier1_probes",
     "top_degree_probes",
 ]

@@ -50,10 +50,6 @@ class DetectionStudy:
 
     # -- Fig. 7 data -----------------------------------------------------------
 
-    @property
-    def attack_count(self) -> int:
-        return len(self.reports)
-
     def missed(self) -> list[DetectionReport]:
         """Attacks that escaped completely (the "0" bar)."""
         return [report for report in self.reports if not report.detected]

@@ -59,35 +59,13 @@ def classify_moas(
     authority: OriginAuthority | None,
     prefix: Prefix,
     origins: tuple[int, ...] | list[int],
-    *,
-    observations=None,
-    neighbors=None,
-    relationships=None,
 ) -> MoasReport:
-    """Judge an observed multi-origin conflict against published data.
+    """Judge an observed multi-origin conflict against published origins.
 
-    With *observations* (a sequence of
-    :class:`~repro.detection.taxonomy.PathObservation`) the judgement is
-    path-aware — forged first hops, impossible links and route leaks
-    become classifiable — and delegates to
-    :func:`repro.detection.taxonomy.classify_observations`; *origins* is
-    then ignored in favour of the observations' claimed origins. The
-    origin-only form below is unchanged.
+    The origin-only judgement; the path-aware one (forged first hops,
+    impossible links, route leaks) is
+    :func:`repro.detection.taxonomy.classify_observations`.
     """
-    if observations is not None:
-        # Imported lazily: taxonomy builds on this module's report types.
-        from repro.detection.taxonomy import classify_observations
-
-        report = classify_observations(
-            prefix,
-            observations,
-            authority=authority,
-            neighbors=neighbors,
-            relationships=relationships,
-        )
-        if report is None:
-            raise ValueError("observations produced no judgeable conflict")
-        return report
     origins = tuple(sorted(set(origins)))
     if len(origins) < 2:
         raise ValueError("a MOAS conflict needs at least two origins")

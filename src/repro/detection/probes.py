@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.topology.asgraph import ASGraph
-from repro.topology.classify import find_tier1, transit_asns
+from repro.topology.classify import find_tier1
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -92,10 +92,3 @@ def top_degree_probes(graph: ASGraph, *, count: int = 62) -> ProbeSet:
 
 def custom_probes(name: str, asns) -> ProbeSet:
     return ProbeSet(name, frozenset(asns))
-
-
-def random_transit_probes(graph: ASGraph, count: int, *, seed: int = 0) -> ProbeSet:
-    """A uniformly random transit probe set (ablation baseline)."""
-    pool = sorted(transit_asns(graph))
-    rng = make_rng(seed, "random-probes", count)
-    return ProbeSet(f"random-{count}", frozenset(rng.sample(pool, min(count, len(pool)))))

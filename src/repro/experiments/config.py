@@ -53,21 +53,6 @@ class ExperimentConfig:
     backend: str = "reference"
     batch_origins: int = 1
 
-    def scaled(self, *, attacker_sample: int | None, detection_attacks: int) -> "ExperimentConfig":
-        """A copy with different workload sizes (used by fast CI runs)."""
-        return ExperimentConfig(
-            topology=self.topology,
-            seed=self.seed,
-            output_dir=self.output_dir,
-            attacker_sample=attacker_sample,
-            detection_attacks=detection_attacks,
-            external_sample=self.external_sample,
-            matrix_attacks=max(1, min(self.matrix_attacks, detection_attacks)),
-            validate=self.validate,
-            backend=self.backend,
-            batch_origins=self.batch_origins,
-        )
-
 
 @dataclass
 class ExperimentResult:

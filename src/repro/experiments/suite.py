@@ -820,15 +820,3 @@ class ExperimentSuite:
             result: ExperimentResult = getattr(self, name)()
         self.metrics.count("suite.experiments")
         return result
-
-    def run_all(self) -> list[ExperimentResult]:
-        """Regenerate every figure and table (EXPERIMENTS.md's data)."""
-        return [
-            self.run(name)
-            for name in (
-                "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-                "tab1", "tab2", "fig7", "tab3", "tab4", "tab5",
-                "nz_rehoming", "nz_filter", "ext_subprefix", "attack_matrix",
-                "service_latency",
-            )
-        ]

@@ -15,7 +15,6 @@ from repro.ingest.compiler import (
     compile_rib,
     compile_updates,
     events_to_records,
-    seed_registry,
 )
 from repro.ingest.pipeline import IngestResult, TracePipeline, run_ingest
 from repro.ingest.records import (
@@ -25,8 +24,6 @@ from repro.ingest.records import (
     TraceRecord,
     format_record,
     parse_record,
-    read_trace,
-    write_trace,
 )
 
 __all__ = [
@@ -43,8 +40,5 @@ __all__ = [
     "events_to_records",
     "format_record",
     "parse_record",
-    "read_trace",
     "run_ingest",
-    "seed_registry",
-    "write_trace",
 ]

@@ -43,7 +43,6 @@ from repro.ingest.records import TraceFormatError, TraceReader, TraceRecord
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.prefixes.prefix import Prefix
 from repro.prefixes.trie import PrefixTrie
-from repro.service.tenants import TenantRegistration, TenantRegistry
 from repro.stream.events import Announce, RoaPublish, StreamEvent, Withdraw
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "compile_rib",
     "compile_updates",
     "events_to_records",
-    "seed_registry",
 ]
 
 
@@ -77,20 +75,6 @@ class RibBaseline:
     def start_at(self) -> float:
         """The dump's epoch: the earliest announce timestamp (0.0 if empty)."""
         return self.announces[0].at if self.announces else 0.0
-
-    def classify(self, prefix: Prefix, origin_asn: int) -> str:
-        """Classify one update against the baseline (the cloudtrie rule).
-
-        ``legit`` — the longest covering legal-origin set contains the
-        origin; ``hijack`` — a covering set exists but excludes it (a
-        MOAS conflict or sub-prefix grab); ``unknown_prefix`` — no
-        covering entry, nothing to judge against.
-        """
-        match = self.origins.longest_match_prefix(prefix)
-        if match is None:
-            return "unknown_prefix"
-        _covering, legal = match
-        return "legit" if origin_asn in legal else "hijack"
 
     def roa_wave(self) -> list[RoaPublish]:
         """One ROA per legal ``(prefix, origin)`` at the dump's epoch.
@@ -128,12 +112,10 @@ def compile_rib(
     *,
     strict: bool = False,
     metrics: Metrics | None = None,
-    source: str | None = None,
 ) -> RibBaseline:
     """Fold RIB records into a :class:`RibBaseline` (see module docs)."""
     metrics = metrics if metrics is not None else NULL_METRICS
-    if source is None:
-        source = str(records.path) if isinstance(records, TraceReader) else "<rib>"
+    source = str(records.path) if isinstance(records, TraceReader) else "<rib>"
     baseline = RibBaseline()
     seen_entries: set[tuple[int, Prefix]] = set()
     wave: dict[tuple[Prefix, int], Announce] = {}
@@ -252,10 +234,9 @@ def compile_updates(
     *,
     strict: bool = False,
     metrics: Metrics | None = None,
-    source: str | None = None,
 ) -> UpdateCompiler:
     """The update-feed compiler (an iterable of events; see class docs)."""
-    return UpdateCompiler(records, strict=strict, metrics=metrics, source=source)
+    return UpdateCompiler(records, strict=strict, metrics=metrics)
 
 
 def events_to_records(
@@ -299,31 +280,3 @@ def events_to_records(
                 f"{type(event).__name__} events have no trace-record form"
             )
     return records
-
-
-def seed_registry(
-    registry: TenantRegistry,
-    baseline: RibBaseline,
-    *,
-    tenant: str | None = None,
-    auto_mitigate: bool = False,
-) -> list[TenantRegistration]:
-    """Register every legal ``(prefix, origin)`` from *baseline*.
-
-    Each origin becomes (by default) its own tenant ``as<origin>`` — the
-    bulk-onboarding path that turns a RIB dump into a fully-registered
-    monitoring service. Returns the registrations in deterministic
-    ``(prefix, origin)`` order.
-    """
-    registrations: list[TenantRegistration] = []
-    for prefix, legal in baseline.origins.items():
-        for origin in sorted(legal):
-            registration = TenantRegistration(
-                tenant=tenant if tenant is not None else f"as{origin}",
-                prefix=prefix,
-                origin_asn=origin,
-                auto_mitigate=auto_mitigate,
-            )
-            registry.register(registration)
-            registrations.append(registration)
-    return registrations

@@ -64,8 +64,6 @@ __all__ = [
     "TraceRecord",
     "format_record",
     "parse_record",
-    "read_trace",
-    "write_trace",
 ]
 
 #: Valid values for :attr:`TraceRecord.kind`.
@@ -229,20 +227,6 @@ def format_record(record: TraceRecord, *, encoding: str = "jsonl") -> str:
     raise ValueError(f"unknown trace encoding {encoding!r}")
 
 
-def write_trace(
-    path: str | Path, records: Iterable[TraceRecord], *, encoding: str = "jsonl"
-) -> Path:
-    """Write records as a deterministic trace file (order preserved)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "wt", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(format_record(record, encoding=encoding))
-            handle.write("\n")
-    return path
-
-
 # -- chunk-streamed reading ------------------------------------------------
 
 
@@ -310,18 +294,3 @@ class TraceReader:
         self.metrics.count("ingest.malformed")
         if len(self.errors) < 32:
             self.errors.append(str(located))
-
-
-def read_trace(
-    path: str | Path,
-    *,
-    strict: bool = False,
-    metrics: Metrics | None = None,
-) -> list[TraceRecord]:
-    """Read a whole (small) trace into memory — tests and tooling only.
-
-    The streaming paths go through :class:`TraceReader` directly; this
-    convenience exists for fixtures and round-trip checks where the
-    list is the point.
-    """
-    return list(TraceReader(path, strict=strict, metrics=metrics))

@@ -127,11 +127,6 @@ class Metrics:
         )
         return path
 
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.spans.clear()
-
 
 class _NullSpan:
     """A reusable no-op context manager (one shared instance, no allocs)."""

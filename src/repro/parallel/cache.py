@@ -148,9 +148,6 @@ class ConvergenceCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def entries(self) -> list[tuple[tuple[str, int], tuple[RouteState, str | None]]]:
         """Snapshot of ``((context, origin), (state, checksum))`` pairs.
 
@@ -171,12 +168,6 @@ class ConvergenceCache:
         from repro.oracle.invariants import check_cache_coherence
 
         check_cache_coherence(self)
-
-    def contains(self, engine: RoutingEngine, origin: int) -> bool:
-        return (
-            context_digest(engine.view, engine.policy, engine.backend),
-            origin,
-        ) in self._entries
 
     def baseline(self, engine: RoutingEngine, origin: int) -> RouteState:
         """The clean converged state for *origin* under *engine*'s context.

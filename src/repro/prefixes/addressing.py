@@ -73,7 +73,7 @@ class AddressPlan:
     _blocks: list[Prefix] = field(default_factory=list)
     _owner: dict[Prefix, int] = field(default_factory=dict)
     _total_size: int = 0
-    # Per-ASN address totals, kept in step by assign/transfer so the
+    # Per-ASN address totals, kept in step by assign so the
     # pollution metric never re-sums prefix sizes.
     _space_by_asn: dict[int, int] = field(default_factory=dict)
 
@@ -157,27 +157,6 @@ class AddressPlan:
             return None
         block = self._blocks[index]
         return block if block.contains(prefix) else None
-
-    def transfer(self, prefix: Prefix, new_asn: int) -> int:
-        """Reassign an allocated *prefix* to *new_asn*; returns the old owner.
-
-        Models real-world churn — mergers, address sales, re-homing of
-        customer blocks — which is exactly what makes *historical* origin
-        data go stale (see :mod:`repro.registry.history`).
-        """
-        old_asn = self._owner.get(prefix, -1)
-        bucket = self._by_asn.get(old_asn)
-        if bucket is None or prefix not in bucket:
-            raise KeyError(f"{prefix} is not an allocated block")
-        bucket.remove(prefix)
-        self._space_by_asn[old_asn] -= prefix.size()
-        if not bucket:
-            del self._by_asn[old_asn]
-            del self._space_by_asn[old_asn]
-        self._by_asn.setdefault(new_asn, []).append(prefix)
-        self._space_by_asn[new_asn] = self._space_by_asn.get(new_asn, 0) + prefix.size()
-        self._owner[prefix] = new_asn
-        return old_asn
 
     # -- queries -----------------------------------------------------------
 

@@ -151,10 +151,6 @@ class Prefix:
         """Number of addresses covered (2^(32-length))."""
         return 1 << (_MAX_LENGTH - self.length)
 
-    def fraction_of_space(self) -> float:
-        """Fraction of the full IPv4 space this prefix covers."""
-        return self.size() / _ADDRESS_SPACE
-
     def first_address(self) -> int:
         return self.network
 
@@ -169,13 +165,6 @@ class Prefix:
 
     def contains_address(self, address: int) -> bool:
         return (address & self.netmask()) == self.network
-
-    def overlaps(self, other: "Prefix") -> bool:
-        return self.contains(other) or other.contains(self)
-
-    def is_subprefix_of(self, other: "Prefix") -> bool:
-        """Strictly more specific than *other* (proper sub-prefix)."""
-        return other.contains(self) and self.length > other.length
 
     # -- derivation --------------------------------------------------------
 
@@ -201,18 +190,6 @@ class Prefix:
         step = 1 << (_MAX_LENGTH - new_length)
         for network in range(self.network, self.last_address() + 1, step):
             yield Prefix(network, new_length)
-
-    def bit(self, index: int) -> int:
-        """The *index*-th most-significant network bit (0-based)."""
-        if not 0 <= index < self.length:
-            raise PrefixError(f"bit index {index} outside /{self.length}")
-        return (self.network >> (_MAX_LENGTH - 1 - index)) & 1
-
-    def bits(self) -> str:
-        """Network bits as a binary string of ``length`` characters."""
-        if self.length == 0:
-            return ""
-        return format(self.network >> (_MAX_LENGTH - self.length), f"0{self.length}b")
 
     # -- presentation ------------------------------------------------------
 

@@ -1,10 +1,9 @@
-"""Binary radix trie with longest-prefix matching.
+"""Binary radix trie with covering and sub-prefix walks.
 
-BGP routers select routes per-prefix and forward packets to the most specific
-matching entry, which is exactly why sub-prefix hijacks are so damaging: the
-bogus /25 beats the legitimate /24 everywhere it propagates. The registries
-(RPKI / ROVER) also need covering-prefix lookups to validate announcements
-against published route origins. Both needs are served by this trie.
+Origin validation needs covering-prefix lookups (every published ROA whose
+prefix contains an announcement), and the monitor needs the reverse walk:
+a tenant registered for a /24 must also see the /25 carved out of it, the
+sub-prefix hijack shape. Both needs are served by this trie.
 
 The trie maps :class:`~repro.prefixes.prefix.Prefix` keys to arbitrary
 values. It is a plain uncompressed binary trie — at the scale of this
@@ -41,15 +40,14 @@ class _Node(Generic[V]):
 class PrefixTrie(Generic[V]):
     """A mapping from IPv4 prefixes to values with radix-tree lookups.
 
-    Besides the ``MutableMapping``-flavoured basics (``insert`` / ``get`` /
-    ``remove`` / ``in`` / ``len`` / iteration), it offers the three lookups
-    routing and origin-validation code needs:
+    Besides the basics (``insert`` / ``setdefault`` / ``get`` /
+    ``remove`` / ``len`` / ``items``), it offers the two walks
+    origin validation and the monitor need:
 
-    * :meth:`longest_match` — forwarding decision for an address,
     * :meth:`covering` — all stored prefixes that contain a given prefix
       (what an RPKI validator walks to find candidate ROAs),
-    * :meth:`covered_by` — all stored prefixes inside a given block
-      (what an allocator or filter-builder enumerates).
+    * :meth:`iter_covered` — all stored prefixes strictly inside a given
+      prefix (what a tenant's sub-prefix cover enumerates).
     """
 
     def __init__(self) -> None:
@@ -123,10 +121,6 @@ class PrefixTrie(Generic[V]):
             self._count += 1
         return node.value  # type: ignore[return-value]
 
-    def clear(self) -> None:
-        self._root = _Node()
-        self._count = 0
-
     # -- exact lookups -----------------------------------------------------
 
     def get(self, prefix: Prefix, default: V | None = None) -> V | None:
@@ -134,19 +128,6 @@ class PrefixTrie(Generic[V]):
         if node is None or not node.has_value:
             return default
         return node.value
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        node = self._find(prefix)
-        return node is not None and node.has_value
-
-    def __getitem__(self, prefix: Prefix) -> V:
-        node = self._find(prefix)
-        if node is None or not node.has_value:
-            raise KeyError(str(prefix))
-        return node.value  # type: ignore[return-value]
-
-    def __setitem__(self, prefix: Prefix, value: V) -> None:
-        self.insert(prefix, value)
 
     def __len__(self) -> int:
         return self._count
@@ -159,41 +140,6 @@ class PrefixTrie(Generic[V]):
             if node is None:
                 return None
         return node
-
-    # -- longest-prefix matching -------------------------------------------
-
-    def longest_match(self, address: int) -> tuple[Prefix, V] | None:
-        """The most specific stored prefix containing *address*, if any."""
-        best: tuple[Prefix, V] | None = None
-        node = self._root
-        network = 0
-        for depth in range(33):
-            if node.has_value:
-                best = (Prefix.from_host(network, depth), node.value)  # type: ignore[arg-type]
-            if depth == 32:
-                break
-            bit = (address >> (31 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            network |= bit << (31 - depth)
-            node = child
-        return best
-
-    def longest_match_prefix(self, prefix: Prefix) -> tuple[Prefix, V] | None:
-        """The most specific stored prefix that *contains* the query prefix."""
-        best: tuple[Prefix, V] | None = None
-        node = self._root
-        if node.has_value:
-            best = (Prefix(0, 0), node.value)  # type: ignore[arg-type]
-        network = prefix.network
-        for shift in _shifts(prefix):
-            node = node.children[(network >> shift) & 1]
-            if node is None:
-                break
-            if node.has_value:
-                best = (Prefix.from_host(network, 32 - shift), node.value)  # type: ignore[arg-type]
-        return best
 
     # -- containment walks -------------------------------------------------
 
@@ -210,20 +156,13 @@ class PrefixTrie(Generic[V]):
             if node.has_value:
                 yield Prefix.from_host(network, 32 - shift), node.value  # type: ignore[misc]
 
-    def covered_by(self, prefix: Prefix) -> Iterator[tuple[Prefix, V]]:
-        """All stored prefixes equal to or inside *prefix*, in sorted order."""
-        node = self._find(prefix)
-        if node is None:
-            return
-        yield from self._walk(node, prefix.network, prefix.length)
-
     def iter_covered(self, prefix: Prefix) -> Iterator[tuple[Prefix, V]]:
         """All stored prefixes *strictly* inside *prefix*, in sorted order.
 
         The sub-prefix-cover lookup: a tenant registered for a /24 must
         also see announcements of any /25..../32 carved out of it (the
         sub-prefix hijack shape), which are the entries this walk yields.
-        Unlike :meth:`covered_by` the query prefix itself is excluded.
+        The query prefix itself is excluded.
         """
         node = self._find(prefix)
         if node is None or prefix.length == 32:
@@ -236,10 +175,6 @@ class PrefixTrie(Generic[V]):
                     prefix.network | (bit << (31 - prefix.length)),
                     prefix.length + 1,
                 )
-
-    def __iter__(self) -> Iterator[Prefix]:
-        for prefix, _value in self.items():
-            yield prefix
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         yield from self._walk(self._root, 0, 0)

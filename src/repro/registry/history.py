@@ -13,9 +13,8 @@ legitimately change hands.
 :class:`~repro.registry.roa.OriginAuthority`: it is bootstrapped from
 observed announcements (or a full address plan, modeling a long-running
 collector), judges announcements against its snapshot, and can be aged
-forward with new observations. Combined with
-:func:`repro.prefixes.addressing.AddressPlan.transfer` it drives the
-stale-history study in :mod:`repro.core.churn`.
+forward with new observations. It drives the stale-history study in
+:mod:`repro.core.churn`.
 """
 
 from __future__ import annotations

@@ -34,29 +34,19 @@ class NeighborRegistry:
         }
 
     @classmethod
-    def from_graph(
-        cls, graph: ASGraph, asns: Iterable[int] | None = None
-    ) -> "NeighborRegistry":
-        """Publish the true neighbor sets of *asns* (default: every AS).
+    def from_graph(cls, graph: ASGraph) -> "NeighborRegistry":
+        """Publish the true neighbor set of every AS in *graph*.
 
         Declared neighbors include siblings — a sibling's announcement of
         the shared origin is legitimate, not a forged first hop.
         """
-        members = graph.asns() if asns is None else sorted(set(asns))
-        return cls({asn: graph.neighbors(asn) for asn in members if asn in graph})
+        return cls({asn: graph.neighbors(asn) for asn in graph.asns()})
 
     def __len__(self) -> int:
         return len(self._declared)
 
     def __contains__(self, origin_asn: int) -> bool:
         return origin_asn in self._declared
-
-    def declares(self, origin_asn: int) -> bool:
-        """Has *origin_asn* published its neighbor set?"""
-        return origin_asn in self._declared
-
-    def neighbors_of(self, origin_asn: int) -> frozenset[int]:
-        return self._declared.get(origin_asn, frozenset())
 
     def first_hop_forged(self, claimed_path: tuple[int, ...]) -> bool:
         """Is the path's last hop provably impossible?

@@ -70,10 +70,6 @@ class RouteOriginAuthorization:
             and prefix.length <= self.effective_max_length
         )
 
-    def covers(self, prefix: Prefix) -> bool:
-        """Does this ROA speak about the announced prefix at all?"""
-        return self.prefix.contains(prefix)
-
 
 class OriginAuthority(Protocol):
     """Anything that can validate an announced (prefix, origin) pair."""

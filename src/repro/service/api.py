@@ -309,9 +309,12 @@ class ServiceDaemon:
                     )
                     return 200, registration.as_dict()
                 if segments[2] == "deregister":
-                    registration = service.deregister(
-                        tenant, _field_str(payload, "prefix")
-                    )
+                    try:
+                        registration = service.deregister(
+                            tenant, _field_str(payload, "prefix")
+                        )
+                    except KeyError as error:
+                        return 404, {"error": error.args[0]}
                     return 200, registration.as_dict()
             return 404, {"error": f"no such resource {path}"}
         return 405, {"error": f"method {method} not supported"}

@@ -39,6 +39,7 @@ from repro.attacks.lab import HijackLab
 from repro.detection.probes import ProbeSet
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.prefixes.prefix import Prefix
+from repro.registry.roa import RouteOriginAuthorization
 from repro.service.shards import ShardPlane
 from repro.service.tenants import LatencyStats, TenantRegistration, TenantRegistry
 from repro.stream.events import (
@@ -156,6 +157,9 @@ class MonitorService:
         """Register a watch and publish the tenant's ROA into every shard."""
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
+        # The ROA's own constructor is the one maxLength rule: a bad bound
+        # raises here, before anything is registered or published.
+        RouteOriginAuthorization(prefix, origin_asn, max_length)
         view = self.lab.view
         if not view.has_asn(origin_asn):
             raise ValueError(f"unknown origin AS{origin_asn}")

@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from repro.attacks.scenario import HijackKind, HijackScenario, PathKind
 from repro.prefixes.prefix import Prefix, PrefixError
+from repro.registry.roa import RouteOriginAuthorization
 from repro.util.lines import valid_timestamp
 
 __all__ = [
@@ -195,6 +196,9 @@ def event_from_dict(payload: object) -> StreamEvent:
                 not isinstance(max_length, int) or isinstance(max_length, bool)
             ):
                 raise StreamFormatError(f"invalid max_length in {payload!r}")
+            # The ROA's own maxLength rule: a bound outside
+            # [prefix length, 32] makes the line malformed.
+            RouteOriginAuthorization(prefix, origin, max_length)
             return cls(at=float(at), prefix=prefix, origin_asn=origin,
                        max_length=max_length)
         if cls is Announce:
@@ -339,15 +343,15 @@ def compile_campaign(
     scenarios: Sequence[HijackScenario],
     *,
     start: float = 0.0,
-    spacing: float = 1.0,
     stagger: float | None = None,
     dwell: float | None = None,
     publish_roas: bool = False,
 ) -> list[StreamEvent]:
     """Lower many scenarios into one time-ordered multi-attack stream.
 
-    Scenario *i* starts at ``start + i * stagger`` (default: ``spacing``),
-    so attacks overlap when ``stagger < spacing + dwell`` — the
+    Each scenario is :func:`compile_scenario` at its default 1 s spacing.
+    Scenario *i* starts at ``start + i * stagger`` (default: 1 s), so
+    attacks overlap when ``stagger < 1 + dwell`` — the
     sequence-of-attacks workload that stresses deployment conclusions.
     Each prefix's legitimate origin announces only once even when several
     scenarios hit the same target. With ``publish_roas`` every target's
@@ -366,12 +370,11 @@ def compile_campaign(
         sequence += 1
 
     announced: set[tuple[Prefix, int]] = set()
-    step = spacing if stagger is None else stagger
+    step = 1.0 if stagger is None else stagger
     for index, scenario in enumerate(scenarios):
         scenario_start = start + index * step
         for event in compile_scenario(
-            scenario, start=scenario_start, spacing=spacing, dwell=dwell,
-            announce_legitimate=True,
+            scenario, start=scenario_start, dwell=dwell, announce_legitimate=True
         ):
             if isinstance(event, Announce) and event.origin_asn == scenario.target_asn:
                 key = (event.prefix, event.origin_asn)

@@ -13,7 +13,7 @@ it to additional providers are first-class operations here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterator
 
 from repro.topology.relationships import Relationship
 
@@ -89,10 +89,6 @@ class ASGraph:
 
     def set_region(self, asn: int, region: str | None) -> None:
         self._record(asn).region = region
-
-    def is_marked_tier1(self, asn: int) -> bool:
-        """True if the generator explicitly marked this AS tier-1."""
-        return self._record(asn).tier1
 
     def marked_tier1(self) -> frozenset[int]:
         return frozenset(asn for asn, rec in self._nodes.items() if rec.tier1)
@@ -197,9 +193,6 @@ class ASGraph:
     def peers(self, asn: int) -> frozenset[int]:
         return frozenset(self._record(asn).peers)
 
-    def siblings(self, asn: int) -> frozenset[int]:
-        return frozenset(self._record(asn).siblings)
-
     def neighbors(self, asn: int) -> frozenset[int]:
         record = self._record(asn)
         return frozenset().union(*record.neighbor_sets())
@@ -256,10 +249,6 @@ class ASGraph:
         self.remove_relationship(asn, old_provider)
         self.add_relationship(new_provider, asn, Relationship.CUSTOMER)
 
-    def multihome(self, asn: int, new_provider: int) -> None:
-        """Add a provider link: the Section VII multi-homing action."""
-        self.add_relationship(new_provider, asn, Relationship.CUSTOMER)
-
     # -- derived views -----------------------------------------------------------
 
     def copy(self) -> "ASGraph":
@@ -273,18 +262,6 @@ class ASGraph:
                 region=record.region,
                 tier1=record.tier1,
             )
-        return clone
-
-    def subgraph(self, asns: Iterable[int]) -> "ASGraph":
-        """The induced subgraph on *asns* (links with both ends kept)."""
-        keep = set(asns)
-        clone = ASGraph()
-        for asn in keep:
-            record = self._record(asn)
-            clone.add_as(asn, region=record.region, tier1=record.tier1)
-        for asn, neighbor, relationship in self.edges():
-            if asn in keep and neighbor in keep:
-                clone.add_relationship(asn, neighbor, relationship)
         return clone
 
     # -- consistency -----------------------------------------------------------

@@ -175,23 +175,12 @@ def dumps_caida(graph: ASGraph, *, serial: int = 1, source: str = "repro") -> st
     return "\n".join(lines) + "\n"
 
 
-def dump_caida(graph: ASGraph, path: str | Path, *, serial: int = 1) -> None:
-    """Write *graph* to *path* (gzip if the suffix is ``.gz``)."""
+def dump_caida(graph: ASGraph, path: str | Path) -> None:
+    """Write *graph* to *path* in serial-1 format (gzip if the suffix is ``.gz``)."""
     path = Path(path)
-    text = dumps_caida(graph, serial=serial)
+    text = dumps_caida(graph)
     if path.suffix == ".gz":
         with gzip.open(path, "wt", encoding="ascii") as handle:
             handle.write(text)
     else:
         path.write_text(text, encoding="ascii")
-
-
-def load_any(source: str | Path | Iterable[str], *, strict: bool = True) -> ASGraph:
-    """Convenience loader accepting a path, raw text, or an iterable of lines."""
-    if isinstance(source, Path):
-        return load_caida(source, strict=strict)
-    if isinstance(source, str):
-        if "\n" in source or "|" in source:
-            return loads_caida(source, strict=strict)
-        return load_caida(source, strict=strict)
-    return _read(io.StringIO("\n".join(source)), strict=strict)

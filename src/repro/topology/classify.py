@@ -115,10 +115,9 @@ def _bfs_depth(graph: ASGraph, anchors: Iterable[int]) -> dict[int, int]:
     return depth
 
 
-def depth_to_tier1(graph: ASGraph, tier1: frozenset[int] | None = None) -> dict[int, int]:
+def depth_to_tier1(graph: ASGraph) -> dict[int, int]:
     """Original depth metric: provider hops to the nearest tier-1."""
-    tier1 = tier1 if tier1 is not None else find_tier1(graph)
-    return _bfs_depth(graph, tier1)
+    return _bfs_depth(graph, find_tier1(graph))
 
 
 def effective_depth(

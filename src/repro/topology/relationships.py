@@ -27,14 +27,6 @@ class Relationship(enum.Enum):
     PEER = "peer"
     SIBLING = "sibling"
 
-    def inverse(self) -> "Relationship":
-        """The same link as seen from the other endpoint."""
-        if self is Relationship.CUSTOMER:
-            return Relationship.PROVIDER
-        if self is Relationship.PROVIDER:
-            return Relationship.CUSTOMER
-        return self
-
 
 class RouteClass(enum.IntEnum):
     """LOCAL_PREF class of a route, from the perspective of the AS holding it.
@@ -49,21 +41,3 @@ class RouteClass(enum.IntEnum):
     CUSTOMER = 1
     PEER = 2
     PROVIDER = 3
-
-    @classmethod
-    def from_relationship(cls, relationship: Relationship) -> "RouteClass":
-        """Class of a route learned from a neighbor of the given kind.
-
-        A route learned from my *customer* is a customer route, etc.
-        Sibling-learned routes keep the class they had inside the sibling
-        group, so they never map through this function — sibling groups are
-        collapsed into a single routing node before simulation (see
-        :mod:`repro.topology.view`).
-        """
-        if relationship is Relationship.CUSTOMER:
-            return cls.CUSTOMER
-        if relationship is Relationship.PEER:
-            return cls.PEER
-        if relationship is Relationship.PROVIDER:
-            return cls.PROVIDER
-        raise ValueError(f"no route class for {relationship}")

@@ -39,10 +39,11 @@ class Series:
         return cls(label, tuple((float(x), float(y)) for x, y in pairs))
 
 
-def _nice_step(span: float, target_ticks: int = 6) -> float:
+def _nice_step(span: float) -> float:
+    """A 1/2/5×10^k step giving about six ticks across *span*."""
     if span <= 0:
         return 1.0
-    raw = span / target_ticks
+    raw = span / 6
     magnitude = 10 ** math.floor(math.log10(raw))
     for multiplier in (1, 2, 5, 10):
         if raw <= multiplier * magnitude:
@@ -126,11 +127,10 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: float = 860.0,
-    height: float = 560.0,
 ) -> SvgCanvas:
-    """A multi-series line chart (the Fig. 2–6 CCDF shape)."""
-    canvas = SvgCanvas(width, height)
+    """A multi-series line chart (the Fig. 2–6 CCDF shape), 860×560."""
+    width = 860.0
+    canvas = SvgCanvas(width, 560.0)
     xs = [x for item in series for x, _ in item.points] or [0.0, 1.0]
     ys = [y for item in series for _, y in item.points] or [0.0, 1.0]
     frame = _Frame(canvas, (min(xs + [0.0]), max(xs)), (min(ys + [0.0]), max(ys)))
@@ -159,11 +159,11 @@ def bar_line_chart(
     x_label: str,
     bar_label: str,
     line_label: str,
-    width: float = 860.0,
-    height: float = 480.0,
 ) -> SvgCanvas:
-    """Fig. 7's shape: histogram bars plus a mean-size line on a second axis."""
-    canvas = SvgCanvas(width, height)
+    """Fig. 7's shape, 860×480: histogram bars plus a mean-size line on a
+    second axis."""
+    width = 860.0
+    canvas = SvgCanvas(width, 480.0)
     categories = sorted(set(bars) | set(line))
     if not categories:
         categories = [0]

@@ -134,7 +134,7 @@ def test_engine_counters_match_reference(case, data):
             origin_length=origin_length,
         )
         passes.append(dict(metrics.counters))
-        metrics.clear()
+        metrics.counters.clear()
         engine.converge_batch(
             origins,
             base=base,

@@ -49,20 +49,13 @@ def test_subnets_partition_parent(prefix):
         assert len(halves) == 2
         assert halves[0].size() + halves[1].size() == prefix.size()
         assert prefix.contains(halves[0]) and prefix.contains(halves[1])
-        assert not halves[0].overlaps(halves[1])
+        assert not halves[0].contains(halves[1])
+        assert not halves[1].contains(halves[0])
 
 
 @given(prefixes)
 def test_size_matches_address_range(prefix):
     assert prefix.last_address() - prefix.first_address() + 1 == prefix.size()
-
-
-@given(prefixes)
-def test_bits_encode_network(prefix):
-    bits = prefix.bits()
-    assert len(bits) == prefix.length
-    if prefix.length:
-        assert int(bits, 2) == prefix.network >> (32 - prefix.length)
 
 
 @given(prefixes, st.integers(min_value=0, max_value=(1 << 32) - 1))

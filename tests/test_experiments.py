@@ -53,13 +53,6 @@ class TestResultShape:
         assert path.name == "x.json"
         assert json.loads(path.read_text())["title"] == "T"
 
-    def test_config_scaled(self):
-        scaled = SMALL_CONFIG.scaled(attacker_sample=5, detection_attacks=9)
-        assert scaled.attacker_sample == 5
-        assert scaled.detection_attacks == 9
-        assert scaled.topology == SMALL_CONFIG.topology
-
-
 class TestStore:
     def test_record_and_latest(self):
         with ResultStore() as store:

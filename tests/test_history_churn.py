@@ -57,30 +57,6 @@ class TestHistoricalAuthority:
         assert len(history) == 2
 
 
-class TestPlanTransfer:
-    def test_transfer_moves_ownership(self, medium_lab):
-        plan = medium_lab.plan
-        import copy
-
-        # Work on a throwaway plan to keep the shared fixture pristine.
-        scratch = copy.deepcopy(plan)
-        owner = scratch.all_asns()[0]
-        other = scratch.all_asns()[1]
-        prefix = scratch.primary_prefix(owner)
-        old = scratch.transfer(prefix, other)
-        assert old == owner
-        assert scratch.origin_of(prefix) == other
-        assert prefix in scratch.prefixes_of(other)
-        assert prefix not in scratch.prefixes_of(owner)
-
-    def test_transfer_unallocated_rejected(self, medium_lab):
-        import copy
-
-        scratch = copy.deepcopy(medium_lab.plan)
-        with pytest.raises(KeyError):
-            scratch.transfer(p("223.255.255.0/24"), 1)
-
-
 class TestStaleHistoryStudy:
     @pytest.fixture(scope="class")
     def events(self, medium_lab):

@@ -18,6 +18,7 @@ Three fronts, per ``docs/ingestion.md``:
 from __future__ import annotations
 
 import asyncio
+import gzip
 import json
 import os
 
@@ -32,16 +33,13 @@ from repro.ingest import (
     TraceRecord,
     compile_rib,
     compile_updates,
-    read_trace,
+    format_record,
     run_ingest,
-    seed_registry,
-    write_trace,
 )
 from repro.obs.metrics import Metrics
 from repro.prefixes.prefix import Prefix
 from repro.service.api import ServiceDaemon
 from repro.service.daemon import MonitorService
-from repro.service.tenants import TenantRegistry
 from repro.stream.events import parse_event_line
 from repro.topology.caida import load_caida
 from repro.util.lines import _MAX_LINE_BYTES, LineSplitter
@@ -126,18 +124,14 @@ class TestGoldenTrace:
         # 4 ROAs + 4 baseline announces + 6 update deltas
         assert len(events) == 14
 
-    def test_baseline_classify_and_registry_seeding(self):
+    def test_baseline_legal_origins_and_roa_wave(self):
         baseline = compile_rib(TraceReader(RIB))
         prefix_50 = Prefix.parse("2.40.0.0/13")
-        assert baseline.classify(prefix_50, 50) == "legit"
-        assert baseline.classify(prefix_50, 60) == "hijack"
-        assert baseline.classify(next(prefix_50.subnets()), 50) == "legit"
-        assert baseline.classify(Prefix.parse("99.0.0.0/8"), 50) == "unknown_prefix"
+        assert baseline.origins.get(prefix_50) == {50}
+        assert baseline.origins.get(next(prefix_50.subnets())) is None
         assert baseline.peers == {1, 2}
-
-        registry = TenantRegistry()
-        registrations = seed_registry(registry, baseline)
-        assert {r.tenant for r in registrations} == {"as50", "as60", "as70", "as80"}
+        # What ``serve --rib`` registers and publishes: one ROA per origin.
+        assert {roa.origin_asn for roa in baseline.roa_wave()} == {50, 60, 70, 80}
 
 
 # -- record/trace I/O ------------------------------------------------------
@@ -148,14 +142,17 @@ def test_gzip_trace_roundtrip(tmp_path):
         TraceRecord("announce", 1.0, 1, Prefix.parse("10.0.0.0/16"), (50,)),
         TraceRecord("withdraw", 2.0, 1, Prefix.parse("10.0.0.0/16"), (50,)),
     ]
-    path = write_trace(tmp_path / "trace.jsonl.gz", records)
-    assert read_trace(path) == records
+    path = tmp_path / "trace.jsonl.gz"
+    with gzip.open(path, "wt", encoding="utf-8") as handle:
+        handle.writelines(format_record(record) + "\n" for record in records)
+    assert list(TraceReader(path)) == records
 
 
 def test_tsv_trace_roundtrip(tmp_path):
     records = [TraceRecord("rib", 0.5, 7018, Prefix.parse("10.0.0.0/8"), (7018, 50))]
-    path = write_trace(tmp_path / "trace.tsv", records, encoding="tsv")
-    assert read_trace(path) == records
+    path = tmp_path / "trace.tsv"
+    path.write_text(format_record(records[0], encoding="tsv") + "\n", encoding="utf-8")
+    assert list(TraceReader(path)) == records
 
 
 # -- malformed battery -----------------------------------------------------
@@ -230,7 +227,7 @@ class TestCompilerAnomalies:
         baseline = compile_rib(records, metrics=metrics)
         assert baseline.entries == 2
         assert baseline.duplicates == 1
-        assert baseline.classify(Prefix.parse("2.0.0.0/8"), 60) == "hijack"
+        assert baseline.origins.get(Prefix.parse("2.0.0.0/8")) == {50}
         assert metrics.counters["ingest.duplicate_rib"] == 1
 
     def test_duplicate_rib_entries_strict_raises_with_line(self):

@@ -335,5 +335,5 @@ class TestArrayBackedState:
         assert holders == reference.holders_of(state.origin)
         assert all(type(holder) is int for holder in holders)
         assert state.has_route(node) is True
-        assert state.route_class(node) is reference.route_class(node)
+        assert state.cls[node] == reference.cls[node]
         json.dumps({"path": path, "holders": sorted(holders)})

@@ -68,13 +68,11 @@ class TestMetrics:
             "count": 0, "total_s": 0.0, "mean_s": 0.0, "min_s": 0.0, "max_s": 0.0,
         }
 
-    def test_write_json_and_clear(self, tmp_path):
+    def test_write_json(self, tmp_path):
         metrics = Metrics()
         metrics.count("x", 7)
         path = metrics.write_json(tmp_path / "nested" / "metrics.json")
         assert json.loads(path.read_text())["counters"]["x"] == 7
-        metrics.clear()
-        assert metrics.snapshot() == {"counters": {}, "gauges": {}, "spans": {}}
 
 
 class TestNullMetrics:

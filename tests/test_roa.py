@@ -35,12 +35,6 @@ class TestRoa:
         with pytest.raises(ValueError):
             RouteOriginAuthorization(p("10.0.0.0/16"), 65001, max_length=33)
 
-    def test_covers_ignores_origin(self):
-        roa = RouteOriginAuthorization(p("10.0.0.0/16"), 65001)
-        assert roa.covers(p("10.0.1.0/24"))
-        assert not roa.covers(p("11.0.0.0/16"))
-
-
 class TestRoaTable:
     @pytest.fixture
     def table(self) -> RoaTable:

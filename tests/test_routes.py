@@ -14,13 +14,10 @@ class TestRoute:
         route = Route(P, RouteClass.ORIGIN, (), 7)
         assert route.length == 0
         assert route.origin == 7
-        with pytest.raises(ValueError):
-            route.next_hop
 
     def test_learned_route(self):
         route = Route(P, RouteClass.CUSTOMER, (3, 7), 7)
         assert route.length == 2
-        assert route.next_hop == 3
 
     def test_path_must_end_at_origin(self):
         with pytest.raises(ValueError):

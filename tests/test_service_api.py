@@ -171,6 +171,30 @@ class TestErrors:
         )
         assert status == 400 and "unknown origin" in body["error"]
 
+    def test_deregister_unregistered_prefix_is_404(self, api):
+        status, body = api(
+            "POST", "/tenants/a/deregister", payload={"prefix": "2.192.0.0/12"}
+        )
+        assert status == 404
+        assert "a has no registration for 2.192.0.0/12" in body["error"]
+
+    @pytest.mark.parametrize("max_length", [99, 3])
+    def test_out_of_range_max_length_is_400_and_registers_nothing(
+        self, api, max_length
+    ):
+        _status, before = api("GET", "/health")
+        status, body = api(
+            "POST", "/tenants/a/prefixes",
+            payload={"prefix": "2.192.0.0/12", "origin": 60,
+                     "max_length": max_length},
+        )
+        assert status == 400
+        assert f"maxLength {max_length} outside [12, 32]" in body["error"]
+        _status, after = api("GET", "/health")
+        assert (after["registrations"], after["roas"]) == (
+            before["registrations"], before["roas"]
+        )
+
     @pytest.mark.parametrize(
         "length, expected", [(-5, 400), (_MAX_BODY_BYTES + 1, 413)]
     )
@@ -273,6 +297,15 @@ class TestHostileEvents:
             health = json.loads(response.read(), parse_constant=_raise_on_constant)
         assert health["clock"] == 0.0
         assert health["events"]["out_of_order"] == 0
+
+    def test_out_of_range_max_length_roa_line_is_malformed(self, fresh):
+        line = json.dumps({"kind": "roa-publish", "at": 0.0, "prefix": "10.0.0.0/16",
+                           "origin": 50, "max_length": 99})
+        status, outcome = _request(fresh.base_url, "POST", "/events", raw=line)
+        assert status == 200
+        assert (outcome["accepted"], outcome["malformed"]) == (0, 1)
+        _status, health = _request(fresh.base_url, "GET", "/health")
+        assert health["roas"] == 0
 
     def test_failing_event_still_answers(self, fresh, monkeypatch):
         def broken(*_args, **_kwargs):

@@ -96,6 +96,25 @@ class TestSerialization:
         with pytest.raises(StreamFormatError, match="timestamp"):
             parse_event_line(line)
 
+    @pytest.mark.parametrize("kind", ["roa-publish", "roa-revoke"])
+    @pytest.mark.parametrize("max_length", [99, -4, 3])
+    def test_parse_event_line_rejects_out_of_range_max_length(self, kind, max_length):
+        # The ROA's own rule: maxLength lies in [prefix length, 32].
+        line = (
+            '{"at":1.0,"kind":"%s","max_length":%d,"origin":50,"prefix":"10.0.0.0/8"}'
+            % (kind, max_length)
+        )
+        with pytest.raises(StreamFormatError, match=r"outside \[8, 32\]"):
+            parse_event_line(line)
+
+    @pytest.mark.parametrize("max_length", [8, 32])
+    def test_parse_event_line_accepts_max_length_bounds(self, max_length):
+        line = (
+            '{"at":1.0,"kind":"roa-publish","max_length":%d,"origin":50,'
+            '"prefix":"10.0.0.0/8"}' % max_length
+        )
+        assert parse_event_line(line).max_length == max_length
+
     def test_parse_event_line_rejects_invalid_json(self):
         with pytest.raises(StreamFormatError, match="invalid JSON"):
             parse_event_line("{nope")

@@ -244,12 +244,3 @@ class TestAssign:
         assert plan.origin_of(_p("10.0.0.0/23")) is None  # covers both blocks
         assert plan.origin_of(_p("10.0.2.0/24")) is None
         assert plan.origin_of(_p("9.0.0.0/8")) is None
-
-    def test_transfer_then_lookup(self):
-        plan = AddressPlan()
-        plan.assign(1, _p("10.0.0.0/24"))
-        assert plan.transfer(_p("10.0.0.0/24"), 7) == 1
-        assert plan.origin_of(_p("10.0.0.5/32")) == 7
-        assert list(plan.items()) == [(_p("10.0.0.0/24"), 7)]
-        with pytest.raises(KeyError):
-            plan.transfer(_p("10.0.0.0/25"), 8)
