@@ -2,20 +2,33 @@
 
 The daemon follows the sync-core / async-shell split: every decision
 lives in :class:`~repro.service.daemon.MonitorService`; this module only
-moves bytes. Two kinds of tasks run on the loop, and both call the sync
+moves bytes. Two front ends run on the loop, and both call the sync
 core directly (``ingest_line`` per line, then ``poll``):
 
 * the **HTTP server** — a deliberately minimal HTTP/1.1 implementation
-  over :func:`asyncio.start_server` (request line, headers,
-  ``Content-Length`` body; one request per connection), because the
-  stdlib-only constraint is part of the subsystem's contract;
+  (request line, headers, ``Content-Length`` body; one request per
+  connection), because the stdlib-only constraint is part of the
+  subsystem's contract. Each connection is one :class:`asyncio.Protocol`:
+  ``data_received`` buffers bytes and scans the request head as it
+  arrives, and once the body is complete it dispatches and answers in
+  the same callback — one ``transport.write`` of head and body, then
+  ``write_eof`` and ``close``;
 * an optional **feed task** tailing a JSONL file (``--input`` /
   ``--follow``), the "tails event feeds" half of the ingest front-end.
 
-Nothing between reading a line and applying it awaits, so a task
-applies every line it has read before another task runs: a
+Nothing between reading a line and applying it awaits, so a request or
+the feed task applies every line it has read before anything else runs: a
 registration can never overtake feed or ``POST /events`` lines that
 were read before it.
+
+Requests the server refuses before dispatch, each answered and closed:
+a request line over 64 KiB (414); a header line over 64 KiB or more
+than 100 header lines (431); a malformed request line, a bad or negative
+``Content-Length`` or two ``Content-Length`` headers that disagree
+(400); a body over 16 MiB (413, before any body byte is read); any
+``Transfer-Encoding``, which this server does not decode (501); and a
+request not fully delivered within ``_READ_DEADLINE_S`` (408). A
+connection that ends before its request is complete gets 400.
 
 Endpoints (all JSON):
 
@@ -42,7 +55,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable
 
 from repro.service.daemon import MonitorService
 from repro.stream.events import StreamFormatError
@@ -65,20 +78,27 @@ _REASONS = {
     413: "Content Too Large",
     414: "URI Too Long",
     431: "Request Header Fields Too Large",
+    501: "Not Implemented",
 }
 
 # Largest request body the daemon will read; a bigger Content-Length is
 # refused before a byte of body is read.
 _MAX_BODY_BYTES = 16 * 1024 * 1024
 
-# Most header lines one request may carry. A single request or header
-# line is bounded by the stream reader's own 64 KiB line limit.
+# Most header lines one request may carry.
 _MAX_HEADERS = 100
+
+# Longest request or header line, in bytes before its newline.
+_MAX_LINE_BYTES = 64 * 1024
 
 # Seconds a client has to deliver its whole request (line, headers and
 # body); a silent or slow peer is answered 408 instead of holding its
 # connection open. Handling the request is not under this deadline.
 _READ_DEADLINE_S = 10.0
+
+
+# A response body: JSON to encode, or JSON already encoded.
+_Payload = dict[str, object] | list[object] | bytes
 
 
 class _RequestError(Exception):
@@ -109,7 +129,9 @@ class ServiceDaemon:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpConnection(self._dispatch), self.host, self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def wait_stopped(self) -> None:
@@ -223,49 +245,7 @@ class ServiceDaemon:
 
     # -- HTTP --------------------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            status, payload = await self._serve_one(reader)
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            reason = _REASONS.get(status, "OK")
-            writer.write(
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n".encode("latin-1")
-            )
-            writer.write(body)
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    async def _serve_one(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, dict[str, object] | list[object]]:
-        try:
-            method, path, body = await asyncio.wait_for(
-                _read_request(reader), _READ_DEADLINE_S
-            )
-        except _RequestError as error:
-            return error.status, {"error": str(error)}
-        except asyncio.TimeoutError:
-            return 408, {"error": f"request not received in {_READ_DEADLINE_S} s"}
-        try:
-            return self._dispatch(method, path, body)
-        except ValueError as error:
-            return 400, {"error": str(error)}
-
-    def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict[str, object] | list[object]]:
+    def _dispatch(self, method: str, path: str, body: bytes) -> tuple[int, _Payload]:
         service = self.service
         segments = [segment for segment in path.split("?")[0].split("/") if segment]
         if method == "GET":
@@ -276,7 +256,7 @@ class ServiceDaemon:
             if segments == ["tenants"]:
                 return 200, {"tenants": service.tenant_payloads()}
             if segments == ["verdicts"]:
-                return 200, {"verdicts": service.verdict_payloads()}
+                return 200, _verdict_listing(service.verdict_json())
             if segments == ["mitigations"]:
                 return 200, {"mitigations": service.mitigation_payloads()}
             if len(segments) == 3 and segments[0] == "tenants":
@@ -284,7 +264,7 @@ class ServiceDaemon:
                 if segments[2] == "stats":
                     return 200, service.tenant_stats(tenant)
                 if segments[2] == "verdicts":
-                    return 200, {"verdicts": service.verdict_payloads(tenant)}
+                    return 200, _verdict_listing(service.verdict_json(tenant))
             return 404, {"error": f"no such resource {path}"}
         if method == "POST":
             if segments == ["events"]:
@@ -320,38 +300,144 @@ class ServiceDaemon:
         return 405, {"error": f"method {method} not supported"}
 
 
-async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
-    """Read one request's method, path and body, or raise :class:`_RequestError`."""
-    # readline raises ValueError for a line past the reader's limit.
-    try:
-        request_line = await reader.readline()
-    except ValueError:
-        raise _RequestError(414, "request line too long") from None
-    parts = request_line.decode("latin-1", "replace").split()
-    if len(parts) < 2:
-        raise _RequestError(400, "malformed request line")
-    headers: dict[str, str] = {}
-    for _ in range(_MAX_HEADERS + 1):
+def _verdict_listing(verdict_json: str) -> bytes:
+    """``{"verdicts": [...]}`` around an already-encoded verdict array."""
+    return f'{{"verdicts": {verdict_json}}}'.encode("utf-8")
+
+
+class _HttpConnection(asyncio.Protocol):
+    """One connection: read one request as its bytes arrive, answer, close.
+
+    The head is scanned line by line as data arrives, each line checked
+    against the limits as soon as it is seen, so a refusal never waits
+    for the rest of the head. The body is dispatched inside the
+    ``data_received`` call that completes it.
+    """
+
+    _transport: asyncio.Transport
+    _deadline: asyncio.TimerHandle
+
+    def __init__(self, dispatch: Callable[[str, str, bytes], tuple[int, _Payload]]) -> None:
+        self._dispatch = dispatch
+        self._buffer = bytearray()
+        self._line_start = 0  # offset of the head line being scanned
+        self._searched = 0  # offset up to which that line holds no newline
+        self._method = ""  # set, with the path, once the request line is in
+        self._path = ""
+        self._header_count = 0
+        self._lengths: set[str] = set()  # distinct Content-Length texts
+        self._transfer_encoded = False
+        self._body_start = -1  # offset of the body, once the head is in
+        self._body_length = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        seconds = _READ_DEADLINE_S
+        self._deadline = asyncio.get_running_loop().call_later(
+            seconds, self._answer, 408, {"error": f"request not received in {seconds} s"}
+        )
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._deadline.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if self._body_start < 0:
+            try:
+                if not self._scan_head():
+                    return
+            except _RequestError as error:
+                self._answer(error.status, {"error": str(error)})
+                return
+        end = self._body_start + self._body_length
+        if len(self._buffer) < end:
+            return
+        body = bytes(self._buffer[self._body_start : end])
         try:
-            line = await reader.readline()
+            status, payload = self._dispatch(self._method, self._path, body)
+        except ValueError as error:
+            status, payload = 400, {"error": str(error)}
+        self._answer(status, payload)
+
+    def eof_received(self) -> None:
+        # Only an incomplete request gets here: a complete one was
+        # answered, and its transport closed, in data_received.
+        self._answer(400, {"error": "connection closed before the request was complete"})
+
+    def _answer(self, status: int, payload: _Payload) -> None:
+        self._deadline.cancel()
+        if isinstance(payload, bytes):
+            body = payload
+        else:
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: close\r\n\r\n"
+        ).encode("latin-1")
+        self._transport.write(head + body)
+        # The client reads to EOF: send the FIN now, not on the loop's
+        # next pass, where transport.close() would.
+        self._transport.write_eof()
+        self._transport.close()
+
+    def _scan_head(self) -> bool:
+        """Scan the head lines received so far; True once the head is complete.
+
+        Raises :class:`_RequestError` for a head the server refuses.
+        """
+        buffer = self._buffer
+        while True:
+            start = self._line_start
+            end = buffer.find(b"\n", self._searched)
+            if (len(buffer) if end < 0 else end) - start > _MAX_LINE_BYTES:
+                if not self._method:
+                    raise _RequestError(414, "request line too long")
+                raise _RequestError(431, "header line too long")
+            if end < 0:
+                self._searched = len(buffer)
+                return False
+            line = buffer[start : end + 1]
+            self._line_start = self._searched = end + 1
+            if not self._method:
+                words = line.decode("latin-1", "replace").split()
+                if len(words) < 2:
+                    raise _RequestError(400, "malformed request line")
+                self._method, self._path = words[0].upper(), words[1]
+            elif line in (b"\r\n", b"\n"):
+                break
+            elif self._header_count == _MAX_HEADERS:
+                raise _RequestError(431, f"more than {_MAX_HEADERS} header lines")
+            else:
+                self._header_count += 1
+                name, _, value = line.decode("latin-1", "replace").partition(":")
+                name = name.strip().lower()
+                if name == "content-length":
+                    self._lengths.add(value.strip())
+                elif name == "transfer-encoding":
+                    self._transfer_encoded = True
+        self._body_start = self._line_start
+        self._body_length = self._content_length()
+        return True
+
+    def _content_length(self) -> int:
+        if self._transfer_encoded:
+            # A chunked body read as Content-Length 0 would be dropped
+            # while the client is told it was accepted.
+            raise _RequestError(501, "Transfer-Encoding is not supported")
+        try:
+            lengths = {int(text or "0") for text in self._lengths} or {0}
         except ValueError:
-            raise _RequestError(431, "header line too long") from None
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1", "replace").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise _RequestError(431, f"more than {_MAX_HEADERS} header lines")
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        raise _RequestError(400, "bad Content-Length") from None
-    if length < 0:
-        raise _RequestError(400, "bad Content-Length")
-    if length > _MAX_BODY_BYTES:
-        raise _RequestError(413, f"body exceeds {_MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    return parts[0].upper(), parts[1], body
+            raise _RequestError(400, "bad Content-Length") from None
+        if len(lengths) > 1:
+            raise _RequestError(400, "conflicting Content-Length headers")
+        (length,) = lengths
+        if length < 0:
+            raise _RequestError(400, "bad Content-Length")
+        if length > _MAX_BODY_BYTES:
+            raise _RequestError(413, f"body exceeds {_MAX_BODY_BYTES} bytes")
+        return length
 
 
 def _json_object(body: bytes) -> dict[str, object]:

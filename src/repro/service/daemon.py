@@ -32,8 +32,13 @@ the victim's routes" is a number in the record, not a claim.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, repeat
+from operator import eq
+from typing import Sequence
 
 from repro.attacks.lab import HijackLab
 from repro.detection.probes import ProbeSet
@@ -74,6 +79,12 @@ class ServiceVerdict:
     @property
     def confirmed(self) -> bool:
         return self.alarm.verdict in CONFIRMED_VERDICTS
+
+    @cached_property
+    def json_text(self) -> str:
+        """:meth:`as_dict` encoded as the API serves it, once: a verdict
+        never changes, and every read that lists it would encode it again."""
+        return json.dumps(self.as_dict(), sort_keys=True)
 
     def as_dict(self) -> dict[str, object]:
         payload: dict[str, object] = {
@@ -137,6 +148,7 @@ class MonitorService:
             metrics=self.metrics,
         )
         self.verdicts: list[ServiceVerdict] = []
+        self._tenant_verdicts: dict[str, list[ServiceVerdict]] = {}
         self.mitigations: list[MitigationRecord] = []
         self._stats: dict[str, LatencyStats] = {}
         self._mitigated: set[tuple[str, Prefix, str]] = set()
@@ -238,6 +250,9 @@ class MonitorService:
                 ):
                     self._mitigate(registration, alarm)
         self.verdicts.extend(fresh)
+        for verdict in fresh:
+            if verdict.tenant is not None:
+                self._tenant_verdicts.setdefault(verdict.tenant, []).append(verdict)
         if fresh:
             self.metrics.count("service.verdicts", len(fresh))
         return fresh
@@ -322,17 +337,22 @@ class MonitorService:
                 ),
                 key=lambda item: -item[0].length,
             )
-            resolved = [
-                (ledger.state, ledger.origin_asns()) for _stored, ledger in covering
-            ]
-            for node in range(node_count):
-                for state, asn_of_origin in resolved:
-                    origin_node = state.origin_of[node]
-                    if origin_node == -1:
-                        continue
-                    if asn_of_origin.get(origin_node) == origin_asn:
-                        reached += 1
-                    break
+            # Longest match first: a ledger answers for the nodes it gives
+            # a route that no more-specific ledger answered for.
+            nodes: Sequence[int] = range(node_count)
+            for _stored, ledger in covering:
+                ours = {
+                    node
+                    for node, asn in ledger.origin_asns().items()
+                    if asn == origin_asn
+                }
+                origin_of = ledger.state.origin_of
+                if len(nodes) == node_count:
+                    routes = origin_of
+                else:
+                    routes = [origin_of[node] for node in nodes]
+                reached += sum(map(ours.__contains__, routes))
+                nodes = list(compress(nodes, map(eq, routes, repeat(-1))))
         return reached / total
 
     # -- API payloads ------------------------------------------------------
@@ -353,11 +373,18 @@ class MonitorService:
         }
 
     def verdict_payloads(self, tenant: str | None = None) -> list[dict[str, object]]:
-        return [
-            verdict.as_dict()
-            for verdict in self.verdicts
-            if tenant is None or verdict.tenant == tenant
-        ]
+        return [verdict.as_dict() for verdict in self._verdicts_of(tenant)]
+
+    def verdict_json(self, tenant: str | None = None) -> str:
+        """:meth:`verdict_payloads` as the JSON array
+        ``json.dumps(..., sort_keys=True)`` writes, from each verdict's
+        :attr:`~ServiceVerdict.json_text`."""
+        return "[" + ", ".join(v.json_text for v in self._verdicts_of(tenant)) + "]"
+
+    def _verdicts_of(self, tenant: str | None) -> list[ServiceVerdict]:
+        if tenant is None:
+            return self.verdicts
+        return self._tenant_verdicts.get(tenant, [])
 
     def mitigation_payloads(self) -> list[dict[str, object]]:
         return [record.as_dict() for record in self.mitigations]
@@ -371,7 +398,7 @@ class MonitorService:
                 for registration in self.registry.for_tenant(tenant)
             ],
             "latency": stats.as_dict(),
-            "verdicts": sum(1 for v in self.verdicts if v.tenant == tenant),
+            "verdicts": len(self._tenant_verdicts.get(tenant, ())),
         }
 
     def tenant_payloads(self) -> list[dict[str, object]]:

@@ -74,6 +74,9 @@ class TenantRegistry:
 
     def __init__(self) -> None:
         self._trie: PrefixTrie[dict[str, TenantRegistration]] = PrefixTrie()
+        # The same registrations by tenant, so per-tenant reads never walk
+        # the trie; register and deregister keep the two in step.
+        self._by_tenant: dict[str, dict[Prefix, TenantRegistration]] = {}
         self._count = 0
 
     def __len__(self) -> int:
@@ -87,6 +90,9 @@ class TenantRegistry:
         if registration.tenant not in slot:
             self._count += 1
         slot[registration.tenant] = registration
+        self._by_tenant.setdefault(registration.tenant, {})[
+            registration.prefix
+        ] = registration
 
     def deregister(self, tenant: str, prefix: Prefix) -> TenantRegistration:
         slot = self._trie.get(prefix)
@@ -96,6 +102,10 @@ class TenantRegistry:
         self._count -= 1
         if not slot:
             self._trie.remove(prefix)
+        owned = self._by_tenant[tenant]
+        del owned[prefix]
+        if not owned:
+            del self._by_tenant[tenant]
         return registration
 
     def match(self, prefix: Prefix) -> list[TenantRegistration]:
@@ -121,10 +131,12 @@ class TenantRegistry:
         ]
 
     def tenants(self) -> list[str]:
-        return sorted({reg.tenant for reg in self.registrations()})
+        return sorted(self._by_tenant)
 
     def for_tenant(self, tenant: str) -> list[TenantRegistration]:
-        return [reg for reg in self.registrations() if reg.tenant == tenant]
+        """*tenant*'s registrations in trie order: ascending prefix."""
+        owned = self._by_tenant.get(tenant, {})
+        return [owned[prefix] for prefix in sorted(owned)]
 
 
 @dataclass

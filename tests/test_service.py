@@ -7,6 +7,7 @@ loop, no sockets (the async shell has its own suite in
 """
 
 import json
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.prefixes.prefix import Prefix
 from repro.service.daemon import CONFIRMED_VERDICTS, MonitorService
 from repro.service.shards import ShardPlane
 from repro.service.tenants import LatencyStats, TenantRegistration, TenantRegistry
-from repro.stream.events import Announce, RoaPublish
+from repro.stream.events import Announce, DefenseActivate, RoaPublish
 from repro.stream.monitor import OnlineMonitor
 
 
@@ -100,6 +101,32 @@ class TestTenantRegistry:
         registry.register(self.registration(prefix="172.16.0.0/12"))
         registry.register(self.registration(tenant="globex", prefix="192.0.2.0/24"))
         assert len(registry.for_tenant("acme")) == 2
+
+    def test_tenant_reads_equal_the_trie_walk(self):
+        rng = random.Random(7)
+        tenants = ["acme", "globex", "initech", "umbrella"]
+        prefixes = [
+            "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16", "10.0.128.0/17",
+            "10.1.0.0/16", "172.16.0.0/12", "192.0.2.0/24",
+        ]
+        registry = TenantRegistry()
+        for _ in range(300):
+            tenant, prefix = rng.choice(tenants), rng.choice(prefixes)
+            if rng.random() < 0.6:
+                registry.register(
+                    self.registration(tenant, prefix, rng.choice([50, 60]))
+                )
+            else:
+                try:
+                    registry.deregister(tenant, p(prefix))
+                except KeyError:
+                    pass
+            walked = registry.registrations()
+            assert registry.tenants() == sorted({r.tenant for r in walked})
+            for name in tenants:
+                assert registry.for_tenant(name) == [
+                    r for r in walked if r.tenant == name
+                ]
 
     def test_registration_as_dict(self):
         payload = self.registration(auto_mitigate=True, deployer_asns=(1, 2)).as_dict()
@@ -319,6 +346,24 @@ class TestMonitorService:
         assert payload[0]["verdict"] == "hijack"
         assert payload[0]["confirmed"] is True
 
+    def test_verdict_json_is_the_encoded_payloads(self, lab, probes):
+        service = service_for(lab, probes)
+        for tenant, target, attacker in (("acme", 50, 60), ("globex", 70, 80)):
+            prefix = lab.target_prefix(target)
+            service.register(tenant, prefix, target)
+            service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=target))
+            service.ingest_event(Announce(at=1.0, prefix=prefix, origin_asn=attacker))
+        unclaimed = lab.target_prefix(30)
+        service.ingest_event(RoaPublish(at=2.0, prefix=unclaimed, origin_asn=30))
+        service.ingest_event(Announce(at=2.0, prefix=unclaimed, origin_asn=30))
+        service.ingest_event(Announce(at=3.0, prefix=unclaimed, origin_asn=40))
+        service.poll()
+        assert {v.tenant for v in service.verdicts} == {"acme", "globex", None}
+        for tenant in (None, "acme", "globex", "nobody"):
+            assert service.verdict_json(tenant) == json.dumps(
+                service.verdict_payloads(tenant), sort_keys=True
+            )
+
     def test_health_payload(self, lab, probes):
         service = service_for(lab, probes, shards=2)
         service.register("acme", lab.target_prefix(50), 50)
@@ -406,6 +451,60 @@ class TestAutoMitigation:
         assert payload[0]["tenant"] == "acme"
         assert payload[0]["verdict"] == "hijack"
         assert len(payload[0]["announced"]) == 2
+
+
+def per_node_coverage(service, prefix, origin_asn):
+    """``victim_coverage`` node by node: most-specific live ledger first,
+    falling through to the next covering one where a ledger has no route."""
+    live = [
+        (stored, ledger)
+        for stored, ledger in service.plane.ledgers().items()
+        if ledger.state is not None
+    ]
+    if prefix.length < 32:
+        samples = [half.first_address() for half in prefix.subnets()]
+    else:
+        samples = [prefix.first_address()]
+    node_count = len(service.lab.view)
+    reached = 0
+    for address in samples:
+        covering = sorted(
+            (item for item in live if item[0].contains_address(address)),
+            key=lambda item: -item[0].length,
+        )
+        for node in range(node_count):
+            for _stored, ledger in covering:
+                origin_node = ledger.state.origin_of[node]
+                if origin_node == -1:
+                    continue
+                reached += ledger.origin_asns().get(origin_node) == origin_asn
+                break
+    return reached / (node_count * len(samples))
+
+
+class TestVictimCoverage:
+    @pytest.mark.parametrize("backend", ["reference", "array"])
+    def test_matches_the_per_node_model(self, mini_graph, probes, backend):
+        lab = HijackLab(mini_graph, seed=1, backend=backend)
+        service = service_for(lab, probes)
+        prefix = lab.target_prefix(50)
+        sub = next(iter(prefix.subnets()))
+        service.register("acme", prefix, 50)
+        # AS20 drops the INVALID more-specific, so the nodes behind it
+        # have no route for it and fall back to the covering prefix.
+        service.ingest_event(DefenseActivate(at=0.0, deployer_asns=(20,)))
+        service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=50))
+        service.ingest_event(Announce(at=1.0, prefix=sub, origin_asn=60))
+        service.poll()
+        routes = service.plane.ledgers()[sub].state.origin_of
+        assert 0 < sum(origin == -1 for origin in routes) < len(lab.view)
+        quarter = next(iter(sub.subnets()))
+        for query in (prefix, sub, quarter, p("10.0.0.0/8")):
+            for origin_asn in (50, 60, 70):
+                assert service.victim_coverage(query, origin_asn) == (
+                    per_node_coverage(service, query, origin_asn)
+                )
+        assert 0 < service.victim_coverage(prefix, 50) < 1
 
 
 class TestShardParity:

@@ -7,6 +7,7 @@ smoke step and an operator's curl would.
 
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -258,6 +259,33 @@ class TestErrors:
         status, _body = api("GET", "/health")
         assert status == 200
 
+    @pytest.mark.parametrize(
+        "sent, expected",
+        [
+            # A chunked body would be read as no body and answered 200
+            # with nothing ingested.
+            (b"POST /events HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
+            # RFC 9112 section 6.3: differing lengths leave the body's end unknown.
+            (
+                b"POST /events HTTP/1.1\r\nContent-Length: 3\r\n"
+                b"Content-Length: 5\r\n\r\n\n\n\n\n\n",
+                400,
+            ),
+            # The same length repeated is unambiguous.
+            (
+                b"POST /events HTTP/1.1\r\nContent-Length: 5\r\n"
+                b"Content-Length: 5\r\n\r\n\n\n\n\n\n",
+                200,
+            ),
+        ],
+        ids=["transfer-encoding", "conflicting-content-length", "repeated-content-length"],
+    )
+    def test_body_framing(self, thread, api, sent, expected):
+        status, body = _exchange(thread.port, [sent])
+        assert status == expected, body
+        status, _body = api("GET", "/health")
+        assert status == 200
+
     def test_header_count_at_the_limit_is_served(self, thread):
         head = (
             "GET /health HTTP/1.1\r\n"
@@ -268,6 +296,76 @@ class TestErrors:
             conn.sendall(head.encode())
             status_line = conn.makefile("rb").readline().split()
         assert int(status_line[1]) == 200
+
+
+def _exchange(port, chunks, *, pause=0.0, half_close=False):
+    """Send each chunk in its own send, *pause* seconds apart; read to EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for chunk in chunks:
+            conn.sendall(chunk)
+            time.sleep(pause)
+        if half_close:
+            conn.shutdown(socket.SHUT_WR)
+        raw = conn.makefile("rb").read()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def _deregister_request(padding=0):
+    """A request whose 404 names its tenant and prefix only if the whole
+    JSON body arrived; *padding* spaces lengthen that body."""
+    body = b" " * padding + json.dumps({"prefix": "2.192.0.0/12"}).encode()
+    head = (
+        "POST /tenants/nobody/deregister HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return head.encode() + body
+
+
+_DEREGISTER_404 = "nobody has no registration for 2.192.0.0/12"
+
+
+class TestRequestArrival:
+    """However a request's bytes are split, it is answered as a whole."""
+
+    def test_one_byte_at_a_time(self, thread):
+        # Every split point: inside the request line, inside a header,
+        # inside the blank line and inside the body.
+        request = _deregister_request()
+        status, body = _exchange(
+            thread.port, [request[i : i + 1] for i in range(len(request))], pause=0.001
+        )
+        assert status == 404 and _DEREGISTER_404 in body["error"]
+
+    def test_body_spans_several_reads(self, thread):
+        request = _deregister_request(padding=300_000)
+        head_end = request.index(b"\r\n\r\n") + 4
+        chunks = [request[:head_end + 7], request[head_end + 7 : -10], request[-10:]]
+        status, body = _exchange(thread.port, chunks, pause=0.02)
+        assert status == 404 and _DEREGISTER_404 in body["error"]
+
+    def test_half_closed_client_gets_its_answer(self, thread):
+        status, body = _exchange(
+            thread.port, [b"GET /health HTTP/1.1\r\n\r\n"], half_close=True
+        )
+        assert status == 200 and body["status"] == "ok"
+
+    def test_disconnect_mid_body_leaves_the_daemon_serving(self, thread, api):
+        with socket.create_connection(("127.0.0.1", thread.port), timeout=10) as conn:
+            conn.sendall(b"POST /events HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"x" * 10)
+        status, _body = api("GET", "/health")
+        assert status == 200
+
+    def test_stalled_client_does_not_delay_others(self, thread, api, monkeypatch):
+        monkeypatch.setattr(service_api, "_READ_DEADLINE_S", 2.0)
+        with socket.create_connection(("127.0.0.1", thread.port), timeout=10) as stalled:
+            stalled.sendall(b"POST /events HTTP/1.1\r\nContent-Length: 100\r\n\r\n")
+            began = time.perf_counter()
+            status, _body = api("GET", "/health")
+            elapsed = time.perf_counter() - began
+            assert status == 200 and elapsed < 1.0
+            assert int(stalled.makefile("rb").readline().split()[1]) == 408
 
 
 def _raise_on_constant(name):
