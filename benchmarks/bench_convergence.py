@@ -1,4 +1,4 @@
-"""Convergence statistics — validating the simulator against the paper.
+"""Convergence statistics — validating the flood against the paper.
 
 Paper, Section III: "Convergence is generally reached within 5 to 10
 generations." This bench measures the generations-to-convergence

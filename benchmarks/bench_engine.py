@@ -1,21 +1,18 @@
-"""Engine performance: why the repository has two routing engines.
+"""Engine performance: why sweeps run on the engine, not the flood.
 
 The paper's sweeps attack one target from every other AS. These benches
 measure the fast engine's single-hijack latency (with the legitimate state
-amortized, as sweeps do), the equivalent message-simulator run, and the
-legitimate-convergence cost — quantifying the speedup that makes
-exhaustive sweeps practical.
+amortized, as sweeps do), the same attack through the generation-stepped
+reference flood, and the legitimate-convergence cost — quantifying the
+speedup that makes exhaustive sweeps practical.
 """
 
 import pytest
 
 from repro.bgp.engine import RoutingEngine
-from repro.bgp.simulator import BGPSimulator
-from repro.prefixes.prefix import Prefix
+from repro.oracle.reference import ReferenceSimulator
 from repro.topology.view import RoutingView
 from repro.util.rng import make_rng
-
-PREFIX = Prefix.parse("10.0.0.0/8")
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +42,16 @@ def test_engine_hijack_amortized(benchmark, setup):
 
 
 def test_simulator_full_hijack(benchmark, setup):
-    """The same attack through the generation-stepped message simulator."""
+    """The same attack through the generation-stepped reference flood."""
     view, _engine, target, attacker, legit = setup
+    flood = ReferenceSimulator(view)
 
-    def run():
-        simulator = BGPSimulator(view)
-        simulator.announce(target, PREFIX)
-        return simulator.announce(attacker, PREFIX)
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        flood.hijack, args=(target, attacker), rounds=1, iterations=1
+    )
     # Cross-check against the engine while we are at it.
     engine_result = RoutingEngine(view).hijack(target, attacker, legitimate=legit)
-    assert frozenset(report.adopters) == engine_result.polluted_nodes
+    assert flood.holders_of(table, attacker) == engine_result.polluted_nodes
 
 
 def test_engine_sweep_throughput(benchmark, setup):

@@ -6,10 +6,12 @@ The package layers:
 
 * :mod:`repro.prefixes` — IPv4 prefixes, longest-prefix matching, address plans
 * :mod:`repro.topology` — AS graph, CAIDA I/O, synthetic generator
-* :mod:`repro.bgp` — policy model, message-passing simulator, fast engine
+* :mod:`repro.bgp` — policy model, convergence statistics, fast engine
 * :mod:`repro.attacks` — hijack scenarios and attacker sweeps
 * :mod:`repro.parallel` — the convergence cache
 * :mod:`repro.obs` — runtime metrics (counters, gauges, spans)
+* :mod:`repro.oracle` — the reference flood (the one generation-stepped
+  simulator), the differential harness and invariant checks
 * :mod:`repro.registry` — ROA tables, route-origin publication, history
 * :mod:`repro.defense` — filtering / origin-validation deployment
 * :mod:`repro.detection` — hijack-detector probe analysis

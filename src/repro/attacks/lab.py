@@ -32,7 +32,6 @@ from repro.attacks.scenario import (
 )
 from repro.bgp.engine import RouteState, RoutingEngine
 from repro.bgp.policy import PolicyConfig
-from repro.bgp.simulator import BGPSimulator, PropagationReport
 from repro.defense.deployment import Defense
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.parallel.cache import ConvergenceCache
@@ -48,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from numpy import ndarray
 
     from repro.defense.strategies import DeploymentStrategy
+    from repro.oracle.reference import PropagationReport
     from repro.registry.roa import OriginAuthority
 
 __all__ = ["HijackLab"]
@@ -621,22 +621,35 @@ class HijackLab:
     def animate(
         self, target_asn: int, attacker_asn: int
     ) -> tuple[PropagationReport, PropagationReport]:
-        """Run the message simulator with event recording for both phases.
+        """Flood both phases generation by generation, with event logs.
 
-        Returns the legitimate and attack propagation reports whose
-        per-generation events drive the polar visualisation.
+        The legitimate announcement floods a clean network unblocked; the
+        attack floods over the resulting table with the blocked nodes and
+        first-hop flag :meth:`run_scenario` hands the engine. Returns the
+        legitimate and attack propagation reports whose per-generation
+        events drive the polar visualisation.
         """
-        prefix = self.target_prefix(target_asn)
-        simulator = BGPSimulator(
-            self.view,
-            self.policy,
-            validator=self.defense.validator(self.view, self.plan),
-            metrics=self.metrics,
+        from repro.oracle.reference import ReferenceSimulator
+
+        view = self.view
+        target_node = view.node_of(target_asn)
+        attacker_node = view.node_of(attacker_asn)
+        if target_node == attacker_node:
+            raise ValueError(
+                "attacker and target collapse into one routing node "
+                f"(sibling group) for AS{attacker_asn}/AS{target_asn}"
+            )
+        flood = ReferenceSimulator(
+            view, tier1_shortest_path=self.policy.tier1_shortest_path
         )
-        legit = simulator.announce(
-            self.view.node_of(target_asn), prefix, record_events=True
-        )
-        attack = simulator.announce(
-            self.view.node_of(attacker_asn), prefix, record_events=True
+        table: dict = {}
+        legit = flood.announce(target_node, table=table)
+        attack = flood.announce(
+            attacker_node,
+            table=table,
+            blocked=self.defense.blocking_nodes(
+                view, self.target_prefix(target_asn), attacker_asn
+            ),
+            filter_first_hop_providers=self._first_hop_filtered(attacker_asn),
         )
         return legit, attack

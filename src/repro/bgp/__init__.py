@@ -1,4 +1,7 @@
-"""BGP policy model, message-passing simulator and fast routing engine."""
+"""BGP policy model, convergence statistics and the fast routing engine.
+
+The generation-stepped message flood lives in the oracle
+(:class:`repro.oracle.reference.ReferenceSimulator`)."""
 
 from repro.bgp.convergence import (
     ConvergenceStats,
@@ -6,14 +9,7 @@ from repro.bgp.convergence import (
     measure_convergence,
 )
 from repro.bgp.engine import UNREACHABLE, HijackResult, RouteState, RoutingEngine
-from repro.bgp.policy import PolicyConfig, exports_to_peers_and_providers, prefers
-from repro.bgp.routes import Rib, Route
-from repro.bgp.simulator import (
-    BGPSimulator,
-    ConvergenceError,
-    PropagationEvent,
-    PropagationReport,
-)
+from repro.bgp.policy import PolicyConfig, prefers
 
 # The array-kernel names are exported lazily (PEP 562) so that merely
 # importing repro.bgp on the reference path never pays the numpy import.
@@ -30,23 +26,16 @@ def __getattr__(name: str):
 
 __all__ = [
     "BACKENDS",
-    "BGPSimulator",
     "CompiledTopology",
     "compile_view",
     "resolve_backend",
-    "ConvergenceError",
     "ConvergenceStats",
     "generation_wavefront",
     "measure_convergence",
     "HijackResult",
     "PolicyConfig",
-    "PropagationEvent",
-    "PropagationReport",
-    "Rib",
-    "Route",
     "RouteState",
     "RoutingEngine",
     "UNREACHABLE",
-    "exports_to_peers_and_providers",
     "prefers",
 ]

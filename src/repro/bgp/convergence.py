@@ -1,11 +1,12 @@
-"""Convergence statistics for the message simulator.
+"""Convergence statistics for the generation-stepped flood.
 
 The paper reports that "convergence is generally reached within 5 to 10
-generations". This module measures that claim on any topology: it runs
-announcements from sampled origins, collects per-announcement generation
-counts and per-generation acceptance volumes, and summarizes them — both
-as a validation of the simulator against the paper's observation and as a
-characterization tool for other topologies.
+generations". This module measures that claim on any topology: it floods
+announcements from sampled origins through the oracle's
+:class:`~repro.oracle.reference.ReferenceSimulator`, collects
+per-announcement generation counts and per-generation acceptance volumes,
+and summarizes them — both as a validation of the flood against the
+paper's observation and as a characterization tool for other topologies.
 """
 
 from __future__ import annotations
@@ -13,15 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.bgp.policy import PolicyConfig
-from repro.bgp.simulator import BGPSimulator
-from repro.prefixes.prefix import Prefix
 from repro.topology.view import RoutingView
 from repro.util.rng import make_rng
 
 __all__ = ["ConvergenceStats", "measure_convergence", "generation_wavefront"]
-
-_PROBE_PREFIX = Prefix.parse("100.64.0.0/10")
 
 
 @dataclass(frozen=True)
@@ -67,34 +63,31 @@ def measure_convergence(
     origins: Sequence[int] | None = None,
     sample: int = 50,
     seed: int = 0,
-    policy: PolicyConfig | None = None,
 ) -> ConvergenceStats:
     """Run sampled announcements and record generations to convergence."""
+    from repro.oracle.reference import ReferenceSimulator
+
     if origins is None:
         rng = make_rng(seed, "convergence-origins")
         origins = rng.sample(range(len(view)), min(sample, len(view)))
+    flood = ReferenceSimulator(view)
     histogram: dict[int, int] = {}
     for origin in origins:
-        simulator = BGPSimulator(view, policy)
-        report = simulator.announce(origin, _PROBE_PREFIX)
+        report = flood.announce(origin)
         histogram[report.generations] = histogram.get(report.generations, 0) + 1
     return ConvergenceStats(samples=len(origins), histogram=dict(sorted(histogram.items())))
 
 
-def generation_wavefront(
-    view: RoutingView,
-    origin: int,
-    *,
-    policy: PolicyConfig | None = None,
-) -> list[int]:
+def generation_wavefront(view: RoutingView, origin: int) -> list[int]:
     """Accepted announcements per generation for one origin.
 
     This is the "fan-out" the paper's Fig. 1 frames visualize: a small
     first generation, an explosive middle, and a tail as the announcement
     saturates the mesh.
     """
-    simulator = BGPSimulator(view, policy)
-    report = simulator.announce(origin, _PROBE_PREFIX, record_events=True)
+    from repro.oracle.reference import ReferenceSimulator
+
+    report = ReferenceSimulator(view).announce(origin)
     counts = [0] * report.generations
     for event in report.events:
         if event.accepted:

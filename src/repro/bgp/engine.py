@@ -1,14 +1,15 @@
 """The fast stable-outcome routing engine.
 
 The paper's sweeps attack one target from every other AS (42,696 attacks
-per vulnerability curve). Running the generation-stepped message simulator
-per attack would dominate the experiment budget, so this engine computes
-the *identical* final state directly.
+per vulnerability curve). Running the generation-stepped message flood
+(:class:`repro.oracle.reference.ReferenceSimulator`) per attack would
+dominate the experiment budget, so this engine computes the *identical*
+final state directly.
 
 Why it is identical
 -------------------
 
-In the message simulator every announcement expands one hop per
+In the message flood every announcement expands one hop per
 generation, so a candidate route of length *L* always arrives in
 generation *L*. Each node therefore sees its candidates in increasing
 length order (best class first within a generation) and installs a
@@ -18,7 +19,7 @@ engine walks candidate routes through a bucket queue in that order (one
 ``(sender, receivers)`` group per export) and applies the same
 strict-preference install rule (:func:`repro.bgp.policy.prefers`,
 inlined), so per node the install sequence — and hence the final RIB —
-matches the simulator's. The equivalence is enforced by randomized
+matches the flood's. The equivalence is enforced by randomized
 property tests in ``tests/integration/test_engine_equivalence.py``.
 
 Hijacks reuse the same procedure: converge the legitimate origin from a
@@ -175,8 +176,8 @@ class RouteState:
         announce-only model a neighbor may upgrade its route after
         exporting, so this chain's hop count can differ from
         ``length[node]`` (which is the install-time AS-path length, as in
-        the message simulator); use the simulator's recorded routes when
-        the exact announced AS path matters.
+        the message flood); use the flood's recorded routes when the
+        exact announced AS path matters.
         """
         path: list[int] = []
         current = node
@@ -580,7 +581,7 @@ class RoutingEngine:
         exporting node plus the view's neighbour tuple it announces to,
         one entry per export rather than one per message. Walking each
         group's receivers in order visits candidates in exactly the
-        simulator's arrival order, and the install rule is
+        flood's arrival order, and the install rule is
         :func:`repro.bgp.policy.prefers` inlined as integer compares.
         """
         view = self.view

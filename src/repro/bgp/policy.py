@@ -1,8 +1,8 @@
 """The routing-policy model from Section III of the paper.
 
 Every behavioural rule the paper's simulator enforces is encoded here, in
-one place, shared verbatim by both engines (the generation-stepped message
-simulator and the fast three-phase solver):
+one place, for the fast routing engine (the oracle's reference flood
+re-derives the same rules independently, see :mod:`repro.oracle.reference`):
 
 * **MESSAGE PRIORITY** — LOCAL_PREF orders customer > peer > provider
   routes; within a class, shorter AS paths win; on an exact tie the RIB
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.topology.relationships import RouteClass
 
-__all__ = ["PolicyConfig", "prefers", "exports_to_peers_and_providers"]
+__all__ = ["PolicyConfig", "prefers"]
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,12 @@ class PolicyConfig:
         Apply the tier-1 exception. Turning it off is the ABL-T1 ablation:
         tier-1s then rank routes like everyone else, which (as the paper
         hints) would let tier-1 probes detect attacks they otherwise miss.
-    ``first_hop_stub_filter``
-        The "optimistic scenario" of Section IV: transit providers know
-        their direct stub customers' prefixes and drop bogus announcements
-        from them, so a stub attacker cannot inject the hijack through its
-        providers (peer links, if any, still leak).
-    ``max_generations``
-        Safety valve for the message simulator; the paper observes
-        convergence within 5–10 generations.
+
+    Section IV's defensive stub filter is a defense, not a policy switch:
+    see :attr:`repro.defense.deployment.Defense.stub_filter`.
     """
 
     tier1_shortest_path: bool = True
-    first_hop_stub_filter: bool = False
-    max_generations: int = 64
 
 
 def prefers(
@@ -73,11 +66,3 @@ def prefers(
         return new_class < old_class
     return new_length < old_length
 
-
-def exports_to_peers_and_providers(route_class: RouteClass) -> bool:
-    """Valley-free reach of a selected route.
-
-    Own and customer routes are exported to every neighbor; peer and
-    provider routes only to customers (which every route reaches).
-    """
-    return route_class in (RouteClass.ORIGIN, RouteClass.CUSTOMER)

@@ -350,6 +350,15 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unknown_asn(lab: HijackLab, *asns: int) -> bool:
+    """Report the first AS not in the lab's topology on stderr."""
+    for asn in asns:
+        if not lab.view.has_asn(asn):
+            print(f"AS{asn} is not in the topology", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.attacks.scenario import HijackKind, PathKind
 
@@ -358,15 +367,21 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         metrics=_metrics(args), backend=args.backend,
         batch_origins=args.batch_origins,
     )
+    if _unknown_asn(lab, args.target, args.attacker):
+        return 2
     kind_name = args.kind or ("subprefix" if args.subprefix else "origin")
-    scenario = lab.build_scenario(
-        args.target,
-        args.attacker,
-        kind=HijackKind(kind_name),
-        path_kind=PathKind(args.path_kind),
-        forged_depth=args.forged_depth,
-    )
-    outcome = lab.run_scenario(scenario)
+    try:
+        scenario = lab.build_scenario(
+            args.target,
+            args.attacker,
+            kind=HijackKind(kind_name),
+            path_kind=PathKind(args.path_kind),
+            forged_depth=args.forged_depth,
+        )
+        outcome = lab.run_scenario(scenario)
+    except ValueError as error:  # e.g. a sibling attacker: one routing node
+        print(f"attack: {error}", file=sys.stderr)
+        return 2
     if scenario.kind is HijackKind.ROUTE_LEAK:
         label = "route-leak"
     elif scenario.path_kind is PathKind.TYPE_0:
@@ -392,6 +407,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         metrics=_metrics(args), backend=args.backend,
         batch_origins=args.batch_origins,
     )
+    if _unknown_asn(lab, args.target):
+        return 2
     from repro.attacks.scenario import HijackKind, PathKind
 
     profile = profile_target(

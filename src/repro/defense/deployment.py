@@ -1,7 +1,8 @@
 """The deployed defense: who blocks which bogus announcements.
 
 A :class:`Defense` bundles the three blocking mechanisms the paper
-evaluates and turns them into the engine/simulator inputs:
+evaluates and turns them into the inputs of the routing engine and of
+the reference flood (a blocked-node set and a first-hop flag):
 
 * **origin validation** at a set of deploying ASes, judged against a
   registry (:class:`~repro.registry.roa.OriginAuthority` — RPKI, ROVER, or
@@ -22,11 +23,8 @@ the announcement, exactly the "bogus route blocking" of Section V.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from repro.bgp.routes import Route
 from repro.defense.strategies import DeploymentStrategy, no_deployment
-from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 from repro.registry.neighbors import NeighborRegistry
 from repro.registry.roa import OriginAuthority, ValidationState
@@ -123,7 +121,8 @@ class Defense:
         *,
         claimed_path: tuple[int, ...] | None = None,
     ) -> frozenset[int]:
-        """The same set, as routing-node indices for the fast engine."""
+        """The same set, as routing-node indices for the engine and the
+        reference flood."""
         return frozenset(
             view.node_of(asn)
             for asn in self.blocking_asns(
@@ -131,58 +130,3 @@ class Defense:
             )
             if view.has_asn(asn)
         )
-
-    # -- simulator integration --------------------------------------------------
-
-    def validator(
-        self, view: RoutingView, plan: AddressPlan | None = None
-    ) -> Callable[[int, Route], bool]:
-        """A per-announcement validator for :class:`BGPSimulator`.
-
-        The returned callable re-derives the blocking decision from each
-        candidate route's own (prefix, origin), so legitimate and bogus
-        announcements through the same simulator are treated correctly.
-        With ``stub_filter`` set and an address *plan* supplied, providers
-        additionally drop first-hop announcements from stub customers that
-        do not own the announced space (Section IV's optimistic scenario).
-        """
-        deployers = frozenset(
-            view.node_of(asn)
-            for asn in self.strategy.deployers
-            if view.has_asn(asn)
-        )
-        rules_by_node: dict[int, list[FilterRule]] = {}
-        for rule in self.manual_filters:
-            if view.has_asn(rule.filtering_asn):
-                node = view.node_of(rule.filtering_asn)
-                rules_by_node.setdefault(node, []).append(rule)
-        verdict_cache: dict[tuple[Prefix, int], bool] = {}
-
-        def rejects(node: int, route: Route) -> bool:
-            origin_asn = view.asn_of(route.origin)
-            if (
-                self.stub_filter
-                and plan is not None
-                and route.length == 1
-                and not view.customers[route.origin]
-                and route.origin in view.customers[node]
-                and plan.origin_of(route.prefix) != origin_asn
-            ):
-                return True
-            if node in deployers and self.authority is not None:
-                key = (route.prefix, origin_asn)
-                invalid = verdict_cache.get(key)
-                if invalid is None:
-                    invalid = (
-                        self.authority.validate(route.prefix, origin_asn)
-                        is ValidationState.INVALID
-                    )
-                    verdict_cache[key] = invalid
-                if invalid:
-                    return True
-            for rule in rules_by_node.get(node, ()):
-                if rule.rejects(route.prefix, origin_asn):
-                    return True
-            return False
-
-        return rejects

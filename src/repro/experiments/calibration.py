@@ -9,8 +9,9 @@ differently but more strictly:
   against the paper's CAIDA constants (17 tier-1s, 14.7% transit, ~3.26
   links per AS, depths reaching 5+);
 * **dual-engine agreement** — the fraction of sampled hijacks where the
-  fast engine and the message simulator agree *exactly* on the polluted
-  set (the analogue of the RIB-match rate; must be 1.0);
+  fast engine and the generation-stepped reference flood
+  (:class:`~repro.oracle.reference.ReferenceSimulator`) agree *exactly*
+  on the polluted set (the analogue of the RIB-match rate; must be 1.0);
 * **path realism** — mean inflation of policy-path lengths over plain
   shortest paths for sampled AS pairs. Valley-free routing inflates paths
   only mildly on internet-like graphs; large inflation would flag a
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.attacks.lab import HijackLab
-from repro.bgp.simulator import BGPSimulator
 from repro.topology.asgraph import ASGraph
 from repro.topology.classify import summarize
 from repro.util.rng import make_rng
@@ -120,21 +120,23 @@ def calibrate(
     seed: int = 0,
 ) -> CalibrationReport:
     """Measure structural and model health for one lab."""
+    from repro.oracle.reference import ReferenceSimulator
+
     stats = summarize(lab.graph)
     view = lab.view
     rng = make_rng(seed, "calibration")
 
     # Dual-engine agreement over random hijacks (exact polluted-set match).
+    flood = ReferenceSimulator(
+        view, tier1_shortest_path=lab.policy.tier1_shortest_path
+    )
     agreements = 0
     pairs = 0
     while pairs < agreement_samples:
         target, attacker = rng.sample(range(len(view)), 2)
-        prefix = lab.target_prefix(view.asn_of(target))
-        simulator = BGPSimulator(view, lab.policy)
-        simulator.announce(target, prefix)
-        report = simulator.announce(attacker, prefix)
+        table = flood.hijack(target, attacker)
         result = lab.engine.hijack(target, attacker)
-        if frozenset(report.adopters) == result.polluted_nodes:
+        if flood.holders_of(table, attacker) == result.polluted_nodes:
             agreements += 1
         pairs += 1
 

@@ -151,7 +151,7 @@ def build_random_topology(
     Tier-1 clique on top, every later AS homed to 1–3 earlier ASes,
     random lateral peering, an occasional sibling pair. The shape matches
     what the routing model is defined over (a provider DAG with peers),
-    which is the precondition for engine/simulator/oracle agreement.
+    which is the precondition for engine/oracle agreement.
     """
     size = pick(min_size, max_size)
     tier1_count = pick(1, min(max_tier1, size - 1))

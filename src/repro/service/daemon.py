@@ -200,19 +200,26 @@ class MonitorService:
         return registration
 
     def deregister(self, tenant: str, prefix: Prefix | str) -> TenantRegistration:
-        """Drop a watch and revoke the ROA it published."""
+        """Drop a watch and revoke the ROA it published, unless another
+        tenant's registration publishes the identical ROA (the table
+        holds it once, so revoking it would drop that tenant's too)."""
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         registration = self.registry.deregister(tenant, prefix)
-        self.plane.submit(
-            RoaRevoke(
-                at=self.plane.clock,
-                prefix=registration.prefix,
-                origin_asn=registration.origin_asn,
-                max_length=registration.max_length,
+        roa = (registration.prefix, registration.origin_asn, registration.max_length)
+        if not any(
+            (other.prefix, other.origin_asn, other.max_length) == roa
+            for other in self.registry.match(registration.prefix)
+        ):
+            self.plane.submit(
+                RoaRevoke(
+                    at=self.plane.clock,
+                    prefix=registration.prefix,
+                    origin_asn=registration.origin_asn,
+                    max_length=registration.max_length,
+                )
             )
-        )
-        self.plane.flush()
+            self.plane.flush()
         self.metrics.count("service.deregistrations")
         return registration
 

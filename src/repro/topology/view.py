@@ -7,8 +7,8 @@ groups are collapsed into single routing nodes (union–find over sibling
 links), so both engines see a graph with only customer/peer/provider edges.
 
 The view also re-indexes ASNs to dense integers and stores adjacency as
-flat lists — the representation both the message simulator and the fast
-three-phase engine iterate over millions of times during attacker sweeps.
+flat lists — the representation both the reference flood and the fast
+engine iterate over millions of times during attacker sweeps.
 A view is immutable; rebuild it after editing the :class:`ASGraph`.
 """
 

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.bgp.simulator import PropagationReport
 from repro.topology.view import RoutingView
 from repro.viz.layout import PolarLayout
 from repro.viz.svg import SvgCanvas
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.oracle.reference import PropagationReport
 
 __all__ = ["PolarRenderer", "render_attack_frames"]
 

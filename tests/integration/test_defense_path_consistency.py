@@ -1,10 +1,11 @@
-"""Integration: the lab's engine path and simulator path must agree under
+"""Integration: the lab's engine path and flood path must agree under
 a full Defense (ROV deployment + manual filters + stub filters).
 
-``HijackLab._run`` drives the fast engine with a blocked-node set and a
-first-hop flag; ``HijackLab.animate`` drives the message simulator with a
-per-candidate validator. Both derive from the same Defense — any drift
-between the two wiring paths is a correctness bug this test catches.
+``HijackLab.run_scenario`` drives the fast engine with a blocked-node set
+and a first-hop flag; ``HijackLab.animate`` hands the same two inputs to
+the generation-stepped reference flood. Any drift between the two wiring
+paths, or between the engine and the flood under blocking, is a
+correctness bug this test catches.
 """
 
 import pytest

@@ -1,10 +1,11 @@
 """The library's central correctness property: the fast engine computes
-exactly the stable state the message-passing simulator converges to.
+exactly the stable state the generation-stepped flood converges to.
 
 Random Gao–Rexford-shaped topologies (hierarchical provider DAG + random
 peering + occasional siblings) are generated with hypothesis; for random
-(target, attacker) pairs both engines run the full two-phase hijack and
-must agree on every node's installed origin, route class and path length.
+(target, attacker) pairs the engine and the oracle's reference flood run
+the full two-phase hijack and must agree on every node's installed
+origin, route class and path length.
 
 A second layer extends the property to the convergence cache
 (``repro.parallel``): with the cache cold or hot, a sweep's per-attack
@@ -18,31 +19,28 @@ from hypothesis import strategies as st
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.bgp.policy import PolicyConfig
-from repro.bgp.simulator import BGPSimulator
+from repro.oracle.reference import ReferenceSimulator
 from repro.oracle.strategies import example_budget, hierarchical_topologies
 from repro.parallel import ConvergenceCache
-from repro.prefixes.prefix import Prefix
 from repro.topology.view import RoutingView
-
-PREFIX = Prefix.parse("10.0.0.0/8")
 
 # The internet-shaped topology strategy lives in the shared library
 # (repro.oracle.strategies); the oracle-differential suite draws from the
-# same shape, so engine==simulator and engine==oracle cover one domain.
+# same shape, so both suites cover one domain.
 random_topologies = hierarchical_topologies
 
 
-def assert_states_agree(view, simulator, engine_state, prefix):
+def assert_states_agree(view, table, engine_state):
     for node in range(len(view)):
-        route = simulator.route_to(prefix, node)
+        route = table.get(node)
         if route is None:
             assert not engine_state.has_route(node), (
-                f"engine found a route at node {node}, simulator did not"
+                f"engine found a route at node {node}, the flood did not"
             )
             continue
         assert engine_state.has_route(node), f"missing route at node {node}"
         assert engine_state.origin_of[node] == route.origin, node
-        assert engine_state.cls[node] == int(route.route_class), node
+        assert engine_state.cls[node] == route.route_class, node
         assert engine_state.length[node] == route.length, node
 
 
@@ -58,15 +56,14 @@ def test_hijack_outcomes_identical(graph, data):
     if target == attacker:
         return
 
-    simulator = BGPSimulator(view)
-    simulator.announce(target, PREFIX)
-    report = simulator.announce(attacker, PREFIX)
+    flood = ReferenceSimulator(view)
+    table = flood.hijack(target, attacker)
 
     engine = RoutingEngine(view)
     result = engine.hijack(target, attacker)
 
-    assert result.polluted_nodes == frozenset(report.adopters)
-    assert_states_agree(view, simulator, result.final, PREFIX)
+    assert result.polluted_nodes == flood.holders_of(table, attacker)
+    assert_states_agree(view, table, result.final)
 
 
 @settings(max_examples=example_budget(60), deadline=None)
@@ -74,10 +71,9 @@ def test_hijack_outcomes_identical(graph, data):
 def test_legitimate_convergence_identical(graph, data):
     view = RoutingView.from_graph(graph)
     origin = data.draw(st.sampled_from(range(len(view))), label="origin")
-    simulator = BGPSimulator(view)
-    simulator.announce(origin, PREFIX)
+    table = ReferenceSimulator(view).converge(origin)
     state = RoutingEngine(view).converge(origin)
-    assert_states_agree(view, simulator, state, PREFIX)
+    assert_states_agree(view, table, state)
 
 
 @settings(max_examples=example_budget(40), deadline=None)
@@ -91,11 +87,10 @@ def test_equivalence_without_tier1_exception(graph, data):
     if target == attacker:
         return
     policy = PolicyConfig(tier1_shortest_path=False)
-    simulator = BGPSimulator(view, policy)
-    simulator.announce(target, PREFIX)
-    report = simulator.announce(attacker, PREFIX)
+    flood = ReferenceSimulator(view, tier1_shortest_path=False)
+    table = flood.hijack(target, attacker)
     result = RoutingEngine(view, policy).hijack(target, attacker)
-    assert result.polluted_nodes == frozenset(report.adopters)
+    assert result.polluted_nodes == flood.holders_of(table, attacker)
 
 
 @settings(max_examples=example_budget(40), deadline=None)
@@ -116,14 +111,10 @@ def test_equivalence_with_blocking(graph, data):
         )
     ) - {target, attacker}
 
-    def validator(node, route):
-        return node in blocked and route.origin == attacker
-
-    simulator = BGPSimulator(view, validator=validator)
-    simulator.announce(target, PREFIX)
-    report = simulator.announce(attacker, PREFIX)
+    flood = ReferenceSimulator(view)
+    table = flood.hijack(target, attacker, blocked=blocked)
     result = RoutingEngine(view).hijack(target, attacker, blocked=blocked)
-    assert result.polluted_nodes == frozenset(report.adopters)
+    assert result.polluted_nodes == flood.holders_of(table, attacker)
 
 
 # -- the parallel executor computes exactly the sequential sweep ------------

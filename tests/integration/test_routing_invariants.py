@@ -1,25 +1,22 @@
 """Integration: structural invariants of converged routing states.
 
-The invariants are checked on the message simulator's installed routes,
-which carry their full install-time AS paths. (The fast engine stores only
-final next-hop pointers; in the paper's announce-only model a neighbor may
-upgrade its route *after* exporting, leaving perfectly valid "stale"
-entries whose final-state pointer chains are not length-consistent — the
-install-time path is the authoritative object, and engine/simulator
-equality of (origin, class, length) is covered by
-``test_engine_equivalence``.)
+The invariants are checked on the generation-stepped flood's installed
+routes (the oracle's reference flood), which carry their full install-time
+AS paths. (The fast engine stores only final next-hop pointers; in the
+paper's announce-only model a neighbor may upgrade its route *after*
+exporting, leaving perfectly valid "stale" entries whose final-state
+pointer chains are not length-consistent — the install-time path is the
+authoritative object, and engine/flood equality of (origin, class,
+length) is covered by ``test_engine_equivalence``.)
 """
 
 import pytest
 
 from repro.bgp.engine import RoutingEngine
-from repro.bgp.simulator import BGPSimulator
-from repro.prefixes.prefix import Prefix
+from repro.oracle.reference import ReferenceSimulator
 from repro.topology.relationships import RouteClass
 from repro.topology.view import RoutingView
 from repro.util.rng import make_rng
-
-PREFIX = Prefix.parse("10.0.0.0/8")
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +42,7 @@ def check_path_valley_free(view, node, route):
         edge_class(view, receiver, sender)
         for receiver, sender in zip(hops, hops[1:])
     ]
-    assert classes[0] is route.route_class
+    assert classes[0] == route.route_class
     # Shape: zero or more CUSTOMER hops (downhill, seen from the
     # receiver), at most one PEER hop, then zero or more PROVIDER hops.
     phase = 0  # 0 = customer hops, 1 = after the peer hop, 2 = providers
@@ -62,22 +59,18 @@ def check_path_valley_free(view, node, route):
 
 
 def run_hijack(view):
-    simulator = BGPSimulator(view)
     rng = make_rng(41, "invariants")
     target, attacker = rng.sample(range(len(view)), 2)
-    simulator.announce(target, PREFIX)
-    simulator.announce(attacker, PREFIX)
-    return simulator
+    return ReferenceSimulator(view).hijack(target, attacker)
 
 
 def test_legitimate_routes_valley_free_and_consistent(view):
-    simulator = BGPSimulator(view)
     rng = make_rng(42, "invariant-origins")
     origin = rng.randrange(len(view))
-    simulator.announce(origin, PREFIX)
+    table = ReferenceSimulator(view).converge(origin)
     reached = 0
     for node in range(len(view)):
-        route = simulator.route_to(PREFIX, node)
+        route = table.get(node)
         assert route is not None, f"node {node} unreachable"
         reached += 1
         if node == origin:
@@ -90,9 +83,9 @@ def test_legitimate_routes_valley_free_and_consistent(view):
 
 
 def test_hijacked_routes_valley_free_and_consistent(view):
-    simulator = run_hijack(view)
+    table = run_hijack(view)
     for node in range(len(view)):
-        route = simulator.route_to(PREFIX, node)
+        route = table.get(node)
         if route is None or not route.path:
             continue
         assert route.path[-1] == route.origin
@@ -102,14 +95,14 @@ def test_hijacked_routes_valley_free_and_consistent(view):
 def test_preference_no_node_holds_a_strictly_worse_class_than_available(view):
     """No non-tier-1 node may end with a provider route while a customer
     route was available from a customer that exports to it."""
-    simulator = run_hijack(view)
+    table = run_hijack(view)
     for node in range(len(view)):
-        route = simulator.route_to(PREFIX, node)
+        route = table.get(node)
         if route is None or view.is_tier1[node]:
             continue
-        if route.route_class is RouteClass.PROVIDER:
+        if route.route_class == RouteClass.PROVIDER:
             for customer in view.customers[node]:
-                customer_route = simulator.route_to(PREFIX, customer)
+                customer_route = table.get(customer)
                 if customer_route is None:
                     continue
                 # The customer's route, if exportable upward, would have

@@ -223,19 +223,16 @@ class TestSiblingExpansion:
 
 class TestRepeatedAnnouncements:
     def test_reannouncing_same_origin_is_stable(self, mini_view):
-        from repro.bgp.simulator import BGPSimulator
-        from repro.prefixes.prefix import Prefix
+        from repro.oracle.reference import ReferenceSimulator
 
-        prefix = Prefix.parse("10.0.0.0/8")
-        sim = BGPSimulator(mini_view)
+        sim = ReferenceSimulator(mini_view)
         origin = mini_view.node_of(50)
-        first = sim.announce(origin, prefix)
-        snapshot = {
-            node: sim.route_to(prefix, node) for node in range(len(mini_view))
-        }
-        second = sim.announce(origin, prefix)
+        table: dict = {}
+        first = sim.announce(origin, table=table)
+        snapshot = dict(table)
+        second = sim.announce(origin, table=table)
         for node in range(len(mini_view)):
-            route = sim.route_to(prefix, node)
+            route = table[node]
             assert route.origin == snapshot[node].origin
             assert route.length == snapshot[node].length
         assert second.adopters == first.adopters
@@ -244,7 +241,26 @@ class TestRepeatedAnnouncements:
 class TestAnimate:
     def test_animate_reports_match_engine(self, mini_lab):
         legit, attack = mini_lab.animate(50, 60)
-        assert legit.adopter_count() == 9
+        assert len(legit.adopters) == 9
         polluted = {mini_lab.view.asn_of(node) for node in attack.adopters}
         assert polluted == {40, 20, 2}
         assert attack.events
+
+    def test_animate_rejects_sibling_attacker(self):
+        from repro.topology.asgraph import ASGraph
+        from repro.topology.relationships import Relationship
+
+        # AS30 and AS31 are siblings: one routing node, so "AS31 hijacks
+        # AS30" would overwrite the target's own route.
+        graph = ASGraph()
+        graph.add_as(1, tier1=True)
+        for asn in (30, 31):
+            graph.add_as(asn)
+            graph.add_relationship(1, asn, Relationship.CUSTOMER)
+        graph.add_relationship(30, 31, Relationship.SIBLING)
+        lab = HijackLab(graph, seed=0)
+        with pytest.raises(ValueError, match="sibling group") as from_run:
+            lab.origin_hijack(30, 31)
+        with pytest.raises(ValueError, match="sibling group") as from_animate:
+            lab.animate(30, 31)
+        assert str(from_animate.value) == str(from_run.value)

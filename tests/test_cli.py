@@ -70,6 +70,23 @@ class TestCommands:
         assert "mean pollution" in output
         assert "CCDF" in output
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--target", "999999", "--attacker", "30"],
+            ["attack", "--target", "300", "--attacker", "999999"],
+            ["attack", "--target", "1", "--attacker", "1"],
+            ["sweep", "--target", "999999", "--sample", "5"],
+        ],
+        ids=["attack-unknown-target", "attack-unknown-attacker",
+             "attack-same-node", "sweep-unknown-target"],
+    )
+    def test_bad_asns_exit_2_with_one_line(self, topo_file, capsys, argv):
+        assert main([*argv, "-i", str(topo_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_figure_writes_json_and_store(self, tmp_path, capsys):
         store_path = tmp_path / "store.sqlite"
         assert main([

@@ -118,15 +118,3 @@ class TestDefense:
         defense = Defense(strategy=custom_deployment("d", [10, 999]), authority=authority)
         nodes = defense.blocking_nodes(mini_view, Prefix.parse("10.0.0.0/16"), 64999)
         assert nodes == frozenset({mini_view.node_of(10)})
-
-    def test_validator_drops_invalid_at_deployer_only(self, mini_view, authority):
-        from repro.bgp.routes import Route
-        from repro.topology.relationships import RouteClass
-
-        defense = Defense(strategy=custom_deployment("d", [10]), authority=authority)
-        validator = defense.validator(mini_view)
-        bogus_origin = mini_view.node_of(60)
-        route = Route(Prefix.parse("10.0.0.0/16"), RouteClass.ORIGIN, (), bogus_origin)
-        candidate = route.extend(bogus_origin, RouteClass.CUSTOMER)
-        assert validator(mini_view.node_of(10), candidate)
-        assert not validator(mini_view.node_of(20), candidate)

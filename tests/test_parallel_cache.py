@@ -74,7 +74,7 @@ class TestKeying:
         policy = PolicyConfig()
         assert context_digest(mini_view, policy) == context_digest(rebuilt, policy)
         assert context_digest(mini_view, policy) != context_digest(
-            mini_view, PolicyConfig(max_generations=3)
+            mini_view, PolicyConfig(tier1_shortest_path=False)
         )
 
     def test_backend_switch_is_a_cold_miss(self, mini_view):

@@ -1,9 +1,12 @@
 """Unit tests for the policy rules (Section III of the paper)."""
 
+import dataclasses
+
 import pytest
 
 from repro.bgp.engine import RoutingEngine
-from repro.bgp.policy import PolicyConfig, exports_to_peers_and_providers, prefers
+from repro.bgp.policy import PolicyConfig, prefers
+from repro.oracle.reference import ReferenceRoute, ReferenceSimulator
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship, RouteClass
 from repro.topology.view import RoutingView
@@ -132,18 +135,31 @@ class TestPreferenceTable:
 
 
 class TestExportRule:
-    def test_origin_and_customer_routes_export_widely(self):
-        assert exports_to_peers_and_providers(RouteClass.ORIGIN)
-        assert exports_to_peers_and_providers(RouteClass.CUSTOMER)
+    """Valley-free export at AS10 of the mini topology (customers 30 and
+    80, peer 20, provider 1), as the generation-stepped flood applies it."""
 
-    def test_peer_and_provider_routes_export_to_customers_only(self):
-        assert not exports_to_peers_and_providers(RouteClass.PEER)
-        assert not exports_to_peers_and_providers(RouteClass.PROVIDER)
+    def targets(self, mini_view, route_class, learned_from=None):
+        node = mini_view.node_of
+        path = () if learned_from is None else (node(learned_from), node(50))
+        route = ReferenceRoute(origin=node(50), path=path, route_class=route_class)
+        exported = ReferenceSimulator(mini_view)._export_targets(node(10), route)
+        return {mini_view.asn_of(target) for target in exported}
+
+    def test_origin_and_customer_routes_export_widely(self, mini_view):
+        assert self.targets(mini_view, RouteClass.ORIGIN) == {1, 20, 30, 80}
+        # Never back to the neighbor the route was learned from.
+        assert self.targets(mini_view, RouteClass.CUSTOMER, 30) == {1, 20, 80}
+
+    def test_peer_and_provider_routes_export_to_customers_only(self, mini_view):
+        assert self.targets(mini_view, RouteClass.PEER, 20) == {30, 80}
+        assert self.targets(mini_view, RouteClass.PROVIDER, 1) == {30, 80}
 
 
 class TestPolicyConfig:
     def test_defaults_match_paper(self):
         config = PolicyConfig()
         assert config.tier1_shortest_path
-        assert not config.first_hop_stub_filter
-        assert config.max_generations >= 10
+        # The one switch: Section IV's stub filter is a Defense field.
+        assert [field.name for field in dataclasses.fields(config)] == [
+            "tier1_shortest_path"
+        ]

@@ -296,6 +296,25 @@ class TestMonitorService:
         assert service.plane.authority_size() == 0
         assert len(service.registry) == 0
 
+    def test_deregister_keeps_a_roa_another_tenant_still_needs(self, lab, probes):
+        """Two tenants publish the same ROA (an anycast consortium); the
+        table holds it once, so one tenant leaving must not revoke it."""
+        service = service_for(lab, probes)
+        prefix = lab.target_prefix(50)
+        service.register("a", prefix, 50)
+        service.register("b", prefix, 50, auto_mitigate=True)
+        service.deregister("a", prefix)
+        assert service.plane.authority_size() == 1
+        fresh = self.hijack(service, prefix)
+        assert [(v.tenant, v.alarm.verdict) for v in fresh] == [("b", "hijack")]
+        assert fresh[0].confirmed is True
+        assert len(service.mitigations) == 1
+        # The last tenant to leave revokes it (the mitigation's
+        # more-specific ROAs stay).
+        published = service.plane.authority_size()
+        service.deregister("b", prefix)
+        assert service.plane.authority_size() == published - 1
+
     def hijack(self, service, prefix, attacker=60):
         service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=50))
         service.ingest_event(Announce(at=1.0, prefix=prefix, origin_asn=attacker))

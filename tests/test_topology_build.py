@@ -62,9 +62,11 @@ VIEW_DIGESTS = {
     },
 }
 
+# view digest : policy digest : backend. The policy digest hashes the
+# PolicyConfig field list, so it moves only when a policy field does.
 CONTEXT_DIGESTS = {
-    "default": "f7b536f75edff196360cf09236be0e3a:fdff464909eb7d26:reference",
-    "scale": "5728d8c0ab66e0fcd8b8d24fc1df2aba:fdff464909eb7d26:reference",
+    "default": "f7b536f75edff196360cf09236be0e3a:bcbf80b66ec59b14:reference",
+    "scale": "5728d8c0ab66e0fcd8b8d24fc1df2aba:bcbf80b66ec59b14:reference",
 }
 
 PLAN_DIGESTS = {
