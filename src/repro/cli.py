@@ -243,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8470,
                        help="listen port (0 = pick a free one)")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="per-prefix ledger shards (worker pipelines)")
+    # Accepted for callers that still pass 1; the service runs one replayer.
+    serve.add_argument("--shards", type=int, choices=(1,), default=1,
+                       help=argparse.SUPPRESS)
     serve.add_argument("--as-count", type=int, default=4270)
     serve.add_argument("--topology", type=Path, default=None,
                        help="CAIDA-format topology file "
@@ -612,7 +613,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     metrics = _metrics(args)
     service = MonitorService(
         lab,
-        shards=args.shards,
         probes=_PROBE_SETS[args.probes](lab.graph),
         batch_window=args.batch_window,
         queue_limit=args.queue_limit,
@@ -644,7 +644,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await daemon.start()
         print(
             f"service listening on http://{daemon.host}:{daemon.port} "
-            f"({args.shards} shard(s), probes {service.plane.probes.name})",
+            f"(probes {service.plane.probes.name})",
             flush=True,
         )
         if args.input is not None:

@@ -687,16 +687,14 @@ class ExperimentSuite:
         The full 13-cell taxonomy campaign against the deep target is
         serialized to the JSONL wire format and pushed through the
         multi-tenant :class:`~repro.service.daemon.MonitorService` core
-        (ingest → shard-routed replay → verdict poll) at 1, 2 and 4
-        shards, measuring ingest throughput and the wall-clock
-        arrive→verdict latency per shard count. Every run is then
-        checked for **parity** against the offline reference — one
+        (ingest → replay → verdict poll), measuring ingest throughput and
+        the wall-clock arrive→verdict latency. The run is then checked
+        for **parity** against the offline reference — one
         :class:`~repro.stream.replay.StreamReplayer` +
         :class:`~repro.stream.monitor.OnlineMonitor` with the same
-        probes and the full path-aware detector — on the
-        (prefix, verdict, origins, invalid origins, virtual latency)
-        tuple set: sharding and the service plumbing must change
-        wall-clock only, never verdicts.
+        probes and the full path-aware detector — on every alarm's full
+        payload, in order: the service plumbing must change wall-clock
+        only, never verdicts.
         """
         import json as _json
         import time as _time
@@ -754,49 +752,28 @@ class ExperimentSuite:
         reference.submit(RoaPublish(at=0.0, prefix=victim_prefix, origin_asn=target))
         offline = reference.run(events).monitor
         assert offline is not None
-        reference_key = frozenset(
-            (
-                str(alarm.prefix), alarm.verdict, alarm.origins,
-                alarm.invalid_origins, alarm.latency_time,
-            )
-            for alarm in offline.alarms
-        )
 
-        rows: list[dict[str, object]] = []
-        for shards in (1, 2, 4):
-            service = MonitorService(
-                self.lab, shards=shards, probes=probes, metrics=self.metrics
-            )
-            service.register("victim", victim_prefix, target)
-            latencies = LatencyStats()
-            started = _time.perf_counter()
-            for line in lines:
-                arrived = _time.perf_counter()
-                service.ingest_line(line)
-                for _ in service.poll():
-                    latencies.add(_time.perf_counter() - arrived)
-            elapsed = _time.perf_counter() - started
-            service_key = frozenset(
-                (
-                    str(v.alarm.prefix), v.alarm.verdict, v.alarm.origins,
-                    v.alarm.invalid_origins, v.alarm.latency_time,
-                )
-                for v in service.verdicts
-            )
-            rows.append({
-                "shards": shards,
-                "events_per_s": round(
-                    service.plane.ingested / max(elapsed, 1e-9), 1
-                ),
-                "verdicts": len(service.verdicts),
-                "latency_p50_ms": round(
-                    (latencies.percentile(0.50) or 0.0) * 1000, 3
-                ),
-                "latency_p95_ms": round(
-                    (latencies.percentile(0.95) or 0.0) * 1000, 3
-                ),
-                "parity_with_offline": service_key == reference_key,
-            })
+        service = MonitorService(self.lab, probes=probes, metrics=self.metrics)
+        service.register("victim", victim_prefix, target)
+        latencies = LatencyStats()
+        started = _time.perf_counter()
+        for line in lines:
+            arrived = _time.perf_counter()
+            service.ingest_line(line)
+            for _ in service.poll():
+                latencies.add(_time.perf_counter() - arrived)
+        elapsed = _time.perf_counter() - started
+        # One tenant, so each alarm is exactly one verdict.
+        parity = [v.alarm.as_dict() for v in service.verdicts] == [
+            alarm.as_dict() for alarm in offline.alarms
+        ]
+        row = {
+            "events_per_s": round(service.plane.ingested / max(elapsed, 1e-9), 1),
+            "verdicts": len(service.verdicts),
+            "latency_p50_ms": round((latencies.percentile(0.50) or 0.0) * 1000, 3),
+            "latency_p95_ms": round((latencies.percentile(0.95) or 0.0) * 1000, 3),
+            "parity_with_offline": parity,
+        }
         return ExperimentResult(
             experiment_id="service_latency",
             title="Extension: always-on service vs offline monitor",
@@ -805,11 +782,9 @@ class ExperimentSuite:
                 "cells": len(grid_cells()),
                 "stream_events": len(events),
                 "offline_alarms": len(offline.alarms),
-                "parity_all_shards": all(
-                    row["parity_with_offline"] for row in rows
-                ),
+                "parity_with_offline": parity,
             },
-            tables={"service": rows},
+            tables={"service": [row]},
         )
 
     # -- everything ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The operational layer the ROADMAP's north star asks for: the offline
 replay/monitor machinery (:mod:`repro.stream`) productionized into a
 long-running daemon in the style of ARTEMIS's detection / mitigation /
 monitoring microservice split. Tenants register the prefixes they
-originate (:mod:`~repro.service.tenants`), announcements are routed by a
-prefix trie to per-shard replayer+monitor pipelines
-(:mod:`~repro.service.shards`), verdicts and per-tenant latency stats
+originate (:mod:`~repro.service.tenants`), every event lands on one
+replayer+monitor pipeline (:mod:`~repro.service.shards`), a prefix trie
+attributes its alarms to tenants, verdicts and per-tenant latency stats
 are served over a stdlib-asyncio JSON API (:mod:`~repro.service.api`),
 and CONFIRMED verdicts can trigger reactive DefenseActivate +
 deaggregation events fed back into the stream

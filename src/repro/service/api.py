@@ -237,7 +237,7 @@ class ServiceDaemon:
 
     def _feed_line(self, raw: bytes | None) -> None:
         if raw is None:
-            self.service.plane.note_malformed(StreamFormatError(OVERLONG_LINE))
+            self.service.replayer.note_malformed(StreamFormatError(OVERLONG_LINE))
             return
         line = raw.decode("utf-8", "replace").strip()
         if line:
@@ -284,7 +284,7 @@ class ServiceDaemon:
                         _field_str(payload, "prefix"),
                         _field_int(payload, "origin"),
                         max_length=_field_opt_int(payload, "max_length"),
-                        auto_mitigate=bool(payload.get("auto_mitigate", False)),
+                        auto_mitigate=_field_bool(payload, "auto_mitigate"),
                         deployers=tuple(_field_int_list(payload, "deployers")),
                     )
                     return 200, registration.as_dict()
@@ -461,6 +461,13 @@ def _field_int(payload: dict[str, object], key: str) -> int:
     value = payload.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"missing/invalid {key!r}")
+    return value
+
+
+def _field_bool(payload: dict[str, object], key: str) -> bool:
+    value = payload.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"invalid {key!r}: expected true or false")
     return value
 
 

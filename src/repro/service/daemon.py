@@ -4,15 +4,15 @@
 asyncio front-end (:mod:`repro.service.api`) is a thin shell around it,
 so every behaviour here is testable without an event loop, and the
 offline :class:`~repro.stream.monitor.OnlineMonitor` parity the
-integration suite pins holds by construction (same replayers, same
-detectors, same events).
+integration suite pins holds by construction (one replayer, the same
+detector, the same events).
 
-The loop it implements is ingest → shard → verdict → mitigation:
+The loop it implements is ingest → replay → verdict → mitigation:
 
 1. events enter through :meth:`ingest_line` (the HTTP handler and the
-   feed task both call it) or :meth:`ingest_event` and are routed by the
-   :class:`~repro.service.shards.ShardPlane`;
-2. :meth:`poll` flushes the shards, drains freshly raised alarms, and
+   feed task both call it) or :meth:`ingest_event` and land on the one
+   replayer of the :class:`~repro.service.shards.ShardPlane`;
+2. :meth:`poll` flushes the replayer, drains freshly raised alarms, and
    attributes each to the tenants whose registrations the alarmed NLRI
    concerns (covering *and* covered — the sub-prefix case), updating
    per-tenant detection-latency stats;
@@ -73,7 +73,6 @@ class ServiceVerdict:
     """One alarm attributed to one tenant (or unclaimed space)."""
 
     tenant: str | None
-    shard: int
     alarm: StreamAlarm
 
     @property
@@ -89,7 +88,6 @@ class ServiceVerdict:
     def as_dict(self) -> dict[str, object]:
         payload: dict[str, object] = {
             "tenant": self.tenant,
-            "shard": self.shard,
             "confirmed": self.confirmed,
         }
         payload.update(self.alarm.as_dict())
@@ -135,18 +133,20 @@ class MonitorService:
         queue_limit: int = 64,
         metrics: Metrics | None = None,
     ) -> None:
+        # ``shards`` survives only for callers that still pass 1.
+        if shards != 1:
+            raise ValueError("the service runs one replayer: shards must be 1")
         self.lab = lab
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.registry = TenantRegistry()
         self.plane = ShardPlane(
             lab,
-            shards=shards,
-            registry=self.registry,
             probes=probes,
             batch_window=batch_window,
             queue_limit=queue_limit,
             metrics=self.metrics,
         )
+        self.replayer = self.plane.replayer
         self.verdicts: list[ServiceVerdict] = []
         self._tenant_verdicts: dict[str, list[ServiceVerdict]] = {}
         self.mitigations: list[MitigationRecord] = []
@@ -166,7 +166,12 @@ class MonitorService:
         auto_mitigate: bool = False,
         deployers: tuple[int, ...] = (),
     ) -> TenantRegistration:
-        """Register a watch and publish the tenant's ROA into every shard."""
+        """Register a watch and publish the tenant's ROA.
+
+        Re-registering a prefix replaces the tenant's watch and revokes
+        the ROA the replaced watch published, unless a live registration
+        still publishes that identical ROA.
+        """
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         # The ROA's own constructor is the one maxLength rule: a bad bound
@@ -186,42 +191,50 @@ class MonitorService:
             auto_mitigate=auto_mitigate,
             deployer_asns=tuple(deployers),
         )
-        self.registry.register(registration)
+        replaced = self.registry.register(registration)
         self.plane.submit(
             RoaPublish(
-                at=self.plane.clock,
+                at=self.replayer.clock,
                 prefix=prefix,
                 origin_asn=origin_asn,
                 max_length=max_length,
             )
         )
         self.plane.flush()
+        if replaced is not None:
+            self._revoke_unless_published(replaced)
         self.metrics.count("service.registrations")
         return registration
 
     def deregister(self, tenant: str, prefix: Prefix | str) -> TenantRegistration:
-        """Drop a watch and revoke the ROA it published, unless another
-        tenant's registration publishes the identical ROA (the table
-        holds it once, so revoking it would drop that tenant's too)."""
+        """Drop a watch and revoke the ROA it published, unless a live
+        registration still publishes that identical ROA."""
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         registration = self.registry.deregister(tenant, prefix)
-        roa = (registration.prefix, registration.origin_asn, registration.max_length)
-        if not any(
-            (other.prefix, other.origin_asn, other.max_length) == roa
-            for other in self.registry.match(registration.prefix)
-        ):
-            self.plane.submit(
-                RoaRevoke(
-                    at=self.plane.clock,
-                    prefix=registration.prefix,
-                    origin_asn=registration.origin_asn,
-                    max_length=registration.max_length,
-                )
-            )
-            self.plane.flush()
+        self._revoke_unless_published(registration)
         self.metrics.count("service.deregistrations")
         return registration
+
+    def _revoke_unless_published(self, gone: TenantRegistration) -> None:
+        """Revoke the ROA *gone* published unless a live registration
+        publishes the identical ROA: the table holds it once, so revoking
+        it would drop that registration's too."""
+        roa = (gone.prefix, gone.origin_asn, gone.max_length)
+        if any(
+            (other.prefix, other.origin_asn, other.max_length) == roa
+            for other in self.registry.match(gone.prefix)
+        ):
+            return
+        self.plane.submit(
+            RoaRevoke(
+                at=self.replayer.clock,
+                prefix=gone.prefix,
+                origin_asn=gone.origin_asn,
+                max_length=gone.max_length,
+            )
+        )
+        self.plane.flush()
 
     # -- ingest ------------------------------------------------------------
 
@@ -237,15 +250,13 @@ class MonitorService:
         """Flush, drain new alarms, attribute them, run auto-mitigation."""
         self.plane.flush()
         fresh: list[ServiceVerdict] = []
-        for shard, alarm in self.plane.drain_alarms():
+        for alarm in self.plane.drain_alarms():
             matched = self.registry.match(alarm.prefix)
             if not matched:
-                fresh.append(ServiceVerdict(tenant=None, shard=shard, alarm=alarm))
+                fresh.append(ServiceVerdict(tenant=None, alarm=alarm))
                 continue
             for registration in matched:
-                verdict = ServiceVerdict(
-                    tenant=registration.tenant, shard=shard, alarm=alarm
-                )
+                verdict = ServiceVerdict(tenant=registration.tenant, alarm=alarm)
                 fresh.append(verdict)
                 self._stats.setdefault(
                     registration.tenant, LatencyStats()
@@ -270,7 +281,7 @@ class MonitorService:
             return
         self._mitigated.add(key)
         coverage_before = self.victim_coverage(alarm.prefix, registration.origin_asn)
-        now = self.plane.clock
+        now = self.replayer.clock
         events: list[StreamEvent] = []
         if registration.deployer_asns:
             events.append(
@@ -323,7 +334,7 @@ class MonitorService:
         """
         live = [
             (stored, ledger)
-            for stored, ledger in self.plane.ledgers().items()
+            for stored, ledger in self.replayer.ledgers().items()
             if ledger.state is not None
         ]
         if prefix.length < 32:
@@ -368,13 +379,12 @@ class MonitorService:
         return {
             "status": "ok",
             "uptime_s": time.monotonic() - self._started,
-            "clock": self.plane.clock,
-            "shards": self.plane.shards,
+            "clock": self.replayer.clock,
             "probe_set": self.plane.probes.name,
             "tenants": len(self.registry.tenants()),
             "registrations": len(self.registry),
-            "roas": self.plane.authority_size(),
-            "events": self.plane.counts(),
+            "roas": len(self.replayer.authority),
+            "events": {**self.replayer.counts, "ingested": self.plane.ingested},
             "verdicts": len(self.verdicts),
             "mitigations": len(self.mitigations),
         }

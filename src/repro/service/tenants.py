@@ -1,10 +1,10 @@
-"""Tenant registrations and the trie-backed routing plane.
+"""Tenant registrations and the trie that attributes alarms to them.
 
 A monitoring service is *multi-tenant*: operators register the prefixes
 they originate (with the ROA data the paper tells them to publish) and
 the service watches the announcement stream on their behalf. The
-registration plane answers the one routing question the service asks per
-announcement: *which registrations does this NLRI concern?* — which is a
+registry answers the one attribution question the service asks per
+alarm: *which registrations does this NLRI concern?* — which is a
 trie problem, not a scan problem. A registration for ``203.0.113.0/24``
 must match announcements of the /24 itself, of any covering prefix (a
 withdrawal-shadowing supernet) **and** of any more-specific carved out
@@ -60,16 +60,10 @@ class TenantRegistry:
 
     Several tenants may register the same prefix (an anycast consortium,
     or simply a test fixture), so each trie slot holds a per-tenant
-    mapping. Lookups:
-
-    * :meth:`match` — every registration an announced prefix concerns:
-      registrations at or above it (``covering``) plus registrations
-      strictly under it (``iter_covered`` — the supernet-watch case).
-    * :meth:`covering_root` — the *shortest* registered prefix at or
-      above a query, used as the shard-affinity anchor so a tenant's
-      covering prefix and all hijacked more-specifics land on the same
-      shard (the replay resolver and the monitor both need them
-      co-located).
+    mapping. :meth:`match` returns every registration an announced
+    prefix concerns: registrations at or above it (``covering``) plus
+    registrations strictly under it (``iter_covered`` — the
+    supernet-watch case).
     """
 
     def __init__(self) -> None:
@@ -82,17 +76,21 @@ class TenantRegistry:
     def __len__(self) -> int:
         return self._count
 
-    def register(self, registration: TenantRegistration) -> None:
+    def register(self, registration: TenantRegistration) -> TenantRegistration | None:
+        """Add *registration*; returns the tenant's registration for the
+        same prefix that it replaces, if any."""
         slot = self._trie.get(registration.prefix)
         if slot is None:
             slot = {}
             self._trie.insert(registration.prefix, slot)
-        if registration.tenant not in slot:
+        replaced = slot.get(registration.tenant)
+        if replaced is None:
             self._count += 1
         slot[registration.tenant] = registration
         self._by_tenant.setdefault(registration.tenant, {})[
             registration.prefix
         ] = registration
+        return replaced
 
     def deregister(self, tenant: str, prefix: Prefix) -> TenantRegistration:
         slot = self._trie.get(prefix)
@@ -116,12 +114,6 @@ class TenantRegistry:
         for _registered, slot in self._trie.iter_covered(prefix):
             found.extend(slot.values())
         return found
-
-    def covering_root(self, prefix: Prefix) -> Prefix | None:
-        """The shortest registered prefix at or above *prefix*, if any."""
-        for registered, _slot in self._trie.covering(prefix):
-            return registered
-        return None
 
     def registrations(self) -> list[TenantRegistration]:
         return [

@@ -247,7 +247,7 @@ class StreamReplayer:
         try:
             event = parse_event_line(line)
         except StreamFormatError as error:
-            self._note_malformed(error)
+            self.note_malformed(error)
             return
         self.submit(event)
 
@@ -264,7 +264,7 @@ class StreamReplayer:
         for raw in lines:
             if raw is None:
                 consumed += 1
-                self._note_malformed(StreamFormatError(OVERLONG_LINE))
+                self.note_malformed(StreamFormatError(OVERLONG_LINE))
                 continue
             line = raw.decode("utf-8", "replace").strip()
             if not line:
@@ -303,8 +303,7 @@ class StreamReplayer:
                 try:
                     self._apply(event, touched)
                 except Exception as error:  # per-event isolation, by contract
-                    self.metrics.count("stream.replay.errors")
-                    self._record_error(f"{type(event).__name__} at {event.at}: {error}")
+                    self.note_error(f"{type(event).__name__} at {event.at}: {error}")
                 else:
                     applied += 1
         self._counts["applied"] += applied
@@ -317,8 +316,7 @@ class StreamReplayer:
                 try:
                     self.monitor.observe(self.clock, prefix, ledger)
                 except Exception as error:  # per-prefix isolation, as for events
-                    self.metrics.count("stream.replay.errors")
-                    self._record_error(f"observe {prefix} at {self.clock}: {error}")
+                    self.note_error(f"observe {prefix} at {self.clock}: {error}")
         return applied
 
     def _coalesce(
@@ -488,7 +486,8 @@ class StreamReplayer:
             return
         touched.add(event.prefix)
 
-    def _note_malformed(self, error: StreamFormatError) -> None:
+    def note_malformed(self, error: StreamFormatError) -> None:
+        """Count one malformed input line and log it (bounded)."""
         self._counts["malformed"] += 1
         self.metrics.count("stream.replay.malformed")
         self._record_error(f"malformed line: {error}")
@@ -496,6 +495,11 @@ class StreamReplayer:
     def _note_noop(self) -> None:
         self._counts["noop"] += 1
         self.metrics.count("stream.replay.noops")
+
+    def note_error(self, message: str) -> None:
+        """Count one isolated failure and log it (bounded)."""
+        self.metrics.count("stream.replay.errors")
+        self._record_error(message)
 
     def _record_error(self, message: str) -> None:
         if len(self.errors) < self.max_errors:

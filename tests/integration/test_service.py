@@ -3,10 +3,9 @@
 The acceptance pins for the monitoring service (ISSUE 9):
 
 * the daemon boots, two tenants register live, a replayed 13-cell
-  taxonomy stream produces — over the JSON API — the same verdict set
-  as the offline :class:`~repro.stream.monitor.OnlineMonitor` path
-  (prefix, verdict, origin sets and *virtual* latency pinned; per-shard
-  event counters are the one legitimate divergence);
+  taxonomy stream produces — over the JSON API — the same alarms as
+  the offline :class:`~repro.stream.monitor.OnlineMonitor` path, in
+  order and in full (virtual and event-count latency included);
 * the auto-mitigation hook's DefenseActivate + deaggregation measurably
   restores the victim's routes;
 * ``repro-bgp serve`` works as a real subprocess over real sockets.
@@ -29,7 +28,6 @@ from repro.registry.neighbors import NeighborRegistry
 from repro.service.api import ServiceThread
 from repro.service.daemon import MonitorService
 from repro.stream.events import RoaPublish, compile_scenario, event_to_dict
-from repro.stream.monitor import OnlineMonitor
 from repro.stream.replay import StreamReplayer
 from repro.util.rng import make_rng
 
@@ -48,19 +46,12 @@ def http(base_url, method, path, payload=None, raw=None):
         return json.loads(response.read())
 
 
-def alarm_key(payload_or_alarm):
-    """The parity tuple: everything except per-shard event counters."""
-    if isinstance(payload_or_alarm, dict):
-        d = payload_or_alarm
-        return (
-            d["prefix"], d["verdict"], tuple(d["origins"]),
-            tuple(d["invalid_origins"]), d["latency_time"],
-        )
-    alarm = payload_or_alarm
-    return (
-        str(alarm.prefix), alarm.verdict, alarm.origins,
-        alarm.invalid_origins, alarm.latency_time,
-    )
+def alarm_key(verdict_payload):
+    """The alarm inside a served verdict: its payload minus attribution."""
+    return {
+        key: value for key, value in verdict_payload.items()
+        if key not in ("tenant", "confirmed")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +85,10 @@ def workload(medium_graph):
 
 class TestDaemonParity:
     def offline_reference(self, lab, targets, events, probes):
-        replayer = StreamReplayer(lab)
-        replayer.monitor = OnlineMonitor(
-            lab.view,
-            HijackDetector(
+        replayer = StreamReplayer(
+            lab,
+            detector=HijackDetector(
                 probes,
-                authority=replayer.authority,
                 neighbors=NeighborRegistry.from_graph(lab.graph),
                 relationships=lab.graph,
             ),
@@ -119,45 +108,42 @@ class TestDaemonParity:
         offline = self.offline_reference(lab, targets, events, probes)
         assert len(offline) >= len(grid_cells()) - 1  # the grid fires broadly
 
-        for shards in (1, 2):
-            service = MonitorService(lab, shards=shards, probes=probes)
-            thread = ServiceThread(service).start()
-            try:
-                for index, target in enumerate(targets):
-                    registration = http(
-                        thread.base_url,
-                        "POST", f"/tenants/tenant{index}/prefixes",
-                        payload={
-                            "prefix": str(lab.target_prefix(target)),
-                            "origin": target,
-                        },
-                    )
-                    assert registration["origin"] == target
-                health = http(thread.base_url, "GET", "/health")
-                assert health["tenants"] == 2
-
-                outcome = http(
-                    thread.base_url, "POST", "/events", raw="\n".join(lines)
+        service = MonitorService(lab, probes=probes)
+        thread = ServiceThread(service).start()
+        try:
+            for index, target in enumerate(targets):
+                registration = http(
+                    thread.base_url,
+                    "POST", f"/tenants/tenant{index}/prefixes",
+                    payload={
+                        "prefix": str(lab.target_prefix(target)),
+                        "origin": target,
+                    },
                 )
-                assert outcome["malformed"] == 0
-                assert outcome["accepted"] == len(lines)
+                assert registration["origin"] == target
+            health = http(thread.base_url, "GET", "/health")
+            assert health["tenants"] == 2
 
-                served = http(thread.base_url, "GET", "/verdicts")["verdicts"]
-            finally:
-                thread.stop()
+            outcome = http(
+                thread.base_url, "POST", "/events", raw="\n".join(lines)
+            )
+            assert outcome["malformed"] == 0
+            assert outcome["accepted"] == len(lines)
 
-            assert {alarm_key(v) for v in served} == {
-                alarm_key(alarm) for alarm in offline
-            }
-            # Every verdict was attributed: both tenants' prefixes were
-            # attacked, so each side of the grid reached its tenant.
-            tenants_paged = {v["tenant"] for v in served}
-            assert {"tenant0", "tenant1"} <= tenants_paged
+            served = http(thread.base_url, "GET", "/verdicts")["verdicts"]
+        finally:
+            thread.stop()
+
+        assert [alarm_key(v) for v in served] == [alarm.as_dict() for alarm in offline]
+        # Every verdict was attributed: both tenants' prefixes were
+        # attacked, so each side of the grid reached its tenant.
+        tenants_paged = {v["tenant"] for v in served}
+        assert {"tenant0", "tenant1"} <= tenants_paged
 
     def test_latency_stats_populated_per_tenant(self, workload):
         lab, targets, _events, lines = workload
         probes = top_degree_probes(lab.graph)
-        service = MonitorService(lab, shards=2, probes=probes)
+        service = MonitorService(lab, probes=probes)
         for index, target in enumerate(targets):
             service.register(
                 f"tenant{index}", lab.target_prefix(target), target
@@ -184,7 +170,7 @@ class TestAutoMitigation:
         attacker = rng.choice(pool)
         deployers = tuple(sorted(probes.asns)[:3])
 
-        service = MonitorService(lab, shards=2, probes=probes)
+        service = MonitorService(lab, probes=probes)
         service.register(
             "victim", lab.target_prefix(target), target,
             auto_mitigate=True, deployers=deployers,
@@ -202,9 +188,8 @@ class TestAutoMitigation:
         # longest-prefix match: the victim's reach measurably recovers.
         assert record.coverage_after > record.coverage_before
         assert record.coverage_after > 0.9
-        for shard in range(service.plane.shards):
-            defense = service.plane.replayer(shard).defense()
-            assert set(deployers) <= set(defense.strategy.deployers)
+        defense = service.replayer.defense()
+        assert set(deployers) <= set(defense.strategy.deployers)
 
 
 class TestServeSubprocess:
@@ -212,7 +197,7 @@ class TestServeSubprocess:
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--as-count", "300", "--port", "0", "--shards", "2",
+                "--as-count", "300", "--port", "0",
             ],
             cwd=REPO_ROOT,
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},

@@ -403,9 +403,9 @@ class TestDaemonFeed:
             )
             daemon.feed_file(feed)
             await asyncio.gather(*daemon._feeds)
-            plane = daemon.service.plane
-            assert plane.ingested == 2
-            assert plane.malformed == 1
+            service = daemon.service
+            assert service.plane.ingested == 2
+            assert service.replayer.counts["malformed"] == 1
             await daemon.stop()
 
         asyncio.run(scenario())
@@ -425,8 +425,8 @@ class TestDaemonFeed:
             await asyncio.gather(*daemon._feeds)
             service = daemon.service
             assert service.plane.ingested == 2
-            assert service.plane.malformed == 1
-            assert service.metrics.counters["service.ingest.malformed"] == 1
+            assert service.replayer.counts["malformed"] == 1
+            assert service.metrics.counters["stream.replay.malformed"] == 1
             await daemon.stop()
 
         asyncio.run(scenario())
@@ -452,7 +452,7 @@ class TestDaemonFeed:
             )
             await _wait_for(lambda: service.plane.ingested >= 3)
             assert service.metrics.counters["service.feed.reopened"] == 1
-            assert service.plane.malformed == 0
+            assert service.replayer.counts["malformed"] == 0
             await daemon.stop()
 
         asyncio.run(scenario())
@@ -480,7 +480,7 @@ class TestDaemonFeed:
             os.replace(replacement, feed)
             await _wait_for(lambda: service.plane.ingested >= 2)
             assert service.metrics.counters["service.feed.reopened"] == 1
-            assert service.plane.malformed == 0
+            assert service.replayer.counts["malformed"] == 0
             await daemon.stop()
 
         asyncio.run(scenario())
@@ -500,12 +500,12 @@ class TestDaemonFeed:
             # a writer caught mid-line must not yield a malformed count
             await asyncio.sleep(0.3)
             assert service.plane.ingested == 1
-            assert service.plane.malformed == 0
+            assert service.replayer.counts["malformed"] == 0
 
             with feed.open("a", encoding="utf-8") as handle:
                 handle.write(partial[20:] + "\n")
             await _wait_for(lambda: service.plane.ingested >= 2)
-            assert service.plane.malformed == 0
+            assert service.replayer.counts["malformed"] == 0
             await daemon.stop()
 
         asyncio.run(scenario())

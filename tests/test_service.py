@@ -1,4 +1,4 @@
-"""Unit tests for the monitoring service core (registry, shards, daemon).
+"""Unit tests for the monitoring service core (registry, replay plane, daemon).
 
 Everything here runs against the hand-verifiable ``mini_graph`` through
 the synchronous :class:`~repro.service.daemon.MonitorService` — no event
@@ -12,14 +12,17 @@ import random
 import pytest
 
 from repro.attacks.lab import HijackLab
+from repro.detection.detector import HijackDetector
 from repro.detection.probes import custom_probes
 from repro.obs.metrics import Metrics
 from repro.prefixes.prefix import Prefix
+from repro.registry.neighbors import NeighborRegistry
 from repro.service.daemon import CONFIRMED_VERDICTS, MonitorService
 from repro.service.shards import ShardPlane
 from repro.service.tenants import LatencyStats, TenantRegistration, TenantRegistry
 from repro.stream.events import Announce, DefenseActivate, RoaPublish
 from repro.stream.monitor import OnlineMonitor
+from repro.stream.replay import StreamReplayer
 
 
 def p(text: str) -> Prefix:
@@ -78,13 +81,6 @@ class TestTenantRegistry:
             "acme", "globex",
         ]
         assert registry.tenants() == ["acme", "globex"]
-
-    def test_covering_root_is_shortest(self):
-        registry = TenantRegistry()
-        registry.register(self.registration(prefix="10.0.0.0/8"))
-        registry.register(self.registration(prefix="10.0.0.0/16"))
-        assert registry.covering_root(p("10.0.1.0/24")) == p("10.0.0.0/8")
-        assert registry.covering_root(p("11.0.0.0/8")) is None
 
     def test_deregister(self):
         registry = TenantRegistry()
@@ -157,47 +153,10 @@ class TestLatencyStats:
         assert stats.percentile(0.95) == 7.0
 
 
-# -- shard plane ------------------------------------------------------------
+# -- replay plane -----------------------------------------------------------
 
 
 class TestShardPlane:
-    def test_covering_root_affinity(self, lab, probes):
-        service = service_for(lab, probes, shards=4)
-        prefix = lab.target_prefix(50)
-        service.register("acme", prefix, 50)
-        plane = service.plane
-        root_shard = plane.shard_of(prefix)
-        for sub in prefix.subnets():
-            assert plane.shard_of(sub) == root_shard
-            for subsub in sub.subnets():
-                assert plane.shard_of(subsub) == root_shard
-
-    def test_pinning_is_stable(self, lab, probes):
-        plane = ShardPlane(lab, shards=4)
-        prefix = lab.target_prefix(50)
-        first = plane.shard_of(prefix)
-        assert all(plane.shard_of(prefix) == first for _ in range(5))
-
-    def test_broadcast_events_land_on_every_shard(self, lab, probes):
-        plane = ShardPlane(lab, shards=3, probes=probes)
-        event = RoaPublish(at=0.0, prefix=lab.target_prefix(50), origin_asn=50)
-        assert plane.route(event) is None
-        plane.submit(event)
-        plane.flush()
-        for shard in range(3):
-            assert len(plane.replayer(shard).authority) == 1
-
-    def test_announce_lands_on_one_shard(self, lab, probes):
-        plane = ShardPlane(lab, shards=3, probes=probes)
-        prefix = lab.target_prefix(50)
-        plane.submit(Announce(at=0.0, prefix=prefix, origin_asn=50))
-        plane.flush()
-        owners = [
-            shard for shard in range(3)
-            if plane.replayer(shard).ledger(prefix) is not None
-        ]
-        assert owners == [plane.shard_of(prefix)]
-
     def test_malformed_lines_counted_not_fatal(self, lab, probes):
         metrics = Metrics()
         plane = ShardPlane(lab, probes=probes, metrics=metrics)
@@ -208,27 +167,30 @@ class TestShardPlane:
             '{"at":0.0,"kind":"announce","origin":50,"prefix":"%s"}' % prefix
         ) is True
         plane.flush()
-        assert plane.malformed == 2
+        assert plane.replayer.counts["malformed"] == 2
         assert plane.ingested == 1
-        assert len(plane.errors) == 2
-        assert metrics.snapshot()["counters"]["service.ingest.malformed"] == 2
+        assert len(plane.replayer.errors) == 2
+        assert metrics.snapshot()["counters"]["stream.replay.malformed"] == 2
 
     def test_error_log_is_bounded(self, lab, probes):
         plane = ShardPlane(lab, probes=probes)
         for _ in range(40):
             plane.submit_line("{broken")
-        assert plane.malformed == 40
-        assert len(plane.errors) == 32
+        report = plane.replayer.report()
+        assert report.events_malformed == 40
+        assert (len(report.errors), report.errors_dropped) == (32, 8)
 
     def test_counts_aggregate(self, lab, probes):
-        plane = ShardPlane(lab, shards=2, probes=probes)
-        plane.submit(RoaPublish(at=0.0, prefix=lab.target_prefix(50), origin_asn=50))
-        plane.submit_line("{broken")
-        plane.flush()
-        counts = plane.counts()
-        assert counts["ingested"] == 1
-        assert counts["malformed"] == 1
-        assert counts["submitted"] == 2  # the broadcast landed on both shards
+        # /health's event counters: the replayer's, plus what the plane took in.
+        service = service_for(lab, probes)
+        service.ingest_event(
+            RoaPublish(at=0.0, prefix=lab.target_prefix(50), origin_asn=50)
+        )
+        service.ingest_line("{broken")
+        service.poll()
+        counts = service.health()["events"]
+        assert counts == {**service.replayer.counts, "ingested": 1}
+        assert (counts["submitted"], counts["applied"], counts["malformed"]) == (1, 1, 1)
 
     def test_failing_event_is_isolated(self, lab, probes, monkeypatch):
         def broken(*_args, **_kwargs):
@@ -245,27 +207,43 @@ class TestShardPlane:
         assert service.ingest_line(line % (2.0, 70, prefix)) is True
         # The last one's observe fails in the flush that poll runs.
         assert service.poll() == []
-        replayer = service.plane.replayer(0)
+        replayer = service.replayer
         assert replayer.errors == [
             f"observe {prefix} at {at}: monitor exploded" for at in (0.0, 1.0, 2.0)
         ]
-        assert service.plane.errors == []
         assert service.plane.ingested == 3
         assert replayer.counts["submitted"] == replayer.counts["applied"] == 3
 
+    def test_submit_failure_is_logged_by_the_replayer(self, lab, probes, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("counter exploded")
+
+        monkeypatch.setattr(OnlineMonitor, "note_event", broken)
+        metrics = Metrics()
+        plane = ShardPlane(lab, probes=probes, metrics=metrics)
+        prefix = lab.target_prefix(50)
+        plane.submit(Announce(at=0.0, prefix=prefix, origin_asn=50))
+        assert plane.ingested == 1
+        assert plane.replayer.errors == ["Announce at 0.0: counter exploded"]
+        assert metrics.snapshot()["counters"]["stream.replay.errors"] == 1
+
     def test_shards_must_be_positive(self, lab):
-        with pytest.raises(ValueError):
-            ShardPlane(lab, shards=0)
+        # The service runs one replayer; 1 is the only shard count left.
+        for shards in (0, 2):
+            with pytest.raises(ValueError, match="shards must be 1"):
+                MonitorService(lab, shards=shards)
+        assert MonitorService(lab, shards=1).plane.ingested == 0
 
     def test_drain_alarms_returns_only_fresh(self, lab, probes):
-        plane = ShardPlane(lab, shards=2, probes=probes)
+        plane = ShardPlane(lab, probes=probes)
         prefix = lab.target_prefix(50)
         plane.submit(RoaPublish(at=0.0, prefix=prefix, origin_asn=50))
         plane.submit(Announce(at=0.0, prefix=prefix, origin_asn=50))
         plane.submit(Announce(at=1.0, prefix=prefix, origin_asn=60))
         plane.flush()
         first = plane.drain_alarms()
-        assert [alarm.verdict for _shard, alarm in first] == ["hijack"]
+        assert [alarm.verdict for alarm in first] == ["hijack"]
+        assert first == plane.replayer.monitor.alarms
         assert plane.drain_alarms() == []
 
 
@@ -274,11 +252,10 @@ class TestShardPlane:
 
 class TestMonitorService:
     def test_register_publishes_roa_everywhere(self, lab, probes):
-        service = service_for(lab, probes, shards=2)
+        service = service_for(lab, probes)
         service.register("acme", lab.target_prefix(50), 50)
-        assert service.plane.authority_size() == 1
-        for shard in (0, 1):
-            assert len(service.plane.replayer(shard).authority) == 1
+        assert service.health()["roas"] == 1
+        assert len(service.replayer.monitor.detector.authority) == 1
 
     def test_register_rejects_unknown_asns(self, lab, probes):
         service = service_for(lab, probes)
@@ -293,7 +270,7 @@ class TestMonitorService:
         service = service_for(lab, probes)
         service.register("acme", lab.target_prefix(50), 50)
         service.deregister("acme", lab.target_prefix(50))
-        assert service.plane.authority_size() == 0
+        assert len(service.replayer.authority) == 0
         assert len(service.registry) == 0
 
     def test_deregister_keeps_a_roa_another_tenant_still_needs(self, lab, probes):
@@ -304,16 +281,47 @@ class TestMonitorService:
         service.register("a", prefix, 50)
         service.register("b", prefix, 50, auto_mitigate=True)
         service.deregister("a", prefix)
-        assert service.plane.authority_size() == 1
+        assert len(service.replayer.authority) == 1
         fresh = self.hijack(service, prefix)
         assert [(v.tenant, v.alarm.verdict) for v in fresh] == [("b", "hijack")]
         assert fresh[0].confirmed is True
         assert len(service.mitigations) == 1
         # The last tenant to leave revokes it (the mitigation's
         # more-specific ROAs stay).
-        published = service.plane.authority_size()
+        published = len(service.replayer.authority)
         service.deregister("b", prefix)
-        assert service.plane.authority_size() == published - 1
+        assert len(service.replayer.authority) == published - 1
+
+    def test_reregister_revokes_the_replaced_roa(self, lab, probes):
+        """A re-registration replaces the tenant's ROA: the old one is
+        revoked unless a live registration still publishes it."""
+        service = service_for(lab, probes)
+        prefix = lab.target_prefix(50)
+
+        def published():
+            return {(roa.prefix, roa.origin_asn) for roa in service.replayer.authority}
+
+        # A lone tenant moves its origin: AS50 must not stay VALID.
+        service.register("acme", prefix, 50)
+        service.register("acme", prefix, 60)
+        assert published() == {(prefix, 60)}
+        service.deregister("acme", prefix)
+        assert published() == set()
+
+        # Re-registering the identical ROA keeps it.
+        service.register("acme", prefix, 50)
+        service.register("acme", prefix, 50, auto_mitigate=True)
+        assert published() == {(prefix, 50)}
+
+        # Another tenant still publishes the replaced ROA: it stays
+        # until that tenant leaves too.
+        service.register("globex", prefix, 50)
+        service.register("acme", prefix, 60)
+        assert published() == {(prefix, 50), (prefix, 60)}
+        service.deregister("globex", prefix)
+        assert published() == {(prefix, 60)}
+        service.deregister("acme", prefix)
+        assert published() == set()
 
     def hijack(self, service, prefix, attacker=60):
         service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=50))
@@ -384,12 +392,12 @@ class TestMonitorService:
             )
 
     def test_health_payload(self, lab, probes):
-        service = service_for(lab, probes, shards=2)
+        service = service_for(lab, probes)
         service.register("acme", lab.target_prefix(50), 50)
         service.ingest_line("{broken")
         health = service.health()
         assert health["status"] == "ok"
-        assert health["shards"] == 2
+        assert "shards" not in health
         assert health["tenants"] == 1
         assert health["roas"] == 1
         assert health["events"]["malformed"] == 1
@@ -428,7 +436,7 @@ class TestAutoMitigation:
         service.ingest_event(Announce(at=0.0, prefix=sub, origin_asn=60))
         service.poll()
         # 1 registration ROA + 2 deaggregation ROAs.
-        assert service.plane.authority_size() == 3
+        assert len(service.replayer.authority) == 3
 
     def test_mitigation_fires_once_per_attack(self, lab, probes):
         service, prefix = self.armed(lab, probes)
@@ -447,9 +455,7 @@ class TestAutoMitigation:
         service.ingest_event(Announce(at=0.0, prefix=sub, origin_asn=60))
         service.poll()
         assert service.mitigations[0].deployers == (30,)
-        for shard in range(service.plane.shards):
-            defense = service.plane.replayer(shard).defense()
-            assert 30 in defense.strategy.deployers
+        assert 30 in service.replayer.defense().strategy.deployers
 
     def test_no_mitigation_without_arming(self, lab, probes):
         service = service_for(lab, probes)
@@ -477,7 +483,7 @@ def per_node_coverage(service, prefix, origin_asn):
     falling through to the next covering one where a ledger has no route."""
     live = [
         (stored, ledger)
-        for stored, ledger in service.plane.ledgers().items()
+        for stored, ledger in service.replayer.ledgers().items()
         if ledger.state is not None
     ]
     if prefix.length < 32:
@@ -515,7 +521,7 @@ class TestVictimCoverage:
         service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=50))
         service.ingest_event(Announce(at=1.0, prefix=sub, origin_asn=60))
         service.poll()
-        routes = service.plane.ledgers()[sub].state.origin_of
+        routes = service.replayer.ledger(sub).state.origin_of
         assert 0 < sum(origin == -1 for origin in routes) < len(lab.view)
         quarter = next(iter(sub.subnets()))
         for query in (prefix, sub, quarter, p("10.0.0.0/8")):
@@ -526,29 +532,34 @@ class TestVictimCoverage:
         assert 0 < service.victim_coverage(prefix, 50) < 1
 
 
-class TestShardParity:
-    def test_verdicts_identical_across_shard_counts(self, lab, probes):
-        keys = []
-        for shards in (1, 2, 4):
-            service = service_for(lab, probes, shards=shards)
-            for target in (50, 70):
-                service.register("acme", lab.target_prefix(target), target)
-            for target, attacker in ((50, 60), (70, 80)):
-                prefix = lab.target_prefix(target)
-                service.ingest_event(
-                    Announce(at=0.0, prefix=prefix, origin_asn=target)
-                )
-                service.ingest_event(
-                    Announce(at=1.0, prefix=prefix, origin_asn=attacker)
-                )
-            service.poll()
-            keys.append(frozenset(
-                (
-                    str(v.alarm.prefix), v.alarm.verdict,
-                    v.alarm.origins, v.alarm.invalid_origins,
-                    v.alarm.latency_time,
-                )
-                for v in service.verdicts
-            ))
-        assert len(set(keys)) == 1
-        assert len(keys[0]) == 2
+class TestServiceParity:
+    def test_verdicts_equal_the_offline_monitor(self, lab, probes):
+        """The service's alarms are the offline replayer's, in order and
+        in full, event-count latency included."""
+        service = service_for(lab, probes)
+        offline = StreamReplayer(
+            lab,
+            detector=HijackDetector(
+                probes,
+                neighbors=NeighborRegistry.from_graph(lab.graph),
+                relationships=lab.graph,
+            ),
+        )
+        for target in (50, 70):
+            prefix = lab.target_prefix(target)
+            service.register("acme", prefix, target)
+            offline.submit(RoaPublish(at=0.0, prefix=prefix, origin_asn=target))
+        for target, attacker in ((50, 60), (70, 80)):
+            prefix = lab.target_prefix(target)
+            for event in (
+                Announce(at=0.0, prefix=prefix, origin_asn=target),
+                Announce(at=1.0, prefix=prefix, origin_asn=attacker),
+            ):
+                service.ingest_event(event)
+                offline.submit(event)
+        service.poll()
+        alarms = offline.finish().monitor.alarms
+        assert len(alarms) == 2
+        assert [v.alarm.as_dict() for v in service.verdicts] == [
+            alarm.as_dict() for alarm in alarms
+        ]

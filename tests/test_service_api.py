@@ -43,7 +43,7 @@ def _request(base_url, method, path, payload=None, raw=None):
 def thread():
     lab = HijackLab(build_mini_graph(), seed=1)
     service = MonitorService(
-        lab, shards=2, probes=custom_probes("pair", [10, 20]), metrics=Metrics()
+        lab, probes=custom_probes("pair", [10, 20]), metrics=Metrics()
     )
     thread = ServiceThread(service).start()
     yield thread
@@ -69,7 +69,7 @@ class TestLifecycle:
         status, health = api("GET", "/health")
         assert status == 200
         assert health["status"] == "ok"
-        assert health["shards"] == 2
+        assert "shards" not in health
 
     def test_register_then_hijack_then_verdict(self, api):
         status, registration = api(
@@ -92,6 +92,7 @@ class TestLifecycle:
         assert [(v["tenant"], v["verdict"], v["confirmed"]) for v in verdicts] == [
             ("acme", "hijack", True)
         ]
+        assert "shard" not in verdicts[0]
 
     def test_stats_and_mitigations_after_hijack(self, api):
         status, stats = api("GET", "/tenants/acme/stats")
@@ -191,6 +192,21 @@ class TestErrors:
         )
         assert status == 400
         assert f"maxLength {max_length} outside [12, 32]" in body["error"]
+        _status, after = api("GET", "/health")
+        assert (after["registrations"], after["roas"]) == (
+            before["registrations"], before["roas"]
+        )
+
+    @pytest.mark.parametrize("flag", ["false", 1, None])
+    def test_non_boolean_auto_mitigate_is_400_and_registers_nothing(self, api, flag):
+        # Read as truthiness, "false" would arm the reactive hook.
+        _status, before = api("GET", "/health")
+        status, body = api(
+            "POST", "/tenants/a/prefixes",
+            payload={"prefix": "2.192.0.0/12", "origin": 60, "auto_mitigate": flag},
+        )
+        assert status == 400
+        assert "'auto_mitigate'" in body["error"]
         _status, after = api("GET", "/health")
         assert (after["registrations"], after["roas"]) == (
             before["registrations"], before["roas"]
