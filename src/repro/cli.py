@@ -30,6 +30,7 @@ checksum-identical by contract, so it changes wall-clock only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -440,17 +441,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     )
     suite = ExperimentSuite(config, metrics=_metrics(args))
     names = _EXPERIMENTS if args.name == "all" else (args.name,)
-    store = ResultStore(args.store) if args.store else None
-    for name in names:
-        result = suite.run(name)
-        path = result.save_json(Path(args.output_dir) / "data")
-        if store is not None:
-            store.record(result, params={"as_count": args.as_count, "seed": args.seed})
-        print(f"{name}: wrote {path}" + (
-            f" and {len(result.artifacts)} artifact(s)" if result.artifacts else ""
-        ))
-    if store is not None:
-        store.close()
+    params = {
+        "as_count": args.as_count,
+        "sample": args.sample,
+        "attacks": args.attacks,
+        "seed": args.seed,
+    }
+    with ResultStore(args.store) if args.store else contextlib.nullcontext() as store:
+        for name in names:
+            result = suite.run(name)
+            path = result.save_json(Path(args.output_dir) / "data")
+            if store is not None:
+                store.record(result, params=params)
+            print(f"{name}: wrote {path}" + (
+                f" and {len(result.artifacts)} artifact(s)" if result.artifacts else ""
+            ))
     return 0
 
 

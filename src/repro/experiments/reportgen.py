@@ -116,11 +116,10 @@ def render_experiments_markdown(
         "# EXPERIMENTS — paper vs. reproduction",
         "",
         "Every table and figure of the paper's evaluation, regenerated by "
-        "`pytest benchmarks/ --benchmark-only` (drivers in "
-        "`src/repro/experiments/suite.py`). Absolute numbers differ because "
-        "the substrate is a calibrated synthetic topology at reduced scale "
-        "(see DESIGN.md §1); the *shape* statements are asserted by the "
-        "benchmark suite on every run.",
+        "`repro-bgp report` (drivers in `src/repro/experiments/suite.py`). "
+        "Absolute numbers differ because the substrate is a calibrated "
+        "synthetic topology at reduced scale (see DESIGN.md §1); the *shape* "
+        "statements are asserted at 4,270 ASes by `tests/claims/`.",
         "",
     ]
     if context:

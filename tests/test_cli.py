@@ -102,7 +102,35 @@ class TestCommands:
         from repro.experiments.store import ResultStore
 
         with ResultStore(store_path) as store:
-            assert store.latest("tab1") is not None
+            run = store.latest("tab1")
+        # Every flag that changes the result is recorded, so runs that
+        # differ only in --sample or --attacks stay apart in history().
+        assert run.params == {"as_count": 400, "sample": 30, "attacks": 50, "seed": 2014}
+
+    def test_figure_closes_the_store_when_an_experiment_raises(self, tmp_path, monkeypatch):
+        from repro.experiments.store import ResultStore
+        from repro.experiments.suite import ExperimentSuite
+
+        closed = []
+        close = ResultStore.close
+
+        def tracking_close(store):
+            closed.append(store)
+            close(store)
+
+        def failing_run(suite, name):
+            raise RuntimeError(name)
+
+        monkeypatch.setattr(ResultStore, "close", tracking_close)
+        monkeypatch.setattr(ExperimentSuite, "run", failing_run)
+        with pytest.raises(RuntimeError, match="tab1"):
+            main([
+                "figure", "tab1",
+                "--as-count", "400",
+                "--output-dir", str(tmp_path),
+                "--store", str(tmp_path / "store.sqlite"),
+            ])
+        assert len(closed) == 1
 
     def test_report(self, tmp_path, capsys):
         output = tmp_path / "EXPERIMENTS.md"

@@ -1,9 +1,9 @@
 """The public surface resolves: every ``__all__`` name and every import
-that the examples and benchmarks make from ``repro``.
+that the examples and the end-to-end benchmark make from ``repro``.
 
-No CI job runs the ``benchmarks/*.py`` claim files, so a deleted or
-renamed function they import would otherwise go unseen. These checks
-read the scripts' syntax trees and never run them.
+These checks read the scripts' syntax trees and never run them, so a
+deleted or renamed function that a script imports shows up here in
+seconds, before anything executes the script.
 """
 
 import ast
@@ -63,7 +63,8 @@ def _repro_imports(script: Path) -> list[tuple[str, str | None]]:
 
 def test_walk_finds_the_package():
     assert "repro.cli" in MODULES and "repro.ingest.records" in MODULES
-    assert len(SCRIPTS) > 20
+    folders = {script.parent.relative_to(REPO_ROOT).as_posix() for script in SCRIPTS}
+    assert {"examples", "benchmarks/e2e"} <= folders
 
 
 @pytest.mark.parametrize("module_name", MODULES)

@@ -1,5 +1,7 @@
 """Unit tests for EXPERIMENTS.md generation."""
 
+from pathlib import Path
+
 from repro.experiments.config import ExperimentResult
 from repro.experiments.reportgen import PAPER_REFERENCE, render_experiments_markdown
 
@@ -44,6 +46,13 @@ class TestRendering:
     def test_context_line(self):
         text = render_experiments_markdown([make_result()], context={"as_count": 4270})
         assert "as_count=4270" in text
+
+    def test_provenance_names_the_writer_and_the_claims(self):
+        provenance = render_experiments_markdown([]).splitlines()[2]
+        assert "`repro-bgp report`" in provenance
+        assert "`tests/claims/`" in provenance
+        committed = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+        assert committed.read_text(encoding="utf-8").splitlines()[2] == provenance
 
     def test_unknown_experiment_still_renders(self):
         result = ExperimentResult(experiment_id="custom", title="X", summary={"k": 1})
