@@ -477,8 +477,9 @@ class HijackLab:
 
         By default every other AS attacks once (the paper's worst-case
         sweep). ``sample`` draws a deterministic random subset — the
-        benchmark harness uses it to keep wall-clock in check at identical
-        curve shapes. Outcomes are keyed and ordered by attacker ASN.
+        experiment suite (``ExperimentConfig.attacker_sample``, set by
+        ``repro-bgp figure --sample``) uses it to keep wall-clock in check
+        at identical curve shapes. Outcomes are keyed and ordered by attacker ASN.
         ``kind``/``path_kind``/``forged_depth`` select the attack-grid
         cell to sweep (default: the paper's type-0 origin hijack,
         byte-identical to the pre-taxonomy sweep).

@@ -4,7 +4,7 @@ One :class:`ExperimentConfig` pins everything an experiment needs —
 topology, seed, sweep sample sizes, output directory — so that every
 figure and table of the paper regenerates deterministically from a single
 value. Results come back as :class:`ExperimentResult`, a uniform shape the
-sqlite store, the benchmark harness and the CLI all share.
+sqlite store, the report generator and the CLI all share.
 """
 
 from __future__ import annotations

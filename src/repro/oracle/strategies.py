@@ -177,6 +177,10 @@ def announce_withdraw_sequences(
     announcing origin; they may contain *other* chain origins, which is
     exactly the multi-announcement case single-pass invariant parameters
     cannot describe.
+
+    A withdraw that empties the sequence may be followed at once by a
+    re-announce of the same origin with the same captured inputs: the
+    flap a ledger revives instead of re-converging.
     """
     view = draw(routing_views(min_size=min_size, max_size=max_size))
     nodes = st.integers(min_value=0, max_value=len(view) - 1)
@@ -189,6 +193,13 @@ def announce_withdraw_sequences(
             origin = draw(st.sampled_from(active))
             active.remove(origin)
             ops.append(("withdraw", origin, frozenset(), False))
+            if not active and draw(st.booleans()):
+                announced = next(
+                    op for op in reversed(ops)
+                    if op[0] == "announce" and op[1] == origin
+                )
+                active.append(origin)
+                ops.append(announced)
             continue
         origin = draw(st.sampled_from(inactive))
         blocked: frozenset[int] = frozenset()

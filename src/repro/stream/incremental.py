@@ -36,8 +36,19 @@ How the ledger stays identical without recomputing
   ``converge(base=state)`` by construction — same kernel, same install
   sequence — minus the O(N) base copy.
 * **withdraw of the newest announcement** — rewind its journal. O(cells
-  touched), no convergence at all. Withdrawing the last one drops the
-  state.
+  touched), no convergence at all. Withdrawing the last one releases the
+  state: the ledger holds no state, but keeps the released slot 0 and
+  its arrays aside until :meth:`PrefixLedger.release`.
+* **revive** — an announce whose :class:`AnnounceEntry` equals the
+  released slot's (origin node, ``origin_asn``, captured blocked set,
+  first-hop flag and claimed path) adopts the released state as its
+  cold slot 0, with no convergence: by construction that state *is*
+  ``converge(entry)``. A flap (withdraw of a prefix's only origin, then
+  the same origin again) therefore costs nothing. Any other announce
+  converges cold, and discards the released state.
+  :class:`~repro.stream.replay.StreamReplayer` calls ``release()`` on
+  every touched ledger at the end of each flush, so a released state
+  never outlives the batch that released it.
 * **withdraw of an interior announcement** — rewind journals down to it,
   drop it, re-apply the survivors in order (with their captured
   parameters). Cost: the suffix after the withdrawn entry, not the
@@ -208,6 +219,9 @@ class PrefixLedger:
         # spurious withdraw is answered by one lookup, not a slot scan.
         self._active: set[int] = set()
         self._state: RouteState | None = None
+        # The sole slot and state the last withdraw-to-empty released; an
+        # equal announce revives them (see the module docstring).
+        self._released: tuple[_LedgerSlot, RouteState] | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -278,6 +292,8 @@ class PrefixLedger:
         withdrawal rewinds the suffix and re-applies the survivors with
         their captured parameters. Rewinding past slot 0 drops the state,
         so the first survivor (if any) becomes a cold slot 0 again.
+        Withdrawing the sole announcement keeps its slot and state as the
+        released pair an equal announce revives.
         """
         if origin not in self._active:
             return False
@@ -290,6 +306,9 @@ class PrefixLedger:
         self._active.difference_update(slot.entry.origin for slot in rewound)
         self.metrics.count("stream.ledger.reverts", len(rewound))
         if not self._slots:
+            if len(rewound) == 1:
+                assert self._state is not None
+                self._released = (rewound[0], self._state)
             self._state = None
         else:
             assert self._state is not None
@@ -307,9 +326,25 @@ class PrefixLedger:
             self._apply(slot.entry, replayed=True)
         return True
 
+    def release(self) -> None:
+        """Drop the state the last withdraw-to-empty kept for a revive."""
+        self._released = None
+
     # -- internals ---------------------------------------------------------
 
     def _apply(self, entry: AnnounceEntry, *, replayed: bool = False) -> None:
+        released, self._released = self._released, None
+        if released is not None and released[0].entry == entry:
+            slot, self._state = released
+            self._slots.append(slot)
+            self._active.add(entry.origin)
+            if slot.checksum is not None and self._state.checksum() != slot.checksum:
+                raise RuntimeError(
+                    f"revived state for origin {entry.origin} changed while "
+                    "released (state corruption)"
+                )
+            self.metrics.count("stream.ledger.revived")
+            return
         if self._state is None:
             self._state = self.engine.converge(
                 entry.origin,

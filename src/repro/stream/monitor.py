@@ -121,8 +121,9 @@ class OnlineMonitor:
     The monitor only knows what its probes' selected routes show — an
     attack polluting no probe is invisible, exactly as in the batch
     Fig. 7 analysis, but measured live. Alarms deduplicate on
-    ``(prefix, observed origin set)``: a flapping hijack re-raising the
-    same conflict pages once, a *new* origin joining the conflict pages
+    ``(prefix, judged origin set, culprit paths)``: a flapping hijack
+    re-raising the same conflict pages once, while a *new* origin joining
+    the conflict, or a new culprit path behind the same origins, pages
     again.
 
     The replay engine drives three entry points: :meth:`note_event` per
@@ -149,7 +150,9 @@ class OnlineMonitor:
             )
         )
         self._announced: dict[tuple[Prefix, int], tuple[float, int]] = {}
-        self._alarm_keys: set[tuple[Prefix, tuple[int, ...]]] = set()
+        self._alarm_keys: set[
+            tuple[Prefix, tuple[int, ...], tuple[tuple[int, ...], ...]]
+        ] = set()
         self._events_seen = 0
         self._conflicts_judged = 0
         self.alarms: list[StreamAlarm] = []

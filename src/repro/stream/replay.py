@@ -308,6 +308,9 @@ class StreamReplayer:
                     applied += 1
         self._counts["applied"] += applied
         self.metrics.count("stream.replay.applied", applied)
+        for prefix in touched:
+            # A flap revives its released state only within this batch.
+            self._ledgers[prefix].release()
         if self.monitor is not None:
             for prefix in sorted(touched, key=str):
                 ledger = self._ledgers.get(prefix)
@@ -326,7 +329,8 @@ class StreamReplayer:
 
         Tracked per (prefix, origin) against the pre-batch active state:
         only a withdraw that closes an announcement opened earlier in the
-        same batch cancels with it. Removing such a pair leaves the
+        same batch cancels with it, and only when no duplicate announce
+        of that key falls between them. Removing such a pair leaves the
         surviving ledger chain — and hence the flushed state — identical.
         Only a withdraw cancels anything, so only the keys some withdraw
         in the batch names are tracked, and a batch without a withdraw
@@ -359,6 +363,11 @@ class StreamReplayer:
                 if not active[key]:
                     active[key] = True
                     openers.setdefault(key, []).append(index)
+                else:
+                    # A duplicate inside a run opened in this batch would
+                    # become the real announce once its opener cancelled,
+                    # so that run is applied as it is.
+                    openers.pop(key, None)
             else:
                 if active[key]:
                     active[key] = False

@@ -1,9 +1,9 @@
 """Plain-text table rendering for experiment reports.
 
 The paper's evaluation quotes several small tables (top-5 still-potent
-attacks, top-5 undetected attacks). The benchmark harness prints the
-reproduced tables in the same shape; this module renders them as aligned
-monospace text so the benches and the CLI share one formatter.
+attacks, top-5 undetected attacks). ``repro-bgp`` prints the reproduced
+tables in the same shape; this module renders them as aligned monospace
+text so the CLI and the calibration report share one formatter.
 """
 
 from __future__ import annotations

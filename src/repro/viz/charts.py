@@ -3,7 +3,7 @@
 Two chart shapes cover the whole paper: multi-series line charts for the
 vulnerability CCDFs (Figs. 2–6) and a bar chart with an overlaid line for
 the detector histograms (Fig. 7). Everything is rendered through
-:class:`~repro.viz.svg.SvgCanvas`, so the benchmark harness produces
+:class:`~repro.viz.svg.SvgCanvas`, so every experiment writes
 self-contained, versionable figure files.
 """
 

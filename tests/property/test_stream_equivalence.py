@@ -10,10 +10,17 @@ invariant checker on, so the history-aware invariant suite itself is
 exercised on multi-announcement states; the third withdraws whatever
 remains in a random order. The first and third run on both backends.
 
-The last two pin the duplicate path: the ledger's O(1) membership set
+The ledger sequences draw flaps (a withdraw that empties the ledger,
+then the same announcement again), which the ledger revives from the
+released state instead of re-converging.
+
+The next two pin the duplicate path: the ledger's O(1) membership set
 agrees with its slots after any sequence, duplicates and spurious
 withdraws included, and the replayer's withdraw-keyed coalescing
-cancels exactly what the full per-key scan cancels.
+cancels exactly what the full per-key scan cancels. The last replays
+mixed batches with flaps inside one batch: after every flush each
+ledger equals the cold chain and keeps no released state, and the
+report equals a per-event replay's.
 """
 
 from functools import lru_cache
@@ -113,9 +120,9 @@ def test_withdraw_order_independence(backend, case, data):
 @settings(max_examples=example_budget(120), deadline=None)
 @given(announce_withdraw_sequences(max_size=14, max_events=10), st.data())
 def test_is_active_agrees_with_active_origins(case, data):
-    """After every op — interior withdraws and slot-0 re-bases included,
-    with a duplicate announce or spurious withdraw drawn in between — the
-    membership set answers exactly what the slots say."""
+    """After every op — interior withdraws, slot-0 re-bases and flap
+    revives included, with a duplicate announce or spurious withdraw drawn
+    in between — the membership set answers exactly what the slots say."""
     view, ops = case
     ledger = PrefixLedger(RoutingEngine(view))
     nodes = range(len(view))
@@ -151,6 +158,8 @@ def _reference_coalesce(replayer: StreamReplayer, pending):
             if not active[key]:
                 active[key] = True
                 openers.setdefault(key, []).append(index)
+            else:
+                openers.pop(key, None)
         elif active[key]:
             active[key] = False
             stack = openers.get(key)
@@ -178,13 +187,20 @@ _batch_events = st.one_of(
     _keys.map(lambda key: RoaRevoke(at=1.0, prefix=key[0], origin_asn=key[1])),
     st.just(DefenseActivate(at=1.0, deployer_asns=(10,))),
 )
+# A flap: the withdraw and the re-announce of one key, back to back.
+_flaps = _keys.map(
+    lambda key: [
+        Withdraw(at=1.0, prefix=key[0], origin_asn=key[1]),
+        Announce(at=1.0, prefix=key[0], origin_asn=key[1]),
+    ]
+)
+_batches = st.lists(
+    st.one_of(_batch_events.map(lambda event: [event]), _flaps), max_size=8
+).map(lambda groups: [event for group in groups for event in group])
 
 
 @settings(max_examples=example_budget(300), deadline=None)
-@given(
-    st.lists(_keys, max_size=4, unique=True),
-    st.lists(_batch_events, max_size=12),
-)
+@given(st.lists(_keys, max_size=4, unique=True), _batches)
 def test_coalesce_matches_the_full_key_scan(installed, batch):
     """Random mixed batches over pre-installed origins: batches without a
     withdraw, withdraw-before-announce, ROA and defense events sharing a
@@ -196,3 +212,38 @@ def test_coalesce_matches_the_full_key_scan(installed, batch):
     replayer.flush()
     kept, cancelled = replayer._coalesce(batch)
     assert (kept, cancelled) == _reference_coalesce(replayer, batch)
+
+
+@settings(max_examples=example_budget(120), deadline=None)
+@given(st.lists(_keys, max_size=4, unique=True), st.lists(_batches, max_size=4))
+def test_flushes_with_flaps_match_full_convergence(installed, batches):
+    """Each drawn batch is one flush. Flaps inside it revive released
+    states; every flush still leaves each ledger equal to the cold chain
+    over its entries, with nothing released kept, and the final report
+    equals the same events replayed one per flush (up to the emptied
+    ledgers a cancelled announce→withdraw pair never created)."""
+    lab = _mini_lab()
+    replayer = StreamReplayer(lab, batch_window=100.0)
+    events = [
+        Announce(at=0.0, prefix=prefix, origin_asn=origin)
+        for prefix, origin in installed
+    ]
+    for event in events:
+        replayer.submit(event)
+    for batch in [[]] + batches:
+        for event in batch:
+            replayer.submit(event)
+        replayer.flush()
+        for ledger in replayer.ledgers().values():
+            assert ledger._released is None
+            reference = full_converge(lab.engine, ledger.entries)
+            assert ledger.checksum() == (
+                reference.checksum() if reference is not None else None
+            )
+        events += batch
+    unbatched = StreamReplayer(lab, queue_limit=1).run(events)
+
+    def announced(report):
+        return {p: d for p, d in report.prefixes.items() if d["active_origins"]}
+
+    assert announced(replayer.report()) == announced(unbatched)

@@ -144,6 +144,96 @@ class TestJournalFreeSlotZero:
         assert ledger._slots[1].delta is not None
 
 
+class TestFlapRevive:
+    """Withdrawing the sole announcement keeps its state aside; an equal
+    re-announce revives it without converging, any other one is cold."""
+
+    @pytest.fixture(params=["reference", "array"])
+    def engine(self, request, mini_view) -> RoutingEngine:
+        return RoutingEngine(mini_view, backend=request.param, metrics=Metrics())
+
+    def flapped(self, engine, mini_view, **changed):
+        """Announce AS 60, withdraw it, re-announce with *changed* inputs.
+
+        Returns the ledger and the engine convergences the re-announce ran.
+        """
+        ledger = PrefixLedger(engine, metrics=Metrics())
+        origin = node(mini_view, 60)
+        first = dict(origin_asn=60, blocked={node(mini_view, 40)},
+                     first_hop_filtered=False, path=(60, 50))
+        assert ledger.announce(origin, **first)
+        assert ledger.withdraw(origin)
+        before = engine.metrics.counters["engine.convergences"]
+        assert ledger.announce(origin, **{**first, **changed})
+        ran = engine.metrics.counters["engine.convergences"] - before
+        assert ledger.checksum() == full_converge(engine, ledger.entries).checksum()
+        return ledger, ran
+
+    def test_equal_reannounce_revives_without_converging(self, engine, mini_view):
+        ledger, ran = self.flapped(engine, mini_view)
+        assert ran == 0
+        counters = ledger.metrics.counters
+        assert counters["stream.ledger.revived"] == 1
+        assert counters["stream.ledger.convergences"] == 1  # the first announce
+        assert ledger._released is None
+
+    @pytest.mark.parametrize("changed", [
+        {"origin_asn": 61},  # a sibling ASN announcing from the same node
+        {"blocked": ()},
+        {"first_hop_filtered": True},
+        {"path": (60, 70, 50)},
+        {"path": None},
+    ], ids=["sibling-asn", "blocked", "first-hop", "path", "honest-path"])
+    def test_changed_reannounce_converges_cold(self, engine, mini_view, changed):
+        ledger, ran = self.flapped(engine, mini_view, **changed)
+        assert ran == 1
+        assert "stream.ledger.revived" not in ledger.metrics.counters
+        assert ledger._released is None
+
+    def test_released_state_does_not_survive_release(self, engine, mini_view):
+        ledger = PrefixLedger(engine)
+        origin = node(mini_view, 60)
+        assert ledger.announce(origin)
+        assert ledger.withdraw(origin)
+        assert ledger._released is not None
+        ledger.release()
+        assert ledger._released is None
+        before = engine.metrics.counters["engine.convergences"]
+        assert ledger.announce(origin)
+        assert engine.metrics.counters["engine.convergences"] == before + 1
+
+    def test_only_a_sole_announcement_is_released(self, engine, mini_view):
+        ledger = PrefixLedger(engine)
+        for asn in (50, 60):
+            assert ledger.announce(node(mini_view, asn), origin_asn=asn)
+        assert ledger.withdraw(node(mini_view, 50))  # re-bases 60 cold
+        assert ledger._released is None
+        assert ledger.withdraw(node(mini_view, 60))
+        assert ledger._released is not None
+        assert ledger._released[0].entry == AnnounceEntry(node(mini_view, 60), 60)
+
+    def test_revived_state_keeps_the_chain_exact(self, engine, mini_view):
+        """A revived slot 0 rewinds and stacks like a converged one."""
+        ledger = PrefixLedger(engine)
+        legit, attacker = node(mini_view, 50), node(mini_view, 60)
+        assert ledger.announce(legit)
+        assert ledger.withdraw(legit)
+        assert ledger.announce(legit)
+        assert ledger.announce(attacker)
+        assert ledger.checksum() == full_converge(engine, ledger.entries).checksum()
+        assert ledger.withdraw(attacker)
+        assert ledger.checksum() == engine.converge(legit).checksum()
+
+    def test_validated_revive_checks_the_released_state(self, mini_view):
+        ledger = PrefixLedger(RoutingEngine(mini_view, validate=True))
+        origin = node(mini_view, 50)
+        assert ledger.announce(origin)
+        assert ledger.withdraw(origin)
+        ledger._released[1].length[origin] += 7
+        with pytest.raises(RuntimeError, match="state corruption"):
+            ledger.announce(origin)
+
+
 class TestValidateMode:
     def test_validated_ledger_records_checksums(self, mini_view):
         ledger = PrefixLedger(RoutingEngine(mini_view, validate=True))

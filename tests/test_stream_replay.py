@@ -11,6 +11,8 @@ from repro.attacks.lab import HijackLab
 from repro.attacks.scenario import HijackScenario
 from repro.detection.detector import HijackDetector
 from repro.detection.probes import custom_probes
+from repro.obs.metrics import Metrics
+from repro.registry.neighbors import NeighborRegistry
 from repro.stream.events import (
     Announce,
     DefenseActivate,
@@ -19,6 +21,7 @@ from repro.stream.events import (
     compile_campaign,
     compile_scenario,
 )
+from repro.stream.incremental import full_converge
 from repro.stream.monitor import OnlineMonitor
 from repro.stream.replay import StreamReplayer
 from repro.util.rng import make_rng
@@ -69,6 +72,22 @@ class TestBatching:
         assert report.events_coalesced == 0
         assert report.events_noop == 1  # the duplicate announce
         assert report.prefixes[str(prefix)]["active_origins"] == []
+
+    def test_duplicate_inside_a_batch_run_blocks_its_cancel(self, lab):
+        # Cancelling the opener and the withdraw would turn the duplicate
+        # into the real announce and leave AS60 on; per event it ends off.
+        prefix = lab.target_prefix(50)
+        events = [
+            Announce(at=0.0, prefix=prefix, origin_asn=60),
+            Announce(at=1.0, prefix=prefix, origin_asn=60),
+            Withdraw(at=2.0, prefix=prefix, origin_asn=60),
+        ]
+        report = StreamReplayer(lab, batch_window=10.0).run(events)
+        unbatched = StreamReplayer(lab, queue_limit=1).run(events)
+        assert report.events_coalesced == 0
+        assert report.events_noop == unbatched.events_noop == 1
+        assert report.prefixes[str(prefix)]["active_origins"] == []
+        assert report.prefixes == unbatched.prefixes
 
     def test_backpressure_flush_at_queue_limit(self, lab):
         prefix = lab.target_prefix(50)
@@ -288,6 +307,118 @@ class TestDuplicatePath:
         assert attack.blocked == frozenset({lab.view.node_of(40)})
 
 
+class TestFlapRevive:
+    """A flap inside one flush revives the released state; a flap split
+    across flushes, or one whose captured inputs changed, converges cold;
+    after every flush no ledger keeps a released state."""
+
+    ORIGIN = 60
+
+    @pytest.fixture
+    def lab(self, mini_graph) -> HijackLab:
+        return HijackLab(mini_graph, seed=1, metrics=Metrics())
+
+    def flap(self, lab, middle=(), *, roa=False, split=False, path=None):
+        """Install AS 60 on AS 50's prefix, then withdraw and re-announce it.
+
+        AS 40 deploys from the start, and ``roa`` publishes AS 50's ROA
+        first. *middle* events land between the withdraw and the
+        re-announce; ``split`` flushes there. Returns the replayer and
+        the engine convergences of the flap.
+        """
+        prefix = lab.target_prefix(50)
+        replayer = StreamReplayer(lab, batch_window=100.0)
+        replayer.submit(DefenseActivate(at=0.0, deployer_asns=(40,)))
+        if roa:
+            replayer.submit(RoaPublish(at=0.0, prefix=prefix, origin_asn=50))
+        replayer.submit(Announce(at=0.0, prefix=prefix, origin_asn=self.ORIGIN))
+        replayer.flush()
+        before = lab.engine.metrics.counters["engine.convergences"]
+        replayer.submit(Withdraw(at=1.0, prefix=prefix, origin_asn=self.ORIGIN))
+        for event in middle:
+            replayer.submit(event)
+        if split:
+            replayer.flush()
+            self.assert_nothing_retained(replayer)
+        replayer.submit(
+            Announce(at=2.0, prefix=prefix, origin_asn=self.ORIGIN, path=path)
+        )
+        replayer.flush()
+        self.assert_nothing_retained(replayer)
+        ran = lab.engine.metrics.counters["engine.convergences"] - before
+        ledger = replayer.ledger(prefix)
+        reference = full_converge(lab.engine, ledger.entries)
+        assert ledger.checksum() == reference.checksum()
+        return replayer, ran
+
+    @staticmethod
+    def assert_nothing_retained(replayer):
+        assert all(
+            ledger._released is None for ledger in replayer.ledgers().values()
+        )
+
+    def test_flap_in_one_flush_adds_no_convergence(self, lab):
+        replayer, ran = self.flap(lab)
+        assert ran == 0
+        assert replayer.counts["coalesced"] == 0
+
+    def test_flap_split_across_flushes_converges_cold(self, lab):
+        _replayer, ran = self.flap(lab, split=True)
+        assert ran == 1
+
+    def test_roa_between_changes_the_blocked_set(self, lab):
+        prefix = lab.target_prefix(50)
+        replayer, ran = self.flap(
+            lab, [RoaPublish(at=1.5, prefix=prefix, origin_asn=50)]
+        )
+        assert ran == 1
+        entry = replayer.ledger(prefix).entries[0]
+        assert entry.blocked == frozenset({lab.view.node_of(40)})
+
+    def test_defense_activate_between_changes_the_blocked_set(self, lab):
+        prefix = lab.target_prefix(50)
+        first = self.flap(lab, roa=True)[0].ledger(prefix).entries[0]
+        assert first.blocked == frozenset({lab.view.node_of(40)})
+        replayer, ran = self.flap(
+            lab, [DefenseActivate(at=1.5, deployer_asns=(20,))], roa=True
+        )
+        assert ran == 1
+        entry = replayer.ledger(prefix).entries[0]
+        assert entry.blocked == frozenset(
+            {lab.view.node_of(20), lab.view.node_of(40)}
+        )
+
+    def test_roa_that_leaves_the_blocked_set_revives(self, lab):
+        """Only the captured inputs decide: a ROA for another prefix
+        changes nothing the re-announce captures."""
+        _replayer, ran = self.flap(
+            lab,
+            [RoaPublish(at=1.5, prefix=lab.target_prefix(70), origin_asn=70)],
+            roa=True,
+        )
+        assert ran == 0
+
+    def test_a_different_claimed_path_converges_cold(self, lab):
+        replayer, ran = self.flap(lab, path=(self.ORIGIN, 50))
+        assert ran == 1
+        entry = replayer.ledger(lab.target_prefix(50)).entries[0]
+        assert entry.path == (self.ORIGIN, 50)
+
+    def test_flaps_leave_the_report_of_a_per_event_replay(self, lab):
+        prefix = lab.target_prefix(50)
+        events = [Announce(at=0.0, prefix=prefix, origin_asn=50)]
+        for step in range(4):
+            events += [
+                Withdraw(at=1.0 + step, prefix=prefix, origin_asn=50),
+                Announce(at=1.5 + step, prefix=prefix, origin_asn=50),
+            ]
+        batched = StreamReplayer(lab, batch_window=100.0)
+        report = batched.run(events)
+        unbatched = StreamReplayer(lab).run(events)
+        assert report.prefixes == unbatched.prefixes
+        self.assert_nothing_retained(batched)
+
+
 class TestMonitor:
     def events(self, prefix):
         return [
@@ -340,6 +471,29 @@ class TestMonitor:
         ])
         monitor = replayer.monitor.report()
         assert len(monitor.alarms) == 1
+
+    def test_new_culprit_path_with_the_same_origins_pages_again(self, lab):
+        """The dedupe key is (prefix, origins, culprit paths): a flap of
+        the same forged path pages once, a different forged path behind
+        the same origin set pages again."""
+        prefix = lab.target_prefix(50)
+        replayer = StreamReplayer(lab, detector=HijackDetector(
+            custom_probes("transit", [1, 2, 10, 20, 30, 40]),
+            neighbors=NeighborRegistry.from_graph(lab.graph),
+            relationships=lab.graph,
+        ))
+        forged = [(60, 70, 50), (60, 70, 50), (60, 80, 50)]
+        events = [Announce(at=0.0, prefix=prefix, origin_asn=50)]
+        for step, path in enumerate(forged):
+            events += [
+                Announce(at=1.0 + 2 * step, prefix=prefix, origin_asn=60, path=path),
+                Withdraw(at=2.0 + 2 * step, prefix=prefix, origin_asn=60),
+            ]
+        alarms = replayer.run(events).monitor.alarms
+        assert [alarm.origins for alarm in alarms] == [(50,), (50,)]
+        assert [alarm.culprit_paths for alarm in alarms] == [
+            ((60, 70, 50),), ((60, 80, 50),),
+        ]
 
     def test_coalesced_flap_never_alarms(self, lab):
         prefix = lab.target_prefix(50)
