@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.ingest.records import TraceFormatError, TraceReader, TraceRecord
+from repro.ingest.records import TraceFormatError, TraceReader, TraceRecord, TraceRow
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.prefixes.prefix import Prefix
 from repro.prefixes.trie import PrefixTrie
@@ -103,8 +103,15 @@ class RibBaseline:
         }
 
 
-def _located(source: str, record: TraceRecord, message: str) -> TraceFormatError:
-    return TraceFormatError(f"{source}:{record.line}: {message}")
+def _located(source: str, line: int, message: str) -> TraceFormatError:
+    return TraceFormatError(f"{source}:{line}: {message}")
+
+
+def _rows(records: Iterable[TraceRecord]) -> Iterator[TraceRow]:
+    """A reader's validated rows, or the same fields read off any other records."""
+    if isinstance(records, TraceReader):
+        return records.rows()
+    return ((r.line, r.kind, r.at, r.peer_asn, r.prefix, tuple(r.path)) for r in records)
 
 
 def compile_rib(
@@ -119,22 +126,19 @@ def compile_rib(
     baseline = RibBaseline()
     seen_entries: set[tuple[int, Prefix]] = set()
     wave: dict[tuple[Prefix, int], Announce] = {}
-    for record in records:
-        if record.kind != "rib":
-            error = _located(
-                source, record, f"{record.kind} record in a RIB dump"
-            )
+    for line, kind, at, peer, prefix, path in _rows(records):
+        if kind != "rib":
+            error = _located(source, line, f"{kind} record in a RIB dump")
             if strict:
                 raise error
             baseline.misplaced += 1
             metrics.count("ingest.misplaced")
             continue
-        entry_key = (record.peer_asn, record.prefix)
+        entry_key = (peer, prefix)
         if entry_key in seen_entries:
             error = _located(
-                source, record,
-                f"duplicate RIB entry for peer AS{record.peer_asn} "
-                f"prefix {record.prefix}",
+                source, line,
+                f"duplicate RIB entry for peer AS{peer} prefix {prefix}",
             )
             if strict:
                 raise error
@@ -143,15 +147,13 @@ def compile_rib(
             continue
         seen_entries.add(entry_key)
         baseline.entries += 1
-        baseline.peers.add(record.peer_asn)
-        origin = record.origin_asn
-        legal = baseline.origins.setdefault(record.prefix, set())
+        baseline.peers.add(peer)
+        origin = path[-1]
+        legal = baseline.origins.setdefault(prefix, set())
         legal.add(origin)
-        key = (record.prefix, origin)
-        if key not in wave or record.at < wave[key].at:
-            wave[key] = Announce(
-                at=record.at, prefix=record.prefix, origin_asn=origin
-            )
+        key = (prefix, origin)
+        if key not in wave or at < wave[key].at:
+            wave[key] = Announce(at=at, prefix=prefix, origin_asn=origin)
     baseline.announces = sorted(
         wave.values(), key=lambda event: (event.at, str(event.prefix),
                                           event.origin_asn)
@@ -163,9 +165,12 @@ def compile_rib(
 class UpdateCompiler:
     """Lower update-feed records into stream events, counting anomalies.
 
-    Iterable once; after the sweep :attr:`out_of_order` /
-    :attr:`misplaced` carry what lenient mode skipped past, and
-    :attr:`events` the number of events produced.
+    Iterable once. A :class:`TraceReader` is read through
+    :meth:`~TraceReader.rows`, so each update line becomes one event
+    and no :class:`TraceRecord`. After the sweep :attr:`events` is the
+    number of events produced, :attr:`misplaced` the ``rib`` records
+    lenient mode skipped, and :attr:`out_of_order` the records whose
+    timestamp went back; those are counted and still emitted.
     """
 
     def __init__(
@@ -191,41 +196,34 @@ class UpdateCompiler:
 
     def __iter__(self) -> Iterator[StreamEvent]:
         clock: float | None = None
-        for record in self.records:
-            if record.kind == "rib":
-                error = _located(
-                    self.source, record, "rib record in an update feed"
-                )
+        for line, kind, at, _peer, prefix, path in _rows(self.records):
+            if kind == "rib":
+                error = _located(self.source, line, "rib record in an update feed")
                 if self.strict:
                     raise error
                 self.misplaced += 1
                 self.metrics.count("ingest.misplaced")
                 continue
-            if clock is not None and record.at < clock:
+            if clock is not None and at < clock:
                 error = _located(
-                    self.source, record,
-                    f"timestamp {record.at} precedes {clock} "
-                    f"(feed must be non-decreasing)",
+                    self.source, line,
+                    f"timestamp {at} precedes {clock} (feed must be non-decreasing)",
                 )
                 if self.strict:
                     raise error
                 self.out_of_order += 1
                 self.metrics.count("ingest.out_of_order")
             else:
-                clock = record.at
+                clock = at
             self.events += 1
-            if record.kind == "withdraw":
-                yield Withdraw(
-                    at=record.at, prefix=record.prefix,
-                    origin_asn=record.origin_asn,
-                )
+            if kind == "withdraw":
+                yield Withdraw(at=at, prefix=prefix, origin_asn=path[-1])
             else:
                 # Announcer first, claimed origin last: a bare origin is
                 # the honest claim; anything longer is the claim itself.
-                path = record.path if len(record.path) > 1 else ()
                 yield Announce(
-                    at=record.at, prefix=record.prefix,
-                    origin_asn=record.path[0], path=tuple(path),
+                    at=at, prefix=prefix, origin_asn=path[0],
+                    path=path if len(path) > 1 else (),
                 )
 
 

@@ -18,7 +18,9 @@ greppable and trivially synthesized while keeping MRT's semantics:
   with the path space-separated (``3356 7018 64512``). Comment lines
   start with ``#``; blank lines are ignored. The two encodings are
   interchangeable line by line (a reader auto-detects per line on the
-  leading ``{``).
+  leading ``{``). So a TSV number is spelled as JSON could carry it:
+  peer and hops are ASCII digits, and the timestamp is an ASCII float
+  with no ``_`` or padding.
 
 Record types are ``rib`` (one RIB-dump entry: what *peer* currently
 holds), ``announce`` and ``withdraw`` (update-feed deltas). One
@@ -45,6 +47,7 @@ from __future__ import annotations
 import gzip
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -70,6 +73,9 @@ __all__ = [
 RECORD_TYPES = ("rib", "announce", "withdraw")
 
 _MAX_ASN = 2**32 - 1
+
+#: One validated record as plain fields: ``(line, kind, at, peer, prefix, path)``.
+TraceRow = tuple[int, str, float, int, Prefix, tuple[int, ...]]
 
 
 class TraceFormatError(ValueError):
@@ -118,13 +124,14 @@ def _check_asn(value: object, what: str) -> int:
     return value
 
 
-def _build_record(
+def _build_row(
     kind: object, ts: object, peer: object, prefix_text: object, path: Iterable[object],
     *, line: int,
-) -> TraceRecord:
+) -> TraceRow:
     if kind not in RECORD_TYPES:
         raise TraceFormatError(f"unknown record type {kind!r}")
-    if not valid_timestamp(ts):
+    # A finite float passes; anything else gets valid_timestamp's verdict.
+    if (type(ts) is not float or not isfinite(ts)) and not valid_timestamp(ts):
         raise TraceFormatError(f"missing/invalid timestamp {ts!r}")
     # A plain in-range int passes; anything else gets _check_asn's verdict.
     if type(peer) is not int or not 0 < peer <= _MAX_ASN:
@@ -141,13 +148,10 @@ def _build_record(
             _check_asn(hop, "path hop")
     if not hops:
         raise TraceFormatError("empty AS path")
-    return TraceRecord(
-        kind=kind, at=float(ts), peer_asn=peer, prefix=prefix, path=hops,
-        line=line,
-    )
+    return line, kind, float(ts), peer, prefix, hops
 
 
-def _parse_json_record(line: str, number: int) -> TraceRecord:
+def _parse_json_record(line: str, number: int) -> TraceRow:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as error:
@@ -159,34 +163,42 @@ def _parse_json_record(line: str, number: int) -> TraceRecord:
     path = payload.get("path")
     if not isinstance(path, list):
         raise TraceFormatError(f"missing/invalid path {path!r}")
-    return _build_record(
+    return _build_row(
         payload.get("type"), payload.get("ts"), payload.get("peer"),
         payload.get("prefix"), path, line=number,
     )
 
 
-def _parse_tsv_record(line: str, number: int) -> TraceRecord:
+def _parse_tsv_record(line: str, number: int) -> TraceRow:
     fields = line.split("\t")
     if len(fields) != 5:
         raise TraceFormatError(
             f"expected 5 tab-separated fields, got {len(fields)}"
         )
     ts_text, kind, peer_text, prefix_text, path_text = fields
+    # float() and int() read more than a JSON number can carry: "_"
+    # separators, other scripts' digits, padding and (int) a sign. On an
+    # ASCII line without "_", isdigit() alone means 0-9, so only a line
+    # that fails these two tests checks its fields one by one.
+    plain = line.isascii() and "_" not in line
+    if not (plain or ts_text.isascii() and "_" not in ts_text) or ts_text[-1:].isspace():
+        raise TraceFormatError(f"missing/invalid timestamp {ts_text!r}")
     try:
         ts: float = float(ts_text)
     except ValueError as error:
         raise TraceFormatError(f"missing/invalid timestamp {ts_text!r}") from error
-    try:
-        peer: object = int(peer_text)
-    except ValueError:
-        peer = peer_text  # let the shared validator phrase the error
-    path: list[object] = []
-    for hop_text in path_text.split():
+    path = [_tsv_asn(hop_text, plain) for hop_text in path_text.split()]
+    return _build_row(kind, ts, _tsv_asn(peer_text, plain), prefix_text, path, line=number)
+
+
+def _tsv_asn(text: str, plain: bool) -> object:
+    """*text* as an int if it is ASCII 0-9, else as is for the validator to name."""
+    if text.isdigit() and (plain or text.isascii()):
         try:
-            path.append(int(hop_text))
-        except ValueError:
-            path.append(hop_text)
-    return _build_record(kind, ts, peer, prefix_text, path, line=number)
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    return text
 
 
 def parse_record(line: str, *, number: int = 0) -> TraceRecord:
@@ -194,14 +206,13 @@ def parse_record(line: str, *, number: int = 0) -> TraceRecord:
     stripped = line.strip()
     if not stripped or stripped[0] == "#":
         raise TraceFormatError("blank/comment line is not a record")
-    return _parse_stripped(stripped, number)
+    parse = _parse_json_record if stripped[0] == "{" else _parse_tsv_record
+    return _record(parse(stripped, number))
 
 
-def _parse_stripped(line: str, number: int) -> TraceRecord:
-    """Parse a line already stripped and known to be neither blank nor a comment."""
-    if line[0] == "{":
-        return _parse_json_record(line, number)
-    return _parse_tsv_record(line, number)
+def _record(row: TraceRow) -> TraceRecord:
+    line, kind, at, peer, prefix, path = row
+    return TraceRecord(kind, at, peer, prefix, path, line)
 
 
 # -- serialization ---------------------------------------------------------
@@ -239,7 +250,8 @@ def _open_binary(path: Path) -> IO[bytes]:
 class TraceReader:
     """Stream records out of a trace file, counting what it skips.
 
-    Iterating yields :class:`TraceRecord` objects in file order. In
+    Iterating yields :class:`TraceRecord` objects in file order;
+    :meth:`rows` yields the same records as plain tuples. In
     strict mode any malformed line raises :class:`TraceFormatError`
     with ``path:line`` coordinates; in lenient mode it increments
     :attr:`malformed` (and the ``ingest.malformed`` metric) and moves
@@ -265,6 +277,15 @@ class TraceReader:
         self.errors: list[str] = []
 
     def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_record, self.rows())
+
+    def rows(self) -> Iterator[TraceRow]:
+        """The validated fields of each record, ``(line, kind, at, peer, prefix, path)``.
+
+        The same lines, checks and counters as iterating the reader,
+        without building a :class:`TraceRecord` per line; the compilers
+        read this.
+        """
         with _open_binary(self.path) as handle:
             for number, raw in enumerate(
                 iter_chunk_lines(handle, self.chunk_size), start=1
@@ -276,14 +297,15 @@ class TraceReader:
                 line = raw.decode("utf-8", "replace").strip()
                 if not line or line[0] == "#":
                     continue
+                parse = _parse_json_record if line[0] == "{" else _parse_tsv_record
                 try:
-                    record = _parse_stripped(line, number)
+                    row = parse(line, number)
                 except TraceFormatError as error:
                     self.note_malformed(error, number)
                     continue
                 self.records += 1
                 self.metrics.count("ingest.records")
-                yield record
+                yield row
 
     def note_malformed(self, error: Exception, number: int) -> None:
         """Count (lenient) or raise (strict) one bad line."""

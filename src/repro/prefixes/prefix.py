@@ -72,7 +72,8 @@ class Prefix:
     zero) and ``length`` the mask length in ``[0, 32]``. Instances are
     immutable, hashable and totally ordered by ``(network, length)``, which
     sorts supernets before their first subnet — the order a radix walk
-    naturally produces.
+    naturally produces. The hash is ``hash((network, length))``, computed
+    once: a prefix is a dict key on every event's path.
     """
 
     network: int
@@ -87,6 +88,11 @@ class Prefix:
             raise PrefixError(
                 f"host bits set in {_format_dotted_quad(self.network)}/{self.length}"
             )
+        # Not a field, so not in repr, eq, ordering, fields() or asdict().
+        object.__setattr__(self, "_hash", hash((self.network, self.length)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     # -- constructors ------------------------------------------------------
 

@@ -11,6 +11,11 @@ Runs in the nightly fuzz job at the scaled example budget.
 
 from __future__ import annotations
 
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +24,8 @@ from repro.attacks.scenario import HijackKind, HijackScenario, PathKind
 from repro.detection.detector import HijackDetector
 from repro.detection.probes import custom_probes
 from repro.ingest import (
+    TraceFormatError,
+    TraceReader,
     TraceRecord,
     compile_rib,
     compile_updates,
@@ -121,6 +128,102 @@ def test_rib_baseline_classifies_its_own_entries_legit(records):
     wave = {(event.prefix, event.origin_asn) for event in baseline.announces}
     assert len(wave) == len(baseline.announces)
     assert all(event.path == () for event in baseline.announces)
+
+
+# -- the reader's rows and its records compile alike -----------------------
+
+_BAD_LINES = (
+    "not a record",
+    '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","ts":1.0',
+    '{"path":[],"peer":1,"prefix":"2.0.0.0/8","ts":1.0,"type":"announce"}',
+    "1.0\tannounce\t1\t2.0.0.0/8",
+    "1_0.5\tannounce\t1\t2.0.0.0/8\t50",
+    "1.0\tannounce\t +5 \t2.0.0.0/8\t50",
+    "1.0\twithdraw\t1\t2.0.0.0/8\t\uff15\uff10",
+    "# a comment",
+    "",
+)
+
+
+@st.composite
+def feed_lines(draw) -> list[str]:
+    """Mixed JSONL/TSV feed lines: malformed, misplaced ``rib`` and late ones too."""
+    lines = []
+    clock = 0.0
+    for _ in range(draw(st.integers(min_value=0, max_value=16))):
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            lines.append(draw(st.sampled_from(_BAD_LINES)))
+            continue
+        step = draw(st.floats(min_value=-3.0, max_value=5.0,
+                              allow_nan=False, allow_infinity=False))
+        clock = max(0.0, clock + step)
+        record = TraceRecord(
+            kind=draw(st.sampled_from(("announce", "announce", "withdraw", "rib"))),
+            at=clock, peer_asn=draw(asns), prefix=draw(prefixes),
+            path=tuple(draw(st.lists(asns, min_size=1, max_size=4))),
+        )
+        lines.append(format_record(record, encoding=draw(encodings)))
+    return lines
+
+
+def _compiled(records, *, strict: bool) -> tuple:
+    compiler = compile_updates(records, strict=strict)
+    try:
+        events = list(compiler)
+    except TraceFormatError as error:
+        return "raised", str(error)
+    return events, compiler.events, compiler.out_of_order, compiler.misplaced
+
+
+def _reader_counts(reader: TraceReader) -> tuple:
+    return reader.lines, reader.records, reader.malformed, reader.errors
+
+
+@settings(max_examples=example_budget(150), deadline=None)
+@given(feed_lines())
+def test_reader_rows_compile_like_its_records(lines):
+    """``compile_updates(reader)`` reads rows; over ``list(reader)`` it reads records.
+
+    Both give the same events and counts, and in strict mode the same
+    ``path:line: …`` error: the first bad line, whether the reader or
+    the compiler refuses it.
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        trace = Path(directory) / "updates.trace"
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        streamed_reader, listed_reader = TraceReader(trace), TraceReader(trace)
+        streamed = _compiled(streamed_reader, strict=False)
+        listed = _compiled(list(listed_reader), strict=False)
+        assert streamed == listed
+        assert _reader_counts(streamed_reader) == _reader_counts(listed_reader)
+
+        # The compiler names a list "<updates>" and a reader by its path.
+        compiler_error = _compiled(list(TraceReader(trace)), strict=True)
+        expected = []
+        if compiler_error[0] == "raised":
+            expected.append(compiler_error[1].replace("<updates>", str(trace), 1))
+        try:
+            list(TraceReader(trace, strict=True))
+        except TraceFormatError as error:
+            expected.append(str(error))
+        expected.sort(key=lambda text: int(text[len(str(trace)) + 1:].split(":")[0]))
+        strict = _compiled(TraceReader(trace, strict=True), strict=True)
+        if expected:
+            assert strict == ("raised", expected[0])
+        else:
+            assert strict == listed
+
+
+def test_reader_rows_strict_error_names_the_file_and_line(tmp_path):
+    trace = tmp_path / "updates.trace"
+    trace.write_text(
+        "2.0\tannounce\t1\t2.0.0.0/8\t50\n1.0\tannounce\t1\t2.0.0.0/8\t50\n",
+        encoding="utf-8",
+    )
+    message = rf"^{re.escape(str(trace))}:2: timestamp 1\.0 precedes 2\.0"
+    with pytest.raises(TraceFormatError, match=message):
+        list(compile_updates(TraceReader(trace), strict=True))
 
 
 # -- verdict equivalence ---------------------------------------------------

@@ -34,6 +34,7 @@ from repro.ingest import (
     compile_rib,
     compile_updates,
     format_record,
+    parse_record,
     run_ingest,
 )
 from repro.obs.metrics import Metrics
@@ -157,6 +158,22 @@ def test_tsv_trace_roundtrip(tmp_path):
 
 # -- malformed battery -----------------------------------------------------
 
+# int() and float() read these; no JSON number can carry them, so the
+# TSV encoding refuses them too, with the message its field always had.
+TSV_NUMBER_REFUSALS = [
+    ("tsv-underscore-peer", "1.0\tannounce\t64_512\t2.0.0.0/8\t50", "non-integer peer ASN"),
+    ("tsv-underscore-hop", "1.0\tannounce\t1\t2.0.0.0/8\t50 64_512", "non-integer path hop"),
+    ("tsv-underscore-ts", "1_0.5\tannounce\t1\t2.0.0.0/8\t50", "missing/invalid timestamp"),
+    ("tsv-fullwidth-peer", "1.0\tannounce\t\uff16\uff14\uff15\uff11\uff12\t2.0.0.0/8\t50",
+     "non-integer peer ASN"),
+    ("tsv-fullwidth-hop", "1.0\tannounce\t1\t2.0.0.0/8\t\uff15\uff10", "non-integer path hop"),
+    ("tsv-arabic-indic-ts", "\u0661.\u0660\tannounce\t1\t2.0.0.0/8\t50",
+     "missing/invalid timestamp"),
+    ("tsv-signed-padded-peer", "1.0\tannounce\t +5 \t2.0.0.0/8\t50", "non-integer peer ASN"),
+    ("tsv-signed-hop", "1.0\tannounce\t1\t2.0.0.0/8\t50 +60", "non-integer path hop"),
+    ("tsv-padded-ts", "1.0 \tannounce\t1\t2.0.0.0/8\t50", "missing/invalid timestamp"),
+]
+
 MALFORMED_LINES = [
     ("truncated-json", '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","ts":1.0'),
     ("non-object-json", '["not","a","record"]'),
@@ -181,6 +198,7 @@ MALFORMED_LINES = [
     ("tsv-too-few-fields", "1.0\tannounce\t1\t2.0.0.0/8"),
     ("tsv-bad-timestamp", "soon\tannounce\t1\t2.0.0.0/8\t50"),
     ("tsv-bad-path-hop", "1.0\tannounce\t1\t2.0.0.0/8\t50 sixty"),
+    *((label, line) for label, line, _message in TSV_NUMBER_REFUSALS),
 ]
 
 
@@ -210,6 +228,46 @@ class TestMalformedLines:
         with pytest.raises(TraceFormatError) as caught:
             list(TraceReader(trace, strict=True))
         assert f"{trace}:2:" in str(caught.value)
+
+
+# The last row: a non-ASCII line whose numbers are fine blames its prefix.
+@pytest.mark.parametrize(
+    "line, message",
+    [(line, message) for _label, line, message in TSV_NUMBER_REFUSALS]
+    + [("1.0\tannounce\t1\t\u0662.0.0.0/8\t50", "bad prefix")],
+    ids=[label for label, _line, _message in TSV_NUMBER_REFUSALS] + ["tsv-arabic-indic-octet"],
+)
+def test_tsv_refusals_keep_the_field_message(line, message):
+    with pytest.raises(TraceFormatError, match=message):
+        parse_record(line)
+
+
+def test_compiling_a_reader_builds_no_trace_record_per_line(tmp_path, monkeypatch):
+    """A reader feeds the compilers rows; only iterating it builds records."""
+    lines = [
+        format_record(
+            TraceRecord(kind, float(index), 1, Prefix.parse("2.0.0.0/8"), (50,)),
+            encoding=("jsonl", "tsv")[index % 2],
+        )
+        for index, kind in enumerate(["announce", "withdraw"] * 50)
+    ]
+    trace = tmp_path / "trace.trace"
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    built = []
+    post_init = TraceRecord.__post_init__
+
+    def counting(record):
+        built.append(record.line)
+        post_init(record)
+
+    monkeypatch.setattr(TraceRecord, "__post_init__", counting)
+    compiler = compile_updates(TraceReader(trace))
+    assert len(list(compiler)) == compiler.events == 100
+    assert built == []
+    assert compile_rib(TraceReader(trace)).misplaced == 100
+    assert built == []
+    assert len(list(TraceReader(trace))) == 100
+    assert built == list(range(1, 101))
 
 
 class TestCompilerAnomalies:

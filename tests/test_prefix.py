@@ -1,5 +1,9 @@
 """Unit tests for the IPv4 prefix value type."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.prefixes import prefix as prefix_module
@@ -181,3 +185,62 @@ class TestOrderingAndHashing:
     def test_usable_as_dict_key(self):
         table = {Prefix.parse("10.0.0.0/8"): "a"}
         assert table[Prefix.parse("10.0.0.0/8")] == "a"
+
+
+class Tagged(Prefix):
+    pass
+
+
+_TEN = Prefix(10 << 24, 8)
+
+
+class TestCachedHash:
+    """A prefix hashes once, as its ``(network, length)`` pair, and only hashes."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Prefix.parse("10.0.0.0/8"),
+            lambda: Prefix._parse("10.0.0.0/8"),
+            lambda: Prefix(10 << 24, 8),
+            lambda: Prefix.from_host((10 << 24) | 0xABCD, 8),
+            lambda: pickle.loads(pickle.dumps(_TEN)),
+            lambda: copy.deepcopy(_TEN),
+            lambda: copy.copy(_TEN),
+            lambda: dataclasses.replace(Prefix(10 << 24, 16), length=8),
+            lambda: Tagged.parse("10.0.0.0/8"),
+            lambda: pickle.loads(pickle.dumps(Tagged(10 << 24, 8))),
+        ],
+        ids=["parse", "_parse", "init", "from_host", "pickle", "deepcopy", "copy",
+             "replace", "subclass", "subclass-pickle"],
+    )
+    def test_equal_prefixes_hash_as_their_pair(self, build):
+        prefix = build()
+        # Equality is per class (a Tagged is never == a Prefix); the hash is not.
+        twin = type(prefix)(10 << 24, 8)
+        assert prefix == twin and {twin: "a"}[prefix] == "a"
+        assert hash(prefix) == hash(_TEN) == hash((prefix.network, prefix.length))
+
+    def test_replace_rehashes(self):
+        moved = dataclasses.replace(_TEN, network=11 << 24)
+        assert hash(moved) == hash((11 << 24, 8)) != hash(_TEN)
+
+    def test_cache_is_not_a_field(self):
+        assert [field.name for field in dataclasses.fields(_TEN)] == ["network", "length"]
+        assert dataclasses.asdict(_TEN) == {"network": 10 << 24, "length": 8}
+        assert dataclasses.astuple(_TEN) == (10 << 24, 8)
+        assert repr(_TEN) == "Prefix('10.0.0.0/8')"
+
+    def test_cache_takes_no_part_in_equality_or_order(self):
+        skewed = Prefix(10 << 24, 8)
+        object.__setattr__(skewed, "_hash", hash(_TEN) + 1)
+        assert hash(skewed) == hash(_TEN) + 1  # read back, never recomputed
+        assert skewed == _TEN and not skewed != _TEN
+        assert not skewed < _TEN and not _TEN < skewed
+        assert sorted([Prefix(10 << 24, 9), skewed, Prefix(9 << 24, 8)]) == [
+            Prefix(9 << 24, 8), _TEN, Prefix(10 << 24, 9)
+        ]
+
+    def test_still_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            _TEN.length = 9
