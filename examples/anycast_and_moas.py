@@ -16,7 +16,7 @@ import argparse
 
 from repro.attacks import HijackLab
 from repro.core import resolve_roles
-from repro.detection import MoasVerdict, classify_moas
+from repro.detection import MoasVerdict, PathObservation, classify_observations
 from repro.registry import PublicationState, RouteOriginAuthorization
 from repro.topology import GeneratorConfig, generate_topology
 
@@ -53,16 +53,21 @@ def main() -> None:
     table = publication.table()
     table.add(RouteOriginAuthorization(prefix, site_b))
 
-    benign = classify_moas(table, prefix, [site_a, site_b])
+    def judge(authority, origins):
+        # Each origin's own announcement: a single-hop claimed path.
+        seen = [PathObservation((origin,)) for origin in origins]
+        return classify_observations(prefix, seen, authority=authority)
+
+    benign = judge(table, [site_a, site_b])
     print(f"\npublished MOAS verdict: {benign.verdict.value} "
           f"(alarm: {benign.alarm})")
     assert benign.verdict is MoasVerdict.LEGITIMATE_ANYCAST
 
-    hijack = classify_moas(table, prefix, [site_a, roles.aggressive_attacker])
+    hijack = judge(table, [site_a, roles.aggressive_attacker])
     print(f"hijacker joins the MOAS: {hijack.verdict.value} "
           f"(invalid origins: {hijack.invalid_origins})")
 
-    unpublished = classify_moas(None, prefix, [site_a, site_b])
+    unpublished = judge(None, [site_a, site_b])
     print(f"without published data: {unpublished.verdict.value} "
           f"(alarm: {unpublished.alarm}) — the false-positive noise the "
           "paper's 'publish route origins' step eliminates")

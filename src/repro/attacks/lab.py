@@ -282,61 +282,28 @@ class HijackLab:
         return tail
 
     def run_scenario(self, scenario: HijackScenario) -> AttackOutcome:
-        """Execute one scenario; reads only immutable lab state plus the
-        (shared, frozen) convergence cache."""
-        view = self.view
-        target_node = view.node_of(scenario.target_asn)
-        attacker_node = view.node_of(scenario.attacker_asn)
-        if target_node == attacker_node:
-            raise ValueError(
-                "attacker and target collapse into one routing node "
-                f"(sibling group) for AS{scenario.attacker_asn}/AS{scenario.target_asn}"
-            )
-        claimed = self.claimed_path(scenario)
-        if claimed is None:
-            # Nothing to replay/leak: the attack fizzles before launch.
-            return self._outcome(scenario, None)
-        blocked = self.defense.blocking_nodes(
-            view, scenario.prefix, scenario.attacker_asn, claimed_path=claimed
-        )
-        first_hop = self._first_hop_filtered(scenario.attacker_asn)
-        if scenario.kind in (HijackKind.ORIGIN, HijackKind.ROUTE_LEAK):
-            # The bogus announcement competes with the legitimate route
-            # for the same NLRI.
-            base = self._legitimate_state(target_node)
-        else:
-            # A sub-prefix or squatted block is a brand-new NLRI: no
-            # legitimate competitor exists, so the bogus announcement
-            # converges on a clean state and wins everywhere it reaches.
-            # Only blocking can contain it.
-            base = None
-        state = self.engine.converge(
-            attacker_node,
-            base=base,
-            blocked=blocked,
-            filter_first_hop_providers=first_hop,
-            origin_length=len(claimed) - 1,
-        )
-        return self._outcome(scenario, claimed, state, attacker_node, blocked)
+        """Execute one scenario: the one-scenario case of
+        :meth:`run_scenarios`."""
+        return self.run_scenarios([scenario])[0]
 
     def run_scenarios(
         self, scenarios: Iterable[HijackScenario]
     ) -> list[AttackOutcome]:
-        """Execute a batch of scenarios through fused convergence passes.
+        """Execute scenarios in order, reading only immutable lab state
+        plus the (shared, frozen) convergence cache.
 
-        Outcome-identical to ``[run_scenario(s) for s in scenarios]`` in
-        the same order — batching is a wall-clock knob, never a result
-        knob. Scenarios sharing a base state (same target's legitimate
+        Scenarios sharing a base state (same target's legitimate
         baseline for origin/leak attacks, the clean state for
         sub-prefix/squat) are grouped and converged ``batch_origins`` at
         a time via :meth:`RoutingEngine.converge_batch
         <repro.bgp.engine.RoutingEngine.converge_batch>`. With
-        ``batch_origins=1`` (the default lab) or a single scenario this
-        is exactly the scalar loop.
+        ``batch_origins=1`` (the default lab) or a single scenario each
+        one converges on its own, as it is prepared. Outcomes are
+        identical either way, in the same order — batching is a
+        wall-clock knob, never a result knob.
         """
         scenarios = list(scenarios)
-        if self.batch_origins <= 1 or len(scenarios) <= 1:
-            return [self.run_scenario(scenario) for scenario in scenarios]
+        batch = self.batch_origins if len(scenarios) > 1 else 1
         view = self.view
         outcomes: list[AttackOutcome | None] = [None] * len(scenarios)
         # (index, scenario, attacker node, claimed path, blocked, first-hop)
@@ -352,25 +319,42 @@ class HijackLab:
                 )
             claimed = self.claimed_path(scenario)
             if claimed is None:
+                # Nothing to replay/leak: the attack fizzles before launch.
                 outcomes[index] = self._outcome(scenario, None)
                 continue
             blocked = self.defense.blocking_nodes(
                 view, scenario.prefix, scenario.attacker_asn, claimed_path=claimed
             )
             first_hop = self._first_hop_filtered(scenario.attacker_asn)
+            # An origin hijack or leak competes with the legitimate route
+            # for the same NLRI. A sub-prefix or squatted block is a
+            # brand-new NLRI: it converges on a clean state and wins
+            # everywhere it reaches; only blocking can contain it.
             base_node = (
                 target_node
                 if scenario.kind in (HijackKind.ORIGIN, HijackKind.ROUTE_LEAK)
                 else None
             )
+            if batch == 1:
+                state = self.engine.converge(
+                    attacker_node,
+                    base=self._legitimate_state(base_node) if base_node is not None else None,
+                    blocked=blocked,
+                    filter_first_hop_providers=first_hop,
+                    origin_length=len(claimed) - 1,
+                )
+                outcomes[index] = self._outcome(
+                    scenario, claimed, state, attacker_node, blocked
+                )
+                continue
             groups.setdefault(base_node, []).append(len(prepared))
             prepared.append(
                 (index, scenario, attacker_node, claimed, blocked, first_hop)
             )
         for base_node, members in groups.items():
             base = self._legitimate_state(base_node) if base_node is not None else None
-            for start in range(0, len(members), self.batch_origins):
-                chunk = [prepared[member] for member in members[start:start + self.batch_origins]]
+            for start in range(0, len(members), batch):
+                chunk = [prepared[member] for member in members[start:start + batch]]
                 states = self.engine.converge_batch(
                     [entry[2] for entry in chunk],
                     base=base,

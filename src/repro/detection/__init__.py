@@ -6,7 +6,7 @@ from repro.detection.analysis import (
     greedy_probe_placement,
 )
 from repro.detection.detector import DetectionReport, HijackDetector
-from repro.detection.moas import MoasReport, MoasVerdict, classify_moas
+from repro.detection.moas import MoasReport, MoasVerdict
 from repro.detection.probes import (
     ProbeSet,
     bgpmon_like_probes,
@@ -31,7 +31,6 @@ __all__ = [
     "MoasVerdict",
     "PathObservation",
     "ProbeSet",
-    "classify_moas",
     "classify_observations",
     "customer_cone",
     "grid_cells",

@@ -9,6 +9,10 @@ detector can classify the announcement as bogus — which requires the
 target to have published its route origins (or the detector to fall back
 on trusted historical data).
 
+Every verdict comes from :func:`~repro.detection.taxonomy.classify_observations`,
+batch and live alike; this module only decides what is observed and
+against which published data it is judged.
+
 Classification is path-aware (:mod:`repro.detection.taxonomy`): beyond
 ROAs, a detector may hold published neighbor sets (``neighbors``) and
 full topology knowledge (``relationships``), which is what lets it catch
@@ -22,12 +26,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.attacks.scenario import AttackOutcome
-from repro.detection.moas import MoasReport, MoasVerdict, classify_moas
+from repro.detection.moas import MoasReport, MoasVerdict
 from repro.detection.probes import ProbeSet
 from repro.detection.taxonomy import PathObservation, classify_observations
 from repro.prefixes.prefix import Prefix
 from repro.registry.neighbors import NeighborRegistry
-from repro.registry.roa import OriginAuthority, ValidationState
+from repro.registry.roa import OriginAuthority, RoaTable, RouteOriginAuthorization
 from repro.topology.asgraph import ASGraph
 
 __all__ = ["DetectionReport", "HijackDetector"]
@@ -39,8 +43,12 @@ class DetectionReport:
 
     outcome: AttackOutcome
     triggered_probes: frozenset[int]
-    classified_bogus: bool
     verdict: MoasVerdict | None = None
+
+    @property
+    def classified_bogus(self) -> bool:
+        """Did the detector's published data recognize the claim as bogus?"""
+        return self.verdict is not None
 
     @property
     def seen(self) -> bool:
@@ -65,14 +73,17 @@ class DetectionReport:
 class HijackDetector:
     """A probe set plus the published data used to classify announcements.
 
-    Without an ``authority`` the detector behaves like a historical-data
-    system that always recognizes a mismatching origin (the optimistic
-    assumption Fig. 7 makes); with one, announcements for unpublished
-    space cannot be classified and slip through even if probes saw them —
-    quantifying the paper's "publish route origins" advice. ``neighbors``
-    adds ARTEMIS-style first-hop verification and ``relationships`` full
-    topology knowledge (link verification plus leak detection); each
-    rung of that ladder catches strictly more of the attack grid.
+    Without any published data the detector is Fig. 7's historical-data
+    system, which always recognizes a mismatching origin: it judges
+    against the one ROA the target would publish — the attacked prefix,
+    authorized for its target and nobody else (the optimistic assumption
+    written as data). With an ``authority``, announcements for
+    unpublished space cannot be classified and slip through even if
+    probes saw them — quantifying the paper's "publish route origins"
+    advice. ``neighbors`` adds ARTEMIS-style first-hop verification and
+    ``relationships`` full topology knowledge (link verification plus
+    leak detection); each rung of that ladder catches strictly more of
+    the attack grid.
     """
 
     probes: ProbeSet
@@ -83,92 +94,48 @@ class HijackDetector:
     def observe(self, outcome: AttackOutcome) -> DetectionReport:
         triggered = self.probes.triggered_by(outcome.polluted_asns)
         tail = outcome.claimed_path
+        if tail is None:  # the attack never launched: nothing to judge
+            return DetectionReport(outcome=outcome, triggered_probes=triggered)
         scenario = outcome.scenario
-        if tail is None and outcome.succeeded:
-            # Pre-taxonomy outcome (no recorded claim): a type-0 forgery.
-            tail = (scenario.attacker_asn,)
-        verdict: MoasVerdict | None = None
-        if tail is not None:
-            if (
-                self.authority is None
-                and self.neighbors is None
-                and self.relationships is None
-            ):
-                # Historical-data fallback: any origin that is not the
-                # prefix's known holder is recognized as bogus.
-                if tail[-1] != scenario.target_asn:
-                    verdict = MoasVerdict.HIJACK
-            else:
-                report = classify_observations(
-                    scenario.prefix,
-                    [
-                        PathObservation(
-                            tail=tail, witnesses=tuple(sorted(triggered))
-                        )
-                    ],
-                    authority=self.authority,
-                    neighbors=self.neighbors,
-                    relationships=self.relationships,
-                )
-                if report is not None and report.alarm:
-                    verdict = report.verdict
+        authority = self.authority
+        if authority is None and self.neighbors is None and self.relationships is None:
+            authority = RoaTable(
+                [RouteOriginAuthorization(scenario.prefix, scenario.target_asn)]
+            )
+        report = classify_observations(
+            scenario.prefix,
+            [PathObservation(tail=tail, witnesses=tuple(sorted(triggered)))],
+            authority=authority,
+            neighbors=self.neighbors,
+            relationships=self.relationships,
+        )
         return DetectionReport(
             outcome=outcome,
             triggered_probes=triggered,
-            classified_bogus=verdict is not None,
-            verdict=verdict,
+            verdict=report.verdict if report is not None and report.alarm else None,
         )
 
     def observe_conflict(
-        self,
-        prefix: Prefix,
-        origins: tuple[int, ...] | list[int],
-        *,
-        observations: Sequence[PathObservation] | None = None,
+        self, prefix: Prefix, observations: Sequence[PathObservation]
     ) -> MoasReport | None:
         """Judge what is currently observed for *prefix* — the
         event-by-event entry point.
 
         :meth:`observe` is batch-shaped: it needs a finished
         :class:`~repro.attacks.scenario.AttackOutcome`. A live monitor has
-        no outcomes, only what its probes see for a prefix *right now*.
-        With *observations* (claimed paths plus the witnessing probes)
-        the judgement runs the full path-aware rule ladder of
-        :func:`~repro.detection.taxonomy.classify_observations`; the
-        origin-only form remains:
+        no outcomes, only what its probes see for a prefix *right now*:
+        the distinct claimed paths plus the probes witnessing each. They
+        are judged by the same path-aware rule ladder
+        (:func:`~repro.detection.taxonomy.classify_observations`) against
+        this detector's published data.
 
-        * two or more origins — a MOAS conflict, judged by
-          :func:`~repro.detection.moas.classify_moas` against this
-          detector's published origin data;
-        * exactly one origin that the published data marks INVALID — a
-          hijack with no visible conflict (the sub-prefix case: the bogus
-          more-specific is the only announcement for its NLRI), reported
-          as a single-origin :class:`~repro.detection.moas.MoasReport`;
-        * anything else — ``None``: nothing to judge, no alarm.
-
-        Returns the report (check ``report.alarm``), or ``None``.
+        Returns the report (check ``report.alarm``), or ``None`` when
+        there is nothing to judge.
         """
-        if observations is not None:
-            return classify_observations(
-                prefix,
-                observations,
-                authority=self.authority,
-                neighbors=self.neighbors,
-                relationships=self.relationships,
-            )
-        unique = tuple(sorted(set(origins)))
-        if not unique:
-            return None
-        if len(unique) == 1:
-            if self.authority is None:
-                return None
-            verdict = self.authority.validate(prefix, unique[0])
-            if verdict is not ValidationState.INVALID:
-                return None
-            return MoasReport(
-                prefix=prefix,
-                origins=unique,
-                verdict=MoasVerdict.HIJACK,
-                invalid_origins=unique,
-            )
-        return classify_moas(self.authority, prefix, unique)
+        return classify_observations(
+            prefix,
+            observations,
+            authority=self.authority,
+            neighbors=self.neighbors,
+            relationships=self.relationships,
+        )

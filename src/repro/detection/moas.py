@@ -1,4 +1,4 @@
-"""MOAS (Multiple-Origin AS) analysis: hijack alarms vs legitimate anycast.
+"""The verdict vocabulary: MOAS conflicts, hijacks and legitimate anycast.
 
 Control-plane detectors (PHAS and its descendants, which the paper builds
 on) fundamentally work by flagging *origin changes and conflicts*. The
@@ -9,7 +9,10 @@ entirely misses real hijacks. The paper's prescription applies here too:
 published route-origin data (ROVER/RPKI lets one prefix authorize several
 origins) cleanly separates the two cases.
 
-:func:`classify_moas` implements the decision procedure.
+This module holds only the vocabulary — :class:`MoasVerdict` and the
+:class:`MoasReport` a judgement returns. There is one judge,
+:func:`repro.detection.taxonomy.classify_observations`; an origin-only
+conflict is the case where every claimed path is a single hop.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import enum
 from dataclasses import dataclass
 
 from repro.prefixes.prefix import Prefix
-from repro.registry.roa import OriginAuthority, ValidationState
 
-__all__ = ["MoasVerdict", "MoasReport", "classify_moas"]
+__all__ = ["MoasVerdict", "MoasReport"]
 
 
 class MoasVerdict(enum.Enum):
@@ -33,12 +35,11 @@ class MoasVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class MoasReport:
-    """Classification of one observed origin conflict.
+    """The judgement of everything observed for one prefix.
 
-    ``culprit_paths`` (path-aware classification only — see
-    :mod:`repro.detection.taxonomy`) holds the observed claimed paths the
-    verdict indicts, claimed origin last; origin-only classification
-    leaves it empty.
+    ``culprit_paths`` holds the observed claimed paths the verdict
+    indicts, claimed origin last; it is empty when no single claim is to
+    blame (anycast, or an unverifiable conflict).
     """
 
     prefix: Prefix
@@ -53,46 +54,3 @@ class MoasReport:
         unverifiable conflict too (better noisy than blind) — which is the
         operational pain publishing makes go away."""
         return self.verdict is not MoasVerdict.LEGITIMATE_ANYCAST
-
-
-def classify_moas(
-    authority: OriginAuthority | None,
-    prefix: Prefix,
-    origins: tuple[int, ...] | list[int],
-) -> MoasReport:
-    """Judge an observed multi-origin conflict against published origins.
-
-    The origin-only judgement; the path-aware one (forged first hops,
-    impossible links, route leaks) is
-    :func:`repro.detection.taxonomy.classify_observations`.
-    """
-    origins = tuple(sorted(set(origins)))
-    if len(origins) < 2:
-        raise ValueError("a MOAS conflict needs at least two origins")
-    if authority is None:
-        return MoasReport(
-            prefix=prefix, origins=origins,
-            verdict=MoasVerdict.UNVERIFIABLE, invalid_origins=(),
-        )
-    verdicts = {
-        origin: authority.validate(prefix, origin) for origin in origins
-    }
-    invalid = tuple(
-        origin
-        for origin, verdict in verdicts.items()
-        if verdict is ValidationState.INVALID
-    )
-    if invalid:
-        return MoasReport(
-            prefix=prefix, origins=origins,
-            verdict=MoasVerdict.HIJACK, invalid_origins=invalid,
-        )
-    if all(v is ValidationState.VALID for v in verdicts.values()):
-        return MoasReport(
-            prefix=prefix, origins=origins,
-            verdict=MoasVerdict.LEGITIMATE_ANYCAST, invalid_origins=(),
-        )
-    return MoasReport(
-        prefix=prefix, origins=origins,
-        verdict=MoasVerdict.UNVERIFIABLE, invalid_origins=(),
-    )

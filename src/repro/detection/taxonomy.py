@@ -1,7 +1,12 @@
-"""Path-aware hijack classification over the ARTEMIS attack grid.
+"""The one hijack judge: path-aware classification over the ARTEMIS grid.
 
-The origin-only machinery in :mod:`repro.detection.moas` judges *who*
-claims a prefix. This module judges *how* they claim it: every
+:func:`classify_observations` is the only place a verdict is chosen.
+The batch detector (:meth:`HijackDetector.observe
+<repro.detection.detector.HijackDetector.observe>`, Fig. 7 included) and
+the live monitor (:meth:`HijackDetector.observe_conflict
+<repro.detection.detector.HijackDetector.observe_conflict>`) both call
+it, so the two paths can only disagree about what they *observe*, never
+about how they judge. It decides *who* claims a prefix and *how*: every
 observation carries the full claimed AS path, which is what separates
 the grid cells ROV can catch from the ones it provably cannot
 (``docs/attacks.md`` walks the full matrix):
@@ -25,8 +30,9 @@ the grid cells ROV can catch from the ones it provably cannot
   its *propagation* violates the claimed path's export policy.
 
 Rules are checked in that order — first proof wins — then the verdict
-falls back to the origin-set logic of :func:`classify_moas` (anycast vs
-unverifiable vs nothing-to-judge).
+falls back to origin-set logic (anycast vs unverifiable vs
+nothing-to-judge). An origin-only MOAS conflict is the case where every
+observation is a single-hop tail ``(origin,)``.
 """
 
 from __future__ import annotations

@@ -43,14 +43,13 @@ class StreamAlarm:
     """One alarm the monitor raised, with its latency measurements.
 
     ``latency_time``/``latency_events`` measure from the most recent
-    announcement of a culprit (the announcer behind an indicted claimed
-    path when path-aware classification names one, the invalid origins
-    when only origin data does, otherwise every conflicting origin) to
-    the moment the monitor judged the conflict — virtual seconds and
+    announcement of a culprit (the announcer behind each indicted claimed
+    path, or behind every observed claim when the verdict indicts none)
+    to the moment the monitor judged the conflict — virtual seconds and
     events processed respectively. ``triggered_probes`` are the probe
     ASes whose selected route carried a culprit claim at alarm time;
-    ``culprit_paths`` are those claims (claimed origin last), empty for
-    origin-only verdicts.
+    ``culprit_paths`` are the indicted claims (claimed origin last),
+    empty for an unverifiable conflict.
     """
 
     at: float
@@ -120,7 +119,10 @@ class OnlineMonitor:
 
     The monitor only knows what its probes' selected routes show — an
     attack polluting no probe is invisible, exactly as in the batch
-    Fig. 7 analysis, but measured live. Alarms deduplicate on
+    Fig. 7 analysis, but measured live. A probe's own announcement is
+    not a sighting: a probe that originates the prefix witnesses nothing
+    for it, just as the batch path never counts the attacker's own node
+    as polluted. Alarms deduplicate on
     ``(prefix, judged origin set, culprit paths)``: a flapping hijack
     re-raising the same conflict pages once, while a *new* origin joining
     the conflict, or a new culprit path behind the same origins, pages
@@ -187,8 +189,8 @@ class OnlineMonitor:
         announcer_by_tail: dict[tuple[int, ...], int] = {}
         for probe_asn, probe_node in self._probe_views:
             origin_node = state.origin_of[probe_node]
-            if origin_node == -1:
-                continue
+            if origin_node == -1 or origin_node == probe_node:
+                continue  # no route, or the probe's own announcement
             announcer = asn_of_origin.get(origin_node)
             if announcer is None:  # defensively skip stale origins
                 continue
@@ -201,10 +203,7 @@ class OnlineMonitor:
             PathObservation(tail=tail, witnesses=tuple(sorted(probes)))
             for tail, probes in sorted(witnesses_by_tail.items())
         ]
-        origins = tuple(sorted({tail[-1] for tail in witnesses_by_tail}))
-        report = self.detector.observe_conflict(
-            prefix, origins, observations=observations
-        )
+        report = self.detector.observe_conflict(prefix, observations)
         if report is None:
             return None
         self._conflicts_judged += 1
@@ -215,20 +214,9 @@ class OnlineMonitor:
         if key in self._alarm_keys:
             return None
         self._alarm_keys.add(key)
-        if report.culprit_paths:
-            culprit_tails = report.culprit_paths
-        else:
-            blamed = set(report.invalid_origins or report.origins)
-            culprit_tails = tuple(
-                tail for tail in sorted(witnesses_by_tail) if tail[-1] in blamed
-            )
-        culprits = sorted(
-            {
-                announcer_by_tail[tail]
-                for tail in culprit_tails
-                if tail in announcer_by_tail
-            }
-        )
+        # An unverifiable conflict indicts no single claim: blame them all.
+        culprit_tails = report.culprit_paths or tuple(sorted(witnesses_by_tail))
+        culprits = sorted({announcer_by_tail[tail] for tail in culprit_tails})
         anchors = [
             anchor
             for announcer in culprits

@@ -12,6 +12,7 @@ from repro.detection.probes import (
     tier1_probes,
     top_degree_probes,
 )
+from repro.detection.taxonomy import PathObservation
 from repro.prefixes.prefix import Prefix
 from repro.registry.publication import PublicationState
 from repro.registry.roa import RoaTable, RouteOriginAuthorization
@@ -95,46 +96,47 @@ class TestObserveConflict:
     def roa(self, origin: int) -> RouteOriginAuthorization:
         return RouteOriginAuthorization(self.prefix, origin)
 
+    def judge(self, detector: HijackDetector, *origins: int):
+        """What *detector* makes of one single-hop claim per origin."""
+        return detector.observe_conflict(
+            self.prefix, [PathObservation((origin,)) for origin in origins]
+        )
+
     def test_nothing_observed_is_not_a_conflict(self):
-        assert self.detector().observe_conflict(self.prefix, ()) is None
+        assert self.judge(self.detector()) is None
 
     def test_single_origin_needs_published_data(self):
         # Without an authority a lone origin is unjudgeable; with one that
         # doesn't cover the prefix it's NOT_FOUND — no alarm either way.
-        assert self.detector().observe_conflict(self.prefix, (60,)) is None
+        assert self.judge(self.detector(), 60) is None
         other = RouteOriginAuthorization(Prefix.parse("11.0.0.0/16"), 50)
-        assert self.detector(other).observe_conflict(self.prefix, (60,)) is None
+        assert self.judge(self.detector(other), 60) is None
 
     def test_single_valid_origin_is_quiet(self):
-        report = self.detector(self.roa(50)).observe_conflict(self.prefix, (50,))
-        assert report is None
+        assert self.judge(self.detector(self.roa(50)), 50) is None
 
     def test_single_invalid_origin_alarms_without_moas(self):
         # The sub-prefix shape: the bogus more-specific is the *only*
         # announcement for its NLRI, so there is no origin conflict at all
         # — published data is the only thing that can catch it.
-        report = self.detector(self.roa(50)).observe_conflict(self.prefix, (60,))
+        report = self.judge(self.detector(self.roa(50)), 60)
         assert report is not None and report.alarm
         assert report.verdict is MoasVerdict.HIJACK
         assert report.invalid_origins == (60,)
 
     def test_moas_without_authority_is_unverifiable_alarm(self):
-        report = self.detector().observe_conflict(self.prefix, (60, 50))
+        report = self.judge(self.detector(), 60, 50)
         assert report is not None and report.alarm
         assert report.verdict is MoasVerdict.UNVERIFIABLE
         assert report.origins == (50, 60)
 
     def test_moas_with_invalid_origin_is_hijack(self):
-        report = self.detector(self.roa(50)).observe_conflict(
-            self.prefix, [60, 50, 60]
-        )
+        report = self.judge(self.detector(self.roa(50)), 60, 50, 60)
         assert report.verdict is MoasVerdict.HIJACK
         assert report.invalid_origins == (60,)
 
     def test_authorized_anycast_does_not_alarm(self):
-        report = self.detector(self.roa(50), self.roa(60)).observe_conflict(
-            self.prefix, (50, 60)
-        )
+        report = self.judge(self.detector(self.roa(50), self.roa(60)), 50, 60)
         assert report.verdict is MoasVerdict.LEGITIMATE_ANYCAST
         assert not report.alarm
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bgp.engine import RoutingEngine
-from repro.detection.moas import MoasVerdict, classify_moas
+from repro.detection.moas import MoasVerdict
+from repro.detection.taxonomy import PathObservation, classify_observations
 from repro.prefixes.prefix import Prefix
 from repro.registry.roa import RoaTable, RouteOriginAuthorization
 
@@ -12,7 +13,17 @@ def p(text: str) -> Prefix:
     return Prefix.parse(text)
 
 
+def conflict(authority, prefix: Prefix, origins):
+    """An origin-only MOAS conflict: one single-hop claim per origin."""
+    return classify_observations(
+        prefix, [PathObservation((origin,)) for origin in origins],
+        authority=authority,
+    )
+
+
 class TestClassifyMoas:
+    """Origin-only conflicts, judged by the one path-aware judge."""
+
     @pytest.fixture
     def authority(self) -> RoaTable:
         return RoaTable([
@@ -21,31 +32,29 @@ class TestClassifyMoas:
         ])
 
     def test_authorized_moas_is_anycast(self, authority):
-        report = classify_moas(authority, p("10.0.0.0/16"), [65001, 65002])
+        report = conflict(authority, p("10.0.0.0/16"), [65001, 65002])
         assert report.verdict is MoasVerdict.LEGITIMATE_ANYCAST
         assert not report.alarm
+        assert report.culprit_paths == ()
 
     def test_unauthorized_origin_is_hijack(self, authority):
-        report = classify_moas(authority, p("10.0.0.0/16"), [65001, 64999])
+        report = conflict(authority, p("10.0.0.0/16"), [65001, 64999])
         assert report.verdict is MoasVerdict.HIJACK
         assert report.invalid_origins == (64999,)
+        assert report.culprit_paths == ((64999,),)
         assert report.alarm
 
     def test_unpublished_space_unverifiable(self, authority):
-        report = classify_moas(authority, p("99.0.0.0/16"), [65001, 65002])
+        report = conflict(authority, p("99.0.0.0/16"), [65001, 65002])
         assert report.verdict is MoasVerdict.UNVERIFIABLE
         assert report.alarm  # noisy alarm — the cost of not publishing
 
     def test_no_authority_unverifiable(self):
-        report = classify_moas(None, p("10.0.0.0/16"), [65001, 65002])
+        report = conflict(None, p("10.0.0.0/16"), [65001, 65002])
         assert report.verdict is MoasVerdict.UNVERIFIABLE
 
-    def test_single_origin_rejected(self, authority):
-        with pytest.raises(ValueError):
-            classify_moas(authority, p("10.0.0.0/16"), [65001])
-
     def test_origins_deduplicated_and_sorted(self, authority):
-        report = classify_moas(authority, p("10.0.0.0/16"), [65002, 65001, 65002])
+        report = conflict(authority, p("10.0.0.0/16"), [65002, 65001, 65002])
         assert report.origins == (65001, 65002)
 
 

@@ -10,12 +10,12 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.detection.detector import HijackDetector
-from repro.detection.probes import top_degree_probes
+from repro.detection.probes import custom_probes, top_degree_probes
 from repro.detection.taxonomy import grid_cells
 from repro.obs.metrics import Metrics
 from repro.registry.neighbors import NeighborRegistry
 from repro.registry.publication import PublicationState
-from repro.stream.events import Announce, compile_scenario
+from repro.stream.events import Announce, RoaPublish, compile_scenario
 from repro.stream.incremental import AnnounceEntry, PrefixLedger, full_converge
 from repro.stream.monitor import OnlineMonitor
 from repro.stream.replay import StreamReplayer
@@ -427,6 +427,61 @@ class TestStreamTaxonomy:
         assert alarm.verdict == "forged-path"
         assert alarm.at == 2.0
         assert alarm.latency_time == 1.0
+
+
+class TestHistoricalDataParity:
+    """Fig. 7's detector, batch vs live (one judge, two observers).
+
+    The batch "historical data" detector judges against the one ROA the
+    target would publish; the live monitor gets that ROA as a
+    ``RoaPublish`` ahead of the scenario's events. The monitor must then
+    alarm exactly on the attacks the batch path detects, with the same
+    verdict and the same triggered probes.
+    """
+
+    TARGET, ATTACKER = 50, 60
+
+    @pytest.fixture
+    def lab(self, mini_graph) -> HijackLab:
+        return HijackLab(mini_graph, seed=0)
+
+    def live(self, lab, probes, scenario):
+        replayer = StreamReplayer(lab, detector=HijackDetector(probes))
+        roa = RoaPublish(
+            at=0.0, prefix=scenario.prefix, origin_asn=scenario.target_asn
+        )
+        return replayer.run([roa, *compile_scenario(scenario)]).monitor
+
+    @pytest.mark.parametrize("probe_set", ["everyone", "self"])
+    @pytest.mark.parametrize(
+        "kind,path_kind", grid_cells(),
+        ids=[f"{k.value}-{p.value}" for k, p in grid_cells()],
+    )
+    def test_live_alarms_iff_batch_detects(self, lab, kind, path_kind, probe_set):
+        scenario = lab.build_scenario(
+            self.TARGET, self.ATTACKER, kind=kind, path_kind=path_kind,
+            forged_depth=2,
+        )
+        # Every AS probes (sees every polluting cell), or only the
+        # attacker, whose own announcement is never a sighting.
+        members = lab.graph.asns() if probe_set == "everyone" else [self.ATTACKER]
+        probes = custom_probes(probe_set, members)
+        batch = HijackDetector(probes).observe(lab.run_scenario(scenario))
+        assert batch.seen is (probe_set == "everyone")
+        monitor = self.live(lab, probes, scenario)
+        assert [
+            (alarm.verdict, frozenset(alarm.triggered_probes))
+            for alarm in monitor.alarms
+        ] == (
+            [(batch.verdict.value, batch.triggered_probes)] if batch.detected else []
+        )
+
+    def test_a_probe_never_witnesses_its_own_announcement(self, lab):
+        scenario = lab.build_scenario(self.TARGET, self.ATTACKER)
+        probes = custom_probes("self", [self.ATTACKER])
+        batch = HijackDetector(probes).observe(lab.run_scenario(scenario))
+        assert not batch.seen and not batch.detected
+        assert self.live(lab, probes, scenario).alarms == ()
 
 
 class TestMetrics:

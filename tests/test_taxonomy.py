@@ -334,8 +334,8 @@ class TestClassifierRules:
         assert not partial.first_hop_forged((60, 99))  # undeclared: no proof
 
     def test_moas_fallback_still_applies(self, graph):
-        """With paths but no path-level proof, the origin-set logic of
-        classify_moas decides — here an unverifiable two-origin MOAS."""
+        """With paths but no path-level proof, origin-set logic
+        decides — here an unverifiable two-origin MOAS."""
         report = classify_observations(
             self.PREFIX,
             [
