@@ -27,7 +27,7 @@ def main() -> None:
     args = parser.parse_args()
 
     # 1. A calibrated synthetic topology (drop in a real CAIDA file via
-    #    repro.topology.load_caida for full-scale runs).
+    #    repro.topology.load_caida_mmap for full-scale runs).
     graph = generate_topology(GeneratorConfig.scaled(args.as_count, seed=args.seed))
     stats = summarize(graph)
     print(f"topology: {stats.as_count} ASes, {stats.link_count} links, "

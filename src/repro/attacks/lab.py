@@ -162,12 +162,8 @@ class HijackLab:
         return self.defense.stub_filter and not self.graph.customers(attacker_asn)
 
     def _node_space(self) -> "ndarray":
-        """Address space originated behind each routing node (int64).
-
-        Built from the plan on first use, so the plan must not be
-        re-allocated (``assign``/``transfer``) under a lab that has
-        already scored an attack.
-        """
+        """Address space originated behind each routing node (int64),
+        built from the plan (fixed once built) on first use."""
         space = self._tables.get("node_space")
         if space is None:
             import numpy as np  # lazy, as in _pollution

@@ -36,7 +36,6 @@ __all__ = [
     "HijackKind",
     "HijackScenario",
     "PathKind",
-    "SYNTHETIC_ASN_BASE",
     "synthetic_forged_path",
 ]
 
@@ -200,11 +199,6 @@ class AttackOutcome:
     @property
     def pollution_count(self) -> int:
         return len(self.polluted_asns)
-
-    @property
-    def succeeded(self) -> bool:
-        """Did the hijack pollute anyone at all?"""
-        return bool(self.polluted_asns)
 
     def polluted_within(self, asns: frozenset[int]) -> int:
         """Polluted count restricted to a region (Section VII's metric)."""

@@ -3,17 +3,13 @@
 The generation-stepped message flood lives in the oracle
 (:class:`repro.oracle.reference.ReferenceSimulator`)."""
 
-from repro.bgp.convergence import (
-    ConvergenceStats,
-    generation_wavefront,
-    measure_convergence,
-)
+from repro.bgp.convergence import generation_wavefront, measure_convergence
 from repro.bgp.engine import UNREACHABLE, HijackResult, RouteState, RoutingEngine
 from repro.bgp.policy import PolicyConfig, prefers
 
 # The array-kernel names are exported lazily (PEP 562) so that merely
 # importing repro.bgp on the reference path never pays the numpy import.
-_KERNEL_EXPORTS = ("BACKENDS", "CompiledTopology", "compile_view", "resolve_backend")
+_KERNEL_EXPORTS = ("compile_view", "resolve_backend")
 
 
 def __getattr__(name: str):
@@ -25,11 +21,8 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BACKENDS",
-    "CompiledTopology",
     "compile_view",
     "resolve_backend",
-    "ConvergenceStats",
     "generation_wavefront",
     "measure_convergence",
     "HijackResult",

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from repro.topology.view import RoutingView
 from repro.util.rng import make_rng
 
-__all__ = ["ConvergenceStats", "measure_convergence", "generation_wavefront"]
+__all__ = ["measure_convergence", "generation_wavefront"]
 
 
 @dataclass(frozen=True)

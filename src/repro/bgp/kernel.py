@@ -71,8 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us la
     from repro.topology.view import RoutingView
 
 __all__ = [
-    "BACKENDS",
-    "CompiledTopology",
     "compile_view",
     "propagate_array_batch",
     "resolve_backend",

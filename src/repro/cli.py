@@ -45,12 +45,12 @@ from repro.experiments.store import ResultStore
 from repro.experiments.suite import ExperimentSuite
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.stream.monitor import StreamAlarm
-from repro.topology.caida import dump_caida, load_caida, load_caida_mmap
+from repro.topology.caida import CaidaFormatError, dump_caida, load_caida_mmap
 from repro.topology.classify import summarize
 from repro.topology.generator import GeneratorConfig, generate_topology
 from repro.util.tables import render_table
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _EXPERIMENTS = (
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
@@ -278,9 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_topology(path: Path):
+    """The graph in a CAIDA file; a parse error names the file."""
+    try:
+        return load_caida_mmap(path)
+    except CaidaFormatError as error:
+        raise CaidaFormatError(f"{path}: {error}") from error
+
+
 def _topology(args: argparse.Namespace):
     if getattr(args, "input", None):
-        return load_caida(args.input)
+        return _read_topology(args.input)
     return generate_topology(GeneratorConfig.scaled(args.as_count, seed=args.seed))
 
 
@@ -296,7 +304,7 @@ def _monitor_lab(args: argparse.Namespace, *, validate: bool = False) -> HijackL
     ``--as-count`` graph.
     """
     if args.topology is not None:
-        graph = load_caida_mmap(args.topology)
+        graph = _read_topology(args.topology)
     else:
         graph = generate_topology(
             GeneratorConfig.scaled(args.as_count, seed=args.seed)
@@ -800,7 +808,11 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.metrics_sink = Metrics() if args.metrics else NULL_METRICS
-    status = _HANDLERS[args.command](args)
+    try:
+        status = _HANDLERS[args.command](args)
+    except CaidaFormatError as error:
+        print(f"topology error: {error}", file=sys.stderr)
+        return 1
     if args.metrics:
         path = args.metrics_sink.write_json(args.metrics)
         print(f"wrote metrics snapshot to {path}")

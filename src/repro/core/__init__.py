@@ -2,8 +2,6 @@
 
 from repro.core.deployment_analysis import (
     DeploymentComparison,
-    PotentAttack,
-    StrategyEvaluation,
     compare_strategies,
     top_potent_attacks,
 )
@@ -13,17 +11,11 @@ from repro.core.detection_analysis import (
     paper_probe_sets,
 )
 from repro.core.churn import (
-    ChurnImpact,
-    TransferEvent,
     sample_transfers,
     stale_history_study,
 )
 from repro.core.roles import RoleCatalog, resolve_roles
 from repro.core.selfinterest import (
-    ActionPlan,
-    RegionalAssessment,
-    RegionalImpact,
-    RehomingPlan,
     SelfInterestPlanner,
     apply_rehoming,
     assess_region,
@@ -31,8 +23,6 @@ from repro.core.selfinterest import (
     regional_attack_study,
 )
 from repro.core.vulnerability import (
-    AggressivenessRecord,
-    MetricCorrelations,
     VulnerabilityProfile,
     attacker_aggressiveness,
     correlate_target_metrics,
@@ -40,22 +30,12 @@ from repro.core.vulnerability import (
 )
 
 __all__ = [
-    "ActionPlan",
-    "AggressivenessRecord",
-    "ChurnImpact",
-    "TransferEvent",
     "sample_transfers",
     "stale_history_study",
     "DeploymentComparison",
     "DetectorComparison",
-    "MetricCorrelations",
-    "PotentAttack",
-    "RegionalAssessment",
-    "RegionalImpact",
-    "RehomingPlan",
     "RoleCatalog",
     "SelfInterestPlanner",
-    "StrategyEvaluation",
     "VulnerabilityProfile",
     "apply_rehoming",
     "assess_region",

@@ -31,7 +31,7 @@ from repro.registry.history import HistoricalAuthority
 from repro.registry.roa import OriginAuthority, ValidationState
 from repro.util.rng import make_rng
 
-__all__ = ["TransferEvent", "ChurnImpact", "stale_history_study", "sample_transfers"]
+__all__ = ["stale_history_study", "sample_transfers"]
 
 
 @dataclass(frozen=True)

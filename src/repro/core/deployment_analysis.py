@@ -21,9 +21,7 @@ from repro.registry.roa import OriginAuthority
 from repro.topology.classify import effective_depth
 
 __all__ = [
-    "StrategyEvaluation",
     "DeploymentComparison",
-    "PotentAttack",
     "compare_strategies",
     "top_potent_attacks",
 ]

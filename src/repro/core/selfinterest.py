@@ -28,14 +28,10 @@ from repro.topology.classify import customer_cone, effective_depth, transit_asns
 from repro.util.rng import make_rng
 
 __all__ = [
-    "RegionalAssessment",
     "assess_region",
-    "RehomingPlan",
     "plan_rehoming",
     "apply_rehoming",
-    "RegionalImpact",
     "regional_attack_study",
-    "ActionPlan",
     "SelfInterestPlanner",
 ]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.topology.asgraph import ASGraph
 from repro.topology.classify import find_tier1, transit_asns
@@ -28,11 +28,9 @@ from repro.util.rng import make_rng
 __all__ = [
     "DeploymentStrategy",
     "no_deployment",
-    "random_deployment",
     "tier1_deployment",
     "top_degree_deployment",
     "degree_threshold_deployment",
-    "custom_deployment",
     "paper_ladder",
 ]
 
@@ -89,10 +87,6 @@ def degree_threshold_deployment(graph: ASGraph, min_degree: int) -> DeploymentSt
         asn for asn in graph.asns() if graph.degree(asn) >= min_degree
     )
     return DeploymentStrategy(f"degree>={min_degree}", chosen)
-
-
-def custom_deployment(name: str, asns: Iterable[int]) -> DeploymentStrategy:
-    return DeploymentStrategy(name, frozenset(asns))
 
 
 def paper_ladder(graph: ASGraph, *, seed: int = 0) -> list[DeploymentStrategy]:

@@ -2,7 +2,6 @@
 
 from repro.detection.analysis import (
     DetectionStudy,
-    UndetectedAttack,
     greedy_probe_placement,
 )
 from repro.detection.detector import DetectionReport, HijackDetector
@@ -10,7 +9,6 @@ from repro.detection.moas import MoasReport, MoasVerdict
 from repro.detection.probes import (
     ProbeSet,
     bgpmon_like_probes,
-    custom_probes,
     tier1_probes,
     top_degree_probes,
 )
@@ -19,8 +17,6 @@ from repro.detection.taxonomy import (
     classify_observations,
     customer_cone,
     grid_cells,
-    leak_suspect,
-    nonexistent_links,
 )
 
 __all__ = [
@@ -34,11 +30,7 @@ __all__ = [
     "classify_observations",
     "customer_cone",
     "grid_cells",
-    "leak_suspect",
-    "nonexistent_links",
-    "UndetectedAttack",
     "bgpmon_like_probes",
-    "custom_probes",
     "greedy_probe_placement",
     "tier1_probes",
     "top_degree_probes",

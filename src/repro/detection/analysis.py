@@ -20,7 +20,7 @@ from repro.attacks.scenario import AttackOutcome
 from repro.detection.detector import DetectionReport, HijackDetector
 from repro.detection.probes import ProbeSet
 
-__all__ = ["DetectionStudy", "UndetectedAttack", "greedy_probe_placement"]
+__all__ = ["DetectionStudy", "greedy_probe_placement"]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ __all__ = [
     "tier1_probes",
     "bgpmon_like_probes",
     "top_degree_probes",
-    "custom_probes",
 ]
 
 
@@ -88,7 +87,3 @@ def top_degree_probes(graph: ASGraph, *, count: int = 62) -> ProbeSet:
     """Fig. 7 case 3: the *count* highest-degree ASes."""
     ranked = sorted(graph.asns(), key=lambda asn: (-graph.degree(asn), asn))
     return ProbeSet(f"top-degree-{count}", frozenset(ranked[:count]))
-
-
-def custom_probes(name: str, asns) -> ProbeSet:
-    return ProbeSet(name, frozenset(asns))

@@ -53,8 +53,6 @@ __all__ = [
     "classify_observations",
     "customer_cone",
     "grid_cells",
-    "leak_suspect",
-    "nonexistent_links",
 ]
 
 

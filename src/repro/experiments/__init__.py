@@ -1,19 +1,16 @@
 """Experiment drivers, configuration and the sqlite result store."""
 
-from repro.experiments.calibration import CalibrationReport, calibrate
+from repro.experiments.calibration import calibrate
 from repro.experiments.config import ExperimentConfig, ExperimentResult
-from repro.experiments.reportgen import PAPER_REFERENCE, render_experiments_markdown
-from repro.experiments.store import ResultStore, StoredRun
+from repro.experiments.reportgen import render_experiments_markdown
+from repro.experiments.store import ResultStore
 from repro.experiments.suite import ExperimentSuite
 
 __all__ = [
-    "CalibrationReport",
     "calibrate",
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentSuite",
-    "PAPER_REFERENCE",
     "ResultStore",
-    "StoredRun",
     "render_experiments_markdown",
 ]

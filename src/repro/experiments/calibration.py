@@ -33,7 +33,7 @@ from repro.topology.classify import summarize
 from repro.util.rng import make_rng
 from repro.util.tables import render_table
 
-__all__ = ["CalibrationReport", "calibrate"]
+__all__ = ["calibrate"]
 
 PAPER_CONSTANTS: Mapping[str, float] = {
     "as_count": 42_697,

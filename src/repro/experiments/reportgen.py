@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 from repro.experiments.config import ExperimentResult
 
-__all__ = ["render_experiments_markdown", "PAPER_REFERENCE"]
+__all__ = ["render_experiments_markdown"]
 
 # The paper's quoted numbers, by experiment id (ICDCS 2014, Sections IV-VII).
 PAPER_REFERENCE: Mapping[str, Mapping[str, object]] = {

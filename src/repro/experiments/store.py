@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.experiments.config import ExperimentResult
 
-__all__ = ["ResultStore", "StoredRun"]
+__all__ = ["ResultStore"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (

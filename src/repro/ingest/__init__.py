@@ -14,21 +14,15 @@ from repro.ingest.compiler import (
     UpdateCompiler,
     compile_rib,
     compile_updates,
-    events_to_records,
 )
-from repro.ingest.pipeline import IngestResult, TracePipeline, run_ingest
+from repro.ingest.pipeline import TracePipeline, run_ingest
 from repro.ingest.records import (
-    RECORD_TYPES,
     TraceFormatError,
     TraceReader,
     TraceRecord,
-    format_record,
-    parse_record,
 )
 
 __all__ = [
-    "RECORD_TYPES",
-    "IngestResult",
     "RibBaseline",
     "TraceFormatError",
     "TracePipeline",
@@ -37,8 +31,5 @@ __all__ = [
     "UpdateCompiler",
     "compile_rib",
     "compile_updates",
-    "events_to_records",
-    "format_record",
-    "parse_record",
     "run_ingest",
 ]

@@ -30,8 +30,7 @@ is exactly ``HijackScenario.forged_path`` and the honest claim is the
 single-element ``(origin,)``. This is what makes
 ``events → records → events`` lossless for everything except replay
 markers, which by construction only resolve against live routing state
-and therefore cannot ride a trace file (:func:`events_to_records`
-refuses them).
+and therefore cannot ride a trace file.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "UpdateCompiler",
     "compile_rib",
     "compile_updates",
-    "events_to_records",
 ]
 
 
@@ -179,17 +177,13 @@ class UpdateCompiler:
         *,
         strict: bool = False,
         metrics: Metrics | None = None,
-        source: str | None = None,
     ) -> None:
-        if source is None:
-            source = (
-                str(records.path) if isinstance(records, TraceReader)
-                else "<updates>"
-            )
         self.records = records
         self.strict = strict
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.source = source
+        self.source = (
+            str(records.path) if isinstance(records, TraceReader) else "<updates>"
+        )
         self.events = 0
         self.out_of_order = 0
         self.misplaced = 0
@@ -236,45 +230,3 @@ def compile_updates(
     """The update-feed compiler (an iterable of events; see class docs)."""
     return UpdateCompiler(records, strict=strict, metrics=metrics)
 
-
-def events_to_records(
-    events: Iterable[StreamEvent], *, peer_asn: int | None = None
-) -> list[TraceRecord]:
-    """Serialize announce/withdraw events back into update-feed records.
-
-    The inverse of :func:`compile_updates` — used by the round-trip
-    batteries and by tooling that re-emits a compiled campaign as a
-    trace. Replay-marker announces (type-U / leak) resolve only against
-    live routing state, and ROA / defense events have no MRT analogue;
-    both raise ``ValueError``, so callers filter deliberately rather
-    than lose events silently. *peer_asn* defaults to the announcer.
-    """
-    records: list[TraceRecord] = []
-    for event in events:
-        if isinstance(event, Announce):
-            if event.replay:
-                raise ValueError(
-                    f"replay-marker announce ({event.replay!r}) cannot ride "
-                    f"a trace file"
-                )
-            path = event.path if event.path else (event.origin_asn,)
-            records.append(
-                TraceRecord(
-                    kind="announce", at=event.at,
-                    peer_asn=event.origin_asn if peer_asn is None else peer_asn,
-                    prefix=event.prefix, path=tuple(path),
-                )
-            )
-        elif isinstance(event, Withdraw):
-            records.append(
-                TraceRecord(
-                    kind="withdraw", at=event.at,
-                    peer_asn=event.origin_asn if peer_asn is None else peer_asn,
-                    prefix=event.prefix, path=(event.origin_asn,),
-                )
-            )
-        else:
-            raise ValueError(
-                f"{type(event).__name__} events have no trace-record form"
-            )
-    return records

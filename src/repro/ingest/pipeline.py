@@ -31,7 +31,7 @@ from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.stream.events import StreamEvent
 from repro.stream.replay import ReplayReport, StreamReplayer
 
-__all__ = ["IngestResult", "TracePipeline", "run_ingest"]
+__all__ = ["TracePipeline", "run_ingest"]
 
 
 class TracePipeline:

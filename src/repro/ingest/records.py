@@ -1,4 +1,4 @@
-"""The MRT-like trace record format: parsing, serialization, streaming.
+"""The MRT-like trace record format: parsing and streaming.
 
 Real RouteViews/RIPE RIS archives ship MRT binary (RFC 6396): RIB
 snapshots (``TABLE_DUMP_V2``) plus update feeds (``BGP4MP``), each entry
@@ -61,12 +61,9 @@ from repro.util.lines import (
 )
 
 __all__ = [
-    "RECORD_TYPES",
     "TraceFormatError",
     "TraceReader",
     "TraceRecord",
-    "format_record",
-    "parse_record",
 ]
 
 #: Valid values for :attr:`TraceRecord.kind`.
@@ -201,41 +198,9 @@ def _tsv_asn(text: str, plain: bool) -> object:
     return text
 
 
-def parse_record(line: str, *, number: int = 0) -> TraceRecord:
-    """Parse one trace line (either encoding, auto-detected per line)."""
-    stripped = line.strip()
-    if not stripped or stripped[0] == "#":
-        raise TraceFormatError("blank/comment line is not a record")
-    parse = _parse_json_record if stripped[0] == "{" else _parse_tsv_record
-    return _record(parse(stripped, number))
-
-
 def _record(row: TraceRow) -> TraceRecord:
     line, kind, at, peer, prefix, path = row
     return TraceRecord(kind, at, peer, prefix, path, line)
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def format_record(record: TraceRecord, *, encoding: str = "jsonl") -> str:
-    """One serialized line (no newline); inverse of :func:`parse_record`."""
-    if encoding == "jsonl":
-        payload = {
-            "path": list(record.path),
-            "peer": record.peer_asn,
-            "prefix": str(record.prefix),
-            "ts": record.at,
-            "type": record.kind,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if encoding == "tsv":
-        path = " ".join(str(hop) for hop in record.path)
-        return (
-            f"{record.at}\t{record.kind}\t{record.peer_asn}"
-            f"\t{record.prefix}\t{path}"
-        )
-    raise ValueError(f"unknown trace encoding {encoding!r}")
 
 
 # -- chunk-streamed reading ------------------------------------------------

@@ -6,6 +6,6 @@ uninstrumented runs pay (almost) nothing. Wall-clock is measured by
 ``benchmarks/e2e`` (see ``docs/performance.md``, "How to measure").
 """
 
-from repro.obs.metrics import NULL_METRICS, Metrics, NullMetrics, SpanStats
+from repro.obs.metrics import NULL_METRICS, Metrics
 
-__all__ = ["Metrics", "NULL_METRICS", "NullMetrics", "SpanStats"]
+__all__ = ["Metrics", "NULL_METRICS"]

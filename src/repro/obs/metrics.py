@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 from contextlib import contextmanager
 
-__all__ = ["Metrics", "NullMetrics", "NULL_METRICS", "SpanStats"]
+__all__ = ["Metrics", "NULL_METRICS"]
 
 
 @dataclass

@@ -22,21 +22,14 @@ against each other. This package is the outside referee:
   the ``validate=`` flag on :class:`~repro.bgp.engine.RoutingEngine`,
   :class:`~repro.attacks.lab.HijackLab` and
   :class:`~repro.experiments.config.ExperimentConfig`.
-* :mod:`repro.oracle.strategies` — the shared Hypothesis strategy
-  library (random topologies, hijack cases, ROA tables, deployment
-  vectors) used by the whole property-test tree. Importing it requires
-  ``hypothesis``; nothing else in this package does.
+
+The Hypothesis strategy library the property tests draw from lives in
+``tests/strategies.py``: nothing under ``src/`` imports Hypothesis.
 
 See ``docs/testing.md`` for how the layers fit together.
 """
 
-from repro.oracle.differential import (
-    DifferentialError,
-    Disagreement,
-    assert_states_agree,
-    compare_states,
-    random_hijack_cases,
-)
+from repro.oracle.differential import random_hijack_cases
 from repro.oracle.invariants import (
     InvariantViolation,
     check_cache_coherence,
@@ -47,16 +40,12 @@ from repro.oracle.invariants import (
 from repro.oracle.reference import ReferenceRoute, ReferenceSimulator
 
 __all__ = [
-    "DifferentialError",
-    "Disagreement",
     "InvariantViolation",
     "ReferenceRoute",
     "ReferenceSimulator",
-    "assert_states_agree",
     "check_cache_coherence",
     "check_convergence_deterministic",
     "check_hijack_result",
     "check_route_state",
-    "compare_states",
     "random_hijack_cases",
 ]

@@ -18,7 +18,7 @@ Two entry points:
   comparison, so the check is available at runtime through
   ``repro-bgp validate`` and in environments without the test extras.
 
-The Hypothesis strategies in :mod:`repro.oracle.strategies` build the
+The test suite's Hypothesis strategies (``tests/strategies.py``) build the
 same topology shape through :func:`build_random_topology`, sharing the
 generator logic while drawing choices from Hypothesis instead of an RNG.
 """
@@ -37,12 +37,6 @@ from repro.topology.view import RoutingView
 from repro.util.rng import make_rng
 
 __all__ = [
-    "Disagreement",
-    "DifferentialError",
-    "HijackCase",
-    "assert_states_agree",
-    "build_random_topology",
-    "compare_states",
     "random_hijack_cases",
     "run_differential",
 ]

@@ -37,7 +37,6 @@ from typing import Collection, Mapping
 from repro.topology.view import RoutingView
 
 __all__ = [
-    "PropagationEvent",
     "PropagationReport",
     "ReferenceRoute",
     "ReferenceSimulator",

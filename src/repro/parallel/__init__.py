@@ -6,10 +6,6 @@ baselines per (topology digest, policy, origin). ``docs/performance.md``
 describes the design and its guarantees.
 """
 
-from repro.parallel.cache import CacheStats, ConvergenceCache, context_digest
+from repro.parallel.cache import ConvergenceCache
 
-__all__ = [
-    "CacheStats",
-    "ConvergenceCache",
-    "context_digest",
-]
+__all__ = ["ConvergenceCache"]

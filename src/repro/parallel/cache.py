@@ -32,7 +32,7 @@ from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.topology.view import RoutingView
 
-__all__ = ["CacheStats", "ConvergenceCache", "context_digest"]
+__all__ = ["ConvergenceCache"]
 
 # Digest memo keyed by object id (RoutingView holds a dict, so it is not
 # hashable); a weakref callback evicts entries when the view is collected,

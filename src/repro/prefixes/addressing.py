@@ -19,7 +19,7 @@ Allocation is deterministic for a given input ordering and seed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.prefixes.prefix import Prefix
 from repro.util.rng import make_rng
 
-__all__ = ["AddressPlan", "AllocationError"]
+__all__ = ["AddressPlan"]
 
 # Allocate inside 1.0.0.0/8 .. 223.255.255.255 (classic unicast space),
 # skipping the loopback /8. The simulator never needs the reserved ranges
@@ -73,7 +73,7 @@ class AddressPlan:
     _blocks: list[Prefix] = field(default_factory=list)
     _owner: dict[Prefix, int] = field(default_factory=dict)
     _total_size: int = 0
-    # Per-ASN address totals, kept in step by assign so the
+    # Per-ASN address totals, kept in step by _add so the
     # pollution metric never re-sums prefix sizes.
     _space_by_asn: dict[int, int] = field(default_factory=dict)
 
@@ -124,27 +124,14 @@ class AddressPlan:
             # order, so no overlap search is needed.
             if cursor < end:
                 raise AllocationError(f"{prefix} overlaps allocated {plan._blocks[-1]}")
-            plan._add(len(plan._blocks), asn, prefix)
+            plan._add(asn, prefix)
             end = cursor = cursor + block
         return plan
 
-    def assign(self, asn: int, prefix: Prefix) -> None:
-        """Record that *asn* originates *prefix*. Overlaps are rejected."""
-        clash = self._block_containing(prefix)
-        if clash is not None:
-            raise AllocationError(f"{prefix} overlaps allocated {clash}")
-        # Nothing contains the prefix, so a block starting inside it is
-        # inside it (CIDR blocks nest or are disjoint).
-        blocks = self._blocks
-        index = bisect_left(blocks, prefix.network, key=_network)
-        if index < len(blocks) and blocks[index].network <= prefix.last_address():
-            raise AllocationError(f"{prefix} covers an existing allocation")
-        self._add(index, asn, prefix)
-
-    def _add(self, index: int, asn: int, prefix: Prefix) -> None:
-        """Insert a block known to be disjoint from all others at *index*."""
+    def _add(self, asn: int, prefix: Prefix) -> None:
+        """Append a block that starts past the end of every block so far."""
         self._by_asn.setdefault(asn, []).append(prefix)
-        self._blocks.insert(index, prefix)
+        self._blocks.append(prefix)
         self._owner[prefix] = asn
         size = prefix.size()
         self._total_size += size

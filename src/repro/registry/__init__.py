@@ -2,7 +2,7 @@
 
 from repro.registry.history import HistoricalAuthority
 from repro.registry.neighbors import NeighborRegistry
-from repro.registry.publication import PublicationState, plan_truth_table
+from repro.registry.publication import PublicationState
 from repro.registry.roa import (
     OriginAuthority,
     RoaTable,
@@ -18,5 +18,4 @@ __all__ = [
     "RoaTable",
     "RouteOriginAuthorization",
     "ValidationState",
-    "plan_truth_table",
 ]

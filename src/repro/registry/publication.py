@@ -20,20 +20,7 @@ from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 from repro.registry.roa import RoaTable, RouteOriginAuthorization, ValidationState
 
-__all__ = ["PublicationState", "plan_truth_table"]
-
-
-def plan_truth_table(plan: AddressPlan) -> RoaTable:
-    """Ground-truth ROAs for *every* allocation in the plan.
-
-    This is the omniscient oracle (useful for tests and for upper-bound
-    experiments); real experiments should go through
-    :class:`PublicationState` to model partial participation.
-    """
-    table = RoaTable()
-    for prefix, asn in plan.items():
-        table.add(RouteOriginAuthorization(prefix, asn))
-    return table
+__all__ = ["PublicationState"]
 
 
 @dataclass

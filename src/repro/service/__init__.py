@@ -13,12 +13,10 @@ deaggregation events fed back into the stream
 (:mod:`~repro.service.daemon`). See docs/service.md.
 """
 
-from repro.service.api import ServiceDaemon, ServiceThread
+from repro.service.api import ServiceDaemon
 from repro.service.daemon import (
     CONFIRMED_VERDICTS,
-    MitigationRecord,
     MonitorService,
-    ServiceVerdict,
 )
 from repro.service.shards import ShardPlane
 from repro.service.tenants import LatencyStats, TenantRegistration, TenantRegistry
@@ -26,11 +24,8 @@ from repro.service.tenants import LatencyStats, TenantRegistration, TenantRegist
 __all__ = [
     "CONFIRMED_VERDICTS",
     "LatencyStats",
-    "MitigationRecord",
     "MonitorService",
     "ServiceDaemon",
-    "ServiceThread",
-    "ServiceVerdict",
     "ShardPlane",
     "TenantRegistration",
     "TenantRegistry",

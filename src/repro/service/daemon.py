@@ -10,8 +10,8 @@ detector, the same events).
 The loop it implements is ingest → replay → verdict → mitigation:
 
 1. events enter through :meth:`ingest_line` (the HTTP handler and the
-   feed task both call it) or :meth:`ingest_event` and land on the one
-   replayer of the :class:`~repro.service.shards.ShardPlane`;
+   feed task both call it) and land on the one replayer of the
+   :class:`~repro.service.shards.ShardPlane`;
 2. :meth:`poll` flushes the replayer, drains freshly raised alarms, and
    attributes each to the tenants whose registrations the alarmed NLRI
    concerns (covering *and* covered — the sub-prefix case), updating
@@ -58,9 +58,7 @@ from repro.stream.monitor import StreamAlarm
 
 __all__ = [
     "CONFIRMED_VERDICTS",
-    "MitigationRecord",
     "MonitorService",
-    "ServiceVerdict",
 ]
 
 #: Verdicts that arm the reactive hook — the attack cells where the
@@ -237,9 +235,6 @@ class MonitorService:
         self.plane.flush()
 
     # -- ingest ------------------------------------------------------------
-
-    def ingest_event(self, event: StreamEvent) -> None:
-        self.plane.submit(event)
 
     def ingest_line(self, line: str) -> bool:
         return self.plane.submit_line(line)

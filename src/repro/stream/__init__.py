@@ -20,7 +20,6 @@ from repro.stream.events import (
     Withdraw,
     compile_campaign,
     compile_scenario,
-    event_from_dict,
     event_to_dict,
     parse_event_line,
     read_events,
@@ -47,7 +46,6 @@ __all__ = [
     "Withdraw",
     "compile_campaign",
     "compile_scenario",
-    "event_from_dict",
     "event_to_dict",
     "full_converge",
     "parse_event_line",

@@ -48,7 +48,6 @@ __all__ = [
     "Withdraw",
     "compile_campaign",
     "compile_scenario",
-    "event_from_dict",
     "event_to_dict",
     "parse_event_line",
     "read_events",

@@ -181,10 +181,6 @@ class StreamReplayer:
 
     # -- queries -----------------------------------------------------------
 
-    def ledger(self, prefix: Prefix) -> PrefixLedger | None:
-        """The ledger for *prefix*, or ``None`` if never announced."""
-        return self._ledgers.get(prefix)
-
     def ledgers(self) -> dict[Prefix, PrefixLedger]:
         """A snapshot of every live per-prefix ledger (prefix → ledger)."""
         return dict(self._ledgers)
@@ -204,10 +200,6 @@ class StreamReplayer:
             neighbors=self._base_defense.neighbors,
             path_check=self._base_defense.path_check,
         )
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
 
     # -- ingestion ---------------------------------------------------------
 

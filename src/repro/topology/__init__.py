@@ -4,12 +4,10 @@ from repro.topology.asgraph import ASGraph, TopologyError
 from repro.topology.caida import (
     CaidaFormatError,
     dump_caida,
-    dumps_caida,
-    load_caida,
+    load_caida_mmap,
     loads_caida,
 )
 from repro.topology.classify import (
-    TopologySummary,
     customer_cone,
     depth_to_tier1,
     effective_depth,
@@ -36,17 +34,15 @@ __all__ = [
     "RouteClass",
     "RoutingView",
     "TopologyError",
-    "TopologySummary",
     "customer_cone",
     "default_address_plan",
     "depth_to_tier1",
     "dump_caida",
-    "dumps_caida",
     "effective_depth",
     "find_tier1",
     "find_tier2",
     "generate_topology",
-    "load_caida",
+    "load_caida_mmap",
     "loads_caida",
     "reach",
     "stub_asns",

@@ -14,8 +14,12 @@ full scale with no code changes:
 
 ASN fields are plain ASCII decimal numbers in 1..2^32−1, the range the
 trace reader (:mod:`repro.ingest.records`) enforces; a sign, padding, an
-underscore or any other text is a :class:`CaidaFormatError` naming the
-line.
+underscore, a non-ASCII byte or any other text is a
+:class:`CaidaFormatError` naming the line, and so (in strict mode) is a
+record that conflicts with an earlier one.
+
+Files are read by :func:`load_caida_mmap`; :func:`loads_caida` parses
+text already in memory.
 
 Comment lines start with ``#`` and are preserved on a best-effort basis when
 writing.
@@ -33,11 +37,9 @@ from repro.topology.asgraph import ASGraph, TopologyError
 from repro.topology.relationships import Relationship
 
 __all__ = [
-    "load_caida",
     "load_caida_mmap",
     "loads_caida",
     "dump_caida",
-    "dumps_caida",
     "CaidaFormatError",
 ]
 
@@ -98,16 +100,6 @@ def loads_caida(text: str, *, strict: bool = True) -> ASGraph:
     return _read(io.StringIO(text), strict=strict)
 
 
-def load_caida(path: str | Path, *, strict: bool = True) -> ASGraph:
-    """Load an AS-relationship file; ``.gz`` paths are decompressed."""
-    path = Path(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "rt", encoding="ascii") as handle:
-            return _read(handle, strict=strict)
-    with path.open("r", encoding="ascii") as handle:
-        return _read(handle, strict=strict)
-
-
 def _read(handle: Iterable[str], *, strict: bool) -> ASGraph:
     graph = ASGraph()
     add_link = graph.add_link
@@ -117,9 +109,9 @@ def _read(handle: Iterable[str], *, strict: bool) -> ASGraph:
             continue
         try:
             add_link(*record)
-        except TopologyError:
+        except TopologyError as error:
             if strict:
-                raise
+                raise CaidaFormatError(f"line {line_number}: {error}") from error
     return graph
 
 
@@ -133,6 +125,9 @@ def load_caida_mmap(path: str | Path, *, strict: bool = True) -> ASGraph:
     usefully; they are read line by line from the decompressing stream,
     with the same bounded-memory property. Empty files parse to an
     empty graph (``mmap`` rejects zero-length maps, hence the guard).
+    A byte that is not ASCII decodes to U+FFFD, so a field holding one
+    fails its parse with the line's number; in a comment or the serial-2
+    source column it is ignored.
     """
     path = Path(path)
     if path.suffix == ".gz":

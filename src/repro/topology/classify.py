@@ -30,7 +30,6 @@ __all__ = [
     "reach",
     "transit_asns",
     "stub_asns",
-    "TopologySummary",
     "summarize",
 ]
 

@@ -13,9 +13,9 @@ endpoint-list preferential-attachment pool instead of per-pick weighted
 scans.
 
 Fixtures are meant to flow through the real CAIDA serial-1 file format:
-:func:`write_scale_fixture` emits via :func:`repro.topology.caida
-.dump_caida` and the scale benchmark/tests read it back through
-:func:`~repro.topology.caida.load_caida`, so the full-scale path
+the scale benchmark and tests write one with
+:func:`repro.topology.caida.dump_caida` and read it back through
+:func:`~repro.topology.caida.load_caida_mmap`, so the full-scale path
 exercises the same parser a downloaded snapshot would.
 
 Generation is fully deterministic for a given :class:`ScaleFixtureConfig`.
@@ -24,14 +24,12 @@ Generation is fully deterministic for a given :class:`ScaleFixtureConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.topology.asgraph import ASGraph
-from repro.topology.caida import dump_caida
 from repro.topology.relationships import Relationship
 from repro.util.rng import make_rng
 
-__all__ = ["ScaleFixtureConfig", "generate_scale_fixture", "write_scale_fixture"]
+__all__ = ["ScaleFixtureConfig", "generate_scale_fixture"]
 
 
 @dataclass(frozen=True)
@@ -180,16 +178,3 @@ def generate_scale_fixture(config: ScaleFixtureConfig | None = None) -> ASGraph:
 
     return graph
 
-
-def write_scale_fixture(
-    path: str | Path, config: ScaleFixtureConfig | None = None
-) -> Path:
-    """Generate the fixture and write it in CAIDA serial-1 format.
-
-    ``.gz`` suffixes compress, exactly as :func:`dump_caida` does; the
-    intended read path is the real :func:`repro.topology.caida
-    .load_caida` parser.
-    """
-    path = Path(path)
-    dump_caida(generate_scale_fixture(config), path)
-    return path

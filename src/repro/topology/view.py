@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.topology.asgraph import ASGraph
 from repro.topology.classify import find_tier1
@@ -200,9 +200,3 @@ class RoutingView:
         for node in nodes:
             result.update(self.members[node])
         return frozenset(result)
-
-    def nodes_of(self, asns: Iterable[int]) -> frozenset[int]:
-        return frozenset(self._node_of[asn] for asn in asns)
-
-    def neighbor_nodes(self, node: int) -> Sequence[int]:
-        return (*self.customers[node], *self.peers[node], *self.providers[node])

@@ -1,14 +1,13 @@
 """Shared utilities: deterministic RNG streams, CCDF statistics, tables."""
 
 from repro.util.ccdf import CcdfCurve, ccdf, describe
-from repro.util.rng import derive_seed, make_rng
+from repro.util.rng import make_rng
 from repro.util.tables import render_table
 
 __all__ = [
     "CcdfCurve",
     "ccdf",
     "describe",
-    "derive_seed",
     "make_rng",
     "render_table",
 ]

@@ -42,10 +42,6 @@ class CcdfCurve:
     def points(self) -> Sequence[tuple[int, int]]:
         return tuple(zip(self.values, self.counts))
 
-    @property
-    def total(self) -> int:
-        return self.counts[0] if self.counts else 0
-
     def area(self) -> int:
         """Sum of all samples — equals the integral of the CCDF over value
         steps; a single-number severity summary used to rank curves."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["make_rng", "derive_seed"]
+__all__ = ["make_rng"]
 
 
 def derive_seed(seed: int, *labels: object) -> int:

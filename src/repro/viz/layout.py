@@ -24,7 +24,7 @@ from repro.topology.asgraph import ASGraph
 from repro.topology.classify import effective_depth, find_tier1, find_tier2
 from repro.topology.view import RoutingView
 
-__all__ = ["PolarLayout", "NodePosition"]
+__all__ = ["PolarLayout"]
 
 
 @dataclass(frozen=True)

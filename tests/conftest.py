@@ -24,7 +24,7 @@ from repro.topology.view import RoutingView
 
 # Hypothesis profiles: "default" for interactive/CI runs, "fuzz" for the
 # nightly long-budget job (.github/workflows/fuzz.yml). Individual tests
-# scale their example counts through repro.oracle.strategies.example_budget
+# scale their example counts through tests.strategies.example_budget
 # (REPRO_FUZZ_MULTIPLIER); the profile only adjusts reporting knobs so a
 # CI failure is reproducible from the printed blob + uploaded database.
 settings.register_profile("default", deadline=None)

@@ -34,10 +34,11 @@ def write_fixtures(directory: Path) -> dict[str, Path]:
     """Write the four golden files into *directory*; returns their paths."""
     from repro.attacks.lab import HijackLab
     from repro.cli import main as cli_main
-    from repro.ingest import TraceRecord, format_record
-    from repro.topology.caida import dumps_caida, load_caida
+    from repro.ingest import TraceRecord
+    from repro.topology.caida import dumps_caida, load_caida_mmap
 
     from tests.conftest import build_mini_graph
+    from tests.trace_writer import format_record
 
     directory.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -50,7 +51,7 @@ def write_fixtures(directory: Path) -> dict[str, Path]:
     paths[GOLDEN_TOPOLOGY].write_text(
         dumps_caida(build_mini_graph()), encoding="ascii"
     )
-    graph = load_caida(paths[GOLDEN_TOPOLOGY])
+    graph = load_caida_mmap(paths[GOLDEN_TOPOLOGY])
     lab = HijackLab(graph, seed=2014)
     prefix = {asn: str(lab.plan.primary_prefix(asn)) for asn in (50, 60, 70, 80)}
     # First half of AS 80's block — covered by 80's ROA but longer than

@@ -20,12 +20,13 @@ from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.bgp.policy import PolicyConfig
 from repro.oracle.reference import ReferenceSimulator
-from repro.oracle.strategies import example_budget, hierarchical_topologies
 from repro.parallel import ConvergenceCache
 from repro.topology.view import RoutingView
 
+from tests.strategies import example_budget, hierarchical_topologies
+
 # The internet-shaped topology strategy lives in the shared library
-# (repro.oracle.strategies); the oracle-differential suite draws from the
+# (tests/strategies.py); the oracle-differential suite draws from the
 # same shape, so both suites cover one domain.
 random_topologies = hierarchical_topologies
 

@@ -2,14 +2,14 @@
 
 An owner that never published is invisible to origin validation: both the
 publication state and the validated-ROA table it materialises must answer
-NOT_FOUND for a hijack of its space, even though the address plan's truth
-table knows the announcement is wrong.
+NOT_FOUND for a hijack of its space, even though full publication would
+show the announcement is wrong.
 """
 
 import pytest
 
 from repro.prefixes.addressing import AddressPlan
-from repro.registry.publication import PublicationState, plan_truth_table
+from repro.registry.publication import PublicationState
 from repro.registry.roa import ValidationState
 
 
@@ -34,4 +34,6 @@ def test_unpublished_owner_is_not_found_everywhere(plan, publication):
     hijacker = next(a for a in plan.all_asns() if a != unpublished)
     assert publication.validate(prefix, hijacker) is ValidationState.NOT_FOUND
     assert publication.table().validate(prefix, hijacker) is ValidationState.NOT_FOUND
-    assert plan_truth_table(plan).validate(prefix, hijacker) is ValidationState.INVALID
+    assert (
+        PublicationState.full(plan).validate(prefix, hijacker) is ValidationState.INVALID
+    )

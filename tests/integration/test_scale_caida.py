@@ -2,7 +2,7 @@
 
 Everything below the unit tiers runs on reduced topologies; this module
 is the one place the whole pipeline — CAIDA serial-1 fixture on disk,
-the real :func:`repro.topology.caida.load_caida` parser, role
+the real :func:`repro.topology.caida.load_caida_mmap` parser, role
 resolution, the array convergence backend, the vulnerability profiler —
 runs at the paper's actual scale (42,697 ASes, ~139k links). The
 headline assertion is Fig. 2's: vulnerability rises sharply with target
@@ -18,7 +18,6 @@ never runs it (see docs/testing.md).
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import pytest
 
@@ -26,8 +25,8 @@ from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.core.roles import resolve_roles
 from repro.core.vulnerability import profile_target
-from repro.topology.caida import load_caida
-from repro.topology.scalefixture import ScaleFixtureConfig, write_scale_fixture
+from repro.topology.caida import dump_caida, load_caida_mmap
+from repro.topology.scalefixture import ScaleFixtureConfig, generate_scale_fixture
 
 pytestmark = [
     pytest.mark.scale,
@@ -45,8 +44,8 @@ def scale_graph(tmp_path_factory):
     """The deterministic 42,697-AS fixture, via the real CAIDA parser."""
     path = tmp_path_factory.mktemp("scale") / "caida-scale.txt.gz"
     config = ScaleFixtureConfig()
-    write_scale_fixture(path, config)
-    graph = load_caida(path)
+    dump_caida(generate_scale_fixture(config), path)
+    graph = load_caida_mmap(path)
     assert len(graph.asns()) == config.as_count
     return graph
 

@@ -36,8 +36,8 @@ from repro.detection.probes import top_degree_probes
 from repro.detection.taxonomy import grid_cells
 from repro.registry.neighbors import NeighborRegistry
 from repro.registry.publication import PublicationState
-from repro.topology.caida import load_caida
-from repro.topology.scalefixture import ScaleFixtureConfig, write_scale_fixture
+from repro.topology.caida import dump_caida, load_caida_mmap
+from repro.topology.scalefixture import ScaleFixtureConfig, generate_scale_fixture
 
 pytestmark = [
     pytest.mark.scale,
@@ -66,8 +66,8 @@ def scale_matrix():
     with tempfile.TemporaryDirectory(prefix="repro-scale-matrix-") as tmp:
         path = Path(tmp) / "caida-scale.txt.gz"
         config = ScaleFixtureConfig()
-        write_scale_fixture(path, config)
-        graph = load_caida(path)
+        dump_caida(generate_scale_fixture(config), path)
+        graph = load_caida_mmap(path)
 
     lab = HijackLab(graph, backend="array", batch_origins=BATCH_ORIGINS, seed=2014)
     target = resolve_roles(graph).deep_target

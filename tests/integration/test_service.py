@@ -25,11 +25,12 @@ from repro.detection.detector import HijackDetector
 from repro.detection.probes import top_degree_probes
 from repro.detection.taxonomy import grid_cells
 from repro.registry.neighbors import NeighborRegistry
-from repro.service.api import ServiceThread
 from repro.service.daemon import MonitorService
 from repro.stream.events import RoaPublish, compile_scenario, event_to_dict
 from repro.stream.replay import StreamReplayer
 from repro.util.rng import make_rng
+
+from tests.service_thread import ServiceThread
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -177,7 +178,7 @@ class TestAutoMitigation:
         )
         scenario = lab.subprefix_hijack(target, attacker).scenario
         for event in compile_scenario(scenario, start=1.0):
-            service.ingest_event(event)
+            service.ingest_line(json.dumps(event_to_dict(event)))
         service.poll()
 
         assert len(service.mitigations) == 1

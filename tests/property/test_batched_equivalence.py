@@ -28,15 +28,16 @@ from hypothesis import strategies as st
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.detection.taxonomy import grid_cells
-from repro.oracle.strategies import (
+from repro.registry.publication import PublicationState
+from repro.topology.relationships import Relationship
+
+from tests.strategies import (
     deployment_vectors,
     example_budget,
     hierarchical_topologies,
     hijack_cases,
     taxonomy_scenarios,
 )
-from repro.registry.publication import PublicationState
-from repro.topology.relationships import Relationship
 
 
 def _engines(case):

@@ -7,8 +7,9 @@ hierarchies — serialization must survive anything, routable or not).
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.oracle.strategies import flat_graphs
 from repro.topology.caida import dumps_caida, loads_caida
+
+from tests.strategies import flat_graphs
 
 
 @given(flat_graphs())

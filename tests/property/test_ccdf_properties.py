@@ -18,7 +18,7 @@ def test_values_strictly_increasing_counts_strictly_decreasing(data):
 
 @given(samples)
 def test_total_is_sample_count(data):
-    assert ccdf(data).total == len(data)
+    assert ccdf(data).count_at_least(0) == len(data)
 
 
 @given(samples, st.integers(min_value=0, max_value=10_001))

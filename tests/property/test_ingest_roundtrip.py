@@ -22,23 +22,21 @@ from hypothesis import strategies as st
 from repro.attacks.lab import HijackLab
 from repro.attacks.scenario import HijackKind, HijackScenario, PathKind
 from repro.detection.detector import HijackDetector
-from repro.detection.probes import custom_probes
+from repro.detection.probes import ProbeSet
 from repro.ingest import (
     TraceFormatError,
     TraceReader,
     TraceRecord,
     compile_rib,
     compile_updates,
-    events_to_records,
-    format_record,
-    parse_record,
 )
-from repro.oracle.strategies import example_budget
 from repro.prefixes.prefix import Prefix
 from repro.stream.events import Announce, Withdraw, compile_scenario
 from repro.stream.monitor import OnlineMonitor
 from repro.stream.replay import StreamReplayer
 from tests.conftest import build_mini_graph
+from tests.strategies import example_budget
+from tests.trace_writer import events_to_records, format_record
 
 asns = st.integers(min_value=1, max_value=2**32 - 1)
 timestamps = st.floats(min_value=0.0, max_value=1e9,
@@ -87,11 +85,18 @@ def update_events(draw) -> list:
     return events
 
 
+def _read_back(lines: list[str]) -> list[TraceRecord]:
+    """*lines* written to a trace file and read back by a strict reader."""
+    with tempfile.TemporaryDirectory() as directory:
+        trace = Path(directory) / "lines.trace"
+        trace.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return list(TraceReader(trace, strict=True))
+
+
 @settings(max_examples=example_budget(300), deadline=None)
 @given(trace_records(), encodings)
 def test_record_serialize_parse_roundtrip(record, encoding):
-    line = format_record(record, encoding=encoding)
-    assert parse_record(line) == record
+    assert _read_back([format_record(record, encoding=encoding)]) == [record]
 
 
 @settings(max_examples=example_budget(200), deadline=None)
@@ -109,9 +114,7 @@ def test_events_survive_the_wire_format(events, encoding):
         format_record(record, encoding=encoding)
         for record in events_to_records(events)
     ]
-    parsed = [parse_record(line, number=index + 1)
-              for index, line in enumerate(lines)]
-    assert list(compile_updates(parsed)) == events
+    assert list(compile_updates(_read_back(lines))) == events
 
 
 @settings(max_examples=example_budget(200), deadline=None)
@@ -251,7 +254,7 @@ def _replay_report(events) -> dict:
     lab = HijackLab(build_mini_graph(), seed=2014)
     replayer = StreamReplayer(lab)
     detector = HijackDetector(
-        custom_probes("pair", [10, 20]), authority=replayer.authority
+        ProbeSet("pair", frozenset([10, 20])), authority=replayer.authority
     )
     replayer.monitor = OnlineMonitor(lab.view, detector)
     for event in events:
@@ -266,9 +269,6 @@ def test_ingested_scenario_replays_to_identical_report(scenario, dwell):
     """A compiled campaign re-ingested from trace lines keeps its verdicts."""
     events = compile_scenario(scenario, spacing=1.0, dwell=dwell)
     lines = [format_record(r) for r in events_to_records(events)]
-    ingested = list(compile_updates(
-        parse_record(line, number=index + 1)
-        for index, line in enumerate(lines)
-    ))
+    ingested = list(compile_updates(_read_back(lines)))
     assert ingested == events
     assert _replay_report(ingested) == _replay_report(events)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from repro.bgp.engine import _NO_CLASS, UNREACHABLE, RoutingEngine
 from repro.oracle import InvariantViolation, check_hijack_result, check_route_state
 from repro.oracle.invariants import check_convergence_deterministic
-from repro.oracle.strategies import example_budget, hijack_cases, routing_views
+
+from tests.strategies import example_budget, hijack_cases, routing_views
 
 
 @settings(max_examples=example_budget(80), deadline=None)

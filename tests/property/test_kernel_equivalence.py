@@ -24,15 +24,16 @@ from repro.bgp.engine import RoutingEngine
 from repro.detection.detector import HijackDetector
 from repro.detection.probes import top_degree_probes
 from repro.obs.metrics import Metrics
-from repro.oracle.strategies import (
+from repro.registry.neighbors import NeighborRegistry
+from repro.registry.publication import PublicationState
+
+from tests.strategies import (
     announce_withdraw_sequences,
     example_budget,
     hierarchical_topologies,
     hijack_cases,
     taxonomy_scenarios,
 )
-from repro.registry.neighbors import NeighborRegistry
-from repro.registry.publication import PublicationState
 
 
 def _engines(case):

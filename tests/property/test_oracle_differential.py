@@ -18,13 +18,10 @@ from hypothesis import strategies as st
 
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
-from repro.oracle import (
-    ReferenceSimulator,
-    assert_states_agree,
-    random_hijack_cases,
-)
-from repro.oracle.differential import run_differential
-from repro.oracle.strategies import (
+from repro.oracle import ReferenceSimulator, random_hijack_cases
+from repro.oracle.differential import assert_states_agree, run_differential
+
+from tests.strategies import (
     example_budget,
     hierarchical_topologies,
     hijack_cases,

@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
-from repro.oracle.strategies import announce_withdraw_sequences, example_budget
 from repro.prefixes.prefix import Prefix
 from repro.stream.events import (
     Announce,
@@ -43,6 +42,7 @@ from repro.stream.events import (
 from repro.stream.incremental import PrefixLedger, full_converge
 from repro.stream.replay import StreamReplayer
 from tests.conftest import build_mini_graph
+from tests.strategies import announce_withdraw_sequences, example_budget
 
 
 def _apply(ledger: PrefixLedger, op) -> None:
@@ -147,7 +147,7 @@ def _reference_coalesce(replayer: StreamReplayer, pending):
             continue
         key = (event.prefix, event.origin_asn)
         if key not in active:
-            ledger = replayer.ledger(event.prefix)
+            ledger = replayer.ledgers().get(event.prefix)
             view = replayer.lab.view
             active[key] = bool(
                 ledger is not None

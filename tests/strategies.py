@@ -8,10 +8,10 @@ topology shape (say, allowing multi-homing depth) immediately reaches
 the engine-equivalence, oracle-differential and serialization suites
 alike.
 
-This module is the only part of :mod:`repro.oracle` that requires
-``hypothesis`` (a test extra, not a runtime dependency); the runtime
-validation paths use :func:`repro.oracle.differential.random_hijack_cases`
-instead. The topology shape itself is shared with that generator through
+The runtime validation paths (``repro-bgp validate``) use
+:func:`repro.oracle.differential.random_hijack_cases` instead, so
+nothing under ``src/`` imports Hypothesis. The topology shape itself is
+shared with that generator through
 :func:`~repro.oracle.differential.build_random_topology`.
 """
 
@@ -20,14 +20,7 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-try:
-    from hypothesis import strategies as st
-except ImportError as error:  # pragma: no cover - test-extra guard
-    raise ImportError(
-        "repro.oracle.strategies requires the 'hypothesis' test extra "
-        "(pip install repro[test]); runtime validation uses "
-        "repro.oracle.differential.random_hijack_cases instead"
-    ) from error
+from hypothesis import strategies as st
 
 from repro.bgp.policy import PolicyConfig
 from repro.defense.strategies import DeploymentStrategy

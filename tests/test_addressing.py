@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.prefixes.addressing import AddressPlan, AllocationError
+from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 
 
@@ -83,17 +83,11 @@ class TestQueries:
 
 
 class TestAssign:
-    def test_assign_rejects_overlap(self):
-        plan = AddressPlan()
-        plan.assign(1, Prefix.parse("10.0.0.0/8"))
-        with pytest.raises(AllocationError):
-            plan.assign(2, Prefix.parse("10.1.0.0/16"))
-        with pytest.raises(AllocationError):
-            plan.assign(2, Prefix.parse("0.0.0.0/1"))
-
     def test_assign_tracks_totals(self):
-        plan = AddressPlan()
-        plan.assign(1, Prefix.parse("10.0.0.0/8"))
-        plan.assign(1, Prefix.parse("11.0.0.0/16"))
-        assert plan.address_space_of(1) == (1 << 24) + (1 << 16)
-        assert len(plan) == 2
+        # Every AS gets a second block: the totals sum both.
+        plan = AddressPlan.build({1: 4.0, 2: 1.0}, extra_prefix_probability=1.0)
+        assert len(plan) == 4
+        assert plan.address_space_of(1) == (1 << 22) + (1 << 20)  # a /10 and a /12
+        assert plan.total_allocated() == sum(
+            plan.address_space_of(asn) for asn in plan.all_asns()
+        )

@@ -5,7 +5,7 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.attacks.scenario import HijackKind, HijackScenario
 from repro.defense.deployment import Defense
-from repro.defense.strategies import custom_deployment
+from repro.defense.strategies import DeploymentStrategy
 from repro.prefixes.prefix import Prefix
 from repro.registry.publication import PublicationState
 from repro.topology.classify import transit_asns
@@ -32,7 +32,6 @@ class TestOriginHijack:
         outcome = mini_lab.origin_hijack(50, 60)
         assert outcome.polluted_asns == frozenset({40, 20, 2})
         assert outcome.pollution_count == 3
-        assert outcome.succeeded
 
     def test_attacker_never_counts_as_polluted(self, mini_lab):
         outcome = mini_lab.origin_hijack(50, 60)
@@ -71,7 +70,7 @@ class TestSubprefixHijack:
         # INVALID and a full deployment blocks it everywhere.
         publication = PublicationState.full(mini_lab.plan)
         defense = Defense(
-            strategy=custom_deployment("all", mini_lab.graph.asns()),
+            strategy=DeploymentStrategy("all", frozenset(mini_lab.graph.asns())),
             authority=publication.table(),
         )
         defended = mini_lab.with_defense(defense)
@@ -107,7 +106,7 @@ class TestDefendedLab:
     def test_blocking_deployment_reduces_pollution(self, mini_lab):
         publication = PublicationState.full(mini_lab.plan)
         defense = Defense(
-            strategy=custom_deployment("d", [20]),
+            strategy=DeploymentStrategy("d", frozenset([20])),
             authority=publication.table(),
         )
         defended = mini_lab.with_defense(defense)
@@ -123,7 +122,7 @@ class TestDefendedLab:
     def test_stub_filter_spares_transit_attacker(self, mini_lab):
         defended = mini_lab.with_defense(Defense(stub_filter=True))
         outcome = defended.origin_hijack(50, 40)
-        assert outcome.succeeded
+        assert outcome.pollution_count > 0
 
 
 class TestSweeps:

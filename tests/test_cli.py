@@ -87,6 +87,21 @@ class TestCommands:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["summarize", "-i"], ["stream", "--attacks", "1", "--topology"]],
+        ids=["summarize-input", "stream-topology"],
+    )
+    def test_bad_topology_file_exits_1_with_one_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "topo.txt"
+        path.write_bytes(b"1|2|0\n3\xff|4|-1\n")
+        assert main([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"topology error: {path}: line 2: ASN '3\ufffd' is not a plain number"
+        ]
+
     def test_figure_writes_json_and_store(self, tmp_path, capsys):
         store_path = tmp_path / "store.sqlite"
         assert main([
@@ -242,9 +257,9 @@ class TestCommands:
         from repro.attacks.scenario import HijackKind, PathKind
         from repro.stream import write_events
         from repro.stream.events import compile_scenario
-        from repro.topology.caida import load_caida
+        from repro.topology.caida import load_caida_mmap
 
-        lab = HijackLab(load_caida(topo_file), seed=0)
+        lab = HijackLab(load_caida_mmap(topo_file), seed=0)
         scenarios = [
             lab.build_scenario(300, 30, path_kind=PathKind.TYPE_U),
             lab.build_scenario(200, 45, kind=HijackKind.ROUTE_LEAK),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.defense.deployment import Defense, FilterRule
 from repro.defense.strategies import (
-    custom_deployment,
+    DeploymentStrategy,
     degree_threshold_deployment,
     no_deployment,
     paper_ladder,
@@ -57,10 +57,6 @@ class TestStrategies:
         strategy = degree_threshold_deployment(medium_graph, 20)
         assert all(medium_graph.degree(asn) >= 20 for asn in strategy.deployers)
 
-    def test_custom_deployment(self):
-        strategy = custom_deployment("mine", [5, 6])
-        assert strategy.name == "mine" and strategy.deployers == frozenset({5, 6})
-
     def test_paper_ladder_shape(self, medium_graph):
         ladder = paper_ladder(medium_graph)
         names = [strategy.name for strategy in ladder]
@@ -86,20 +82,20 @@ class TestDefense:
         return RoaTable([RouteOriginAuthorization(Prefix.parse("10.0.0.0/16"), 65001)])
 
     def test_no_authority_blocks_nothing(self):
-        defense = Defense(strategy=custom_deployment("d", [1, 2]))
+        defense = Defense(strategy=DeploymentStrategy("d", frozenset([1, 2])))
         assert defense.blocking_asns(Prefix.parse("10.0.0.0/16"), 64999) == frozenset()
 
     def test_invalid_announcement_blocked_at_deployers(self, authority):
-        defense = Defense(strategy=custom_deployment("d", [1, 2]), authority=authority)
+        defense = Defense(strategy=DeploymentStrategy("d", frozenset([1, 2])), authority=authority)
         blockers = defense.blocking_asns(Prefix.parse("10.0.0.0/16"), 64999)
         assert blockers == frozenset({1, 2})
 
     def test_valid_announcement_not_blocked(self, authority):
-        defense = Defense(strategy=custom_deployment("d", [1, 2]), authority=authority)
+        defense = Defense(strategy=DeploymentStrategy("d", frozenset([1, 2])), authority=authority)
         assert defense.blocking_asns(Prefix.parse("10.0.0.0/16"), 65001) == frozenset()
 
     def test_not_found_announcement_not_blocked(self, authority):
-        defense = Defense(strategy=custom_deployment("d", [1, 2]), authority=authority)
+        defense = Defense(strategy=DeploymentStrategy("d", frozenset([1, 2])), authority=authority)
         assert defense.blocking_asns(Prefix.parse("99.0.0.0/16"), 64999) == frozenset()
 
     def test_manual_filters_block_independently(self, authority):
@@ -115,6 +111,6 @@ class TestDefense:
         assert base.manual_filters == ()
 
     def test_blocking_nodes_maps_to_view(self, mini_graph, mini_view, authority):
-        defense = Defense(strategy=custom_deployment("d", [10, 999]), authority=authority)
+        defense = Defense(strategy=DeploymentStrategy("d", frozenset([10, 999])), authority=authority)
         nodes = defense.blocking_nodes(mini_view, Prefix.parse("10.0.0.0/16"), 64999)
         assert nodes == frozenset({mini_view.node_of(10)})

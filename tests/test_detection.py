@@ -7,8 +7,8 @@ from repro.detection.analysis import DetectionStudy, greedy_probe_placement
 from repro.detection.detector import HijackDetector
 from repro.detection.moas import MoasVerdict
 from repro.detection.probes import (
+    ProbeSet,
     bgpmon_like_probes,
-    custom_probes,
     tier1_probes,
     top_degree_probes,
 )
@@ -50,15 +50,15 @@ class TestProbeSets:
         )
 
     def test_triggered_by(self):
-        probes = custom_probes("x", [1, 2, 3])
+        probes = ProbeSet("x", frozenset([1, 2, 3]))
         assert probes.triggered_by(frozenset({2, 9})) == frozenset({2})
 
 
 class TestDetector:
     def test_detection_requires_polluted_probe(self, mini_lab):
         outcome = mini_lab.origin_hijack(50, 60)  # pollutes {40, 20, 2}
-        seen = HijackDetector(custom_probes("hit", [20])).observe(outcome)
-        missed = HijackDetector(custom_probes("miss", [10])).observe(outcome)
+        seen = HijackDetector(ProbeSet("hit", frozenset([20]))).observe(outcome)
+        missed = HijackDetector(ProbeSet("miss", frozenset([10]))).observe(outcome)
         assert seen.detected and seen.probe_count == 1
         assert not missed.detected and missed.seen is False
 
@@ -66,21 +66,21 @@ class TestDetector:
         # Attack 70 -> pollutes {1, 2}: tier-1 probes see it. But an attack
         # polluting only the east branch escapes a west-only probe.
         outcome = mini_lab.origin_hijack(50, 60)
-        report = HijackDetector(custom_probes("west", [10, 30])).observe(outcome)
+        report = HijackDetector(ProbeSet("west", frozenset([10, 30]))).observe(outcome)
         assert not report.detected
         assert outcome.pollution_count == 3  # sizeable yet unseen
 
     def test_authority_gates_classification(self, mini_lab):
         publication = PublicationState.with_participants(mini_lab.plan, [])
         outcome = mini_lab.origin_hijack(50, 60)
-        detector = HijackDetector(custom_probes("x", [20]), publication.table())
+        detector = HijackDetector(ProbeSet("x", frozenset([20])), publication.table())
         report = detector.observe(outcome)
         # Probe polluted but the target never published: not classifiable.
         assert report.seen and not report.detected
 
     def test_published_target_is_classified(self, mini_lab):
         publication = PublicationState.with_participants(mini_lab.plan, [50])
-        detector = HijackDetector(custom_probes("x", [20]), publication.table())
+        detector = HijackDetector(ProbeSet("x", frozenset([20])), publication.table())
         assert detector.observe(mini_lab.origin_hijack(50, 60)).detected
 
 
@@ -91,7 +91,7 @@ class TestObserveConflict:
 
     def detector(self, *roas) -> HijackDetector:
         authority = RoaTable(roas) if roas else None
-        return HijackDetector(custom_probes("x", [1, 2]), authority)
+        return HijackDetector(ProbeSet("x", frozenset([1, 2])), authority)
 
     def roa(self, origin: int) -> RouteOriginAuthorization:
         return RouteOriginAuthorization(self.prefix, origin)
@@ -181,8 +181,8 @@ class TestGreedyPlacement:
 
         candidates = sorted(transit_asns(medium_lab.graph))
         greedy = greedy_probe_placement(outcomes, candidates, count=5)
-        random_set = custom_probes(
-            "random-5", make_rng(1, "random-probes", 5).sample(candidates, 5)
+        random_set = ProbeSet(
+            "random-5", frozenset(make_rng(1, "random-probes", 5).sample(candidates, 5))
         )
         greedy_misses = DetectionStudy.run(
             HijackDetector(greedy), outcomes

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.churn import TransferEvent, sample_transfers, stale_history_study
-from repro.defense.strategies import custom_deployment
+from repro.defense.strategies import DeploymentStrategy
 from repro.prefixes.prefix import Prefix
 from repro.registry.history import HistoricalAuthority
 from repro.registry.publication import PublicationState
@@ -97,7 +97,7 @@ class TestStaleHistoryStudy:
         impacts = stale_history_study(
             medium_lab,
             events,
-            blocking_strategy=custom_deployment("all", medium_lab.graph.asns()),
+            blocking_strategy=DeploymentStrategy("all", frozenset(medium_lab.graph.asns())),
             authority=table,
         )
         assert all(not impact.false_positive for impact in impacts)

@@ -1,13 +1,14 @@
 """The CLI and the service API load no test-only or accelerator code.
 
-The generation-stepped flood lives in :mod:`repro.oracle`, and the oracle
-package also carries the Hypothesis strategy library; the array kernel
-needs numpy. The entry points load all three only on the paths that use
-them (``animate``, ``convergence``, ``calibrate``, ``validate``, the
-array backend), so a plain ``import`` must not pull any of them in. The
-check runs in a fresh interpreter: inside the suite they are long loaded.
+The generation-stepped flood lives in :mod:`repro.oracle`; the array
+kernel needs numpy. The entry points load both only on the paths that
+use them (``animate``, ``convergence``, ``calibrate``, ``validate``, the
+array backend), so a plain ``import`` must not pull either in. The
+check runs in a fresh interpreter: inside the suite they are long
+loaded. Hypothesis is a test tool: no file under ``src/`` imports it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import repro
+
+SRC = Path(repro.__file__).parent
 
 FORBIDDEN = ("repro.oracle", "numpy", "hypothesis")
 
@@ -34,3 +37,18 @@ def test_cli_and_service_api_import_without_oracle_numpy_or_hypothesis():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+def test_no_src_module_imports_hypothesis():
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "hypothesis" for module in modules):
+                importers.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    assert importers == []

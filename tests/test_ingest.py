@@ -25,7 +25,7 @@ import os
 import pytest
 
 from repro.attacks.lab import HijackLab
-from repro.detection.probes import custom_probes, tier1_probes
+from repro.detection.probes import ProbeSet, tier1_probes
 from repro.ingest import (
     TraceFormatError,
     TracePipeline,
@@ -33,8 +33,6 @@ from repro.ingest import (
     TraceRecord,
     compile_rib,
     compile_updates,
-    format_record,
-    parse_record,
     run_ingest,
 )
 from repro.obs.metrics import Metrics
@@ -42,10 +40,11 @@ from repro.prefixes.prefix import Prefix
 from repro.service.api import ServiceDaemon
 from repro.service.daemon import MonitorService
 from repro.stream.events import parse_event_line
-from repro.topology.caida import load_caida
+from repro.topology.caida import load_caida_mmap
 from repro.util.lines import _MAX_LINE_BYTES, LineSplitter
 from tests.conftest import build_mini_graph
 from tests.fixtures import make_golden_traces as golden
+from tests.trace_writer import format_record
 
 FIXTURES = golden.FIXTURES_DIR
 TOPOLOGY = FIXTURES / golden.GOLDEN_TOPOLOGY
@@ -87,7 +86,7 @@ class TestGoldenTrace:
 
     @pytest.mark.parametrize("backend", ["reference", "array"])
     def test_pipeline_matches_pinned_report_on_both_backends(self, backend):
-        graph = load_caida(TOPOLOGY)
+        graph = load_caida_mmap(TOPOLOGY)
         lab = HijackLab(graph, seed=2014, backend=backend)
         pipeline = TracePipeline(
             rib_path=RIB, updates_path=UPDATES, strict=True, seed_roas=True
@@ -237,9 +236,11 @@ class TestMalformedLines:
     + [("1.0\tannounce\t1\t\u0662.0.0.0/8\t50", "bad prefix")],
     ids=[label for label, _line, _message in TSV_NUMBER_REFUSALS] + ["tsv-arabic-indic-octet"],
 )
-def test_tsv_refusals_keep_the_field_message(line, message):
+def test_tsv_refusals_keep_the_field_message(line, message, tmp_path):
+    trace = tmp_path / "trace.tsv"
+    trace.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(TraceFormatError, match=message):
-        parse_record(line)
+        list(TraceReader(trace, strict=True))
 
 
 def test_compiling_a_reader_builds_no_trace_record_per_line(tmp_path, monkeypatch):
@@ -431,7 +432,7 @@ def _event_line(at, prefix, origin):
 def _daemon():
     lab = HijackLab(build_mini_graph(), seed=1)
     service = MonitorService(
-        lab, probes=custom_probes("pair", [10, 20]), metrics=Metrics()
+        lab, probes=ProbeSet("pair", frozenset([10, 20])), metrics=Metrics()
     )
     return ServiceDaemon(service)
 

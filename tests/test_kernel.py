@@ -125,7 +125,6 @@ class TestCsrLayout:
 
 class TestLazyExports:
     def test_kernel_names_reachable_via_package(self):
-        assert bgp.BACKENDS == BACKENDS
         assert bgp.resolve_backend("array") == "array"
         assert bgp.compile_view is compile_view
 

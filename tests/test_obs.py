@@ -9,7 +9,8 @@ import json
 import pytest
 
 from repro.attacks.lab import HijackLab
-from repro.obs import NULL_METRICS, Metrics, NullMetrics, SpanStats
+from repro.obs import NULL_METRICS, Metrics
+from repro.obs.metrics import NullMetrics, SpanStats
 from repro.parallel.cache import ConvergenceCache
 
 

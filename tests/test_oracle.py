@@ -7,14 +7,8 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.defense.deployment import Defense
-from repro.oracle import (
-    DifferentialError,
-    InvariantViolation,
-    ReferenceRoute,
-    ReferenceSimulator,
-    assert_states_agree,
-    compare_states,
-)
+from repro.oracle import InvariantViolation, ReferenceRoute, ReferenceSimulator
+from repro.oracle.differential import DifferentialError, assert_states_agree, compare_states
 from repro.oracle.reference import CUSTOMER, ORIGIN, PEER, PROVIDER
 
 
@@ -183,9 +177,8 @@ def test_cache_verify_coherence_detects_mutation(mini_graph):
 
 
 def test_strategies_module_exposes_shared_composites():
-    """The strategy library is importable with the test extra installed
-    and exports the composites the suite shares."""
-    from repro.oracle import strategies
+    """The strategy library exports the composites the suite shares."""
+    from tests import strategies
 
     for name in ("flat_graphs", "hierarchical_topologies", "hijack_cases",
                  "roa_tables", "deployment_vectors", "example_budget"):
@@ -193,7 +186,7 @@ def test_strategies_module_exposes_shared_composites():
 
 
 def test_example_budget_scales_with_env(monkeypatch):
-    from repro.oracle.strategies import example_budget
+    from tests.strategies import example_budget
 
     monkeypatch.delenv("REPRO_FUZZ_MULTIPLIER", raising=False)
     assert example_budget(50) == 50

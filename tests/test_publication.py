@@ -4,25 +4,25 @@ import pytest
 
 from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
-from repro.registry.publication import PublicationState, plan_truth_table
+from repro.registry.publication import PublicationState
 from repro.registry.roa import ValidationState
 
 
 @pytest.fixture
 def plan() -> AddressPlan:
-    plan = AddressPlan()
-    plan.assign(65001, Prefix.parse("10.0.0.0/16"))
-    plan.assign(65002, Prefix.parse("10.1.0.0/16"))
-    plan.assign(65002, Prefix.parse("20.0.0.0/16"))
+    plan = AddressPlan.build({65001: 1.0, 65002: 1.0}, extra_prefix_probability=0.5)
+    assert [(str(prefix), asn) for prefix, asn in plan.items()] == [
+        ("1.0.0.0/10", 65001), ("1.64.0.0/10", 65002), ("1.128.0.0/12", 65002),
+    ]
     return plan
 
 
 class TestTruthTable:
     def test_all_allocations_covered(self, plan):
-        table = plan_truth_table(plan)
-        assert table.validate(Prefix.parse("10.0.0.0/16"), 65001) is ValidationState.VALID
-        assert table.validate(Prefix.parse("20.0.0.0/16"), 65002) is ValidationState.VALID
-        assert table.validate(Prefix.parse("10.0.0.0/16"), 65002) is ValidationState.INVALID
+        table = PublicationState.full(plan).table()
+        assert table.validate(Prefix.parse("1.0.0.0/10"), 65001) is ValidationState.VALID
+        assert table.validate(Prefix.parse("1.128.0.0/12"), 65002) is ValidationState.VALID
+        assert table.validate(Prefix.parse("1.0.0.0/10"), 65002) is ValidationState.INVALID
 
 
 class TestParticipation:
@@ -30,13 +30,13 @@ class TestParticipation:
         state = PublicationState.with_participants(plan, [65002])
         # 65001 never published: a hijack of its space is NOT_FOUND, which
         # filters must not drop (Section VII: publishing is critical).
-        verdict = state.validate(Prefix.parse("10.0.0.0/16"), 64999)
+        verdict = state.validate(Prefix.parse("1.0.0.0/10"), 64999)
         assert verdict is ValidationState.NOT_FOUND
 
     def test_published_target_is_protected(self, plan):
         state = PublicationState.with_participants(plan, [65001])
-        assert state.validate(Prefix.parse("10.0.0.0/16"), 64999) is ValidationState.INVALID
-        assert state.validate(Prefix.parse("10.0.0.0/16"), 65001) is ValidationState.VALID
+        assert state.validate(Prefix.parse("1.0.0.0/10"), 64999) is ValidationState.INVALID
+        assert state.validate(Prefix.parse("1.0.0.0/10"), 65001) is ValidationState.VALID
 
     def test_publish_is_idempotent(self, plan):
         state = PublicationState(plan)
@@ -54,5 +54,5 @@ class TestMaterialization:
     def test_partial_participation_materializes_partially(self, plan):
         state = PublicationState.with_participants(plan, [65001])
         table = state.table()
-        assert table.validate(Prefix.parse("10.1.0.0/16"), 64999) is ValidationState.NOT_FOUND
-        assert table.validate(Prefix.parse("10.0.0.0/16"), 64999) is ValidationState.INVALID
+        assert table.validate(Prefix.parse("1.64.0.0/10"), 64999) is ValidationState.NOT_FOUND
+        assert table.validate(Prefix.parse("1.0.0.0/10"), 64999) is ValidationState.INVALID

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.topology.caida import load_caida
+from repro.topology.caida import dump_caida, load_caida_mmap
 from repro.topology.classify import effective_depth, find_tier1
 from repro.topology.scalefixture import (
     ScaleFixtureConfig,
     generate_scale_fixture,
-    write_scale_fixture,
 )
 
 SMALL = ScaleFixtureConfig.scaled(1500, seed=11)
@@ -89,8 +88,8 @@ class TestGeneration:
 class TestRoundTrip:
     def test_written_fixture_survives_the_real_parser(self, tmp_path, small_graph):
         path = tmp_path / "scale.txt.gz"
-        write_scale_fixture(path, SMALL)
-        parsed = load_caida(path)
+        dump_caida(generate_scale_fixture(SMALL), path)
+        parsed = load_caida_mmap(path)
         assert parsed.asns() == small_graph.asns()
         assert parsed.edge_count() == small_graph.edge_count()
         for asn in parsed.asns():

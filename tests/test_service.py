@@ -13,14 +13,14 @@ import pytest
 
 from repro.attacks.lab import HijackLab
 from repro.detection.detector import HijackDetector
-from repro.detection.probes import custom_probes
+from repro.detection.probes import ProbeSet
 from repro.obs.metrics import Metrics
 from repro.prefixes.prefix import Prefix
 from repro.registry.neighbors import NeighborRegistry
 from repro.service.daemon import CONFIRMED_VERDICTS, MonitorService
 from repro.service.shards import ShardPlane
 from repro.service.tenants import LatencyStats, TenantRegistration, TenantRegistry
-from repro.stream.events import Announce, DefenseActivate, RoaPublish
+from repro.stream.events import Announce, DefenseActivate, RoaPublish, event_to_dict
 from repro.stream.monitor import OnlineMonitor
 from repro.stream.replay import StreamReplayer
 
@@ -36,11 +36,17 @@ def lab(mini_graph) -> HijackLab:
 
 @pytest.fixture
 def probes():
-    return custom_probes("pair", [10, 20])
+    return ProbeSet("pair", frozenset([10, 20]))
 
 
 def service_for(lab, probes, **kwargs) -> MonitorService:
     return MonitorService(lab, probes=probes, **kwargs)
+
+
+def feed(service: MonitorService, *events) -> None:
+    """Ingest *events* as JSONL lines, the path ``POST /events`` and the feed take."""
+    for event in events:
+        assert service.ingest_line(json.dumps(event_to_dict(event)))
 
 
 # -- registry ---------------------------------------------------------------
@@ -183,9 +189,7 @@ class TestShardPlane:
     def test_counts_aggregate(self, lab, probes):
         # /health's event counters: the replayer's, plus what the plane took in.
         service = service_for(lab, probes)
-        service.ingest_event(
-            RoaPublish(at=0.0, prefix=lab.target_prefix(50), origin_asn=50)
-        )
+        feed(service, RoaPublish(at=0.0, prefix=lab.target_prefix(50), origin_asn=50))
         service.ingest_line("{broken")
         service.poll()
         counts = service.health()["events"]
@@ -324,8 +328,8 @@ class TestMonitorService:
         assert published() == set()
 
     def hijack(self, service, prefix, attacker=60):
-        service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=50))
-        service.ingest_event(Announce(at=1.0, prefix=prefix, origin_asn=attacker))
+        feed(service, Announce(at=0.0, prefix=prefix, origin_asn=50))
+        feed(service, Announce(at=1.0, prefix=prefix, origin_asn=attacker))
         return service.poll()
 
     def test_hijack_verdict_attributed_to_tenant(self, lab, probes):
@@ -343,7 +347,7 @@ class TestMonitorService:
     def test_unclaimed_space_yields_anonymous_verdict(self, lab, probes):
         service = service_for(lab, probes)
         prefix = lab.target_prefix(50)
-        service.ingest_event(RoaPublish(at=0.0, prefix=prefix, origin_asn=50))
+        feed(service, RoaPublish(at=0.0, prefix=prefix, origin_asn=50))
         fresh = self.hijack(service, prefix)
         assert [v.tenant for v in fresh] == [None]
         assert service.verdicts[0].confirmed is True
@@ -353,8 +357,8 @@ class TestMonitorService:
         prefix = lab.target_prefix(50)
         service.register("acme", prefix, 50)
         sub = next(iter(prefix.subnets()))
-        service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=50))
-        service.ingest_event(Announce(at=1.0, prefix=sub, origin_asn=60))
+        feed(service, Announce(at=0.0, prefix=prefix, origin_asn=50))
+        feed(service, Announce(at=1.0, prefix=sub, origin_asn=60))
         fresh = service.poll()
         assert [(v.tenant, v.alarm.verdict) for v in fresh] == [("acme", "hijack")]
         assert fresh[0].alarm.prefix == sub
@@ -378,12 +382,12 @@ class TestMonitorService:
         for tenant, target, attacker in (("acme", 50, 60), ("globex", 70, 80)):
             prefix = lab.target_prefix(target)
             service.register(tenant, prefix, target)
-            service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=target))
-            service.ingest_event(Announce(at=1.0, prefix=prefix, origin_asn=attacker))
+            feed(service, Announce(at=0.0, prefix=prefix, origin_asn=target))
+            feed(service, Announce(at=1.0, prefix=prefix, origin_asn=attacker))
         unclaimed = lab.target_prefix(30)
-        service.ingest_event(RoaPublish(at=2.0, prefix=unclaimed, origin_asn=30))
-        service.ingest_event(Announce(at=2.0, prefix=unclaimed, origin_asn=30))
-        service.ingest_event(Announce(at=3.0, prefix=unclaimed, origin_asn=40))
+        feed(service, RoaPublish(at=2.0, prefix=unclaimed, origin_asn=30))
+        feed(service, Announce(at=2.0, prefix=unclaimed, origin_asn=30))
+        feed(service, Announce(at=3.0, prefix=unclaimed, origin_asn=40))
         service.poll()
         assert {v.tenant for v in service.verdicts} == {"acme", "globex", None}
         for tenant in (None, "acme", "globex", "nobody"):
@@ -420,8 +424,8 @@ class TestAutoMitigation:
     def test_mitigation_restores_coverage(self, lab, probes):
         service, prefix = self.armed(lab, probes)
         sub = next(iter(prefix.subnets()))
-        service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=50))
-        service.ingest_event(Announce(at=1.0, prefix=sub, origin_asn=60))
+        feed(service, Announce(at=0.0, prefix=prefix, origin_asn=50))
+        feed(service, Announce(at=1.0, prefix=sub, origin_asn=60))
         service.poll()
         assert len(service.mitigations) == 1
         record = service.mitigations[0]
@@ -433,7 +437,7 @@ class TestAutoMitigation:
     def test_mitigation_publishes_roas_for_more_specifics(self, lab, probes):
         service, prefix = self.armed(lab, probes)
         sub = next(iter(prefix.subnets()))
-        service.ingest_event(Announce(at=0.0, prefix=sub, origin_asn=60))
+        feed(service, Announce(at=0.0, prefix=sub, origin_asn=60))
         service.poll()
         # 1 registration ROA + 2 deaggregation ROAs.
         assert len(service.replayer.authority) == 3
@@ -441,18 +445,18 @@ class TestAutoMitigation:
     def test_mitigation_fires_once_per_attack(self, lab, probes):
         service, prefix = self.armed(lab, probes)
         sub = next(iter(prefix.subnets()))
-        service.ingest_event(Announce(at=0.0, prefix=sub, origin_asn=60))
+        feed(service, Announce(at=0.0, prefix=sub, origin_asn=60))
         service.poll()
         mitigated = len(service.mitigations)
         # The same conflict re-announced must not re-mitigate.
-        service.ingest_event(Announce(at=5.0, prefix=sub, origin_asn=60))
+        feed(service, Announce(at=5.0, prefix=sub, origin_asn=60))
         service.poll()
         assert len(service.mitigations) == mitigated
 
     def test_defense_activate_emitted_for_deployers(self, lab, probes):
         service, prefix = self.armed(lab, probes, deployers=(30,))
         sub = next(iter(prefix.subnets()))
-        service.ingest_event(Announce(at=0.0, prefix=sub, origin_asn=60))
+        feed(service, Announce(at=0.0, prefix=sub, origin_asn=60))
         service.poll()
         assert service.mitigations[0].deployers == (30,)
         assert 30 in service.replayer.defense().strategy.deployers
@@ -462,7 +466,7 @@ class TestAutoMitigation:
         prefix = lab.target_prefix(50)
         service.register("acme", prefix, 50)  # auto_mitigate=False
         sub = next(iter(prefix.subnets()))
-        service.ingest_event(Announce(at=0.0, prefix=sub, origin_asn=60))
+        feed(service, Announce(at=0.0, prefix=sub, origin_asn=60))
         fresh = service.poll()
         assert [v.confirmed for v in fresh] == [True]
         assert service.mitigations == []
@@ -470,7 +474,7 @@ class TestAutoMitigation:
     def test_mitigation_record_serializes(self, lab, probes):
         service, prefix = self.armed(lab, probes)
         sub = next(iter(prefix.subnets()))
-        service.ingest_event(Announce(at=0.0, prefix=sub, origin_asn=60))
+        feed(service, Announce(at=0.0, prefix=sub, origin_asn=60))
         service.poll()
         payload = json.loads(json.dumps(service.mitigation_payloads()))
         assert payload[0]["tenant"] == "acme"
@@ -517,11 +521,11 @@ class TestVictimCoverage:
         service.register("acme", prefix, 50)
         # AS20 drops the INVALID more-specific, so the nodes behind it
         # have no route for it and fall back to the covering prefix.
-        service.ingest_event(DefenseActivate(at=0.0, deployer_asns=(20,)))
-        service.ingest_event(Announce(at=0.0, prefix=prefix, origin_asn=50))
-        service.ingest_event(Announce(at=1.0, prefix=sub, origin_asn=60))
+        feed(service, DefenseActivate(at=0.0, deployer_asns=(20,)))
+        feed(service, Announce(at=0.0, prefix=prefix, origin_asn=50))
+        feed(service, Announce(at=1.0, prefix=sub, origin_asn=60))
         service.poll()
-        routes = service.replayer.ledger(sub).state.origin_of
+        routes = service.replayer.ledgers().get(sub).state.origin_of
         assert 0 < sum(origin == -1 for origin in routes) < len(lab.view)
         quarter = next(iter(sub.subnets()))
         for query in (prefix, sub, quarter, p("10.0.0.0/8")):
@@ -555,7 +559,7 @@ class TestServiceParity:
                 Announce(at=0.0, prefix=prefix, origin_asn=target),
                 Announce(at=1.0, prefix=prefix, origin_asn=attacker),
             ):
-                service.ingest_event(event)
+                feed(service, event)
                 offline.submit(event)
         service.poll()
         alarms = offline.finish().monitor.alarms

@@ -14,13 +14,14 @@ import urllib.request
 import pytest
 
 from repro.attacks.lab import HijackLab
-from repro.detection.probes import custom_probes
+from repro.detection.probes import ProbeSet
 from repro.obs.metrics import Metrics
 from repro.service import api as service_api
-from repro.service.api import _MAX_BODY_BYTES, _MAX_HEADERS, ServiceThread
+from repro.service.api import _MAX_BODY_BYTES, _MAX_HEADERS
 from repro.service.daemon import MonitorService
 from repro.stream.monitor import OnlineMonitor
 from tests.conftest import build_mini_graph
+from tests.service_thread import ServiceThread
 
 
 def _request(base_url, method, path, payload=None, raw=None):
@@ -43,7 +44,7 @@ def _request(base_url, method, path, payload=None, raw=None):
 def thread():
     lab = HijackLab(build_mini_graph(), seed=1)
     service = MonitorService(
-        lab, probes=custom_probes("pair", [10, 20]), metrics=Metrics()
+        lab, probes=ProbeSet("pair", frozenset([10, 20])), metrics=Metrics()
     )
     thread = ServiceThread(service).start()
     yield thread
@@ -394,7 +395,7 @@ class TestHostileEvents:
     @pytest.fixture
     def fresh(self):
         lab = HijackLab(build_mini_graph(), seed=1)
-        service = MonitorService(lab, probes=custom_probes("pair", [10, 20]))
+        service = MonitorService(lab, probes=ProbeSet("pair", frozenset([10, 20])))
         thread = ServiceThread(service).start()
         yield thread
         thread.stop()
@@ -442,7 +443,7 @@ class TestHostileEvents:
 class TestShutdownEndpoint:
     def test_post_shutdown_stops_the_daemon(self):
         lab = HijackLab(build_mini_graph(), seed=1)
-        service = MonitorService(lab, probes=custom_probes("pair", [10, 20]))
+        service = MonitorService(lab, probes=ProbeSet("pair", frozenset([10, 20])))
         thread = ServiceThread(service).start()
         status, body = _request(thread.base_url, "POST", "/shutdown")
         assert status == 200 and body["status"] == "stopping"

@@ -10,7 +10,7 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.detection.detector import HijackDetector
-from repro.detection.probes import custom_probes, top_degree_probes
+from repro.detection.probes import ProbeSet, top_degree_probes
 from repro.detection.taxonomy import grid_cells
 from repro.obs.metrics import Metrics
 from repro.registry.neighbors import NeighborRegistry
@@ -374,7 +374,7 @@ class TestStreamTaxonomy:
                     self.TARGET, self.ATTACKER, kind=kind, path_kind=PathKind.TYPE_U
                 )
                 replayer, report = self.replayed(lab, scenario)
-                ledger = replayer.ledger(scenario.prefix)
+                ledger = replayer.ledgers().get(scenario.prefix)
                 attacker_node = lab.view.node_of(self.ATTACKER)
                 claimed = ledger.claimed_paths()[attacker_node]
                 assert claimed == expected[marker]
@@ -397,7 +397,7 @@ class TestStreamTaxonomy:
         ])
         assert report.events_noop == 1
         assert report.events_applied == 1  # applied, resolved to nothing
-        assert replayer.ledger(prefix) is None
+        assert replayer.ledgers().get(prefix) is None
         assert report.monitor.alarms == ()
 
     def test_batched_taxonomy_alarm_charges_queue_time(self, lab):
@@ -465,7 +465,7 @@ class TestHistoricalDataParity:
         # Every AS probes (sees every polluting cell), or only the
         # attacker, whose own announcement is never a sighting.
         members = lab.graph.asns() if probe_set == "everyone" else [self.ATTACKER]
-        probes = custom_probes(probe_set, members)
+        probes = ProbeSet(probe_set, frozenset(members))
         batch = HijackDetector(probes).observe(lab.run_scenario(scenario))
         assert batch.seen is (probe_set == "everyone")
         monitor = self.live(lab, probes, scenario)
@@ -478,7 +478,7 @@ class TestHistoricalDataParity:
 
     def test_a_probe_never_witnesses_its_own_announcement(self, lab):
         scenario = lab.build_scenario(self.TARGET, self.ATTACKER)
-        probes = custom_probes("self", [self.ATTACKER])
+        probes = ProbeSet("self", frozenset([self.ATTACKER]))
         batch = HijackDetector(probes).observe(lab.run_scenario(scenario))
         assert not batch.seen and not batch.detected
         assert self.live(lab, probes, scenario).alarms == ()

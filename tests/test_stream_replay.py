@@ -10,7 +10,7 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.attacks.scenario import HijackScenario
 from repro.detection.detector import HijackDetector
-from repro.detection.probes import custom_probes
+from repro.detection.probes import ProbeSet
 from repro.obs.metrics import Metrics
 from repro.registry.neighbors import NeighborRegistry
 from repro.stream.events import (
@@ -35,7 +35,7 @@ def lab(mini_graph) -> HijackLab:
 def polluted_by_stream(lab: HijackLab, replayer: StreamReplayer,
                        scenario: HijackScenario) -> frozenset[int]:
     """The stream-side pollution set, in the batch lab's vocabulary."""
-    ledger = replayer.ledger(scenario.prefix)
+    ledger = replayer.ledgers().get(scenario.prefix)
     assert ledger is not None and ledger.state is not None
     attacker_node = lab.view.node_of(scenario.attacker_asn)
     holders = ledger.state.holders_of(attacker_node)
@@ -93,9 +93,9 @@ class TestBatching:
         prefix = lab.target_prefix(50)
         replayer = StreamReplayer(lab, batch_window=100.0, queue_limit=2)
         replayer.submit(Announce(at=0.0, prefix=prefix, origin_asn=50))
-        assert replayer.pending == 1
+        assert replayer.counts["flushes"] == 0 and not replayer.ledgers()
         replayer.submit(Announce(at=1.0, prefix=prefix, origin_asn=60))
-        assert replayer.pending == 0
+        assert replayer.counts["applied"] == 2
         report = replayer.finish()
         assert report.backpressure_flushes == 1
 
@@ -168,14 +168,14 @@ class TestErrorIsolation:
         monkeypatch.setattr(OnlineMonitor, "observe", observe_once_broken)
         prefix = lab.target_prefix(50)
         replayer = StreamReplayer(
-            lab, detector=HijackDetector(custom_probes("pair", [10, 20])),
+            lab, detector=HijackDetector(ProbeSet("pair", frozenset([10, 20]))),
             batch_window=0.5,
         )
         replayer.submit(Announce(at=0.0, prefix=prefix, origin_asn=50))
         # This event's time flushes the first one, whose observe raises.
         replayer.submit(Announce(at=1.0, prefix=prefix, origin_asn=60))
         assert replayer.counts["submitted"] == 2
-        assert replayer.pending == 1
+        assert replayer.counts["applied"] == 1  # the second event still pends
         assert replayer.errors == [f"observe {prefix} at 0.5: monitor exploded"]
         report = replayer.finish()
         assert report.events_applied == 2
@@ -201,7 +201,7 @@ class TestLiveDefense:
         ])
         assert 40 in replayer.defense().strategy.deployers
         assert len(replayer.authority) == 1
-        ledger = replayer.ledger(prefix)
+        ledger = replayer.ledgers().get(prefix)
         legit, attack = ledger.entries
         assert legit.blocked == frozenset()
         assert attack.blocked == frozenset({lab.view.node_of(40)})
@@ -214,7 +214,7 @@ class TestLiveDefense:
             RoaPublish(at=1.0, prefix=prefix, origin_asn=50),
             DefenseActivate(at=1.0, deployer_asns=(40,)),
         ])
-        installed = replayer.ledger(prefix)
+        installed = replayer.ledgers().get(prefix)
         assert installed.entries[0].blocked == frozenset()
         before = installed.checksum()
         # Re-announcing after the defense landed does pick it up.
@@ -222,7 +222,7 @@ class TestLiveDefense:
             Withdraw(at=2.0, prefix=prefix, origin_asn=60),
             Announce(at=3.0, prefix=prefix, origin_asn=60),
         ])
-        after = replayer.ledger(prefix)
+        after = replayer.ledgers().get(prefix)
         assert after.entries[0].blocked == frozenset({lab.view.node_of(40)})
         assert after.checksum() != before
 
@@ -301,7 +301,7 @@ class TestDuplicatePath:
         events, _duplicates = self.storm(lab)
         replayer = StreamReplayer(lab)
         replayer.run(events)
-        legit, attack = replayer.ledger(lab.target_prefix(50)).entries
+        legit, attack = replayer.ledgers().get(lab.target_prefix(50)).entries
         assert (legit.origin_asn, attack.origin_asn) == (50, 60)
         assert legit.blocked == frozenset()
         assert attack.blocked == frozenset({lab.view.node_of(40)})
@@ -346,7 +346,7 @@ class TestFlapRevive:
         replayer.flush()
         self.assert_nothing_retained(replayer)
         ran = lab.engine.metrics.counters["engine.convergences"] - before
-        ledger = replayer.ledger(prefix)
+        ledger = replayer.ledgers().get(prefix)
         reference = full_converge(lab.engine, ledger.entries)
         assert ledger.checksum() == reference.checksum()
         return replayer, ran
@@ -372,18 +372,18 @@ class TestFlapRevive:
             lab, [RoaPublish(at=1.5, prefix=prefix, origin_asn=50)]
         )
         assert ran == 1
-        entry = replayer.ledger(prefix).entries[0]
+        entry = replayer.ledgers().get(prefix).entries[0]
         assert entry.blocked == frozenset({lab.view.node_of(40)})
 
     def test_defense_activate_between_changes_the_blocked_set(self, lab):
         prefix = lab.target_prefix(50)
-        first = self.flap(lab, roa=True)[0].ledger(prefix).entries[0]
+        first = self.flap(lab, roa=True)[0].ledgers().get(prefix).entries[0]
         assert first.blocked == frozenset({lab.view.node_of(40)})
         replayer, ran = self.flap(
             lab, [DefenseActivate(at=1.5, deployer_asns=(20,))], roa=True
         )
         assert ran == 1
-        entry = replayer.ledger(prefix).entries[0]
+        entry = replayer.ledgers().get(prefix).entries[0]
         assert entry.blocked == frozenset(
             {lab.view.node_of(20), lab.view.node_of(40)}
         )
@@ -401,7 +401,7 @@ class TestFlapRevive:
     def test_a_different_claimed_path_converges_cold(self, lab):
         replayer, ran = self.flap(lab, path=(self.ORIGIN, 50))
         assert ran == 1
-        entry = replayer.ledger(lab.target_prefix(50)).entries[0]
+        entry = replayer.ledgers().get(lab.target_prefix(50)).entries[0]
         assert entry.path == (self.ORIGIN, 50)
 
     def test_flaps_leave_the_report_of_a_per_event_replay(self, lab):
@@ -430,7 +430,7 @@ class TestMonitor:
     def monitored(self, lab, *, batch_window=0.0):
         replayer = StreamReplayer(lab, batch_window=batch_window)
         detector = HijackDetector(
-            custom_probes("pair", [10, 20]), replayer.authority
+            ProbeSet("pair", frozenset([10, 20])), replayer.authority
         )
         replayer.monitor = OnlineMonitor(lab.view, detector)
         return replayer
@@ -478,7 +478,7 @@ class TestMonitor:
         the same origin set pages again."""
         prefix = lab.target_prefix(50)
         replayer = StreamReplayer(lab, detector=HijackDetector(
-            custom_probes("transit", [1, 2, 10, 20, 30, 40]),
+            ProbeSet("transit", frozenset([1, 2, 10, 20, 30, 40])),
             neighbors=NeighborRegistry.from_graph(lab.graph),
             relationships=lab.graph,
         ))
@@ -520,7 +520,7 @@ class TestMonitor:
 
 class TestDetectorBinding:
     def test_detector_judges_against_the_live_roa_table(self, lab):
-        template = HijackDetector(custom_probes("pair", [10, 20]))
+        template = HijackDetector(ProbeSet("pair", frozenset([10, 20])))
         replayer = StreamReplayer(lab, detector=template)
         assert replayer.monitor is not None
         assert replayer.monitor.detector.authority is replayer.authority
@@ -536,7 +536,7 @@ class TestDetectorBinding:
 
     def test_detector_with_its_own_authority_is_refused(self, lab):
         detector = HijackDetector(
-            custom_probes("pair", [10, 20]), authority=StreamReplayer(lab).authority
+            ProbeSet("pair", frozenset([10, 20])), authority=StreamReplayer(lab).authority
         )
         with pytest.raises(ValueError, match="live ROA table"):
             StreamReplayer(lab, detector=detector)
@@ -557,7 +557,7 @@ class TestMonitorSchema:
         prefix = lab.target_prefix(50)
         replayer = StreamReplayer(lab)
         detector = HijackDetector(
-            custom_probes("pair", [10, 20]), replayer.authority
+            ProbeSet("pair", frozenset([10, 20])), replayer.authority
         )
         replayer.monitor = OnlineMonitor(lab.view, detector)
         replayer.run([

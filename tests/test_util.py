@@ -49,7 +49,7 @@ class TestCcdf:
     def test_empty(self):
         curve = ccdf([])
         assert curve.points() == ()
-        assert curve.total == 0
+        assert curve.count_at_least(0) == 0
         assert curve.count_at_least(1) == 0
 
     def test_area_equals_sum(self):
