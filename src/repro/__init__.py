@@ -7,8 +7,8 @@ The package layers:
 * :mod:`repro.prefixes` — IPv4 prefixes, longest-prefix matching, address plans
 * :mod:`repro.topology` — AS graph, CAIDA I/O, synthetic generator
 * :mod:`repro.bgp` — policy model, convergence statistics, fast engine
-* :mod:`repro.attacks` — hijack scenarios and attacker sweeps
-* :mod:`repro.parallel` — the convergence cache
+* :mod:`repro.attacks` — hijack scenarios, attacker sweeps and the
+  lab's convergence cache
 * :mod:`repro.obs` — runtime metrics (counters, gauges, spans)
 * :mod:`repro.oracle` — the reference flood (the one generation-stepped
   simulator), the differential harness and invariant checks

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.attacks.scenario import (
@@ -34,7 +36,6 @@ from repro.bgp.engine import RouteState, RoutingEngine
 from repro.bgp.policy import PolicyConfig
 from repro.defense.deployment import Defense
 from repro.obs.metrics import NULL_METRICS, Metrics
-from repro.parallel.cache import ConvergenceCache
 from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 from repro.topology.asgraph import ASGraph
@@ -51,6 +52,81 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.registry.roa import OriginAuthority
 
 __all__ = ["HijackLab"]
+
+# Clean baselines one lab retains: a memory bound. At the paper's 42,697
+# ASes a baseline is about 1 MB, and Fig. 7 draws its targets from about
+# 6,300 transit ASes.
+CACHE_CAPACITY = 1024
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss/eviction counters of one :class:`ConvergenceCache`."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.lookups if self.lookups else 0.0
+
+
+class ConvergenceCache:
+    """LRU memo of one engine's clean converged baselines, keyed by origin node.
+
+    Every origin hijack is two convergences: the legitimate origin over a
+    clean network, then the attacker on top of that state. The first
+    depends on neither the attacker, the defense nor the prefix, so a
+    sweep converges each target once. A state is
+    :meth:`frozen <repro.bgp.engine.RouteState.freeze>` on insert and its
+    checksum recorded: with ``engine.validate`` every hit re-checks it,
+    and :func:`repro.oracle.invariants.check_cache_coherence` audits every
+    entry. Lookups mirror into ``engine.metrics`` as ``cache.*`` counters
+    beside the local :class:`CacheStats`.
+    """
+
+    def __init__(self, engine: RoutingEngine) -> None:
+        self.engine = engine
+        self.stats = CacheStats()
+        self._entries: OrderedDict[int, tuple[RouteState, str]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entries(self) -> list[tuple[int, tuple[RouteState, str]]]:
+        """Snapshot of ``(origin, (state, insert checksum))`` pairs."""
+        return list(self._entries.items())
+
+    def baseline(self, origin: int) -> RouteState:
+        """The clean converged state for *origin*, frozen: run hijack
+        passes on top of it (``converge(..., base=state)`` copies)."""
+        metrics = self.engine.metrics
+        entry = self._entries.get(origin)
+        if entry is not None:
+            state, checksum = entry
+            if self.engine.validate and checksum != state.checksum():
+                raise RuntimeError(
+                    f"cached baseline for origin {origin} was mutated in place"
+                )
+            self._entries.move_to_end(origin)
+            self.stats.hits += 1
+            metrics.count("cache.hits")
+            return state
+        self.stats.misses += 1
+        metrics.count("cache.misses")
+        state = self.engine.converge(origin).freeze()
+        self._entries[origin] = (state, state.checksum())
+        metrics.count("cache.inserts")
+        if len(self._entries) > CACHE_CAPACITY:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+            metrics.count("cache.evictions")
+        return state
 
 
 class _Without(Sequence[int]):
@@ -93,7 +169,6 @@ class HijackLab:
         policy: PolicyConfig | None = None,
         defense: Defense | None = None,
         seed: int = 0,
-        cache: ConvergenceCache | None = None,
         validate: bool = False,
         metrics: Metrics | None = None,
         backend: str = "reference",
@@ -127,11 +202,7 @@ class HijackLab:
             metrics=self.metrics,
             backend=backend,
         )
-        self.cache = (
-            cache
-            if cache is not None
-            else ConvergenceCache(verify=validate, metrics=self.metrics)
-        )
+        self.cache = ConvergenceCache(self.engine)
         # Lazily built lookup tables (per-node address space, attacker
         # pools). with_defense clones share the dict itself, so a table
         # built through any of them is built for all.
@@ -154,7 +225,7 @@ class HijackLab:
     # -- internals -----------------------------------------------------------------
 
     def _legitimate_state(self, target_node: int) -> RouteState:
-        return self.cache.baseline(self.engine, target_node)
+        return self.cache.baseline(target_node)
 
     def _first_hop_filtered(self, attacker_asn: int) -> bool:
         """Defensive stub filters stop a *stub* attacker's announcements to

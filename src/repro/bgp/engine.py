@@ -343,9 +343,9 @@ class RoutingEngine:
         origination).
 
         On the array backend all K origins share one kernel invocation
-        over the memoized CSR, which is where the multi-origin speedup
-        comes from — K=1 included, since a single-origin pass is the
-        one-column case of the same kernel. The reference backend loops
+        over the engine's compiled CSR, which is where the multi-origin
+        speedup comes from — K=1 included, since a single-origin pass is
+        the one-column case of the same kernel. The reference backend loops
         :meth:`converge` per origin.
         """
         origins = list(origins)

@@ -16,9 +16,8 @@ numpy instructions. There is one array kernel,
 one flat layout, and a single-origin pass is its K=1 column.
 
 * the compiled :class:`~repro.topology.view.RoutingView` adjacency is
-  flattened once per view into CSR form (:class:`CompiledTopology` —
-  int32 ``indptr``/``indices`` per relationship kind, memoized by view
-  object identity exactly like the convergence cache's view digest);
+  flattened into CSR form once per engine (:class:`CompiledTopology` —
+  int32 ``indptr``/``indices`` per relationship kind);
 * per-pass route state lives in preallocated int32/int64 scratch arrays,
   and the :class:`~repro.bgp.engine.RouteState` the kernel writes back
   holds numpy arrays too, so a state coming back in (a hijack pass over
@@ -59,7 +58,6 @@ fixtures; see ``docs/model.md``.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import TYPE_CHECKING
@@ -136,12 +134,6 @@ class CompiledTopology:
     is_tier1: np.ndarray
 
 
-# Compiled-topology memo keyed by view object id, with a weakref callback
-# evicting entries when the view is collected (same idiom as the
-# convergence cache's view-digest memo).
-_COMPILED: dict[int, tuple["weakref.ref[RoutingView]", CompiledTopology]] = {}
-
-
 def _csr(
     adjacency: tuple[tuple[int, ...], ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,11 +148,7 @@ def _csr(
 
 
 def compile_view(view: "RoutingView") -> CompiledTopology:
-    """The CSR form of *view*, built once and memoized per view object."""
-    key = id(view)
-    entry = _COMPILED.get(key)
-    if entry is not None and entry[0]() is view:
-        return entry[1]
+    """The CSR form of *view*."""
     customer_indptr, customer_indices, customer_counts = _csr(view.customers)
     peer_indptr, peer_indices, peer_counts = _csr(view.peers)
     provider_indptr, provider_indices, provider_counts = _csr(view.providers)
@@ -176,7 +164,7 @@ def compile_view(view: "RoutingView") -> CompiledTopology:
     )
     runs = np.column_stack((provider_counts, peer_counts, customer_counts)).ravel()
     export_kinds = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(view)), runs)
-    compiled = CompiledTopology(
+    return CompiledTopology(
         size=len(view),
         customer_indptr=customer_indptr,
         customer_indices=customer_indices,
@@ -189,11 +177,6 @@ def compile_view(view: "RoutingView") -> CompiledTopology:
         export_kinds=export_kinds,
         is_tier1=np.asarray(view.is_tier1, dtype=bool),
     )
-    _COMPILED[key] = (
-        weakref.ref(view, lambda _ref, key=key: _COMPILED.pop(key, None)),
-        compiled,
-    )
-    return compiled
 
 
 _EMPTY64 = np.empty(0, dtype=np.int64)

@@ -278,12 +278,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _InputError(Exception):
+    """An input file the command cannot use: :func:`main` prints the
+    message as one stderr line and exits 1."""
+
+
+def _check_readable(path: Path | None, kind: str) -> None:
+    """Raise ``<kind> error: <path>: <reason>`` unless *path* (if given)
+    opens for reading, so a bad path fails before any work starts."""
+    if path is not None:
+        try:
+            path.open("rb").close()
+        except OSError as error:
+            raise _InputError(f"{kind} error: {path}: {error.strerror}") from error
+
+
 def _read_topology(path: Path):
-    """The graph in a CAIDA file; a parse error names the file."""
+    """The graph in a CAIDA file; a read or parse error names the file."""
     try:
         return load_caida_mmap(path)
-    except CaidaFormatError as error:
-        raise CaidaFormatError(f"{path}: {error}") from error
+    except (OSError, CaidaFormatError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise _InputError(f"topology error: {path}: {reason}") from error
 
 
 def _topology(args: argparse.Namespace):
@@ -499,6 +515,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.oracle.differential import random_hijack_cases, run_differential
     from repro.oracle.invariants import (
         InvariantViolation,
+        check_cache_coherence,
         check_convergence_deterministic,
         check_hijack_result,
     )
@@ -549,7 +566,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         hot[key].polluted_asns != cold[key].polluted_asns for key in cold
     )
     try:
-        lab.cache.verify_coherence()
+        check_cache_coherence(lab.cache)
     except InvariantViolation as error:
         failures += 1
         print(f"cache coherence: FAIL\n{error}")
@@ -574,6 +591,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.rib is None and args.updates is None:
         print("ingest needs --rib, --updates, or both", file=sys.stderr)
         return 2
+    _check_readable(args.rib, "trace")
+    _check_readable(args.updates, "trace")
     lab = _monitor_lab(args)
     metrics = _metrics(args)
     pipeline = TracePipeline(
@@ -622,6 +641,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import MonitorService, ServiceDaemon
 
+    # The feed is opened by a task after the daemon listens: check first.
+    _check_readable(args.input, "stream")
+    _check_readable(args.rib, "trace")
     lab = _monitor_lab(args)
     metrics = _metrics(args)
     service = MonitorService(
@@ -693,6 +715,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     # ``-i`` is the *event stream* here (unlike the batch commands, where
     # it is the topology file) — the topology comes from ``--topology``.
+    _check_readable(args.input, "stream")
     lab = _monitor_lab(args, validate=args.validate)
     events = None
     if args.input is not None:
@@ -810,8 +833,8 @@ def main(argv: list[str] | None = None) -> int:
     args.metrics_sink = Metrics() if args.metrics else NULL_METRICS
     try:
         status = _HANDLERS[args.command](args)
-    except CaidaFormatError as error:
-        print(f"topology error: {error}", file=sys.stderr)
+    except _InputError as error:
+        print(error, file=sys.stderr)
         return 1
     if args.metrics:
         path = args.metrics_sink.write_json(args.metrics)

@@ -1,11 +1,11 @@
 """The differential oracle harness: production engine vs reference.
 
-Compares the fast :class:`~repro.bgp.engine.RoutingEngine` (and anything
-layered on top of it — the convergence cache, the parallel sweep
-executor, :class:`~repro.attacks.lab.HijackLab`) against the
-deliberately slow :class:`~repro.oracle.reference.ReferenceSimulator`
-on the observables the analyses consume: per-node (origin, class,
-length) and the polluted set.
+Compares the fast :class:`~repro.bgp.engine.RoutingEngine` (and
+:class:`~repro.attacks.lab.HijackLab`, whose convergence cache sits on
+top of it) against the deliberately slow
+:class:`~repro.oracle.reference.ReferenceSimulator` on the observables
+the analyses consume: per-node (origin, class, length) and the polluted
+set.
 
 Two entry points:
 

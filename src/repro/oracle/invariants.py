@@ -44,8 +44,8 @@ from repro.topology.relationships import RouteClass
 from repro.topology.view import RoutingView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.attacks.lab import ConvergenceCache
     from repro.bgp.engine import HijackResult, RoutingEngine
-    from repro.parallel.cache import ConvergenceCache
 
 __all__ = [
     "InvariantViolation",
@@ -358,19 +358,14 @@ def check_convergence_deterministic(engine: "RoutingEngine", origin: int) -> Non
 def check_cache_coherence(cache: "ConvergenceCache") -> None:
     """Every cached baseline is frozen and byte-identical to its insert.
 
-    Catches in-place mutation of shared baselines — the failure mode the
-    parallel executor's copy-on-write sharing would silently amplify.
+    Catches in-place mutation of a shared baseline, which would silently
+    skew every hijack later converged on top of it.
     """
-    for (context, origin), (state, checksum) in cache.entries():
+    for origin, (state, checksum) in cache.entries():
         if not state.is_frozen:
+            _fail("cache", f"cached baseline for origin {origin} is not frozen")
+        if state.checksum() != checksum:
             _fail(
                 "cache",
-                f"cached baseline for origin {origin} (context {context}) "
-                "is not frozen",
-            )
-        if checksum is not None and state.checksum() != checksum:
-            _fail(
-                "cache",
-                f"cached baseline for origin {origin} (context {context}) "
-                "was mutated after insertion",
+                f"cached baseline for origin {origin} was mutated after insertion",
             )

@@ -15,11 +15,12 @@ full scale with no code changes:
 ASN fields are plain ASCII decimal numbers in 1..2^32−1, the range the
 trace reader (:mod:`repro.ingest.records`) enforces; a sign, padding, an
 underscore, a non-ASCII byte or any other text is a
-:class:`CaidaFormatError` naming the line, and so (in strict mode) is a
-record that conflicts with an earlier one.
+:class:`CaidaFormatError` naming the line, and so is a record that
+conflicts with an earlier one.
 
-Files are read by :func:`load_caida_mmap`; :func:`loads_caida` parses
-text already in memory.
+Files are read by :func:`load_caida_mmap`, always strictly;
+:func:`loads_caida` parses text already in memory, and with
+``strict=False`` skips conflicting records instead.
 
 Comment lines start with ``#`` and are preserved on a best-effort basis when
 writing.
@@ -115,7 +116,7 @@ def _read(handle: Iterable[str], *, strict: bool) -> ASGraph:
     return graph
 
 
-def load_caida_mmap(path: str | Path, *, strict: bool = True) -> ASGraph:
+def load_caida_mmap(path: str | Path) -> ASGraph:
     """Load an AS-relationship file without materializing it in memory.
 
     Plain files are memory-mapped and parsed line by line straight out
@@ -131,12 +132,12 @@ def load_caida_mmap(path: str | Path, *, strict: bool = True) -> ASGraph:
     """
     path = Path(path)
     if path.suffix == ".gz":
-        return _read(_gzip_lines(path), strict=strict)
+        return _read(_gzip_lines(path), strict=True)
     if path.stat().st_size == 0:
         return ASGraph()
     with path.open("rb") as handle:
         with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            return _read(_mmap_lines(mapped), strict=strict)
+            return _read(_mmap_lines(mapped), strict=True)
 
 
 def _mmap_lines(mapped: mmap.mmap) -> Iterator[str]:

@@ -7,8 +7,8 @@ peering + occasional siblings) are generated with hypothesis; for random
 the full two-phase hijack and must agree on every node's installed
 origin, route class and path length.
 
-A second layer extends the property to the convergence cache
-(``repro.parallel``): with the cache cold or hot, a sweep's per-attack
+A second layer extends the property to the lab's convergence cache:
+with the cache cold or hot, a sweep's per-attack
 outcomes (pollution sets, blocked sets, address fractions, result
 ordering) must be bit-identical to a fresh lab's reference sweep.
 """
@@ -20,7 +20,6 @@ from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.bgp.policy import PolicyConfig
 from repro.oracle.reference import ReferenceSimulator
-from repro.parallel import ConvergenceCache
 from repro.topology.view import RoutingView
 
 from tests.strategies import example_budget, hierarchical_topologies
@@ -148,15 +147,14 @@ def test_parallel_sweep_bit_identical(graph, data):
 
 
 def test_parallel_sweep_medium_topology(medium_lab):
-    """A 120-attacker sweep on the 900-AS topology: a lab on a fresh
-    cache, cold then hot, agrees with the shared lab's reference."""
+    """A 120-attacker sweep on the 900-AS topology: a second lab, its
+    cache cold then hot, agrees with the shared lab's reference."""
     target = medium_lab.attacker_pool(transit_only=True)[7]
     reference = medium_lab.sweep_target(target, sample=120, seed=11)
     lab = HijackLab(
         medium_lab.graph,
         plan=medium_lab.plan,
         seed=medium_lab.seed,
-        cache=ConvergenceCache(),
     )
     cold = lab.sweep_target(target, sample=120, seed=11)
     assert_sweeps_identical(reference, cold)

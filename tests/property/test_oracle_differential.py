@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
-from repro.oracle import ReferenceSimulator, random_hijack_cases
+from repro.oracle import ReferenceSimulator, check_cache_coherence, random_hijack_cases
 from repro.oracle.differential import assert_states_agree, run_differential
 
 from tests.strategies import (
@@ -90,7 +90,7 @@ def test_lab_sweep_matches_oracle(graph, data):
                 ReferenceSimulator.holders_of(table, view.node_of(attacker_asn))
             ) - {attacker_asn}
             assert outcome.polluted_asns == expected, attacker_asn
-    lab.cache.verify_coherence()
+    check_cache_coherence(lab.cache)
 
 
 def test_runtime_case_generator_is_deterministic_and_counted():

@@ -1,6 +1,10 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,45 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"topology error: {path}: line 2: ASN '3\ufffd' is not a plain number"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["summarize", "-i"], "topology"),
+            (["stream", "--attacks", "1", "--topology"], "topology"),
+            (["ingest", "--as-count", "300", "--rib"], "trace"),
+            (["ingest", "--as-count", "300", "--updates"], "trace"),
+            (["stream", "--as-count", "300", "-i"], "stream"),
+        ],
+        ids=["summarize-input", "stream-topology", "ingest-rib", "ingest-updates",
+             "stream-input"],
+    )
+    def test_missing_input_file_exits_1_with_one_line(self, tmp_path, capsys, argv, kind):
+        path = tmp_path / "missing"
+        assert main([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"{kind} error: {path}: No such file or directory"]
+
+    @pytest.mark.parametrize(
+        "option, kind", [("-i", "stream"), ("--rib", "trace")], ids=["input", "rib"]
+    )
+    def test_serve_refuses_a_missing_file_before_listening(self, tmp_path, option, kind):
+        """The feed file is opened by a task after the daemon listens, so
+        without a check up front the daemon serves forever with a dead
+        feed; a subprocess with a timeout turns that hang into a failure."""
+        path = tmp_path / "missing"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--as-count", "300",
+             "--port", "0", option, str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"{kind} error: {path}: No such file or directory"
         ]
 
     def test_figure_writes_json_and_store(self, tmp_path, capsys):

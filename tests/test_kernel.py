@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import repro.bgp as bgp
+import repro.bgp.kernel as kernel
+from repro.attacks.lab import ConvergenceCache, HijackLab
 from repro.bgp.engine import RouteState, RoutingEngine
 from repro.bgp.kernel import (
     BACKENDS,
@@ -24,10 +26,8 @@ from repro.bgp.kernel import (
     propagate_array_batch,
     resolve_backend,
 )
-from repro.parallel.cache import ConvergenceCache
-from repro.topology.view import RoutingView
-
-from tests.conftest import build_mini_graph
+from repro.defense.deployment import Defense
+from repro.oracle.invariants import check_cache_coherence
 
 
 class TestBackendKnob:
@@ -52,12 +52,21 @@ class TestBackendKnob:
 
 
 class TestCompileMemo:
-    def test_same_view_compiles_once(self, mini_view):
-        assert compile_view(mini_view) is compile_view(mini_view)
+    def test_same_view_compiles_once(self, mini_graph, monkeypatch):
+        """The engine keeps its compiled view: a lab's sweeps, batches and
+        with_defense clones never compile the view a second time."""
+        compiled = []
+        compile_once = kernel.compile_view
 
-    def test_distinct_views_compile_separately(self, mini_view):
-        rebuilt = RoutingView.from_graph(build_mini_graph())
-        assert compile_view(mini_view) is not compile_view(rebuilt)
+        def counting_compile(view):
+            compiled.append(view)
+            return compile_once(view)
+
+        monkeypatch.setattr(kernel, "compile_view", counting_compile)
+        lab = HijackLab(mini_graph, seed=1, backend="array", batch_origins=4)
+        lab.sweep_target(50)
+        lab.with_defense(Defense(stub_filter=True)).sweep_target(50)
+        assert len(compiled) == 1 and compiled[0] is lab.view
 
 
 class TestCsrLayout:
@@ -288,7 +297,7 @@ class TestArrayBackedState:
         itself — at K=1 and with the frozen state as one column of K=2,
         before touching any column — and the engine's guards refuse too."""
         engine = RoutingEngine(mini_view, backend="array")
-        baseline = ConvergenceCache().baseline(engine, 0)
+        baseline = ConvergenceCache(engine).baseline(0)
         before = baseline.checksum()
         bystander = baseline.copy_for(3)
         for states, origins in (([baseline], [2]), ([bystander, baseline], [3, 2])):
@@ -312,14 +321,14 @@ class TestArrayBackedState:
 
     def test_hijack_passes_leave_cached_baseline_untouched(self, mini_view):
         engine = RoutingEngine(mini_view, backend="array")
-        cache = ConvergenceCache()
-        baseline = cache.baseline(engine, 0)
-        [(_key, (_state, inserted))] = cache.entries()
+        cache = ConvergenceCache(engine)
+        baseline = cache.baseline(0)
+        [(_origin, (_state, inserted))] = cache.entries()
         engine.hijack(0, 5, legitimate=baseline)
         engine.converge(7, base=baseline)
         engine.converge_batch([4, 6], base=baseline)
         assert baseline.checksum() == inserted
-        cache.verify_coherence()
+        check_cache_coherence(cache)
 
     def test_scalar_queries_return_python_values(self, mini_view):
         state = RoutingEngine(mini_view, backend="array").converge(

@@ -3,8 +3,8 @@ details, suite drivers not exercised elsewhere."""
 
 import pytest
 
+from repro.attacks import lab as lab_module
 from repro.attacks.lab import HijackLab
-from repro.parallel import ConvergenceCache
 from repro.prefixes.addressing import AddressPlan
 from repro.viz.charts import _nice_step, _ticks
 
@@ -29,9 +29,10 @@ class TestChartScales:
 
 
 class TestLabCache:
-    def test_cache_bounded(self, medium_graph):
+    def test_cache_bounded(self, medium_graph, monkeypatch):
         capacity = 64
-        lab = HijackLab(medium_graph, seed=3, cache=ConvergenceCache(capacity))
+        monkeypatch.setattr(lab_module, "CACHE_CAPACITY", capacity)
+        lab = HijackLab(medium_graph, seed=3)
         asns = medium_graph.asns()
         attacker = asns[0]
         targets = [asn for asn in asns[1:] if asn != attacker][: capacity + 10]

@@ -11,7 +11,6 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.obs import NULL_METRICS, Metrics
 from repro.obs.metrics import NullMetrics, SpanStats
-from repro.parallel.cache import ConvergenceCache
 
 
 class TestMetrics:
@@ -111,8 +110,8 @@ class TestInstrumentation:
 
     def test_cache_counters_mirror_stats(self, mini_graph):
         metrics = Metrics()
-        cache = ConvergenceCache(capacity=16, metrics=metrics)
-        lab = HijackLab(mini_graph, seed=1, cache=cache, metrics=metrics)
+        lab = HijackLab(mini_graph, seed=1, metrics=metrics)
+        cache = lab.cache
         lab.random_attacks(6, seed=1)
         lab.random_attacks(6, seed=1)
         assert metrics.counters["cache.hits"] == cache.stats.hits

@@ -7,7 +7,12 @@ import pytest
 from repro.attacks.lab import HijackLab
 from repro.bgp.engine import RoutingEngine
 from repro.defense.deployment import Defense
-from repro.oracle import InvariantViolation, ReferenceRoute, ReferenceSimulator
+from repro.oracle import (
+    InvariantViolation,
+    ReferenceRoute,
+    ReferenceSimulator,
+    check_cache_coherence,
+)
 from repro.oracle.differential import DifferentialError, assert_states_agree, compare_states
 from repro.oracle.reference import CUSTOMER, ORIGIN, PEER, PROVIDER
 
@@ -132,14 +137,14 @@ def test_validated_lab_runs_attacks(mini_graph):
     lab = HijackLab(
         mini_graph, defense=Defense(stub_filter=True), seed=5, validate=True
     )
-    assert lab.engine.validate and lab.cache.verify
+    assert lab.engine.validate and lab.cache.engine is lab.engine
     origin = lab.origin_hijack(target_asn=50, attacker_asn=60)
     sub = lab.subprefix_hijack(target_asn=50, attacker_asn=60)
     assert origin.polluted_asns <= sub.polluted_asns
     clone = lab.with_defense(Defense())
     assert clone.validate
     clone.origin_hijack(target_asn=50, attacker_asn=60)
-    lab.cache.verify_coherence()
+    check_cache_coherence(lab.cache)
 
 
 def test_validated_tier1_forged_path_attacker_is_stable():
@@ -164,16 +169,16 @@ def test_validated_tier1_forged_path_attacker_is_stable():
     assert outcome.claimed_path[0] == 0
 
 
-def test_cache_verify_coherence_detects_mutation(mini_graph):
+def test_cache_coherence_audit_detects_mutation(mini_graph):
     lab = HijackLab(mini_graph, seed=5)
     lab.origin_hijack(target_asn=50, attacker_asn=60)
-    lab.cache.verify_coherence()
-    (_key, (state, _checksum)) = lab.cache.entries()[0]
+    check_cache_coherence(lab.cache)
+    (_origin, (state, _checksum)) = lab.cache.entries()[0]
     state.origin_of = tuple(
         value + 1 if value >= 0 else value for value in state.origin_of
     )
     with pytest.raises(InvariantViolation, match="cache"):
-        lab.cache.verify_coherence()
+        check_cache_coherence(lab.cache)
 
 
 def test_strategies_module_exposes_shared_composites():

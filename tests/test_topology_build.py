@@ -4,10 +4,10 @@
 and an :class:`AddressPlan`. Every field of those is pinned here by
 digest on two topologies — the default 4,270-AS generator output and a
 scale-fixture build with sibling groups — so a faster build cannot
-change a routing outcome, a convergence-cache key or an address-space
-share. Small hand-built inputs check the rules the digests stand on:
-sibling members that disagree merge to peers, the CSR arrays equal a
-plain loop over the view, and a built :class:`AddressPlan` answers
+change a routing outcome or an address-space share. Small hand-built
+inputs check the rules the digests stand on: sibling members that
+disagree merge to peers, the CSR arrays equal a plain loop over the
+view, and a built :class:`AddressPlan` answers
 ``origin_of`` by containment, never for a prefix covering two blocks.
 """
 
@@ -19,9 +19,7 @@ import numpy as np
 import pytest
 
 from repro.bgp.kernel import compile_view
-from repro.bgp.policy import PolicyConfig
 from repro.defense.strategies import top_degree_deployment
-from repro.parallel.cache import context_digest
 from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 from repro.topology.asgraph import ASGraph
@@ -62,13 +60,6 @@ VIEW_DIGESTS = {
     },
 }
 
-# view digest : policy digest : backend. The policy digest hashes the
-# PolicyConfig field list, so it moves only when a policy field does.
-CONTEXT_DIGESTS = {
-    "default": "f7b536f75edff196360cf09236be0e3a:bcbf80b66ec59b14:reference",
-    "scale": "5728d8c0ab66e0fcd8b8d24fc1df2aba:bcbf80b66ec59b14:reference",
-}
-
 PLAN_DIGESTS = {
     "default": {
         "items": "c0834668ebcdb6ea2bf509d451b1f11f",
@@ -107,10 +98,6 @@ class TestPinnedBuild:
             "is_tier1": _digest(view.is_tier1),
             "_node_of": _digest(sorted(view._node_of.items())),
         } == VIEW_DIGESTS[name]
-
-    def test_cache_context_digest(self, built):
-        name, _graph, view = built
-        assert context_digest(view, PolicyConfig()) == CONTEXT_DIGESTS[name]
 
     def test_address_plan(self, built):
         name, graph, _view = built
