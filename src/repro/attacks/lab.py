@@ -249,29 +249,27 @@ class HijackLab:
 
     def _pollution(
         self, state: RouteState, attacker_node: int
-    ) -> tuple[frozenset[int], float]:
-        """Who routes to *attacker_node* in *state*, and how much space.
+    ) -> tuple["ndarray", int, float]:
+        """Who routes to *attacker_node* in *state*, counted, and how much space.
 
-        Returns ``(polluted_asns, address_fraction)`` — the ASNs behind
-        every node holding the attacker's route (the attacker's own node
-        excluded) and their share of the allocated address space. Equal
-        to ``view.expand(state.holders_of(node))`` and
-        ``plan.fraction_owned(...)`` of it, bit for bit (one integer sum,
-        one division), computed as array reductions over the state.
+        Returns ``(nodes, pollution_count, address_fraction)``: every node
+        holding the attacker's route (the attacker's own node excluded)
+        as a fresh read-only int array, how many ASes those nodes stand
+        for, and their share of the allocated address space. The count
+        is ``len(view.expand(nodes))`` summed from per-node member counts
+        and the fraction is ``plan.fraction_owned`` of that set, bit for
+        bit (one integer sum, one division); no ASN set is built.
         """
         import numpy as np  # lazy: labs that never attack skip the import
 
-        view = self.view
         held = np.asarray(state.origin_of) == attacker_node
         held[attacker_node] = False
         nodes = np.flatnonzero(held)
-        asns = view.representative_asns[nodes].tolist()
-        siblings = view.sibling_nodes
-        for node in siblings[held[siblings]].tolist():
-            asns.extend(view.members[node][1:])
+        nodes.setflags(write=False)
+        count = int(self.view.member_counts[nodes].sum())
         total = self.plan.total_allocated()
         owned = int(self._node_space()[nodes].sum())
-        return frozenset(asns), (owned / total if total else 0.0)
+        return nodes, count, (owned / total if total else 0.0)
 
     def _outcome(
         self,
@@ -287,13 +285,18 @@ class HijackLab:
         leak): nobody is polluted and nothing was blocked.
         """
         if state is None:
-            polluted_asns, fraction = frozenset(), 0.0
+            import numpy as np
+
+            nodes, count, fraction = np.empty(0, dtype=np.intp), 0, 0.0
+            nodes.setflags(write=False)
         else:
-            polluted_asns, fraction = self._pollution(state, attacker_node)
+            nodes, count, fraction = self._pollution(state, attacker_node)
         return AttackOutcome(
             scenario=scenario,
-            polluted_asns=polluted_asns,
+            polluted_nodes=nodes,
+            pollution_count=count,
             blocked_asns=self.view.expand(blocked),
+            view=self.view,
             address_fraction=fraction,
             claimed_path=claimed,
         )

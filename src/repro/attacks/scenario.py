@@ -28,8 +28,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.prefixes.prefix import Prefix
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from numpy import ndarray
+
+    from repro.topology.view import RoutingView
 
 __all__ = [
     "AttackOutcome",
@@ -176,29 +183,66 @@ class HijackScenario:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackOutcome:
     """Result of simulating one scenario.
 
-    ``polluted_asns`` holds every AS whose RIB ends up pointing at the
-    attacker (the attacker itself excluded). ``address_fraction`` is the
-    share of allocated address space originated by polluted ASes — the
-    paper's "% of the internet address space" headline metric — and is
-    ``None`` when the lab has no address plan. ``claimed_path`` is the
-    AS path the bogus announcement carried (claimed origin last);
-    ``None`` means the attack never launched — a type-U replay or leak
-    by an attacker that had no route to reuse.
+    ``polluted_nodes`` holds the routing nodes of ``view`` whose RIB ends
+    up pointing at the attacker (the attacker's own node excluded), as a
+    read-only int array, and ``pollution_count`` is how many ASes they
+    stand for: a sweep counts its polluted ASes and never builds their
+    set. ``polluted_asns`` expands the nodes to ASNs on first read and
+    keeps the set. ``address_fraction`` is the share of allocated
+    address space originated by polluted ASes — the paper's "% of the
+    internet address space" headline metric — and is ``None`` when the
+    lab has no address plan. ``claimed_path`` is the AS path the bogus
+    announcement carried (claimed origin last); ``None`` means the
+    attack never launched — a type-U replay or leak by an attacker that
+    had no route to reuse.
+
+    Two outcomes are equal when their scenario, polluted ASNs, blocked
+    ASNs, address fraction and claimed path are.
     """
 
     scenario: HijackScenario
-    polluted_asns: frozenset[int]
+    polluted_nodes: ndarray = field(repr=False)
+    pollution_count: int
     blocked_asns: frozenset[int]
+    view: RoutingView = field(repr=False)
     address_fraction: float | None = None
     claimed_path: tuple[int, ...] | None = None
 
-    @property
-    def pollution_count(self) -> int:
-        return len(self.polluted_asns)
+    @cached_property
+    def polluted_asns(self) -> frozenset[int]:
+        """Every AS whose RIB points at the attacker (the attacker excluded)."""
+        import numpy as np  # the nodes are an ndarray, so numpy is loaded
+
+        view, nodes = self.view, self.polluted_nodes
+        asns = view.representative_asns[nodes].tolist()
+        siblings = np.intersect1d(view.sibling_nodes, nodes, assume_unique=True)
+        for node in siblings.tolist():
+            asns.extend(view.members[node][1:])
+        return frozenset(asns)
+
+    def _key(self) -> tuple:
+        return (
+            self.scenario,
+            self.pollution_count,
+            self.blocked_asns,
+            self.address_fraction,
+            self.claimed_path,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AttackOutcome):
+            return NotImplemented
+        return (
+            self._key() == other._key()
+            and self.polluted_asns == other.polluted_asns
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def polluted_within(self, asns: frozenset[int]) -> int:
         """Polluted count restricted to a region (Section VII's metric)."""

@@ -727,8 +727,8 @@ class ConvergenceDelta:
     node, then its pre-install ``cls``, ``length``, ``parent`` and
     ``origin_of`` (half the memory of one tuple per install). A node can
     appear more than once when an early candidate is later displaced
-    within the same pass, which is why :meth:`revert` replays the
-    journal *backwards*. ``blocked`` and
+    within the same pass, which is why :meth:`revert` restores each
+    node from its *first* record. ``blocked`` and
     ``first_hop_filtered`` are the pass parameters captured at announce
     time; an exact re-application (after rewinding past this entry) must
     reuse them, not the current defense state. ``origin_length`` is the
@@ -748,21 +748,40 @@ class ConvergenceDelta:
         return len(self.journal) // 5
 
     def revert(self, state: RouteState) -> None:
-        """Rewind the pass, restoring *state* to its exact prior content."""
+        """Rewind the pass, restoring *state* to its exact prior content.
+
+        A cell's content before the pass is its *first* journal record. A
+        list-backed state replays the journal backwards, so that record
+        is written last; an ndarray-backed state finds each cell's first
+        record with one ``np.unique`` and restores all of them with four
+        fancy-index scatters.
+        """
         if state.is_frozen:
             raise ValueError("cannot revert into a frozen state")
-        cls = state.cls
-        length = state.length
-        parent = state.parent
-        origin_of = state.origin_of
-        values = reversed(self.journal)
-        for old_origin, old_parent, old_length, old_cls, node in zip(
-            values, values, values, values, values
-        ):
-            cls[node] = old_cls
-            length[node] = old_length
-            parent[node] = old_parent
-            origin_of[node] = old_origin
+        if state._list_backed:
+            cls = state.cls
+            length = state.length
+            parent = state.parent
+            origin_of = state.origin_of
+            values = reversed(self.journal)
+            for old_origin, old_parent, old_length, old_cls, node in zip(
+                values, values, values, values, values
+            ):
+                cls[node] = old_cls
+                length[node] = old_length
+                parent[node] = old_parent
+                origin_of[node] = old_origin
+        else:
+            import numpy as np  # ndarray states exist only once numpy is loaded
+
+            journal = self.journal
+            records = np.fromiter(journal, np.int64, len(journal)).reshape(-1, 5)
+            nodes, first = np.unique(records[:, 0], return_index=True)
+            old = records.take(first, axis=0)
+            state.cls[nodes] = old[:, 1]
+            state.length[nodes] = old[:, 2]
+            state.parent[nodes] = old[:, 3]
+            state.origin_of[nodes] = old[:, 4]
         state.origin = self.prev_origin
 
 

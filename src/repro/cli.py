@@ -705,6 +705,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.attacks.scenario import HijackScenario
     from repro.detection.detector import HijackDetector
     from repro.stream import (
+        StreamFormatError,
         StreamReplayer,
         compile_campaign,
         read_events,
@@ -722,7 +723,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if args.compile_only is not None:
             # Re-emitting a stream is tooling, not monitoring: strict
             # parsing (any malformed line is an error) is the right call.
-            events = read_events(args.input)
+            try:
+                events = read_events(args.input)
+            except StreamFormatError as error:
+                raise _InputError(f"stream error: {error}") from error
     else:
         rng = make_rng(args.seed, "cli-stream")
         pool = lab.attacker_pool()

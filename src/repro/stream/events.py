@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from repro.attacks.scenario import HijackKind, HijackScenario, PathKind
 from repro.prefixes.prefix import Prefix, PrefixError
@@ -253,23 +253,20 @@ def read_events(path: str | Path) -> list[StreamEvent]:
 
     The replay engine does **not** use this (it parses line by line and
     counts malformed lines instead of dying); this strict form is for
-    tooling that wants the whole stream or an error.
+    tooling that wants the whole stream or an error. The error is a
+    :class:`StreamFormatError` naming ``<path>:<line>`` (blank lines
+    count), also for a line that is not UTF-8.
     """
     events: list[StreamEvent] = []
-    for number, line in enumerate(_read_lines(path), start=1):
-        try:
-            events.append(parse_event_line(line))
-        except StreamFormatError as error:
-            raise StreamFormatError(f"{path}:{number}: {error}") from error
+    with Path(path).open("rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    events.append(parse_event_line(line))
+            except (StreamFormatError, UnicodeDecodeError) as error:
+                raise StreamFormatError(f"{path}:{number}: {error}") from error
     return events
-
-
-def _read_lines(path: str | Path) -> Iterator[str]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield line
 
 
 # -- scenario → stream compiler -------------------------------------------

@@ -185,6 +185,14 @@ class RoutingView:
         )
 
     @cached_property
+    def member_counts(self) -> "ndarray":
+        """``member_count(node)`` for every node, as an int64 array, so
+        ``member_counts[nodes].sum()`` is ``len(expand(nodes))``."""
+        import numpy as np
+
+        return np.fromiter(map(len, self.members), dtype=np.int64, count=len(self))
+
+    @cached_property
     def sibling_nodes(self) -> "ndarray":
         """Nodes standing for more than one ASN (collapsed sibling groups)."""
         import numpy as np

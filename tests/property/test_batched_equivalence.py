@@ -242,31 +242,40 @@ def _sibling_topologies(draw):
 
 
 def _check_every_scored_state(lab, checked):
-    """Wrap the lab's outcome-assembly helper so every state it scores is
-    compared, at call time, with the set-based definition it replaced."""
-    view, plan, helper = lab.view, lab.plan, lab._pollution
+    """Wrap the lab's outcome assembly so every state it scores is
+    recorded with the set-based definition it replaced, taken at scoring
+    time: ``view.expand(state.holders_of(a))`` minus the attacker and
+    ``plan.fraction_owned`` of it. The count and the fraction are checked
+    there, before anything expands the outcome's ASN set; the set itself
+    is compared only once the caller's whole run is over."""
+    view, plan, assemble = lab.view, lab.plan, lab._outcome
 
-    def checking(state, attacker_node):
-        result = helper(state, attacker_node)
-        expected = view.expand(state.holders_of(attacker_node)) - set(
-            view.members[attacker_node]
-        )
-        # == on the float: one integer sum, one division, on both sides.
-        assert result == (expected, plan.fraction_owned(expected))
-        checked.append(result)
-        return result
+    def checking(scenario, claimed, state=None, attacker_node=-1, *rest):
+        outcome = assemble(scenario, claimed, state, attacker_node, *rest)
+        if state is not None:
+            expected = view.expand(state.holders_of(attacker_node)) - set(
+                view.members[attacker_node]
+            )
+            assert "polluted_asns" not in vars(outcome)
+            assert not outcome.polluted_nodes.flags.writeable
+            assert outcome.pollution_count == len(expected)
+            # == on the float: one integer sum, one division, on both sides.
+            assert outcome.address_fraction == plan.fraction_owned(expected)
+            checked.append((outcome, expected))
+        return outcome
 
-    lab._pollution = checking
+    lab._outcome = checking
 
 
 @settings(max_examples=example_budget(25), deadline=None)
 @given(_sibling_topologies(), st.data())
 def test_outcome_assembly_matches_set_expansion(graph, data):
     """On sibling-rich topologies, for every attack-grid cell and a
-    warm-started deployment ladder, on both backends: the array-reduction
-    outcome helper returns exactly ``view.expand(state.holders_of(a))``
-    minus the attacker and ``plan.fraction_owned`` of it, and the two
-    backends' outcomes agree."""
+    warm-started deployment ladder, on both backends: every outcome's
+    count and address fraction equal the set-based definition at scoring
+    time, its ``polluted_asns`` equals that set after the ladder has
+    reverted and reused every state (an outcome aliases no mutable
+    state), and the two backends' outcomes agree."""
     reference = HijackLab(graph, seed=0)
     array = HijackLab(graph, seed=0, backend="array", batch_origins=3)
     view = reference.view
@@ -298,6 +307,9 @@ def test_outcome_assembly_matches_set_expansion(graph, data):
             target_asn, ladder, authority, transit_only=False
         )
         assert len(checked) == launched + sum(len(rung) for rung in rungs)
+        for outcome, expected in checked:
+            assert outcome.polluted_asns == expected
+            assert outcome.pollution_count == len(outcome.polluted_asns)
         results.append(
             [
                 (outcome.polluted_asns, outcome.address_fraction)

@@ -1,9 +1,12 @@
 """Unit tests for hijack scenarios and the HijackLab facade."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.attacks.lab import HijackLab
-from repro.attacks.scenario import HijackKind, HijackScenario
+from repro.attacks.scenario import HijackKind, HijackScenario, PathKind
 from repro.defense.deployment import Defense
 from repro.defense.strategies import DeploymentStrategy
 from repro.prefixes.prefix import Prefix
@@ -50,6 +53,42 @@ class TestOriginHijack:
         outcome = mini_lab.origin_hijack(50, 60)
         east = frozenset(mini_graph.regions()["east"])
         assert outcome.polluted_within(east) == 2  # 20 and 40
+
+
+class TestCountedOutcome:
+    """An outcome carries its holder nodes and a counted size; the ASN
+    set is built on first read only, and equality still compares it."""
+
+    def test_count_first_set_on_read(self, mini_lab):
+        outcome = mini_lab.origin_hijack(50, 60)
+        assert not outcome.polluted_nodes.flags.writeable
+        assert "polluted_asns" not in vars(outcome)
+        assert outcome.pollution_count == 3
+        assert outcome.polluted_asns is outcome.polluted_asns
+        assert outcome.polluted_asns == mini_lab.view.expand(
+            outcome.polluted_nodes.tolist()
+        )
+
+    def test_equality_compares_the_polluted_set(self, mini_lab, mini_graph):
+        outcome = mini_lab.origin_hijack(50, 60)
+        twin = HijackLab(mini_graph, seed=1, backend="array").origin_hijack(50, 60)
+        assert twin == outcome and hash(twin) == hash(outcome)
+        assert "polluted_nodes" not in repr(outcome) and "view" not in repr(outcome)
+        other = [node for node in range(len(mini_lab.view))
+                 if node not in outcome.polluted_nodes.tolist()][:3]
+        moved = dataclasses.replace(outcome, polluted_nodes=np.array(other))
+        assert moved.pollution_count == outcome.pollution_count
+        assert moved != outcome
+
+    def test_fizzled_attack_is_empty(self, mini_lab):
+        """An attack with no route to replay never launches."""
+        scenario = mini_lab.build_scenario(
+            50, 60, kind=HijackKind.ROUTE_LEAK, path_kind=PathKind.TYPE_U
+        )
+        outcome = mini_lab._outcome(scenario, None)
+        assert outcome.pollution_count == 0
+        assert outcome.polluted_asns == frozenset()
+        assert not outcome.polluted_nodes.flags.writeable
 
 
 class TestSubprefixHijack:

@@ -242,6 +242,36 @@ class TestCommands:
         assert any(isinstance(event, Announce) for event in events)
         assert any(isinstance(event, RoaPublish) for event in events)
 
+    @pytest.mark.parametrize(
+        "bad_line, reason",
+        [
+            (b'{"kind": "announce", "bogus": 1}', "missing/invalid timestamp"),
+            (b'{"kind":"announce","at":\xff}', "can't decode byte 0xff"),
+        ],
+        ids=["malformed", "not-utf8"],
+    )
+    def test_stream_compile_only_bad_line_exits_1_with_one_line(
+        self, tmp_path, capsys, bad_line, reason
+    ):
+        """The strict re-emit path names the file and line of the first
+        bad line (blank lines count) instead of ending in a traceback."""
+        feed = tmp_path / "feed.jsonl"
+        assert main(["stream", "--as-count", "300", "--attacks", "1",
+                     "--compile-only", str(feed)]) == 0
+        good = feed.read_bytes()
+        feed.write_bytes(good + b"\n" + bad_line + b"\n")
+        number = good.count(b"\n") + 2
+        capsys.readouterr()
+        out = tmp_path / "out.jsonl"
+        assert main(["stream", "--as-count", "300", "-i", str(feed),
+                     "--compile-only", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"stream error: {feed}:{number}: ")
+        assert reason in line
+        assert not out.exists()
+
     def test_stream_replay_emits_json_report(self, tmp_path, capsys):
         stream_path = tmp_path / "campaign.jsonl"
         assert main(["stream", "--as-count", "400", "--attacks", "2",

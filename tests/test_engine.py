@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.bgp.engine import RouteState, RoutingEngine, UNREACHABLE
+from repro.bgp.engine import ConvergenceDelta, RouteState, RoutingEngine, UNREACHABLE
 from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import Metrics
 from repro.topology.relationships import RouteClass
@@ -195,6 +195,70 @@ class TestFlatJournal:
             assert state.checksum() == before
             journals.append(journal)
         assert journals[0] == journals[1]
+
+
+def _as_arrays(state: RouteState) -> RouteState:
+    """The same content in the array kernel's representation."""
+    return RouteState(
+        state.origin,
+        np.array(state.cls, dtype=np.int64),
+        np.array(state.length, dtype=np.int64),
+        np.array(state.parent, dtype=np.int32),
+        np.array(state.origin_of, dtype=np.int32),
+    )
+
+
+def _install_by_hand(state: RouteState) -> ConvergenceDelta:
+    """A pass written cell by cell with its journal: node 2 installs a
+    provider route, then a customer route displaces it."""
+    journal: list[int] = []
+    for node, cls, length, parent in (
+        (0, int(RouteClass.ORIGIN), 0, -1),
+        (2, int(RouteClass.PROVIDER), 2, 1),
+        (3, int(RouteClass.CUSTOMER), 1, 0),
+        (2, int(RouteClass.CUSTOMER), 2, 3),
+    ):
+        journal += (node, int(state.cls[node]), int(state.length[node]),
+                    int(state.parent[node]), int(state.origin_of[node]))
+        state.cls[node], state.length[node] = cls, length
+        state.parent[node], state.origin_of[node] = parent, 0
+    prev_origin, state.origin = state.origin, 0
+    return ConvergenceDelta(
+        origin=0, prev_origin=prev_origin, blocked=frozenset(),
+        first_hop_filtered=False, journal=journal,
+    )
+
+
+class TestRevertRestoresFirstRecord:
+    """A node journaled twice in one pass gets its *first* record back:
+    the list loop writes it last, the ndarray path picks it with
+    ``np.unique(return_index=True)`` before its four scatters."""
+
+    def test_list_and_ndarray_states_revert_alike(self):
+        base = RouteState.empty(5, 4)
+        base.cls[1], base.length[1], base.origin_of[1] = int(RouteClass.PEER), 3, 4
+        before = base.checksum()
+        reverted = []
+        for state in (base.copy_for(4), _as_arrays(base)):
+            delta = _install_by_hand(state)
+            assert delta.journal[::5].count(2) == 2
+            assert state.checksum() != before
+            delta.revert(state)
+            assert state.origin == 4
+            assert state.checksum() == before
+            reverted.append(state)
+        assert reverted[0].checksum() == reverted[1].checksum()
+        assert isinstance(reverted[1].cls, np.ndarray)
+
+    @pytest.mark.parametrize("arrays", [False, True], ids=["list", "ndarray"])
+    def test_frozen_state_refuses_a_revert(self, arrays):
+        state = RouteState.empty(5, 4)
+        if arrays:
+            state = _as_arrays(state)
+        delta = _install_by_hand(state)
+        state.freeze()
+        with pytest.raises(ValueError, match="frozen"):
+            delta.revert(state)
 
 
 def _str_per_cell_checksum(state: RouteState) -> str:
