@@ -12,9 +12,10 @@ analysis layer.
     print(outcome.pollution_count)
 
 Sweeps run in this process through one batch entry point,
-:meth:`HijackLab.run_scenarios`; ``batch_origins=K`` fuses K scenarios
-per convergence pass on the array backend. Results are bit-identical
-for every K, in the same order; see ``docs/performance.md``.
+:meth:`HijackLab.run_scenarios`, which fuses ``batch_origins`` scenarios
+(16 unless a caller says otherwise) per convergence pass on the array
+backend. Results are bit-identical for every width, in the same order; a
+deployment ladder is one cold sweep per rung. See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class HijackLab:
         validate: bool = False,
         metrics: Metrics | None = None,
         backend: str = "reference",
-        batch_origins: int = 1,
+        batch_origins: int = 16,
     ) -> None:
         if batch_origins < 1:
             raise ValueError("batch_origins must be >= 1")
@@ -184,8 +185,8 @@ class HijackLab:
         self.validate = validate
         self.backend = backend
         # Scenarios per fused converge_batch call (docs/performance.md,
-        # "Batched multi-origin convergence"). 1 = the scalar per-scenario
-        # path, byte-identical outcomes either way.
+        # "Batched multi-origin convergence"); byte-identical outcomes at
+        # every width, and the reference backend loops per origin anyway.
         self.batch_origins = batch_origins
         # One metrics sink flows through everything the lab drives —
         # engine convergences, cache lookups, sweep spans
@@ -223,9 +224,6 @@ class HijackLab:
         return clone
 
     # -- internals -----------------------------------------------------------------
-
-    def _legitimate_state(self, target_node: int) -> RouteState:
-        return self.cache.baseline(target_node)
 
     def _first_hop_filtered(self, attacker_asn: int) -> bool:
         """Defensive stub filters stop a *stub* attacker's announcements to
@@ -339,7 +337,7 @@ class HijackLab:
         view = self.view
         target_node = view.node_of(scenario.target_asn)
         attacker_node = view.node_of(scenario.attacker_asn)
-        legit = self._legitimate_state(target_node)
+        legit = self.cache.baseline(target_node)
         if not legit.has_route(attacker_node):
             return None
         chain = legit.path_from(attacker_node)
@@ -366,14 +364,11 @@ class HijackLab:
         baseline for origin/leak attacks, the clean state for
         sub-prefix/squat) are grouped and converged ``batch_origins`` at
         a time via :meth:`RoutingEngine.converge_batch
-        <repro.bgp.engine.RoutingEngine.converge_batch>`. With
-        ``batch_origins=1`` (the default lab) or a single scenario each
-        one converges on its own, as it is prepared. Outcomes are
-        identical either way, in the same order — batching is a
-        wall-clock knob, never a result knob.
+        <repro.bgp.engine.RoutingEngine.converge_batch>`. Outcomes are
+        identical at every width, in the same order — batching is a
+        wall-clock matter, never a result one.
         """
         scenarios = list(scenarios)
-        batch = self.batch_origins if len(scenarios) > 1 else 1
         view = self.view
         outcomes: list[AttackOutcome | None] = [None] * len(scenarios)
         # (index, scenario, attacker node, claimed path, blocked, first-hop)
@@ -405,26 +400,15 @@ class HijackLab:
                 if scenario.kind in (HijackKind.ORIGIN, HijackKind.ROUTE_LEAK)
                 else None
             )
-            if batch == 1:
-                state = self.engine.converge(
-                    attacker_node,
-                    base=self._legitimate_state(base_node) if base_node is not None else None,
-                    blocked=blocked,
-                    filter_first_hop_providers=first_hop,
-                    origin_length=len(claimed) - 1,
-                )
-                outcomes[index] = self._outcome(
-                    scenario, claimed, state, attacker_node, blocked
-                )
-                continue
             groups.setdefault(base_node, []).append(len(prepared))
             prepared.append(
                 (index, scenario, attacker_node, claimed, blocked, first_hop)
             )
         for base_node, members in groups.items():
-            base = self._legitimate_state(base_node) if base_node is not None else None
-            for start in range(0, len(members), batch):
-                chunk = [prepared[member] for member in members[start:start + batch]]
+            base = self.cache.baseline(base_node) if base_node is not None else None
+            width = self.batch_origins
+            for start in range(0, len(members), width):
+                chunk = [prepared[member] for member in members[start:start + width]]
                 states = self.engine.converge_batch(
                     [entry[2] for entry in chunk],
                     base=base,
@@ -573,71 +557,25 @@ class HijackLab:
         sample: int | None = None,
         seed: int | None = None,
     ) -> list[dict[int, AttackOutcome]]:
-        """Sweep one target across a whole deployment ladder, warm-started.
+        """Sweep one target across a whole deployment ladder.
 
-        The Fig. 5/6 workload — one type-0 origin-hijack sweep per
-        deployment rung — without a cold convergence per (attacker, rung)
-        point: each attacker's state is copied from the target's
-        legitimate baseline *once*, then every rung applies its blocked
-        set in place via :meth:`RoutingEngine.converge_delta_batch
-        <repro.bgp.engine.RoutingEngine.converge_delta_batch>` and is
-        rewound through the undo journal before the next rung (adjacent
-        deployment sets differ by a handful of ASes, so re-announcing
-        over the reverted state is the whole warm start). Attacker pool
-        and sampling are exactly :meth:`sweep_target`'s, so rung *i*'s
-        outcome dict is item-identical to
+        The Fig. 5/6 workload: one type-0 origin-hijack sweep per
+        deployment rung. Rung *i*'s outcome dict is
         ``with_defense(Defense(strategy=strategies[i], authority=authority))
-        .sweep_target(target_asn, ...)``.
+        .sweep_target(target_asn, ...)`` over the same attacker pool,
+        sample and seed — a cold sweep per rung. Every rung shares this
+        lab's convergence cache, so the target's baseline converges once.
         """
-        pool = self._sweep_pool(
-            target_asn, self.attacker_pool(transit_only=transit_only), sample, seed
-        )
-        target_node = self.view.node_of(target_asn)
-        prefix = self.attack_prefix(target_asn, HijackKind.ORIGIN)
-        defenses = [
-            Defense(strategy=strategy, authority=authority)
-            for strategy in strategies
-        ]
-        view = self.view
-        legit = self._legitimate_state(target_node)
-        results: list[dict[int, AttackOutcome]] = [{} for _ in defenses]
-        batch = max(1, self.batch_origins)
         self.metrics.count("lab.deployment_sweeps")
         with self.metrics.span("lab.sweep_deployments"):
-            for start in range(0, len(pool), batch):
-                attackers = pool[start:start + batch]
-                nodes = [view.node_of(asn) for asn in attackers]
-                scenarios = [
-                    self.build_scenario(target_asn, asn, prefix=prefix)
-                    for asn in attackers
-                ]
-                states = [legit.copy_for(node) for node in nodes]
-                for rung, defense in enumerate(defenses):
-                    blocked_sets = [
-                        defense.blocking_nodes(
-                            view, prefix, asn, claimed_path=(asn,)
-                        )
-                        for asn in attackers
-                    ]
-                    first_hop_flags = [
-                        defense.stub_filter and not self.graph.customers(asn)
-                        for asn in attackers
-                    ]
-                    deltas = self.engine.converge_delta_batch(
-                        states,
-                        nodes,
-                        blocked_sets=blocked_sets,
-                        first_hop_flags=first_hop_flags,
-                    )
-                    for scenario, node, state, blocked in zip(
-                        scenarios, nodes, states, blocked_sets
-                    ):
-                        results[rung][scenario.attacker_asn] = self._outcome(
-                            scenario, (scenario.attacker_asn,), state, node, blocked
-                        )
-                    for state, delta in zip(states, deltas):
-                        delta.revert(state)
-        return results
+            return [
+                self.with_defense(
+                    Defense(strategy=strategy, authority=authority)
+                ).sweep_target(
+                    target_asn, transit_only=transit_only, sample=sample, seed=seed
+                )
+                for strategy in strategies
+            ]
 
     def random_attacks(
         self,

@@ -412,10 +412,10 @@ class RoutingEngine:
         The batched analogue of :meth:`converge_delta`: pass *i* mutates
         ``states[i]`` exactly as the scalar call would and returns the
         identical per-pass undo journal, so deltas revert independently
-        in the usual newest-first order. This is the warm-start primitive
-        behind deployment sweeps: keep one mutable state per attacker,
-        apply a rung's blocked sets, read the outcome, revert, move to
-        the adjacent rung — never paying a cold convergence per rung.
+        in the usual newest-first order. A deployment sweep does not use
+        it: re-announcing an attacker over a reverted state is the same
+        work as a cold pass over the baseline, plus the journal and the
+        rewind (see docs/performance.md).
 
         The reference backend loops the scalar :meth:`converge_delta`;
         like it, this path never runs the invariant suite itself.

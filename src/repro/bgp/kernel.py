@@ -21,8 +21,8 @@ one flat layout, and a single-origin pass is its K=1 column.
 * per-pass route state lives in preallocated int32/int64 scratch arrays,
   and the :class:`~repro.bgp.engine.RouteState` the kernel writes back
   holds numpy arrays too, so a state coming back in (a hijack pass over
-  a cached baseline, a warm-started deployment rung) is loaded without
-  a list conversion;
+  a cached baseline, a stream ledger's in-place re-announcement) is
+  loaded without a list conversion;
 * the bucketed frontier queue holds *array chunks* of ``(node, sender)``
   candidates instead of per-candidate tuples, and each ``(length,
   class)`` bucket is resolved with one vectorized preference test plus a
@@ -249,9 +249,10 @@ def propagate_array_batch(
     shared base state and tiles it across columns (the hijack-sweep
     shape — K attackers stacked on one legitimate baseline) without K
     Python-list copies; otherwise each of the K *states* is loaded into
-    its own column (the warm-start shape behind
-    :meth:`RoutingEngine.converge_delta_batch
-    <repro.bgp.engine.RoutingEngine.converge_delta_batch>`).
+    its own column (the in-place shape of
+    :meth:`RoutingEngine.converge_delta
+    <repro.bgp.engine.RoutingEngine.converge_delta>`, one column per
+    mutated state).
 
     Replaces every state's arrays (write-back per column) and returns
     the aggregate ``(messages, installs, replaced, rounds)``. A

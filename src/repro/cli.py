@@ -80,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="convergence kernel (checksum-identical; array is faster at scale)",
     )
     parser.add_argument(
-        "--batch-origins", type=int, default=1, metavar="N",
-        help="fuse N scenarios per convergence pass on the array backend and "
-             "warm-start deployment ladders (outcome-identical; see "
-             "docs/performance.md)",
-    )
-    parser.add_argument(
         "--metrics", type=Path, default=None, metavar="PATH",
         help="record runtime metrics (repro.obs) and write the JSON snapshot here",
     )
@@ -327,7 +321,7 @@ def _monitor_lab(args: argparse.Namespace, *, validate: bool = False) -> HijackL
         )
     return HijackLab(
         graph, seed=args.seed, validate=validate, metrics=_metrics(args),
-        backend=args.backend, batch_origins=args.batch_origins,
+        backend=args.backend,
     )
 
 
@@ -391,7 +385,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     lab = HijackLab(
         _topology(args), seed=args.seed, validate=args.validate,
         metrics=_metrics(args), backend=args.backend,
-        batch_origins=args.batch_origins,
     )
     if _unknown_asn(lab, args.target, args.attacker):
         return 2
@@ -431,7 +424,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lab = HijackLab(
         _topology(args), seed=args.seed, validate=args.validate,
         metrics=_metrics(args), backend=args.backend,
-        batch_origins=args.batch_origins,
     )
     if _unknown_asn(lab, args.target):
         return 2
@@ -461,7 +453,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         detection_attacks=args.attacks,
         validate=args.validate,
         backend=args.backend,
-        batch_origins=args.batch_origins,
     )
     suite = ExperimentSuite(config, metrics=_metrics(args))
     names = _EXPERIMENTS if args.name == "all" else (args.name,)
@@ -486,7 +477,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     lab = HijackLab(
         _topology(args), seed=args.seed, metrics=_metrics(args),
-        backend=args.backend, batch_origins=args.batch_origins,
+        backend=args.backend,
     )
     planner = SelfInterestPlanner(lab)
     action_plan = planner.plan(args.region, target_asn=args.target)
@@ -499,7 +490,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
     lab = HijackLab(
         _topology(args), seed=args.seed, metrics=_metrics(args),
-        backend=args.backend, batch_origins=args.batch_origins,
+        backend=args.backend,
     )
     report = calibrate(
         lab,
@@ -538,7 +529,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     graph = generate_topology(GeneratorConfig.scaled(args.as_count, seed=args.seed))
     lab = HijackLab(
         graph, seed=args.seed, metrics=_metrics(args), backend=args.backend,
-        batch_origins=args.batch_origins,
     )
     rng = make_rng(args.seed, "cli-validate")
     pool = lab.attacker_pool(transit_only=True)
@@ -793,7 +783,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         attacker_sample=args.sample,
         detection_attacks=args.attacks,
         backend=args.backend,
-        batch_origins=args.batch_origins,
     )
     suite = ExperimentSuite(config, metrics=_metrics(args))
     results = []

@@ -98,46 +98,26 @@ def compare_strategies(
     """Sweep the target once per strategy (Fig. 5/6 workload).
 
     ``transit_only=True`` mirrors the paper, which runs Section V under
-    the optimistic stub-filtered scenario. Every rung shares the lab's
-    convergence cache, so the target's baseline converges once for the
-    whole ladder.
-
-    A lab built with ``batch_origins > 1`` takes the warm-started path
-    instead (:meth:`HijackLab.sweep_deployments`): attacker states are
-    copied from the baseline once and every rung is applied and rewound
-    through the ``converge_delta`` undo journal, batch-fused across
-    attackers — item-identical outcomes per rung, a fraction of the
-    wall-clock (see ``docs/performance.md``).
+    the optimistic stub-filtered scenario. The ladder runs through
+    :meth:`HijackLab.sweep_deployments`, one cold sweep per rung; every
+    rung shares the lab's convergence cache, so the target's baseline
+    converges once for the whole ladder.
     """
-    if lab.batch_origins > 1:
-        per_rung = lab.sweep_deployments(
-            target_asn, strategies, authority,
-            transit_only=transit_only, sample=sample, seed=seed,
-        )
-        return DeploymentComparison(
-            target_asn=target_asn,
-            evaluations=tuple(
-                StrategyEvaluation(
-                    strategy=strategy,
-                    profile=VulnerabilityProfile.from_outcomes(
-                        target_asn, outcomes.values(), label=strategy.name
-                    ),
-                )
-                for strategy, outcomes in zip(strategies, per_rung)
-            ),
-        )
-    evaluations: list[StrategyEvaluation] = []
-    for strategy in strategies:
-        defended = lab.with_defense(Defense(strategy=strategy, authority=authority))
-        outcomes = defended.sweep_target(
-            target_asn, transit_only=transit_only, sample=sample, seed=seed
-        )
-        profile = VulnerabilityProfile.from_outcomes(
-            target_asn, outcomes.values(), label=strategy.name
-        )
-        evaluations.append(StrategyEvaluation(strategy=strategy, profile=profile))
+    per_rung = lab.sweep_deployments(
+        target_asn, strategies, authority,
+        transit_only=transit_only, sample=sample, seed=seed,
+    )
     return DeploymentComparison(
-        target_asn=target_asn, evaluations=tuple(evaluations)
+        target_asn=target_asn,
+        evaluations=tuple(
+            StrategyEvaluation(
+                strategy=strategy,
+                profile=VulnerabilityProfile.from_outcomes(
+                    target_asn, outcomes.values(), label=strategy.name
+                ),
+            )
+            for strategy, outcomes in zip(strategies, per_rung)
+        ),
     )
 
 

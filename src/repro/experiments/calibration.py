@@ -150,7 +150,7 @@ def calibrate(
         node = rng.randrange(len(view))
         if node == origin:
             continue
-        state = lab._legitimate_state(origin)
+        state = lab.cache.baseline(origin)
         if not state.has_route(node) or state.length[node] == 0:
             continue
         shortest = _hop_distance(lab.graph, view.asn_of(node), view.asn_of(origin))

@@ -36,10 +36,8 @@ class ExperimentConfig:
     pass over the topology per convergence. ``backend`` selects the
     convergence kernel (``"reference"`` or ``"array"``); both are
     checksum-identical, so it changes wall-clock only, never a result
-    (see the Backends section of docs/performance.md).
-    ``batch_origins`` fuses that many scenarios per convergence pass on
-    the array backend (and warm-starts deployment ladders through the
-    undo journal) — outcome-identical like ``backend``.
+    (see the Backends section of docs/performance.md). The fused sweep
+    width is the lab's own constant, not a setting.
     """
 
     topology: GeneratorConfig = field(default_factory=GeneratorConfig)
@@ -51,7 +49,6 @@ class ExperimentConfig:
     matrix_attacks: int = 40
     validate: bool = False
     backend: str = "reference"
-    batch_origins: int = 1
 
 
 @dataclass

@@ -69,7 +69,6 @@ class ExperimentSuite:
             validate=self.config.validate,
             metrics=self.metrics,
             backend=self.config.backend,
-            batch_origins=self.config.batch_origins,
         )
         self.roles: RoleCatalog = resolve_roles(self.graph)
         self.publication = PublicationState.full(self.lab.plan)
@@ -466,7 +465,6 @@ class ExperimentSuite:
                 plan=self.lab.plan, policy=self.lab.policy, seed=self.config.seed,
                 validate=self.config.validate,
                 metrics=self.metrics, backend=self.config.backend,
-                batch_origins=self.config.batch_origins,
             )
             after = regional_attack_study(
                 rehomed_lab, target, region,

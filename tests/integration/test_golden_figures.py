@@ -3,11 +3,15 @@
 Recomputes reduced-scale slices of the fig2 (vulnerability by depth),
 fig5 (incremental deployment) and fig7 (detector comparison) metrics and
 compares them against the pinned fixture in ``golden/small_figures.json``.
-The equivalence suite proves the parallel executor matches the
-sequential path; this layer pins the *absolute numbers*, so a future
-perf refactor that changed outcomes identically everywhere (and thus
-slipped past equivalence testing) still cannot silently move paper
-results.
+The equivalence suites prove that both backends and every fused batch
+width agree with the reference kernel
+(``tests/property/test_kernel_equivalence.py``,
+``tests/property/test_batched_equivalence.py``) and that the engine
+agrees with the oracle flood
+(``tests/integration/test_engine_equivalence.py``); this layer pins the
+*absolute numbers*, so a future perf refactor that changed outcomes
+identically everywhere (and thus slipped past equivalence testing) still
+cannot silently move paper results.
 
 Tolerance policy (documented per the issue):
 

@@ -8,9 +8,7 @@ independent ``converge`` calls on the *reference* engine, on both
 backends (the reference backend's batch is exactly that loop). Likewise
 ``converge_delta_batch`` must record per-column undo journals identical
 entry-for-entry to K reference ``converge_delta`` passes, and reverting
-them must land back on the warm-started base — the property the
-deployment-ladder sweep leans on when it applies and rewinds one rung
-after another.
+them must land back on the base they were applied to, rung after rung.
 
 The expectation is always the reference engine's: on the array backend
 a single-origin ``converge`` is the K=1 column of the same fused kernel,
@@ -171,7 +169,7 @@ def test_taxonomy_cells_match_unbatched_lab(case, data):
 @settings(max_examples=example_budget(30), deadline=None)
 @given(hijack_cases(), st.data())
 def test_warm_start_journal_parity_across_rungs(case, data):
-    """The deployment-ladder warm start: ``converge_delta_batch`` over K
+    """Rungs applied and rewound in place: ``converge_delta_batch`` over K
     columns records the same journals as K scalar ``converge_delta``
     passes, reverting lands every column back on the shared base, and a
     second adjacent rung applied to the reverted states equals that
@@ -271,11 +269,11 @@ def _check_every_scored_state(lab, checked):
 @given(_sibling_topologies(), st.data())
 def test_outcome_assembly_matches_set_expansion(graph, data):
     """On sibling-rich topologies, for every attack-grid cell and a
-    warm-started deployment ladder, on both backends: every outcome's
-    count and address fraction equal the set-based definition at scoring
-    time, its ``polluted_asns`` equals that set after the ladder has
-    reverted and reused every state (an outcome aliases no mutable
-    state), and the two backends' outcomes agree."""
+    deployment ladder, on both backends: every outcome's count and
+    address fraction equal the set-based definition at scoring time, its
+    ``polluted_asns`` equals that set once the whole run is over (an
+    outcome aliases no mutable state), and the two backends' outcomes
+    agree."""
     reference = HijackLab(graph, seed=0)
     array = HijackLab(graph, seed=0, backend="array", batch_origins=3)
     view = reference.view

@@ -27,6 +27,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    def test_batch_origins_flag_is_gone(self):
+        """The fused sweep width is the lab's constant, not an option."""
+        with pytest.raises(SystemExit) as exited:
+            main(["--batch-origins", "4", "sweep", "--target", "300"])
+        assert exited.value.code == 2
+
 
 class TestCommands:
     def test_generate_writes_caida_file(self, topo_file):

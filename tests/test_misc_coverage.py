@@ -46,8 +46,8 @@ class TestLabCache:
     def test_cache_hit_returns_same_object(self, medium_graph):
         lab = HijackLab(medium_graph, seed=3)
         target_node = lab.view.node_of(medium_graph.asns()[-1])
-        first = lab._legitimate_state(target_node)
-        second = lab._legitimate_state(target_node)
+        first = lab.cache.baseline(target_node)
+        second = lab.cache.baseline(target_node)
         assert first is second
 
     def test_attacker_pool_modes(self, medium_graph):
