@@ -16,7 +16,8 @@ length order (best class first within a generation) and installs a
 candidate exactly when it strictly beats the node's current entry. That is
 precisely a generalized Dijkstra ordered by ``(length, class)``: this
 engine walks candidate routes through a bucket queue in that order (one
-``(sender, receivers)`` group per export) and applies the same
+sender node per export, its route class naming the neighbours it
+announces to) and applies the same
 strict-preference install rule (:func:`repro.bgp.policy.prefers`,
 inlined), so per node the install sequence — and hence the final RIB —
 matches the flood's. The equivalence is enforced by randomized
@@ -576,13 +577,18 @@ class RoutingEngine:
     ) -> None:
         """The pure-Python bucket-queue propagation kernel.
 
-        One bucket per route length, holding per route class the
-        ``(sender, receivers)`` groups queued at that length: the
-        exporting node plus the view's neighbour tuple it announces to,
-        one entry per export rather than one per message. Walking each
-        group's receivers in order visits candidates in exactly the
-        flood's arrival order, and the install rule is
+        One bucket per route length, holding per route class the sender
+        nodes queued at that length; the class picks the adjacency a
+        sender announces over (CUSTOMER routes go up to ``providers``,
+        PEER routes across to ``peers``, PROVIDER routes down to
+        ``customers``), so one queue entry per export is one plain int.
+        Walking each sender's neighbours in order visits candidates in
+        exactly the flood's arrival order, and the install rule is
         :func:`repro.bgp.policy.prefers` inlined as integer compares.
+
+        A journaled pass does no counting in the loop: its installs and
+        replacements are read off the journal afterwards, and only when
+        metrics are enabled.
         """
         view = self.view
         providers = view.providers
@@ -590,6 +596,7 @@ class RoutingEngine:
         customers = view.customers
         is_tier1 = view.is_tier1
         tier1_shortest = self.policy.tier1_shortest_path
+        blocking = bool(blocked_set)
         cls = state.cls
         length = state.length
         parent = state.parent
@@ -604,68 +611,81 @@ class RoutingEngine:
         origin_of[origin] = origin
 
         # Initial exports from the origin, one hop past the claimed path;
-        # bucket[route_class] lists the groups (index 0 is never used).
-        bucket: list[list[tuple[int, tuple[int, ...]]]] = [[], [], [], []]
+        # bucket[route_class] lists the senders (index 0 is never used).
+        # A sender is queued only when it has someone to announce to.
+        bucket: list[list[int]] = [[], [], [], []]
         if providers[origin] and not (filter_first_hop_providers and not customers[origin]):
-            bucket[_CLASS_CUSTOMER].append((origin, providers[origin]))
+            bucket[_CLASS_CUSTOMER].append(origin)
         if peers[origin]:
-            bucket[_CLASS_PEER].append((origin, peers[origin]))
+            bucket[_CLASS_PEER].append(origin)
         if customers[origin]:
-            bucket[_CLASS_PROVIDER].append((origin, customers[origin]))
+            bucket[_CLASS_PROVIDER].append(origin)
 
         installs = 0
         replaced = 0
         route_length = origin_length + 1
-        buckets: list[list[list[tuple[int, tuple[int, ...]]]]] = []
+        buckets: list[list[list[int]]] = []
+        classes = (
+            (_CLASS_CUSTOMER, providers),
+            (_CLASS_PEER, peers),
+            (_CLASS_PROVIDER, customers),
+        )
         while any(bucket):
             current, bucket = bucket, [[], [], [], []]
             buckets.append(current)
             _, up, across, down = bucket
-            for route_class in (_CLASS_CUSTOMER, _CLASS_PEER, _CLASS_PROVIDER):
+            for route_class, receivers_of in classes:
                 exported_up = route_class == _CLASS_CUSTOMER
-                for sender, receivers in current[route_class]:
-                    for node in receivers:
-                        if node in blocked_set:
+                for sender in current[route_class]:
+                    for node in receivers_of[sender]:
+                        if blocking and node in blocked_set:
                             continue
                         # An empty cell is (_NO_CLASS, UNREACHABLE), which
                         # every candidate beats on both branches; the
                         # origin's (ORIGIN, origin_length) none beats.
                         old_class = cls[node]
-                        old_length = length[node]
                         if tier1_shortest and is_tier1[node]:
-                            if route_length >= old_length:
+                            if route_length >= length[node]:
                                 continue
                         elif route_class > old_class or (
-                            route_class == old_class and route_length >= old_length
+                            route_class == old_class and route_length >= length[node]
                         ):
                             continue
-                        installs += 1
-                        if old_class != _NO_CLASS:
-                            replaced += 1
-                        if journal is not None:
-                            journal += (node, old_class, old_length, parent[node], origin_of[node])
+                        if journal is None:
+                            installs += 1
+                            if old_class != _NO_CLASS:
+                                replaced += 1
+                        else:
+                            journal += (
+                                node, old_class, length[node], parent[node], origin_of[node]
+                            )
                         cls[node] = route_class
                         length[node] = route_length
                         parent[node] = sender
                         origin_of[node] = origin
                         if exported_up:
                             if providers[node]:
-                                up.append((node, providers[node]))
+                                up.append(node)
                             if peers[node]:
-                                across.append((node, peers[node]))
+                                across.append(node)
                         if customers[node]:
-                            down.append((node, customers[node]))
+                            down.append(node)
             route_length += 1
         if self.metrics.enabled:
-            # Every receiver of every group is one announcement crossing
-            # one link; summing after the fact keeps the hot loop free of
-            # counting. Rounds are the buckets up to the last one filled.
+            # Every neighbour of every queued sender is one announcement
+            # crossing one link; summing after the fact keeps the hot loop
+            # free of counting. Rounds are the buckets up to the last one
+            # filled. A journaled pass's first record is the origin's own
+            # install, which is not counted; its later records are.
             messages = sum(
-                len(receivers)
+                len(receivers_of[sender])
                 for done in buckets
-                for groups in done
-                for _sender, receivers in groups
+                for route_class, receivers_of in classes
+                for sender in done[route_class]
             )
+            if journal is not None:
+                installs = len(journal) // 5 - 1
+                replaced = installs - journal[6::5].count(_NO_CLASS)
             self._emit_convergence_metrics(
                 messages, installs, replaced, route_length if buckets else 0
             )

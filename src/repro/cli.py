@@ -351,9 +351,12 @@ def _hijack_status(args: argparse.Namespace, alarms: Iterable[StreamAlarm]) -> i
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     overrides = {} if args.regions is None else {"region_count": args.regions}
-    graph = generate_topology(
-        GeneratorConfig.scaled(args.as_count, seed=args.seed, **overrides)
-    )
+    try:
+        graph = generate_topology(
+            GeneratorConfig.scaled(args.as_count, seed=args.seed, **overrides)
+        )
+    except ValueError as error:
+        raise _InputError(f"generate error: {error}") from error
     dump_caida(graph, args.output)
     print(f"wrote {len(graph)} ASes / {graph.edge_count()} links to {args.output}")
     return 0

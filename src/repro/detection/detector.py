@@ -84,12 +84,27 @@ class HijackDetector:
     ``relationships`` full topology knowledge (link verification plus
     leak detection); each rung of that ladder catches strictly more of
     the attack grid.
+
+    Of that data only a :class:`RoaTable` authority changes while a
+    detector is in use (a stream's ``RoaPublish``/``RoaRevoke``), so
+    :attr:`published_version` is its ``version``; the neighbor registry
+    and the relationship graph are fixed for the detector's lifetime.
     """
 
     probes: ProbeSet
     authority: OriginAuthority | None = None
     neighbors: NeighborRegistry | None = None
     relationships: ASGraph | None = None
+
+    @property
+    def published_version(self) -> int | None:
+        """Moves whenever :meth:`observe_conflict`'s verdicts may change
+        for the same observations; ``None`` for an authority that keeps
+        no version, whose verdicts must never be reused."""
+        authority = self.authority
+        if authority is None:
+            return 0
+        return authority.version if isinstance(authority, RoaTable) else None
 
     def observe(self, outcome: AttackOutcome) -> DetectionReport:
         triggered = self.probes.triggered_by(outcome.polluted_asns)

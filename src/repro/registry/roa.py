@@ -85,11 +85,16 @@ class RoaTable:
     This is the in-memory form every repository backend (RPKI, ROVER)
     reduces to after its own cryptographic checks; it is also usable
     directly as a ground-truth authority in tests and experiments.
+
+    ``version`` moves on every :meth:`add` or :meth:`remove` that changes
+    the table, so a reader that memoizes verdicts can tell when they may
+    have gone stale.
     """
 
     def __init__(self, roas: Iterable[RouteOriginAuthorization] = ()) -> None:
         self._by_prefix: PrefixTrie[list[RouteOriginAuthorization]] = PrefixTrie()
         self._count = 0
+        self.version = 0
         for roa in roas:
             self.add(roa)
 
@@ -101,6 +106,7 @@ class RoaTable:
         if roa not in bucket:
             bucket.append(roa)
             self._count += 1
+            self.version += 1
 
     def remove(self, roa: RouteOriginAuthorization) -> None:
         bucket = self._by_prefix.get(roa.prefix)
@@ -108,6 +114,7 @@ class RoaTable:
             raise KeyError(f"{roa} not present")
         bucket.remove(roa)
         self._count -= 1
+        self.version += 1
         if not bucket:
             self._by_prefix.remove(roa.prefix)
 

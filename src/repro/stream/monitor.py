@@ -132,6 +132,15 @@ class OnlineMonitor:
     accepted event (the event-latency clock), :meth:`note_announce` /
     :meth:`note_withdraw` for ground-truth anchoring, and
     :meth:`observe` after each batch apply that touched a prefix.
+
+    A verdict is a function of the prefix, the observation list and the
+    detector's published data, so per prefix the monitor keeps the last
+    list it judged, the :attr:`~HijackDetector.published_version` it
+    judged it under and whether that judgement was a conflict. When the
+    probes show the same list under the same version, the judgement is
+    reused: it counts toward ``conflicts_judged`` as a re-judge would,
+    and it cannot alarm, because the alarm it could raise has already
+    been raised. ``stream.monitor.reused`` counts these reuses.
     """
 
     def __init__(
@@ -155,6 +164,10 @@ class OnlineMonitor:
         self._alarm_keys: set[
             tuple[Prefix, tuple[int, ...], tuple[tuple[int, ...], ...]]
         ] = set()
+        # prefix -> (published version, witnesses by tail, was a conflict)
+        self._judged: dict[
+            Prefix, tuple[int, dict[tuple[int, ...], list[int]], bool]
+        ] = {}
         self._events_seen = 0
         self._conflicts_judged = 0
         self.alarms: list[StreamAlarm] = []
@@ -199,11 +212,25 @@ class OnlineMonitor:
             announcer_by_tail.setdefault(tail, announcer)
         if not witnesses_by_tail:
             return None
+        version = self.detector.published_version
+        judged = self._judged.get(prefix)
+        if (
+            judged is not None
+            and judged[0] == version
+            and judged[1] == witnesses_by_tail
+        ):
+            self.metrics.count("stream.monitor.reused")
+            if judged[2]:
+                self._conflicts_judged += 1
+                self.metrics.count("stream.monitor.conflicts")
+            return None
         observations = [
             PathObservation(tail=tail, witnesses=tuple(sorted(probes)))
             for tail, probes in sorted(witnesses_by_tail.items())
         ]
         report = self.detector.observe_conflict(prefix, observations)
+        if version is not None:
+            self._judged[prefix] = (version, witnesses_by_tail, report is not None)
         if report is None:
             return None
         self._conflicts_judged += 1

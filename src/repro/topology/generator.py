@@ -34,6 +34,10 @@ from repro.util.rng import make_rng
 
 __all__ = ["GeneratorConfig", "generate_topology", "default_address_plan"]
 
+# Below this size the scaled transit budget cannot hold the tier-2 layer,
+# the deep chains and one mid-level transit AS per region.
+_SMALLEST_SCALED = 160
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -88,7 +92,15 @@ class GeneratorConfig:
         scales the region count, tier-2 layer and deep-chain budget to any
         requested size (floors keep the experiment roles — deep stubs, a
         small region, a tier-2 layer — present even at a few hundred ASes).
+        A tier-2 AS never asks for more tier-1 providers than there are.
+        Below 160 ASes those roles no longer fit, and this raises a
+        ``ValueError`` that names the limit.
         """
+        if as_count < _SMALLEST_SCALED:
+            raise ValueError(
+                f"as_count={as_count} is below the smallest scaled topology "
+                f"({_SMALLEST_SCALED} ASes)"
+            )
         region_count = overrides.pop(
             "region_count", max(3, min(12, as_count // 300))
         )
@@ -99,6 +111,10 @@ class GeneratorConfig:
             "chains_per_region", 2 if as_count >= 2000 else 1
         )
         tier1_count = overrides.pop("tier1_count", 17 if as_count >= 1200 else max(3, as_count // 70))
+        low, high = cls.tier2_provider_range
+        tier2_provider_range = overrides.pop(
+            "tier2_provider_range", (min(low, tier1_count), min(high, tier1_count))
+        )
         return cls(
             as_count=as_count,
             seed=seed,
@@ -106,12 +122,18 @@ class GeneratorConfig:
             tier2_count=tier2_count,
             chains_per_region=chains_per_region,
             tier1_count=tier1_count,
+            tier2_provider_range=tier2_provider_range,
             **overrides,
         )
 
     def __post_init__(self) -> None:
         if self.tier1_count < 2:
             raise ValueError("need at least two tier-1 ASes")
+        if self.tier2_provider_range[1] > self.tier1_count:
+            raise ValueError(
+                f"tier2_provider_range {self.tier2_provider_range} asks for more "
+                f"than the {self.tier1_count} tier-1 providers there are"
+            )
         minimum = (
             self.tier1_count
             + self.tier2_count

@@ -97,6 +97,21 @@ class TestCommands:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_generate_below_the_scaled_limit_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "topo.txt"
+        assert main(["generate", "--as-count", "150", "-o", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "generate error: as_count=150 is below the smallest scaled topology (160 ASes)"
+        ]
+        assert not path.exists()
+
+    def test_generate_at_250_ases_writes_the_file(self, tmp_path, capsys):
+        path = tmp_path / "topo.txt"
+        assert main(["generate", "--as-count", "250", "-o", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("wrote 250 ASes")
+
     @pytest.mark.parametrize(
         "argv",
         [["summarize", "-i"], ["stream", "--attacks", "1", "--topology"]],

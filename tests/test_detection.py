@@ -96,6 +96,21 @@ class TestObserveConflict:
     def roa(self, origin: int) -> RouteOriginAuthorization:
         return RouteOriginAuthorization(self.prefix, origin)
 
+    def test_published_version_follows_the_roa_table(self):
+        assert self.detector().published_version == 0  # no published data
+        detector = self.detector(self.roa(1))
+        version = detector.published_version
+        detector.authority.add(self.roa(2))
+        assert detector.published_version == version + 1
+
+    def test_an_unversioned_authority_has_no_published_version(self, mini_graph):
+        # PublicationState can publish more in place and keeps no version.
+        plan = HijackLab(mini_graph, seed=1).plan
+        detector = HijackDetector(
+            ProbeSet("x", frozenset([1, 2])), PublicationState.full(plan)
+        )
+        assert detector.published_version is None
+
     def judge(self, detector: HijackDetector, *origins: int):
         """What *detector* makes of one single-hop claim per origin."""
         return detector.observe_conflict(

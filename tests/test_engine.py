@@ -137,8 +137,8 @@ class TestHijack:
 
 class TestConvergenceCounters:
     """``engine.*`` counters pinned on a fixed chain; the values were
-    captured from the per-message reference queue, so regrouping the
-    queue into sender groups must leave every one of them in place."""
+    captured from the per-message reference queue, so queueing sender
+    nodes instead must leave every one of them in place."""
 
     def test_delta_chain_counters_are_pinned(self, mini_view):
         metrics = Metrics()
@@ -166,6 +166,59 @@ class TestConvergenceCounters:
             "engine.routes_replaced": 5,
             "engine.convergence_rounds": 15,
         }
+
+
+class TestKernelBookkeeping:
+    """The reference kernel counts a journaled pass off its journal and
+    messages off its queued senders after the loop. Two edge passes on
+    each backend: the origin's only sender group is fully blocked (one
+    message, no install), and an origin without peers (no PEER entry is
+    ever queued for it). Counters, rounds included, and journals must
+    equal the array kernel's, for the journaled delta pass and for the
+    cold pass over the same base alike."""
+
+    CASES = {
+        # AS70's only neighbour is its provider AS1, blocked.
+        "sender-group-blocked": (60, 70, (1,)),
+        # AS50 is a stub of AS30 with no peers.
+        "origin-without-peers": (60, 50, ()),
+    }
+
+    def run(self, mini_view, backend, case):
+        base_asn, origin_asn, blocked_asns = self.CASES[case]
+        node = mini_view.node_of
+        metrics = Metrics()
+        engine = RoutingEngine(mini_view, metrics=metrics, backend=backend)
+        base = engine.converge(node(base_asn))
+        blocked = {node(asn) for asn in blocked_asns}
+        metrics.counters.clear()
+        state = base.copy_for(base.origin)
+        delta = engine.converge_delta(state, node(origin_asn), blocked=blocked)
+        delta_counters = dict(metrics.counters)
+        metrics.counters.clear()
+        cold = engine.converge(node(origin_asn), base=base, blocked=blocked)
+        assert cold.checksum() == state.checksum()
+        return delta_counters, dict(metrics.counters), delta.journal
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_counters_and_journal_match_the_array_kernel(self, mini_view, case):
+        reference = self.run(mini_view, "reference", case)
+        array = self.run(mini_view, "array", case)
+        assert reference == array
+        delta_counters, cold_counters, journal = reference
+        assert delta_counters == cold_counters
+        assert delta_counters["engine.routes_installed"] == len(journal) // 5 - 1
+
+    def test_a_fully_blocked_group_is_one_message_and_one_round(self, mini_view):
+        counters, _, journal = self.run(mini_view, "reference", "sender-group-blocked")
+        assert counters == {
+            "engine.convergences": 1,
+            "engine.messages": 1,
+            "engine.routes_installed": 0,
+            "engine.routes_replaced": 0,
+            "engine.convergence_rounds": 2,
+        }
+        assert len(journal) == 5  # the origin's own install only
 
 
 class TestFlatJournal:

@@ -6,6 +6,8 @@ paper's CAIDA snapshot has 17 tier-1s, 14.7% transit ASes, and deep stubs
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology.classify import effective_depth, find_tier1, stub_asns, summarize
 from repro.topology.generator import (
@@ -15,6 +17,7 @@ from repro.topology.generator import (
 )
 
 from tests.conftest import MEDIUM_CONFIG
+from tests.strategies import example_budget
 
 
 class TestConfig:
@@ -25,6 +28,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(as_count=50)
 
+    def test_more_tier2_providers_than_tier1s_rejected(self):
+        with pytest.raises(ValueError, match="3 tier-1 providers"):
+            GeneratorConfig(as_count=1000, tier1_count=3, tier2_count=20, region_count=3,
+                            chains_per_region=1)
+
     def test_bad_multihome_distribution(self):
         with pytest.raises(ValueError):
             GeneratorConfig(stub_multihome_probabilities=(0.5, 0.4))
@@ -34,6 +42,29 @@ class TestConfig:
             config = GeneratorConfig.scaled(size)
             graph = generate_topology(config)
             assert len(graph) == size
+
+    @settings(max_examples=example_budget(30), deadline=None)
+    @given(size=st.integers(min_value=50, max_value=400))
+    def test_scaled_builds_or_names_its_limit(self, size):
+        # Below the limit the config refuses up front, naming it; at and
+        # above it the generator builds exactly the requested size.
+        if size < 160:
+            with pytest.raises(ValueError, match=r"smallest scaled topology \(160 ASes\)"):
+                GeneratorConfig.scaled(size)
+        else:
+            assert len(generate_topology(GeneratorConfig.scaled(size))) == size
+
+    @pytest.mark.parametrize("size", [159, 160, 200, 250, 279, 400])
+    def test_scaled_limit_edges(self, size):
+        # 160 is the first size whose transit budget fits; 160–279 have
+        # three tier-1s, fewer than the default four tier-2 providers.
+        if size < 160:
+            with pytest.raises(ValueError, match="160"):
+                GeneratorConfig.scaled(size)
+        else:
+            config = GeneratorConfig.scaled(size)
+            assert config.tier2_provider_range == (2, min(4, config.tier1_count))
+            assert len(generate_topology(config)) == size
 
     def test_scaled_accepts_overrides(self):
         config = GeneratorConfig.scaled(900, region_count=4, seed=3)

@@ -75,6 +75,19 @@ class TestRoaTable:
         with pytest.raises(KeyError):
             table.remove(roa)
 
+    def test_version_moves_only_when_the_table_changes(self, table):
+        roa = RouteOriginAuthorization(p("10.9.0.0/16"), 65009)
+        version = table.version
+        table.add(roa)
+        assert table.version == version + 1
+        table.add(roa)  # already present: nothing changed
+        assert table.version == version + 1
+        table.remove(roa)
+        assert table.version == version + 2
+        with pytest.raises(KeyError):
+            table.remove(roa)
+        assert table.version == version + 2
+
     def test_covering_collects_ancestors(self, table):
         table.add(RouteOriginAuthorization(p("10.0.0.0/8"), 65000))
         covering = table.covering(p("10.0.0.0/24"))

@@ -506,6 +506,59 @@ class TestMonitor:
         assert report.events_coalesced == 2
         assert report.monitor.alarms == ()
 
+    def probe_origins(self, replayer, prefix, probes=(10, 20)):
+        state = replayer.ledgers()[prefix].state
+        view = replayer.lab.view
+        return [state.origin_of[view.node_of(asn)] for asn in probes]
+
+    def test_roa_publish_flips_a_verdict_the_probes_did_not_change(self, lab):
+        """A ROA lands, then an announce touches the prefix without moving
+        either probe's route: the observation list is the one already
+        judged, but the published data is not, so it is judged again."""
+        prefix = lab.target_prefix(50)
+        metrics = Metrics()
+        replayer = StreamReplayer(
+            lab, detector=HijackDetector(ProbeSet("pair", frozenset([10, 20]))),
+            metrics=metrics,
+        )
+        replayer.run([
+            Announce(at=0.0, prefix=prefix, origin_asn=50),
+            Announce(at=1.0, prefix=prefix, origin_asn=60),
+        ])
+        seen = self.probe_origins(replayer, prefix)
+        replayer.run([
+            RoaPublish(at=2.0, prefix=prefix, origin_asn=50),
+            Announce(at=3.0, prefix=prefix, origin_asn=70),
+        ])
+        assert self.probe_origins(replayer, prefix) == seen
+        monitor = replayer.monitor.report()
+        assert [alarm.verdict for alarm in monitor.alarms] == ["unverifiable", "hijack"]
+        assert monitor.alarms[1].invalid_origins == (60,)
+        assert monitor.conflicts_judged == 2
+        assert "stream.monitor.reused" not in metrics.snapshot()["counters"]
+
+    def test_an_unchanged_observation_list_reuses_its_verdict(self, lab):
+        """70's announce and withdraw leave the pair's view alone, with no
+        ROA change in between: both reuse the conflict judged before, and
+        count toward conflicts_judged as a re-judge would."""
+        prefix = lab.target_prefix(50)
+        metrics = Metrics()
+        replayer = StreamReplayer(
+            lab, detector=HijackDetector(ProbeSet("pair", frozenset([10, 20]))),
+            metrics=metrics,
+        )
+        report = replayer.run([
+            Announce(at=0.0, prefix=prefix, origin_asn=50),
+            Announce(at=1.0, prefix=prefix, origin_asn=60),
+            Announce(at=2.0, prefix=prefix, origin_asn=70),
+            Withdraw(at=3.0, prefix=prefix, origin_asn=70),
+        ])
+        counters = metrics.snapshot()["counters"]
+        assert counters["stream.monitor.reused"] == 2
+        assert counters["stream.monitor.conflicts"] == 3
+        assert report.monitor.conflicts_judged == 3
+        assert [alarm.verdict for alarm in report.monitor.alarms] == ["unverifiable"]
+
     def test_report_serializes(self, lab):
         import json
 
