@@ -235,7 +235,7 @@ class HijackLab:
         built from the plan (fixed once built) on first use."""
         space = self._tables.get("node_space")
         if space is None:
-            import numpy as np  # lazy, as in _pollution
+            import numpy as np  # lazy, as in _outcome
 
             space_of = self.plan.address_space_of
             space = self._tables["node_space"] = np.fromiter(
@@ -245,57 +245,39 @@ class HijackLab:
             )
         return space
 
-    def _pollution(
-        self, state: RouteState, attacker_node: int
-    ) -> tuple["ndarray", int, float]:
-        """Who routes to *attacker_node* in *state*, counted, and how much space.
-
-        Returns ``(nodes, pollution_count, address_fraction)``: every node
-        holding the attacker's route (the attacker's own node excluded)
-        as a fresh read-only int array, how many ASes those nodes stand
-        for, and their share of the allocated address space. The count
-        is ``len(view.expand(nodes))`` summed from per-node member counts
-        and the fraction is ``plan.fraction_owned`` of that set, bit for
-        bit (one integer sum, one division); no ASN set is built.
-        """
-        import numpy as np  # lazy: labs that never attack skip the import
-
-        held = np.asarray(state.origin_of) == attacker_node
-        held[attacker_node] = False
-        nodes = np.flatnonzero(held)
-        nodes.setflags(write=False)
-        count = int(self.view.member_counts[nodes].sum())
-        total = self.plan.total_allocated()
-        owned = int(self._node_space()[nodes].sum())
-        return nodes, count, (owned / total if total else 0.0)
-
     def _outcome(
         self,
         scenario: HijackScenario,
         claimed: tuple[int, ...] | None,
-        state: RouteState | None = None,
-        attacker_node: int = -1,
+        holders: "ndarray | None" = None,
         blocked: frozenset[int] = frozenset(),
     ) -> AttackOutcome:
-        """Assemble a scenario's outcome from its converged *state*.
+        """Assemble a scenario's outcome from the nodes that took the
+        attacker's route (:meth:`ConvergedBatch.holders
+        <repro.bgp.engine.ConvergedBatch.holders>`: sorted, the
+        attacker's own node left out).
 
-        Without a state the attack never launched (nothing to replay or
-        leak): nobody is polluted and nothing was blocked.
+        The outcome keeps them as a read-only array. Their AS count is
+        ``len(view.expand(holders))`` summed from per-node member counts
+        and the address fraction is ``plan.fraction_owned`` of that set,
+        bit for bit (one integer sum, one division); no ASN set is
+        built. Without holders the attack never launched (nothing to
+        replay or leak): nobody is polluted and nothing was blocked.
         """
-        if state is None:
-            import numpy as np
+        if holders is None:
+            import numpy as np  # lazy: labs that never attack skip the import
 
-            nodes, count, fraction = np.empty(0, dtype=np.intp), 0, 0.0
-            nodes.setflags(write=False)
-        else:
-            nodes, count, fraction = self._pollution(state, attacker_node)
+            holders = np.empty(0, dtype=np.intp)
+        holders.setflags(write=False)
+        total = self.plan.total_allocated()
+        owned = int(self._node_space()[holders].sum())
         return AttackOutcome(
             scenario=scenario,
-            polluted_nodes=nodes,
-            pollution_count=count,
+            polluted_nodes=holders,
+            pollution_count=int(self.view.member_counts[holders].sum()),
             blocked_asns=self.view.expand(blocked),
             view=self.view,
-            address_fraction=fraction,
+            address_fraction=owned / total if total else 0.0,
             claimed_path=claimed,
         )
 
@@ -409,18 +391,18 @@ class HijackLab:
             width = self.batch_origins
             for start in range(0, len(members), width):
                 chunk = [prepared[member] for member in members[start:start + width]]
-                states = self.engine.converge_batch(
+                batch = self.engine.converge_batch(
                     [entry[2] for entry in chunk],
                     base=base,
                     blocked_sets=[entry[4] for entry in chunk],
                     first_hop_flags=[entry[5] for entry in chunk],
                     origin_lengths=[len(entry[3]) - 1 for entry in chunk],
                 )
-                for (index, scenario, attacker_node, claimed, blocked, _), state in zip(
-                    chunk, states
-                ):
+                # Only who took each attacker's route is read: on the
+                # array backend no column's state is ever built.
+                for col, (index, scenario, _, claimed, blocked, _) in enumerate(chunk):
                     outcomes[index] = self._outcome(
-                        scenario, claimed, state, attacker_node, blocked
+                        scenario, claimed, batch.holders(col), blocked
                     )
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]

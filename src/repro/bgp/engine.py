@@ -33,12 +33,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Collection, MutableSequence, Sequence
+from typing import TYPE_CHECKING, Collection, MutableSequence, Sequence
 
 from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.topology.relationships import RouteClass
 from repro.topology.view import RoutingView
+
+if TYPE_CHECKING:  # pragma: no cover - the kernel imports numpy; this module must not
+    from numpy import ndarray
+
+    from repro.bgp.kernel import ArrayColumns
 
 __all__ = ["ConvergenceDelta", "RouteState", "RoutingEngine", "UNREACHABLE"]
 
@@ -195,6 +200,53 @@ class RouteState:
         return tuple(path)
 
 
+class ConvergedBatch(Sequence[RouteState]):
+    """The K states of one :meth:`RoutingEngine.converge_batch`, in origin order.
+
+    ``batch[i]`` is origin *i*'s :class:`RouteState`. The reference
+    backend hands over its eager states; the array kernel hands over its
+    :class:`~repro.bgp.kernel.ArrayColumns` and a state is built when it
+    is first read (then kept). :meth:`holders` answers the question a
+    sweep asks without building any state.
+    """
+
+    def __init__(
+        self,
+        origins: list[int],
+        states: list[RouteState] | None = None,
+        *,
+        columns: "ArrayColumns | None" = None,
+    ) -> None:
+        self.origins = origins
+        self._states: list[RouteState | None] = (
+            states if states is not None else [None] * len(origins)
+        )
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def __getitem__(self, index: int) -> RouteState:  # type: ignore[override]
+        col = range(len(self))[index]  # IndexError past the end, like a list
+        state = self._states[col]
+        if state is None:
+            state = self._states[col] = self._columns.state(col)
+        return state
+
+    def holders(self, index: int) -> "ndarray":
+        """Sorted nodes whose route is origin *index*'s, the origin left
+        out: ``sorted(self[index].holders_of(origin))`` as an int array,
+        read off the kernel's key grid on the array backend."""
+        col = range(len(self))[index]
+        if self._columns is not None:
+            return self._columns.holders(col)
+        import numpy as np  # an eager state may be list-backed
+
+        origin = self.origins[col]
+        nodes = np.flatnonzero(np.asarray(self._states[col].origin_of) == origin)
+        return nodes[nodes != origin]
+
+
 class RoutingEngine:
     """Direct computation of converged routing states over a view.
 
@@ -239,16 +291,19 @@ class RoutingEngine:
             # import, and kernel.py type-checks against this module.
             from repro.bgp.kernel import (
                 compile_view,
+                converge_columns,
                 propagate_array_batch,
                 resolve_backend,
             )
 
             self.backend = resolve_backend(backend)
             self._compiled = compile_view(view)
+            self._converge_columns = converge_columns
             self._propagate_array_batch = propagate_array_batch
         else:
             self.backend = backend
             self._compiled = None
+            self._converge_columns = None
             self._propagate_array_batch = None
 
     # -- public API ------------------------------------------------------------
@@ -276,18 +331,21 @@ class RoutingEngine:
         ``origin_length + 1`` and compete on that longer length — the
         honest default 0 is the plain one-hop origination.
         """
-        n = len(self.view)
-        state = base.copy_for(origin) if base is not None else RouteState.empty(n, origin)
         blocked_set = frozenset(blocked)
-        self._propagate(
-            state,
-            origin,
-            blocked_set,
-            filter_first_hop_providers,
-            journal=None,
-            fresh=base is None,
-            origin_length=origin_length,
-        )
+        if self._converge_columns is not None:
+            state = self._array_columns(
+                [origin], base, [blocked_set], [filter_first_hop_providers],
+                [origin_length],
+            ).state(0)
+        else:
+            n = len(self.view)
+            state = (
+                base.copy_for(origin) if base is not None else RouteState.empty(n, origin)
+            )
+            self._propagate_reference(
+                state, origin, blocked_set, filter_first_hop_providers, None,
+                origin_length,
+            )
         if self.validate:
             # Imported lazily: the oracle package imports this module.
             from repro.oracle.invariants import check_route_state
@@ -331,62 +389,50 @@ class RoutingEngine:
         blocked_sets: Sequence[Collection[int]] | None = None,
         first_hop_flags: Sequence[bool] | None = None,
         origin_lengths: Sequence[int] | None = None,
-    ) -> list[RouteState]:
+    ) -> "ConvergedBatch":
         """Converge K independent announcements in one fused pass.
 
-        The batched analogue of :meth:`converge`: origin *i*'s returned
-        state is checksum-identical to
+        The batched analogue of :meth:`converge`: origin *i*'s state,
+        ``batch[i]``, is checksum-identical to
         ``converge(origins[i], base=base, blocked=blocked_sets[i], ...)``
         — columns of the batch never interact, the shared ``base`` (the
         hijack-sweep shape: many attackers stacked on one legitimate
-        baseline) is tiled, never mutated. Per-column knobs default
-        exactly like the scalar API (no blocking, no stub filter, honest
-        origination).
+        baseline) is only read. Per-column knobs default exactly like
+        the scalar API (no blocking, no stub filter, honest origination).
+        :meth:`ConvergedBatch.holders` reads who routes to origin *i*
+        without building its state.
 
         On the array backend all K origins share one kernel invocation
         over the engine's compiled CSR, which is where the multi-origin
-        speedup comes from — K=1 included, since a single-origin pass is
-        the one-column case of the same kernel. The reference backend loops
-        :meth:`converge` per origin.
+        speedup comes from, and a state is built only when read. The
+        reference backend loops :meth:`converge` per origin.
         """
         origins = list(origins)
         blocked, first_hop, lengths = self._batch_params(
             len(origins), blocked_sets, first_hop_flags, origin_lengths
         )
-        if self._propagate_array_batch is None:
-            return [
-                self.converge(
-                    origin,
-                    base=base,
-                    blocked=blocked[index],
-                    filter_first_hop_providers=first_hop[index],
-                    origin_length=lengths[index],
-                )
-                for index, origin in enumerate(origins)
-            ]
-        # Placeholder states: the kernel's write-back replaces every array,
-        # so pre-filling K RouteState.empty copies would be pure waste.
-        states = [
-            RouteState(origin=origin, cls=[], length=[], parent=[], origin_of=[])
-            for origin in origins
-        ]
-        messages, installs, replaced, rounds = self._propagate_array_batch(
-            self._compiled,
-            states,
+        if self._converge_columns is None:
+            return ConvergedBatch(
+                origins,
+                [
+                    self.converge(
+                        origin,
+                        base=base,
+                        blocked=blocked[index],
+                        filter_first_hop_providers=first_hop[index],
+                        origin_length=lengths[index],
+                    )
+                    for index, origin in enumerate(origins)
+                ],
+            )
+        batch = ConvergedBatch(
             origins,
-            blocked,
-            first_hop,
-            self.policy.tier1_shortest_path,
-            None,
-            lengths,
-            base=base,
-            fresh=base is None,
+            columns=self._array_columns(origins, base, blocked, first_hop, lengths),
         )
-        self._emit_convergence_metrics(messages, installs, replaced, rounds)
         if self.validate:
             from repro.oracle.invariants import check_route_state
 
-            for index, state in enumerate(states):
+            for index, state in enumerate(batch):
                 check_route_state(
                     self.view,
                     state,
@@ -397,7 +443,28 @@ class RoutingEngine:
                         {origins[index]: lengths[index]} if lengths[index] else None
                     ),
                 )
-        return states
+        return batch
+
+    def _array_columns(
+        self,
+        origins: list[int],
+        base: RouteState | None,
+        blocked: list[frozenset[int]],
+        first_hop: list[bool],
+        lengths: list[int],
+    ) -> "ArrayColumns":
+        """One array-kernel pass over a fresh or shared start, counted."""
+        columns, counters = self._converge_columns(
+            self._compiled,
+            origins,
+            blocked,
+            first_hop,
+            self.policy.tier1_shortest_path,
+            lengths,
+            base,
+        )
+        self._emit_convergence_metrics(*counters)
+        return columns
 
     def converge_delta_batch(
         self,
@@ -510,10 +577,23 @@ class RoutingEngine:
         prev_origin = state.origin
         state.origin = origin
         blocked_set = frozenset(blocked)
-        self._propagate(
-            state, origin, blocked_set, filter_first_hop_providers, journal=journal,
-            origin_length=origin_length,
-        )
+        if self._propagate_array_batch is not None:
+            counters = self._propagate_array_batch(
+                self._compiled,
+                [state],
+                [origin],
+                [blocked_set],
+                [filter_first_hop_providers],
+                self.policy.tier1_shortest_path,
+                [journal],
+                [origin_length],
+            )
+            self._emit_convergence_metrics(*counters)
+        else:
+            self._propagate_reference(
+                state, origin, blocked_set, filter_first_hop_providers, journal,
+                origin_length,
+            )
         return ConvergenceDelta(
             origin=origin,
             prev_origin=prev_origin,
@@ -521,49 +601,6 @@ class RoutingEngine:
             first_hop_filtered=filter_first_hop_providers,
             journal=journal,
             origin_length=origin_length,
-        )
-
-    def _propagate(
-        self,
-        state: RouteState,
-        origin: int,
-        blocked_set: frozenset[int],
-        filter_first_hop_providers: bool,
-        journal: list[int] | None,
-        fresh: bool = False,
-        origin_length: int = 0,
-    ) -> None:
-        """The propagation kernel dispatcher.
-
-        Mutates *state* in place. When *journal* is given, every install
-        appends the node and its overwritten ``cls, length, parent,
-        origin_of`` cells (pre-install values, five flat ints) so the
-        pass can be reverted; the batch
-        path passes ``None`` and pays only one ``is not None`` test per
-        install. ``fresh=True`` asserts *state* is a pristine
-        :meth:`RouteState.empty` — a pure hint; the array kernel uses it
-        to fill its scratch arrays directly instead of converting the
-        state lists. On the array backend the pass is the one-column case
-        of the fused kernel. Both backends produce identical state
-        arrays, journals and metrics counters.
-        """
-        if self._propagate_array_batch is not None:
-            messages, installs, replaced, rounds = self._propagate_array_batch(
-                self._compiled,
-                [state],
-                [origin],
-                [blocked_set],
-                [filter_first_hop_providers],
-                self.policy.tier1_shortest_path,
-                None if journal is None else [journal],
-                [origin_length],
-                fresh=fresh,
-            )
-            self._emit_convergence_metrics(messages, installs, replaced, rounds)
-            return
-        self._propagate_reference(
-            state, origin, blocked_set, filter_first_hop_providers, journal,
-            origin_length,
         )
 
     def _propagate_reference(

@@ -2,28 +2,29 @@
 
 The reference kernel in
 :meth:`repro.bgp.engine.RoutingEngine._propagate_reference` pays
-Python-interpreter cost *per message*: it queues one ``(sender,
-receivers)`` group per export, but every announcement crossing every
-link is still a loop step, a few list indexings and integer compares.
+Python-interpreter cost *per message*: it queues one sender node per
+export, but every announcement crossing every link is still a loop
+step, a few list indexings and integer compares.
 At the 1/10-scale synthetic topology that is cheaper than numpy's
 per-call overhead; at the paper's real CAIDA snapshot (42,697 ASes,
 139,156 links) a single
 origin convergence pushes hundreds of thousands of messages and the
 interpreter dominates. This module re-states the identical algorithm in
 bulk array operations so the per-message cost drops to a few vectorized
-numpy instructions. There is one array kernel,
-:func:`propagate_array_batch`: it converges K origins as K columns of
-one flat layout, and a single-origin pass is its K=1 column.
+numpy instructions. There is one bucket loop: it converges K origins
+as K columns of one flat layout, and a single-origin pass is its K=1
+column. :func:`converge_columns` runs it over a fresh or shared start
+and hands back :class:`ArrayColumns`; :func:`propagate_array_batch`
+runs it in place over K states, with undo journals.
 
 * the compiled :class:`~repro.topology.view.RoutingView` adjacency is
   flattened into CSR form once per engine (:class:`CompiledTopology` —
   int32 ``indptr``/``indices`` per relationship kind);
-* per-pass route state lives in preallocated int32/int64 scratch arrays,
-  and the :class:`~repro.bgp.engine.RouteState` the kernel writes back
-  holds numpy arrays too, so a state coming back in (a hijack pass over
-  a cached baseline, a stream ledger's in-place re-announcement) is
-  loaded without a list conversion;
-* the bucketed frontier queue holds *array chunks* of ``(node, sender)``
+* the loop keeps one array, the packed ``(class, length)`` key of every
+  cell; each install is logged as its cell and sender, and
+  ``parent``/``origin_of`` are derived from that log after the loop —
+  for a sweep, never: it reads only which cells changed key;
+* the bucketed frontier queue holds *array chunks* of ``(cell, sender)``
   candidates instead of per-candidate tuples, and each ``(length,
   class)`` bucket is resolved with one vectorized preference test plus a
   CSR neighbor gather for the winners' exports.
@@ -37,15 +38,23 @@ strictly beats the node's incumbent at bucket start (a later candidate in
 the same bucket carries the same ``(length, class)`` and can never beat
 an entry the first one just installed — ties keep the incumbent); winners
 export at ``length + 1``, never back into the current bucket. The array
-kernel reproduces exactly that: a reverse-order index scatter selects
-each node's first candidate in push order, the vectorized
-preference test mirrors :func:`repro.bgp.policy.prefers` (including the
-tier-1 shortest-path exception), and winner exports are gathered in
-install order with each winner's neighbors in adjacency order — the same
-order in which the reference walks its per-winner sender groups. The
-undo journal is emitted in the same install order with the same
-pre-install cells, in the same flat five-ints-per-install layout, so
-:meth:`ConvergenceDelta.revert
+kernel reproduces exactly that, testing first: all candidates of a
+bucket carry the same packed key, so whether one beats its incumbent —
+the vectorized test mirrors :func:`repro.bgp.policy.prefers`, tier-1
+shortest-path exception included — depends on its cell alone, and a
+reverse-order index scatter over the winning candidates then selects
+each cell's first one in push order: the same winners, in the same
+order, as selecting first and testing after. Winner exports are
+gathered in install order with each winner's neighbors in adjacency
+order — the order in which the reference walks its queued sender nodes.
+After the loop, a cell's ``parent`` is the sender of its last logged
+install (else its loaded value) and its ``origin_of`` the column's
+origin (else its loaded value), which is what the reference's in-loop
+writes leave. The undo journal is emitted in the same install order,
+each record's pre-install key being the key it displaced and its
+pre-install ``parent``/``origin_of`` the previous install of that cell
+in its column (else the loaded value), in the same flat
+five-ints-per-install layout, so :meth:`ConvergenceDelta.revert
 <repro.bgp.engine.ConvergenceDelta.revert>` parity holds too.
 
 The contract — identical :meth:`RouteState.checksum()
@@ -59,7 +68,7 @@ fixtures; see ``docs/model.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,7 +78,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us la
     from repro.topology.view import RoutingView
 
 __all__ = [
+    "ArrayColumns",
     "compile_view",
+    "converge_columns",
     "propagate_array_batch",
     "resolve_backend",
 ]
@@ -93,6 +104,9 @@ _UNREACHABLE = 1 << 30  # engine.UNREACHABLE
 _LEN_BITS = 31
 _LEN_MASK = (1 << _LEN_BITS) - 1
 _EMPTY_KEY = (_NO_CLASS << _LEN_BITS) | _UNREACHABLE
+# Every packed key below this one holds a route: an empty cell's class
+# is _NO_CLASS, the worst.
+_NO_ROUTE_KEY = _NO_CLASS << _LEN_BITS
 
 
 def resolve_backend(backend: str) -> str:
@@ -193,133 +207,80 @@ def gather_flat(
     each cell's column base repeated alike, so the caller rebases the
     gathered targets into their own column.
     """
-    cols, nodes = np.divmod(cells, size)
+    colbases = cells // size * size
+    nodes = cells - colbases
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
-    out = int(counts.sum())
-    if out == 0:
+    # Most cells are stubs with nothing to gather: drop them first.
+    some = np.flatnonzero(counts)
+    if some.size == 0:
         return _EMPTY64, _EMPTY64, _EMPTY64
+    if some.size < counts.size:
+        colbases = colbases[some]
+        nodes = nodes[some]
+        starts = starts[some]
+        counts = counts[some]
+    out = int(counts.sum())
     # Standard vectorized multi-range gather: each output cell's flat
     # position is its running output index shifted by its cell's
     # (slice start - output start), repeated once per slice cell.
     ends = np.cumsum(counts)
     shift = np.repeat(starts - (ends - counts), counts)
     positions = np.arange(out, dtype=np.int64) + shift
-    return positions, np.repeat(nodes, counts), np.repeat(cols * size, counts)
+    return positions, np.repeat(nodes, counts), np.repeat(colbases, counts)
 
 
-def propagate_array_batch(
+def _packed(state: "RouteState") -> np.ndarray:
+    """*state*'s ``(cls, length)`` cells as packed int64 keys."""
+    return (np.asarray(state.cls, dtype=np.int64) << _LEN_BITS) | np.asarray(
+        state.length, dtype=np.int64
+    )
+
+
+def _converge(
     topology: CompiledTopology,
-    states: "list[RouteState]",
+    key: np.ndarray,
     origins: "list[int]",
     blocked_sets: "list[frozenset[int]]",
     first_hop_flags: "list[bool]",
     tier1_shortest: bool,
-    journals: list[list[int]] | None,
     origin_lengths: "list[int]",
-    base: "RouteState | None" = None,
-    fresh: bool = False,
-) -> tuple[int, int, int, int]:
-    """Converge K independent announcement passes in one fused sweep.
+    journaled: bool,
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], tuple[int, int, int, int]]:
+    """The bucket loop: converge K columns of the packed *key* grid in place.
 
-    The one array kernel: a single-origin pass (:meth:`RoutingEngine.converge
-    <repro.bgp.engine.RoutingEngine.converge>`, ``converge_delta``) is
-    the K=1 case. Each origin is one *column* of a flat ``K*N`` scratch
-    layout (cell ``col*N + node``): columns never read or write each
-    other's cells, so the reverse-scatter tie-break, the packed-key
-    preference test and the CSR export gathers all run once per
-    ``(length, class)`` bucket over every column's candidates
-    concatenated, amortizing numpy's per-call overhead over a whole
-    sweep's origins.
+    Each origin is one *column* of the flat ``K*N`` grid (cell
+    ``col*N + node``). Columns never read or write each other's cells,
+    so the preference test, the first-occurrence pass and the CSR
+    export gathers run once per ``(length, class)`` bucket over every
+    column's candidates concatenated. The loop keeps only ``key`` up to
+    date; every install is logged as its flat cell and its sender node,
+    and the caller derives ``parent``/``origin_of`` from that log.
 
-    Why each column is bit-identical to the reference kernel's pass for
-    its origin: within a bucket the flat candidate array keeps
-    per-column push order (chunks are appended in the same step order,
-    and boolean filtering preserves relative order), the
-    first-occurrence scatter operates on flat cells so selection
-    restricted to one column picks exactly that column's first
-    candidates, and the preference test is per-cell. By induction over
-    bucket steps every column installs the same winners in the same
-    order as the reference bucket queue — which is also why the
-    per-column undo journals (distributed from the global install stream
-    by a stable sort on the column index) match entry for entry.
-
-    Loading modes: ``fresh=True`` fills pristine scratch directly
-    (*states* may hold placeholder empty lists); ``base`` loads one
-    shared base state and tiles it across columns (the hijack-sweep
-    shape — K attackers stacked on one legitimate baseline) without K
-    Python-list copies; otherwise each of the K *states* is loaded into
-    its own column (the in-place shape of
-    :meth:`RoutingEngine.converge_delta
-    <repro.bgp.engine.RoutingEngine.converge_delta>`, one column per
-    mutated state).
-
-    Replaces every state's arrays (write-back per column) and returns
-    the aggregate ``(messages, installs, replaced, rounds)``. A
-    :meth:`frozen <repro.bgp.engine.RouteState.freeze>` state raises
-    ``ValueError`` before any work: the write-back assigns attributes,
-    which a read-only array could not stop. *base* is only read.
+    Returns ``(cells, senders, displaced, counters)``: the install log
+    as per-bucket chunks in install order (the origins' own installs
+    left out), the key each install displaced when *journaled* (else no
+    chunks), and the aggregate ``(messages, installs, replaced,
+    rounds)``.
     """
-    for state in states:
-        if state.is_frozen:
-            raise ValueError(
-                "propagate_array_batch cannot write back into a frozen state; copy it"
-            )
     n = topology.size
     k = len(origins)
     total = n * k
-
-    if fresh:
-        key = np.full(total, _EMPTY_KEY, dtype=np.int64)
-        parent = np.full(total, -1, dtype=np.int32)
-        origin_of = np.full(total, -1, dtype=np.int32)
-    elif base is not None:
-        base_key = (np.asarray(base.cls, dtype=np.int64) << _LEN_BITS) | np.asarray(
-            base.length, dtype=np.int64
-        )
-        key = np.tile(base_key, k)
-        parent = np.tile(np.asarray(base.parent, dtype=np.int32), k)
-        origin_of = np.tile(np.asarray(base.origin_of, dtype=np.int32), k)
-    else:
-        key = np.concatenate(
-            [
-                (np.asarray(state.cls, dtype=np.int64) << _LEN_BITS)
-                | np.asarray(state.length, dtype=np.int64)
-                for state in states
-            ]
-        )
-        parent = np.concatenate(
-            [np.asarray(state.parent, dtype=np.int32) for state in states]
-        )
-        origin_of = np.concatenate(
-            [np.asarray(state.origin_of, dtype=np.int32) for state in states]
-        )
-
-    origins_np = np.asarray(origins, dtype=np.int32)
-    is_tier1_flat = np.tile(topology.is_tier1, k)
-    first_slot = np.full(total, -1, dtype=np.int64)
-
-    dropped = np.zeros(total, dtype=bool)
-    for col, (origin, blocked_set) in enumerate(zip(origins, blocked_sets)):
-        colbase = col * n
-        if blocked_set:
-            dropped[[colbase + node for node in blocked_set]] = True
-        dropped[colbase + origin] = True
+    # An origin's own cell needs no drop mark: no candidate of its column
+    # beats (ORIGIN, origin_length) — a tier-1 origin would need a length
+    # below origin_length + 1 — so only blocked cells are ever dropped.
+    dropped = None
+    if any(blocked_sets):
+        dropped = np.zeros(total, dtype=bool)
+        for col, blocked_set in enumerate(blocked_sets):
+            if blocked_set:
+                dropped[[col * n + node for node in blocked_set]] = True
+    is_tier1 = np.tile(topology.is_tier1, k) if tier1_shortest else None
+    # Written before it is read in every bucket, so never initialized.
+    first_slot = np.empty(total, dtype=np.int32)
 
     for col, origin in enumerate(origins):
-        cell = col * n + origin
-        if journals is not None:
-            origin_key = int(key[cell])
-            journals[col] += (
-                origin,
-                origin_key >> _LEN_BITS,
-                origin_key & _LEN_MASK,
-                int(parent[cell]),
-                int(origin_of[cell]),
-            )
-        key[cell] = (_CLASS_ORIGIN << _LEN_BITS) | origin_lengths[col]
-        parent[cell] = -1
-        origin_of[cell] = origin
+        key[col * n + origin] = (_CLASS_ORIGIN << _LEN_BITS) | origin_lengths[col]
 
     buckets: list[list[list[tuple[np.ndarray, np.ndarray]]] | None] = []
 
@@ -378,14 +339,9 @@ def propagate_array_batch(
         else:
             push_exports(origin_cell, _CLASS_ORIGIN, first_hop_length)
 
-    # Journal records accumulate per bucket as the winners' flat cells
-    # and pre-install values, and are split into columns after the loop:
-    # a stable sort on the column index keeps each column's global
-    # install order intact.
-    j_cells: list[np.ndarray] = []
-    j_keys: list[np.ndarray] = []
-    j_parents: list[np.ndarray] = []
-    j_origins: list[np.ndarray] = []
+    log_cells: list[np.ndarray] = []
+    log_senders: list[np.ndarray] = []
+    log_displaced: list[np.ndarray] = []
 
     messages = 0
     installs = 0
@@ -406,78 +362,307 @@ def propagate_array_batch(
                     cells = np.concatenate([chunk[0] for chunk in chunks])
                     senders = np.concatenate([chunk[1] for chunk in chunks])
                 messages += int(cells.size)
-                keep = ~dropped[cells]
-                if not keep.all():
-                    cells = cells[keep]
-                    senders = senders[keep]
-                if cells.size == 0:
-                    continue
-                slots = np.arange(cells.size, dtype=np.int64)
-                first_slot[cells[::-1]] = slots[::-1]
-                sel = first_slot[cells] == slots
-                first_slot[cells] = -1
-                cand_cells = cells[sel]
-                cand_senders = senders[sel]
-                incumbent_key = key[cand_cells]
+                if dropped is not None:
+                    keep = np.flatnonzero(~dropped[cells])
+                    if keep.size < cells.size:
+                        cells = cells[keep]
+                        senders = senders[keep]
+                # Every candidate of the bucket carries the same packed
+                # key, so whether it beats the incumbent is a property of
+                # its cell: test first, then pick each winning cell's
+                # first candidate in push order.
+                incumbent_key = key[cells]
                 cand_key = (route_class << _LEN_BITS) | route_length
                 beats = cand_key < incumbent_key
-                if tier1_shortest:
-                    beats = np.where(
-                        is_tier1_flat[cand_cells],
-                        route_length < (incumbent_key & _LEN_MASK),
-                        beats,
-                    )
-                if not beats.any():
+                if is_tier1 is not None:
+                    # The tier-1 rule: a tier-1 cell takes any strictly
+                    # shorter route, whatever its class.
+                    tier1 = np.flatnonzero(is_tier1[cells])
+                    if tier1.size:
+                        beats[tier1] = route_length < (
+                            incumbent_key[tier1] & _LEN_MASK
+                        )
+                won = np.flatnonzero(beats)
+                if won.size == 0:
                     continue
-                winners = cand_cells[beats]
-                winner_senders = cand_senders[beats]
-                displaced_key = incumbent_key[beats]
-                installs += int(winners.size)
-                replaced += int(((displaced_key >> _LEN_BITS) != _NO_CLASS).sum())
-                if journals is not None:
-                    j_cells.append(winners)
-                    j_keys.append(displaced_key)
-                    j_parents.append(parent[winners])
-                    j_origins.append(origin_of[winners])
-                key[winners] = cand_key
-                parent[winners] = winner_senders
-                origin_of[winners] = origins_np[winners // n]
-                push_exports(winners, route_class, route_length + 1)
+                if won.size < cells.size:
+                    cells = cells[won]
+                    senders = senders[won]
+                    incumbent_key = incumbent_key[won]
+                slots = np.arange(cells.size, dtype=np.int32)
+                first_slot[cells[::-1]] = slots[::-1]
+                first = np.flatnonzero(first_slot[cells] == slots)
+                if first.size < cells.size:
+                    cells = cells[first]
+                    senders = senders[first]
+                    incumbent_key = incumbent_key[first]
+                installs += int(cells.size)
+                replaced += int(np.count_nonzero(incumbent_key < _NO_ROUTE_KEY))
+                key[cells] = cand_key
+                log_cells.append(cells)
+                log_senders.append(senders)
+                if journaled:
+                    log_displaced.append(incumbent_key)
+                push_exports(cells, route_class, route_length + 1)
         route_length += 1
 
-    if journals is not None and j_cells:
-        cols, nodes = np.divmod(np.concatenate(j_cells), n)
-        order = np.argsort(cols, kind="stable")
-        keys = np.concatenate(j_keys)[order]
-        # One row of five per install, flattened into the engine's
-        # journal layout: node, cls, length, parent, origin_of.
-        records = iter(
-            np.stack(
-                (
-                    nodes[order],
-                    keys >> _LEN_BITS,
-                    keys & _LEN_MASK,
-                    np.concatenate(j_parents)[order],
-                    np.concatenate(j_origins)[order],
-                ),
-                axis=1,
-            )
-            .ravel()
-            .tolist()
-        )
-        # Records are in column order now; hand each column its run.
-        counts = np.bincount(cols, minlength=k).tolist()
-        for journal, count in zip(journals, counts):
-            journal.extend(islice(records, 5 * count))
+    return log_cells, log_senders, log_displaced, (messages, installs, replaced, len(buckets))
 
-    key_grid = key.reshape(k, n)
-    parent_grid = parent.reshape(k, n)
-    origin_grid = origin_of.reshape(k, n)
-    # One copy per column: a view would pin the whole K*N grid for as
-    # long as any single state lives.
-    for col, state in enumerate(states):
-        state.cls = key_grid[col] >> _LEN_BITS
-        state.length = key_grid[col] & _LEN_MASK
-        state.parent = parent_grid[col].copy()
-        state.origin_of = origin_grid[col].copy()
-    return messages, installs, replaced, len(buckets)
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else _EMPTY64
+
+
+def _column_installs(
+    cells: np.ndarray, senders: np.ndarray, col: int, size: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Column *col*'s logged installs, in install order: their nodes,
+    their senders and their log indices (``None``: the whole log)."""
+    if k == 1:
+        return cells, senders, None
+    at = np.flatnonzero(cells // size == col)
+    return cells[at] - col * size, senders[at], at
+
+
+def _finish_column(
+    row: np.ndarray,
+    origin: int,
+    parent: np.ndarray,
+    origin_of: np.ndarray,
+    nodes: np.ndarray,
+    senders: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One column's ``(cls, length, parent, origin_of)``.
+
+    *parent* and *origin_of* are the column's loaded arrays (owned
+    copies, written in place); the logged installs go over them in
+    install order, so the last install of a cell names its parent, and
+    every installed cell routes to *origin*.
+    """
+    parent[nodes] = senders
+    parent[origin] = -1
+    origin_of[nodes] = origin
+    origin_of[origin] = origin
+    return row >> _LEN_BITS, row & _LEN_MASK, parent, origin_of
+
+
+def _journal_records(
+    loaded: "RouteState",
+    origin: int,
+    nodes: np.ndarray,
+    senders: np.ndarray,
+    displaced: np.ndarray,
+    size: int,
+) -> list[int]:
+    """One column's undo journal, five flat ints per install.
+
+    The origin's own record comes first, from *loaded*. An install's
+    pre-install ``cls``/``length`` is the key it *displaced*; its
+    pre-install ``parent``/``origin_of`` is the previous install of the
+    same cell in this column (its sender, and *origin*), or else the
+    loaded value.
+    """
+    parent = np.asarray(loaded.parent)
+    origin_of = np.asarray(loaded.origin_of)
+    records = [
+        origin,
+        int(loaded.cls[origin]),
+        int(loaded.length[origin]),
+        int(parent[origin]),
+        int(origin_of[origin]),
+    ]
+    if nodes.size == 0:
+        return records
+    old_parent = parent[nodes].astype(np.int64)
+    old_origin = origin_of[nodes].astype(np.int64)
+    again = np.flatnonzero(np.bincount(nodes, minlength=size)[nodes] > 1)
+    if again.size:
+        # Entries of cells installed more than once, grouped by cell in
+        # install order: each takes its predecessor's sender.
+        again = again[np.argsort(nodes[again], kind="stable")]
+        repeat = nodes[again[1:]] == nodes[again[:-1]]
+        later = again[1:][repeat]
+        old_parent[later] = senders[again[:-1][repeat]]
+        old_origin[later] = origin
+    records += (
+        np.stack(
+            (
+                nodes,
+                displaced >> _LEN_BITS,
+                displaced & _LEN_MASK,
+                old_parent,
+                old_origin,
+            ),
+            axis=1,
+        )
+        .ravel()
+        .tolist()
+    )
+    return records
+
+
+class ArrayColumns:
+    """The K columns of one fused pass over a shared start, read on demand.
+
+    Holds the final packed ``key`` grid and the pass's install log, not K
+    states: :meth:`holders` reads one key row, and :meth:`state` builds
+    a column's :class:`~repro.bgp.engine.RouteState` only when asked.
+    *base* is the state every column was loaded from (``None``: a fresh
+    pass, every cell empty); it is only read.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        origins: "list[int]",
+        key: np.ndarray,
+        log: tuple[list[np.ndarray], list[np.ndarray]],
+        base: "RouteState | None",
+        base_key: np.ndarray | None,
+    ) -> None:
+        self.size = size
+        self.origins = origins
+        self._key = key
+        self._log = log
+        self._base = base
+        self._base_key = base_key
+        # The log joined on the first state read, which a sweep never makes.
+        self._joined: tuple[np.ndarray, np.ndarray] | None = None
+        # Which origins the base already routes to; found on first need.
+        self._base_holds: list[bool] | None = None
+
+    def _row(self, col: int) -> np.ndarray:
+        return self._key[col * self.size:(col + 1) * self.size]
+
+    def holders(self, col: int) -> np.ndarray:
+        """Sorted nodes routing to column *col*'s origin, the origin left out.
+
+        A cell installs in a pass iff its key changes — every install
+        strictly lowers the packed key, or under the tier-1 rule the
+        length — and every install of the column carries its origin. So
+        the holders are the changed cells plus the loaded cells that
+        already routed to the origin.
+        """
+        origin = self.origins[col]
+        row = self._row(col)
+        if self._base is None:
+            held = row != _EMPTY_KEY
+        else:
+            held = row != self._base_key
+            base_origin_of = np.asarray(self._base.origin_of)
+            if self._base_holds is None:
+                self._base_holds = np.isin(self.origins, base_origin_of).tolist()
+            if self._base_holds[col]:
+                held |= base_origin_of == origin
+        held[origin] = False
+        return np.flatnonzero(held)
+
+    def state(self, col: int) -> "RouteState":
+        """Column *col*'s converged state, built from the key row and the log."""
+        from repro.bgp.engine import RouteState
+
+        if self._joined is None:
+            self._joined = (_joined(self._log[0]), _joined(self._log[1]))
+        nodes, senders, _ = _column_installs(
+            *self._joined, col, self.size, len(self.origins)
+        )
+        if self._base is None:
+            parent = np.full(self.size, -1, dtype=np.int32)
+            origin_of = np.full(self.size, -1, dtype=np.int32)
+        else:
+            parent = np.array(self._base.parent, dtype=np.int32)
+            origin_of = np.array(self._base.origin_of, dtype=np.int32)
+        origin = self.origins[col]
+        return RouteState(
+            origin,
+            *_finish_column(self._row(col), origin, parent, origin_of, nodes, senders),
+        )
+
+
+def converge_columns(
+    topology: CompiledTopology,
+    origins: "list[int]",
+    blocked_sets: "list[frozenset[int]]",
+    first_hop_flags: "list[bool]",
+    tier1_shortest: bool,
+    origin_lengths: "list[int]",
+    base: "RouteState | None" = None,
+) -> tuple[ArrayColumns, tuple[int, int, int, int]]:
+    """Converge K announcements over one shared start, as K columns.
+
+    Without *base* every column starts empty (the fresh shape); with it
+    every column starts from *base* (the hijack-sweep shape: K attackers
+    stacked on one legitimate baseline), which is only read — only its
+    packed key is tiled. Returns the columns and the aggregate
+    ``(messages, installs, replaced, rounds)``.
+    """
+    n = topology.size
+    k = len(origins)
+    if base is None:
+        base_key = None
+        key = np.full(n * k, _EMPTY_KEY, dtype=np.int64)
+    else:
+        base_key = _packed(base)
+        key = np.tile(base_key, k)
+    cells, senders, _, counters = _converge(
+        topology, key, origins, blocked_sets, first_hop_flags, tier1_shortest,
+        origin_lengths, journaled=False,
+    )
+    return ArrayColumns(n, origins, key, (cells, senders), base, base_key), counters
+
+
+def propagate_array_batch(
+    topology: CompiledTopology,
+    states: "list[RouteState]",
+    origins: "list[int]",
+    blocked_sets: "list[frozenset[int]]",
+    first_hop_flags: "list[bool]",
+    tier1_shortest: bool,
+    journals: list[list[int]] | None,
+    origin_lengths: "list[int]",
+) -> tuple[int, int, int, int]:
+    """Apply K announcement passes in place, one column per state.
+
+    The in-place shape of the one bucket loop (:meth:`RoutingEngine.converge_delta
+    <repro.bgp.engine.RoutingEngine.converge_delta>` is its K=1 case):
+    column *i* is loaded from ``states[i]`` and written back into it.
+    With *journals*, column *i*'s undo records are appended to
+    ``journals[i]`` in install order, five flat ints each, entry for
+    entry as the reference kernel journals them.
+
+    Replaces every state's arrays and returns the aggregate ``(messages,
+    installs, replaced, rounds)``. A :meth:`frozen
+    <repro.bgp.engine.RouteState.freeze>` state raises ``ValueError``
+    before any work: the write-back assigns attributes, which a
+    read-only array could not stop.
+    """
+    for state in states:
+        if state.is_frozen:
+            raise ValueError(
+                "propagate_array_batch cannot write back into a frozen state; copy it"
+            )
+    n = topology.size
+    key = np.concatenate([_packed(state) for state in states])
+    log_cells, log_senders, log_displaced, counters = _converge(
+        topology, key, origins, blocked_sets, first_hop_flags, tier1_shortest,
+        origin_lengths, journaled=journals is not None,
+    )
+    cells = _joined(log_cells)
+    senders = _joined(log_senders)
+    displaced = _joined(log_displaced)
+    for col, (state, origin) in enumerate(zip(states, origins)):
+        nodes, col_senders, at = _column_installs(cells, senders, col, n, len(states))
+        if journals is not None:
+            journals[col] += _journal_records(
+                state, origin, nodes, col_senders,
+                displaced if at is None else displaced[at], n,
+            )
+        (state.cls, state.length, state.parent, state.origin_of) = _finish_column(
+            key[col * n:(col + 1) * n],
+            origin,
+            np.array(state.parent, dtype=np.int32),
+            np.array(state.origin_of, dtype=np.int32),
+            nodes,
+            col_senders,
+        )
+    return counters

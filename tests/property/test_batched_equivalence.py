@@ -44,11 +44,15 @@ def _engines(case):
     return reference, array
 
 
-def _draw_columns(data, case):
-    """Per-column batch knobs: origins with blocking, filtering, padding."""
+def _draw_columns(data, case, widths=None):
+    """Per-column batch knobs: origins with blocking, filtering, padding;
+    a width from 1 to 5, or one of *widths*."""
     n = len(case.view)
     nodes = st.integers(min_value=0, max_value=n - 1)
-    count = data.draw(st.integers(min_value=1, max_value=5), label="batch width")
+    count = data.draw(
+        st.integers(min_value=1, max_value=5) if widths is None else st.sampled_from(widths),
+        label="batch width",
+    )
     origins = data.draw(
         st.lists(nodes, min_size=count, max_size=count), label="origins"
     )
@@ -134,6 +138,56 @@ def test_shared_base_batch_matches_stacked_converges(case, data):
         )
         assert [state.checksum() for state in batch] == expected
         assert base.checksum() == base_sum
+
+
+@settings(max_examples=example_budget(40), deadline=None)
+@given(hijack_cases(), st.data())
+def test_batch_holders_match_scalar_holders(case, data):
+    """``converge_batch(...).holders(i)`` — read off the key grid on the
+    array backend, without building column *i*'s state — is exactly the
+    scalar pass's holders (``origin_of == origin``, the origin left out),
+    sorted, on both backends: fresh and stacked on a shared base, with
+    per-column blocked sets, stub filters and claimed-path padding, at
+    widths 1, 3 and 16 (origins may repeat, and may be the base's own
+    origin, whose routes the base already holds)."""
+    origins, blocked_sets, first_hop_flags, origin_lengths = _draw_columns(
+        data, case, widths=(1, 3, 16)
+    )
+    shared = data.draw(st.booleans(), label="shared base")
+    reference, array = _engines(case)
+    reference_base = (
+        reference.converge(case.target, filter_first_hop_providers=case.first_hop_filtered)
+        if shared
+        else None
+    )
+    expected = [
+        sorted(
+            reference.converge(
+                origin,
+                base=reference_base,
+                blocked=blocked,
+                filter_first_hop_providers=first_hop,
+                origin_length=length,
+            ).holders_of(origin)
+        )
+        for origin, blocked, first_hop, length in zip(
+            origins, blocked_sets, first_hop_flags, origin_lengths
+        )
+    ]
+    for engine in (reference, array):
+        base = (
+            engine.converge(case.target, filter_first_hop_providers=case.first_hop_filtered)
+            if shared
+            else None
+        )
+        batch = engine.converge_batch(
+            origins,
+            base=base,
+            blocked_sets=blocked_sets,
+            first_hop_flags=first_hop_flags,
+            origin_lengths=origin_lengths,
+        )
+        assert [batch.holders(col).tolist() for col in range(len(origins))] == expected
 
 
 @settings(max_examples=example_budget(30), deadline=None)
@@ -240,20 +294,25 @@ def _sibling_topologies(draw):
 
 
 def _check_every_scored_state(lab, checked):
-    """Wrap the lab's outcome assembly so every state it scores is
+    """Wrap the lab's outcome assembly so every attack it scores is
     recorded with the set-based definition it replaced, taken at scoring
-    time: ``view.expand(state.holders_of(a))`` minus the attacker and
+    time: ``view.expand`` of the holder nodes minus the attacker and
     ``plan.fraction_owned`` of it. The count and the fraction are checked
     there, before anything expands the outcome's ASN set; the set itself
-    is compared only once the caller's whole run is over."""
+    is compared only once the caller's whole run is over (and the holder
+    nodes across backends, where the reference reads eager states)."""
     view, plan, assemble = lab.view, lab.plan, lab._outcome
 
-    def checking(scenario, claimed, state=None, attacker_node=-1, *rest):
-        outcome = assemble(scenario, claimed, state, attacker_node, *rest)
-        if state is not None:
-            expected = view.expand(state.holders_of(attacker_node)) - set(
+    def checking(scenario, claimed, holders=None, *rest):
+        expected = None
+        if holders is not None:
+            attacker_node = view.node_of(scenario.attacker_asn)
+            assert attacker_node not in holders.tolist()
+            expected = view.expand(holders.tolist()) - set(
                 view.members[attacker_node]
             )
+        outcome = assemble(scenario, claimed, holders, *rest)
+        if expected is not None:
             assert "polluted_asns" not in vars(outcome)
             assert not outcome.polluted_nodes.flags.writeable
             assert outcome.pollution_count == len(expected)

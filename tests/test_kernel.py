@@ -4,8 +4,9 @@ The checksum-equivalence *behaviour* is covered by the property battery
 (``tests/property/test_kernel_equivalence.py``) and the full-scale
 integration test; this file pins the plumbing around it: backend-knob
 validation, the per-view compile memo, the CSR layouts (including the
-fused valley-free export adjacency and its parallel kind codes), and the
-lazy re-exports on :mod:`repro.bgp`.
+fused valley-free export adjacency and its parallel kind codes), the
+lazy re-exports on :mod:`repro.bgp`, the test-first install order, and
+a sweep's holders read that builds no column state.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import pytest
 import repro.bgp as bgp
 import repro.bgp.kernel as kernel
 from repro.attacks.lab import ConvergenceCache, HijackLab
-from repro.bgp.engine import RouteState, RoutingEngine
+from repro.attacks.scenario import HijackKind
+from repro.bgp.engine import ConvergedBatch, RouteState, RoutingEngine
+from repro.bgp.policy import PolicyConfig
 from repro.bgp.kernel import (
     BACKENDS,
     compile_view,
@@ -28,6 +31,10 @@ from repro.bgp.kernel import (
 )
 from repro.defense.deployment import Defense
 from repro.oracle.invariants import check_cache_coherence
+from repro.topology.asgraph import ASGraph
+from repro.topology.generator import GeneratorConfig, generate_topology
+from repro.topology.relationships import Relationship
+from repro.topology.view import RoutingView
 
 
 class TestBackendKnob:
@@ -252,6 +259,99 @@ class TestBatchedKernel:
         frozen = base.copy_for(2).freeze()
         with pytest.raises(ValueError):
             engine.converge_delta_batch([frozen], [2])
+
+
+def _view(tier1: tuple[int, ...], customer_links: tuple[tuple[int, int], ...],
+          peer_links: tuple[tuple[int, int], ...] = ()) -> RoutingView:
+    """A hand-placed topology: ``(provider, customer)`` and peer pairs."""
+    graph = ASGraph()
+    for asn in sorted({asn for link in customer_links + peer_links for asn in link}):
+        graph.add_as(asn, tier1=asn in tier1)
+    for provider, customer in customer_links:
+        graph.add_relationship(provider, customer, Relationship.CUSTOMER)
+    for left, right in peer_links:
+        graph.add_relationship(left, right, Relationship.PEER)
+    return RoutingView.from_graph(graph)
+
+
+class TestTestFirstInstall:
+    """The array kernel tests a bucket's candidates against their cells
+    before it picks each cell's first candidate; these pin the two cases
+    that order must not change."""
+
+    def test_cell_offered_twice_in_one_bucket_installs_the_first_sender(self):
+        # Origin 1 has customers 2 and 3; both are providers of 4, so 4
+        # hears two (length 2, PROVIDER) routes in one bucket: from 2,
+        # then from 3 (push order follows the adjacency order).
+        view = _view((1,), ((1, 2), (1, 3), (2, 4), (3, 4)))
+        node = view.node_of
+        assert view.customers[node(1)] == (node(2), node(3))
+        journals = []
+        for backend in ("reference", "array"):
+            engine = RoutingEngine(view, backend=backend)
+            state = engine.converge_batch([node(1)])[0]
+            assert int(state.parent[node(4)]) == node(2)
+            assert int(state.length[node(4)]) == 2
+            empty = RouteState.empty(len(view), node(1))
+            journals.append(engine.converge_delta(empty, node(1)).journal)
+        assert journals[0] == journals[1]
+        assert journals[1][0::5].count(node(4)) == 1  # one install, not two
+
+    @pytest.mark.parametrize("tier1_shortest", [True, False])
+    def test_tier1_cell_is_won_on_length_alone(self, tier1_shortest):
+        # Tier-1s 1 and 2 peer. The target 5 sits three customer hops
+        # under 1 (5 < 4 < 3 < 1); the attacker 6 is a customer of 2, so
+        # 1 hears the attack as a PEER route of length 2 against its
+        # CUSTOMER route of length 3. Only the tier-1 rule takes it.
+        view = _view(
+            (1, 2), ((1, 3), (3, 4), (4, 5), (2, 6)), peer_links=((1, 2),)
+        )
+        node = view.node_of
+        policy = PolicyConfig(tier1_shortest_path=tier1_shortest)
+        expected = {node(2), node(1)} if tier1_shortest else {node(2)}
+        for backend in ("reference", "array"):
+            engine = RoutingEngine(view, policy, backend=backend)
+            base = engine.converge(node(5))
+            assert int(base.cls[node(1)]) == 1 and int(base.length[node(1)]) == 3
+            batch = engine.converge_batch([node(6)], base=base)
+            assert batch.holders(0).tolist() == sorted(expected)
+            state = batch[0]
+            assert int(state.length[node(1)]) == (2 if tier1_shortest else 3)
+            assert state.holders_of(node(6)) == frozenset(expected)
+
+
+class TestHoldersRead:
+    """A sweep reads only who took each attacker's route: on the array
+    backend it never builds a column's :class:`RouteState`."""
+
+    def test_array_sweep_never_builds_a_column_state(self, monkeypatch):
+        graph = generate_topology(GeneratorConfig.scaled(400, seed=3))
+        reference = HijackLab(graph, seed=3)
+        array = HijackLab(graph, seed=3, backend="array", batch_origins=16)
+        target = reference.attacker_pool(transit_only=True)[2]
+        attackers = [asn for asn in sorted(graph.asns()) if asn != target][::9]
+        scenarios = [
+            array.build_scenario(target, attacker, kind=kind)
+            for attacker in attackers
+            for kind in (HijackKind.ORIGIN, HijackKind.SUBPREFIX)
+        ]
+        expected = reference.run_scenarios(scenarios)
+
+        def refuse(self, index):
+            raise AssertionError("a sweep built a column state")
+
+        monkeypatch.setattr(ConvergedBatch, "__getitem__", refuse)
+        outcomes = array.run_scenarios(scenarios)
+        assert len(scenarios) > 16  # several fused batches per base
+        assert [
+            (o.polluted_nodes.tolist(), o.pollution_count, o.address_fraction)
+            for o in outcomes
+        ] == [
+            (o.polluted_nodes.tolist(), o.pollution_count, o.address_fraction)
+            for o in expected
+        ]
+        with pytest.raises(AssertionError, match="built a column state"):
+            array.engine.converge_batch([0])[0]
 
 
 class TestArrayBackedState:
