@@ -84,23 +84,25 @@ class ConvergenceCache:
     clean network, then the attacker on top of that state. The first
     depends on neither the attacker, the defense nor the prefix, so a
     sweep converges each target once. A state is
-    :meth:`frozen <repro.bgp.engine.RouteState.freeze>` on insert and its
-    checksum recorded: with ``engine.validate`` every hit re-checks it,
-    and :func:`repro.oracle.invariants.check_cache_coherence` audits every
-    entry. Lookups mirror into ``engine.metrics`` as ``cache.*`` counters
+    :meth:`frozen <repro.bgp.engine.RouteState.freeze>` on insert. With
+    ``engine.validate`` its checksum is recorded too, every hit re-checks
+    it, and :func:`repro.oracle.invariants.check_cache_coherence` compares
+    it; without, the freeze is the guard and no insert pays a checksum.
+    Lookups mirror into ``engine.metrics`` as ``cache.*`` counters
     beside the local :class:`CacheStats`.
     """
 
     def __init__(self, engine: RoutingEngine) -> None:
         self.engine = engine
         self.stats = CacheStats()
-        self._entries: OrderedDict[int, tuple[RouteState, str]] = OrderedDict()
+        self._entries: OrderedDict[int, tuple[RouteState, str | None]] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entries(self) -> list[tuple[int, tuple[RouteState, str]]]:
-        """Snapshot of ``(origin, (state, insert checksum))`` pairs."""
+    def entries(self) -> list[tuple[int, tuple[RouteState, str | None]]]:
+        """Snapshot of ``(origin, (state, insert checksum))`` pairs; the
+        checksum is ``None`` unless the engine validates."""
         return list(self._entries.items())
 
     def baseline(self, origin: int) -> RouteState:
@@ -110,7 +112,7 @@ class ConvergenceCache:
         entry = self._entries.get(origin)
         if entry is not None:
             state, checksum = entry
-            if self.engine.validate and checksum != state.checksum():
+            if checksum is not None and checksum != state.checksum():
                 raise RuntimeError(
                     f"cached baseline for origin {origin} was mutated in place"
                 )
@@ -121,7 +123,7 @@ class ConvergenceCache:
         self.stats.misses += 1
         metrics.count("cache.misses")
         state = self.engine.converge(origin).freeze()
-        self._entries[origin] = (state, state.checksum())
+        self._entries[origin] = (state, state.checksum() if self.engine.validate else None)
         metrics.count("cache.inserts")
         if len(self._entries) > CACHE_CAPACITY:
             self._entries.popitem(last=False)

@@ -432,18 +432,25 @@ def _finish_column(
     nodes: np.ndarray,
     senders: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One column's ``(cls, length, parent, origin_of)``.
+    """One column's ``(cls, length, parent, origin_of)``: int8, then int32.
 
-    *parent* and *origin_of* are the column's loaded arrays (owned
+    *parent* and *origin_of* are the column's loaded int32 arrays (owned
     copies, written in place); the logged installs go over them in
     install order, so the last install of a cell names its parent, and
-    every installed cell routes to *origin*.
+    every installed cell routes to *origin*. A class fits a byte and a
+    length (at most ``_UNREACHABLE``) 31 bits, so a state takes 13
+    bytes per node, where two int64 halves of the packed row took 24.
     """
     parent[nodes] = senders
     parent[origin] = -1
     origin_of[nodes] = origin
     origin_of[origin] = origin
-    return row >> _LEN_BITS, row & _LEN_MASK, parent, origin_of
+    return (
+        (row >> _LEN_BITS).astype(np.int8),
+        (row & _LEN_MASK).astype(np.int32),
+        parent,
+        origin_of,
+    )
 
 
 def _journal_records(

@@ -530,8 +530,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     # 2. Invariant suite + determinism on a generated (calibrated) topology.
     graph = generate_topology(GeneratorConfig.scaled(args.as_count, seed=args.seed))
+    # validate=True: the cache records insert checksums for step 3's audit.
     lab = HijackLab(
-        graph, seed=args.seed, metrics=_metrics(args), backend=args.backend,
+        graph, seed=args.seed, validate=True, metrics=_metrics(args), backend=args.backend,
     )
     rng = make_rng(args.seed, "cli-validate")
     pool = lab.attacker_pool(transit_only=True)

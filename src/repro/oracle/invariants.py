@@ -356,7 +356,8 @@ def check_convergence_deterministic(engine: "RoutingEngine", origin: int) -> Non
 
 
 def check_cache_coherence(cache: "ConvergenceCache") -> None:
-    """Every cached baseline is frozen and byte-identical to its insert.
+    """Every cached baseline is frozen, and byte-identical to its insert
+    wherever its checksum was recorded (a validating engine's cache).
 
     Catches in-place mutation of a shared baseline, which would silently
     skew every hijack later converged on top of it.
@@ -364,7 +365,7 @@ def check_cache_coherence(cache: "ConvergenceCache") -> None:
     for origin, (state, checksum) in cache.entries():
         if not state.is_frozen:
             _fail("cache", f"cached baseline for origin {origin} is not frozen")
-        if state.checksum() != checksum:
+        if checksum is not None and state.checksum() != checksum:
             _fail(
                 "cache",
                 f"cached baseline for origin {origin} was mutated after insertion",

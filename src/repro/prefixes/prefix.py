@@ -73,8 +73,11 @@ class Prefix:
     immutable, hashable and totally ordered by ``(network, length)``, which
     sorts supernets before their first subnet — the order a radix walk
     naturally produces. The hash is ``hash((network, length))``, computed
-    once: a prefix is a dict key on every event's path.
+    once: a prefix is a dict key on every event's path. Instances have
+    slots, not a ``__dict__``: an address plan holds one per AS.
     """
+
+    __slots__ = ("network", "length", "_hash")
 
     network: int
     length: int
@@ -93,6 +96,11 @@ class Prefix:
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self) -> tuple[type["Prefix"], tuple[int, int]]:
+        # Rebuilt through __init__: the default slot-state restore would
+        # assign the fields, which a frozen instance refuses.
+        return type(self), (self.network, self.length)
 
     # -- constructors ------------------------------------------------------
 

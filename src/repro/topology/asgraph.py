@@ -12,7 +12,7 @@ it to additional providers are first-class operations here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Iterator
 
 from repro.topology.relationships import Relationship
@@ -32,16 +32,31 @@ class TopologyError(ValueError):
     """Raised on inconsistent topology edits (unknown AS, conflicting link)."""
 
 
+# The neighbour set of a kind an AS has no link of. Most of a CAIDA-scale
+# graph's ASes are stubs with no customers, peers or siblings, so every
+# record starts with this one shared empty per kind and gets a real set
+# on its first link of that kind.
+_NO_NEIGHBORS: frozenset[int] = frozenset()
+
+
+def _grown(bucket: AbstractSet[int], asn: int) -> AbstractSet[int]:
+    """*bucket* with *asn* added: in place if it is a real set, else a new one."""
+    if isinstance(bucket, set):
+        bucket.add(asn)
+        return bucket
+    return {asn}
+
+
 @dataclass(slots=True)
 class _ASRecord:
-    providers: set[int] = field(default_factory=set)
-    customers: set[int] = field(default_factory=set)
-    peers: set[int] = field(default_factory=set)
-    siblings: set[int] = field(default_factory=set)
+    providers: AbstractSet[int] = _NO_NEIGHBORS
+    customers: AbstractSet[int] = _NO_NEIGHBORS
+    peers: AbstractSet[int] = _NO_NEIGHBORS
+    siblings: AbstractSet[int] = _NO_NEIGHBORS
     region: str | None = None
     tier1: bool = False
 
-    def neighbor_sets(self) -> tuple[set[int], ...]:
+    def neighbor_sets(self) -> tuple[AbstractSet[int], ...]:
         return (self.providers, self.customers, self.peers, self.siblings)
 
     def relationship_to(self, neighbor: int) -> Relationship | None:
@@ -154,17 +169,17 @@ class ASGraph:
                 f"refusing to also mark {relationship.value}"
             )
         if relationship is _CUSTOMER:
-            record.customers.add(neighbor)
-            other.providers.add(asn)
+            record.customers = _grown(record.customers, neighbor)
+            other.providers = _grown(other.providers, asn)
         elif relationship is _PROVIDER:
-            record.providers.add(neighbor)
-            other.customers.add(asn)
+            record.providers = _grown(record.providers, neighbor)
+            other.customers = _grown(other.customers, asn)
         elif relationship is _PEER:
-            record.peers.add(neighbor)
-            other.peers.add(asn)
+            record.peers = _grown(record.peers, neighbor)
+            other.peers = _grown(other.peers, asn)
         else:
-            record.siblings.add(neighbor)
-            other.siblings.add(asn)
+            record.siblings = _grown(record.siblings, neighbor)
+            other.siblings = _grown(other.siblings, asn)
 
     def remove_relationship(self, asn: int, neighbor: int) -> None:
         """Remove whatever link exists between the pair (error if none)."""
@@ -174,9 +189,11 @@ class ASGraph:
         record = self._record(asn)
         other = self._record(neighbor)
         for bucket in record.neighbor_sets():
-            bucket.discard(neighbor)
+            if isinstance(bucket, set):
+                bucket.discard(neighbor)
         for bucket in other.neighbor_sets():
-            bucket.discard(asn)
+            if isinstance(bucket, set):
+                bucket.discard(asn)
 
     def relationship(self, asn: int, neighbor: int) -> Relationship | None:
         """The relationship *neighbor* has to *asn*, or None."""
@@ -252,15 +269,14 @@ class ASGraph:
     # -- derived views -----------------------------------------------------------
 
     def copy(self) -> "ASGraph":
+        """An independent graph; a kind with no neighbours stays the shared empty."""
         clone = ASGraph()
         for asn, record in self._nodes.items():
+            providers, customers, peers, siblings = (
+                set(bucket) if bucket else _NO_NEIGHBORS for bucket in record.neighbor_sets()
+            )
             clone._nodes[asn] = _ASRecord(
-                providers=set(record.providers),
-                customers=set(record.customers),
-                peers=set(record.peers),
-                siblings=set(record.siblings),
-                region=record.region,
-                tier1=record.tier1,
+                providers, customers, peers, siblings, record.region, record.tier1
             )
         return clone
 

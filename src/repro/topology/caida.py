@@ -70,7 +70,24 @@ def _parse_asn(text: str, line_number: int) -> int:
     return value
 
 
-def _parse_line(line: str, line_number: int) -> tuple[int, int, Relationship] | None:
+def _interned_asn(text: str, line_number: int, asns: dict[str | int, int]) -> int:
+    """Parse a new ASN *text* into *asns*, reusing the ``int`` of an
+    earlier text with the same value ("7" and "007")."""
+    value = _parse_asn(text, line_number)
+    value = asns.setdefault(value, value)
+    asns[text] = value
+    return value
+
+
+def _parse_line(
+    line: str, line_number: int, asns: dict[str | int, int]
+) -> tuple[int, int, Relationship] | None:
+    """One record, or ``None`` for a blank or comment line.
+
+    *asns* holds this load's ASNs, by text and by value: an AS named in
+    many records is one ``int`` object in the graph, not one per record,
+    and each distinct text is checked once.
+    """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
@@ -79,8 +96,12 @@ def _parse_line(line: str, line_number: int) -> tuple[int, int, Relationship] | 
         raise CaidaFormatError(
             f"line {line_number}: expected 3 or 4 '|'-separated fields, got {len(fields)}"
         )
-    as1 = _parse_asn(fields[0], line_number)
-    as2 = _parse_asn(fields[1], line_number)
+    as1 = asns.get(fields[0])
+    if as1 is None:
+        as1 = _interned_asn(fields[0], line_number, asns)
+    as2 = asns.get(fields[1])
+    if as2 is None:
+        as2 = _interned_asn(fields[1], line_number, asns)
     try:
         code = int(fields[2])
     except ValueError as exc:
@@ -104,8 +125,9 @@ def loads_caida(text: str, *, strict: bool = True) -> ASGraph:
 def _read(handle: Iterable[str], *, strict: bool) -> ASGraph:
     graph = ASGraph()
     add_link = graph.add_link
+    asns: dict[str | int, int] = {}  # this load's ASNs, dropped with it
     for line_number, line in enumerate(handle, start=1):
-        record = _parse_line(line, line_number)
+        record = _parse_line(line, line_number, asns)
         if record is None:
             continue
         try:

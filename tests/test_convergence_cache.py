@@ -16,7 +16,7 @@ from repro.attacks import lab as lab_module
 from repro.attacks.lab import CacheStats, ConvergenceCache, HijackLab
 from repro.bgp.engine import RouteState, RoutingEngine
 from repro.defense.deployment import Defense
-from repro.oracle.invariants import check_cache_coherence
+from repro.oracle.invariants import InvariantViolation, check_cache_coherence
 from repro.topology.view import RoutingView
 
 
@@ -138,16 +138,37 @@ class TestBaselineSharing:
         with pytest.raises(RuntimeError, match="mutated"):
             cache.baseline(0)
 
-    def test_entries_always_record_checksums(self, engine):
-        """The insert-time checksum is stored even without validation — it
-        is what whole-cache coherence audits compare against."""
-        cache = ConvergenceCache(engine)
+    def test_entries_record_checksums_only_when_validating(self, mini_view):
+        """A validating engine's cache stores the insert-time checksum —
+        what whole-cache coherence audits compare against."""
+        cache = ConvergenceCache(RoutingEngine(mini_view, validate=True))
         state = cache.baseline(0)
         [(origin, (cached, checksum))] = cache.entries()
         assert origin == 0
         assert cached is state
         assert checksum == state.checksum()
         check_cache_coherence(cache)  # a clean cache audits silently
+
+    def test_unvalidated_insert_computes_no_checksum(self, engine, monkeypatch):
+        """Without validation a baseline insert pays for no checksum (one
+        is ~17 ms at 42,697 ASes); the freeze is the guard, and the audit
+        still checks it."""
+        calls = []
+        checksum = RouteState.checksum
+        monkeypatch.setattr(
+            RouteState, "checksum", lambda state: calls.append(state) or checksum(state)
+        )
+        cache = ConvergenceCache(engine)
+        state = cache.baseline(0)
+        assert cache.baseline(0) is state
+        assert calls == []
+        [(_origin, (cached, recorded))] = cache.entries()
+        assert cached is state and recorded is None
+        check_cache_coherence(cache)
+        assert calls == []
+        state.cls = list(state.cls)  # thawed behind the cache's back
+        with pytest.raises(InvariantViolation, match="not frozen"):
+            check_cache_coherence(cache)
 
     def test_freeze_is_idempotent_and_copyable(self, engine):
         state = engine.converge(0)

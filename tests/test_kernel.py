@@ -420,7 +420,8 @@ class TestArrayBackedState:
         assert baseline.is_frozen and baseline.checksum() == before
 
     def test_hijack_passes_leave_cached_baseline_untouched(self, mini_view):
-        engine = RoutingEngine(mini_view, backend="array")
+        # Validating, so the cache records the insert checksum.
+        engine = RoutingEngine(mini_view, backend="array", validate=True)
         cache = ConvergenceCache(engine)
         baseline = cache.baseline(0)
         [(_origin, (_state, inserted))] = cache.entries()

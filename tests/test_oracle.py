@@ -170,7 +170,8 @@ def test_validated_tier1_forged_path_attacker_is_stable():
 
 
 def test_cache_coherence_audit_detects_mutation(mini_graph):
-    lab = HijackLab(mini_graph, seed=5)
+    # A validating lab records insert checksums, which the audit compares.
+    lab = HijackLab(mini_graph, seed=5, validate=True)
     lab.origin_hijack(target_asn=50, attacker_asn=60)
     check_cache_coherence(lab.cache)
     (_origin, (state, _checksum)) = lab.cache.entries()[0]
