@@ -31,6 +31,7 @@ from repro.attacks.scenario import (
     HijackKind,
     HijackScenario,
     PathKind,
+    received_path,
     synthetic_forged_path,
 )
 from repro.bgp.engine import RouteState, RoutingEngine
@@ -227,11 +228,6 @@ class HijackLab:
 
     # -- internals -----------------------------------------------------------------
 
-    def _first_hop_filtered(self, attacker_asn: int) -> bool:
-        """Defensive stub filters stop a *stub* attacker's announcements to
-        its providers (the attack can still leak through peer links)."""
-        return self.defense.stub_filter and not self.graph.customers(attacker_asn)
-
     def _node_space(self) -> "ndarray":
         """Address space originated behind each routing node (int64),
         built from the plan (fixed once built) on first use."""
@@ -307,31 +303,24 @@ class HijackLab:
         """The AS path the bogus announcement carries, claimed origin last.
 
         Forged claims (type-0/1/N) are static properties of the scenario.
-        A type-U replay and a route leak reuse the path the attacker
-        *actually learned* — resolved here against the target's cached
-        legitimate state: the replayed tail is the attacker's received
-        AS path (the attacker itself absent, as on the wire), and a leak
-        is that same path with the leaker prepended. Returns ``None``
-        when the attacker holds no route to reuse — the attack never
-        launches.
+        A type-U replay and a route leak reuse the attacker's
+        :func:`~repro.attacks.scenario.received_path` in the target's
+        cached legitimate state; ``None`` (nothing to reuse) means the
+        attack never launches.
         """
         static = scenario.static_claimed_path
         if static is not None:
             return static
         view = self.view
         target_node = view.node_of(scenario.target_asn)
-        attacker_node = view.node_of(scenario.attacker_asn)
-        legit = self.cache.baseline(target_node)
-        if not legit.has_route(attacker_node):
-            return None
-        chain = legit.path_from(attacker_node)
-        tail = tuple(
-            scenario.target_asn if node == target_node else view.asn_of(node)
-            for node in chain
+        leak = scenario.kind is HijackKind.ROUTE_LEAK
+        return received_path(
+            self.cache.baseline(target_node),
+            view.node_of(scenario.attacker_asn),
+            view,
+            {target_node: scenario.target_asn},
+            leaker=scenario.attacker_asn if leak else None,
         )
-        if scenario.kind is HijackKind.ROUTE_LEAK:
-            return (scenario.attacker_asn, *tail)
-        return tail
 
     def run_scenario(self, scenario: HijackScenario) -> AttackOutcome:
         """Execute one scenario: the one-scenario case of
@@ -374,7 +363,9 @@ class HijackLab:
             blocked = self.defense.blocking_nodes(
                 view, scenario.prefix, scenario.attacker_asn, claimed_path=claimed
             )
-            first_hop = self._first_hop_filtered(scenario.attacker_asn)
+            first_hop = self.defense.first_hop_filtered(
+                self.graph, self.plan, scenario.prefix, scenario.attacker_asn
+            )
             # An origin hijack or leak competes with the legitimate route
             # for the same NLRI. A sub-prefix or squatted block is a
             # brand-new NLRI: it converges on a clean state and wins
@@ -620,13 +611,14 @@ class HijackLab:
             view, tier1_shortest_path=self.policy.tier1_shortest_path
         )
         table: dict = {}
+        prefix = self.target_prefix(target_asn)
         legit = flood.announce(target_node, table=table)
         attack = flood.announce(
             attacker_node,
             table=table,
-            blocked=self.defense.blocking_nodes(
-                view, self.target_prefix(target_asn), attacker_asn
+            blocked=self.defense.blocking_nodes(view, prefix, attacker_asn),
+            filter_first_hop_providers=self.defense.first_hop_filtered(
+                self.graph, self.plan, prefix, attacker_asn
             ),
-            filter_first_hop_providers=self._first_hop_filtered(attacker_asn),
         )
         return legit, attack

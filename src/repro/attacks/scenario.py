@@ -29,13 +29,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.prefixes.prefix import Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from numpy import ndarray
 
+    from repro.bgp.engine import RouteState
     from repro.topology.view import RoutingView
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "HijackKind",
     "HijackScenario",
     "PathKind",
+    "received_path",
     "synthetic_forged_path",
 ]
 
@@ -80,6 +82,28 @@ def synthetic_forged_path(
         raise ValueError(f"forged path depth must be >= 1, got {depth}")
     hops = tuple(SYNTHETIC_ASN_BASE + i for i in range(depth - 1))
     return (attacker_asn, *hops, target_asn)
+
+
+def received_path(
+    state: RouteState,
+    node: int,
+    view: RoutingView,
+    origin_asns: Mapping[int, int],
+    *,
+    leaker: int | None = None,
+) -> tuple[int, ...] | None:
+    """The AS path *node* received its route in *state* with, as on the
+    wire: claimed origin last, *node* absent, an originating node read as
+    its announcing ASN (*origin_asns*); a *leaker* is prepended. ``None``
+    when *node* has no route or originates it: nothing to replay or leak.
+    """
+    if not state.has_route(node):
+        return None
+    chain = state.path_from(node)
+    if not chain:
+        return None
+    tail = tuple(origin_asns.get(hop, view.asn_of(hop)) for hop in chain)
+    return tail if leaker is None else (leaker, *tail)
 
 
 @dataclass(frozen=True)

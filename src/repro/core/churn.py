@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.attacks.lab import HijackLab
-from repro.defense.strategies import DeploymentStrategy
+from repro.defense.deployment import Defense
+from repro.defense.strategies import DeploymentStrategy, no_deployment
 from repro.prefixes.prefix import Prefix
 from repro.registry.history import HistoricalAuthority
 from repro.registry.roa import OriginAuthority, ValidationState
@@ -106,19 +107,14 @@ def stale_history_study(
     if authority is None:
         authority = HistoricalAuthority.from_plan(lab.plan)
     view = lab.view
+    defense = Defense(strategy=blocking_strategy or no_deployment(), authority=authority)
     results: list[ChurnImpact] = []
     for event in events:
         verdict = authority.validate(event.prefix, event.new_asn)
         false_positive = verdict is ValidationState.INVALID
-        blocked_nodes: frozenset[int] = frozenset()
-        if blocking_strategy is not None and false_positive:
-            blocked_nodes = frozenset(
-                view.node_of(asn)
-                for asn in blocking_strategy.deployers
-                if view.has_asn(asn)
-            )
         state = lab.engine.converge(
-            view.node_of(event.new_asn), blocked=blocked_nodes
+            view.node_of(event.new_asn),
+            blocked=defense.blocking_nodes(view, event.prefix, event.new_asn),
         )
         reachable = sum(
             view.member_count(node)

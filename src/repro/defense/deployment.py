@@ -2,11 +2,13 @@
 
 A :class:`Defense` bundles the three blocking mechanisms the paper
 evaluates and turns them into the inputs of the routing engine and of
-the reference flood (a blocked-node set and a first-hop flag):
+the reference flood (a blocked-node set and a first-hop flag); every
+drop decision the lab, the animation and the stream replayer make is its:
 
-* **origin validation** at a set of deploying ASes, judged against a
-  registry (:class:`~repro.registry.roa.OriginAuthority` — RPKI, ROVER, or
-  a plain ROA table). Only INVALID announcements are dropped; unpublished
+* **origin validation** at a set of deploying ASes, which drop what the
+  hijack judge (:func:`~repro.detection.taxonomy.classify_observations`)
+  indicts on the claimed path: INVALID origins (rule 1) and, with
+  published ``neighbors``, forged first hops (rule 2). Unpublished
   (NOT_FOUND) space cannot be protected.
 * **manual prefix filters** — Section VII's "build prefix filters" step:
   an individual AS lists allowed origins for specific blocks (e.g. the
@@ -22,12 +24,15 @@ the announcement, exactly the "bogus route blocking" of Section V.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.defense.strategies import DeploymentStrategy, no_deployment
+from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 from repro.registry.neighbors import NeighborRegistry
-from repro.registry.roa import OriginAuthority, ValidationState
+from repro.registry.roa import OriginAuthority
+from repro.topology.asgraph import ASGraph
 from repro.topology.view import RoutingView
 
 __all__ = ["FilterRule", "Defense"]
@@ -50,11 +55,9 @@ class FilterRule:
 class Defense:
     """A complete defensive configuration for hijack experiments.
 
-    ``neighbors`` plus ``path_check=True`` arms deployers with
-    ARTEMIS-style first-hop verification: an announcement whose claimed
-    path ends in a hop the origin's published neighbor set rules out is
-    dropped at every deployer — the filter that closes ROV's type-1
-    blind spot (see ``docs/attacks.md``).
+    Publishing ``neighbors`` arms deployers with ARTEMIS-style
+    first-hop verification (the judge's rule 2), the filter that closes
+    ROV's type-1 blind spot (see ``docs/attacks.md``).
     """
 
     strategy: DeploymentStrategy = field(default_factory=no_deployment)
@@ -62,25 +65,11 @@ class Defense:
     manual_filters: tuple[FilterRule, ...] = ()
     stub_filter: bool = False
     neighbors: NeighborRegistry | None = None
-    path_check: bool = False
 
     def with_filters(self, *rules: FilterRule) -> "Defense":
-        return Defense(
-            strategy=self.strategy,
-            authority=self.authority,
-            manual_filters=(*self.manual_filters, *rules),
-            stub_filter=self.stub_filter,
-            neighbors=self.neighbors,
-            path_check=self.path_check,
-        )
+        return dataclasses.replace(self, manual_filters=(*self.manual_filters, *rules))
 
     # -- scenario-level blocking decisions -------------------------------------
-
-    def is_blockable(self, prefix: Prefix, origin_asn: int) -> bool:
-        """Would origin validation drop this announcement at a deployer?"""
-        if self.authority is None:
-            return False
-        return self.authority.validate(prefix, origin_asn) is ValidationState.INVALID
 
     def blocking_asns(
         self,
@@ -91,26 +80,26 @@ class Defense:
     ) -> frozenset[int]:
         """Every AS that drops the announcement for (*prefix*, *origin*).
 
-        Validation judges the *claimed* origin when a ``claimed_path``
-        (claimed origin last) is given — a type-1/type-N forgery names
-        the legitimate origin precisely so ROV validates it; without a
-        path the announcer *is* the claimed origin, the pre-taxonomy
-        behavior.
+        The judge sees the *claimed* path (claimed origin last) when one
+        is given — a type-1/type-N forgery names the legitimate origin
+        precisely so ROV validates it; without a path the announcer *is*
+        the claimed origin, the pre-taxonomy behavior.
         """
-        claimed_origin = claimed_path[-1] if claimed_path else origin_asn
-        blockers: set[int] = set()
-        if self.is_blockable(prefix, claimed_origin):
+        # Imported here: the detection package imports the attack lab,
+        # which imports this module.
+        from repro.detection.taxonomy import PathObservation, classify_observations
+
+        tail = claimed_path or (origin_asn,)
+        blockers = {
+            rule.filtering_asn for rule in self.manual_filters if rule.rejects(prefix, tail[-1])
+        }
+        if self.strategy.deployers and classify_observations(
+            prefix,
+            [PathObservation(tail=tail)],
+            authority=self.authority,
+            neighbors=self.neighbors,
+        ) is not None:
             blockers.update(self.strategy.deployers)
-        if (
-            self.path_check
-            and self.neighbors is not None
-            and claimed_path is not None
-            and self.neighbors.first_hop_forged(claimed_path)
-        ):
-            blockers.update(self.strategy.deployers)
-        for rule in self.manual_filters:
-            if rule.rejects(prefix, claimed_origin):
-                blockers.add(rule.filtering_asn)
         return frozenset(blockers)
 
     def blocking_nodes(
@@ -129,4 +118,16 @@ class Defense:
                 prefix, origin_asn, claimed_path=claimed_path
             )
             if view.has_asn(asn)
+        )
+
+    def first_hop_filtered(
+        self, graph: ASGraph, plan: AddressPlan, prefix: Prefix, announcer_asn: int
+    ) -> bool:
+        """Do stub filters drop this announcement at the announcer's
+        providers? Only a stub's, and never for its own allocated space
+        (it can still leak through peer links)."""
+        return (
+            self.stub_filter
+            and not graph.customers(announcer_asn)
+            and plan.origin_of(prefix) != announcer_asn
         )

@@ -69,9 +69,10 @@ class AddressPlan:
     """
 
     _by_asn: dict[int, list[Prefix]] = field(default_factory=dict)
-    # Every block, sorted by first address, and each block's origin ASN.
+    # Every block, sorted by first address, and each block's origin ASN
+    # at the same index.
     _blocks: list[Prefix] = field(default_factory=list)
-    _owner: dict[Prefix, int] = field(default_factory=dict)
+    _owners: list[int] = field(default_factory=list)
     _total_size: int = 0
     # Per-ASN address totals, kept in step by _add so the
     # pollution metric never re-sums prefix sizes.
@@ -132,18 +133,18 @@ class AddressPlan:
         """Append a block that starts past the end of every block so far."""
         self._by_asn.setdefault(asn, []).append(prefix)
         self._blocks.append(prefix)
-        self._owner[prefix] = asn
+        self._owners.append(asn)
         size = prefix.size()
         self._total_size += size
         self._space_by_asn[asn] = self._space_by_asn.get(asn, 0) + size
 
-    def _block_containing(self, prefix: Prefix) -> Prefix | None:
-        """The allocated block equal to or containing *prefix*, if any."""
+    def _block_containing(self, prefix: Prefix) -> int | None:
+        """The index of the allocated block equal to or containing
+        *prefix*, if any."""
         index = bisect_right(self._blocks, prefix.network, key=_network) - 1
-        if index < 0:
+        if index < 0 or not self._blocks[index].contains(prefix):
             return None
-        block = self._blocks[index]
-        return block if block.contains(prefix) else None
+        return index
 
     # -- queries -----------------------------------------------------------
 
@@ -160,8 +161,8 @@ class AddressPlan:
 
     def origin_of(self, prefix: Prefix) -> int | None:
         """The AS whose allocation contains *prefix*, if any."""
-        block = self._block_containing(prefix)
-        return None if block is None else self._owner[block]
+        index = self._block_containing(prefix)
+        return None if index is None else self._owners[index]
 
     def address_space_of(self, asn: int) -> int:
         return self._space_by_asn.get(asn, 0)
@@ -191,8 +192,7 @@ class AddressPlan:
 
     def items(self) -> Iterable[tuple[Prefix, int]]:
         """All ``(prefix, origin ASN)`` pairs in prefix order."""
-        owner = self._owner
-        return ((block, owner[block]) for block in self._blocks)
+        return zip(self._blocks, self._owners)
 
     def __len__(self) -> int:
         return len(self._blocks)

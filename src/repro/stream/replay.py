@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.attacks.lab import HijackLab
+from repro.attacks.scenario import received_path
 from repro.defense.deployment import Defense
 from repro.defense.strategies import DeploymentStrategy
 from repro.detection.detector import HijackDetector
@@ -113,11 +114,12 @@ class StreamReplayer:
     """Drive a stream of control-plane events over a lab's network.
 
     Built on a :class:`~repro.attacks.lab.HijackLab` for its view,
-    engine, address plan and *initial* defense; the replayer owns a
-    mutable copy of the defensive state (a live :class:`RoaTable` seeded
-    from the lab's authority when that is iterable, plus a growable
-    deployer set) so ``RoaPublish``/``RoaRevoke``/``DefenseActivate``
-    events take effect mid-stream.
+    engine, address plan and *initial* defense. :attr:`defense`, asked
+    every drop decision, is a copy of it judging against a live
+    :class:`RoaTable` (:attr:`authority`, seeded from the lab's authority
+    when that is iterable), and a ``DefenseActivate`` replaces it with one
+    that has the new deployers, so ``RoaPublish``/``RoaRevoke``/
+    ``DefenseActivate`` events take effect mid-stream.
 
     Given a *detector* template, the replayer builds :attr:`monitor`
     around a copy of it whose ``authority`` is the live :attr:`authority`,
@@ -161,8 +163,11 @@ class StreamReplayer:
                 dataclasses.replace(detector, authority=self.authority),
                 metrics=self.metrics,
             )
-        self._deployers: set[int] = set(base.strategy.deployers)
-        self._base_defense = base
+        self.defense: Defense = dataclasses.replace(
+            base,
+            strategy=DeploymentStrategy("stream", base.strategy.deployers),
+            authority=self.authority,
+        )
         self._ledgers: dict[Prefix, PrefixLedger] = {}
         self._pending: list[StreamEvent] = []
         self.clock = 0.0
@@ -189,17 +194,6 @@ class StreamReplayer:
     def counts(self) -> dict[str, int]:
         """A copy of the running event counters (``submitted`` … ``flushes``)."""
         return dict(self._counts)
-
-    def defense(self) -> Defense:
-        """The defensive configuration currently in force."""
-        return Defense(
-            strategy=DeploymentStrategy("stream", frozenset(self._deployers)),
-            authority=self.authority if len(self.authority) else None,
-            manual_filters=self._base_defense.manual_filters,
-            stub_filter=self._base_defense.stub_filter,
-            neighbors=self._base_defense.neighbors,
-            path_check=self._base_defense.path_check,
-        )
 
     # -- ingestion ---------------------------------------------------------
 
@@ -391,7 +385,9 @@ class StreamReplayer:
             except KeyError:
                 self._note_noop()
         elif isinstance(event, DefenseActivate):
-            self._deployers.update(event.deployer_asns)
+            deployers = self.defense.strategy.deployers.union(event.deployer_asns)
+            strategy = DeploymentStrategy("stream", deployers)
+            self.defense = dataclasses.replace(self.defense, strategy=strategy)
         else:  # pragma: no cover - the event union is closed
             raise TypeError(f"unknown event {event!r}")
 
@@ -421,20 +417,15 @@ class StreamReplayer:
         if ledger is None:
             ledger = PrefixLedger(self.lab.engine, metrics=self.metrics)
             self._ledgers[event.prefix] = ledger
-        defense = self.defense()
-        blocked = defense.blocking_nodes(
-            view, event.prefix, event.origin_asn, claimed_path=tail
-        )
-        first_hop = (
-            defense.stub_filter
-            and not self.lab.graph.customers(event.origin_asn)
-            and self.lab.plan.origin_of(event.prefix) != event.origin_asn
-        )
         ledger.announce(
             node,
             origin_asn=event.origin_asn,
-            blocked=blocked,
-            first_hop_filtered=first_hop,
+            blocked=self.defense.blocking_nodes(
+                view, event.prefix, event.origin_asn, claimed_path=tail
+            ),
+            first_hop_filtered=self.defense.first_hop_filtered(
+                self.lab.graph, self.lab.plan, event.prefix, event.origin_asn
+            ),
             path=tail,
         )
         touched.add(event.prefix)
@@ -444,12 +435,12 @@ class StreamReplayer:
 
         Longest-match lookup over the live ledgers covering the announced
         prefix: the announcer's currently selected route for that space
-        is the one it re-announces. The tail is the announcer's received
-        AS path (parent chain ASNs, claimed origin last — the announcer
-        itself absent, as on the wire); a leak prepends the announcer.
-        ``None`` when no covering ledger gives the announcer a route.
+        is the one it re-announces, as its
+        :func:`~repro.attacks.scenario.received_path` (a leak prepends the
+        announcer). ``None`` when no covering ledger gives the announcer a
+        route it does not originate itself.
         """
-        view = self.lab.view
+        leaker = event.origin_asn if event.replay == "leak" else None
         covering = sorted(
             (
                 (prefix, ledger)
@@ -459,19 +450,13 @@ class StreamReplayer:
             key=lambda item: -item[0].length,
         )
         for _prefix, ledger in covering:
-            state = ledger.state
-            if state is None or not state.has_route(node):
+            if ledger.state is None:
                 continue
-            chain = state.path_from(node)
-            if not chain:
-                continue  # the announcer originates this one itself
-            origin_asns = ledger.origin_asns()
-            tail = tuple(
-                origin_asns.get(hop, view.asn_of(hop)) for hop in chain
+            tail = received_path(
+                ledger.state, node, self.lab.view, ledger.origin_asns(), leaker=leaker
             )
-            if event.replay == "leak":
-                return (event.origin_asn, *tail)
-            return tail
+            if tail is not None:
+                return tail
         return None
 
     def _apply_withdraw(self, event: Withdraw, touched: set[Prefix]) -> None:

@@ -189,7 +189,7 @@ class TestAutoMitigation:
         # longest-prefix match: the victim's reach measurably recovers.
         assert record.coverage_after > record.coverage_before
         assert record.coverage_after > 0.9
-        defense = service.replayer.defense()
+        defense = service.replayer.defense
         assert set(deployers) <= set(defense.strategy.deployers)
 
 

@@ -459,7 +459,7 @@ class TestAutoMitigation:
         feed(service, Announce(at=0.0, prefix=sub, origin_asn=60))
         service.poll()
         assert service.mitigations[0].deployers == (30,)
-        assert 30 in service.replayer.defense().strategy.deployers
+        assert 30 in service.replayer.defense.strategy.deployers
 
     def test_no_mitigation_without_arming(self, lab, probes):
         service = service_for(lab, probes)

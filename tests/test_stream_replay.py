@@ -199,7 +199,7 @@ class TestLiveDefense:
             Announce(at=1.0, prefix=prefix, origin_asn=50),
             Announce(at=2.0, prefix=prefix, origin_asn=60),
         ])
-        assert 40 in replayer.defense().strategy.deployers
+        assert 40 in replayer.defense.strategy.deployers
         assert len(replayer.authority) == 1
         ledger = replayer.ledgers().get(prefix)
         legit, attack = ledger.entries

@@ -119,8 +119,7 @@ def grid(request):
         "lab": lab,
         "rov": lab.with_defense(Defense(strategy=everyone, authority=authority)),
         "rov+path": lab.with_defense(
-            Defense(strategy=everyone, authority=authority,
-                    neighbors=neighbors, path_check=True)
+            Defense(strategy=everyone, authority=authority, neighbors=neighbors)
         ),
         "detectors": {
             "none": HijackDetector(probes=probes),
