@@ -1,6 +1,16 @@
-"""Hijack scenarios, outcomes and the hijack laboratory."""
+"""Hijack scenarios, outcomes and the hijack laboratory.
 
-from repro.attacks.lab import HijackLab
+:class:`HijackLab` is imported on first use of ``repro.attacks.HijackLab``,
+not here: the lab imports :mod:`repro.defense`, whose drop decision is the
+detection package's judge, and the judge reads the scenario kinds from
+this package. A package init that loaded the lab would close that loop,
+and whichever of ``repro.attacks``, ``repro.defense`` and
+``repro.detection`` a program imported first would find another of them
+half-initialised.
+"""
+
+from typing import TYPE_CHECKING
+
 from repro.attacks.scenario import (
     AttackOutcome,
     HijackKind,
@@ -8,6 +18,9 @@ from repro.attacks.scenario import (
     PathKind,
     synthetic_forged_path,
 )
+
+if TYPE_CHECKING:
+    from repro.attacks.lab import HijackLab
 
 __all__ = [
     "AttackOutcome",
@@ -17,3 +30,12 @@ __all__ = [
     "PathKind",
     "synthetic_forged_path",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name == "HijackLab":
+        from repro.attacks.lab import HijackLab
+
+        globals()["HijackLab"] = HijackLab
+        return HijackLab
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

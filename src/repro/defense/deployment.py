@@ -28,6 +28,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.defense.strategies import DeploymentStrategy, no_deployment
+from repro.detection.taxonomy import PathObservation, classify_observations
 from repro.prefixes.addressing import AddressPlan
 from repro.prefixes.prefix import Prefix
 from repro.registry.neighbors import NeighborRegistry
@@ -85,10 +86,6 @@ class Defense:
         precisely so ROV validates it; without a path the announcer *is*
         the claimed origin, the pre-taxonomy behavior.
         """
-        # Imported here: the detection package imports the attack lab,
-        # which imports this module.
-        from repro.detection.taxonomy import PathObservation, classify_observations
-
         tail = claimed_path or (origin_asn,)
         blockers = {
             rule.filtering_asn for rule in self.manual_filters if rule.rejects(prefix, tail[-1])

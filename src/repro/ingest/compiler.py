@@ -35,8 +35,9 @@ and therefore cannot ride a trace file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 from repro.ingest.records import TraceFormatError, TraceReader, TraceRecord, TraceRow
 from repro.obs.metrics import NULL_METRICS, Metrics
@@ -105,7 +106,7 @@ def _located(source: str, line: int, message: str) -> TraceFormatError:
     return TraceFormatError(f"{source}:{line}: {message}")
 
 
-def _rows(records: Iterable[TraceRecord]) -> Iterator[TraceRow]:
+def _rows(records: Iterable[TraceRecord]) -> Generator[TraceRow, None, None]:
     """A reader's validated rows, or the same fields read off any other records."""
     if isinstance(records, TraceReader):
         return records.rows()
@@ -189,36 +190,51 @@ class UpdateCompiler:
         self.misplaced = 0
 
     def __iter__(self) -> Iterator[StreamEvent]:
-        clock: float | None = None
-        for line, kind, at, _peer, prefix, path in _rows(self.records):
-            if kind == "rib":
-                error = _located(self.source, line, "rib record in an update feed")
-                if self.strict:
-                    raise error
-                self.misplaced += 1
-                self.metrics.count("ingest.misplaced")
-                continue
-            if clock is not None and at < clock:
-                error = _located(
-                    self.source, line,
-                    f"timestamp {at} precedes {clock} (feed must be non-decreasing)",
-                )
-                if self.strict:
-                    raise error
-                self.out_of_order += 1
-                self.metrics.count("ingest.out_of_order")
-            else:
-                clock = at
-            self.events += 1
-            if kind == "withdraw":
-                yield Withdraw(at=at, prefix=prefix, origin_asn=path[-1])
-            else:
-                # Announcer first, claimed origin last: a bare origin is
-                # the honest claim; anything longer is the claim itself.
-                yield Announce(
-                    at=at, prefix=prefix, origin_asn=path[0],
-                    path=path if len(path) > 1 else (),
-                )
+        # Announces first: a feed is mostly re-announcements. The event
+        # count lives in a local and is stored when the sweep ends, fails
+        # or is closed, so it is exact once a consumer stops reading.
+        clock = -math.inf
+        events = self.events
+        rows = _rows(self.records)
+        try:
+            for line, kind, at, _peer, prefix, path in rows:
+                if kind == "announce":
+                    # Announcer first, claimed origin last: a bare origin is
+                    # the honest claim; anything longer is the claim itself.
+                    event: StreamEvent = Announce(
+                        at, prefix, path[0], path if len(path) > 1 else ()
+                    )
+                elif kind == "withdraw":
+                    event = Withdraw(at, prefix, path[-1])
+                else:
+                    self._misplaced(line)
+                    continue
+                if at < clock:
+                    self._out_of_order(line, at, clock)
+                else:
+                    clock = at
+                events += 1
+                yield event
+        finally:
+            self.events = events
+            rows.close()  # a reader stores its own counts as it closes
+
+    def _misplaced(self, line: int) -> None:
+        error = _located(self.source, line, "rib record in an update feed")
+        if self.strict:
+            raise error
+        self.misplaced += 1
+        self.metrics.count("ingest.misplaced")
+
+    def _out_of_order(self, line: int, at: float, clock: float) -> None:
+        error = _located(
+            self.source, line,
+            f"timestamp {at} precedes {clock} (feed must be non-decreasing)",
+        )
+        if self.strict:
+            raise error
+        self.out_of_order += 1
+        self.metrics.count("ingest.out_of_order")
 
 
 def compile_updates(

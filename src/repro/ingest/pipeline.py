@@ -155,8 +155,9 @@ def run_ingest(
         queue_limit=queue_limit,
         metrics=metrics,
     )
+    submit = replayer.submit
     for event in pipeline.events():
-        replayer.submit(event)
+        submit(event)
     report = replayer.finish()
     return IngestResult(
         report=report, baseline=pipeline.baseline(), stats=pipeline.stats()

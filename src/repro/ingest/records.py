@@ -45,17 +45,17 @@ take down a monitor.
 from __future__ import annotations
 
 import gzip
-import json
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Generator, Iterable, Iterator
 
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.prefixes.prefix import Prefix, PrefixError
 from repro.util.lines import (
     CHUNK_SIZE,
     OVERLONG_LINE,
+    decode_json_line,
     iter_chunk_lines,
     valid_timestamp,
 )
@@ -122,13 +122,17 @@ def _check_asn(value: object, what: str) -> int:
 
 
 def _build_row(
-    kind: object, ts: object, peer: object, prefix_text: object, path: Iterable[object],
-    *, line: int,
+    line: int, kind: object, ts: object, peer: object, prefix_text: object,
+    path: Iterable[object],
 ) -> TraceRow:
     if kind not in RECORD_TYPES:
         raise TraceFormatError(f"unknown record type {kind!r}")
     # A finite float passes; anything else gets valid_timestamp's verdict.
-    if (type(ts) is not float or not isfinite(ts)) and not valid_timestamp(ts):
+    if type(ts) is float and isfinite(ts):
+        at = ts
+    elif valid_timestamp(ts):
+        at = float(ts)
+    else:
         raise TraceFormatError(f"missing/invalid timestamp {ts!r}")
     # A plain in-range int passes; anything else gets _check_asn's verdict.
     if type(peer) is not int or not 0 < peer <= _MAX_ASN:
@@ -145,13 +149,13 @@ def _build_row(
             _check_asn(hop, "path hop")
     if not hops:
         raise TraceFormatError("empty AS path")
-    return line, kind, float(ts), peer, prefix, hops
+    return line, kind, at, peer, prefix, hops
 
 
 def _parse_json_record(line: str, number: int) -> TraceRow:
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as error:
+        payload = decode_json_line(line)
+    except ValueError as error:
         raise TraceFormatError(f"invalid JSON: {error}") from error
     if not isinstance(payload, dict):
         raise TraceFormatError(
@@ -161,8 +165,8 @@ def _parse_json_record(line: str, number: int) -> TraceRow:
     if not isinstance(path, list):
         raise TraceFormatError(f"missing/invalid path {path!r}")
     return _build_row(
-        payload.get("type"), payload.get("ts"), payload.get("peer"),
-        payload.get("prefix"), path, line=number,
+        number, payload.get("type"), payload.get("ts"), payload.get("peer"),
+        payload.get("prefix"), path,
     )
 
 
@@ -184,13 +188,24 @@ def _parse_tsv_record(line: str, number: int) -> TraceRow:
         ts: float = float(ts_text)
     except ValueError as error:
         raise TraceFormatError(f"missing/invalid timestamp {ts_text!r}") from error
-    path = [_tsv_asn(hop_text, plain) for hop_text in path_text.split()]
-    return _build_row(kind, ts, _tsv_asn(peer_text, plain), prefix_text, path, line=number)
+    hop_texts = path_text.split()
+    digits = plain and peer_text.isdigit() and "".join(hop_texts).isdigit()
+    if digits:
+        try:
+            peer: object = int(peer_text)
+            path: Iterable[object] = tuple(map(int, hop_texts))
+        except ValueError:  # past int()'s digit limit
+            digits = False
+    if not digits:
+        # Field by field, so the validator names the field that is wrong.
+        peer = _tsv_asn(peer_text)
+        path = [_tsv_asn(text) for text in hop_texts]
+    return _build_row(number, kind, ts, peer, prefix_text, path)
 
 
-def _tsv_asn(text: str, plain: bool) -> object:
+def _tsv_asn(text: str) -> object:
     """*text* as an int if it is ASCII 0-9, else as is for the validator to name."""
-    if text.isdigit() and (plain or text.isascii()):
+    if text.isdigit() and text.isascii():
         try:
             return int(text)
         except ValueError:  # past int()'s digit limit
@@ -244,33 +259,44 @@ class TraceReader:
     def __iter__(self) -> Iterator[TraceRecord]:
         return map(_record, self.rows())
 
-    def rows(self) -> Iterator[TraceRow]:
+    def rows(self) -> Generator[TraceRow, None, None]:
         """The validated fields of each record, ``(line, kind, at, peer, prefix, path)``.
 
         The same lines, checks and counters as iterating the reader,
         without building a :class:`TraceRecord` per line; the compilers
-        read this.
+        read this. :attr:`lines` and :attr:`records` are kept in locals
+        and stored when the pass ends, fails or is closed, so they are
+        exact once a consumer stops reading.
         """
-        with _open_binary(self.path) as handle:
-            for number, raw in enumerate(
-                iter_chunk_lines(handle, self.chunk_size), start=1
-            ):
+        number, records = 0, self.records
+        metrics = self.metrics
+        try:
+            with _open_binary(self.path) as handle:
+                for number, raw in enumerate(
+                    iter_chunk_lines(handle, self.chunk_size), start=1
+                ):
+                    if raw is None:
+                        self.note_malformed(TraceFormatError(OVERLONG_LINE), number)
+                        continue
+                    line = raw.decode("utf-8", "replace").strip()
+                    if not line or line[0] == "#":
+                        continue
+                    try:
+                        if line[0] == "{":
+                            row = _parse_json_record(line, number)
+                        else:
+                            row = _parse_tsv_record(line, number)
+                    except TraceFormatError as error:
+                        self.note_malformed(error, number)
+                        continue
+                    records += 1
+                    if metrics.enabled:
+                        metrics.count("ingest.records")
+                    yield row
+        finally:
+            if number:
                 self.lines = number
-                if raw is None:
-                    self.note_malformed(TraceFormatError(OVERLONG_LINE), number)
-                    continue
-                line = raw.decode("utf-8", "replace").strip()
-                if not line or line[0] == "#":
-                    continue
-                parse = _parse_json_record if line[0] == "{" else _parse_tsv_record
-                try:
-                    row = parse(line, number)
-                except TraceFormatError as error:
-                    self.note_malformed(error, number)
-                    continue
-                self.records += 1
-                self.metrics.count("ingest.records")
-                yield row
+            self.records = records
 
     def note_malformed(self, error: Exception, number: int) -> None:
         """Count (lenient) or raise (strict) one bad line."""

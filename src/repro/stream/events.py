@@ -36,7 +36,7 @@ from typing import Iterable, Sequence, Union
 from repro.attacks.scenario import HijackKind, HijackScenario, PathKind
 from repro.prefixes.prefix import Prefix, PrefixError
 from repro.registry.roa import RouteOriginAuthorization
-from repro.util.lines import valid_timestamp
+from repro.util.lines import decode_json_line, valid_timestamp
 
 __all__ = [
     "Announce",
@@ -63,7 +63,14 @@ class StreamFormatError(ValueError):
 _REPLAY_MODES = ("unmodified", "leak")
 
 
-@dataclass(frozen=True, order=True)
+# Announce and Withdraw, the events a feed line becomes, are built in one
+# step: a hand-written __init__ writes the fields straight into the new
+# instance's dict, where the generated frozen __init__ makes one
+# object.__setattr__ call per field. Everything else (eq, hash, order,
+# repr, replace, pickle, FrozenInstanceError) is still the dataclass's.
+
+
+@dataclass(frozen=True, order=True, init=False)
 class Announce:
     """*origin_asn* starts announcing *prefix* at virtual time *at*.
 
@@ -83,20 +90,36 @@ class Announce:
     path: tuple[int, ...] = ()
     replay: str = ""
 
-    def __post_init__(self) -> None:
-        if self.path and self.replay:
-            raise ValueError("an announce carries either a path or a replay marker")
-        if self.replay and self.replay not in _REPLAY_MODES:
-            raise ValueError(f"unknown replay mode {self.replay!r}")
+    def __init__(
+        self, at: float, prefix: Prefix, origin_asn: int,
+        path: tuple[int, ...] = (), replay: str = "",
+    ) -> None:
+        if replay:
+            if path:
+                raise ValueError("an announce carries either a path or a replay marker")
+            if replay not in _REPLAY_MODES:
+                raise ValueError(f"unknown replay mode {replay!r}")
+        fields = self.__dict__
+        fields["at"] = at
+        fields["prefix"] = prefix
+        fields["origin_asn"] = origin_asn
+        fields["path"] = path
+        fields["replay"] = replay
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Withdraw:
     """*origin_asn* stops announcing *prefix* at virtual time *at*."""
 
     at: float
     prefix: Prefix
     origin_asn: int
+
+    def __init__(self, at: float, prefix: Prefix, origin_asn: int) -> None:
+        fields = self.__dict__
+        fields["at"] = at
+        fields["prefix"] = prefix
+        fields["origin_asn"] = origin_asn
 
 
 @dataclass(frozen=True, order=True)
@@ -223,8 +246,8 @@ def event_from_dict(payload: object) -> StreamEvent:
 def parse_event_line(line: str) -> StreamEvent:
     """Parse one JSONL line (the replay engine isolates failures per line)."""
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as error:
+        payload = decode_json_line(line)
+    except ValueError as error:
         raise StreamFormatError(f"invalid JSON: {error}") from error
     return event_from_dict(payload)
 

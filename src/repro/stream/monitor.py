@@ -180,7 +180,9 @@ class OnlineMonitor:
 
     def note_announce(self, prefix: Prefix, origin_asn: int, at: float) -> None:
         """Anchor ground truth: *origin_asn* announced *prefix* at *at*."""
-        self._announced.setdefault((prefix, origin_asn), (at, self._events_seen))
+        key = (prefix, origin_asn)
+        if key not in self._announced:  # a re-announcement keeps its anchor
+            self._announced[key] = (at, self._events_seen)
 
     def note_withdraw(self, prefix: Prefix, origin_asn: int) -> None:
         """Drop the anchor so a re-announcement re-anchors latency."""

@@ -168,6 +168,7 @@ class StreamReplayer:
             strategy=DeploymentStrategy("stream", base.strategy.deployers),
             authority=self.authority,
         )
+        self._node_of = lab.view.nodes_by_asn
         self._ledgers: dict[Prefix, PrefixLedger] = {}
         self._pending: list[StreamEvent] = []
         self.clock = 0.0
@@ -199,33 +200,39 @@ class StreamReplayer:
 
     def submit(self, event: StreamEvent) -> None:
         """Queue one typed event; may trigger a time or backpressure flush."""
-        if self._pending and event.at - self._pending[0].at > self.batch_window:
+        at = event.at
+        pending = self._pending
+        if pending and at - pending[0].at > self.batch_window:
             # The pending batch's window expired before this event: it
             # flushed (in virtual time) at its deadline, not at event.at
             # — and strictly before this event exists to the monitor.
-            deadline = self._pending[0].at + self.batch_window
+            deadline = pending[0].at + self.batch_window
             if deadline > self.clock:
                 self.clock = deadline
             self.flush()
-        self._counts["submitted"] += 1
-        self.metrics.count("stream.replay.submitted")
-        if self.monitor is not None:
-            self.monitor.note_event()
+            pending = self._pending
+        counts, metrics = self._counts, self.metrics
+        counts["submitted"] += 1
+        if metrics.enabled:
+            metrics.count("stream.replay.submitted")
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.note_event()
             # Ground-truth anchoring happens at *arrival*: detection
             # latency must include time an update spends queued.
             if isinstance(event, Announce):
-                self.monitor.note_announce(event.prefix, event.origin_asn, event.at)
+                monitor.note_announce(event.prefix, event.origin_asn, at)
             elif isinstance(event, Withdraw):
-                self.monitor.note_withdraw(event.prefix, event.origin_asn)
-        if event.at < self.clock:
-            self._counts["out_of_order"] += 1
-            self.metrics.count("stream.replay.out_of_order")
+                monitor.note_withdraw(event.prefix, event.origin_asn)
+        if at < self.clock:
+            counts["out_of_order"] += 1
+            metrics.count("stream.replay.out_of_order")
         else:
-            self.clock = event.at
-        self._pending.append(event)
-        if len(self._pending) >= self.queue_limit:
-            self._counts["backpressure_flushes"] += 1
-            self.metrics.count("stream.replay.backpressure_flushes")
+            self.clock = at
+        pending.append(event)
+        if len(pending) >= self.queue_limit:
+            counts["backpressure_flushes"] += 1
+            metrics.count("stream.replay.backpressure_flushes")
             self.flush()
 
     def submit_line(self, line: str) -> None:
@@ -287,7 +294,10 @@ class StreamReplayer:
         with self.metrics.span("stream.replay.flush"):
             for event in batch:
                 try:
-                    self._apply(event, touched)
+                    if isinstance(event, Announce):
+                        self._apply_announce(event, touched)
+                    else:
+                        self._apply(event, touched)
                 except Exception as error:  # per-event isolation, by contract
                     self.note_error(f"{type(event).__name__} at {event.at}: {error}")
                 else:
@@ -339,11 +349,9 @@ class StreamReplayer:
                 continue
             if key not in active:
                 ledger = self._ledgers.get(event.prefix)
-                view = self.lab.view
-                active[key] = bool(
-                    ledger is not None
-                    and view.has_asn(event.origin_asn)
-                    and ledger.is_active(view.node_of(event.origin_asn))
+                node = self._node_of.get(event.origin_asn)
+                active[key] = (
+                    ledger is not None and node is not None and ledger.is_active(node)
                 )
             if isinstance(event, Announce):
                 if not active[key]:
@@ -365,9 +373,9 @@ class StreamReplayer:
         return kept, len(removed)
 
     def _apply(self, event: StreamEvent, touched: set[Prefix]) -> None:
-        if isinstance(event, Announce):
-            self._apply_announce(event, touched)
-        elif isinstance(event, Withdraw):
+        """Apply any event but an announce (``flush`` hands those to
+        :meth:`_apply_announce` itself)."""
+        if isinstance(event, Withdraw):
             self._apply_withdraw(event, touched)
         elif isinstance(event, RoaPublish):
             self.authority.add(
@@ -392,15 +400,17 @@ class StreamReplayer:
             raise TypeError(f"unknown event {event!r}")
 
     def _apply_announce(self, event: Announce, touched: set[Prefix]) -> None:
-        view = self.lab.view
-        if not view.has_asn(event.origin_asn):
+        node = self._node_of.get(event.origin_asn)
+        if node is None:
             raise ValueError(f"unknown origin AS{event.origin_asn}")
-        node = view.node_of(event.origin_asn)
         ledger = self._ledgers.get(event.prefix)
         if ledger is not None and ledger.is_active(node):
             # A duplicate changes nothing, so it is noticed before the
-            # replay lookup and the defense evaluation, not after.
-            self._note_noop()
+            # replay lookup and the defense evaluation, not after; it is
+            # most of a live feed, so it is counted here, not in _note_noop.
+            self._counts["noop"] += 1
+            if self.metrics.enabled:
+                self.metrics.count("stream.replay.noops")
             return
         if event.replay:
             # A type-U replay / route leak reuses the route the announcer
@@ -414,6 +424,7 @@ class StreamReplayer:
             tail = tuple(event.path)
         else:
             tail = None
+        view = self.lab.view
         if ledger is None:
             ledger = PrefixLedger(self.lab.engine, metrics=self.metrics)
             self._ledgers[event.prefix] = ledger
@@ -460,14 +471,11 @@ class StreamReplayer:
         return None
 
     def _apply_withdraw(self, event: Withdraw, touched: set[Prefix]) -> None:
-        view = self.lab.view
-        if not view.has_asn(event.origin_asn):
+        node = self._node_of.get(event.origin_asn)
+        if node is None:
             raise ValueError(f"unknown origin AS{event.origin_asn}")
         ledger = self._ledgers.get(event.prefix)
-        applied = bool(
-            ledger is not None and ledger.withdraw(view.node_of(event.origin_asn))
-        )
-        if not applied:
+        if ledger is None or not ledger.withdraw(node):
             self._note_noop()
             return
         touched.add(event.prefix)

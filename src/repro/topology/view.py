@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.topology.asgraph import ASGraph
 from repro.topology.classify import find_tier1
@@ -162,6 +162,14 @@ class RoutingView:
 
     def has_asn(self, asn: int) -> bool:
         return asn in self._node_of
+
+    @property
+    def nodes_by_asn(self) -> Mapping[int, int]:
+        """ASN → routing node, the map :meth:`node_of` reads (not a copy:
+        read it, never write it). ``nodes_by_asn.get(asn)`` is ``None``
+        for an unknown ASN, one lookup where ``has_asn`` + ``node_of``
+        take two calls."""
+        return self._node_of
 
     def asn_of(self, node: int) -> int:
         """The representative (lowest) ASN of a routing node."""

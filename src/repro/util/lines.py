@@ -12,17 +12,20 @@ aligned, then skips the line's remaining bytes through the next newline.
 only the daemon's feed task, which must hold a partial line back while
 it tails a growing file, drives a splitter by hand.
 
-:func:`valid_timestamp` is the timestamp check that both line formats
-(stream events and trace records) apply to a decoded field.
+:func:`decode_json_line` is the JSON decode and :func:`valid_timestamp`
+the timestamp check that both line formats (stream events and trace
+records) apply to a line and to a decoded field.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import IO, Iterator
 
 __all__ = [
-    "CHUNK_SIZE", "OVERLONG_LINE", "LineSplitter", "iter_chunk_lines", "valid_timestamp",
+    "CHUNK_SIZE", "OVERLONG_LINE", "LineSplitter", "decode_json_line", "iter_chunk_lines",
+    "valid_timestamp",
 ]
 
 # Generated trace records and feed events are under 200 bytes.
@@ -81,6 +84,33 @@ def iter_chunk_lines(
     tail = splitter.finish()
     if tail:
         yield tail
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def decode_json_line(line: str) -> object:
+    """The JSON value *line* holds, read with one scan of the decoder.
+
+    ``json.loads`` wraps the same scanner in a whitespace pass on each
+    side. A line the scanner reads to its last character needs neither;
+    any other line (surrounding whitespace, trailing data, a decode
+    error) goes through ``json.loads``, so the value and each error text
+    are its own. Every failure is a ``ValueError``: a ``JSONDecodeError``,
+    a number past ``int()``'s digit limit, or nesting past the
+    interpreter's recursion limit (re-raised as a ``ValueError`` with
+    the same text), so one hostile line cannot stop a reader.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(line)
+    except RecursionError as error:
+        raise ValueError(str(error)) from error
 
 
 def valid_timestamp(value: object) -> bool:

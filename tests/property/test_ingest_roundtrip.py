@@ -6,13 +6,18 @@ survive ``events_to_records`` → ``compile_updates`` unchanged; and a
 scenario lowered by ``compile_scenario``, written out as trace lines and
 re-ingested, replays to the byte-identical monitor report — the trace
 file is a faithful transport for attack campaigns, not a lossy export.
-Runs in the nightly fuzz job at the scaled example budget.
+Every JSON-ish line reads as ``json.loads`` would, though the reader
+scans it once, and the reader's and compiler's counts are exact when a
+consumer stops part-way. Runs in the nightly fuzz job at the scaled
+example budget.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -25,13 +30,23 @@ from repro.detection.detector import HijackDetector
 from repro.detection.probes import ProbeSet
 from repro.ingest import (
     TraceFormatError,
+    TracePipeline,
     TraceReader,
     TraceRecord,
     compile_rib,
     compile_updates,
 )
+from repro.ingest import records as records_module
+from repro.ingest.records import TraceRow
 from repro.prefixes.prefix import Prefix
-from repro.stream.events import Announce, Withdraw, compile_scenario
+from repro.stream.events import (
+    Announce,
+    StreamFormatError,
+    Withdraw,
+    compile_scenario,
+    event_from_dict,
+    parse_event_line,
+)
 from repro.stream.monitor import OnlineMonitor
 from repro.stream.replay import StreamReplayer
 from tests.conftest import build_mini_graph
@@ -227,6 +242,231 @@ def test_reader_rows_strict_error_names_the_file_and_line(tmp_path):
     message = rf"^{re.escape(str(trace))}:2: timestamp 1\.0 precedes 2\.0"
     with pytest.raises(TraceFormatError, match=message):
         list(compile_updates(TraceReader(trace), strict=True))
+
+
+# -- one JSON scan per line --------------------------------------------------
+
+# Value texts per key: valid ones first, then the wrong type, numbers JSON
+# carries but no clock or ASN can (NaN, infinities, past float range, past
+# int()'s digit limit), escapes, and nesting past the recursion limit.
+_NUMBERS = ("17", "1.5", "-2", "0", "1e400", "1" + "0" * 400, "9" * 5000,
+            "NaN", "Infinity", "-Infinity", "true", "null", '"7"')
+_VALUE_TEXTS = {
+    "type": ('"announce"', '"withdraw"', '"rib"', '"teleport"', "3"),
+    "kind": ('"announce"', '"withdraw"', '"roa-publish"', '"defense-activate"', "[]"),
+    "ts": _NUMBERS, "at": _NUMBERS,
+    "peer": _NUMBERS, "origin": _NUMBERS, "max_length": _NUMBERS,
+    "prefix": ('"10.1.0.0/16"', '"2.0.0.0/8"', '"10.0.0.0/40"', '"\\u0031.0.0.0/8"',
+               '"1.2.3.4"', "16"),
+    "path": ("[50]", "[60,64512,50]", "[]", '[1,"2"]', "[0]", "[" * 3000 + "]" * 3000,
+             "[" + "9" * 5000 + "]", "{}"),
+    "deployers": ("[1,2]", "[]", "[true]"),
+    "replay": ('"leak"', '"verbatim"', '""', "7"),
+}
+_RECORD_KEYS = ("path", "peer", "prefix", "ts", "type")
+_EVENT_KEYS = ("at", "kind", "origin", "prefix")
+_TAILS = ("", " ", "\t", "\r", "\x0b", "\u00a0", "\ufeff", "x", "}", ",", "{}",
+          '{"type":"rib"}', "[1]")
+
+
+@st.composite
+def _value_text(draw, key: str, clean: bool) -> str:
+    if not clean:
+        return draw(st.sampled_from(_VALUE_TEXTS[key]))
+    if key in ("ts", "at"):
+        return repr(draw(timestamps))
+    if key in ("peer", "origin"):
+        return str(draw(asns))
+    if key == "prefix":
+        return f'"{draw(prefixes)}"'
+    if key == "path":
+        return json.dumps(draw(st.lists(asns, min_size=1, max_size=3)))
+    return _VALUE_TEXTS[key][draw(st.integers(min_value=0, max_value=1))]
+
+
+@st.composite
+def json_ish_lines(draw) -> bytes:
+    """One line a collector or a client could send: JSON, nearly JSON, not JSON.
+
+    A trace record's or an event's keys (mostly with valid values, some
+    dropped or repeated, sometimes any value), then maybe cut short,
+    given trailing data or surrounding whitespace, doubled, replaced by a
+    non-object value, or given bytes that are not UTF-8.
+    """
+    keys = list(draw(st.sampled_from((_RECORD_KEYS, _EVENT_KEYS))))
+    keys += draw(st.lists(st.sampled_from(sorted(_VALUE_TEXTS)), max_size=2))
+    keys = draw(st.permutations(keys))[: draw(st.integers(min_value=len(keys) - 1,
+                                                          max_value=len(keys)))]
+    clean = draw(st.integers(min_value=0, max_value=3)) > 0
+    colon, comma = draw(st.sampled_from(((":", ","), (": ", ", "), (" : ", " , "))))
+    text = "{" + comma.join(
+        f'"{key}"{colon}{draw(_value_text(key, clean))}' for key in keys
+    ) + "}"
+    shape = draw(st.sampled_from(
+        ("whole", "whole", "whole", "cut", "tail", "lead", "twice", "array", "scalar")
+    ))
+    if shape == "cut":
+        text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
+    elif shape == "tail":
+        text += draw(st.sampled_from(_TAILS)) + draw(st.sampled_from(_TAILS))
+    elif shape == "lead":
+        text = draw(st.sampled_from(_TAILS)) + text
+    elif shape == "twice":
+        text += text
+    elif shape == "array":
+        text = "[" + text + "]"
+    elif shape == "scalar":
+        text = draw(st.sampled_from(_NUMBERS + ('"x"', "[1,2]")))
+    raw = text.encode("utf-8")
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        cut = draw(st.integers(min_value=0, max_value=len(raw)))
+        bad = draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
+        raw = raw[:cut] + bad + raw[cut:]
+    return raw
+
+
+def _json_loads_reference(line: str) -> object:
+    """How a line read before the single scan: ``json.loads``, any failure
+    of it (a decode error, the digit limit, the recursion limit) named as
+    invalid JSON."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as error:
+        raise ValueError(f"invalid JSON: {error}") from error
+
+
+def _reference_row(line: str, number: int) -> object:
+    """The reader's row for a ``{`` line, or its error text, via ``json.loads``."""
+    try:
+        payload = _json_loads_reference(line)
+    except ValueError as error:
+        return str(error)
+    if not isinstance(payload, dict):
+        return f"record must be an object, got {type(payload).__name__}"
+    path = payload.get("path")
+    if not isinstance(path, list):
+        return f"missing/invalid path {path!r}"
+    try:
+        return records_module._build_row(
+            number, payload.get("type"), payload.get("ts"), payload.get("peer"),
+            payload.get("prefix"), path,
+        )
+    except TraceFormatError as error:
+        return str(error)
+
+
+def _reference_event(line: str) -> object:
+    """``parse_event_line``'s event or error text, via ``json.loads``."""
+    try:
+        return event_from_dict(_json_loads_reference(line))
+    except (ValueError, StreamFormatError) as error:
+        return str(error)
+
+
+def _event_or_error(line: str) -> object:
+    try:
+        return parse_event_line(line)
+    except StreamFormatError as error:
+        return str(error)
+
+
+@settings(max_examples=example_budget(200), deadline=None)
+@given(st.lists(json_ish_lines(), min_size=1, max_size=12))
+def test_single_scan_decodes_like_json_loads(raw_lines):
+    """The trace reader and the event parser read every line as ``json.loads``
+    would: the same row or event, or the same error text."""
+    texts = [raw.decode("utf-8", "replace").strip() for raw in raw_lines]
+    for text in texts:
+        if text:
+            assert _event_or_error(text) == _reference_event(text)
+
+    with tempfile.TemporaryDirectory() as directory:
+        trace = Path(directory) / "updates.trace"
+        trace.write_bytes(b"".join(raw + b"\n" for raw in raw_lines))
+        reader = TraceReader(trace)
+        rows = list(reader.rows())
+    expected_rows, expected_errors = [], []
+    for number, text in enumerate(texts, start=1):
+        if not text or text[0] != "{":
+            continue  # blank, or read as TSV: not this property's subject
+        outcome = _reference_row(text, number)
+        if isinstance(outcome, str):
+            expected_errors.append(f"{trace}:{number}: {outcome}")
+        else:
+            expected_rows.append(outcome)
+    json_rows = [row for row in rows if texts[row[0] - 1][0] == "{"]
+    json_errors = [
+        error for error in reader.errors
+        if texts[int(error[len(str(trace)) + 1:].split(":")[0]) - 1][0] == "{"
+    ]
+    assert json_rows == expected_rows
+    assert json_errors == expected_errors
+    assert (reader.lines, reader.records + reader.malformed) == (
+        len(raw_lines), sum(1 for text in texts if text and text[0] != "#")
+    )
+
+
+def _line_outcomes(trace: Path) -> tuple[list[TraceRow], set[int]]:
+    """Every row of a whole pass, and the numbers of the malformed lines."""
+    reader = TraceReader(trace)
+    rows = list(reader.rows())
+    bad = {int(error[len(str(trace)) + 1:].split(":")[0]) for error in reader.errors}
+    assert len(bad) == reader.malformed
+    return rows, bad
+
+
+def _stop_early(stream, count: int):
+    """Hand on *count* items, then return without closing *stream* (the
+    shape of a consumer that ends its window and lets the stream go)."""
+    for item in islice(stream, count):
+        yield item
+
+
+@settings(max_examples=example_budget(100), deadline=None)
+@given(feed_lines(), st.integers(min_value=0, max_value=20),
+       st.sampled_from(("close", "release", "pipeline")))
+def test_counts_are_exact_when_a_stream_is_abandoned(lines, taken, how):
+    """``islice`` a compiled feed, then stop: the reader's ``lines``,
+    ``records`` and ``malformed`` and the compiler's ``events`` count
+    exactly the lines read to produce the events handed on, whether the
+    stream is closed, dropped by a consumer that stopped, or read through
+    :class:`TracePipeline` (whose ``stats`` the benchmark's
+    ``records + malformed == lines`` check reads)."""
+    with tempfile.TemporaryDirectory() as directory:
+        trace = Path(directory) / "updates.trace"
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows, bad = _line_outcomes(trace)
+        event_lines = [row[0] for row in rows if row[1] != "rib"]
+        if taken == 0:
+            expected = (0, 0, 0, 0)
+        elif taken <= len(event_lines):
+            last = event_lines[taken - 1]
+            expected = (
+                last, sum(1 for row in rows if row[0] <= last),
+                sum(1 for number in bad if number <= last), taken,
+            )
+        else:  # the whole feed
+            with trace.open("rb") as handle:
+                expected = (sum(1 for _ in handle), len(rows), len(bad), len(event_lines))
+
+        if how == "pipeline":
+            pipeline = TracePipeline(updates_path=trace)
+            list(_stop_early(pipeline.events(), taken))
+            stats = pipeline.stats()["updates"]
+            counted = (stats["lines"], stats["records"], stats["malformed"],
+                       stats.get("events", 0))
+        else:
+            reader = TraceReader(trace)
+            compiler = compile_updates(reader)
+            if how == "close":
+                stream = iter(compiler)
+                handed = list(islice(stream, taken))
+                stream.close()
+            else:
+                handed = list(_stop_early(compiler, taken))
+            assert len(handed) == min(taken, len(event_lines))
+            counted = (reader.lines, reader.records, reader.malformed, compiler.events)
+    assert counted == expected
 
 
 # -- verdict equivalence ---------------------------------------------------

@@ -194,6 +194,13 @@ MALFORMED_LINES = [
     ("nan-ts", '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","ts":NaN,"type":"rib"}'),
     ("int-ts-past-float",
      '{"path":[50],"peer":1,"prefix":"2.0.0.0/8","ts":1%s,"type":"rib"}' % ("0" * 400)),
+    # json.loads raises ValueError past int()'s digit limit and
+    # RecursionError past the recursion limit; each is one bad line.
+    ("json-int-past-digit-limit",
+     '{"path":[50],"peer":%s,"prefix":"2.0.0.0/8","ts":1.0,"type":"rib"}' % ("9" * 5000)),
+    ("json-nested-past-recursion-limit",
+     '{"path":%s,"peer":1,"prefix":"2.0.0.0/8","ts":1.0,"type":"rib"}'
+     % ("[" * 100_000 + "]" * 100_000)),
     ("tsv-too-few-fields", "1.0\tannounce\t1\t2.0.0.0/8"),
     ("tsv-bad-timestamp", "soon\tannounce\t1\t2.0.0.0/8\t50"),
     ("tsv-bad-path-hop", "1.0\tannounce\t1\t2.0.0.0/8\t50 sixty"),

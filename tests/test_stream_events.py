@@ -1,5 +1,10 @@
 """Unit tests for the stream event model, JSONL format and compilers."""
 
+import copy
+import dataclasses
+import json
+import pickle
+
 import pytest
 
 from repro.attacks.scenario import HijackKind, HijackScenario, PathKind
@@ -119,6 +124,18 @@ class TestSerialization:
         with pytest.raises(StreamFormatError, match="invalid JSON"):
             parse_event_line("{nope")
 
+    @pytest.mark.parametrize(
+        "origin, message",
+        [("9" * 5000, "Exceeds the limit"), ("[" * 100_000 + "]" * 100_000, "recursion")],
+        ids=["int-past-digit-limit", "nested-past-recursion-limit"],
+    )
+    def test_parse_event_line_names_json_limits_as_invalid_json(self, origin, message):
+        # json.loads raises ValueError / RecursionError here, not
+        # JSONDecodeError; the line is still one malformed line.
+        line = '{"at":1.0,"kind":"announce","origin":%s,"prefix":"10.1.0.0/16"}' % origin
+        with pytest.raises(StreamFormatError, match=f"^invalid JSON: .*{message}"):
+            parse_event_line(line)
+
     def test_read_events_is_strict_with_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_events(path, ALL_KINDS[:1])
@@ -140,6 +157,111 @@ class TestAnnounceValidation:
     def test_honest_wire_form_has_no_path_keys(self):
         payload = event_to_dict(Announce(at=0.0, prefix=PFX, origin_asn=50))
         assert "path" not in payload and "replay" not in payload
+
+
+# Each event type's field values, in field order: positional and keyword
+# construction must agree, whichever __init__ builds the instance.
+EVENT_ARGS = [
+    (Announce, (0.5, PFX, 60, (60, 64512, 50), "")),
+    (Announce, (0.75, PFX, 60, (), "unmodified")),
+    (Withdraw, (1.5, PFX, 50)),
+    (RoaPublish, (2.0, PFX, 50, 24)),
+    (RoaRevoke, (3.0, PFX, 50, None)),
+    (DefenseActivate, (4.0, (1, 2, 10))),
+]
+EVENT_IDS = ["announce-path", "announce-replay", "withdraw", "roa-publish",
+             "roa-revoke", "defense-activate"]
+
+
+class TestEventValues:
+    """Events are immutable values: construction, equality, hash, order,
+    ``dataclasses`` helpers, copying and pickling behave the same for all
+    five types, and an ``Announce`` refuses a bad claim on every route
+    that builds one."""
+
+    @pytest.mark.parametrize("cls, args", EVENT_ARGS, ids=EVENT_IDS)
+    def test_positional_and_keyword_construction_agree(self, cls, args):
+        names = [f.name for f in dataclasses.fields(cls)]
+        positional = cls(*args)
+        keyword = cls(**dict(zip(names, args)))
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert vars(positional) == dict(zip(names, args))
+
+    def test_defaults_fill_the_optional_fields(self):
+        assert Announce(0.0, PFX, 50) == Announce(0.0, PFX, 50, (), "")
+        assert RoaPublish(0.0, PFX, 50).max_length is None
+
+    def test_types_with_equal_fields_are_unequal(self):
+        publish, revoke = RoaPublish(2.0, PFX, 50), RoaRevoke(2.0, PFX, 50)
+        assert publish != revoke
+        assert Announce(1.0, PFX, 50) != Withdraw(1.0, PFX, 50)
+        assert len({publish, revoke}) == 2
+
+    @pytest.mark.parametrize("cls, args", EVENT_ARGS, ids=EVENT_IDS)
+    def test_events_order_within_a_type_by_field_tuple(self, cls, args):
+        earlier = cls(*args)
+        later = dataclasses.replace(earlier, at=earlier.at + 1.0)
+        assert earlier < later and later > earlier
+        assert sorted([later, earlier]) == [earlier, later]
+        other = Announce(9.0, PFX, 50) if cls is Withdraw else Withdraw(9.0, PFX, 50)
+        with pytest.raises(TypeError):
+            earlier < other  # no order across types
+
+    @pytest.mark.parametrize("cls, args", EVENT_ARGS, ids=EVENT_IDS)
+    def test_dataclass_helpers_copy_and_pickle(self, cls, args):
+        event = cls(*args)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(dataclasses.asdict(event)) == names
+        assert dataclasses.replace(event) == event
+        moved = dataclasses.replace(event, at=event.at + 2.0)
+        assert moved.at == event.at + 2.0 and type(moved) is cls
+        for clone in (copy.copy(event), copy.deepcopy(event),
+                      pickle.loads(pickle.dumps(event))):
+            assert clone == event and hash(clone) == hash(event)
+            assert type(clone) is cls and vars(clone) == vars(event)
+
+    @pytest.mark.parametrize("cls, args", EVENT_ARGS, ids=EVENT_IDS)
+    def test_fields_refuse_assignment_and_deletion(self, cls, args):
+        event = cls(*args)
+        for name in (f.name for f in dataclasses.fields(cls)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(event, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.extra = 1
+        assert event == cls(*args)
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"path": (60, 50), "replay": "leak"}, "either a path or a replay"),
+            ({"replay": "verbatim"}, "unknown replay mode"),
+        ],
+        ids=["path-and-replay", "unknown-replay"],
+    )
+    def test_every_construction_route_refuses_a_bad_claim(self, changes, match):
+        fields = {"at": 0.0, "prefix": PFX, "origin_asn": 60, "path": (), "replay": ""}
+        fields.update(changes)
+        routes = {
+            "keyword": lambda: Announce(**fields),
+            "positional": lambda: Announce(*fields.values()),
+            "replace": lambda: dataclasses.replace(
+                Announce(0.0, PFX, 60), **changes
+            ),
+        }
+        for route in routes.values():
+            with pytest.raises(ValueError, match=match):
+                route()
+        payload = {"at": 0.0, "kind": "announce", "origin": 60,
+                   "prefix": str(PFX), **changes}
+        if "path" in payload:
+            payload["path"] = list(payload["path"])
+        with pytest.raises(StreamFormatError, match=match):
+            event_from_dict(payload)
+        with pytest.raises(StreamFormatError, match=match):
+            parse_event_line(json.dumps(payload))
 
 
 class TestCompileScenario:
