@@ -289,22 +289,15 @@ class RoutingEngine:
         if backend != "reference":
             # Imported lazily: the reference path must not pay the numpy
             # import, and kernel.py type-checks against this module.
-            from repro.bgp.kernel import (
-                compile_view,
-                converge_columns,
-                propagate_array_batch,
-                resolve_backend,
-            )
+            from repro.bgp.kernel import compile_view, converge_columns, resolve_backend
 
             self.backend = resolve_backend(backend)
             self._compiled = compile_view(view)
             self._converge_columns = converge_columns
-            self._propagate_array_batch = propagate_array_batch
         else:
             self.backend = backend
             self._compiled = None
             self._converge_columns = None
-            self._propagate_array_batch = None
 
     # -- public API ------------------------------------------------------------
 
@@ -347,18 +340,28 @@ class RoutingEngine:
                 origin_length,
             )
         if self.validate:
-            # Imported lazily: the oracle package imports this module.
-            from repro.oracle.invariants import check_route_state
-
-            check_route_state(
-                self.view,
-                state,
-                policy=self.policy,
-                blocked=blocked_set,
-                first_hop_filtered=filter_first_hop_providers,
-                origin_lengths={origin: origin_length} if origin_length else None,
-            )
+            self._check(state, blocked_set, filter_first_hop_providers, origin_length)
         return state
+
+    def _check(
+        self,
+        state: RouteState,
+        blocked: frozenset[int],
+        first_hop_filtered: bool,
+        origin_length: int,
+    ) -> None:
+        """The invariant suite over one pass's converged state."""
+        # Imported lazily: the oracle package imports this module.
+        from repro.oracle.invariants import check_route_state
+
+        check_route_state(
+            self.view,
+            state,
+            policy=self.policy,
+            blocked=blocked,
+            first_hop_filtered=first_hop_filtered,
+            origin_lengths={state.origin: origin_length} if origin_length else None,
+        )
 
     def _batch_params(
         self,
@@ -430,19 +433,8 @@ class RoutingEngine:
             columns=self._array_columns(origins, base, blocked, first_hop, lengths),
         )
         if self.validate:
-            from repro.oracle.invariants import check_route_state
-
             for index, state in enumerate(batch):
-                check_route_state(
-                    self.view,
-                    state,
-                    policy=self.policy,
-                    blocked=blocked[index],
-                    first_hop_filtered=first_hop[index],
-                    origin_lengths=(
-                        {origins[index]: lengths[index]} if lengths[index] else None
-                    ),
-                )
+                self._check(state, blocked[index], first_hop[index], lengths[index])
         return batch
 
     def _array_columns(
@@ -452,6 +444,7 @@ class RoutingEngine:
         blocked: list[frozenset[int]],
         first_hop: list[bool],
         lengths: list[int],
+        journaled: bool = False,
     ) -> "ArrayColumns":
         """One array-kernel pass over a fresh or shared start, counted."""
         columns, counters = self._converge_columns(
@@ -462,6 +455,7 @@ class RoutingEngine:
             self.policy.tier1_shortest_path,
             lengths,
             base,
+            journaled,
         )
         self._emit_convergence_metrics(*counters)
         return columns
@@ -475,18 +469,17 @@ class RoutingEngine:
         first_hop_flags: Sequence[bool] | None = None,
         origin_lengths: Sequence[int] | None = None,
     ) -> list["ConvergenceDelta"]:
-        """Apply K in-place announcement passes in one fused sweep.
+        """Apply K in-place announcement passes: pass *i* is
+        ``converge_delta(states[i], origins[i], ...)``, with its own undo
+        journal, so the deltas revert independently in the usual
+        newest-first order.
 
-        The batched analogue of :meth:`converge_delta`: pass *i* mutates
-        ``states[i]`` exactly as the scalar call would and returns the
-        identical per-pass undo journal, so deltas revert independently
-        in the usual newest-first order. A deployment sweep does not use
-        it: re-announcing an attacker over a reverted state is the same
-        work as a cold pass over the baseline, plus the journal and the
-        rewind (see docs/performance.md).
-
-        The reference backend loops the scalar :meth:`converge_delta`;
-        like it, this path never runs the invariant suite itself.
+        It refuses before any pass — a state count that is not the
+        origin count, a knob list of the wrong length, or a frozen state
+        anywhere in *states* — so a refused call leaves every state as it
+        was. No sweep uses it: re-announcing an attacker over a reverted
+        state is the same work as a cold pass over the baseline, plus the
+        journal and the rewind (see docs/performance.md).
         """
         states = list(states)
         origins = list(origins)
@@ -495,47 +488,19 @@ class RoutingEngine:
         blocked, first_hop, lengths = self._batch_params(
             len(origins), blocked_sets, first_hop_flags, origin_lengths
         )
-        if self._propagate_array_batch is None:
-            return [
-                self.converge_delta(
-                    state,
-                    origin,
-                    blocked=blocked[index],
-                    filter_first_hop_providers=first_hop[index],
-                    origin_length=lengths[index],
-                )
-                for index, (state, origin) in enumerate(zip(states, origins))
-            ]
-        for state in states:
-            if state.is_frozen:
-                raise ValueError(
-                    "converge_delta_batch needs mutable states; unfreeze or copy them"
-                )
-        prev_origins = [state.origin for state in states]
-        for state, origin in zip(states, origins):
-            state.origin = origin
-        journals: list[list[int]] = [[] for _ in origins]
-        messages, installs, replaced, rounds = self._propagate_array_batch(
-            self._compiled,
-            states,
-            origins,
-            blocked,
-            first_hop,
-            self.policy.tier1_shortest_path,
-            journals,
-            lengths,
-        )
-        self._emit_convergence_metrics(messages, installs, replaced, rounds)
+        if any(state.is_frozen for state in states):
+            raise ValueError(
+                "converge_delta_batch needs mutable states; unfreeze or copy them"
+            )
         return [
-            ConvergenceDelta(
-                origin=origin,
-                prev_origin=prev_origins[index],
+            self.converge_delta(
+                state,
+                origin,
                 blocked=blocked[index],
-                first_hop_filtered=first_hop[index],
-                journal=journals[index],
+                filter_first_hop_providers=first_hop[index],
                 origin_length=lengths[index],
             )
-            for index, origin in enumerate(origins)
+            for index, (state, origin) in enumerate(zip(states, origins))
         ]
 
     def converge_delta(
@@ -573,23 +538,19 @@ class RoutingEngine:
         """
         if state.is_frozen:
             raise ValueError("converge_delta needs a mutable state; unfreeze or copy it")
-        journal: list[int] = []
         prev_origin = state.origin
         state.origin = origin
         blocked_set = frozenset(blocked)
-        if self._propagate_array_batch is not None:
-            counters = self._propagate_array_batch(
-                self._compiled,
-                [state],
-                [origin],
-                [blocked_set],
-                [filter_first_hop_providers],
-                self.policy.tier1_shortest_path,
-                [journal],
-                [origin_length],
+        if self._converge_columns is not None:
+            # The K=1 journaled column over *state*, written back into it.
+            columns = self._array_columns(
+                [origin], state, [blocked_set], [filter_first_hop_providers],
+                [origin_length], journaled=True,
             )
-            self._emit_convergence_metrics(*counters)
+            journal = columns.journal(0)
+            state.cls, state.length, state.parent, state.origin_of = columns.state(0)._arrays()
         else:
+            journal = []
             self._propagate_reference(
                 state, origin, blocked_set, filter_first_hop_providers, journal,
                 origin_length,

@@ -13,9 +13,11 @@ interpreter dominates. This module re-states the identical algorithm in
 bulk array operations so the per-message cost drops to a few vectorized
 numpy instructions. There is one bucket loop: it converges K origins
 as K columns of one flat layout, and a single-origin pass is its K=1
-column. :func:`converge_columns` runs it over a fresh or shared start
-and hands back :class:`ArrayColumns`; :func:`propagate_array_batch`
-runs it in place over K states, with undo journals.
+column. :func:`converge_columns` is its one entry point: it runs the
+loop over a fresh or shared start and hands back :class:`ArrayColumns`.
+An in-place pass is the K=1 column over the state it mutates, run
+journaled; the engine reads the column's undo journal and writes its
+arrays back into that state.
 
 * the compiled :class:`~repro.topology.view.RoutingView` adjacency is
   flattened into CSR form once per engine (:class:`CompiledTopology` —
@@ -81,7 +83,6 @@ __all__ = [
     "ArrayColumns",
     "compile_view",
     "converge_columns",
-    "propagate_array_batch",
     "resolve_backend",
 ]
 
@@ -413,46 +414,6 @@ def _joined(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks) if chunks else _EMPTY64
 
 
-def _column_installs(
-    cells: np.ndarray, senders: np.ndarray, col: int, size: int, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Column *col*'s logged installs, in install order: their nodes,
-    their senders and their log indices (``None``: the whole log)."""
-    if k == 1:
-        return cells, senders, None
-    at = np.flatnonzero(cells // size == col)
-    return cells[at] - col * size, senders[at], at
-
-
-def _finish_column(
-    row: np.ndarray,
-    origin: int,
-    parent: np.ndarray,
-    origin_of: np.ndarray,
-    nodes: np.ndarray,
-    senders: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One column's ``(cls, length, parent, origin_of)``: int8, then int32.
-
-    *parent* and *origin_of* are the column's loaded int32 arrays (owned
-    copies, written in place); the logged installs go over them in
-    install order, so the last install of a cell names its parent, and
-    every installed cell routes to *origin*. A class fits a byte and a
-    length (at most ``_UNREACHABLE``) 31 bits, so a state takes 13
-    bytes per node, where two int64 halves of the packed row took 24.
-    """
-    parent[nodes] = senders
-    parent[origin] = -1
-    origin_of[nodes] = origin
-    origin_of[origin] = origin
-    return (
-        (row >> _LEN_BITS).astype(np.int8),
-        (row & _LEN_MASK).astype(np.int32),
-        parent,
-        origin_of,
-    )
-
-
 def _journal_records(
     loaded: "RouteState",
     origin: int,
@@ -512,10 +473,11 @@ class ArrayColumns:
     """The K columns of one fused pass over a shared start, read on demand.
 
     Holds the final packed ``key`` grid and the pass's install log, not K
-    states: :meth:`holders` reads one key row, and :meth:`state` builds
-    a column's :class:`~repro.bgp.engine.RouteState` only when asked.
-    *base* is the state every column was loaded from (``None``: a fresh
-    pass, every cell empty); it is only read.
+    states: :meth:`holders` reads one key row, :meth:`state` builds a
+    column's :class:`~repro.bgp.engine.RouteState` only when asked, and
+    :meth:`journal` a journaled pass's undo records. *base* is the state
+    every column was loaded from (``None``: a fresh pass, every cell
+    empty); it is only read.
     """
 
     def __init__(
@@ -523,7 +485,7 @@ class ArrayColumns:
         size: int,
         origins: "list[int]",
         key: np.ndarray,
-        log: tuple[list[np.ndarray], list[np.ndarray]],
+        log: tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]],
         base: "RouteState | None",
         base_key: np.ndarray | None,
     ) -> None:
@@ -533,13 +495,27 @@ class ArrayColumns:
         self._log = log
         self._base = base
         self._base_key = base_key
-        # The log joined on the first state read, which a sweep never makes.
-        self._joined: tuple[np.ndarray, np.ndarray] | None = None
+        # The log joined on the first state or journal read, which a
+        # sweep never makes.
+        self._joined: tuple[np.ndarray, ...] | None = None
         # Which origins the base already routes to; found on first need.
         self._base_holds: list[bool] | None = None
 
     def _row(self, col: int) -> np.ndarray:
         return self._key[col * self.size:(col + 1) * self.size]
+
+    def _installs(self, col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column *col*'s logged installs, in install order: their nodes,
+        their senders and the keys they displaced (empty unless journaled)."""
+        if self._joined is None:
+            self._joined = tuple(map(_joined, self._log))
+        cells, senders, displaced = self._joined
+        if len(self.origins) == 1:
+            return cells, senders, displaced
+        at = np.flatnonzero(cells // self.size == col)
+        if displaced.size:
+            displaced = displaced[at]
+        return cells[at] - col * self.size, senders[at], displaced
 
     def holders(self, col: int) -> np.ndarray:
         """Sorted nodes routing to column *col*'s origin, the origin left out.
@@ -565,14 +541,17 @@ class ArrayColumns:
         return np.flatnonzero(held)
 
     def state(self, col: int) -> "RouteState":
-        """Column *col*'s converged state, built from the key row and the log."""
+        """Column *col*'s converged state: int8 ``cls``, int32 the rest.
+
+        ``parent``/``origin_of`` start as copies of the loaded ones and
+        take the logged installs in install order, so the last install of
+        a cell names its parent, and every installed cell routes to the
+        column's origin. A class fits a byte and a length (at most
+        ``_UNREACHABLE``) 31 bits, so a state takes 13 bytes per node.
+        """
         from repro.bgp.engine import RouteState
 
-        if self._joined is None:
-            self._joined = (_joined(self._log[0]), _joined(self._log[1]))
-        nodes, senders, _ = _column_installs(
-            *self._joined, col, self.size, len(self.origins)
-        )
+        nodes, senders, _ = self._installs(col)
         if self._base is None:
             parent = np.full(self.size, -1, dtype=np.int32)
             origin_of = np.full(self.size, -1, dtype=np.int32)
@@ -580,9 +559,26 @@ class ArrayColumns:
             parent = np.array(self._base.parent, dtype=np.int32)
             origin_of = np.array(self._base.origin_of, dtype=np.int32)
         origin = self.origins[col]
+        parent[nodes] = senders
+        parent[origin] = -1
+        origin_of[nodes] = origin
+        origin_of[origin] = origin
+        row = self._row(col)
         return RouteState(
             origin,
-            *_finish_column(self._row(col), origin, parent, origin_of, nodes, senders),
+            (row >> _LEN_BITS).astype(np.int8),
+            (row & _LEN_MASK).astype(np.int32),
+            parent,
+            origin_of,
+        )
+
+    def journal(self, col: int) -> list[int]:
+        """Column *col*'s undo journal against *base*, five flat ints per
+        install in install order, entry for entry as the reference kernel
+        journals the same pass. Only a journaled pass over a base has one."""
+        nodes, senders, displaced = self._installs(col)
+        return _journal_records(
+            self._base, self.origins[col], nodes, senders, displaced, self.size
         )
 
 
@@ -594,14 +590,18 @@ def converge_columns(
     tier1_shortest: bool,
     origin_lengths: "list[int]",
     base: "RouteState | None" = None,
+    journaled: bool = False,
 ) -> tuple[ArrayColumns, tuple[int, int, int, int]]:
     """Converge K announcements over one shared start, as K columns.
 
     Without *base* every column starts empty (the fresh shape); with it
     every column starts from *base* (the hijack-sweep shape: K attackers
     stacked on one legitimate baseline), which is only read — only its
-    packed key is tiled. Returns the columns and the aggregate
-    ``(messages, installs, replaced, rounds)``.
+    packed key is tiled. A *journaled* pass also logs the key each
+    install displaced, so :meth:`ArrayColumns.journal` can undo a column
+    against *base*: the in-place shape, K=1 over the state the caller
+    then overwrites. Returns the columns and the aggregate ``(messages,
+    installs, replaced, rounds)``.
     """
     n = topology.size
     k = len(origins)
@@ -611,65 +611,8 @@ def converge_columns(
     else:
         base_key = _packed(base)
         key = np.tile(base_key, k)
-    cells, senders, _, counters = _converge(
+    cells, senders, displaced, counters = _converge(
         topology, key, origins, blocked_sets, first_hop_flags, tier1_shortest,
-        origin_lengths, journaled=False,
+        origin_lengths, journaled,
     )
-    return ArrayColumns(n, origins, key, (cells, senders), base, base_key), counters
-
-
-def propagate_array_batch(
-    topology: CompiledTopology,
-    states: "list[RouteState]",
-    origins: "list[int]",
-    blocked_sets: "list[frozenset[int]]",
-    first_hop_flags: "list[bool]",
-    tier1_shortest: bool,
-    journals: list[list[int]] | None,
-    origin_lengths: "list[int]",
-) -> tuple[int, int, int, int]:
-    """Apply K announcement passes in place, one column per state.
-
-    The in-place shape of the one bucket loop (:meth:`RoutingEngine.converge_delta
-    <repro.bgp.engine.RoutingEngine.converge_delta>` is its K=1 case):
-    column *i* is loaded from ``states[i]`` and written back into it.
-    With *journals*, column *i*'s undo records are appended to
-    ``journals[i]`` in install order, five flat ints each, entry for
-    entry as the reference kernel journals them.
-
-    Replaces every state's arrays and returns the aggregate ``(messages,
-    installs, replaced, rounds)``. A :meth:`frozen
-    <repro.bgp.engine.RouteState.freeze>` state raises ``ValueError``
-    before any work: the write-back assigns attributes, which a
-    read-only array could not stop.
-    """
-    for state in states:
-        if state.is_frozen:
-            raise ValueError(
-                "propagate_array_batch cannot write back into a frozen state; copy it"
-            )
-    n = topology.size
-    key = np.concatenate([_packed(state) for state in states])
-    log_cells, log_senders, log_displaced, counters = _converge(
-        topology, key, origins, blocked_sets, first_hop_flags, tier1_shortest,
-        origin_lengths, journaled=journals is not None,
-    )
-    cells = _joined(log_cells)
-    senders = _joined(log_senders)
-    displaced = _joined(log_displaced)
-    for col, (state, origin) in enumerate(zip(states, origins)):
-        nodes, col_senders, at = _column_installs(cells, senders, col, n, len(states))
-        if journals is not None:
-            journals[col] += _journal_records(
-                state, origin, nodes, col_senders,
-                displaced if at is None else displaced[at], n,
-            )
-        (state.cls, state.length, state.parent, state.origin_of) = _finish_column(
-            key[col * n:(col + 1) * n],
-            origin,
-            np.array(state.parent, dtype=np.int32),
-            np.array(state.origin_of, dtype=np.int32),
-            nodes,
-            col_senders,
-        )
-    return counters
+    return ArrayColumns(n, origins, key, (cells, senders, displaced), base, base_key), counters

@@ -15,7 +15,6 @@ from repro.detection.probes import (
 from repro.detection.taxonomy import (
     PathObservation,
     classify_observations,
-    customer_cone,
     grid_cells,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "PathObservation",
     "ProbeSet",
     "classify_observations",
-    "customer_cone",
     "grid_cells",
     "bgpmon_like_probes",
     "greedy_probe_placement",

@@ -46,12 +46,12 @@ from repro.prefixes.prefix import Prefix
 from repro.registry.neighbors import NeighborRegistry
 from repro.registry.roa import OriginAuthority, ValidationState
 from repro.topology.asgraph import ASGraph
+from repro.topology.classify import customer_cone
 from repro.topology.relationships import Relationship
 
 __all__ = [
     "PathObservation",
     "classify_observations",
-    "customer_cone",
     "grid_cells",
 ]
 
@@ -114,19 +114,6 @@ def leak_suspect(tail: tuple[int, ...], relationships: ASGraph) -> bool:
         return False
     relation = relationships.relationship(head, learned_from)
     return relation in (Relationship.PROVIDER, Relationship.PEER)
-
-
-def customer_cone(relationships: ASGraph, asn: int) -> frozenset[int]:
-    """*asn* plus every AS reachable by walking customer edges down."""
-    cone = {asn}
-    frontier = [asn]
-    while frontier:
-        current = frontier.pop()
-        for customer in relationships.customers(current):
-            if customer not in cone:
-                cone.add(customer)
-                frontier.append(customer)
-    return frozenset(cone)
 
 
 def classify_observations(

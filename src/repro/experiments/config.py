@@ -26,10 +26,7 @@ class ExperimentConfig:
     (the paper attacks from all 42,696 ASes; ``None`` reproduces that
     exhaustively, the default keeps a full figure under a minute at
     indistinguishable curve shape). ``detection_attacks`` is the Fig. 7
-    workload size (paper: 8,000). ``matrix_attacks`` is the per-cell
-    sample size of the attack-taxonomy matrix (each of the 13
-    (prefix-axis × path-axis) grid cells is swept with this many random
-    target/attacker pairs per deployment strategy). ``validate`` arms
+    workload size (paper: 8,000). ``validate`` arms
     the runtime invariant checker (:mod:`repro.oracle.invariants`) on every
     convergence the experiments run — a correctness tripwire for long
     unattended runs, off by default because it costs roughly one extra
@@ -37,7 +34,8 @@ class ExperimentConfig:
     convergence kernel (``"reference"`` or ``"array"``); both are
     checksum-identical, so it changes wall-clock only, never a result
     (see the Backends section of docs/performance.md). The fused sweep
-    width is the lab's own constant, not a setting.
+    width is the lab's own constant, not a setting, and so is the
+    attack matrix's per-cell sample (``suite.MATRIX_ATTACKS``).
     """
 
     topology: GeneratorConfig = field(default_factory=GeneratorConfig)
@@ -46,7 +44,6 @@ class ExperimentConfig:
     attacker_sample: int | None = 1200
     detection_attacks: int = 8000
     external_sample: int = 200
-    matrix_attacks: int = 40
     validate: bool = False
     backend: str = "reference"
 

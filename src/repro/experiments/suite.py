@@ -47,6 +47,9 @@ from repro.viz.charts import Series, bar_line_chart, line_chart
 from repro.viz.layout import PolarLayout
 from repro.viz.polar import PolarRenderer, render_attack_frames
 
+# Random transit attackers per grid cell and rung of ``attack_matrix``.
+MATRIX_ATTACKS = 40
+
 __all__ = ["ExperimentSuite"]
 
 
@@ -588,7 +591,7 @@ class ExperimentSuite:
         deployment ladder (docs/attacks.md walks the expected shape).
 
         Each of the 13 (prefix axis × path axis) cells is swept with the
-        same ``matrix_attacks`` random transit attackers against the deep
+        same ``MATRIX_ATTACKS`` random transit attackers against the deep
         target, under three deployment rungs (undefended, the smallest
         ladder rung, the largest). Two detector configurations judge every
         outcome — ROV only (``roa``) and full path-aware (``full``: ROAs +
@@ -602,7 +605,7 @@ class ExperimentSuite:
         from repro.registry.neighbors import NeighborRegistry
 
         target = self.roles.deep_target
-        sample = self.config.matrix_attacks
+        sample = MATRIX_ATTACKS
         ladder = self.ladder()
         rungs: list = [None, ladder[0], ladder[-1]]
         neighbors = NeighborRegistry.from_graph(self.graph)

@@ -58,7 +58,7 @@ from typing import IO, Callable
 
 from repro.service.daemon import MonitorService
 from repro.stream.events import StreamFormatError
-from repro.util.lines import OVERLONG_LINE, LineSplitter
+from repro.util.lines import OVERLONG_LINE, LineSplitter, decode_json_line
 
 __all__ = ["ServiceDaemon"]
 
@@ -441,8 +441,8 @@ class _HttpConnection(asyncio.Protocol):
 
 def _json_object(body: bytes) -> dict[str, object]:
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        payload = decode_json_line(body.decode("utf-8"))
+    except ValueError as error:  # bad UTF-8 or JSON, deep nesting, a huge int
         raise ValueError(f"invalid JSON body: {error}") from error
     if not isinstance(payload, dict):
         raise ValueError("JSON body must be an object")

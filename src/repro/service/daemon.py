@@ -327,11 +327,6 @@ class MonitorService:
         a node covered by a more-specific ledger that gives it no route
         falls back to the next covering ledger, as a FIB would.
         """
-        live = [
-            (stored, ledger)
-            for stored, ledger in self.replayer.ledgers().items()
-            if ledger.state is not None
-        ]
         if prefix.length < 32:
             samples = [half.first_address() for half in prefix.subnets()]
         else:
@@ -342,18 +337,10 @@ class MonitorService:
             return 0.0
         reached = 0
         for address in samples:
-            covering = sorted(
-                (
-                    (stored, ledger)
-                    for stored, ledger in live
-                    if stored.contains_address(address)
-                ),
-                key=lambda item: -item[0].length,
-            )
             # Longest match first: a ledger answers for the nodes it gives
             # a route that no more-specific ledger answered for.
             nodes: Sequence[int] = range(node_count)
-            for _stored, ledger in covering:
+            for ledger in self.replayer.covering_ledgers(Prefix.from_host(address, 32)):
                 ours = {
                     node
                     for node, asn in ledger.origin_asns().items()

@@ -191,6 +191,20 @@ class StreamReplayer:
         """A snapshot of every live per-prefix ledger (prefix → ledger)."""
         return dict(self._ledgers)
 
+    def covering_ledgers(self, prefix: Prefix) -> list[PrefixLedger]:
+        """The ledgers whose prefix covers *prefix* and that hold a state,
+        longest prefix first (ties in insertion order): the order a
+        longest-prefix-match lookup falls through them."""
+        covering = sorted(
+            (
+                (stored, ledger)
+                for stored, ledger in self._ledgers.items()
+                if ledger.state is not None and stored.contains(prefix)
+            ),
+            key=lambda item: -item[0].length,
+        )
+        return [ledger for _stored, ledger in covering]
+
     @property
     def counts(self) -> dict[str, int]:
         """A copy of the running event counters (``submitted`` … ``flushes``)."""
@@ -452,17 +466,7 @@ class StreamReplayer:
         route it does not originate itself.
         """
         leaker = event.origin_asn if event.replay == "leak" else None
-        covering = sorted(
-            (
-                (prefix, ledger)
-                for prefix, ledger in self._ledgers.items()
-                if prefix.contains(event.prefix)
-            ),
-            key=lambda item: -item[0].length,
-        )
-        for _prefix, ledger in covering:
-            if ledger.state is None:
-                continue
+        for ledger in self.covering_ledgers(event.prefix):
             tail = received_path(
                 ledger.state, node, self.lab.view, ledger.origin_asns(), leaker=leaker
             )

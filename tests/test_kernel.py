@@ -22,13 +22,7 @@ from repro.attacks.lab import ConvergenceCache, HijackLab
 from repro.attacks.scenario import HijackKind
 from repro.bgp.engine import ConvergedBatch, RouteState, RoutingEngine
 from repro.bgp.policy import PolicyConfig
-from repro.bgp.kernel import (
-    BACKENDS,
-    compile_view,
-    gather_flat,
-    propagate_array_batch,
-    resolve_backend,
-)
+from repro.bgp.kernel import BACKENDS, compile_view, gather_flat, resolve_backend
 from repro.defense.deployment import Defense
 from repro.oracle.invariants import check_cache_coherence
 from repro.topology.asgraph import ASGraph
@@ -260,6 +254,32 @@ class TestBatchedKernel:
         with pytest.raises(ValueError):
             engine.converge_delta_batch([frozen], [2])
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "frozen_at, count, origins, knobs",
+        [
+            pytest.param((0,), 1, [2], {}, id="frozen"),
+            pytest.param((), 2, [2, 3, 4], {}, id="more-origins-than-states"),
+            pytest.param((), 2, [2, 3], {"origin_lengths": [0]}, id="short-knob-list"),
+            pytest.param((0,), 2, [2, 3], {}, id="frozen-first"),
+            pytest.param((1,), 2, [2, 3], {}, id="frozen-last"),
+        ],
+    )
+    def test_delta_batch_refuses_before_any_pass(
+        self, mini_view, backend, frozen_at, count, origins, knobs
+    ):
+        """A refused ``converge_delta_batch`` mutates no state, on either
+        backend, wherever in the list the frozen state sits."""
+        engine = RoutingEngine(mini_view, backend=backend)
+        base = engine.converge(0)
+        states = [base.copy_for(0) for _ in range(count)]
+        for index in frozen_at:
+            states[index].freeze()
+        before = [state.checksum() for state in states]
+        with pytest.raises(ValueError):
+            engine.converge_delta_batch(states, origins, **knobs)
+        assert [state.checksum() for state in states] == before
+
 
 def _view(tier1: tuple[int, ...], customer_links: tuple[tuple[int, int], ...],
           peer_links: tuple[tuple[int, int], ...] = ()) -> RoutingView:
@@ -392,31 +412,22 @@ class TestArrayBackedState:
         assert frozen.cls[0] == 0
 
     def test_kernel_pass_over_frozen_baseline_raises(self, mini_view):
-        """The kernel writes results back by assigning a state's arrays,
-        which read-only arrays cannot stop, so it refuses a frozen state
-        itself — at K=1 and with the frozen state as one column of K=2,
-        before touching any column — and the engine's guards refuse too."""
+        """An in-place pass writes results back by assigning a state's
+        arrays, which read-only arrays cannot stop, so the engine refuses
+        a frozen state — at K=1 and with the frozen state as column 2 of
+        2, before touching any column."""
         engine = RoutingEngine(mini_view, backend="array")
         baseline = ConvergenceCache(engine).baseline(0)
         before = baseline.checksum()
         bystander = baseline.copy_for(3)
-        for states, origins in (([baseline], [2]), ([bystander, baseline], [3, 2])):
-            with pytest.raises(ValueError, match="frozen"):
-                propagate_array_batch(
-                    compile_view(mini_view),
-                    states,
-                    origins,
-                    [frozenset()] * len(origins),
-                    [False] * len(origins),
-                    True,
-                    None,
-                    [0] * len(origins),
-                )
-        assert bystander.checksum() == baseline.copy_for(3).checksum()
         with pytest.raises(ValueError, match="mutable"):
             engine.converge_delta(baseline, 2)
-        with pytest.raises(ValueError, match="mutable"):
-            engine.converge_delta_batch([baseline, baseline], [2, 3])
+        for states, origins in (
+            ([baseline], [2]), ([bystander, baseline], [3, 2]), ([baseline] * 2, [2, 3]),
+        ):
+            with pytest.raises(ValueError, match="mutable"):
+                engine.converge_delta_batch(states, origins)
+        assert bystander.checksum() == baseline.copy_for(3).checksum()
         assert baseline.is_frozen and baseline.checksum() == before
 
     def test_hijack_passes_leave_cached_baseline_untouched(self, mini_view):

@@ -156,6 +156,14 @@ class TestErrors:
         status, body = api("POST", "/tenants/acme/prefixes", raw="{not json")
         assert status == 400 and "invalid JSON" in body["error"]
 
+    def test_deeply_nested_body_is_400(self, api):
+        # Nesting past the interpreter's recursion limit, far under the
+        # body cap: one 400, and the daemon keeps serving.
+        status, body = api("POST", "/tenants/x/prefixes", raw="[" * 100_000)
+        assert status == 400 and body["error"].startswith("invalid JSON body: ")
+        status, _body = api("GET", "/health")
+        assert status == 200
+
     def test_missing_field_is_400(self, api):
         status, body = api("POST", "/tenants/acme/prefixes", payload={"origin": 50})
         assert status == 400 and "prefix" in body["error"]

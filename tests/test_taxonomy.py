@@ -37,7 +37,6 @@ from repro.detection.probes import top_degree_probes
 from repro.detection.taxonomy import (
     PathObservation,
     classify_observations,
-    customer_cone,
     grid_cells,
     leak_suspect,
     nonexistent_links,
@@ -45,6 +44,7 @@ from repro.detection.taxonomy import (
 from repro.prefixes.prefix import Prefix
 from repro.registry.neighbors import NeighborRegistry
 from repro.registry.publication import PublicationState
+from repro.topology.classify import customer_cone
 
 from tests.conftest import build_mini_graph
 
