@@ -9,6 +9,7 @@ Subcommands cover the everyday workflows:
 * ``sweep``     — vulnerability profile of one target (same grid knobs)
 * ``figure``    — regenerate a paper figure/table (or ``all``)
 * ``plan``      — run the Section VII self-interest playbook for a region
+* ``calibrate`` — topology and model health against the paper's numbers
 * ``validate``  — run the differential oracle + invariant suite
   (engine vs the slow reference simulator; see docs/testing.md)
 * ``stream``    — replay a JSONL event stream (or compile one from
@@ -18,6 +19,9 @@ Subcommands cover the everyday workflows:
 * ``ingest``    — compile an MRT-like trace (RIB dump + update feed)
   into a stream and replay it through the online monitor — the
   real-data path (see docs/ingestion.md)
+* ``serve``     — the always-on multi-tenant monitoring daemon
+  (see docs/service.md)
+* ``report``    — run every experiment and write EXPERIMENTS.md
 
 The global ``--metrics <path>`` flag arms the :mod:`repro.obs` metrics
 layer for any subcommand and writes its JSON snapshot (counters, gauges,
@@ -34,7 +38,7 @@ import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterator
 
 from repro.attacks.lab import HijackLab
 from repro.core.selfinterest import SelfInterestPlanner
@@ -44,7 +48,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import ResultStore
 from repro.experiments.suite import ExperimentSuite
 from repro.obs.metrics import NULL_METRICS, Metrics
-from repro.stream.monitor import StreamAlarm
 from repro.topology.caida import CaidaFormatError, dump_caida, load_caida_mmap
 from repro.topology.classify import summarize
 from repro.topology.generator import GeneratorConfig, generate_topology
@@ -69,6 +72,27 @@ _KIND_CHOICES = ("origin", "subprefix", "squat", "route-leak")
 _PATH_KIND_CHOICES = ("type-0", "type-1", "type-n", "type-u")
 
 
+def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An option group that subcommands take as an argparse parent."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _monitor_options(size: argparse.ArgumentParser, probes: str) -> argparse.ArgumentParser:
+    """The monitor group, built per default: a child parser shares its
+    parents' actions, so ``set_defaults`` on one would move all three."""
+    monitor = _options(size)
+    monitor.add_argument("--topology", type=Path, default=None,
+                         help="CAIDA-format topology file, memory-mapped "
+                              "(default: generate --as-count ASes)")
+    monitor.add_argument("--probes", choices=tuple(_PROBE_SETS), default=probes,
+                         help="monitor vantage-point set")
+    monitor.add_argument("--batch-window", type=float, default=0.0,
+                         help="coalescing window in virtual seconds")
+    monitor.add_argument("--queue-limit", type=int, default=64,
+                         help="pending events before a backpressure flush")
+    return monitor
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bgp",
@@ -85,69 +109,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    generate = subparsers.add_parser("generate", help="generate a synthetic topology")
-    generate.add_argument("--as-count", type=int, default=4270)
+    size = _options()
+    size.add_argument("--as-count", type=int, default=4270,
+                      help="ASes in a generated topology")
+    validate = _options()
+    validate.add_argument("--validate", action="store_true",
+                          help="run the invariant checker on every convergence")
+    topology = _options(size)
+    topology.add_argument("-i", "--input", type=Path,
+                          help="CAIDA as-rel file (default: generate --as-count ASes)")
+    cell = _options(validate)
+    cell.add_argument("--target", type=int, required=True)
+    cell.add_argument("--kind", choices=_KIND_CHOICES, default="origin",
+                      help="prefix axis of the attack grid")
+    cell.add_argument("--path-kind", choices=_PATH_KIND_CHOICES, default="type-0",
+                      help="path axis: forged first hop (type-1), deep forgery "
+                           "(type-n), unmodified replay (type-u)")
+    cell.add_argument("--forged-depth", type=int, default=1,
+                      help="forged-path depth for --path-kind type-n")
+    replay = _options(_monitor_options(size, "tier1"))
+    replay.add_argument("--compile-only", type=Path, metavar="PATH",
+                        help="write the compiled stream as JSONL and exit")
+    replay.add_argument("--report", type=Path, default=None,
+                        help="write the JSON report here (default: stdout)")
+    replay.add_argument("--fail-on-hijack", action="store_true",
+                        help="exit 1 if any CONFIRMED verdict (hijack / forged-path "
+                             "/ route-leak) fires — for CI pipelines")
+    suite = _options(size)
+    suite.add_argument("--output-dir", type=Path, default=Path("results"))
+    suite.add_argument("--sample", type=int, default=1200, help="attackers sampled per target")
+    suite.add_argument("--attacks", type=int, default=8000, help="Fig. 7 workload size")
+
+    generate = subparsers.add_parser("generate", parents=[size],
+                                     help="generate a synthetic topology")
     generate.add_argument("--regions", type=int, default=None,
                           help="region count (default: scaled to the topology size)")
     generate.add_argument("-o", "--output", type=Path, required=True)
 
-    summarize_cmd = subparsers.add_parser("summarize", help="summarize a topology")
-    summarize_cmd.add_argument("-i", "--input", type=Path, help="CAIDA as-rel file (default: generate)")
-    summarize_cmd.add_argument("--as-count", type=int, default=4270)
+    subparsers.add_parser("summarize", parents=[topology], help="summarize a topology")
 
-    attack = subparsers.add_parser("attack", help="simulate one origin hijack")
-    attack.add_argument("--target", type=int, required=True)
+    attack = subparsers.add_parser("attack", parents=[topology, cell],
+                                   help="simulate one attack of the grid")
     attack.add_argument("--attacker", type=int, required=True)
-    attack.add_argument("-i", "--input", type=Path)
-    attack.add_argument("--as-count", type=int, default=4270)
-    attack.add_argument("--subprefix", action="store_true",
-                        help="announce a more-specific instead (same as --kind subprefix)")
-    attack.add_argument("--kind", choices=_KIND_CHOICES, default=None,
-                        help="prefix axis of the attack grid (default: origin)")
-    attack.add_argument("--path-kind", choices=_PATH_KIND_CHOICES, default="type-0",
-                        help="path axis: forged first hop (type-1), deep forgery "
-                             "(type-n), unmodified replay (type-u)")
-    attack.add_argument("--forged-depth", type=int, default=1,
-                        help="forged-path depth for --path-kind type-n")
-    attack.add_argument("--validate", action="store_true",
-                        help="run the invariant checker on every convergence")
 
-    sweep = subparsers.add_parser("sweep", help="vulnerability profile of a target")
-    sweep.add_argument("--target", type=int, required=True)
-    sweep.add_argument("-i", "--input", type=Path)
-    sweep.add_argument("--as-count", type=int, default=4270)
+    sweep = subparsers.add_parser("sweep", parents=[topology, cell],
+                                  help="vulnerability profile of a target")
     sweep.add_argument("--sample", type=int, default=None, help="attacker sample size")
     sweep.add_argument("--transit-only", action="store_true")
-    sweep.add_argument("--kind", choices=_KIND_CHOICES, default="origin",
-                       help="prefix axis of the attack grid")
-    sweep.add_argument("--path-kind", choices=_PATH_KIND_CHOICES, default="type-0",
-                       help="path axis of the attack grid")
-    sweep.add_argument("--forged-depth", type=int, default=1,
-                       help="forged-path depth for --path-kind type-n")
-    sweep.add_argument("--validate", action="store_true",
-                       help="run the invariant checker on every convergence")
 
-    figure = subparsers.add_parser("figure", help="regenerate a paper figure/table")
+    figure = subparsers.add_parser("figure", parents=[suite, validate],
+                                   help="regenerate a paper figure/table")
     figure.add_argument("name", choices=(*_EXPERIMENTS, "all"))
-    figure.add_argument("--output-dir", type=Path, default=Path("results"))
-    figure.add_argument("--as-count", type=int, default=4270)
-    figure.add_argument("--sample", type=int, default=1200)
-    figure.add_argument("--attacks", type=int, default=8000, help="Fig. 7 workload size")
     figure.add_argument("--store", type=Path, help="also record into this sqlite store")
-    figure.add_argument("--validate", action="store_true",
-                        help="run the invariant checker on every convergence")
 
-    plan = subparsers.add_parser("plan", help="Section VII self-interest plan for a region")
+    plan = subparsers.add_parser("plan", parents=[topology],
+                                 help="Section VII self-interest plan for a region")
     plan.add_argument("--region", required=True)
     plan.add_argument("--target", type=int, default=None)
-    plan.add_argument("-i", "--input", type=Path)
-    plan.add_argument("--as-count", type=int, default=4270)
 
     calibrate_cmd = subparsers.add_parser(
-        "calibrate", help="topology/model health report (paper references)"
+        "calibrate", parents=[topology],
+        help="topology/model health report (paper references)",
     )
-    calibrate_cmd.add_argument("-i", "--input", type=Path)
-    calibrate_cmd.add_argument("--as-count", type=int, default=4270)
     calibrate_cmd.add_argument("--agreement-samples", type=int, default=10)
     calibrate_cmd.add_argument("--path-samples", type=int, default=60)
 
@@ -165,40 +188,20 @@ def build_parser() -> argparse.ArgumentParser:
                               help="random hijacks checked on the generated topology")
 
     stream_cmd = subparsers.add_parser(
-        "stream",
+        "stream", parents=[replay, validate],
         help="replay a JSONL event stream through the online hijack monitor",
     )
     stream_cmd.add_argument("-i", "--input", type=Path,
                             help="JSONL event stream (default: compile a campaign)")
     stream_cmd.add_argument("--attacks", type=int, default=5,
                             help="scenarios to compile when no input is given")
-    stream_cmd.add_argument("--as-count", type=int, default=4270)
-    stream_cmd.add_argument("--topology", type=Path, default=None,
-                            help="CAIDA-format topology file "
-                                 "(default: generate --as-count ASes)")
-    stream_cmd.add_argument("--probes", choices=tuple(_PROBE_SETS),
-                            default="tier1", help="monitor vantage-point set")
-    stream_cmd.add_argument("--batch-window", type=float, default=0.0,
-                            help="coalescing window in virtual seconds")
-    stream_cmd.add_argument("--queue-limit", type=int, default=64,
-                            help="pending events before a backpressure flush")
     stream_cmd.add_argument("--publish-roas", action="store_true",
                             help="publish every target's ROA at stream start")
     stream_cmd.add_argument("--dwell", type=float, default=None,
                             help="withdraw each bogus announcement after this long")
-    stream_cmd.add_argument("--compile-only", type=Path, metavar="PATH",
-                            help="write the compiled stream as JSONL and exit")
-    stream_cmd.add_argument("--report", type=Path, default=None,
-                            help="write the JSON report here (default: stdout)")
-    stream_cmd.add_argument("--validate", action="store_true",
-                            help="run the invariant checker on every convergence")
-    stream_cmd.add_argument("--fail-on-hijack", action="store_true",
-                            help="exit 1 if any CONFIRMED verdict (hijack / "
-                                 "forged-path / route-leak) fires — for CI "
-                                 "pipelines")
 
     ingest = subparsers.add_parser(
-        "ingest",
+        "ingest", parents=[replay],
         help="compile an MRT-like trace (RIB dump + update feed) and replay "
              "it through the online hijack monitor (see docs/ingestion.md)",
     )
@@ -206,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RIB-dump trace file (JSONL/TSV; .gz accepted)")
     ingest.add_argument("--updates", type=Path, default=None,
                         help="update-feed trace file (JSONL/TSV; .gz accepted)")
-    ingest.add_argument("--as-count", type=int, default=4270)
-    ingest.add_argument("--topology", type=Path, default=None,
-                        help="CAIDA-format topology file, memory-mapped "
-                             "(default: generate --as-count ASes)")
-    ingest.add_argument("--probes", choices=tuple(_PROBE_SETS),
-                        default="tier1", help="monitor vantage-point set")
     ingest.add_argument("--strict", action="store_true",
                         help="raise on the first malformed record, duplicate "
                              "RIB entry or timestamp regression (with "
@@ -219,19 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--seed-roas", action="store_true",
                         help="publish a ROA for every RIB-legal "
                              "(prefix, origin) before the announce wave")
-    ingest.add_argument("--batch-window", type=float, default=0.0,
-                        help="coalescing window in virtual seconds")
-    ingest.add_argument("--queue-limit", type=int, default=64,
-                        help="pending events before a backpressure flush")
-    ingest.add_argument("--compile-only", type=Path, metavar="PATH",
-                        help="write the compiled stream as JSONL and exit")
-    ingest.add_argument("--report", type=Path, default=None,
-                        help="write the JSON report here (default: stdout)")
-    ingest.add_argument("--fail-on-hijack", action="store_true",
-                        help="exit 1 if any CONFIRMED verdict fires")
 
     serve = subparsers.add_parser(
-        "serve",
+        "serve", parents=[_monitor_options(size, "top-degree")],
         help="run the always-on multi-tenant hijack-monitoring daemon "
              "(JSON API; see docs/service.md)",
     )
@@ -241,16 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Accepted for callers that still pass 1; the service runs one replayer.
     serve.add_argument("--shards", type=int, choices=(1,), default=1,
                        help=argparse.SUPPRESS)
-    serve.add_argument("--as-count", type=int, default=4270)
-    serve.add_argument("--topology", type=Path, default=None,
-                       help="CAIDA-format topology file "
-                            "(default: generate --as-count ASes)")
-    serve.add_argument("--probes", choices=tuple(_PROBE_SETS),
-                       default="top-degree", help="monitor vantage-point set")
-    serve.add_argument("--batch-window", type=float, default=0.0,
-                       help="coalescing window in virtual seconds")
-    serve.add_argument("--queue-limit", type=int, default=64,
-                       help="pending events before a backpressure flush")
     serve.add_argument("-i", "--input", type=Path, default=None,
                        help="JSONL event feed to ingest at startup")
     serve.add_argument("--follow", action="store_true",
@@ -261,13 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "ROA before serving (see docs/ingestion.md)")
 
     report = subparsers.add_parser(
-        "report", help="run every experiment and write EXPERIMENTS.md"
+        "report", parents=[suite], help="run every experiment and write EXPERIMENTS.md"
     )
     report.add_argument("--output", type=Path, default=Path("EXPERIMENTS.md"))
-    report.add_argument("--output-dir", type=Path, default=Path("results"))
-    report.add_argument("--as-count", type=int, default=4270)
-    report.add_argument("--sample", type=int, default=1200)
-    report.add_argument("--attacks", type=int, default=8000)
 
     return parser
 
@@ -287,8 +260,23 @@ def _check_readable(path: Path | None, kind: str) -> None:
             raise _InputError(f"{kind} error: {path}: {error.strerror}") from error
 
 
-def _read_topology(path: Path):
-    """The graph in a CAIDA file; a read or parse error names the file."""
+@contextlib.contextmanager
+def _trace_errors() -> Iterator[None]:
+    """A trace file that fails to parse or to read becomes one
+    ``trace error:`` line (exit 1) instead of a traceback."""
+    from repro.ingest import TraceFormatError
+
+    try:
+        yield
+    except TraceFormatError as error:
+        raise _InputError(f"trace error: {error}") from error
+
+
+def _graph(args: argparse.Namespace, path: Path | None):
+    """The graph in the CAIDA file at *path* (a read or parse error names
+    the file), else a generated ``--as-count`` graph."""
+    if path is None:
+        return generate_topology(GeneratorConfig.scaled(args.as_count, seed=args.seed))
     try:
         return load_caida_mmap(path)
     except (OSError, CaidaFormatError) as error:
@@ -296,37 +284,45 @@ def _read_topology(path: Path):
         raise _InputError(f"topology error: {path}: {reason}") from error
 
 
-def _topology(args: argparse.Namespace):
-    if getattr(args, "input", None):
-        return _read_topology(args.input)
-    return generate_topology(GeneratorConfig.scaled(args.as_count, seed=args.seed))
-
-
 def _metrics(args: argparse.Namespace) -> Metrics:
     """The run's metrics sink (armed by ``--metrics``, else a no-op)."""
     return getattr(args, "metrics_sink", NULL_METRICS)
 
 
-def _monitor_lab(args: argparse.Namespace, *, validate: bool = False) -> HijackLab:
-    """The lab ``stream``, ``ingest`` and ``serve`` monitor over.
-
-    The topology is ``--topology`` (memory-mapped) or a generated
-    ``--as-count`` graph.
-    """
-    if args.topology is not None:
-        graph = _read_topology(args.topology)
-    else:
-        graph = generate_topology(
-            GeneratorConfig.scaled(args.as_count, seed=args.seed)
-        )
+def _lab(args: argparse.Namespace, graph, *, validate: bool = False) -> HijackLab:
+    """The lab every lab-driving subcommand runs, on the global seed and backend."""
     return HijackLab(
         graph, seed=args.seed, validate=validate, metrics=_metrics(args),
         backend=args.backend,
     )
 
 
-def _write_report(args: argparse.Namespace, payload: dict[str, object]) -> None:
-    """The JSON report to ``--report``, or to stdout without one."""
+def _suite(args: argparse.Namespace, *, validate: bool = False):
+    """Build the experiment suite ``figure`` and ``report`` share, and
+    return ``run(name) -> (result, path)``, which runs one experiment and
+    saves its JSON under ``<output-dir>/data``."""
+    config = ExperimentConfig(
+        topology=GeneratorConfig.scaled(args.as_count, seed=args.seed),
+        seed=args.seed,
+        output_dir=args.output_dir,
+        attacker_sample=args.sample,
+        detection_attacks=args.attacks,
+        validate=validate,
+        backend=args.backend,
+    )
+    suite = ExperimentSuite(config, metrics=_metrics(args))
+
+    def run(name: str):
+        result = suite.run(name)
+        return result, result.save_json(args.output_dir / "data")
+
+    return run
+
+
+def _monitor_exit(args: argparse.Namespace, payload: dict[str, object], report, summary: str) -> int:
+    """How ``stream`` and ``ingest`` end: the JSON report to ``--report``
+    (or stdout), *summary* with the prefix and alarm counts on stderr,
+    and 1 under ``--fail-on-hijack`` if any alarm is CONFIRMED, else 0."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.report is not None:
         args.report.parent.mkdir(parents=True, exist_ok=True)
@@ -334,18 +330,22 @@ def _write_report(args: argparse.Namespace, payload: dict[str, object]) -> None:
         print(f"wrote {args.report}")
     else:
         print(text)
-
-
-def _hijack_status(args: argparse.Namespace, alarms: Iterable[StreamAlarm]) -> int:
-    """1 under ``--fail-on-hijack`` if any alarm is CONFIRMED, else 0."""
+    monitor = report.monitor
+    assert monitor is not None
+    latency = monitor.detection_latency_time
+    print(
+        f"{summary} over {len(report.prefixes)} prefix(es); {len(monitor.alarms)} alarm(s)"
+        + (f", first at latency {latency} virtual s" if latency is not None else ""),
+        file=sys.stderr,
+    )
     if not args.fail_on_hijack:
         return 0
     from repro.service.daemon import CONFIRMED_VERDICTS
 
-    confirmed = [alarm for alarm in alarms if alarm.verdict in CONFIRMED_VERDICTS]
+    confirmed = sum(alarm.verdict in CONFIRMED_VERDICTS for alarm in monitor.alarms)
     if not confirmed:
         return 0
-    print(f"fail-on-hijack: {len(confirmed)} CONFIRMED verdict(s)", file=sys.stderr)
+    print(f"fail-on-hijack: {confirmed} CONFIRMED verdict(s)", file=sys.stderr)
     return 1
 
 
@@ -363,8 +363,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    graph = _topology(args)
-    stats = summarize(graph)
+    stats = summarize(_graph(args, args.input))
     print(f"ASes: {stats.as_count}   links: {stats.link_count}")
     print(f"tier-1: {len(stats.tier1)}   tier-2: {len(stats.tier2)}")
     print(f"transit: {stats.transit_count} ({stats.transit_fraction:.1%})   stubs: {stats.stub_count}")
@@ -385,18 +384,14 @@ def _unknown_asn(lab: HijackLab, *asns: int) -> bool:
 def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.attacks.scenario import HijackKind, PathKind
 
-    lab = HijackLab(
-        _topology(args), seed=args.seed, validate=args.validate,
-        metrics=_metrics(args), backend=args.backend,
-    )
+    lab = _lab(args, _graph(args, args.input), validate=args.validate)
     if _unknown_asn(lab, args.target, args.attacker):
         return 2
-    kind_name = args.kind or ("subprefix" if args.subprefix else "origin")
     try:
         scenario = lab.build_scenario(
             args.target,
             args.attacker,
-            kind=HijackKind(kind_name),
+            kind=HijackKind(args.kind),
             path_kind=PathKind(args.path_kind),
             forged_depth=args.forged_depth,
         )
@@ -424,10 +419,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    lab = HijackLab(
-        _topology(args), seed=args.seed, validate=args.validate,
-        metrics=_metrics(args), backend=args.backend,
-    )
+    lab = _lab(args, _graph(args, args.input), validate=args.validate)
     if _unknown_asn(lab, args.target):
         return 2
     from repro.attacks.scenario import HijackKind, PathKind
@@ -448,16 +440,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        topology=GeneratorConfig.scaled(args.as_count, seed=args.seed),
-        seed=args.seed,
-        output_dir=args.output_dir,
-        attacker_sample=args.sample,
-        detection_attacks=args.attacks,
-        validate=args.validate,
-        backend=args.backend,
-    )
-    suite = ExperimentSuite(config, metrics=_metrics(args))
+    run = _suite(args, validate=args.validate)
     names = _EXPERIMENTS if args.name == "all" else (args.name,)
     params = {
         "as_count": args.as_count,
@@ -467,8 +450,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     }
     with ResultStore(args.store) if args.store else contextlib.nullcontext() as store:
         for name in names:
-            result = suite.run(name)
-            path = result.save_json(Path(args.output_dir) / "data")
+            result, path = run(name)
             if store is not None:
                 store.record(result, params=params)
             print(f"{name}: wrote {path}" + (
@@ -478,25 +460,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    lab = HijackLab(
-        _topology(args), seed=args.seed, metrics=_metrics(args),
-        backend=args.backend,
-    )
-    planner = SelfInterestPlanner(lab)
-    action_plan = planner.plan(args.region, target_asn=args.target)
-    print(action_plan.report())
+    planner = SelfInterestPlanner(_lab(args, _graph(args, args.input)))
+    print(planner.plan(args.region, target_asn=args.target).report())
     return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.experiments.calibration import calibrate
 
-    lab = HijackLab(
-        _topology(args), seed=args.seed, metrics=_metrics(args),
-        backend=args.backend,
-    )
     report = calibrate(
-        lab,
+        _lab(args, _graph(args, args.input)),
         agreement_samples=args.agreement_samples,
         path_samples=args.path_samples,
         seed=args.seed,
@@ -529,11 +502,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"differential oracle: FAIL\n{error}")
 
     # 2. Invariant suite + determinism on a generated (calibrated) topology.
-    graph = generate_topology(GeneratorConfig.scaled(args.as_count, seed=args.seed))
-    # validate=True: the cache records insert checksums for step 3's audit.
-    lab = HijackLab(
-        graph, seed=args.seed, validate=True, metrics=_metrics(args), backend=args.backend,
-    )
+    #    validate=True: the cache records insert checksums for step 3's audit.
+    lab = _lab(args, _graph(args, None), validate=True)
     rng = make_rng(args.seed, "cli-validate")
     pool = lab.attacker_pool(transit_only=True)
     try:
@@ -579,7 +549,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.ingest import TraceFormatError, TracePipeline, run_ingest
+    from repro.ingest import TracePipeline, run_ingest
     from repro.stream import write_events
 
     if args.rib is None and args.updates is None:
@@ -587,7 +557,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         return 2
     _check_readable(args.rib, "trace")
     _check_readable(args.updates, "trace")
-    lab = _monitor_lab(args)
+    lab = _lab(args, _graph(args, args.topology))
     metrics = _metrics(args)
     pipeline = TracePipeline(
         rib_path=args.rib,
@@ -596,14 +566,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         seed_roas=args.seed_roas,
         metrics=metrics,
     )
-    try:
+    with _trace_errors():
         if args.compile_only is not None:
             # Streaming write: the compiled events go straight to disk,
             # so a multi-million-record trace re-emits in bounded memory.
             path = write_events(args.compile_only, pipeline.events())
-            stats = pipeline.stats()
             print(f"wrote compiled stream to {path}")
-            print(json.dumps(stats, indent=2, sort_keys=True), file=sys.stderr)
+            print(json.dumps(pipeline.stats(), indent=2, sort_keys=True), file=sys.stderr)
             return 0
         result = run_ingest(
             lab,
@@ -613,21 +582,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             queue_limit=args.queue_limit,
             metrics=metrics,
         )
-    except TraceFormatError as error:
-        print(f"trace error: {error}", file=sys.stderr)
-        return 1
-    _write_report(args, result.as_dict())
     report = result.report
-    monitor = report.monitor
-    assert monitor is not None
-    latency = monitor.detection_latency_time
-    print(
-        f"ingested {report.events_submitted} events over "
-        f"{len(report.prefixes)} prefix(es); {len(monitor.alarms)} alarm(s)"
-        + (f", first at latency {latency} virtual s" if latency is not None else ""),
-        file=sys.stderr,
+    return _monitor_exit(
+        args, result.as_dict(), report, f"ingested {report.events_submitted} events"
     )
-    return _hijack_status(args, monitor.alarms)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -638,7 +596,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # The feed is opened by a task after the daemon listens: check first.
     _check_readable(args.input, "stream")
     _check_readable(args.rib, "trace")
-    lab = _monitor_lab(args)
+    lab = _lab(args, _graph(args, args.topology))
     metrics = _metrics(args)
     service = MonitorService(
         lab,
@@ -650,9 +608,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.rib is not None:
         from repro.ingest import TraceReader, compile_rib
 
-        baseline = compile_rib(
-            TraceReader(args.rib, metrics=metrics), metrics=metrics
-        )
+        with _trace_errors():
+            baseline = compile_rib(
+                TraceReader(args.rib, metrics=metrics), metrics=metrics
+            )
         seeded = skipped = 0
         for prefix, legal in baseline.origins.items():
             for origin in sorted(legal):
@@ -711,7 +670,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     # ``-i`` is the *event stream* here (unlike the batch commands, where
     # it is the topology file) — the topology comes from ``--topology``.
     _check_readable(args.input, "stream")
-    lab = _monitor_lab(args, validate=args.validate)
+    lab = _lab(args, _graph(args, args.topology), validate=args.validate)
     events = None
     if args.input is not None:
         if args.compile_only is not None:
@@ -762,39 +721,21 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         report = replayer.finish()
     else:
         report = replayer.run(events)
-    _write_report(args, report.as_dict())
-    monitor = report.monitor
-    assert monitor is not None
-    latency = monitor.detection_latency_time
-    print(
-        f"replayed {report.events_submitted} events "
-        f"({report.events_coalesced} coalesced, {report.events_malformed} "
-        f"malformed, {len(report.errors)} errors) over {len(report.prefixes)} "
-        f"prefix(es); {len(monitor.alarms)} alarm(s)"
-        + (f", first at latency {latency} virtual s" if latency is not None else ""),
-        file=sys.stderr,
+    return _monitor_exit(
+        args, report.as_dict(), report,
+        f"replayed {report.events_submitted} events ({report.events_coalesced} "
+        f"coalesced, {report.events_malformed} malformed, {len(report.errors)} errors)",
     )
-    return _hijack_status(args, monitor.alarms)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.reportgen import render_experiments_markdown
 
-    config = ExperimentConfig(
-        topology=GeneratorConfig.scaled(args.as_count, seed=args.seed),
-        seed=args.seed,
-        output_dir=args.output_dir,
-        attacker_sample=args.sample,
-        detection_attacks=args.attacks,
-        backend=args.backend,
-    )
-    suite = ExperimentSuite(config, metrics=_metrics(args))
+    run = _suite(args)
     results = []
     for name in _EXPERIMENTS:
         print(f"running {name}…", flush=True)
-        result = suite.run(name)
-        result.save_json(Path(args.output_dir) / "data")
-        results.append(result)
+        results.append(run(name)[0])
     text = render_experiments_markdown(
         results,
         context={

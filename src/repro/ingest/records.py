@@ -45,6 +45,7 @@ take down a monitor.
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
@@ -293,6 +294,11 @@ class TraceReader:
                     if metrics.enabled:
                         metrics.count("ingest.records")
                     yield row
+        except (OSError, EOFError, zlib.error) as error:
+            # The file or its gzip stream does not read (not gzip, cut
+            # short, corrupt): no later line can be trusted in either mode.
+            reason = getattr(error, "strerror", None) or error
+            raise TraceFormatError(f"{self.path}: {reason}") from error
         finally:
             if number:
                 self.lines = number

@@ -1,8 +1,10 @@
 """Unit tests for the calibration report and its suite-extension driver."""
 
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,28 @@ class TestCalibration:
         assert "62%" in text
         assert "42697" in text
         assert "healthy" in text
+
+    def test_render_marks_rows_in_or_out_of_their_band(self, report):
+        def marks(report):
+            rows = [re.split(r"\s{2,}", line.strip()) for line in report.render().splitlines()[3:]]
+            return {row[0]: row[3] if len(row) == 4 else "" for row in rows}
+
+        here = marks(report)
+        assert here["tier-1 ASes"] == ("in" if report.tier1_count == 17 else "OUT")
+        assert here["transit fraction"] in ("in", "OUT")
+        assert here["max depth to tier-1"] in ("in", "OUT")
+        # Links and the degree tail have a band only at the paper's size.
+        assert here["links"] == ""
+        assert not any(label.startswith("ASes of degree") for label in here)
+        paper_size = marks(replace(
+            report, as_count=42_697, link_count=139_156 * 2, tier1_count=17,
+            degree_tail={500: 62, 300: 124, 200: 166, 100: 299 * 2},
+        ))
+        assert paper_size["links"] == "OUT"
+        assert paper_size["tier-1 ASes"] == "in"
+        assert [paper_size[f"ASes of degree >= {t}"] for t in (500, 300, 200, 100)] == [
+            "in", "in", "in", "OUT",
+        ]
 
     def test_paper_constants_pinned(self):
         assert PAPER_CONSTANTS["tier1_count"] == 17

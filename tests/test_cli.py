@@ -18,6 +18,49 @@ def topo_file(tmp_path):
     return path
 
 
+# What a minimal command line of each subcommand parses to, beyond the
+# global options: every default the option groups could move.
+PARSED_OPTIONS = [
+    (["generate", "-o", "t.txt"],
+     {"as_count": 4270, "regions": None, "output": Path("t.txt")}),
+    (["summarize"], {"input": None, "as_count": 4270}),
+    (["attack", "--target", "1", "--attacker", "2"],
+     {"target": 1, "attacker": 2, "input": None, "as_count": 4270,
+      "kind": "origin", "path_kind": "type-0", "forged_depth": 1,
+      "validate": False}),
+    (["sweep", "--target", "1"],
+     {"target": 1, "input": None, "as_count": 4270, "sample": None,
+      "transit_only": False, "kind": "origin", "path_kind": "type-0",
+      "forged_depth": 1, "validate": False}),
+    (["figure", "fig2"],
+     {"name": "fig2", "output_dir": Path("results"), "as_count": 4270,
+      "sample": 1200, "attacks": 8000, "store": None, "validate": False}),
+    (["plan", "--region", "R00"],
+     {"region": "R00", "target": None, "input": None, "as_count": 4270}),
+    (["calibrate"],
+     {"input": None, "as_count": 4270, "agreement_samples": 10,
+      "path_samples": 60}),
+    (["validate"], {"cases": 200, "max_size": 28, "as_count": 900, "attacks": 12}),
+    (["stream"],
+     {"input": None, "attacks": 5, "as_count": 4270, "topology": None,
+      "probes": "tier1", "batch_window": 0.0, "queue_limit": 64,
+      "publish_roas": False, "dwell": None, "compile_only": None,
+      "report": None, "validate": False, "fail_on_hijack": False}),
+    (["ingest"],
+     {"rib": None, "updates": None, "as_count": 4270, "topology": None,
+      "probes": "tier1", "strict": False, "seed_roas": False,
+      "batch_window": 0.0, "queue_limit": 64, "compile_only": None,
+      "report": None, "fail_on_hijack": False}),
+    (["serve"],
+     {"host": "127.0.0.1", "port": 8470, "shards": 1, "as_count": 4270,
+      "topology": None, "probes": "top-degree", "batch_window": 0.0,
+      "queue_limit": 64, "input": None, "follow": False, "rib": None}),
+    (["report"],
+     {"output": Path("EXPERIMENTS.md"), "output_dir": Path("results"),
+      "as_count": 4270, "sample": 1200, "attacks": 8000}),
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -32,6 +75,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exited:
             main(["--batch-origins", "4", "sweep", "--target", "300"])
         assert exited.value.code == 2
+
+    def test_subprefix_flag_is_gone(self):
+        """``--kind subprefix`` is the one spelling of a subprefix attack."""
+        with pytest.raises(SystemExit) as exited:
+            main(["attack", "--target", "300", "--attacker", "30", "--subprefix"])
+        assert exited.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, options", PARSED_OPTIONS, ids=[argv[0] for argv, _ in PARSED_OPTIONS]
+    )
+    def test_parsed_options_are_pinned(self, argv, options):
+        """Every subcommand's defaults, as a minimal command line parses
+        them: shared option groups must not move one."""
+        parsed = vars(build_parser().parse_args(argv))
+        assert parsed == {
+            "seed": 2014, "backend": "reference", "metrics": None,
+            "command": argv[0], **options,
+        }
 
 
 class TestCommands:
@@ -70,7 +131,7 @@ class TestCommands:
 
     def test_attack_subprefix(self, topo_file, capsys):
         assert main(["attack", "--target", "300", "--attacker", "30",
-                     "--subprefix", "-i", str(topo_file)]) == 0
+                     "--kind", "subprefix", "-i", str(topo_file)]) == 0
         assert "subprefix hijack" in capsys.readouterr().out
 
     def test_sweep(self, topo_file, capsys):

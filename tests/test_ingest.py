@@ -148,6 +148,31 @@ def test_gzip_trace_roundtrip(tmp_path):
     assert list(TraceReader(path)) == records
 
 
+def _unreadable_gzip(kind: str) -> bytes:
+    """A ``.gz`` trace that fails to read: not gzip, cut short, or with a
+    corrupt deflate stream."""
+    if kind == "not-gzip":
+        return f"{GOOD_JSON}\n".encode()
+    data = gzip.compress(f"{GOOD_JSON}\n{GOOD_JSON_LATER}\n".encode() * 200)
+    if kind == "truncated":
+        return data[: len(data) // 2]
+    return data[:12] + b"\xff" + data[13:]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("kind", ["not-gzip", "truncated", "corrupt-deflate"])
+def test_unreadable_gzip_raises_a_trace_format_error(tmp_path, kind, strict):
+    """A read failure is no malformed line to count: both modes stop with
+    one TraceFormatError that names the file."""
+    path = tmp_path / "trace.jsonl.gz"
+    path.write_bytes(_unreadable_gzip(kind))
+    reader = TraceReader(path, strict=strict)
+    with pytest.raises(TraceFormatError) as caught:
+        list(reader.rows())
+    assert str(caught.value).startswith(f"{path}: ")
+    assert reader.malformed == 0
+
+
 def test_tsv_trace_roundtrip(tmp_path):
     records = [TraceRecord("rib", 0.5, 7018, Prefix.parse("10.0.0.0/8"), (7018, 50))]
     path = tmp_path / "trace.tsv"
@@ -420,6 +445,39 @@ def test_cli_strict_mode_fails_on_malformed_trace(tmp_path, capsys):
     ])
     assert exit_code == 1
     assert f"{trace}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--rib", "--updates"])
+@pytest.mark.parametrize("kind", ["not-gzip", "truncated"])
+def test_cli_ingest_unreadable_gzip_exits_1_with_one_line(tmp_path, capsys, kind, option):
+    from repro.cli import main
+
+    trace = tmp_path / "trace.jsonl.gz"
+    trace.write_bytes(_unreadable_gzip(kind))
+    assert main(["ingest", "--topology", str(TOPOLOGY), option, str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"trace error: {trace}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["not-gzip", "truncated"])
+def test_cli_serve_unreadable_gzip_rib_exits_1_before_listening(tmp_path, capsys, kind):
+    """``serve --rib`` reads the RIB before it listens, so the trace
+    error ends the command with no socket opened."""
+    from repro.cli import main
+
+    rib = tmp_path / "rib.jsonl.gz"
+    rib.write_bytes(_unreadable_gzip(kind))
+    assert main([
+        "serve", "--topology", str(TOPOLOGY), "--port", "0", "--rib", str(rib),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"trace error: {rib}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_pipeline_requires_some_input():

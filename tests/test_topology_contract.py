@@ -1,9 +1,11 @@
 """The paper's Section III topology, as a contract on the builders.
 
 PAPER.md promises a topology "calibrated to the same structural
-statistics" as the paper's CAIDA snapshot. This module writes those
-statistics down once, each beside the band a built graph must land in,
-and holds the builders to them:
+statistics" as the paper's CAIDA snapshot. Those statistics and the band
+a built graph must land in around each are written down once, beside
+``PAPER_CONSTANTS`` in :mod:`repro.experiments.calibration` (which also
+marks them in ``repro-bgp calibrate``); this module holds the builders
+to them:
 
 - at 4,270 ASes (the default synthetic size) the scale-free rows —
   transit fraction, depth and tier-1 count — on every run;
@@ -22,23 +24,20 @@ import os
 
 import pytest
 
+from repro.experiments.calibration import (
+    PAPER_BANDS,
+    PAPER_CONSTANTS,
+    PAPER_DEGREE_TAIL,
+    in_band,
+)
 from repro.topology.asgraph import ASGraph
 from repro.topology.classify import depth_to_tier1, find_tier1, transit_asns
 from repro.topology.generator import GeneratorConfig, generate_topology
 from repro.topology.scalefixture import ScaleFixtureConfig, generate_scale_fixture
 
-# -- the paper's Section III numbers, and the bands around them ------------
-
-PAPER_AS_COUNT = 42_697
-PAPER_TIER1 = 17  # exact
-PAPER_TRANSIT_FRACTION = 0.148  # 6,318 of 42,697 ASes have a customer
-TRANSIT_BAND = 0.15  # relative: 12.6%–17.0%
-PAPER_MAX_DEPTH = 7  # provider hops to the tier-1 clique, at most
-PAPER_DEEP_TARGET = 5  # Fig. 2's deepest targets sit this far down
-PAPER_LINKS = 139_156
-LINKS_BAND = 0.10  # relative
-PAPER_DEGREE_TAIL = {500: 62, 300: 124, 200: 166, 100: 299}  # ASes of degree ≥ key
-DEGREE_BAND = 0.25  # relative, per threshold
+PAPER_AS_COUNT = int(PAPER_CONSTANTS["as_count"])
+PAPER_LINKS = PAPER_CONSTANTS["link_count"]
+PAPER_TRANSIT_FRACTION = PAPER_CONSTANTS["transit_fraction"]
 
 SCALE_GAP = (
     "neither builder has the paper's shape at 42,697 ASes "
@@ -48,46 +47,53 @@ SCALE_GAP = (
 )
 
 
-def _within(value: float, paper: float, band: float) -> bool:
-    return paper * (1 - band) <= value <= paper * (1 + band)
-
-
 def check_scale_free_rows(graph: ASGraph) -> None:
     """The rows whose paper value does not depend on the AS count."""
     tier1 = find_tier1(graph)
-    assert len(tier1) == PAPER_TIER1
+    assert in_band(len(tier1), PAPER_CONSTANTS["tier1_count"], PAPER_BANDS["tier1_count"])
     fraction = len(transit_asns(graph)) / len(graph)
-    assert _within(fraction, PAPER_TRANSIT_FRACTION, TRANSIT_BAND), fraction
+    assert in_band(fraction, PAPER_TRANSIT_FRACTION, PAPER_BANDS["transit_fraction"]), fraction
     depths = depth_to_tier1(graph)
-    assert max(depths.values()) <= PAPER_MAX_DEPTH
-    assert any(depth == PAPER_DEEP_TARGET for depth in depths.values())
+    assert max(depths.values()) <= PAPER_CONSTANTS["max_depth"]
+    assert any(depth == PAPER_CONSTANTS["deep_target_depth"] for depth in depths.values())
 
 
 def check_every_row(graph: ASGraph) -> None:
     """Every Section III row, at the paper's AS count."""
     assert len(graph) == PAPER_AS_COUNT
     check_scale_free_rows(graph)
-    assert _within(graph.edge_count(), PAPER_LINKS, LINKS_BAND), graph.edge_count()
+    assert in_band(graph.edge_count(), PAPER_LINKS, PAPER_BANDS["link_count"]), graph.edge_count()
     degrees = [graph.degree(asn) for asn in graph.asns()]
     tail = {
         threshold: sum(degree >= threshold for degree in degrees)
         for threshold in PAPER_DEGREE_TAIL
     }
     assert all(
-        _within(tail[threshold], paper, DEGREE_BAND)
+        in_band(tail[threshold], paper, PAPER_BANDS["degree_tail"])
         for threshold, paper in PAPER_DEGREE_TAIL.items()
     ), tail
 
 
 def test_bands_hold_the_paper_itself():
     """Each band contains the paper's own value, and only a band around it."""
-    assert _within(PAPER_TRANSIT_FRACTION, PAPER_TRANSIT_FRACTION, TRANSIT_BAND)
-    assert not _within(209 / PAPER_AS_COUNT, PAPER_TRANSIT_FRACTION, TRANSIT_BAND)
-    assert _within(PAPER_LINKS, PAPER_LINKS, LINKS_BAND)
-    assert not _within(181_439, PAPER_LINKS, LINKS_BAND)
+    assert in_band(17, PAPER_CONSTANTS["tier1_count"], PAPER_BANDS["tier1_count"])
+    assert not in_band(16, PAPER_CONSTANTS["tier1_count"], PAPER_BANDS["tier1_count"])
+    transit = PAPER_BANDS["transit_fraction"]
+    assert in_band(6_318 / PAPER_AS_COUNT, PAPER_TRANSIT_FRACTION, transit)
+    assert not in_band(209 / PAPER_AS_COUNT, PAPER_TRANSIT_FRACTION, transit)
+    assert in_band(PAPER_LINKS, PAPER_LINKS, PAPER_BANDS["link_count"])
+    assert not in_band(181_439, PAPER_LINKS, PAPER_BANDS["link_count"])
     for paper in PAPER_DEGREE_TAIL.values():
-        assert _within(paper, paper, DEGREE_BAND)
-        assert not _within(paper * 2, paper, DEGREE_BAND)
+        assert in_band(paper, paper, PAPER_BANDS["degree_tail"])
+        assert not in_band(paper * 2, paper, PAPER_BANDS["degree_tail"])
+
+
+def test_bands_are_the_papers_widths():
+    """The bands are never widened: 15% transit, 10% links, 25% per
+    degree threshold, and an exact tier-1 count."""
+    assert dict(PAPER_BANDS) == {
+        "tier1_count": 0.0, "transit_fraction": 0.15, "link_count": 0.10, "degree_tail": 0.25,
+    }
 
 
 def test_generator_meets_the_scale_free_rows_at_4270():
