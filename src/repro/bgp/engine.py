@@ -27,13 +27,20 @@ Hijacks reuse the same procedure: converge the legitimate origin from a
 clean state, then run the attacker's announcement *on top of* that state —
 the bogus route only displaces entries it strictly beats, ties keeping the
 incumbent, exactly the paper's announce-only RIB model.
+
+The reference kernel works on one packed int per node (see
+:class:`RouteState`): the candidate's preference key is built once per
+sender, a cell rejects it with one integer compare, and an install is
+one two-slot journal record and one store, which is also all a rewind
+undoes per cell.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, MutableSequence, Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import NULL_METRICS, Metrics
@@ -54,6 +61,58 @@ _CLASS_ORIGIN = int(RouteClass.ORIGIN)
 _CLASS_CUSTOMER = int(RouteClass.CUSTOMER)
 _CLASS_PEER = int(RouteClass.PEER)
 _CLASS_PROVIDER = int(RouteClass.PROVIDER)
+
+# A list-backed state holds one packed int per node. Its high bits are
+# the array kernel's (class, length) preference key — class above a
+# 31-bit length, so one integer compare is the Gao–Rexford preference —
+# and below it sit the parent and the origin, each stored as node
+# index + 1 so that −1 (none) is 0:
+#
+#   route = (class << 31 | length) << 48 | (parent + 1) << 24 | (origin_of + 1)
+_LEN_BITS = 31
+_LEN_MASK = (1 << _LEN_BITS) - 1
+_NODE_BITS = 24
+_NODE_MASK = (1 << _NODE_BITS) - 1
+_KEY_SHIFT = 2 * _NODE_BITS
+_CLASS_SHIFT = _KEY_SHIFT + _LEN_BITS
+# Every low bit set: ``key << _KEY_SHIFT | _LOW_MASK`` is not below any
+# route with that key, whatever its parent and origin.
+_LOW_MASK = (1 << _KEY_SHIFT) - 1
+# The largest node index a packed route can name.
+MAX_NODE = _NODE_MASK - 1
+_EMPTY_ROUTE = (_NO_CLASS << _LEN_BITS | UNREACHABLE) << _KEY_SHIFT
+# Every packed route below this one holds a route: an empty cell's class
+# is _NO_CLASS, the worst.
+_NO_ROUTE = _NO_CLASS << _CLASS_SHIFT
+
+
+def _pack(cls: int, length: int, parent: int, origin_of: int) -> int:
+    """One packed route of plain or numpy ints; a field the layout
+    cannot hold raises."""
+    cls, length, parent, origin_of = map(operator.index, (cls, length, parent, origin_of))
+    if not (
+        0 <= cls <= _NO_CLASS
+        and 0 <= length <= UNREACHABLE
+        and -1 <= parent <= MAX_NODE
+        and -1 <= origin_of <= MAX_NODE
+    ):
+        raise ValueError(
+            f"route (cls={cls}, length={length}, parent={parent}, "
+            f"origin_of={origin_of}) does not fit the packed layout"
+        )
+    return (cls << _LEN_BITS | length) << _KEY_SHIFT | (parent + 1) << _NODE_BITS | (
+        origin_of + 1
+    )
+
+
+def _unpack(route: int) -> tuple[int, int, int, int]:
+    """``(cls, length, parent, origin_of)`` of one packed route."""
+    return (
+        route >> _CLASS_SHIFT,
+        route >> _KEY_SHIFT & _LEN_MASK,
+        (route >> _NODE_BITS & _NODE_MASK) - 1,
+        (route & _NODE_MASK) - 1,
+    )
 
 
 class _DecimalText(dict):
@@ -77,12 +136,13 @@ _DECIMAL = _DecimalText()
 class RouteState:
     """Per-node routing outcome for one prefix.
 
-    Arrays are indexed by routing-node index. ``cls`` holds
-    :class:`RouteClass` integer values (``_NO_CLASS`` when the node has no
-    route), ``length`` AS-path lengths (``UNREACHABLE`` when none),
-    ``parent`` the next-hop node (−1 for none/origin) and ``origin_of`` the
-    origin node of the installed route (−1 when none). After a hijack pass
-    the state mixes entries for the legitimate and the bogus origin.
+    Per routing-node index a state holds four fields: ``cls``, the
+    :class:`RouteClass` integer value (``_NO_CLASS`` when the node has no
+    route), ``length``, the AS-path length (``UNREACHABLE`` when none),
+    ``parent``, the next-hop node (−1 for none/origin), and
+    ``origin_of``, the origin node of the installed route (−1 when none).
+    After a hijack pass the state mixes entries for the legitimate and
+    the bogus origin.
 
     A state that will be shared — cached as a clean baseline and reused
     across many hijack passes, possibly from several worker processes —
@@ -92,86 +152,177 @@ class RouteState:
     write into its baseline: :meth:`RoutingEngine.converge` always works
     on a :meth:`copy_for` copy of ``base``.
 
-    The representation follows the kernel that produced the state: the
-    reference kernel works on Python lists (frozen: tuples), the array
-    kernel writes back numpy arrays (frozen: read-only) so a sweep never
-    converts between the two. This class is the only place that knows;
-    :meth:`checksum` is identical for identical content either way, and
-    the scalar queries below return plain Python values for both.
+    The representation follows the kernel that produced the state. The
+    reference kernel works on ``routes``, one packed Python int per node
+    (layout above; frozen: a tuple); the array kernel writes back
+    ``arrays``, four numpy arrays in field order (frozen: read-only), so
+    a sweep never converts between the two. This class is the only
+    place that knows: :meth:`checksum` is identical for identical
+    content either way, and the scalar queries below return plain Python
+    values for both. The ``cls``/``length``/``parent``/``origin_of``
+    properties are bulk reads — a packed state decodes the whole column
+    into a tuple per access — so a per-node reader asks :meth:`route`,
+    :meth:`origin_at` or :meth:`has_route` instead.
     """
 
     origin: int
-    cls: MutableSequence[int] | Sequence[int]
-    length: MutableSequence[int] | Sequence[int]
-    parent: MutableSequence[int] | Sequence[int]
-    origin_of: MutableSequence[int] | Sequence[int]
+    routes: list[int] | tuple[int, ...] | None = field(default=None, repr=False)
+    arrays: "tuple[ndarray, ndarray, ndarray, ndarray] | None" = field(
+        default=None, repr=False
+    )
 
     @classmethod
     def empty(cls, size: int, origin: int) -> "RouteState":
-        return cls(
-            origin=origin,
-            cls=[_NO_CLASS] * size,
-            length=[UNREACHABLE] * size,
-            parent=[-1] * size,
-            origin_of=[-1] * size,
-        )
+        if size > MAX_NODE + 1:
+            raise ValueError(f"a packed state holds at most {MAX_NODE + 1} nodes, not {size}")
+        return cls(origin, [_EMPTY_ROUTE] * size)
 
-    def _arrays(self) -> tuple:
-        return self.cls, self.length, self.parent, self.origin_of
+    @classmethod
+    def from_columns(
+        cls,
+        origin: int,
+        route_class: Sequence[int],
+        length: Sequence[int],
+        parent: Sequence[int],
+        origin_of: Sequence[int],
+    ) -> "RouteState":
+        """A state of the given per-node fields: packed from Python
+        sequences, kept as they are from numpy arrays."""
+        if isinstance(route_class, (list, tuple)):
+            return cls(origin, list(map(_pack, route_class, length, parent, origin_of)))
+        return cls(origin, arrays=(route_class, length, parent, origin_of))
 
-    @property
-    def _list_backed(self) -> bool:
-        return isinstance(self.cls, (list, tuple))
+    def _kernel_routes(self) -> list[int]:
+        """The mutable packed routes the reference kernel works on; an
+        ndarray-backed state is packed first, in place."""
+        if self.routes is None:
+            self.routes = list(map(_pack, *(array.tolist() for array in self.arrays)))
+            self.arrays = None
+        return self.routes
 
     def copy_for(self, origin: int) -> "RouteState":
-        if self._list_backed:
-            copies = [list(array) for array in self._arrays()]
-        else:
-            copies = [array.copy() for array in self._arrays()]
-        return RouteState(origin, *copies)
+        if self.routes is not None:
+            return RouteState(origin, list(self.routes))
+        return RouteState(origin, arrays=tuple(array.copy() for array in self.arrays))
 
     def freeze(self) -> "RouteState":
-        """Make the arrays immutable (idempotent); returns ``self``."""
-        if self._list_backed:
-            self.cls, self.length, self.parent, self.origin_of = map(
-                tuple, self._arrays()
-            )
+        """Make the state immutable (idempotent); returns ``self``."""
+        if self.routes is not None:
+            self.routes = tuple(self.routes)
         else:
-            for array in self._arrays():
+            for array in self.arrays:
                 array.setflags(write=False)
         return self
 
     @property
     def is_frozen(self) -> bool:
-        if self._list_backed:
-            return isinstance(self.cls, tuple)
-        return not self.cls.flags.writeable
+        if self.routes is not None:
+            return type(self.routes) is tuple
+        return not self.arrays[0].flags.writeable
+
+    # -- bulk reads ----------------------------------------------------------
+
+    def _column(self, index: int) -> "tuple[int, ...] | ndarray":
+        routes = self.routes
+        if routes is None:
+            return self.arrays[index]
+        if index == 0:
+            return tuple([route >> _CLASS_SHIFT for route in routes])
+        if index == 1:
+            return tuple([route >> _KEY_SHIFT & _LEN_MASK for route in routes])
+        if index == 2:
+            return tuple([(route >> _NODE_BITS & _NODE_MASK) - 1 for route in routes])
+        return tuple([(route & _NODE_MASK) - 1 for route in routes])
+
+    @property
+    def cls(self) -> "tuple[int, ...] | ndarray":
+        return self._column(0)
+
+    @property
+    def length(self) -> "tuple[int, ...] | ndarray":
+        return self._column(1)
+
+    @property
+    def parent(self) -> "tuple[int, ...] | ndarray":
+        return self._column(2)
+
+    @property
+    def origin_of(self) -> "tuple[int, ...] | ndarray":
+        return self._column(3)
 
     def checksum(self) -> str:
-        """Content digest over every array — detects in-place mutation."""
+        """Content digest over every field — detects in-place mutation.
+
+        The digested text is the four fields' decimal columns in field
+        order, whatever the representation; a packed state decodes one
+        column at a time.
+        """
         digest = hashlib.blake2b(digest_size=16)
         digest.update(str(self.origin).encode())
-        for array in self._arrays():
-            if not isinstance(array, (list, tuple)):
-                array = array.tolist()
+        if self.routes is not None:
+            columns = map(self._column, range(4))
+        else:
+            columns = (array.tolist() for array in self.arrays)
+        for column in columns:
             digest.update(b"|")
-            digest.update(",".join(map(_DECIMAL.__getitem__, array)).encode())
+            digest.update(",".join(map(_DECIMAL.__getitem__, column)).encode())
         return digest.hexdigest()
 
     # -- queries -------------------------------------------------------------
 
+    def route(self, node: int) -> tuple[int, int, int, int]:
+        """*node*'s ``(cls, length, parent, origin_of)``."""
+        if self.routes is not None:
+            return _unpack(self.routes[node])
+        return tuple(int(array[node]) for array in self.arrays)  # type: ignore[return-value]
+
+    def set_route(
+        self,
+        node: int,
+        *,
+        cls: int | None = None,
+        length: int | None = None,
+        parent: int | None = None,
+        origin_of: int | None = None,
+    ) -> None:
+        """Overwrite the given fields of *node*'s route, keeping the rest.
+
+        A frozen state raises as its representation does: a tuple
+        ``TypeError``, a read-only array ``ValueError``. A field the
+        packed layout cannot hold raises ``ValueError``.
+        """
+        fields = [
+            old if new is None else new
+            for old, new in zip(self.route(node), (cls, length, parent, origin_of))
+        ]
+        if self.routes is not None:
+            self.routes[node] = _pack(*fields)  # type: ignore[index]
+        else:
+            for array, value in zip(self.arrays, fields):
+                array[node] = value
+
+    def origin_at(self, node: int) -> int:
+        """The origin node of *node*'s route (−1 when it has none)."""
+        if self.routes is not None:
+            return (self.routes[node] & _NODE_MASK) - 1
+        return int(self.arrays[3][node])
+
     def has_route(self, node: int) -> bool:
-        return bool(self.cls[node] != _NO_CLASS)
+        if self.routes is not None:
+            return self.routes[node] < _NO_ROUTE
+        return bool(self.arrays[0][node] != _NO_CLASS)
 
     def holders_of(self, origin: int) -> frozenset[int]:
         """Nodes (excluding *origin* itself) routing to *origin*."""
-        if self._list_backed:
-            return frozenset(
+        if self.routes is not None:
+            mark = origin + 1
+            holders = {
                 node
-                for node, holder in enumerate(self.origin_of)
-                if holder == origin and node != origin
-            )
-        holders = set((self.origin_of == origin).nonzero()[0].tolist())
+                for node, route in enumerate(self.routes)
+                if route & _NODE_MASK == mark
+            }
+        else:
+            holders = set((self.arrays[3] == origin).nonzero()[0].tolist())
         holders.discard(origin)
         return frozenset(holders)
 
@@ -180,16 +331,21 @@ class RouteState:
 
         This is the *forwarding* path through final-state parents. In the
         announce-only model a neighbor may upgrade its route after
-        exporting, so this chain's hop count can differ from
-        ``length[node]`` (which is the install-time AS-path length, as in
-        the message flood); use the flood's recorded routes when the
-        exact announced AS path matters.
+        exporting, so this chain's hop count can differ from *node*'s
+        ``length`` (which is the install-time AS-path length, as in the
+        message flood); use the flood's recorded routes when the exact
+        announced AS path matters.
         """
+        routes = self.routes
+        parents = self.arrays[2] if routes is None else None
         path: list[int] = []
         current = node
         seen = set()
         while True:
-            parent = int(self.parent[current])
+            if routes is not None:
+                parent = (routes[current] >> _NODE_BITS & _NODE_MASK) - 1
+            else:
+                parent = int(parents[current])
             if parent < 0:
                 break
             if parent in seen:  # defensive: corrupted parents
@@ -242,9 +398,8 @@ class ConvergedBatch(Sequence[RouteState]):
             return self._columns.holders(col)
         import numpy as np  # an eager state may be list-backed
 
-        origin = self.origins[col]
-        nodes = np.flatnonzero(np.asarray(self._states[col].origin_of) == origin)
-        return nodes[nodes != origin]
+        holders = self._states[col].holders_of(self.origins[col])
+        return np.array(sorted(holders), dtype=np.int64)
 
 
 class RoutingEngine:
@@ -324,6 +479,7 @@ class RoutingEngine:
         ``origin_length + 1`` and compete on that longer length — the
         honest default 0 is the plain one-hop origination.
         """
+        self._check_padding(origin_length)
         blocked_set = frozenset(blocked)
         if self._converge_columns is not None:
             state = self._array_columns(
@@ -342,6 +498,14 @@ class RoutingEngine:
         if self.validate:
             self._check(state, blocked_set, filter_first_hop_providers, origin_length)
         return state
+
+    def _check_padding(self, origin_length: int) -> None:
+        """Refuse a claimed-path padding whose routes could reach the
+        ``UNREACHABLE`` length, before any state is touched."""
+        if not 0 <= origin_length < UNREACHABLE - len(self.view):
+            raise ValueError(
+                f"claimed-path padding {origin_length} does not fit a route length"
+            )
 
     def _check(
         self,
@@ -382,6 +546,8 @@ class RoutingEngine:
         lengths = [0] * count if origin_lengths is None else list(origin_lengths)
         if not (len(blocked) == len(first_hop) == len(lengths) == count):
             raise ValueError("batch parameter lists must match the origin count")
+        for origin_length in lengths:
+            self._check_padding(origin_length)
         return blocked, first_hop, lengths
 
     def converge_batch(
@@ -538,6 +704,7 @@ class RoutingEngine:
         """
         if state.is_frozen:
             raise ValueError("converge_delta needs a mutable state; unfreeze or copy it")
+        self._check_padding(origin_length)
         prev_origin = state.origin
         state.origin = origin
         blocked_set = frozenset(blocked)
@@ -548,7 +715,7 @@ class RoutingEngine:
                 [origin_length], journaled=True,
             )
             journal = columns.journal(0)
-            state.cls, state.length, state.parent, state.origin_of = columns.state(0)._arrays()
+            state.routes, state.arrays = None, columns.state(0).arrays
         else:
             journal = []
             self._propagate_reference(
@@ -582,7 +749,9 @@ class RoutingEngine:
         ``customers``), so one queue entry per export is one plain int.
         Walking each sender's neighbours in order visits candidates in
         exactly the flood's arrival order, and the install rule is
-        :func:`repro.bgp.policy.prefers` inlined as integer compares.
+        :func:`repro.bgp.policy.prefers` inlined as integer compares on
+        the packed routes: a sender's route is built once, and an
+        install is one journal record and one store.
 
         A journaled pass does no counting in the loop: its installs and
         replacements are read off the journal afterwards, and only when
@@ -595,18 +764,13 @@ class RoutingEngine:
         is_tier1 = view.is_tier1
         tier1_shortest = self.policy.tier1_shortest_path
         blocking = bool(blocked_set)
-        cls = state.cls
-        length = state.length
-        parent = state.parent
-        origin_of = state.origin_of
+        route = state._kernel_routes()
+        origin_mark = origin + 1
 
         # The origin installs its own route unconditionally.
         if journal is not None:
-            journal += (origin, cls[origin], length[origin], parent[origin], origin_of[origin])
-        cls[origin] = _CLASS_ORIGIN
-        length[origin] = origin_length
-        parent[origin] = -1
-        origin_of[origin] = origin
+            journal += (origin, route[origin])
+        route[origin] = origin_length << _KEY_SHIFT | origin_mark
 
         # Initial exports from the origin, one hop past the claimed path;
         # bucket[route_class] lists the senders (index 0 is never used).
@@ -634,33 +798,32 @@ class RoutingEngine:
             _, up, across, down = bucket
             for route_class, receivers_of in classes:
                 exported_up = route_class == _CLASS_CUSTOMER
+                # The candidate's key with every low bit set: a cell
+                # rejects it iff its own route is not above that, i.e.
+                # its (class, length) is at least as good.
+                key = (route_class << _LEN_BITS | route_length) << _KEY_SHIFT | _LOW_MASK
+                offer = key ^ _LOW_MASK | origin_mark
                 for sender in current[route_class]:
+                    mine = offer | (sender + 1) << _NODE_BITS
                     for node in receivers_of[sender]:
                         if blocking and node in blocked_set:
                             continue
                         # An empty cell is (_NO_CLASS, UNREACHABLE), which
                         # every candidate beats on both branches; the
                         # origin's (ORIGIN, origin_length) none beats.
-                        old_class = cls[node]
+                        old = route[node]
                         if tier1_shortest and is_tier1[node]:
-                            if route_length >= length[node]:
+                            if route_length >= old >> _KEY_SHIFT & _LEN_MASK:
                                 continue
-                        elif route_class > old_class or (
-                            route_class == old_class and route_length >= length[node]
-                        ):
+                        elif key >= old:
                             continue
                         if journal is None:
                             installs += 1
-                            if old_class != _NO_CLASS:
+                            if old < _NO_ROUTE:
                                 replaced += 1
                         else:
-                            journal += (
-                                node, old_class, length[node], parent[node], origin_of[node]
-                            )
-                        cls[node] = route_class
-                        length[node] = route_length
-                        parent[node] = sender
-                        origin_of[node] = origin
+                            journal += (node, old)
+                        route[node] = mine
                         if exported_up:
                             if providers[node]:
                                 up.append(node)
@@ -682,8 +845,8 @@ class RoutingEngine:
                 for sender in done[route_class]
             )
             if journal is not None:
-                installs = len(journal) // 5 - 1
-                replaced = installs - journal[6::5].count(_NO_CLASS)
+                installs = len(journal) // 2 - 1
+                replaced = installs - journal[3::2].count(_EMPTY_ROUTE)
             self._emit_convergence_metrics(
                 messages, installs, replaced, route_length if buckets else 0
             )
@@ -740,66 +903,91 @@ class RoutingEngine:
 class ConvergenceDelta:
     """The reversible record of one in-place announcement pass.
 
-    Produced by :meth:`RoutingEngine.converge_delta`. ``journal`` is a
-    flat list of Python ints, five per install in install order: the
-    node, then its pre-install ``cls``, ``length``, ``parent`` and
-    ``origin_of`` (half the memory of one tuple per install). A node can
-    appear more than once when an early candidate is later displaced
-    within the same pass, which is why :meth:`revert` restores each
-    node from its *first* record. ``blocked`` and
-    ``first_hop_filtered`` are the pass parameters captured at announce
-    time; an exact re-application (after rewinding past this entry) must
-    reuse them, not the current defense state. ``origin_length`` is the
-    claimed-path padding of the pass (0 for an honest origination).
+    Produced by :meth:`RoutingEngine.converge_delta`. ``journal`` holds
+    every install of the pass in install order, each with the content
+    its cell had before, in the representation of the state it undoes:
+
+    * on a list-backed state, a flat ``list[int]`` of two slots per
+      install — the node, then its displaced packed route;
+    * on an ndarray-backed state, the array kernel's four parallel
+      int64 arrays — the nodes, the displaced ``(class, length)`` keys,
+      the old parents and the old origins.
+
+    :meth:`records` decodes either into ``(node, cls, length, parent,
+    origin_of)`` tuples. A node can appear more than once when an early
+    candidate is later displaced within the same pass, which is why
+    :meth:`revert` restores each node from its *first* record.
+    ``blocked`` and ``first_hop_filtered`` are the pass parameters
+    captured at announce time; an exact re-application (after rewinding
+    past this entry) must reuse them, not the current defense state.
+    ``origin_length`` is the claimed-path padding of the pass (0 for an
+    honest origination).
     """
 
     origin: int
     prev_origin: int
     blocked: frozenset[int]
     first_hop_filtered: bool
-    journal: list[int] = field(repr=False)
+    journal: "list[int] | tuple[ndarray, ndarray, ndarray, ndarray]" = field(repr=False)
     origin_length: int = 0
 
     @property
     def touched(self) -> int:
         """Install count of the pass (journal records; ≥ 1 for the origin)."""
-        return len(self.journal) // 5
+        if isinstance(self.journal, list):
+            return len(self.journal) // 2
+        return len(self.journal[0])
+
+    def records(self) -> list[tuple[int, int, int, int, int]]:
+        """The journal as ``(node, cls, length, parent, origin_of)``
+        tuples of plain ints, in install order, on either backend."""
+        journal = self.journal
+        if isinstance(journal, list):
+            return [
+                (node, *_unpack(old)) for node, old in zip(journal[::2], journal[1::2])
+            ]
+        nodes, keys, parents, origins = journal
+        return list(
+            zip(
+                nodes.tolist(),
+                (keys >> _LEN_BITS).tolist(),
+                (keys & _LEN_MASK).tolist(),
+                parents.tolist(),
+                origins.tolist(),
+            )
+        )
 
     def revert(self, state: RouteState) -> None:
         """Rewind the pass, restoring *state* to its exact prior content.
 
         A cell's content before the pass is its *first* journal record. A
-        list-backed state replays the journal backwards, so that record
-        is written last; an ndarray-backed state finds each cell's first
-        record with one ``np.unique`` and restores all of them with four
-        fancy-index scatters.
+        list-backed state takes the journal's routes back one store per
+        record, walking backwards, so that record is written last; an
+        ndarray-backed state finds each cell's first record with one
+        ``np.unique`` and restores all of them with four fancy-index
+        scatters.
         """
         if state.is_frozen:
             raise ValueError("cannot revert into a frozen state")
-        if state._list_backed:
-            cls = state.cls
-            length = state.length
-            parent = state.parent
-            origin_of = state.origin_of
-            values = reversed(self.journal)
-            for old_origin, old_parent, old_length, old_cls, node in zip(
-                values, values, values, values, values
-            ):
-                cls[node] = old_cls
-                length[node] = old_length
-                parent[node] = old_parent
-                origin_of[node] = old_origin
+        journal = self.journal
+        if isinstance(journal, list):
+            route = state._kernel_routes()
+            values = reversed(journal)
+            for old, node in zip(values, values):
+                route[node] = old
         else:
-            import numpy as np  # ndarray states exist only once numpy is loaded
+            import numpy as np  # ndarray journals exist only once numpy is loaded
 
-            journal = self.journal
-            records = np.fromiter(journal, np.int64, len(journal)).reshape(-1, 5)
-            nodes, first = np.unique(records[:, 0], return_index=True)
-            old = records.take(first, axis=0)
-            state.cls[nodes] = old[:, 1]
-            state.length[nodes] = old[:, 2]
-            state.parent[nodes] = old[:, 3]
-            state.origin_of[nodes] = old[:, 4]
+            if state.arrays is None:
+                raise ValueError("an array journal reverts an ndarray-backed state")
+            nodes, keys, parents, origins = journal
+            cells, first = np.unique(nodes, return_index=True)
+            key = keys[first]
+            cls, length, parent, origin_of = state.arrays
+            cls[cells] = key >> _LEN_BITS
+            length[cells] = key & _LEN_MASK
+            parent[cells] = parents[first]
+            origin_of[cells] = origins[first]
         state.origin = self.prev_origin
 
 

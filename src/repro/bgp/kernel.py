@@ -55,9 +55,13 @@ origin (else its loaded value), which is what the reference's in-loop
 writes leave. The undo journal is emitted in the same install order,
 each record's pre-install key being the key it displaced and its
 pre-install ``parent``/``origin_of`` the previous install of that cell
-in its column (else the loaded value), in the same flat
-five-ints-per-install layout, so :meth:`ConvergenceDelta.revert
-<repro.bgp.engine.ConvergenceDelta.revert>` parity holds too.
+in its column (else the loaded value). The journal stays four arrays
+(nodes, displaced keys, old parents, old origins) and
+:meth:`ConvergenceDelta.records
+<repro.bgp.engine.ConvergenceDelta.records>` decodes it to the same
+records, in the same order, as the reference kernel's journal of the
+same pass, so :meth:`~repro.bgp.engine.ConvergenceDelta.revert` parity
+holds too.
 
 The contract — identical :meth:`RouteState.checksum()
 <repro.bgp.engine.RouteState.checksum>` on every topology, origin,
@@ -421,8 +425,10 @@ def _journal_records(
     senders: np.ndarray,
     displaced: np.ndarray,
     size: int,
-) -> list[int]:
-    """One column's undo journal, five flat ints per install.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One column's undo journal: per install in install order, its node,
+    the ``(class, length)`` key it displaced, and the cell's old parent
+    and old origin, as four int64 arrays.
 
     The origin's own record comes first, from *loaded*. An install's
     pre-install ``cls``/``length`` is the key it *displaced*; its
@@ -432,15 +438,6 @@ def _journal_records(
     """
     parent = np.asarray(loaded.parent)
     origin_of = np.asarray(loaded.origin_of)
-    records = [
-        origin,
-        int(loaded.cls[origin]),
-        int(loaded.length[origin]),
-        int(parent[origin]),
-        int(origin_of[origin]),
-    ]
-    if nodes.size == 0:
-        return records
     old_parent = parent[nodes].astype(np.int64)
     old_origin = origin_of[nodes].astype(np.int64)
     again = np.flatnonzero(np.bincount(nodes, minlength=size)[nodes] > 1)
@@ -452,21 +449,13 @@ def _journal_records(
         later = again[1:][repeat]
         old_parent[later] = senders[again[:-1][repeat]]
         old_origin[later] = origin
-    records += (
-        np.stack(
-            (
-                nodes,
-                displaced >> _LEN_BITS,
-                displaced & _LEN_MASK,
-                old_parent,
-                old_origin,
-            ),
-            axis=1,
-        )
-        .ravel()
-        .tolist()
+    cls, length, first_parent, first_origin = loaded.route(origin)
+    return (
+        np.concatenate(([origin], nodes)).astype(np.int64),
+        np.concatenate(([cls << _LEN_BITS | length], displaced)).astype(np.int64),
+        np.concatenate(([first_parent], old_parent)),
+        np.concatenate(([first_origin], old_origin)),
     )
-    return records
 
 
 class ArrayColumns:
@@ -564,7 +553,7 @@ class ArrayColumns:
         origin_of[nodes] = origin
         origin_of[origin] = origin
         row = self._row(col)
-        return RouteState(
+        return RouteState.from_columns(
             origin,
             (row >> _LEN_BITS).astype(np.int8),
             (row & _LEN_MASK).astype(np.int32),
@@ -572,10 +561,13 @@ class ArrayColumns:
             origin_of,
         )
 
-    def journal(self, col: int) -> list[int]:
-        """Column *col*'s undo journal against *base*, five flat ints per
-        install in install order, entry for entry as the reference kernel
-        journals the same pass. Only a journaled pass over a base has one."""
+    def journal(
+        self, col: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Column *col*'s undo journal against *base*: nodes, displaced
+        keys, old parents and old origins per install in install order,
+        record for record as the reference kernel journals the same pass.
+        Only a journaled pass over a base has one."""
         nodes, senders, displaced = self._installs(col)
         return _journal_records(
             self._base, self.origins[col], nodes, senders, displaced, self.size

@@ -769,14 +769,17 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.metrics_sink = Metrics() if args.metrics else NULL_METRICS
+    note = sys.stdout
     try:
         status = _HANDLERS[args.command](args)
     except _InputError as error:
+        # A run that stops on bad input keeps its stdout empty; the
+        # snapshot of the work it did is still written.
         print(error, file=sys.stderr)
-        return 1
+        status, note = 1, sys.stderr
     if args.metrics:
         path = args.metrics_sink.write_json(args.metrics)
-        print(f"wrote metrics snapshot to {path}")
+        print(f"wrote metrics snapshot to {path}", file=note)
     return status
 
 

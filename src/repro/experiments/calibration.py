@@ -196,12 +196,13 @@ def calibrate(
         if node == origin:
             continue
         state = lab.cache.baseline(origin)
-        if not state.has_route(node) or state.length[node] == 0:
+        length = state.route(node)[1]
+        if not state.has_route(node) or length == 0:
             continue
         shortest = _hop_distance(graph, view.asn_of(node), view.asn_of(origin))
         if not shortest:
             continue
-        inflation_total += state.length[node] / shortest
+        inflation_total += length / shortest
         measured += 1
 
     return CalibrationReport(

@@ -76,6 +76,7 @@ def compare_states(
     pick differently.
     """
     disagreements: list[Disagreement] = []
+    cls, length, origin_of = engine_state.cls, engine_state.length, engine_state.origin_of
     for node in range(len(view)):
         oracle_route = oracle_table.get(node)
         if oracle_route is None:
@@ -87,22 +88,22 @@ def compare_states(
         if not engine_state.has_route(node):
             disagreements.append(Disagreement(node, "reachable", False, True))
             continue
-        if engine_state.origin_of[node] != oracle_route.origin:
+        if origin_of[node] != oracle_route.origin:
             disagreements.append(
                 Disagreement(
-                    node, "origin", engine_state.origin_of[node], oracle_route.origin
+                    node, "origin", origin_of[node], oracle_route.origin
                 )
             )
-        if engine_state.cls[node] != oracle_route.route_class:
+        if cls[node] != oracle_route.route_class:
             disagreements.append(
                 Disagreement(
-                    node, "class", engine_state.cls[node], oracle_route.route_class
+                    node, "class", cls[node], oracle_route.route_class
                 )
             )
-        if engine_state.length[node] != oracle_route.length:
+        if length[node] != oracle_route.length:
             disagreements.append(
                 Disagreement(
-                    node, "length", engine_state.length[node], oracle_route.length
+                    node, "length", length[node], oracle_route.length
                 )
             )
     return disagreements

@@ -88,63 +88,62 @@ def _check_shape(
 ) -> None:
     n = len(view)
     pad_of = origin_lengths or {}
-    for name, array in (
-        ("cls", state.cls),
-        ("length", state.length),
-        ("parent", state.parent),
-        ("origin_of", state.origin_of),
-    ):
+    cls, length, parent, origin_of = columns = (
+        state.cls, state.length, state.parent, state.origin_of
+    )
+    for name, array in zip(("cls", "length", "parent", "origin_of"), columns):
         if len(array) != n:
             _fail("shape", f"{name} has {len(array)} entries for a {n}-node view")
     for node in range(n):
-        has_class = state.cls[node] != _NO_CLASS
-        has_length = state.length[node] != UNREACHABLE
-        has_origin = state.origin_of[node] != -1
+        has_class = cls[node] != _NO_CLASS
+        has_length = length[node] != UNREACHABLE
+        has_origin = origin_of[node] != -1
         if not (has_class == has_length == has_origin):
             _fail(
                 "shape",
-                f"node {node} is half-routed: cls={state.cls[node]} "
-                f"length={state.length[node]} origin_of={state.origin_of[node]}",
+                f"node {node} is half-routed: cls={cls[node]} "
+                f"length={length[node]} origin_of={origin_of[node]}",
             )
         if not has_class:
-            if state.parent[node] != -1:
-                _fail("shape", f"routeless node {node} has parent {state.parent[node]}")
+            if parent[node] != -1:
+                _fail("shape", f"routeless node {node} has parent {parent[node]}")
             continue
-        if state.cls[node] == _ORIGIN:
+        if cls[node] == _ORIGIN:
             # A path-forging announcer installs at its claimed-path padding
             # (see RoutingEngine.converge's origin_length); honest origins
             # install at 0.
             expected_length = pad_of.get(node, 0)
-            if state.length[node] != expected_length or state.parent[node] != -1:
+            if length[node] != expected_length or parent[node] != -1:
                 _fail(
                     "shape",
-                    f"origin-class node {node} has length {state.length[node]} "
-                    f"(expected {expected_length}) parent {state.parent[node]}",
+                    f"origin-class node {node} has length {length[node]} "
+                    f"(expected {expected_length}) parent {parent[node]}",
                 )
-            if state.origin_of[node] != node:
+            if origin_of[node] != node:
                 _fail(
                     "shape",
-                    f"origin-class node {node} claims origin {state.origin_of[node]}",
+                    f"origin-class node {node} claims origin {origin_of[node]}",
                 )
         else:
-            if state.length[node] < 1:
-                _fail("shape", f"node {node} has non-positive length {state.length[node]}")
-            if state.parent[node] < 0:
+            if length[node] < 1:
+                _fail("shape", f"node {node} has non-positive length {length[node]}")
+            if parent[node] < 0:
                 _fail("shape", f"routed node {node} has no parent")
 
 
 def _check_parent_edges(view: RoutingView, state: RouteState) -> None:
+    cls, parents = state.cls, state.parent
     for node in range(len(view)):
-        parent = state.parent[node]
+        parent = parents[node]
         if parent < 0:
             continue
         edge = _edge_class(view, node, parent)
         if edge is None:
             _fail("parent-edge", f"node {node} claims non-neighbor parent {parent}")
-        if edge != state.cls[node]:
+        if edge != cls[node]:
             _fail(
                 "parent-edge",
-                f"node {node} holds class {state.cls[node]} but its parent "
+                f"node {node} holds class {cls[node]} but its parent "
                 f"{parent} is reached over a class-{edge} edge",
             )
         if not state.has_route(parent):
@@ -152,15 +151,16 @@ def _check_parent_edges(view: RoutingView, state: RouteState) -> None:
 
 
 def _check_loop_free(view: RoutingView, state: RouteState) -> None:
+    cls, parents = state.cls, state.parent
     for node in range(len(view)):
         if not state.has_route(node):
             continue
         seen = {node}
         current = node
         while True:
-            parent = state.parent[current]
+            parent = parents[current]
             if parent < 0:
-                if state.cls[current] != _ORIGIN:
+                if cls[current] != _ORIGIN:
                     _fail(
                         "loop-free",
                         f"parent chain from {node} ends at non-origin {current}",
@@ -175,17 +175,18 @@ def _check_loop_free(view: RoutingView, state: RouteState) -> None:
 def _check_valley_free(
     view: RoutingView, state: RouteState, policy: PolicyConfig
 ) -> None:
+    cls, parents = state.cls, state.parent
     for node in range(len(view)):
-        parent = state.parent[node]
-        if parent < 0 or state.cls[node] not in (_CUSTOMER, _PEER):
+        parent = parents[node]
+        if parent < 0 or cls[node] not in (_CUSTOMER, _PEER):
             continue
         if view.is_tier1[parent] and policy.tier1_shortest_path:
             continue  # length-only ranking: class at a tier-1 is not monotone
-        if state.cls[parent] not in (_ORIGIN, _CUSTOMER):
+        if cls[parent] not in (_ORIGIN, _CUSTOMER):
             _fail(
                 "valley-free",
-                f"node {node} holds a class-{state.cls[node]} route from "
-                f"{parent}, whose final class {state.cls[parent]} could "
+                f"node {node} holds a class-{cls[node]} route from "
+                f"{parent}, whose final class {cls[parent]} could "
                 "never have been exported upward/sideways",
             )
 
@@ -200,13 +201,14 @@ def _check_stability(
     blocked_by_origin: dict[int, frozenset[int]],
     first_hop_stubs: frozenset[int],
 ) -> None:
+    cls, length, origin_of = state.cls, state.length, state.origin_of
     tier1_shortest = policy.tier1_shortest_path
     for exporter in range(len(view)):
         if not state.has_route(exporter):
             continue
-        exporter_class = state.cls[exporter]
-        exporter_length = state.length[exporter]
-        exporter_origin = state.origin_of[exporter]
+        exporter_class = cls[exporter]
+        exporter_length = length[exporter]
+        exporter_origin = origin_of[exporter]
         dropped_by = blocked_by_origin.get(exporter_origin, _EMPTY)
         receivers = list(view.customers[exporter])
         if exporter_class in (_ORIGIN, _CUSTOMER):
@@ -216,7 +218,7 @@ def _check_stability(
         for receiver in receivers:
             if receiver in dropped_by:
                 continue  # the receiver drops this origin's announcements
-            if state.cls[receiver] == _ORIGIN:
+            if cls[receiver] == _ORIGIN:
                 # An announcer never replaces its own announcement with a
                 # learned route. Only claimed-path padding can make this
                 # matter: a tier-1 forging a type-N path holds its padded
@@ -236,14 +238,14 @@ def _check_stability(
                 view.is_tier1[receiver],
                 offered_class,  # type: ignore[arg-type]
                 exporter_length + 1,
-                state.cls[receiver],  # type: ignore[arg-type]
-                state.length[receiver],
+                cls[receiver],  # type: ignore[arg-type]
+                length[receiver],
                 tier1_shortest_path=tier1_shortest,
             ):
                 _fail(
                     "stability",
-                    f"node {receiver} holds (class={state.cls[receiver]}, "
-                    f"length={state.length[receiver]}) but neighbor {exporter} "
+                    f"node {receiver} holds (class={cls[receiver]}, "
+                    f"length={length[receiver]}) but neighbor {exporter} "
                     f"offers a strictly better (class={offered_class}, "
                     f"length={exporter_length + 1}) route",
                 )
@@ -252,11 +254,12 @@ def _check_stability(
 def _check_blocked(
     state: RouteState, blocked_by_origin: dict[int, frozenset[int]]
 ) -> None:
+    origin_of = state.origin_of
     for origin, blocked in blocked_by_origin.items():
         for node in blocked:
             if node == origin:
                 continue  # an attacker always installs its own bogus route
-            if state.origin_of[node] == origin:
+            if origin_of[node] == origin:
                 _fail(
                     "blocked",
                     f"blocked node {node} holds a route originated by {origin}",

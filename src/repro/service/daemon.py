@@ -346,11 +346,11 @@ class MonitorService:
                     for node, asn in ledger.origin_asns().items()
                     if asn == origin_asn
                 }
-                origin_of = ledger.state.origin_of
+                state = ledger.state
                 if len(nodes) == node_count:
-                    routes = origin_of
+                    routes = state.origin_of
                 else:
-                    routes = [origin_of[node] for node in nodes]
+                    routes = list(map(state.origin_at, nodes))
                 reached += sum(map(ours.__contains__, routes))
                 nodes = list(compress(nodes, map(eq, routes, repeat(-1))))
         return reached / total

@@ -203,7 +203,7 @@ class OnlineMonitor:
         witnesses_by_tail: dict[tuple[int, ...], list[int]] = {}
         announcer_by_tail: dict[tuple[int, ...], int] = {}
         for probe_asn, probe_node in self._probe_views:
-            origin_node = state.origin_of[probe_node]
+            origin_node = state.origin_at(probe_node)
             if origin_node == -1 or origin_node == probe_node:
                 continue  # no route, or the probe's own announcement
             announcer = asn_of_origin.get(origin_node)

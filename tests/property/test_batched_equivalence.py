@@ -273,7 +273,7 @@ def test_warm_start_journal_parity_across_rungs(case, data):
                     filter_first_hop_providers=first_hop_flags[index],
                     origin_length=origin_lengths[index],
                 )
-                assert deltas[index].journal == scalar_delta.journal
+                assert deltas[index].records() == scalar_delta.records()
                 assert states[index].checksum() == cold.checksum()
             for index, delta in enumerate(deltas):
                 delta.revert(states[index])

@@ -74,7 +74,7 @@ def test_clean_state_passes(converged):
 def test_detects_half_routed_node(converged):
     view, state = converged
     node = routed_non_origin(state)
-    state.cls[node] = _NO_CLASS  # class gone, length/origin left behind
+    state.set_route(node, cls=_NO_CLASS)  # class gone, length/origin left behind
     with pytest.raises(InvariantViolation, match="shape"):
         check_route_state(view, state)
 
@@ -90,7 +90,7 @@ def test_detects_non_neighbor_parent(converged):
         and other not in view.peers[node]
         and other not in view.providers[node]
     ]
-    state.parent[node] = strangers[0]
+    state.set_route(node, parent=strangers[0])
     with pytest.raises(InvariantViolation, match="parent-edge"):
         check_route_state(view, state)
 
@@ -100,7 +100,7 @@ def test_detects_length_drift(converged):
     violates preference stability (the true shorter route is on offer)."""
     view, state = converged
     node = routed_non_origin(state)
-    state.length[node] += 1
+    state.set_route(node, length=state.route(node)[1] + 1)
     with pytest.raises(InvariantViolation):
         check_route_state(view, state)
 
@@ -108,7 +108,7 @@ def test_detects_length_drift(converged):
 def test_detects_unreachable_marker_mismatch(converged):
     view, state = converged
     node = routed_non_origin(state)
-    state.length[node] = UNREACHABLE
+    state.set_route(node, length=UNREACHABLE)
     with pytest.raises(InvariantViolation, match="shape"):
         check_route_state(view, state)
 

@@ -473,3 +473,23 @@ class TestCommands:
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["counters"]["engine.convergences"] >= 1
         assert snapshot["counters"]["engine.routes_installed"] > 0
+
+    def test_metrics_snapshot_is_written_when_a_run_stops_on_bad_input(
+        self, tmp_path, capsys
+    ):
+        """A strict ingest that stops on a malformed line still leaves its
+        snapshot; the note goes to stderr, so a failed run's stdout stays
+        empty."""
+        updates = tmp_path / "bad.jsonl"
+        updates.write_text("{this is not json\n")
+        metrics_path = tmp_path / "m.json"
+        assert main(["--metrics", str(metrics_path), "ingest", "--as-count", "300",
+                     "--updates", str(updates), "--strict"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"trace error: {updates}:1: invalid JSON: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)",
+            f"wrote metrics snapshot to {metrics_path}",
+        ]
+        assert "counters" in json.loads(metrics_path.read_text())

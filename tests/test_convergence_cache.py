@@ -103,9 +103,9 @@ class TestBaselineSharing:
         baseline = ConvergenceCache(engine).baseline(0)
         assert baseline.is_frozen
         with pytest.raises(TypeError):
-            baseline.cls[0] = 0
+            baseline.set_route(0, cls=0)
         with pytest.raises(TypeError):
-            baseline.origin_of[3] = 99
+            baseline.set_route(3, origin_of=99)
 
     def test_two_hijacks_from_one_baseline_do_not_contaminate(self, engine):
         """The same baseline must serve any number of attacks in any order."""
@@ -133,8 +133,8 @@ class TestBaselineSharing:
         baseline = cache.baseline(0)
         assert cache.baseline(0) is baseline  # clean hit passes
         # Simulate a buggy caller writing through the freeze guard.
-        baseline.length = list(baseline.length)
-        baseline.length[1] += 1
+        baseline.routes = list(baseline.routes)
+        baseline.set_route(1, length=baseline.route(1)[1] + 1)
         with pytest.raises(RuntimeError, match="mutated"):
             cache.baseline(0)
 
@@ -166,7 +166,7 @@ class TestBaselineSharing:
         assert cached is state and recorded is None
         check_cache_coherence(cache)
         assert calls == []
-        state.cls = list(state.cls)  # thawed behind the cache's back
+        state.routes = list(state.routes)  # thawed behind the cache's back
         with pytest.raises(InvariantViolation, match="not frozen"):
             check_cache_coherence(cache)
 
@@ -175,5 +175,5 @@ class TestBaselineSharing:
         frozen = state.freeze().freeze()
         copy = frozen.copy_for(frozen.origin)
         assert not copy.is_frozen
-        copy.cls[0] = 0  # the copy is writable again
+        copy.set_route(0, cls=0)  # the copy is writable again
         assert frozen.checksum() != RouteState.empty(len(engine.view), 0).checksum()

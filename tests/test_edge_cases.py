@@ -16,14 +16,13 @@ class TestRouteStateGuards:
         engine = RoutingEngine(mini_view)
         original = engine.converge(mini_view.node_of(50))
         clone = original.copy_for(origin=0)
-        clone.cls[0] = 0
-        clone.length[0] = 0
+        clone.set_route(0, cls=0, length=0)
         assert original.cls != clone.cls or original.length != clone.length
 
     def test_parent_cycle_detected(self):
         state = RouteState.empty(3, origin=0)
-        state.parent[1] = 2
-        state.parent[2] = 1
+        state.set_route(1, parent=2)
+        state.set_route(2, parent=1)
         with pytest.raises(RuntimeError, match="cycle"):
             state.path_from(1)
 

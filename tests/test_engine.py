@@ -6,7 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.bgp.engine import ConvergenceDelta, RouteState, RoutingEngine, UNREACHABLE
+from repro.bgp.engine import (
+    MAX_NODE,
+    UNREACHABLE,
+    ConvergenceDelta,
+    RouteState,
+    RoutingEngine,
+)
 from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import Metrics
 from repro.topology.relationships import RouteClass
@@ -78,7 +84,7 @@ class TestConverge:
 
     def test_empty_state_shape(self):
         state = RouteState.empty(4, origin=0)
-        assert state.length == [UNREACHABLE] * 4
+        assert state.length == (UNREACHABLE,) * 4
         assert not state.has_route(2)
         assert not state.has_route(1)
 
@@ -198,19 +204,19 @@ class TestKernelBookkeeping:
         metrics.counters.clear()
         cold = engine.converge(node(origin_asn), base=base, blocked=blocked)
         assert cold.checksum() == state.checksum()
-        return delta_counters, dict(metrics.counters), delta.journal
+        return delta_counters, dict(metrics.counters), delta.records()
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_counters_and_journal_match_the_array_kernel(self, mini_view, case):
         reference = self.run(mini_view, "reference", case)
         array = self.run(mini_view, "array", case)
         assert reference == array
-        delta_counters, cold_counters, journal = reference
+        delta_counters, cold_counters, records = reference
         assert delta_counters == cold_counters
-        assert delta_counters["engine.routes_installed"] == len(journal) // 5 - 1
+        assert delta_counters["engine.routes_installed"] == len(records) - 1
 
     def test_a_fully_blocked_group_is_one_message_and_one_round(self, mini_view):
-        counters, _, journal = self.run(mini_view, "reference", "sender-group-blocked")
+        counters, _, records = self.run(mini_view, "reference", "sender-group-blocked")
         assert counters == {
             "engine.convergences": 1,
             "engine.messages": 1,
@@ -218,12 +224,14 @@ class TestKernelBookkeeping:
             "engine.routes_replaced": 0,
             "engine.convergence_rounds": 2,
         }
-        assert len(journal) == 5  # the origin's own install only
+        assert len(records) == 1  # the origin's own install only
 
 
-class TestFlatJournal:
-    """``ConvergenceDelta.journal`` is five plain ints per install, on
-    both backends, including a node that installs twice in one pass:
+class TestJournalFormats:
+    """``ConvergenceDelta.journal`` is two plain ints per install (the
+    node, then its displaced packed route) on the reference backend and
+    the kernel's four int64 arrays on the array backend; both decode to
+    the same records, including a node that installs twice in one pass:
     under the tier-1 ablation AS1 first installs the length-3 peer route
     via AS2, then the length-4 customer route up 13 → 12 → 11 → 10."""
 
@@ -235,24 +243,43 @@ class TestFlatJournal:
                 chain_view, PolicyConfig(tier1_shortest_path=False), backend=backend
             )
             state = RouteState.empty(len(chain_view), origin)
+            if backend == "array":
+                state = _as_arrays(state)
             before = state.checksum()
             delta = engine.converge_delta(state, origin)
             journal = delta.journal
-            assert len(journal) == 5 * delta.touched
-            assert all(type(value) is int for value in journal)
-            json.dumps(journal)
-            nodes = journal[::5]
+            if backend == "reference":
+                assert type(journal) is list and len(journal) == 2 * delta.touched
+                assert all(type(value) is int for value in journal)
+                json.dumps(journal)
+                nodes = journal[::2]
+                # Each displaced route is the packing of its decoded record.
+                assert journal[1::2] == [
+                    RouteState.from_columns(0, [cls], [length], [parent], [origin_of])
+                    .routes[0]
+                    for _node, cls, length, parent, origin_of in delta.records()
+                ]
+            else:
+                assert len(journal) == 4
+                assert all(
+                    array.dtype == np.int64 and array.shape == (delta.touched,)
+                    for array in journal
+                )
+                nodes = journal[0].tolist()
             assert nodes[0] == origin
             assert nodes.count(chain_view.node_of(1)) == 2
+            records = delta.records()
+            assert [record[0] for record in records] == nodes
+            assert all(type(value) is int for record in records for value in record)
             delta.revert(state)
             assert state.checksum() == before
-            journals.append(journal)
+            journals.append(records)
         assert journals[0] == journals[1]
 
 
 def _as_arrays(state: RouteState) -> RouteState:
     """The same content in the array kernel's representation."""
-    return RouteState(
+    return RouteState.from_columns(
         state.origin,
         np.array(state.cls, dtype=np.int64),
         np.array(state.length, dtype=np.int64),
@@ -262,24 +289,35 @@ def _as_arrays(state: RouteState) -> RouteState:
 
 
 def _install_by_hand(state: RouteState) -> ConvergenceDelta:
-    """A pass written cell by cell with its journal: node 2 installs a
-    provider route, then a customer route displaces it."""
-    journal: list[int] = []
+    """A pass written cell by cell with its journal, in the state's own
+    format: node 2 installs a provider route, then a customer route
+    displaces it."""
+    records = []
+    packed: list[int] = []
     for node, cls, length, parent in (
         (0, int(RouteClass.ORIGIN), 0, -1),
         (2, int(RouteClass.PROVIDER), 2, 1),
         (3, int(RouteClass.CUSTOMER), 1, 0),
         (2, int(RouteClass.CUSTOMER), 2, 3),
     ):
-        journal += (node, int(state.cls[node]), int(state.length[node]),
-                    int(state.parent[node]), int(state.origin_of[node]))
-        state.cls[node], state.length[node] = cls, length
-        state.parent[node], state.origin_of[node] = parent, 0
+        records.append((node, *state.route(node)))
+        if state.routes is not None:
+            packed += (node, state.routes[node])
+        state.set_route(node, cls=cls, length=length, parent=parent, origin_of=0)
     prev_origin, state.origin = state.origin, 0
-    return ConvergenceDelta(
+    if state.routes is not None:
+        journal = packed
+    else:
+        nodes, old_cls, old_length, old_parent, old_origin = (
+            np.array(column, dtype=np.int64) for column in zip(*records)
+        )
+        journal = (nodes, old_cls << 31 | old_length, old_parent, old_origin)
+    delta = ConvergenceDelta(
         origin=0, prev_origin=prev_origin, blocked=frozenset(),
         first_hop_filtered=False, journal=journal,
     )
+    assert delta.records() == records
+    return delta
 
 
 class TestRevertRestoresFirstRecord:
@@ -289,12 +327,12 @@ class TestRevertRestoresFirstRecord:
 
     def test_list_and_ndarray_states_revert_alike(self):
         base = RouteState.empty(5, 4)
-        base.cls[1], base.length[1], base.origin_of[1] = int(RouteClass.PEER), 3, 4
+        base.set_route(1, cls=int(RouteClass.PEER), length=3, origin_of=4)
         before = base.checksum()
         reverted = []
         for state in (base.copy_for(4), _as_arrays(base)):
             delta = _install_by_hand(state)
-            assert delta.journal[::5].count(2) == 2
+            assert [record[0] for record in delta.records()].count(2) == 2
             assert state.checksum() != before
             delta.revert(state)
             assert state.origin == 4
@@ -337,22 +375,31 @@ class TestChecksumText:
         padded = engine.converge(attacker, base=honest, origin_length=3)
         for state in (honest, padded):
             assert state.checksum() == _str_per_cell_checksum(state)
-            as_lists = RouteState(state.origin, *map(list, state._arrays()))
-            as_arrays = RouteState(
-                state.origin, *(np.asarray(a, dtype=np.int64) for a in state._arrays())
+            columns = (state.cls, state.length, state.parent, state.origin_of)
+            as_lists = RouteState.from_columns(state.origin, *map(list, columns))
+            as_arrays = RouteState.from_columns(
+                state.origin, *(np.asarray(a, dtype=np.int64) for a in columns)
             )
             for copy in (as_lists, as_lists.copy_for(state.origin).freeze(), as_arrays):
                 assert copy.checksum() == state.checksum()
 
     def test_sentinels_and_wide_values(self):
-        state = RouteState(
-            7,
-            cls=[9, 0, 1, 2, 3],
-            length=[UNREACHABLE, 0, 12, 3, 1 << 40],
-            parent=[-1, -1, 1, 2, 100_000],
-            origin_of=[-1, 1, 1, 1, -1],
+        columns = (
+            [9, 0, 1, 2, 3],
+            [UNREACHABLE, 0, 12, 3, UNREACHABLE - 1],
+            [-1, -1, 1, 2, MAX_NODE],
+            [-1, 1, 1, 1, MAX_NODE],
         )
-        assert state.checksum() == _str_per_cell_checksum(state)
+        packed = RouteState.from_columns(7, *columns)
+        assert packed.routes is not None
+        assert packed.checksum() == _str_per_cell_checksum(packed)
+        # An array state holds what the packed layout cannot.
+        wide = [list(column) for column in columns]
+        wide[1][4], wide[2][4] = 1 << 40, 100_000_000
+        arrays = RouteState.from_columns(
+            7, *(np.array(column, dtype=np.int64) for column in wide)
+        )
+        assert arrays.checksum() == _str_per_cell_checksum(arrays)
         assert RouteState.empty(4, 0).checksum() == _str_per_cell_checksum(
             RouteState.empty(4, 0)
         )

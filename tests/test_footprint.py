@@ -272,7 +272,7 @@ _DTYPES = (np.int8, np.int32, np.int32, np.int32)
 
 
 def _dtypes(state) -> tuple:
-    return tuple(array.dtype.type for array in state._arrays())
+    return tuple(array.dtype.type for array in state.arrays)
 
 
 @pytest.fixture

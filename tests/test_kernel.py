@@ -239,7 +239,7 @@ class TestBatchedKernel:
         for index, origin in enumerate(origins):
             scalar_state = base.copy_for(origin)
             scalar_delta = reference.converge_delta(scalar_state, origin)
-            assert deltas[index].journal == scalar_delta.journal
+            assert deltas[index].records() == scalar_delta.records()
             assert states[index].checksum() == scalar_state.checksum()
         for index, delta in enumerate(deltas):
             delta.revert(states[index])
@@ -313,9 +313,10 @@ class TestTestFirstInstall:
             assert int(state.parent[node(4)]) == node(2)
             assert int(state.length[node(4)]) == 2
             empty = RouteState.empty(len(view), node(1))
-            journals.append(engine.converge_delta(empty, node(1)).journal)
+            journals.append(engine.converge_delta(empty, node(1)).records())
         assert journals[0] == journals[1]
-        assert journals[1][0::5].count(node(4)) == 1  # one install, not two
+        nodes = [record[0] for record in journals[1]]
+        assert nodes.count(node(4)) == 1  # one install, not two
 
     @pytest.mark.parametrize("tier1_shortest", [True, False])
     def test_tier1_cell_is_won_on_length_alone(self, tier1_shortest):
@@ -388,11 +389,13 @@ class TestArrayBackedState:
         for state in (*states, delta_state):
             for array in (state.cls, state.length, state.parent, state.origin_of):
                 assert isinstance(array, np.ndarray)
-        assert isinstance(RoutingEngine(mini_view).converge(0).cls, list)
+            assert state.routes is None
+        packed = RoutingEngine(mini_view).converge(0)
+        assert isinstance(packed.routes, list) and packed.arrays is None
 
     def test_checksum_is_representation_independent(self, mini_view):
         array_state = RoutingEngine(mini_view, backend="array").converge(0)
-        as_lists = RouteState(
+        as_lists = RouteState.from_columns(
             array_state.origin,
             *(a.tolist() for a in (array_state.cls, array_state.length,
                                    array_state.parent, array_state.origin_of)),

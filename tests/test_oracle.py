@@ -175,9 +175,11 @@ def test_cache_coherence_audit_detects_mutation(mini_graph):
     lab.origin_hijack(target_asn=50, attacker_asn=60)
     check_cache_coherence(lab.cache)
     (_origin, (state, _checksum)) = lab.cache.entries()[0]
-    state.origin_of = tuple(
-        value + 1 if value >= 0 else value for value in state.origin_of
-    )
+    state.routes = list(state.routes)
+    for node, value in enumerate(state.origin_of):
+        if value >= 0:
+            state.set_route(node, origin_of=value + 1)
+    state.freeze()
     with pytest.raises(InvariantViolation, match="cache"):
         check_cache_coherence(lab.cache)
 

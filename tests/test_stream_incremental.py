@@ -229,7 +229,8 @@ class TestFlapRevive:
         origin = node(mini_view, 50)
         assert ledger.announce(origin)
         assert ledger.withdraw(origin)
-        ledger._released[1].length[origin] += 7
+        released = ledger._released[1]
+        released.set_route(origin, length=released.route(origin)[1] + 7)
         with pytest.raises(RuntimeError, match="state corruption"):
             ledger.announce(origin)
 
@@ -249,7 +250,7 @@ class TestValidateMode:
         assert ledger.announce(node(mini_view, 60))
         # Corrupt a cell the second delta never touched: the first
         # origin's own entry (an origin route is never displaced).
-        ledger._state.length[origin_a] += 7
+        ledger._state.set_route(origin_a, length=ledger._state.route(origin_a)[1] + 7)
         with pytest.raises(RuntimeError, match="journal corruption"):
             ledger.withdraw(node(mini_view, 60))
 
@@ -259,7 +260,7 @@ class TestValidateMode:
         for asn in (50, 60, 70):
             assert ledger.announce(node(mini_view, asn))
         assert ledger._slots[1].delta is not None
-        ledger._state.length[origin_a] += 7
+        ledger._state.set_route(origin_a, length=ledger._state.route(origin_a)[1] + 7)
         with pytest.raises(RuntimeError, match="journal corruption"):
             ledger.withdraw(node(mini_view, 70))  # rewinds to slot 1
 
