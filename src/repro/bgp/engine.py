@@ -130,6 +130,7 @@ class _DecimalText(dict):
 
 
 _DECIMAL = _DecimalText()
+_FIELDS = tuple(map(operator.itemgetter, range(4)))
 
 
 @dataclass
@@ -171,26 +172,15 @@ class RouteState:
         default=None, repr=False
     )
 
+    def __post_init__(self) -> None:
+        if (self.routes is None) == (self.arrays is None):
+            raise ValueError("a RouteState holds exactly one of routes or arrays")
+
     @classmethod
     def empty(cls, size: int, origin: int) -> "RouteState":
         if size > MAX_NODE + 1:
             raise ValueError(f"a packed state holds at most {MAX_NODE + 1} nodes, not {size}")
         return cls(origin, [_EMPTY_ROUTE] * size)
-
-    @classmethod
-    def from_columns(
-        cls,
-        origin: int,
-        route_class: Sequence[int],
-        length: Sequence[int],
-        parent: Sequence[int],
-        origin_of: Sequence[int],
-    ) -> "RouteState":
-        """A state of the given per-node fields: packed from Python
-        sequences, kept as they are from numpy arrays."""
-        if isinstance(route_class, (list, tuple)):
-            return cls(origin, list(map(_pack, route_class, length, parent, origin_of)))
-        return cls(origin, arrays=(route_class, length, parent, origin_of))
 
     def _kernel_routes(self) -> list[int]:
         """The mutable packed routes the reference kernel works on; an
@@ -254,18 +244,32 @@ class RouteState:
         """Content digest over every field — detects in-place mutation.
 
         The digested text is the four fields' decimal columns in field
-        order, whatever the representation; a packed state decodes one
-        column at a time.
+        order, whatever the representation. A packed state decodes each
+        *distinct* route once into its four texts — only transit ASes are
+        parents, so a converged state holds a few hundred distinct routes
+        per few thousand nodes — and reads each column off those rows.
         """
         digest = hashlib.blake2b(digest_size=16)
         digest.update(str(self.origin).encode())
-        if self.routes is not None:
-            columns = map(self._column, range(4))
+        routes = self.routes
+        if routes is not None:
+            text = _DECIMAL
+            fields = {
+                route: (
+                    text[route >> _CLASS_SHIFT],
+                    text[route >> _KEY_SHIFT & _LEN_MASK],
+                    text[(route >> _NODE_BITS & _NODE_MASK) - 1],
+                    text[(route & _NODE_MASK) - 1],
+                )
+                for route in set(routes)
+            }
+            rows = list(map(fields.__getitem__, routes))
+            columns = (map(field, rows) for field in _FIELDS)
         else:
-            columns = (array.tolist() for array in self.arrays)
+            columns = (map(_DECIMAL.__getitem__, array.tolist()) for array in self.arrays)
         for column in columns:
             digest.update(b"|")
-            digest.update(",".join(map(_DECIMAL.__getitem__, column)).encode())
+            digest.update(",".join(column).encode())
         return digest.hexdigest()
 
     # -- queries -------------------------------------------------------------
@@ -275,31 +279,6 @@ class RouteState:
         if self.routes is not None:
             return _unpack(self.routes[node])
         return tuple(int(array[node]) for array in self.arrays)  # type: ignore[return-value]
-
-    def set_route(
-        self,
-        node: int,
-        *,
-        cls: int | None = None,
-        length: int | None = None,
-        parent: int | None = None,
-        origin_of: int | None = None,
-    ) -> None:
-        """Overwrite the given fields of *node*'s route, keeping the rest.
-
-        A frozen state raises as its representation does: a tuple
-        ``TypeError``, a read-only array ``ValueError``. A field the
-        packed layout cannot hold raises ``ValueError``.
-        """
-        fields = [
-            old if new is None else new
-            for old, new in zip(self.route(node), (cls, length, parent, origin_of))
-        ]
-        if self.routes is not None:
-            self.routes[node] = _pack(*fields)  # type: ignore[index]
-        else:
-            for array, value in zip(self.arrays, fields):
-                array[node] = value
 
     def origin_at(self, node: int) -> int:
         """The origin node of *node*'s route (−1 when it has none)."""
@@ -971,7 +950,9 @@ class ConvergenceDelta:
             raise ValueError("cannot revert into a frozen state")
         journal = self.journal
         if isinstance(journal, list):
-            route = state._kernel_routes()
+            route = state.routes
+            if route is None:
+                raise ValueError("a two-slot journal reverts a list-backed state")
             values = reversed(journal)
             for old, node in zip(values, values):
                 route[node] = old

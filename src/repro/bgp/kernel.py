@@ -553,12 +553,14 @@ class ArrayColumns:
         origin_of[nodes] = origin
         origin_of[origin] = origin
         row = self._row(col)
-        return RouteState.from_columns(
+        return RouteState(
             origin,
-            (row >> _LEN_BITS).astype(np.int8),
-            (row & _LEN_MASK).astype(np.int32),
-            parent,
-            origin_of,
+            arrays=(
+                (row >> _LEN_BITS).astype(np.int8),
+                (row & _LEN_MASK).astype(np.int32),
+                parent,
+                origin_of,
+            ),
         )
 
     def journal(

@@ -17,6 +17,7 @@ from repro.oracle import InvariantViolation, check_hijack_result, check_route_st
 from repro.oracle.invariants import check_convergence_deterministic
 
 from tests.strategies import example_budget, hijack_cases, routing_views
+from tests.route_cells import set_route
 
 
 @settings(max_examples=example_budget(80), deadline=None)
@@ -74,7 +75,7 @@ def test_clean_state_passes(converged):
 def test_detects_half_routed_node(converged):
     view, state = converged
     node = routed_non_origin(state)
-    state.set_route(node, cls=_NO_CLASS)  # class gone, length/origin left behind
+    set_route(state, node, cls=_NO_CLASS)  # class gone, length/origin left behind
     with pytest.raises(InvariantViolation, match="shape"):
         check_route_state(view, state)
 
@@ -90,7 +91,7 @@ def test_detects_non_neighbor_parent(converged):
         and other not in view.peers[node]
         and other not in view.providers[node]
     ]
-    state.set_route(node, parent=strangers[0])
+    set_route(state, node, parent=strangers[0])
     with pytest.raises(InvariantViolation, match="parent-edge"):
         check_route_state(view, state)
 
@@ -100,7 +101,7 @@ def test_detects_length_drift(converged):
     violates preference stability (the true shorter route is on offer)."""
     view, state = converged
     node = routed_non_origin(state)
-    state.set_route(node, length=state.route(node)[1] + 1)
+    set_route(state, node, length=state.route(node)[1] + 1)
     with pytest.raises(InvariantViolation):
         check_route_state(view, state)
 
@@ -108,7 +109,7 @@ def test_detects_length_drift(converged):
 def test_detects_unreachable_marker_mismatch(converged):
     view, state = converged
     node = routed_non_origin(state)
-    state.set_route(node, length=UNREACHABLE)
+    set_route(state, node, length=UNREACHABLE)
     with pytest.raises(InvariantViolation, match="shape"):
         check_route_state(view, state)
 

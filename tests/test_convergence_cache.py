@@ -18,6 +18,7 @@ from repro.bgp.engine import RouteState, RoutingEngine
 from repro.defense.deployment import Defense
 from repro.oracle.invariants import InvariantViolation, check_cache_coherence
 from repro.topology.view import RoutingView
+from tests.route_cells import set_route
 
 
 @pytest.fixture
@@ -103,9 +104,9 @@ class TestBaselineSharing:
         baseline = ConvergenceCache(engine).baseline(0)
         assert baseline.is_frozen
         with pytest.raises(TypeError):
-            baseline.set_route(0, cls=0)
+            set_route(baseline, 0, cls=0)
         with pytest.raises(TypeError):
-            baseline.set_route(3, origin_of=99)
+            set_route(baseline, 3, origin_of=99)
 
     def test_two_hijacks_from_one_baseline_do_not_contaminate(self, engine):
         """The same baseline must serve any number of attacks in any order."""
@@ -134,7 +135,7 @@ class TestBaselineSharing:
         assert cache.baseline(0) is baseline  # clean hit passes
         # Simulate a buggy caller writing through the freeze guard.
         baseline.routes = list(baseline.routes)
-        baseline.set_route(1, length=baseline.route(1)[1] + 1)
+        set_route(baseline, 1, length=baseline.route(1)[1] + 1)
         with pytest.raises(RuntimeError, match="mutated"):
             cache.baseline(0)
 
@@ -175,5 +176,5 @@ class TestBaselineSharing:
         frozen = state.freeze().freeze()
         copy = frozen.copy_for(frozen.origin)
         assert not copy.is_frozen
-        copy.set_route(0, cls=0)  # the copy is writable again
+        set_route(copy, 0, cls=0)  # the copy is writable again
         assert frozen.checksum() != RouteState.empty(len(engine.view), 0).checksum()

@@ -9,6 +9,7 @@ from repro.registry.roa import ValidationState
 from repro.prefixes.prefix import Prefix
 from repro.viz.charts import Series, line_chart
 from repro.viz.svg import SvgCanvas
+from tests.route_cells import set_route
 
 
 class TestRouteStateGuards:
@@ -16,13 +17,13 @@ class TestRouteStateGuards:
         engine = RoutingEngine(mini_view)
         original = engine.converge(mini_view.node_of(50))
         clone = original.copy_for(origin=0)
-        clone.set_route(0, cls=0, length=0)
+        set_route(clone, 0, cls=0, length=0)
         assert original.cls != clone.cls or original.length != clone.length
 
     def test_parent_cycle_detected(self):
         state = RouteState.empty(3, origin=0)
-        state.set_route(1, parent=2)
-        state.set_route(2, parent=1)
+        set_route(state, 1, parent=2)
+        set_route(state, 2, parent=1)
         with pytest.raises(RuntimeError, match="cycle"):
             state.path_from(1)
 

@@ -16,6 +16,7 @@ from repro.bgp.engine import (
 from repro.bgp.policy import PolicyConfig
 from repro.obs.metrics import Metrics
 from repro.topology.relationships import RouteClass
+from tests.route_cells import set_route, state_of
 
 
 @pytest.fixture
@@ -255,7 +256,7 @@ class TestJournalFormats:
                 nodes = journal[::2]
                 # Each displaced route is the packing of its decoded record.
                 assert journal[1::2] == [
-                    RouteState.from_columns(0, [cls], [length], [parent], [origin_of])
+                    state_of(0, [cls], [length], [parent], [origin_of])
                     .routes[0]
                     for _node, cls, length, parent, origin_of in delta.records()
                 ]
@@ -279,7 +280,7 @@ class TestJournalFormats:
 
 def _as_arrays(state: RouteState) -> RouteState:
     """The same content in the array kernel's representation."""
-    return RouteState.from_columns(
+    return state_of(
         state.origin,
         np.array(state.cls, dtype=np.int64),
         np.array(state.length, dtype=np.int64),
@@ -303,7 +304,7 @@ def _install_by_hand(state: RouteState) -> ConvergenceDelta:
         records.append((node, *state.route(node)))
         if state.routes is not None:
             packed += (node, state.routes[node])
-        state.set_route(node, cls=cls, length=length, parent=parent, origin_of=0)
+        set_route(state, node, cls=cls, length=length, parent=parent, origin_of=0)
     prev_origin, state.origin = state.origin, 0
     if state.routes is not None:
         journal = packed
@@ -327,7 +328,7 @@ class TestRevertRestoresFirstRecord:
 
     def test_list_and_ndarray_states_revert_alike(self):
         base = RouteState.empty(5, 4)
-        base.set_route(1, cls=int(RouteClass.PEER), length=3, origin_of=4)
+        set_route(base, 1, cls=int(RouteClass.PEER), length=3, origin_of=4)
         before = base.checksum()
         reverted = []
         for state in (base.copy_for(4), _as_arrays(base)):
@@ -376,8 +377,8 @@ class TestChecksumText:
         for state in (honest, padded):
             assert state.checksum() == _str_per_cell_checksum(state)
             columns = (state.cls, state.length, state.parent, state.origin_of)
-            as_lists = RouteState.from_columns(state.origin, *map(list, columns))
-            as_arrays = RouteState.from_columns(
+            as_lists = state_of(state.origin, *map(list, columns))
+            as_arrays = state_of(
                 state.origin, *(np.asarray(a, dtype=np.int64) for a in columns)
             )
             for copy in (as_lists, as_lists.copy_for(state.origin).freeze(), as_arrays):
@@ -390,13 +391,13 @@ class TestChecksumText:
             [-1, -1, 1, 2, MAX_NODE],
             [-1, 1, 1, 1, MAX_NODE],
         )
-        packed = RouteState.from_columns(7, *columns)
+        packed = state_of(7, *columns)
         assert packed.routes is not None
         assert packed.checksum() == _str_per_cell_checksum(packed)
         # An array state holds what the packed layout cannot.
         wide = [list(column) for column in columns]
         wide[1][4], wide[2][4] = 1 << 40, 100_000_000
-        arrays = RouteState.from_columns(
+        arrays = state_of(
             7, *(np.array(column, dtype=np.int64) for column in wide)
         )
         assert arrays.checksum() == _str_per_cell_checksum(arrays)

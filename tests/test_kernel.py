@@ -29,6 +29,7 @@ from repro.topology.asgraph import ASGraph
 from repro.topology.generator import GeneratorConfig, generate_topology
 from repro.topology.relationships import Relationship
 from repro.topology.view import RoutingView
+from tests.route_cells import state_of
 
 
 class TestBackendKnob:
@@ -395,7 +396,7 @@ class TestArrayBackedState:
 
     def test_checksum_is_representation_independent(self, mini_view):
         array_state = RoutingEngine(mini_view, backend="array").converge(0)
-        as_lists = RouteState.from_columns(
+        as_lists = state_of(
             array_state.origin,
             *(a.tolist() for a in (array_state.cls, array_state.length,
                                    array_state.parent, array_state.origin_of)),

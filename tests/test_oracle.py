@@ -15,6 +15,7 @@ from repro.oracle import (
 )
 from repro.oracle.differential import DifferentialError, assert_states_agree, compare_states
 from repro.oracle.reference import CUSTOMER, ORIGIN, PEER, PROVIDER
+from tests.route_cells import set_route
 
 
 # -- the reference simulator on the mini topology ---------------------------
@@ -178,7 +179,7 @@ def test_cache_coherence_audit_detects_mutation(mini_graph):
     state.routes = list(state.routes)
     for node, value in enumerate(state.origin_of):
         if value >= 0:
-            state.set_route(node, origin_of=value + 1)
+            set_route(state, node, origin_of=value + 1)
     state.freeze()
     with pytest.raises(InvariantViolation, match="cache"):
         check_cache_coherence(lab.cache)

@@ -26,6 +26,7 @@ from repro.stream.incremental import AnnounceEntry, PrefixLedger, full_converge
 from repro.topology.relationships import RouteClass
 from repro.util.lines import _MAX_LINE_BYTES
 from tests.strategies import announce_withdraw_sequences, example_budget
+from tests.route_cells import set_route, state_of
 
 NO_CLASS = 9
 PAPER_SCALE = 42_697
@@ -53,7 +54,7 @@ class TestEncoding:
         state = RouteState.empty(PAPER_SCALE, origin=0)
         node = PAPER_SCALE - 1
         cls, length, parent, origin_of = route
-        state.set_route(node, cls=cls, length=length, parent=parent, origin_of=origin_of)
+        set_route(state, node, cls=cls, length=length, parent=parent, origin_of=origin_of)
         assert state.route(node) == route
         assert state.origin_at(node) == origin_of
         assert state.has_route(node) == (cls != NO_CLASS)
@@ -61,9 +62,9 @@ class TestEncoding:
                 state.origin_of[node]) == route
         # Neighbouring cells are untouched: no field spills into another.
         assert state.route(node - 1) == (NO_CLASS, UNREACHABLE, -1, -1)
-        packed = RouteState.from_columns(0, *([field] for field in route))
+        packed = state_of(0, *([field] for field in route))
         assert packed.route(0) == route
-        arrays = RouteState.from_columns(
+        arrays = state_of(
             0, *(np.array([field], dtype=np.int64) for field in route)
         )
         assert arrays.checksum() == packed.checksum()
@@ -85,9 +86,9 @@ class TestEncoding:
         state = RouteState.empty(3, origin=0)
         before = state.checksum()
         with pytest.raises(ValueError, match="packed layout"):
-            state.set_route(1, **{field: value})
+            set_route(state, 1, **{field: value})
         with pytest.raises(ValueError, match="packed layout"):
-            RouteState.from_columns(0, *(
+            state_of(0, *(
                 [value] if name == field else [default]
                 for name, default in zip(
                     ("cls", "length", "parent", "origin_of"),
@@ -95,6 +96,10 @@ class TestEncoding:
                 )
             ))
         assert state.checksum() == before
+
+    def test_an_empty_state_has_the_checksum_of_empty_arrays(self):
+        arrays = state_of(0, *(np.zeros(0, dtype=np.int64) for _ in range(4)))
+        assert RouteState.empty(0, origin=0).checksum() == arrays.checksum()
 
     def test_a_state_wider_than_the_node_field_raises(self):
         with pytest.raises(ValueError, match="at most"):
@@ -140,7 +145,7 @@ class TestGuards:
         assert state.is_frozen and type(state.routes) is tuple
         before = state.checksum()
         with pytest.raises(TypeError):
-            state.set_route(0, length=3)
+            set_route(state, 0, length=3)
         with pytest.raises(ValueError, match="mutable"):
             engine.converge_delta(state, mini_view.node_of(70))
         with pytest.raises(ValueError, match="frozen"):
@@ -163,8 +168,30 @@ class TestGuards:
             assert clone.is_frozen == frozen
         thawed = state.copy_for(state.origin)
         assert not thawed.is_frozen and thawed.checksum() == checksum
-        thawed.set_route(0, length=1)
+        set_route(thawed, 0, length=1)
         assert state.checksum() == checksum
+
+    def test_a_state_holds_exactly_one_representation(self):
+        arrays = tuple(np.zeros(1, dtype=np.int64) for _ in range(4))
+        for kwargs in ({}, {"routes": [0], "arrays": arrays}):
+            with pytest.raises(ValueError, match="exactly one"):
+                RouteState(0, **kwargs)
+
+    def test_a_journal_reverts_only_its_own_backend(self, mini_view):
+        deltas, states = [], []
+        for backend in ("reference", "array"):
+            engine = RoutingEngine(mini_view, backend=backend)
+            state = engine.converge(mini_view.node_of(50))
+            deltas.append(engine.converge_delta(state, mini_view.node_of(60)))
+            states.append(state)
+        packed, arrays = states
+        checksums = [state.checksum() for state in states]
+        with pytest.raises(ValueError, match="list-backed"):
+            deltas[0].revert(arrays)
+        with pytest.raises(ValueError, match="ndarray-backed"):
+            deltas[1].revert(packed)
+        assert [state.checksum() for state in states] == checksums
+        assert packed.routes is not None and arrays.arrays is not None
 
     @pytest.mark.parametrize("validate", [False, True], ids=["plain", "validating"])
     def test_cache_hits_keep_the_checksum(self, mini_view, validate):

@@ -19,6 +19,7 @@ from repro.stream.events import Announce, RoaPublish, compile_scenario
 from repro.stream.incremental import AnnounceEntry, PrefixLedger, full_converge
 from repro.stream.monitor import OnlineMonitor
 from repro.stream.replay import StreamReplayer
+from tests.route_cells import set_route
 
 
 @pytest.fixture
@@ -230,7 +231,7 @@ class TestFlapRevive:
         assert ledger.announce(origin)
         assert ledger.withdraw(origin)
         released = ledger._released[1]
-        released.set_route(origin, length=released.route(origin)[1] + 7)
+        set_route(released, origin, length=released.route(origin)[1] + 7)
         with pytest.raises(RuntimeError, match="state corruption"):
             ledger.announce(origin)
 
@@ -250,7 +251,7 @@ class TestValidateMode:
         assert ledger.announce(node(mini_view, 60))
         # Corrupt a cell the second delta never touched: the first
         # origin's own entry (an origin route is never displaced).
-        ledger._state.set_route(origin_a, length=ledger._state.route(origin_a)[1] + 7)
+        set_route(ledger._state, origin_a, length=ledger._state.route(origin_a)[1] + 7)
         with pytest.raises(RuntimeError, match="journal corruption"):
             ledger.withdraw(node(mini_view, 60))
 
@@ -260,7 +261,7 @@ class TestValidateMode:
         for asn in (50, 60, 70):
             assert ledger.announce(node(mini_view, asn))
         assert ledger._slots[1].delta is not None
-        ledger._state.set_route(origin_a, length=ledger._state.route(origin_a)[1] + 7)
+        set_route(ledger._state, origin_a, length=ledger._state.route(origin_a)[1] + 7)
         with pytest.raises(RuntimeError, match="journal corruption"):
             ledger.withdraw(node(mini_view, 70))  # rewinds to slot 1
 
