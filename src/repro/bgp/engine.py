@@ -15,9 +15,9 @@ generation *L*. Each node therefore sees its candidates in increasing
 length order (best class first within a generation) and installs a
 candidate exactly when it strictly beats the node's current entry. That is
 precisely a generalized Dijkstra ordered by ``(length, class)``: this
-engine walks candidate routes through a bucket queue in that order (one
-sender node per export, its route class naming the neighbours it
-announces to) and applies the same
+engine walks candidate routes in that order (per length, three sender
+queues: up to providers, across to peers, down to customers) and
+applies the same
 strict-preference install rule (:func:`repro.bgp.policy.prefers`,
 inlined), so per node the install sequence — and hence the final RIB —
 matches the flood's. The equivalence is enforced by randomized
@@ -286,6 +286,21 @@ class RouteState:
             return (self.routes[node] & _NODE_MASK) - 1
         return int(self.arrays[3][node])
 
+    def routes_at(self, nodes: Sequence[int]) -> tuple[int, ...]:
+        """The packed routes of *nodes*, in order, as one tuple: equal
+        tuples are equal routes there. A packed state reads its cells
+        with one C-level gather; an ndarray-backed one packs them."""
+        if self.routes is not None:
+            return tuple(map(self.routes.__getitem__, nodes))
+        picked = list(nodes)
+        return tuple(map(_pack, *(array[picked].tolist() for array in self.arrays)))
+
+    @staticmethod
+    def origins_in(routes: Sequence[int]) -> list[int]:
+        """The origin node of each packed route in *routes* (−1 where
+        there is none), as :meth:`routes_at` gathered them."""
+        return [(route & _NODE_MASK) - 1 for route in routes]
+
     def has_route(self, node: int) -> bool:
         if self.routes is not None:
             return self.routes[node] < _NO_ROUTE
@@ -400,7 +415,7 @@ class RoutingEngine:
     ``NULL_METRICS`` sink reduces that to four no-op calls.
 
     ``backend`` selects the propagation kernel: ``"reference"`` (default)
-    is the pure-Python bucket queue below; ``"array"`` is the flat-array
+    is the pure-Python three-queue kernel below; ``"array"`` is the flat-array
     kernel in :mod:`repro.bgp.kernel`, which produces bit-identical
     :meth:`RouteState.checksum` outcomes at a fraction of the wall-clock
     on large topologies (see ``docs/performance.md``). The contract is
@@ -432,6 +447,13 @@ class RoutingEngine:
             self.backend = backend
             self._compiled = None
             self._converge_columns = None
+            # The reference kernel's tier-1 table: all False with the
+            # tier-1 rule off, so its loops never test the policy. Its
+            # down loop tests the table only where a customer can be a
+            # tier-1 node.
+            tier1_rule = self.policy.tier1_shortest_path
+            self._tier1 = view.is_tier1 if tier1_rule else (False,) * len(view)
+            self._tier1_down = tier1_rule and view.tier1_has_provider
 
     # -- public API ------------------------------------------------------------
 
@@ -719,115 +741,146 @@ class RoutingEngine:
         journal: list[int] | None,
         origin_length: int = 0,
     ) -> None:
-        """The pure-Python bucket-queue propagation kernel.
+        """The pure-Python propagation kernel: three sender queues per
+        route length, one per export direction.
 
-        One bucket per route length, holding per route class the sender
-        nodes queued at that length; the class picks the adjacency a
-        sender announces over (CUSTOMER routes go up to ``providers``,
-        PEER routes across to ``peers``, PROVIDER routes down to
-        ``customers``), so one queue entry per export is one plain int.
-        Walking each sender's neighbours in order visits candidates in
-        exactly the flood's arrival order, and the install rule is
+        ``up`` holds the senders announcing to their ``providers`` (the
+        origin and CUSTOMER routes), ``across`` those announcing to their
+        ``peers`` (the same routes), ``down`` those announcing to their
+        ``customers`` (every route). A provider that installs holds a
+        CUSTOMER route and is queued all three ways; a peer or a customer
+        that installs holds a PEER or PROVIDER route and is queued down
+        only. Walking a length's up, across, then down senders, each
+        sender's neighbours in order, visits candidates in exactly the
+        flood's arrival order. The install rule is
         :func:`repro.bgp.policy.prefers` inlined as integer compares on
-        the packed routes: a sender's route is built once, and an
-        install is one journal record and one store.
+        the packed routes: a sender's route is built once, and an install
+        is two journal appends and one store.
 
-        A journaled pass does no counting in the loop: its installs and
-        replacements are read off the journal afterwards, and only when
+        Only the up and across loops test for a tier-1 receiver: a
+        customer is a tier-1 node only in a view where some tier-1 node
+        has a provider, and there the down senders take the across loop.
+        With the tier-1 rule off the tier-1 table is all False. Nothing
+        is counted in the loop: a pass always journals (into a scratch
+        list when the caller keeps none), and its installs and
+        replacements are read off the journal afterwards, only when
         metrics are enabled.
         """
-        view = self.view
-        providers = view.providers
-        peers = view.peers
-        customers = view.customers
-        is_tier1 = view.is_tier1
-        tier1_shortest = self.policy.tier1_shortest_path
+        providers = self.view.providers
+        peers = self.view.peers
+        customers = self.view.customers
+        tier1 = self._tier1
+        tier1_down = self._tier1_down
         blocking = bool(blocked_set)
         route = state._kernel_routes()
+        if journal is None:
+            journal = []
         origin_mark = origin + 1
 
         # The origin installs its own route unconditionally.
-        if journal is not None:
-            journal += (origin, route[origin])
+        journal.append(origin)
+        journal.append(route[origin])
         route[origin] = origin_length << _KEY_SHIFT | origin_mark
 
-        # Initial exports from the origin, one hop past the claimed path;
-        # bucket[route_class] lists the senders (index 0 is never used).
+        # Initial exports from the origin, one hop past the claimed path.
         # A sender is queued only when it has someone to announce to.
-        bucket: list[list[int]] = [[], [], [], []]
+        up: list[int] = []
+        across: list[int] = []
+        down: list[int] = []
         if providers[origin] and not (filter_first_hop_providers and not customers[origin]):
-            bucket[_CLASS_CUSTOMER].append(origin)
+            up.append(origin)
         if peers[origin]:
-            bucket[_CLASS_PEER].append(origin)
+            across.append(origin)
         if customers[origin]:
-            bucket[_CLASS_PROVIDER].append(origin)
+            down.append(origin)
 
-        installs = 0
-        replaced = 0
         route_length = origin_length + 1
-        buckets: list[list[list[int]]] = []
-        classes = (
-            (_CLASS_CUSTOMER, providers),
-            (_CLASS_PEER, peers),
-            (_CLASS_PROVIDER, customers),
-        )
-        while any(bucket):
-            current, bucket = bucket, [[], [], [], []]
-            buckets.append(current)
-            _, up, across, down = bucket
-            for route_class, receivers_of in classes:
-                exported_up = route_class == _CLASS_CUSTOMER
-                # The candidate's key with every low bit set: a cell
-                # rejects it iff its own route is not above that, i.e.
-                # its (class, length) is at least as good.
+        levels: list[tuple[list[int], list[int], list[int]]] = []
+        while up or across or down:
+            levels.append((up, across, down))
+            senders_up, senders_across, senders_down = up, across, down
+            up, across, down = [], [], []
+
+            # A candidate's key has every low bit set: a cell rejects it
+            # iff its own route is not above that, i.e. its (class,
+            # length) is at least as good. An empty cell is (_NO_CLASS,
+            # UNREACHABLE), which every candidate beats on both branches;
+            # the origin's (ORIGIN, origin_length) none beats.
+            key = (_CLASS_CUSTOMER << _LEN_BITS | route_length) << _KEY_SHIFT | _LOW_MASK
+            offer = key ^ _LOW_MASK | origin_mark
+            for sender in senders_up:
+                mine = offer | (sender + 1) << _NODE_BITS
+                for node in providers[sender]:
+                    if tier1[node]:
+                        if route_length >= route[node] >> _KEY_SHIFT & _LEN_MASK:
+                            continue
+                    elif key >= route[node]:
+                        continue
+                    if blocking and node in blocked_set:
+                        continue
+                    journal.append(node)
+                    journal.append(route[node])
+                    route[node] = mine
+                    if providers[node]:
+                        up.append(node)
+                    if peers[node]:
+                        across.append(node)
+                    if customers[node]:
+                        down.append(node)
+
+            sideways = [(senders_across, peers, _CLASS_PEER)]
+            if tier1_down:
+                sideways.append((senders_down, customers, _CLASS_PROVIDER))
+                senders_down = ()
+            for senders, receivers_of, route_class in sideways:
                 key = (route_class << _LEN_BITS | route_length) << _KEY_SHIFT | _LOW_MASK
                 offer = key ^ _LOW_MASK | origin_mark
-                for sender in current[route_class]:
+                for sender in senders:
                     mine = offer | (sender + 1) << _NODE_BITS
                     for node in receivers_of[sender]:
+                        if tier1[node]:
+                            if route_length >= route[node] >> _KEY_SHIFT & _LEN_MASK:
+                                continue
+                        elif key >= route[node]:
+                            continue
                         if blocking and node in blocked_set:
                             continue
-                        # An empty cell is (_NO_CLASS, UNREACHABLE), which
-                        # every candidate beats on both branches; the
-                        # origin's (ORIGIN, origin_length) none beats.
-                        old = route[node]
-                        if tier1_shortest and is_tier1[node]:
-                            if route_length >= old >> _KEY_SHIFT & _LEN_MASK:
-                                continue
-                        elif key >= old:
-                            continue
-                        if journal is None:
-                            installs += 1
-                            if old < _NO_ROUTE:
-                                replaced += 1
-                        else:
-                            journal += (node, old)
+                        journal.append(node)
+                        journal.append(route[node])
                         route[node] = mine
-                        if exported_up:
-                            if providers[node]:
-                                up.append(node)
-                            if peers[node]:
-                                across.append(node)
                         if customers[node]:
                             down.append(node)
+
+            key = (_CLASS_PROVIDER << _LEN_BITS | route_length) << _KEY_SHIFT | _LOW_MASK
+            offer = key ^ _LOW_MASK | origin_mark
+            for sender in senders_down:
+                mine = offer | (sender + 1) << _NODE_BITS
+                for node in customers[sender]:
+                    if key >= route[node]:
+                        continue
+                    if blocking and node in blocked_set:
+                        continue
+                    journal.append(node)
+                    journal.append(route[node])
+                    route[node] = mine
+                    if customers[node]:
+                        down.append(node)
             route_length += 1
         if self.metrics.enabled:
             # Every neighbour of every queued sender is one announcement
             # crossing one link; summing after the fact keeps the hot loop
-            # free of counting. Rounds are the buckets up to the last one
-            # filled. A journaled pass's first record is the origin's own
-            # install, which is not counted; its later records are.
+            # free of counting. Rounds are the lengths up to the last one
+            # with a sender. The journal's first record is the origin's
+            # own install, which is not counted; its later records are.
             messages = sum(
-                len(receivers_of[sender])
-                for done in buckets
-                for route_class, receivers_of in classes
-                for sender in done[route_class]
+                sum(map(len, map(receivers_of.__getitem__, senders)))
+                for level in levels
+                for senders, receivers_of in zip(level, (providers, peers, customers))
             )
-            if journal is not None:
-                installs = len(journal) // 2 - 1
-                replaced = installs - journal[3::2].count(_EMPTY_ROUTE)
+            installs = len(journal) // 2 - 1
+            replaced = installs - journal[3::2].count(_EMPTY_ROUTE)
             self._emit_convergence_metrics(
-                messages, installs, replaced, route_length if buckets else 0
+                messages, installs, replaced, route_length if levels else 0
             )
 
     def _emit_convergence_metrics(

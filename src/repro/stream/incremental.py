@@ -78,7 +78,7 @@ convergence cache's ``verify`` mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 from repro.bgp.engine import ConvergenceDelta, RouteState, RoutingEngine
 from repro.obs.metrics import NULL_METRICS, Metrics
@@ -215,9 +215,10 @@ class PrefixLedger:
         self.engine = engine
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._slots: list[_LedgerSlot] = []
-        # The origins of _slots as a set: a duplicate announce or a
-        # spurious withdraw is answered by one lookup, not a slot scan.
-        self._active: set[int] = set()
+        # Origin node -> entry of every slot: a duplicate announce or a
+        # spurious withdraw is answered by one lookup, not a slot scan,
+        # and the monitor reads announcers and claims off it.
+        self._entry_of: dict[int, AnnounceEntry] = {}
         self._state: RouteState | None = None
         # The sole slot and state the last withdraw-to-empty released; an
         # equal announce revives them (see the module docstring).
@@ -242,8 +243,17 @@ class PrefixLedger:
         """
         return self._state
 
+    @property
+    def entry_of(self) -> Mapping[int, AnnounceEntry]:
+        """Origin node → its active :class:`AnnounceEntry`, in
+        announcement order. The live map, not a copy: read it, never
+        write it. An entry object stays the same from its announce to its
+        withdraw, so ``is`` tells an unchanged announcement from a new
+        one."""
+        return self._entry_of
+
     def is_active(self, origin: int) -> bool:
-        return origin in self._active
+        return origin in self._entry_of
 
     def active_origins(self) -> tuple[int, ...]:
         return tuple(slot.entry.origin for slot in self._slots)
@@ -251,12 +261,6 @@ class PrefixLedger:
     def origin_asns(self) -> dict[int, int]:
         """Routing node → announcing ASN for every active announcement."""
         return {slot.entry.origin: slot.entry.origin_asn for slot in self._slots}
-
-    def claimed_paths(self) -> dict[int, tuple[int, ...]]:
-        """Routing node → claimed AS path for every active announcement."""
-        return {
-            slot.entry.origin: slot.entry.claimed_path for slot in self._slots
-        }
 
     def checksum(self) -> str | None:
         return self._state.checksum() if self._state is not None else None
@@ -295,7 +299,7 @@ class PrefixLedger:
         Withdrawing the sole announcement keeps its slot and state as the
         released pair an equal announce revives.
         """
-        if origin not in self._active:
+        if origin not in self._entry_of:
             return False
         position = next(
             index for index, slot in enumerate(self._slots)
@@ -303,7 +307,8 @@ class PrefixLedger:
         )
         rewound = self._slots[position:]
         del self._slots[position:]
-        self._active.difference_update(slot.entry.origin for slot in rewound)
+        for slot in rewound:
+            del self._entry_of[slot.entry.origin]
         self.metrics.count("stream.ledger.reverts", len(rewound))
         if not self._slots:
             if len(rewound) == 1:
@@ -337,7 +342,7 @@ class PrefixLedger:
         if released is not None and released[0].entry == entry:
             slot, self._state = released
             self._slots.append(slot)
-            self._active.add(entry.origin)
+            self._entry_of[entry.origin] = slot.entry
             if slot.checksum is not None and self._state.checksum() != slot.checksum:
                 raise RuntimeError(
                     f"revived state for origin {entry.origin} changed while "
@@ -364,7 +369,7 @@ class PrefixLedger:
             self.metrics.count("stream.ledger.cells_installed", delta.touched)
         slot = _LedgerSlot(entry=entry, delta=delta)
         self._slots.append(slot)
-        self._active.add(entry.origin)
+        self._entry_of[entry.origin] = entry
         if self.engine.validate:
             _validate_chain(self.engine, self._state, self.entries)
             slot.checksum = self._state.checksum()

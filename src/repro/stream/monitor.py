@@ -27,12 +27,14 @@ becomes a number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from repro.bgp.engine import RouteState
 from repro.detection.detector import HijackDetector
 from repro.detection.taxonomy import PathObservation
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.prefixes.prefix import Prefix
-from repro.stream.incremental import PrefixLedger
+from repro.stream.incremental import AnnounceEntry, PrefixLedger
 from repro.topology.view import RoutingView
 
 __all__ = ["MonitorReport", "OnlineMonitor", "StreamAlarm"]
@@ -114,6 +116,18 @@ class MonitorReport:
         }
 
 
+class _Judged(NamedTuple):
+    """What the monitor last judged for one prefix."""
+
+    version: int  # the detector's published version it was judged under
+    witnesses: dict[tuple[int, ...], list[int]]  # probe ASNs by claimed path
+    conflict: bool
+    routes: tuple[int, ...]  # the probes' packed routes it was read from
+    # Each origin those routes named, with the ledger entry it mapped to
+    # (None where the ledger had none).
+    entries: tuple[tuple[int, AnnounceEntry | None], ...]
+
+
 class OnlineMonitor:
     """Vantage-point observers over a stream of per-prefix ledgers.
 
@@ -141,6 +155,14 @@ class OnlineMonitor:
     reused: it counts toward ``conflicts_judged`` as a re-judge would,
     and it cannot alarm, because the alarm it could raise has already
     been raised. ``stream.monitor.reused`` counts these reuses.
+
+    The list is a function of the probes' routes and of the ledger
+    entry behind each origin they name, so the monitor also keeps the
+    packed routes it read (one gather) and those entries. When the
+    version is unchanged, the routes are equal and every origin still
+    maps to the *same* entry object, the list is the same without being
+    rebuilt; otherwise it is rebuilt from the gathered routes and
+    compared as above.
     """
 
     def __init__(
@@ -160,14 +182,12 @@ class OnlineMonitor:
                 if view.has_asn(asn)
             )
         )
+        self._probe_nodes = tuple(node for _asn, node in self._probe_views)
         self._announced: dict[tuple[Prefix, int], tuple[float, int]] = {}
         self._alarm_keys: set[
             tuple[Prefix, tuple[int, ...], tuple[tuple[int, ...], ...]]
         ] = set()
-        # prefix -> (published version, witnesses by tail, was a conflict)
-        self._judged: dict[
-            Prefix, tuple[int, dict[tuple[int, ...], list[int]], bool]
-        ] = {}
+        self._judged: dict[Prefix, _Judged] = {}
         self._events_seen = 0
         self._conflicts_judged = 0
         self.alarms: list[StreamAlarm] = []
@@ -198,41 +218,68 @@ class OnlineMonitor:
         state = ledger.state
         if state is None:
             return None
-        asn_of_origin = ledger.origin_asns()
-        claimed = ledger.claimed_paths()
-        witnesses_by_tail: dict[tuple[int, ...], list[int]] = {}
-        announcer_by_tail: dict[tuple[int, ...], int] = {}
-        for probe_asn, probe_node in self._probe_views:
-            origin_node = state.origin_at(probe_node)
-            if origin_node == -1 or origin_node == probe_node:
-                continue  # no route, or the probe's own announcement
-            announcer = asn_of_origin.get(origin_node)
-            if announcer is None:  # defensively skip stale origins
-                continue
-            tail = claimed.get(origin_node, (announcer,))
-            witnesses_by_tail.setdefault(tail, []).append(probe_asn)
-            announcer_by_tail.setdefault(tail, announcer)
-        if not witnesses_by_tail:
-            return None
+        routes = state.routes_at(self._probe_nodes)
+        entry_of = ledger.entry_of
         version = self.detector.published_version
         judged = self._judged.get(prefix)
         if (
             judged is not None
-            and judged[0] == version
-            and judged[1] == witnesses_by_tail
+            and judged.version == version
+            and judged.routes == routes
+            and all(entry_of.get(origin) is entry for origin, entry in judged.entries)
         ):
-            self.metrics.count("stream.monitor.reused")
-            if judged[2]:
-                self._conflicts_judged += 1
-                self.metrics.count("stream.monitor.conflicts")
+            self._reuse(judged)
+            return None
+        # Per origin the routes name, the probes that see it, in probe
+        # (ASN) order; a probe's own announcement is not a sighting.
+        origins = RouteState.origins_in(routes)
+        views = self._probe_views
+        witnesses_by_tail: dict[tuple[int, ...], list[int]] = {}
+        announcer_by_tail: dict[tuple[int, ...], int] = {}
+        entries: dict[int, AnnounceEntry | None] = {}
+        for origin_node in dict.fromkeys(origins):
+            if origin_node == -1:
+                continue
+            probes = [
+                probe_asn
+                for (probe_asn, probe_node), seen in zip(views, origins)
+                if seen == origin_node and probe_node != origin_node
+            ]
+            if not probes:
+                continue
+            entry = entries[origin_node] = entry_of.get(origin_node)
+            if entry is None:  # defensively skip stale origins
+                continue
+            tail = entry.claimed_path
+            witnesses = witnesses_by_tail.get(tail)
+            if witnesses is None:
+                witnesses_by_tail[tail] = probes
+                announcer_by_tail[tail] = entry.origin_asn
+            else:  # two origins claim one path
+                witnesses.extend(probes)
+                witnesses.sort()
+        if not witnesses_by_tail:
+            return None
+        if (
+            judged is not None
+            and judged.version == version
+            and judged.witnesses == witnesses_by_tail
+        ):
+            self._judged[prefix] = judged._replace(
+                routes=routes, entries=tuple(entries.items())
+            )
+            self._reuse(judged)
             return None
         observations = [
-            PathObservation(tail=tail, witnesses=tuple(sorted(probes)))
+            PathObservation(tail=tail, witnesses=tuple(probes))
             for tail, probes in sorted(witnesses_by_tail.items())
         ]
         report = self.detector.observe_conflict(prefix, observations)
         if version is not None:
-            self._judged[prefix] = (version, witnesses_by_tail, report is not None)
+            self._judged[prefix] = _Judged(
+                version, witnesses_by_tail, report is not None, routes,
+                tuple(entries.items()),
+            )
         if report is None:
             return None
         self._conflicts_judged += 1
@@ -283,6 +330,13 @@ class OnlineMonitor:
                 "stream.monitor.first_alarm_latency_events", float(latency_events)
             )
         return alarm
+
+    def _reuse(self, judged: _Judged) -> None:
+        """Count a reused judgement as the re-judge it stands for."""
+        self.metrics.count("stream.monitor.reused")
+        if judged.conflict:
+            self._conflicts_judged += 1
+            self.metrics.count("stream.monitor.conflicts")
 
     # -- summary -----------------------------------------------------------
 

@@ -187,9 +187,9 @@ class StreamReplayer:
 
     # -- queries -----------------------------------------------------------
 
-    def ledgers(self) -> dict[Prefix, PrefixLedger]:
-        """A snapshot of every live per-prefix ledger (prefix → ledger)."""
-        return dict(self._ledgers)
+    def ledger(self, prefix: Prefix) -> PrefixLedger | None:
+        """The ledger of *prefix*, or ``None`` if no event has opened one."""
+        return self._ledgers.get(prefix)
 
     def covering_ledgers(self, prefix: Prefix) -> list[PrefixLedger]:
         """The ledgers whose prefix covers *prefix* and that hold a state,
@@ -322,8 +322,9 @@ class StreamReplayer:
             # A flap revives its released state only within this batch.
             self._ledgers[prefix].release()
         if self.monitor is not None:
-            for prefix in sorted(touched, key=str):
-                ledger = self._ledgers.get(prefix)
+            # Prefixes are observed in text order; one needs no sort.
+            for prefix in sorted(touched, key=str) if len(touched) > 1 else touched:
+                ledger = self.ledger(prefix)
                 if ledger is None:
                     continue
                 try:

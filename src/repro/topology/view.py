@@ -179,6 +179,13 @@ class RoutingView:
         return len(self.members[node])
 
     @cached_property
+    def tier1_has_provider(self) -> bool:
+        """Whether some tier-1 node is another node's customer: only
+        then can a route exported down to customers reach a tier-1 node."""
+        is_tier1 = self.is_tier1
+        return any(is_tier1[node] for group in self.customers for node in group)
+
+    @cached_property
     def representative_asns(self) -> "ndarray":
         """``asn_of(node)`` for every node, as an int64 array.
 

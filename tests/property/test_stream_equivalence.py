@@ -40,6 +40,7 @@ from repro.bgp.engine import RoutingEngine
 from repro.detection.detector import HijackDetector
 from repro.detection.probes import ProbeSet
 from repro.detection.taxonomy import PathObservation
+from repro.obs.metrics import Metrics
 from repro.prefixes.prefix import Prefix
 from repro.registry.neighbors import NeighborRegistry
 from repro.stream.events import (
@@ -52,6 +53,7 @@ from repro.stream.events import (
 from repro.stream.incremental import PrefixLedger, full_converge
 from repro.stream.monitor import OnlineMonitor, StreamAlarm
 from repro.stream.replay import StreamReplayer
+from repro.topology.relationships import Relationship
 from tests.conftest import build_mini_graph
 from tests.strategies import announce_withdraw_sequences, example_budget
 
@@ -133,7 +135,7 @@ def test_withdraw_order_independence(backend, case, data):
 def test_is_active_agrees_with_active_origins(case, data):
     """After every op — interior withdraws, slot-0 re-bases and flap
     revives included, with a duplicate announce or spurious withdraw drawn
-    in between — the membership set answers exactly what the slots say."""
+    in between — the origin → entry map answers exactly what the slots say."""
     view, ops = case
     ledger = PrefixLedger(RoutingEngine(view))
     nodes = range(len(view))
@@ -146,6 +148,9 @@ def test_is_active_agrees_with_active_origins(case, data):
             assert not ledger.withdraw(probe)
         active = ledger.active_origins()
         assert [node for node in nodes if ledger.is_active(node)] == sorted(active)
+        entries = ledger.entries  # the map holds the slots' own objects
+        assert len(ledger.entry_of) == len(entries)
+        assert all(a is b for a, b in zip(ledger.entry_of.values(), entries))
 
 
 def _reference_coalesce(replayer: StreamReplayer, pending):
@@ -158,7 +163,7 @@ def _reference_coalesce(replayer: StreamReplayer, pending):
             continue
         key = (event.prefix, event.origin_asn)
         if key not in active:
-            ledger = replayer.ledgers().get(event.prefix)
+            ledger = replayer.ledger(event.prefix)
             view = replayer.lab.view
             active[key] = bool(
                 ledger is not None
@@ -245,7 +250,10 @@ def test_flushes_with_flaps_match_full_convergence(installed, batches):
         for event in batch:
             replayer.submit(event)
         replayer.flush()
-        for ledger in replayer.ledgers().values():
+        for prefix in _PREFIXES:
+            ledger = replayer.ledger(prefix)
+            if ledger is None:
+                continue
             assert ledger._released is None
             reference = full_converge(lab.engine, ledger.entries)
             assert ledger.checksum() == (
@@ -269,7 +277,7 @@ class RejudgingMonitor(OnlineMonitor):
         if state is None:
             return None
         asn_of_origin = ledger.origin_asns()
-        claimed = ledger.claimed_paths()
+        claimed = {entry.origin: entry.claimed_path for entry in ledger.entries}
         witnesses_by_tail: dict = {}
         announcer_by_tail: dict = {}
         for probe_asn, probe_node in self._probe_views:
@@ -414,6 +422,16 @@ _FORGED = _announce((_PREFIXES[0], 50), (40, 50))
     ],
     0.0, _MONITOR_PROBES[0], "path",
 )
+@example(  # one flush re-announces 50 behind a new first hop of one length
+    [
+        (0.0, [_FORGED, _announce((_PREFIXES[0], 60))]),
+        (1.0, [
+            Withdraw(at=0.0, prefix=_PREFIXES[0], origin_asn=50),
+            _announce((_PREFIXES[0], 50), (80, 50)),
+        ]),
+    ],
+    0.5, _MONITOR_PROBES[0], "path",
+)
 @given(
     _monitor_streams,
     st.sampled_from((0.0, 0.5, 2.0)),
@@ -444,3 +462,53 @@ def test_monitor_reuse_matches_rejudging_every_prefix(stream, window, probes, ru
     rejudged_report = rejudged.run(events)
     assert live_report.monitor.as_dict() == rejudged_report.monitor.as_dict()
     assert live_report.as_dict() == rejudged_report.as_dict()
+
+
+@pytest.mark.parametrize("rules", ["origin", "path"])
+def test_monitor_rejudges_a_new_claim_behind_equal_probe_routes(rules):
+    """Within one flush AS 50 is withdrawn and re-announced behind another
+    first hop of the same length, then withdrawn and announced by its
+    sibling AS 51 behind that hop: the probes' routes are equal every
+    time, but each claim is a new ledger entry, so the monitor re-judges
+    each flush instead of reusing, and reports what the re-judging
+    monitor reports."""
+    graph = build_mini_graph()
+    graph.add_as(51, region="west")
+    graph.add_relationship(50, 51, Relationship.SIBLING)
+    lab = HijackLab(graph, seed=1)
+    probes = _MONITOR_PROBES[0]
+    detector = HijackDetector(probes)
+    if rules == "path":
+        detector = dataclasses.replace(
+            detector,
+            neighbors=NeighborRegistry.from_graph(lab.graph),
+            relationships=lab.graph,
+        )
+    prefix = _PREFIXES[0]
+    flushes = [
+        [_announce((prefix, 60)), _announce((prefix, 50), (40, 50))],
+        [Withdraw(at=0.0, prefix=prefix, origin_asn=50), _announce((prefix, 50), (80, 50))],
+        [Withdraw(at=0.0, prefix=prefix, origin_asn=50), _announce((prefix, 51), (80, 51))],
+    ]
+    probe_nodes = [lab.view.node_of(asn) for asn in sorted(probes.asns)]
+
+    def replay(replayer):
+        routes = []
+        for at, group in enumerate(flushes, start=1):
+            for event in group:
+                replayer.submit(dataclasses.replace(event, at=float(at)))
+            replayer.flush()
+            routes.append(replayer.ledger(prefix).state.routes_at(probe_nodes))
+        return replayer.finish(), routes
+
+    metrics = Metrics()
+    live = StreamReplayer(lab, detector=detector, batch_window=0.5, metrics=metrics)
+    report, routes = replay(live)
+    assert routes[0] == routes[1] == routes[2]
+    assert metrics.counters.get("stream.monitor.reused", 0) == 0
+    assert report.monitor.conflicts_judged == len(flushes)
+    rejudged = StreamReplayer(lab, detector=detector, batch_window=0.5)
+    rejudged.monitor = RejudgingMonitor(
+        lab.view, dataclasses.replace(detector, authority=rejudged.authority)
+    )
+    assert report.as_dict() == replay(rejudged)[0].as_dict()

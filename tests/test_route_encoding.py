@@ -97,6 +97,16 @@ class TestEncoding:
             ))
         assert state.checksum() == before
 
+    def test_routes_at_gathers_one_packing_on_both_backends(self):
+        columns = list(zip(*(param.values[0] for param in EXTREMES)))
+        packed = state_of(0, *(list(column) for column in columns))
+        arrays = state_of(0, *(np.array(column, dtype=np.int64) for column in columns))
+        nodes = [4, 0, 2, 0, 3, 1]
+        gathered = packed.routes_at(nodes)
+        assert gathered == arrays.routes_at(nodes)
+        assert all(type(route) is int for route in gathered)
+        assert RouteState.origins_in(gathered) == [packed.origin_at(node) for node in nodes]
+
     def test_an_empty_state_has_the_checksum_of_empty_arrays(self):
         arrays = state_of(0, *(np.zeros(0, dtype=np.int64) for _ in range(4)))
         assert RouteState.empty(0, origin=0).checksum() == arrays.checksum()

@@ -482,13 +482,15 @@ class TestAutoMitigation:
         assert len(payload[0]["announced"]) == 2
 
 
-def per_node_coverage(service, prefix, origin_asn):
-    """``victim_coverage`` node by node: most-specific live ledger first,
-    falling through to the next covering one where a ledger has no route."""
+def per_node_coverage(service, announced, prefix, origin_asn):
+    """``victim_coverage`` node by node over the ledgers of the
+    *announced* prefixes: most-specific live ledger first, falling
+    through to the next covering one where a ledger has no route."""
+    ledgers = [(stored, service.replayer.ledger(stored)) for stored in announced]
     live = [
         (stored, ledger)
-        for stored, ledger in service.replayer.ledgers().items()
-        if ledger.state is not None
+        for stored, ledger in ledgers
+        if ledger is not None and ledger.state is not None
     ]
     if prefix.length < 32:
         samples = [half.first_address() for half in prefix.subnets()]
@@ -525,13 +527,13 @@ class TestVictimCoverage:
         feed(service, Announce(at=0.0, prefix=prefix, origin_asn=50))
         feed(service, Announce(at=1.0, prefix=sub, origin_asn=60))
         service.poll()
-        routes = service.replayer.ledgers().get(sub).state.origin_of
+        routes = service.replayer.ledger(sub).state.origin_of
         assert 0 < sum(origin == -1 for origin in routes) < len(lab.view)
         quarter = next(iter(sub.subnets()))
         for query in (prefix, sub, quarter, p("10.0.0.0/8")):
             for origin_asn in (50, 60, 70):
                 assert service.victim_coverage(query, origin_asn) == (
-                    per_node_coverage(service, query, origin_asn)
+                    per_node_coverage(service, (prefix, sub), query, origin_asn)
                 )
         assert 0 < service.victim_coverage(prefix, 50) < 1
 

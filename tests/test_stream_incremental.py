@@ -31,6 +31,11 @@ def node(view, asn: int) -> int:
     return view.node_of(asn)
 
 
+def claimed_paths(ledger) -> dict[int, tuple[int, ...]]:
+    """Routing node -> claimed AS path of every active announcement."""
+    return {origin: entry.claimed_path for origin, entry in ledger.entry_of.items()}
+
+
 class TestLedgerBasics:
     def test_empty_ledger_has_no_state(self, engine):
         ledger = PrefixLedger(engine)
@@ -273,7 +278,7 @@ class TestClaimedPaths:
         ledger = PrefixLedger(engine)
         origin = node(mini_view, 50)
         assert ledger.announce(origin, origin_asn=50)
-        assert ledger.claimed_paths() == {origin: (50,)}
+        assert claimed_paths(ledger) == {origin: (50,)}
         assert ledger.entries[0].origin_length == 0
 
     def test_forged_path_sets_claimed_padding(self, engine, mini_view):
@@ -284,7 +289,7 @@ class TestClaimedPaths:
         entry = ledger.entries[0]
         assert entry.claimed_path == path
         assert entry.origin_length == 2
-        assert ledger.claimed_paths() == {origin: path}
+        assert claimed_paths(ledger) == {origin: path}
         # The padding reaches the pass: identical to a cold converge at
         # the claimed length.
         reference = engine.converge(origin, origin_length=2)
@@ -308,7 +313,7 @@ class TestClaimedPaths:
         assert ledger.announce(node(mini_view, 60), origin_asn=60,
                                path=(60, 50))
         assert ledger.withdraw(node(mini_view, 60))
-        assert ledger.claimed_paths() == {legit: (50,)}
+        assert claimed_paths(ledger) == {legit: (50,)}
 
 
 class TestStreamTaxonomy:
@@ -376,9 +381,9 @@ class TestStreamTaxonomy:
                     self.TARGET, self.ATTACKER, kind=kind, path_kind=PathKind.TYPE_U
                 )
                 replayer, report = self.replayed(lab, scenario)
-                ledger = replayer.ledgers().get(scenario.prefix)
+                ledger = replayer.ledger(scenario.prefix)
                 attacker_node = lab.view.node_of(self.ATTACKER)
-                claimed = ledger.claimed_paths()[attacker_node]
+                claimed = ledger.entry_of[attacker_node].claimed_path
                 assert claimed == expected[marker]
                 assert all(type(hop) is int for hop in claimed)
                 assert report.monitor.first_alarm.culprit_paths == (
@@ -399,7 +404,7 @@ class TestStreamTaxonomy:
         ])
         assert report.events_noop == 1
         assert report.events_applied == 1  # applied, resolved to nothing
-        assert replayer.ledgers().get(prefix) is None
+        assert replayer.ledger(prefix) is None
         assert report.monitor.alarms == ()
 
     def test_batched_taxonomy_alarm_charges_queue_time(self, lab):
